@@ -466,6 +466,10 @@ func sccScatter(b *testing.B, net *facs.Network, ctrl sccObserver, n int) {
 // ledger refactor is a >= 10x throughput advantage at 1,000 active
 // calls; the ledger's per-decision cost is flat in the number of
 // tracked calls, so the measured gap widens linearly with load.
+// The ledger-boundary cases time the ledger where every interval hits
+// the guard band (see sccBoundary), where the cost does grow with the
+// tracked calls: a decision alone, and a decision committed with
+// OnAdmit (which adopts the decision's footprint) and released again.
 func BenchmarkSCCDecide(b *testing.B) {
 	impls := []struct {
 		name  string
@@ -508,7 +512,104 @@ func BenchmarkSCCDecide(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("ledger-boundary/active=%d", active), func(b *testing.B) {
+			ledger, req := sccBoundary(b, active)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ledger.Decide(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportFallbacks(b, ledger)
+		})
+		b.Run(fmt.Sprintf("ledger-boundary-commit/active=%d", active), func(b *testing.B) {
+			ledger, req := sccBoundary(b, active)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := ledger.Decide(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !d.Accepted() {
+					b.Fatal("boundary request rejected; the commit is not exercised")
+				}
+				ledger.OnAdmit(req)
+				ledger.OnRelease(req.Call.ID, req.Station, 0)
+			}
+			reportFallbacks(b, ledger)
+		})
 	}
+}
+
+// sccBoundary builds the guard band's worst case: a ReservationFull
+// ledger on a 127-cell network at the paper's 40 BU, whose centre cell
+// carries exactly 29 BU at every interval (stationary calls at the
+// centre), so a stationary voice request lands each interval's
+// aggregate exactly on the 34 BU survivability limit and every
+// interval takes the exact fallback. The other `active` calls are
+// scattered at least 8 km from the centre, out of its shadow, so they
+// leave the aggregate on the limit while the fallback still walks them.
+func sccBoundary(b *testing.B, active int) (*facs.SCCLedger, facs.AdmissionRequest) {
+	b.Helper()
+	net, err := facs.NewNetwork(facs.NetworkConfig{Rings: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ledger, err := facs.NewSCCLedger(facs.SCCConfig{Network: net, Reservation: facs.SCCReservationFull})
+	if err != nil {
+		b.Fatal(err)
+	}
+	centre, err := net.StationAt(facs.Point{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	classes := []facs.Class{facs.Text, facs.Voice, facs.Video}
+	for id := 0; id < active; {
+		pos := facs.Point{
+			X: (2*rng.Float64() - 1) * 20000,
+			Y: (2*rng.Float64() - 1) * 20000,
+		}
+		if pos.DistanceTo(facs.Point{}) < 8000 {
+			continue
+		}
+		bs, err := net.StationAt(pos)
+		if err != nil {
+			continue
+		}
+		class := classes[id%len(classes)]
+		ledger.OnAdmit(facs.AdmissionRequest{
+			Call:    facs.Call{ID: id, Class: class, BU: class.BandwidthUnits()},
+			Station: bs,
+			Est:     igps.Estimate{Pos: pos, HeadingDeg: rng.Float64()*360 - 180, SpeedKmh: rng.Float64() * 120},
+		})
+		id++
+	}
+	// 2 video + 1 voice + 4 text = 29 BU, stationary at the centre.
+	top := []facs.Class{facs.Video, facs.Video, facs.Voice, facs.Text, facs.Text, facs.Text, facs.Text}
+	for i, class := range top {
+		ledger.OnAdmit(facs.AdmissionRequest{
+			Call:    facs.Call{ID: active + i, Class: class, BU: class.BandwidthUnits()},
+			Station: centre,
+		})
+	}
+	for k := 0; k <= ledger.Config().Horizon; k++ {
+		if got := ledger.ProjectedDemand(centre.Hex(), k); got != 29 {
+			b.Fatalf("centre demand at k=%d is %v BU, want 29", k, got)
+		}
+	}
+	req := facs.AdmissionRequest{
+		Call:    facs.Call{ID: 999999, Class: facs.Voice, BU: facs.Voice.BandwidthUnits()},
+		Station: centre,
+	}
+	return ledger, req
+}
+
+// reportFallbacks reports the guard-band fallbacks per operation, so a
+// boundary bench that stopped reaching the band shows as 0.
+func reportFallbacks(b *testing.B, ledger *facs.SCCLedger) {
+	fallbacks, _ := ledger.Stats()
+	b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/op")
 }
 
 // envInt reads an integer env override for bench scaling.

@@ -69,8 +69,9 @@
 // O(horizon x cluster-cells) independent of the number of active calls
 // (three-plus orders of magnitude at 1,000 tracked calls; see
 // BenchmarkSCCDecide). Decisions are byte-identical to the oracle's: a
-// guard band re-derives any aggregate landing within 1e-6 BU of the
-// survivability threshold from scratch, and the golden-equivalence
+// guard band answers any aggregate landing within 1e-6 BU of the
+// survivability threshold with the oracle's exact sum, taken from the
+// cached footprints in the oracle's order, and the golden-equivalence
 // suites in internal/scc and internal/experiments pin the contract.
 // internal/scc/DESIGN.md records the invariants.
 //

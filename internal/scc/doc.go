@@ -22,7 +22,10 @@
 // cached per-call footprints, updated in O(footprint) on
 // admit/release/handoff — whose decisions are byte-identical at
 // O(horizon x cluster-cells) per decision: a 1e-6 BU guard band
-// re-derives near-threshold aggregates through the oracle summation.
+// answers near-threshold aggregates by summing the cached footprints in
+// the oracle's order, bit-identical to the oracle summation. An accepted
+// decision stashes the request's footprint, and the OnAdmit that commits
+// it adopts the stash instead of deriving the shadows again.
 // DESIGN.md records the ledger invariants and the guard-band argument;
 // ledger_test.go holds the golden-equivalence suite.
 //
@@ -51,7 +54,7 @@
 // byte-identical to the sequential replay for every shard count
 // (pinned at 1/2/4/8 in internal/experiments/ghost_test.go, which also
 // quantifies the free-running divergence). Guard-band fallbacks
-// re-derive LOCAL rows only; ghost rows are taken as-is, whose
+// sum LOCAL rows only; ghost rows are taken as-is, whose
 // residual is receiver-side accumulation rounding (exactly zero in
 // ReservationFull mode, where every aggregate is a whole-BU sum —
 // see ExportDemand and DESIGN.md).

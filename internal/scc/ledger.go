@@ -12,15 +12,16 @@ import (
 )
 
 // boundaryGuardBU is the absolute demand margin (in BU) within which the
-// ledger distrusts its incrementally maintained matrix and recomputes the
-// exact aggregated demand for the one (cell, interval) under test. The
-// matrix drifts from the from-scratch sum only by floating-point
-// cancellation of add/remove pairs — well below 1e-9 BU between rebuilds
-// (see DESIGN.md) — so any query landing outside this band provably sits
-// on the same side of the survivability threshold as the oracle's, and
-// any query inside it is answered by the oracle's own summation. The
-// golden-equivalence suite pins the result: ledger decisions are
-// byte-identical to the recompute Controller's.
+// ledger distrusts its incrementally maintained matrix and sums the
+// exact aggregated demand for the one (cell, interval) under test from
+// the cached footprints. The matrix drifts from the from-scratch sum
+// only by floating-point cancellation of add/remove pairs — well below
+// 1e-9 BU between rebuilds (see DESIGN.md) — so any query landing
+// outside this band provably sits on the same side of the survivability
+// threshold as the oracle's, and any query inside it is answered with
+// the oracle's own sum (footprintDemand). The golden-equivalence suite
+// pins the result: ledger decisions are byte-identical to the recompute
+// Controller's.
 const boundaryGuardBU = 1e-6
 
 // rebuildOpsBudget bounds how many incremental footprint applications may
@@ -33,6 +34,9 @@ const rebuildOpsBudget = 1 << 20
 
 // footCell is one cached shadow-cluster contribution of a tracked call:
 // `amount` BU of projected demand in dense cell `cell` at interval `k`.
+// A footprint lists its cells in ascending (k, cell) order — intervals
+// outermost, shadows in station order — which footAmount's binary search
+// relies on.
 type footCell struct {
 	cell   int32
 	k      int32
@@ -42,8 +46,32 @@ type footCell struct {
 // ledgerTrack is the per-call state of the ledger: the projection source
 // plus the cached footprint currently applied to the demand matrix.
 type ledgerTrack struct {
+	id int
 	track
 	foot []footCell
+}
+
+// handover is one accepted decision's footprint, stashed by Decide for
+// the OnAdmit that commits it: the key the footprint is a pure function
+// of (the call ID only locates the entry), plus the range of handCells
+// holding the footprint.
+type handover struct {
+	id         int
+	bu         int
+	pos        geo.Point
+	headingDeg float64
+	speedMps   float64
+	lo, hi     int
+}
+
+// matches reports whether the stashed footprint was derived from exactly
+// this key; floats compare bitwise.
+func (h *handover) matches(id, bu int, pos geo.Point, headingDeg, speedMps float64) bool {
+	return h.id == id && h.bu == bu &&
+		math.Float64bits(h.pos.X) == math.Float64bits(pos.X) &&
+		math.Float64bits(h.pos.Y) == math.Float64bits(pos.Y) &&
+		math.Float64bits(h.headingDeg) == math.Float64bits(headingDeg) &&
+		math.Float64bits(h.speedMps) == math.Float64bits(speedMps)
 }
 
 // Ledger is the incrementally maintained shadow-cluster admission
@@ -57,10 +85,15 @@ type ledgerTrack struct {
 // Decisions are byte-identical to the recompute Controller's: the demand
 // matrix can differ from the from-scratch sum only by floating-point
 // cancellation noise, and any query within boundaryGuardBU of the
-// survivability threshold falls back to the oracle's exact summation
-// (ascending call-ID order, the same order the Controller uses). OnTick
-// periodically re-aggregates the matrix from the cached footprints,
-// resetting accumulated drift to zero.
+// survivability threshold falls back to summing the cached footprints in
+// ascending call-ID order — the amounts and order of the Controller's
+// own summation, so the fallback value is the oracle's bit for bit.
+// OnTick periodically re-aggregates the matrix from the cached
+// footprints, resetting accumulated drift to zero.
+//
+// An accepted decision already holds the request's footprint; Decide
+// stashes it and OnAdmit adopts it when the committed request carries
+// the same key, so a decide-then-commit cycle derives each shadow once.
 //
 // A Ledger additionally implements cac.DemandExchanger: under the
 // sharded engine, sibling ledgers exchange demand deltas at tick
@@ -85,12 +118,13 @@ type Ledger struct {
 	// ghost mirrors demand for remote instances: ghost[c*(Horizon+1)+k]
 	// accumulates the deltas sibling shards exported via ApplyGhost.
 	// Decide reads demand+ghost; rebuilds and the guard-band fallback
-	// re-derive local rows only — ghost rows are taken as-is (the remote
+	// sum local rows only — ghost rows are taken as-is (the remote
 	// exporter rebuilt them before exporting, see ExportDemand).
-	ghost  []float64
-	active map[int]*ledgerTrack
-	ids    []int // ascending, mirrors active keys
-	ops    int   // incremental applications since the last rebuild
+	ghost []float64
+	// tracks holds every tracked call in ascending call-ID order — the
+	// oracle's summation order — and is searched by ID (findTrack).
+	tracks []*ledgerTrack
+	ops    int // incremental applications since the last rebuild
 
 	// exported snapshots demand at the last ExportDemand (allocated on
 	// first export); exportGen counts exports, ghostGens the last applied
@@ -124,12 +158,20 @@ type Ledger struct {
 	migratedOut  int64
 	migratedIn   int64
 
-	// Scratch buffers (single-threaded by contract); reqShadow is held
-	// across exactDemand calls, so it must stay distinct from
-	// trackShadow.
+	// Scratch buffers (single-threaded by contract): reqShadow holds the
+	// shadow under decision, trackShadow a tracked call's shadow in
+	// footprint and exactDemand.
 	weights     []float64
 	reqShadow   []CellProb
 	trackShadow []CellProb
+
+	// The Decide -> OnAdmit footprint hand-over: transient, reset by
+	// Decide, DecideBatchInto and RestoreFrom, never snapshotted. Each
+	// accepted decision appends one handover entry and its footprint
+	// cells; OnAdmit scans from handNext for its entry.
+	hand      []handover
+	handCells []footCell
+	handNext  int
 }
 
 var (
@@ -166,7 +208,6 @@ func NewLedger(cfg Config) (*Ledger, error) {
 		limits:    make([]float64, len(stations)),
 		demand:    make([]float64, len(stations)*(cfg.Horizon+1)),
 		ghost:     make([]float64, len(stations)*(cfg.Horizon+1)),
-		active:    make(map[int]*ledgerTrack),
 		ghostGens: make(map[int]uint64),
 		weights:   make([]float64, len(stations)),
 	}
@@ -186,10 +227,10 @@ func (l *Ledger) Name() string { return "scc-ledger" }
 func (l *Ledger) Config() Config { return l.cfg }
 
 // ActiveCalls returns the number of calls currently projecting shadows.
-func (l *Ledger) ActiveCalls() int { return len(l.active) }
+func (l *Ledger) ActiveCalls() int { return len(l.tracks) }
 
-// Stats reports how many near-threshold decisions fell back to the exact
-// from-scratch summation and how many full matrix rebuilds have run;
+// Stats reports how many near-threshold queries fell back to the exact
+// oracle-order footprint sum and how many full matrix rebuilds have run;
 // see Snapshot for the full counter set.
 func (l *Ledger) Stats() (exactFallbacks, rebuilds int64) {
 	return l.fallbacks, l.rebuilds
@@ -202,9 +243,9 @@ func (l *Ledger) Stats() (exactFallbacks, rebuilds int64) {
 type LedgerStats struct {
 	// ActiveCalls is the number of calls currently projecting shadows.
 	ActiveCalls int
-	// ExactFallbacks counts near-threshold decisions answered by the
-	// exact oracle summation instead of the incrementally maintained
-	// matrix — the guard band actually firing.
+	// ExactFallbacks counts near-threshold queries answered by the
+	// exact oracle-order footprint sum instead of the incrementally
+	// maintained matrix — the guard band actually firing.
 	ExactFallbacks int64
 	// Rebuilds counts full matrix re-aggregations (tick rolls and ops
 	// budget exhaustion).
@@ -241,8 +282,8 @@ func (s LedgerStats) Add(o LedgerStats) LedgerStats {
 
 // String renders a one-line operator summary.
 func (s LedgerStats) String() string {
-	return fmt.Sprintf("scc-ledger: %d active, %d guard-band fallbacks, %d rebuilds, %d exports, %d ghost applies (%d rows)",
-		s.ActiveCalls, s.ExactFallbacks, s.Rebuilds, s.Exports, s.GhostApplies, s.GhostRows)
+	return fmt.Sprintf("scc-ledger: %d active, %d guard-band fallbacks, %d rebuilds, %d exports, %d ghost applies (%d rows), %d migrated out, %d migrated in",
+		s.ActiveCalls, s.ExactFallbacks, s.Rebuilds, s.Exports, s.GhostApplies, s.GhostRows, s.MigratedOut, s.MigratedIn)
 }
 
 // Snapshot returns the current counter set. Call it from the decision
@@ -250,7 +291,7 @@ func (s LedgerStats) String() string {
 // shard.Engine.Do); the ledger itself is not concurrency-safe.
 func (l *Ledger) Snapshot() LedgerStats {
 	return LedgerStats{
-		ActiveCalls:    len(l.active),
+		ActiveCalls:    len(l.tracks),
 		ExactFallbacks: l.fallbacks,
 		Rebuilds:       l.rebuilds,
 		Exports:        l.exports,
@@ -328,8 +369,8 @@ func (l *Ledger) Rebuild() {
 		l.demand[i] = 0
 	}
 	h := l.cfg.Horizon + 1
-	for _, id := range l.ids {
-		for _, fc := range l.active[id].foot {
+	for _, lt := range l.tracks {
+		for _, fc := range lt.foot {
 			l.demand[int(fc.cell)*h+int(fc.k)] += fc.amount
 		}
 	}
@@ -451,26 +492,25 @@ func (l *Ledger) GhostDemand(j geo.Hex, k int) float64 {
 // same configuration and kinematics, so demand moves bit-identically:
 // MigrateIn applies exactly the amounts MigrateOut retracted.
 func (l *Ledger) MigrateOut(h geo.Hex, dst []cac.MigratedCall) []cac.MigratedCall {
-	for i := 0; i < len(l.ids); {
-		id := l.ids[i]
-		lt := l.active[id]
+	kept := l.tracks[:0]
+	for _, lt := range l.tracks {
 		if lt.home != h {
-			i++
+			kept = append(kept, lt)
 			continue
 		}
 		l.apply(lt.foot, -1)
 		dst = append(dst, cac.MigratedCall{
-			ID:         id,
+			ID:         lt.id,
 			BU:         lt.bu,
 			Pos:        lt.pos,
 			HeadingDeg: lt.headingDeg,
 			SpeedMps:   lt.speedMps,
 			Home:       lt.home,
 		})
-		delete(l.active, id)
-		l.ids = removeID(l.ids, id)
 		l.migratedOut++
 	}
+	clear(l.tracks[len(kept):])
+	l.tracks = kept
 	l.maybeRebuild()
 	return dst
 }
@@ -483,24 +523,53 @@ func (l *Ledger) MigrateOut(h geo.Hex, dst []cac.MigratedCall) []cac.MigratedCal
 // OnAdmit's re-admission semantics.
 func (l *Ledger) MigrateIn(rows []cac.MigratedCall) {
 	for _, r := range rows {
-		if old, ok := l.active[r.ID]; ok {
-			l.apply(old.foot, -1)
-		}
-		tr := track{
+		lt := l.upsertTrack(r.ID)
+		lt.track = track{
 			bu:         r.BU,
 			pos:        r.Pos,
 			headingDeg: r.HeadingDeg,
 			speedMps:   r.SpeedMps,
 			home:       r.Home,
 		}
-		lt := &ledgerTrack{track: tr}
-		lt.foot = l.footprint(nil, tr)
-		l.active[r.ID] = lt
-		l.ids = insertID(l.ids, r.ID)
+		lt.foot = l.footprint(lt.foot[:0], lt.track)
 		l.apply(lt.foot, +1)
 		l.migratedIn++
 	}
 	l.maybeRebuild()
+}
+
+// findTrack returns the position of call id in the ID-ordered track
+// slice and whether it is tracked; an untracked id's position is where
+// it would be inserted.
+func (l *Ledger) findTrack(id int) (int, bool) {
+	lo, hi := 0, len(l.tracks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.tracks[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(l.tracks) && l.tracks[lo].id == id
+}
+
+// upsertTrack returns the track of call id, inserting an empty one at
+// its ID-ordered position if the call is untracked. A tracked call's
+// cached footprint is retracted from the matrix first, so the caller
+// only sets the new projection source and applies its footprint.
+func (l *Ledger) upsertTrack(id int) *ledgerTrack {
+	i, ok := l.findTrack(id)
+	if ok {
+		lt := l.tracks[i]
+		l.apply(lt.foot, -1)
+		return lt
+	}
+	lt := &ledgerTrack{id: id}
+	l.tracks = append(l.tracks, nil)
+	copy(l.tracks[i+1:], l.tracks[i:])
+	l.tracks[i] = lt
+	return lt
 }
 
 // ResetExchange implements cac.ExchangeResetter: it zeroes the ghost
@@ -582,12 +651,12 @@ func (l *Ledger) ProjectedDemand(j geo.Hex, k int) float64 {
 // exactDemand is the oracle summation: aggregated demand for cell j at
 // interval k recomputed from every tracked call in ascending call-ID
 // order, bit-identical to Controller.ExpectedDemand over the same
-// tracks.
+// tracks. Only ProjectedDemand beyond the horizon needs it; within the
+// horizon footprintDemand reads the same amounts from the cache.
 func (l *Ledger) exactDemand(j geo.Hex, k int) float64 {
 	surv := survival(&l.cfg, k)
 	var sum float64
-	for _, id := range l.ids {
-		tr := l.active[id]
+	for _, tr := range l.tracks {
 		l.trackShadow = appendShadow(&l.cfg, l.stations, l.weights, l.trackShadow[:0], tr.pos, tr.headingDeg, tr.speedMps, k)
 		for _, cp := range l.trackShadow {
 			if cp.Hex == j {
@@ -599,13 +668,57 @@ func (l *Ledger) exactDemand(j geo.Hex, k int) float64 {
 	return sum
 }
 
+// footprintDemand is the guard-band fallback: the aggregated local
+// demand of dense cell ci at interval k, summed from the cached
+// footprints in ascending call-ID order. Each cached amount is the
+// reserve() value exactDemand derives for that track and (cell, k)
+// (DESIGN.md invariant 2), a track without an entry contributes an
+// exact zero, and the order is the oracle's — so the sum is
+// exactDemand's bit for bit, at O(active x log footprint) instead of
+// O(active x stations) exponentials.
+func (l *Ledger) footprintDemand(ci, k int) float64 {
+	var sum float64
+	for _, lt := range l.tracks {
+		sum += footAmount(lt.foot, int32(ci), int32(k))
+	}
+	return sum
+}
+
+// footAmount binary-searches a (k, cell)-ordered footprint for the
+// amount it reserves in cell at interval k, 0 if none.
+func footAmount(foot []footCell, cell, k int32) float64 {
+	lo, hi := 0, len(foot)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if fc := foot[m]; fc.k < k || (fc.k == k && fc.cell < cell) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(foot) && foot[lo].k == k && foot[lo].cell == cell {
+		return foot[lo].amount
+	}
+	return 0
+}
+
 // Decide implements cac.Controller with the recompute Controller's exact
 // semantics: admit when, for every projection interval and every cell of
 // the request's tentative shadow cluster, aggregated projected demand
 // plus the request's own reservation stays within Threshold of the cell
 // capacity. Aggregated demand is read from the matrix in O(1); queries
-// within boundaryGuardBU of a threshold re-derive it from scratch.
+// within boundaryGuardBU of a threshold are answered from the cached
+// footprints in the oracle's summation order (footprintDemand). An
+// accepted request's footprint is stashed for the OnAdmit that commits
+// it, replacing any stash an earlier Decide or DecideBatchInto left.
 func (l *Ledger) Decide(req cac.Request) (cac.Decision, error) {
+	l.resetHandover()
+	return l.decide(req)
+}
+
+// decide is Decide without the hand-over reset, so a batch stashes the
+// footprints of all its accepted requests.
+func (l *Ledger) decide(req cac.Request) (cac.Decision, error) {
 	if err := req.Validate(); err != nil {
 		return cac.Reject, err
 	}
@@ -623,31 +736,69 @@ func (l *Ledger) Decide(req cac.Request) (cac.Decision, error) {
 		}
 	}
 	h := l.cfg.Horizon + 1
+	// The request's footprint accumulates in handCells as it is read;
+	// a reject truncates it away again.
+	lo := len(l.handCells)
 	for k := 0; k <= l.cfg.Horizon; k++ {
 		surv := survival(&l.cfg, k)
 		l.reqShadow = appendShadow(&l.cfg, l.stations, l.weights, l.reqShadow[:0], pos, req.Est.HeadingDeg, speedMps, k)
 		for _, cp := range l.reqShadow {
 			ci := l.idx[cp.Hex]
 			own := reserve(&l.cfg, float64(req.Call.BU), cp.Prob, surv)
+			if own != 0 {
+				l.handCells = append(l.handCells, footCell{cell: int32(ci), k: int32(k), amount: own})
+			}
 			mi := ci*h + k
 			projected := l.demand[mi] + l.ghost[mi] + own
 			limit := l.limits[ci]
 			if d := projected - limit; d <= boundaryGuardBU && d >= -boundaryGuardBU {
 				// Too close to the threshold for matrix drift to be
-				// provably irrelevant: re-derive the LOCAL rows from the
-				// oracle summation. Ghost rows are taken as-is — remote
-				// aggregates were rebuilt by their exporter before the
-				// exchange, so the only residual is the receiver-side
-				// accumulation rounding documented on ExportDemand.
-				projected = l.exactDemand(cp.Hex, k) + l.ghost[mi] + own
+				// provably irrelevant: take the LOCAL rows from the
+				// oracle-order footprint sum. Ghost rows are taken as-is
+				// — remote aggregates were rebuilt by their exporter
+				// before the exchange, so the only residual is the
+				// receiver-side accumulation rounding documented on
+				// ExportDemand.
+				projected = l.footprintDemand(ci, k) + l.ghost[mi] + own
 				l.fallbacks++
 			}
 			if projected > limit {
+				l.handCells = l.handCells[:lo]
 				return cac.Reject, nil
 			}
 		}
 	}
+	l.hand = append(l.hand, handover{
+		id:         req.Call.ID,
+		bu:         req.Call.BU,
+		pos:        pos,
+		headingDeg: req.Est.HeadingDeg,
+		speedMps:   speedMps,
+		lo:         lo,
+		hi:         len(l.handCells),
+	})
 	return cac.Accept, nil
+}
+
+// resetHandover drops every stashed footprint.
+func (l *Ledger) resetHandover() {
+	l.hand = l.hand[:0]
+	l.handCells = l.handCells[:0]
+	l.handNext = 0
+}
+
+// takeHandover returns the footprint a decision since the last reset
+// stashed for exactly this key, or nil. Commits follow their decisions'
+// order, so the scan starts past the last adopted entry; entries it
+// skips (accepted requests whose commit failed) are never revisited.
+func (l *Ledger) takeHandover(id, bu int, pos geo.Point, headingDeg, speedMps float64) ([]footCell, bool) {
+	for i := l.handNext; i < len(l.hand); i++ {
+		if h := &l.hand[i]; h.matches(id, bu, pos, headingDeg, speedMps) {
+			l.handNext = i + 1
+			return l.handCells[h.lo:h.hi], true
+		}
+	}
+	return nil, false
 }
 
 // DecideBatch implements cac.BatchController. The ledger keeps its
@@ -665,12 +816,15 @@ func (l *Ledger) DecideBatch(reqs []cac.Request) ([]cac.Decision, error) {
 
 // DecideBatchInto implements cac.BatchIntoController: DecideBatch
 // semantics into a caller-provided buffer, allocation-free (the decision
-// path reads the matrix through controller-resident scratch).
+// path reads the matrix through controller-resident scratch). The
+// footprints of every accepted request stay stashed for their OnAdmit
+// commits until the next Decide or DecideBatchInto.
 //
 //facs:hotpath
 func (l *Ledger) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {
+	l.resetHandover()
 	for i := range reqs {
-		d, err := l.Decide(reqs[i])
+		d, err := l.decide(reqs[i])
 		if err != nil {
 			return err
 		}
@@ -680,23 +834,25 @@ func (l *Ledger) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {
 }
 
 // OnAdmit implements cac.Observer: cache the call's footprint and apply
-// it to the demand matrix.
+// it to the demand matrix. When a decision since the last reset accepted
+// a request with the same call ID, bandwidth and kinematics, its stashed
+// footprint is adopted instead of re-derived — a footprint is a pure
+// function of that key, so either way the cached amounts are identical.
 func (l *Ledger) OnAdmit(req cac.Request) {
-	if old, ok := l.active[req.Call.ID]; ok {
-		// Re-admission of a tracked ID replaces its projection source.
-		l.apply(old.foot, -1)
-	}
-	tr := track{
+	speedMps := geo.KmhToMps(req.Est.SpeedKmh)
+	lt := l.upsertTrack(req.Call.ID)
+	lt.track = track{
 		bu:         req.Call.BU,
 		pos:        req.Est.Pos,
 		headingDeg: req.Est.HeadingDeg,
-		speedMps:   geo.KmhToMps(req.Est.SpeedKmh),
+		speedMps:   speedMps,
 		home:       req.Station.Hex(),
 	}
-	lt := &ledgerTrack{track: tr}
-	lt.foot = l.footprint(nil, tr)
-	l.active[req.Call.ID] = lt
-	l.ids = insertID(l.ids, req.Call.ID)
+	if cells, ok := l.takeHandover(req.Call.ID, req.Call.BU, req.Est.Pos, req.Est.HeadingDeg, speedMps); ok {
+		lt.foot = append(lt.foot[:0], cells...)
+	} else {
+		lt.foot = l.footprint(lt.foot[:0], lt.track)
+	}
 	l.apply(lt.foot, +1)
 	l.maybeRebuild()
 }
@@ -704,13 +860,14 @@ func (l *Ledger) OnAdmit(req cac.Request) {
 // OnRelease implements cac.Observer: remove the call's footprint from
 // the matrix and drop its track.
 func (l *Ledger) OnRelease(callID int, _ *cell.BaseStation, _ float64) {
-	lt, ok := l.active[callID]
+	i, ok := l.findTrack(callID)
 	if !ok {
 		return
 	}
-	l.apply(lt.foot, -1)
-	delete(l.active, callID)
-	l.ids = removeID(l.ids, callID)
+	l.apply(l.tracks[i].foot, -1)
+	copy(l.tracks[i:], l.tracks[i+1:])
+	l.tracks[len(l.tracks)-1] = nil
+	l.tracks = l.tracks[:len(l.tracks)-1]
 	l.maybeRebuild()
 }
 
@@ -723,10 +880,11 @@ func (l *Ledger) OnStateUpdate(callID int, est gps.Estimate, station *cell.BaseS
 // O(footprint): the stale footprint is removed from the matrix, the new
 // one computed once and applied. Unknown calls are ignored.
 func (l *Ledger) UpdateState(callID int, pos geo.Point, headingDeg, speedKmh float64, home geo.Hex) {
-	lt, ok := l.active[callID]
+	i, ok := l.findTrack(callID)
 	if !ok {
 		return
 	}
+	lt := l.tracks[i]
 	l.apply(lt.foot, -1)
 	lt.pos = pos
 	lt.headingDeg = headingDeg

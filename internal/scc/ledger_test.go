@@ -1,6 +1,7 @@
 package scc
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -66,7 +67,10 @@ func randomRequest(t *testing.T, rng *rand.Rand, net *cell.Network, id int, radi
 // the Ledger through identical randomized admit / release / update /
 // decide sequences and asserts byte-identical decisions throughout, for
 // both reservation modes and with the cluster-coverage requirement on
-// and off.
+// and off. Decide-then-commit steps exercise the Decide -> OnAdmit
+// footprint hand-over: a twin ledger receives the same mutations through
+// OnAdmit alone, and its demand matrix must stay bitwise equal to the
+// ledger's after every step.
 func TestLedgerMatchesOracleRandomized(t *testing.T) {
 	scenarios := []struct {
 		name   string
@@ -81,30 +85,34 @@ func TestLedgerMatchesOracleRandomized(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
+			var adopted int
 			for seed := int64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				net := newNet(t, 2)
 				radius := 2.0 * 2000 * 2 // cover the 2-ring deployment
 				oracle := newSCC(t, net, sc.mutate)
 				ledger := newLedger(t, net, sc.mutate)
+				twin := newLedger(t, net, sc.mutate)
 				live := []int{}
 				nextID := 0
 				decisions := 0
 				for step := 0; step < 400; step++ {
 					switch op := rng.Float64(); {
-					case op < 0.45: // admit
+					case op < 0.4: // admit, with no decision stashing its footprint
 						req := randomRequest(t, rng, net, nextID, radius)
 						nextID++
 						oracle.OnAdmit(req)
 						ledger.OnAdmit(req)
+						twin.OnAdmit(req)
 						live = append(live, req.Call.ID)
-					case op < 0.6 && len(live) > 0: // release
+					case op < 0.52 && len(live) > 0: // release
 						i := rng.Intn(len(live))
 						id := live[i]
 						live = append(live[:i], live[i+1:]...)
 						oracle.OnRelease(id, nil, 0)
 						ledger.OnRelease(id, nil, 0)
-					case op < 0.75 && len(live) > 0: // kinematic update
+						twin.OnRelease(id, nil, 0)
+					case op < 0.64 && len(live) > 0: // kinematic update
 						id := live[rng.Intn(len(live))]
 						pos := randomCoveredPoint(t, rng, net, radius)
 						heading := rng.Float64()*360 - 180
@@ -115,6 +123,10 @@ func TestLedgerMatchesOracleRandomized(t *testing.T) {
 						}
 						oracle.UpdateState(id, pos, heading, speed, bs.Hex())
 						ledger.UpdateState(id, pos, heading, speed, bs.Hex())
+						twin.UpdateState(id, pos, heading, speed, bs.Hex())
+					case op < 0.82: // decide a chunk, then commit its accepts
+						adopted += decideThenCommit(t, rng, net, oracle, ledger, twin, &live, &nextID, radius)
+						decisions++
 					default: // decide
 						req := randomRequest(t, rng, net, 1_000_000+step, radius)
 						want, err := oracle.Decide(req)
@@ -133,9 +145,162 @@ func TestLedgerMatchesOracleRandomized(t *testing.T) {
 					if oracle.ActiveCalls() != ledger.ActiveCalls() {
 						t.Fatalf("active mismatch: oracle %d, ledger %d", oracle.ActiveCalls(), ledger.ActiveCalls())
 					}
+					for i := range ledger.demand {
+						if math.Float64bits(ledger.demand[i]) != math.Float64bits(twin.demand[i]) {
+							t.Fatalf("seed %d step %d: demand[%d] = %v, OnAdmit-only twin has %v",
+								seed, step, i, ledger.demand[i], twin.demand[i])
+						}
+					}
 				}
 				if decisions == 0 {
 					t.Fatal("randomized run rendered no decisions")
+				}
+			}
+			if adopted == 0 {
+				t.Fatal("no commit adopted a stashed footprint; the hand-over is not exercised")
+			}
+		})
+	}
+}
+
+// decideThenCommit is one decide-then-commit step of the randomized
+// oracle suite: the ledger decides a chunk with DecideBatchInto (against
+// the oracle's per-request decisions), then the accepted requests are
+// committed in order, each through one of the hand-over's edge cases —
+// a plain commit, a skipped commit (the station's Admit failed), an
+// estimate mutated between decide and admit (the stash must not match),
+// or a snapshot round-trip first (the restore drops the stash). Some
+// chunk requests re-admit a tracked ID. The twin ledger receives the
+// commits through OnAdmit alone. It returns how many commits adopted a
+// stashed footprint.
+func decideThenCommit(t *testing.T, rng *rand.Rand, net *cell.Network, oracle *Controller, ledger, twin *Ledger, live *[]int, nextID *int, radius float64) int {
+	t.Helper()
+	reqs := make([]cac.Request, 1+rng.Intn(8))
+	fresh := make([]bool, len(reqs))
+	for i := range reqs {
+		id := *nextID
+		if len(*live) > 0 && rng.Float64() < 0.2 {
+			id = (*live)[rng.Intn(len(*live))] // re-admission of a tracked ID
+		} else {
+			*nextID++
+			fresh[i] = true
+		}
+		reqs[i] = randomRequest(t, rng, net, id, radius)
+	}
+	got := make([]cac.Decision, len(reqs))
+	if err := ledger.DecideBatchInto(reqs, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		want, err := oracle.Decide(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("batch request %d (call %d): ledger = %v, oracle = %v", i, req.Call.ID, got[i], want)
+		}
+	}
+	adopted := 0
+	restored := false // a restore drops the stash for the rest of the chunk
+	for i, req := range reqs {
+		if !got[i].Accepted() {
+			continue
+		}
+		wantAdopt := !restored
+		switch c := rng.Float64(); {
+		case c < 0.15: // the station's Admit failed: no commit
+			continue
+		case c < 0.3: // estimate mutated between decide and admit
+			req.Est.HeadingDeg = math.Nextafter(req.Est.HeadingDeg, 1000)
+			wantAdopt = false
+		case c < 0.4: // snapshot round-trip between decide and admit
+			var buf bytes.Buffer
+			if err := ledger.SnapshotTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := ledger.RestoreFrom(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if ledger.handNext != 0 || len(ledger.hand) != 0 || len(ledger.handCells) != 0 {
+				t.Fatal("RestoreFrom kept the hand-over stash")
+			}
+			restored, wantAdopt = true, false
+		}
+		before := ledger.handNext
+		oracle.OnAdmit(req)
+		ledger.OnAdmit(req)
+		twin.OnAdmit(req)
+		if didAdopt := ledger.handNext != before; didAdopt != wantAdopt {
+			t.Fatalf("call %d: adopted stashed footprint = %v, want %v", req.Call.ID, didAdopt, wantAdopt)
+		} else if didAdopt {
+			adopted++
+		}
+		if fresh[i] {
+			*live = append(*live, req.Call.ID)
+		}
+	}
+	return adopted
+}
+
+// TestLedgerFootprintFallbackIsOracleSum pins the guard band's proof
+// obligation: through randomized admit / release / update / migrate
+// sequences in both reservation modes, the cached-footprint sum the
+// fallback answers with equals the oracle summation exactDemand
+// bit for bit, for every (cell, interval), after every operation — on
+// both ledgers a migration moves tracks between.
+func TestLedgerFootprintFallbackIsOracleSum(t *testing.T) {
+	for _, mode := range []ReservationMode{ReservationWeighted, ReservationFull} {
+		t.Run(mode.String(), func(t *testing.T) {
+			mutate := func(c *Config) { c.Reservation = mode }
+			net := newNet(t, 1)
+			radius := 2.0 * 2000 * 1.5
+			steps := 200
+			if testing.Short() {
+				steps = 60
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				ledgers := []*Ledger{newLedger(t, net, mutate), newLedger(t, net, mutate)}
+				nextID := 0
+				for step := 0; step < steps; step++ {
+					l := ledgers[rng.Intn(2)]
+					live := l.tracks
+					switch op := rng.Float64(); {
+					case op < 0.45: // admit
+						l.OnAdmit(randomRequest(t, rng, net, nextID, radius))
+						nextID++
+					case op < 0.65 && len(live) > 0: // release
+						l.OnRelease(live[rng.Intn(len(live))].id, nil, 0)
+					case op < 0.85 && len(live) > 0: // kinematic update
+						id := live[rng.Intn(len(live))].id
+						pos := randomCoveredPoint(t, rng, net, radius)
+						bs, err := net.StationAt(pos)
+						if err != nil {
+							t.Fatal(err)
+						}
+						l.UpdateState(id, pos, rng.Float64()*360-180, rng.Float64()*120, bs.Hex())
+					default: // migrate one cell's tracks to the sibling
+						other := ledgers[0]
+						if other == l {
+							other = ledgers[1]
+						}
+						home := net.Stations()[rng.Intn(net.NumCells())].Hex()
+						other.MigrateIn(l.MigrateOut(home, nil))
+					}
+					for li, l := range ledgers {
+						for ci, bs := range l.stations {
+							for k := 0; k <= l.cfg.Horizon; k++ {
+								got, want := l.footprintDemand(ci, k), l.exactDemand(bs.Hex(), k)
+								if math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("seed %d step %d ledger %d: footprint sum for %v k=%d is %v, oracle sum %v",
+										seed, step, li, bs.Hex(), k, got, want)
+								}
+							}
+						}
+					}
+				}
+				if ledgers[0].ActiveCalls() == 0 && ledgers[1].ActiveCalls() == 0 {
+					t.Fatal("randomized run left no tracks to sum")
 				}
 			}
 		})

@@ -1,8 +1,10 @@
 package scc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"facs/internal/cell"
@@ -112,6 +114,10 @@ func TestLedgerMigrateConservesDemand(t *testing.T) {
 	if out := src.Snapshot().MigratedOut; out != int64(active) {
 		t.Fatalf("source snapshot counts out=%d, want %d", out, active)
 	}
+	// The operator summary reports the migration counters too.
+	if got, want := src.Snapshot().String(), fmt.Sprintf("%d migrated out, 0 migrated in", active); !strings.Contains(got, want) {
+		t.Fatalf("summary %q does not contain %q", got, want)
+	}
 }
 
 // TestLedgerResetExchangeRepublishesAbsolute pins the rebalance-epoch
@@ -200,12 +206,12 @@ func TestLedgerInterestRadiusCoversFootprints(t *testing.T) {
 	if l.ActiveCalls() == 0 {
 		t.Fatal("no tracks admitted")
 	}
-	for id, lt := range l.active {
+	for _, lt := range l.tracks {
 		for _, fc := range lt.foot {
 			cellHex := l.stations[fc.cell].Hex()
 			if d := lt.home.DistanceTo(cellHex); d > radius {
 				t.Fatalf("call %d homed at %v projects onto %v at hex distance %d > radius %d",
-					id, lt.home, cellHex, d, radius)
+					lt.id, lt.home, cellHex, d, radius)
 			}
 		}
 	}

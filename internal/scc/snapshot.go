@@ -51,10 +51,9 @@ func (l *Ledger) snapshotHash() uint64 {
 func (l *Ledger) SnapshotTo(w io.Writer) error {
 	e := snap.NewEncoder(w, "scc-ledger", l.snapshotHash())
 
-	e.U32(uint32(len(l.ids)))
-	for _, id := range l.ids {
-		lt := l.active[id]
-		e.Int(id)
+	e.U32(uint32(len(l.tracks)))
+	for _, lt := range l.tracks {
+		e.Int(lt.id)
 		e.Int(lt.bu)
 		e.F64(lt.pos.X)
 		e.F64(lt.pos.Y)
@@ -217,13 +216,13 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 		return err
 	}
 
-	// Everything validated: install the snapshot.
-	l.active = make(map[int]*ledgerTrack, nTracks)
-	l.ids = ids
+	// Everything validated: install the snapshot. Footprints stashed by
+	// decisions before the restore are dropped with the state they were
+	// decided against.
+	l.resetHandover()
+	l.tracks = make([]*ledgerTrack, nTracks)
 	for i, tr := range tracks {
-		lt := &ledgerTrack{track: tr}
-		lt.foot = l.footprint(nil, tr)
-		l.active[ids[i]] = lt
+		l.tracks[i] = &ledgerTrack{id: ids[i], track: tr, foot: l.footprint(nil, tr)}
 	}
 	copy(l.demand, demand)
 	copy(l.ghost, ghost)
