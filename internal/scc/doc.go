@@ -25,9 +25,15 @@
 // answers near-threshold aggregates by summing the cached footprints in
 // the oracle's order, bit-identical to the oracle summation. An accepted
 // decision stashes the request's footprint, and the OnAdmit that commits
-// it adopts the stash instead of deriving the shadows again.
-// DESIGN.md records the ledger invariants and the guard-band argument;
-// ledger_test.go holds the golden-equivalence suite.
+// it adopts the stash instead of deriving the shadows again. The shadows
+// the ledger does derive skip every station whose Gaussian weight is
+// below half an ulp of the running normalising sum — found by a bound
+// pass without Hypot or Exp — so they cost an exp only for the stations
+// that can change the sum, and stay bit-identical to the oracle's.
+// DESIGN.md records the ledger invariants, the guard-band argument and
+// the absorption proof; ledger_test.go holds the golden-equivalence
+// suite and ledger_shadow_test.go pins the pruned shadow to the
+// oracle's.
 //
 // # Sharding
 //

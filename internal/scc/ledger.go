@@ -82,6 +82,13 @@ func (h *handover) matches(id, bu int, pos geo.Point, headingDeg, speedMps float
 // number of active calls — against the recompute Controller's
 // O(active x horizon x stations) per decision.
 //
+// The one shadow a decision derives, the request's own, comes from a
+// pruned routine (shadow, in ledger_shadow.go): a bound pass over the
+// stations without Hypot or Exp finds those whose weight is below half
+// an ulp of the running normalising sum, and only the rest are evaluated.
+// Its entries are appendShadow's bit for bit, so footprints derived on a
+// commit miss, a handoff or a migration are the oracle's too.
+//
 // Decisions are byte-identical to the recompute Controller's: the demand
 // matrix can differ from the from-scratch sum only by floating-point
 // cancellation noise, and any query within boundaryGuardBU of the
@@ -158,12 +165,31 @@ type Ledger struct {
 	migratedOut  int64
 	migratedIn   int64
 
+	// Per-network tables of the pruned shadow (ledger_shadow.go), built
+	// once: station positions in dense index order, survival(k) for
+	// k <= Horizon, the margin M and the anchor margin M + ln(n+1) plus
+	// slack. A weight e^-M below an evaluated one is absorbed by the
+	// normalising sum, and M ≥ ln(1/MinProb)+2 keeps its probability
+	// under MinProb, so appendShadow would not emit it either. A station
+	// beyond shadowMaxCoord leaves the bounds unproven; the margins are
+	// then infinite and nothing is skipped.
+	stationPos   []geo.Point
+	surv         []float64
+	margin       float64
+	anchorMargin float64
+
 	// Scratch buffers (single-threaded by contract): reqShadow holds the
 	// shadow under decision, trackShadow a tracked call's shadow in
-	// footprint and exactDemand.
+	// footprint and exactDemand; weights, bound and evaluated are the
+	// pruned shadow's per-station weights, bound exponents and evaluated
+	// indices, and collapse receives appendShadow's out-of-coverage
+	// collapse.
 	weights     []float64
-	reqShadow   []CellProb
-	trackShadow []CellProb
+	bound       []float64
+	evaluated   []int32
+	reqShadow   []shadowCell
+	trackShadow []shadowCell
+	collapse    []CellProb
 
 	// The Decide -> OnAdmit footprint hand-over: transient, reset by
 	// Decide, DecideBatchInto and RestoreFrom, never snapshotted. Each
@@ -202,21 +228,35 @@ func NewLedger(cfg Config) (*Ledger, error) {
 	}
 	stations := cfg.Network.Stations()
 	l := &Ledger{
-		cfg:       cfg,
-		stations:  stations,
-		idx:       make(map[geo.Hex]int, len(stations)),
-		limits:    make([]float64, len(stations)),
-		demand:    make([]float64, len(stations)*(cfg.Horizon+1)),
-		ghost:     make([]float64, len(stations)*(cfg.Horizon+1)),
-		ghostGens: make(map[int]uint64),
-		weights:   make([]float64, len(stations)),
+		cfg:        cfg,
+		stations:   stations,
+		idx:        make(map[geo.Hex]int, len(stations)),
+		limits:     make([]float64, len(stations)),
+		demand:     make([]float64, len(stations)*(cfg.Horizon+1)),
+		ghost:      make([]float64, len(stations)*(cfg.Horizon+1)),
+		ghostGens:  make(map[int]uint64),
+		stationPos: make([]geo.Point, len(stations)),
+		surv:       make([]float64, cfg.Horizon+1),
+		weights:    make([]float64, len(stations)),
+		bound:      make([]float64, len(stations)),
+		evaluated:  make([]int32, len(stations)),
+		margin:     math.Max(shadowMinMargin, math.Log(1/cfg.MinProb)+2),
 	}
 	l.dirtyStamp = make([]uint64, len(l.demand))
 	l.dirtyEpoch = 1
 	for i, bs := range stations {
 		l.idx[bs.Hex()] = i
 		l.limits[i] = cfg.Threshold * float64(bs.Capacity())
+		p := bs.Pos()
+		l.stationPos[i] = p
+		if !(math.Abs(p.X) <= shadowMaxCoord && math.Abs(p.Y) <= shadowMaxCoord) {
+			l.margin = math.Inf(1)
+		}
 	}
+	for k := range l.surv {
+		l.surv[k] = survival(&l.cfg, k)
+	}
+	l.anchorMargin = l.margin + math.Log(float64(len(stations)+1)) + 2*shadowSlack
 	return l, nil
 }
 
@@ -309,15 +349,15 @@ func (l *Ledger) Snapshot() LedgerStats {
 // entry is an exact no-op, so the applied matrix stays bitwise equal to
 // the sum over non-zero contributions.
 func (l *Ledger) footprint(dst []footCell, tr track) []footCell {
+	unit := geo.UnitFromHeading(tr.headingDeg)
 	for k := 0; k <= l.cfg.Horizon; k++ {
-		surv := survival(&l.cfg, k)
-		l.trackShadow = appendShadow(&l.cfg, l.stations, l.weights, l.trackShadow[:0], tr.pos, tr.headingDeg, tr.speedMps, k)
-		for _, cp := range l.trackShadow {
-			amount := reserve(&l.cfg, float64(tr.bu), cp.Prob, surv)
+		l.trackShadow = l.shadow(l.trackShadow[:0], tr.pos, tr.headingDeg, unit, tr.speedMps, k)
+		for _, sc := range l.trackShadow {
+			amount := reserve(&l.cfg, float64(tr.bu), sc.prob, l.surv[k])
 			if amount == 0 {
 				continue
 			}
-			dst = append(dst, footCell{cell: int32(l.idx[cp.Hex]), k: int32(k), amount: amount})
+			dst = append(dst, footCell{cell: sc.ci, k: int32(k), amount: amount})
 		}
 	}
 	return dst
@@ -642,25 +682,26 @@ func (l *Ledger) ProjectedDemand(j geo.Hex, k int) float64 {
 		return 0
 	}
 	if k > l.cfg.Horizon {
-		return l.exactDemand(j, k)
+		return l.exactDemand(ci, k)
 	}
 	mi := ci*(l.cfg.Horizon+1) + k
 	return l.demand[mi] + l.ghost[mi]
 }
 
-// exactDemand is the oracle summation: aggregated demand for cell j at
-// interval k recomputed from every tracked call in ascending call-ID
+// exactDemand is the oracle summation: aggregated demand for dense cell
+// ci at interval k recomputed from every tracked call in ascending call-ID
 // order, bit-identical to Controller.ExpectedDemand over the same
-// tracks. Only ProjectedDemand beyond the horizon needs it; within the
-// horizon footprintDemand reads the same amounts from the cache.
-func (l *Ledger) exactDemand(j geo.Hex, k int) float64 {
+// tracks (the pruned shadow is appendShadow's bit for bit). Only
+// ProjectedDemand beyond the horizon needs it; within the horizon
+// footprintDemand reads the same amounts from the cache.
+func (l *Ledger) exactDemand(ci, k int) float64 {
 	surv := survival(&l.cfg, k)
 	var sum float64
 	for _, tr := range l.tracks {
-		l.trackShadow = appendShadow(&l.cfg, l.stations, l.weights, l.trackShadow[:0], tr.pos, tr.headingDeg, tr.speedMps, k)
-		for _, cp := range l.trackShadow {
-			if cp.Hex == j {
-				sum += reserve(&l.cfg, float64(tr.bu), cp.Prob, surv)
+		l.trackShadow = l.shadow(l.trackShadow[:0], tr.pos, tr.headingDeg, geo.UnitFromHeading(tr.headingDeg), tr.speedMps, k)
+		for _, sc := range l.trackShadow {
+			if int(sc.ci) == ci {
+				sum += reserve(&l.cfg, float64(tr.bu), sc.prob, surv)
 				break
 			}
 		}
@@ -706,11 +747,13 @@ func footAmount(foot []footCell, cell, k int32) float64 {
 // semantics: admit when, for every projection interval and every cell of
 // the request's tentative shadow cluster, aggregated projected demand
 // plus the request's own reservation stays within Threshold of the cell
-// capacity. Aggregated demand is read from the matrix in O(1); queries
-// within boundaryGuardBU of a threshold are answered from the cached
-// footprints in the oracle's summation order (footprintDemand). An
-// accepted request's footprint is stashed for the OnAdmit that commits
-// it, replacing any stash an earlier Decide or DecideBatchInto left.
+// capacity. The request's shadow costs one O(stations) bound pass per
+// interval plus an exp per station that can change its normalising sum;
+// aggregated demand is read from the matrix in O(1); queries within
+// boundaryGuardBU of a threshold are answered from the cached footprints
+// in the oracle's summation order (footprintDemand). An accepted
+// request's footprint is stashed for the OnAdmit that commits it,
+// replacing any stash an earlier Decide or DecideBatchInto left.
 func (l *Ledger) Decide(req cac.Request) (cac.Decision, error) {
 	l.resetHandover()
 	return l.decide(req)
@@ -727,9 +770,12 @@ func (l *Ledger) decide(req cac.Request) (cac.Decision, error) {
 	}
 	pos := req.Est.Pos
 	speedMps := geo.KmhToMps(req.Est.SpeedKmh)
+	// One heading unit vector serves every projection of the decision;
+	// projection's point is geo.Move's bit for bit.
+	unit := geo.UnitFromHeading(req.Est.HeadingDeg)
 	if l.cfg.RequireClusterCoverage {
 		for k := 1; k <= l.cfg.Horizon; k++ {
-			q := geo.Move(pos, req.Est.HeadingDeg, speedMps*float64(k)*l.cfg.DeltaT)
+			q, _ := projection(&l.cfg, pos, unit, speedMps, k)
 			if _, err := l.cfg.Network.StationAt(q); err != nil {
 				return cac.Reject, nil
 			}
@@ -740,11 +786,11 @@ func (l *Ledger) decide(req cac.Request) (cac.Decision, error) {
 	// a reject truncates it away again.
 	lo := len(l.handCells)
 	for k := 0; k <= l.cfg.Horizon; k++ {
-		surv := survival(&l.cfg, k)
-		l.reqShadow = appendShadow(&l.cfg, l.stations, l.weights, l.reqShadow[:0], pos, req.Est.HeadingDeg, speedMps, k)
-		for _, cp := range l.reqShadow {
-			ci := l.idx[cp.Hex]
-			own := reserve(&l.cfg, float64(req.Call.BU), cp.Prob, surv)
+		surv := l.surv[k]
+		l.reqShadow = l.shadow(l.reqShadow[:0], pos, req.Est.HeadingDeg, unit, speedMps, k)
+		for _, sc := range l.reqShadow {
+			ci := int(sc.ci)
+			own := reserve(&l.cfg, float64(req.Call.BU), sc.prob, surv)
 			if own != 0 {
 				l.handCells = append(l.handCells, footCell{cell: int32(ci), k: int32(k), amount: own})
 			}

@@ -290,7 +290,7 @@ func TestLedgerFootprintFallbackIsOracleSum(t *testing.T) {
 					for li, l := range ledgers {
 						for ci, bs := range l.stations {
 							for k := 0; k <= l.cfg.Horizon; k++ {
-								got, want := l.footprintDemand(ci, k), l.exactDemand(bs.Hex(), k)
+								got, want := l.footprintDemand(ci, k), l.exactDemand(ci, k)
 								if math.Float64bits(got) != math.Float64bits(want) {
 									t.Fatalf("seed %d step %d ledger %d: footprint sum for %v k=%d is %v, oracle sum %v",
 										seed, step, li, bs.Hex(), k, got, want)
@@ -352,8 +352,10 @@ func TestLedgerDemandMatchesRecompute(t *testing.T) {
 		}
 	}
 	ledger.OnTick(0)
+	// Beyond the horizon ProjectedDemand re-derives every track's shadow
+	// (exactDemand), which must be the oracle's too.
 	for _, bs := range net.Stations() {
-		for k := 0; k <= ledger.Config().Horizon; k++ {
+		for k := 0; k <= ledger.Config().Horizon+2; k++ {
 			want := oracle.ExpectedDemand(bs.Hex(), k)
 			got := ledger.ProjectedDemand(bs.Hex(), k)
 			if got != want {

@@ -226,17 +226,12 @@ type CellProb struct {
 // appendShadow computes the shadow distribution of one mobile at
 // projection interval k and appends the entries above MinProb to dst,
 // reusing weights (which must have len(stations) capacity) as scratch.
-// The math is shared by the recompute Controller and the incremental
-// Ledger so that both derive bit-identical probabilities; entries are
-// appended in station (Q, R) order, unsorted by probability.
+// Entries are appended in station (Q, R) order, unsorted by probability.
+// It is the reference shadow: the recompute Controller calls it, and the
+// Ledger's pruned shadow (Ledger.shadow) is bit-identical to it and
+// hands it the out-of-coverage collapse.
 func appendShadow(cfg *Config, stations []*cell.BaseStation, weights []float64, dst []CellProb, pos geo.Point, headingDeg, speedMps float64, k int) []CellProb {
-	if k < 0 {
-		k = 0
-	}
-	travel := speedMps * float64(k) * cfg.DeltaT
-	q := geo.Move(pos, headingDeg, travel)
-	sigma := cfg.SigmaPosM + cfg.SpreadAlpha*travel
-	inv := 1 / (2 * sigma * sigma)
+	q, inv := projection(cfg, pos, geo.UnitFromHeading(headingDeg), speedMps, k)
 	weights = weights[:len(stations)]
 	var total float64
 	for i, bs := range stations {
@@ -266,6 +261,23 @@ func appendShadow(cfg *Config, stations []*cell.BaseStation, weights []float64, 
 		}
 	}
 	return dst
+}
+
+// projection returns where a mobile at pos, moving along the unit heading
+// vector at speedMps, is dead-reckoned to at projection interval k
+// (negative k clamps to 0), and the scale inv = 1/(2σ²) of its Gaussian
+// shadow there, so a station at distance d weighs exp(-d·d·inv). It is
+// the one copy of this arithmetic: appendShadow and the Ledger's pruned
+// shadow both call it, so a fused multiply-add (which the compiler may
+// form on some architectures) applies to both alike and they cannot
+// drift apart. q equals geo.Move(pos, heading, travel) bit for bit.
+func projection(cfg *Config, pos geo.Point, unit geo.Vector, speedMps float64, k int) (q geo.Point, inv float64) {
+	if k < 0 {
+		k = 0
+	}
+	travel := speedMps * float64(k) * cfg.DeltaT
+	sigma := cfg.SigmaPosM + cfg.SpreadAlpha*travel
+	return pos.Add(unit.Scale(travel)), 1 / (2 * sigma * sigma)
 }
 
 // Shadow returns the probability distribution over network cells for a
