@@ -341,7 +341,7 @@ func BenchmarkCompiledFLC2Evaluate(b *testing.B) {
 // the compiled fast path at the same operating point as
 // BenchmarkFACSEvaluate. The acceptance bar for the fast path is a
 // >= 5x throughput advantage over the exact engine; measured runs sit
-// around 40-50x.
+// around 8x.
 func BenchmarkCompiledFACSEvaluate(b *testing.B) {
 	cc := compiledBench(b)
 	obs := facs.Observation{SpeedKmh: 45, AngleDeg: 20, DistanceKm: 4}

@@ -32,19 +32,21 @@
 //	ev, err := cc.Evaluate(obs, 5, 12, false)
 //
 // NewCompiledSystem samples both controllers over dense grids at
-// construction time (seconds of one-off cost) and answers queries by
-// trilinear interpolation, roughly 40-50x faster than the exact
-// engines at the paper's operating points. The trade-off is explicit
-// and guarded: the crisp Cv and A/R values carry a small interpolation
-// tolerance (documented and enforced by the golden-equivalence test
-// suite in internal/facs), while accept/reject outcomes and decision
-// grades are always identical to the exact System — each surface
-// carries per-cell error bounds, and any query whose interpolated A/R
-// value lands within its bound of a decision boundary is re-run on the
-// exact engines (a few percent of a uniformly random workload, less on
-// realistic traffic). Use the exact System when the crisp values
-// themselves must be reference-grade; use the compiled path when
-// decision throughput matters.
+// construction time (a one-off cost of about half a second) and
+// answers queries by trilinear interpolation, roughly 8x faster than
+// the exact engines at the paper's operating points (each exact
+// inference is itself a tabulated, allocation-free centroid). The
+// trade-off is explicit and guarded: the crisp Cv and A/R values carry
+// a small interpolation tolerance (documented and enforced by the
+// golden-equivalence test suite in internal/facs), while accept/reject
+// outcomes and decision grades are always identical to the exact
+// System — each surface carries per-cell error bounds, and any query
+// whose interpolated A/R value lands within its bound of a decision
+// boundary is re-run on the exact engines (about 10% of a uniformly
+// random workload, and 23% on the city-facs benchmark, whose loaded
+// cells sit near the threshold). Use the exact System when the crisp
+// values themselves must be reference-grade; use the compiled path
+// when decision throughput matters.
 //
 // # Batch admission and the SCC demand ledger
 //

@@ -159,17 +159,17 @@ func gradeBoundaries(ar *fuzzy.Variable) []float64 {
 	min, max := ar.Universe()
 	step := (max - min) / scan
 	var out []float64
-	prev := ar.HighestTerm(min)
+	prev := ar.HighestTermIndex(min)
 	for i := 1; i <= scan; i++ {
 		x := min + float64(i)*step
-		cur := ar.HighestTerm(x)
+		cur := ar.HighestTermIndex(x)
 		if cur == prev {
 			continue
 		}
 		lo, hi := x-step, x
 		for hi-lo > 1e-12 {
 			mid := (lo + hi) / 2
-			if ar.HighestTerm(mid) == prev {
+			if ar.HighestTermIndex(mid) == prev {
 				lo = mid
 			} else {
 				hi = mid
@@ -277,7 +277,7 @@ func (c *CompiledController) Evaluate(obs gps.Observation, requestBU, usedBU int
 	return Evaluation{
 		Cv:       cv,
 		AR:       ar,
-		Grade:    gradeFromTerm(c.sys.flc2.Output().HighestTerm(ar)),
+		Grade:    c.sys.grade(ar),
 		Accepted: ar >= c.sys.acceptThreshold,
 	}, nil
 }

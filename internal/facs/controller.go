@@ -106,8 +106,9 @@ type System struct {
 	resolution      int
 	handoffBias     float64
 
-	flc1 *fuzzy.Engine
-	flc2 *fuzzy.Engine
+	flc1   *fuzzy.Engine
+	flc2   *fuzzy.Engine
+	grades []Grade // per FLC2 output term, in declaration order
 }
 
 var (
@@ -148,6 +149,9 @@ func New(opts ...Option) (*System, error) {
 	}
 	if s.acceptThreshold < -1 || s.acceptThreshold > 1 {
 		return nil, fmt.Errorf("facs: accept threshold %v outside [-1, 1]", s.acceptThreshold)
+	}
+	for _, t := range s.flc2.Output().Terms() {
+		s.grades = append(s.grades, gradeFromTerm(t.Name))
 	}
 	return s, nil
 }
@@ -223,16 +227,25 @@ func (s *System) Evaluate(obs gps.Observation, requestBU, usedBU int, handoff bo
 	ev := Evaluation{
 		Cv:       cv,
 		AR:       ar,
-		Grade:    gradeFromTerm(s.flc2.Output().HighestTerm(ar)),
+		Grade:    s.grade(ar),
 		Accepted: ar >= s.acceptThreshold,
 	}
 	return ev, nil
 }
 
+// grade is the decision grade at a crisp A/R value: the Grade of the
+// output term with the highest membership there, by term index.
+func (s *System) grade(ar float64) Grade {
+	if i := s.flc2.Output().HighestTermIndex(ar); i >= 0 {
+		return s.grades[i]
+	}
+	return 0
+}
+
 // DecideBatch implements cac.BatchController. The exact engines have
-// no per-request state to amortise (each Mamdani inference allocates
-// internally), so this is a plain sequential pass; the method declares
-// batch capability so the pipeline treats every FACS variant uniformly.
+// no per-request state to amortise, so this is a plain sequential pass;
+// the method declares batch capability so the pipeline treats every
+// FACS variant uniformly.
 func (s *System) DecideBatch(reqs []cac.Request) ([]cac.Decision, error) {
 	out := make([]cac.Decision, len(reqs))
 	if err := s.DecideBatchInto(reqs, out); err != nil {
@@ -242,8 +255,8 @@ func (s *System) DecideBatch(reqs []cac.Request) ([]cac.Decision, error) {
 }
 
 // DecideBatchInto implements cac.BatchIntoController: DecideBatch
-// semantics into a caller-provided buffer (the Mamdani inference still
-// allocates internally; the buffer only removes the per-batch slice).
+// semantics into a caller-provided buffer. The Mamdani inference is
+// allocation-free, so with the buffer the whole pass is.
 //
 //facs:hotpath
 func (s *System) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {

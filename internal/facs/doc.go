@@ -12,7 +12,7 @@
 //
 // System is the exact two-stage inference; CompiledController answers
 // the same queries from dense interpolation surfaces
-// (fuzzy.Surface) at ~40-50x the throughput. The contract between
+// (fuzzy.Surface) at ~8x the throughput. The contract between
 // them is asymmetric on purpose: crisp Cv and A/R values carry a small
 // documented interpolation tolerance, but accept/reject outcomes and
 // decision grades NEVER differ — each surface carries per-cell error
@@ -23,11 +23,11 @@
 //
 // # Surface persistence
 //
-// Compiling the default surfaces costs seconds, so
+// Compiling the default surfaces costs about half a second, so
 // CompileSystemCached/NewCompiledCached put a load-or-compile cache in
 // front: entries are versioned binary blobs (fuzzy.EncodeSurface)
 // validated by a config+grid hash and a checksum, making a warm
-// service restart milliseconds instead of seconds. CompileCount
+// service restart milliseconds instead of a recompile. CompileCount
 // exposes the process-wide compilation counter the cache tests assert
 // against.
 //

@@ -35,20 +35,16 @@ func (Centroid) Defuzzify(agg *AggregatedOutput, resolution int) (float64, error
 	if agg.Empty() {
 		return 0, ErrNoRuleFired
 	}
-	if resolution < 2 {
-		resolution = 2
-	}
-	min, max := agg.Variable().Universe()
-	step := (max - min) / float64(resolution-1)
+	s := agg.sampling(resolution)
 	var num, den float64
-	for i := 0; i < resolution; i++ {
-		y := min + float64(i)*step
-		m := agg.At(y)
+	for i := s.lo; i <= s.hi; i++ {
+		y := s.y(i)
+		m := s.m(i)
 		num += y * m
 		den += m
 	}
 	if den == 0 {
-		return 0, fmt.Errorf("fuzzy: centroid is undefined: aggregated area is zero at resolution %d", resolution)
+		return 0, fmt.Errorf("fuzzy: centroid is undefined: aggregated area is zero at resolution %d", s.n) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	return num / den, nil
 }
@@ -67,28 +63,23 @@ func (Bisector) Defuzzify(agg *AggregatedOutput, resolution int) (float64, error
 	if agg.Empty() {
 		return 0, ErrNoRuleFired
 	}
-	if resolution < 2 {
-		resolution = 2
-	}
-	min, max := agg.Variable().Universe()
-	step := (max - min) / float64(resolution-1)
-	samples := make([]float64, resolution)
+	s := agg.sampling(resolution)
 	var total float64
-	for i := range samples {
-		samples[i] = agg.At(min + float64(i)*step)
-		total += samples[i]
+	for i := s.lo; i <= s.hi; i++ {
+		total += s.m(i)
 	}
 	if total == 0 {
-		return 0, fmt.Errorf("fuzzy: bisector is undefined: aggregated area is zero at resolution %d", resolution)
+		return 0, fmt.Errorf("fuzzy: bisector is undefined: aggregated area is zero at resolution %d", s.n) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
+	// The walk starts at sample 0, not lo: total/2 may round to zero.
 	var acc float64
-	for i, m := range samples {
-		acc += m
+	for i := 0; i < s.n; i++ {
+		acc += s.m(i)
 		if acc >= total/2 {
-			return min + float64(i)*step, nil
+			return s.y(i), nil
 		}
 	}
-	return max, nil
+	return s.max, nil
 }
 
 // MeanOfMaxima defuzzifies to the mean of the sample points at which the
@@ -105,17 +96,13 @@ func (MeanOfMaxima) Defuzzify(agg *AggregatedOutput, resolution int) (float64, e
 	if agg.Empty() {
 		return 0, ErrNoRuleFired
 	}
-	if resolution < 2 {
-		resolution = 2
-	}
-	min, max := agg.Variable().Universe()
-	step := (max - min) / float64(resolution-1)
+	s := agg.sampling(resolution)
 	const eps = 1e-12
 	var best, sum float64
 	var count int
-	for i := 0; i < resolution; i++ {
-		y := min + float64(i)*step
-		m := agg.At(y)
+	for i := s.lo; i <= s.hi; i++ {
+		y := s.y(i)
+		m := s.m(i)
 		switch {
 		case m > best+eps:
 			best, sum, count = m, y, 1
@@ -125,7 +112,7 @@ func (MeanOfMaxima) Defuzzify(agg *AggregatedOutput, resolution int) (float64, e
 		}
 	}
 	if count == 0 {
-		return 0, fmt.Errorf("fuzzy: mean-of-maxima is undefined: aggregated set is empty at resolution %d", resolution)
+		return 0, fmt.Errorf("fuzzy: mean-of-maxima is undefined: aggregated set is empty at resolution %d", s.n) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	return sum / float64(count), nil
 }
@@ -163,12 +150,18 @@ func (w *WeightedAverage) Defuzzify(agg *AggregatedOutput, resolution int) (floa
 		if resolution < 2 {
 			resolution = 2
 		}
-		w.centroids = make([]float64, out.NumTerms())
+		w.centroids = make([]float64, out.NumTerms()) //facs:alloc one-time lazy init; NewEngine primes its own defuzzifier
 		for i := range w.centroids {
 			w.centroids[i] = out.termCentroidAt(i, resolution)
 		}
 		w.forVar = out
 	}
+	return w.mean(agg)
+}
+
+// mean is the weighted mean of the cached term centroids. It only reads
+// agg, so the engine's aggregated output can stay on the stack.
+func (w *WeightedAverage) mean(agg *AggregatedOutput) (float64, error) {
 	var num, den float64
 	for i := 0; i < agg.NumTerms(); i++ {
 		s := agg.Strength(i)

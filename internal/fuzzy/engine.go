@@ -21,18 +21,21 @@ type Engine struct {
 	defuzz      Defuzzifier
 	resolution  int
 	totalTerms  int
-}
-
-type clauseRef struct {
-	varIdx  int
-	termIdx int
+	table       *sampleTable // output memberships at the resolution's samples
 }
 
 type compiledRule struct {
-	clauses []clauseRef
+	clauses []int // indices into the flat fuzzified-degree vector
 	outTerm int
 	weight  float64
 }
+
+// Stack scratch for one evaluation: engines with at most this many
+// input terms and output terms evaluate without touching the heap.
+const (
+	scratchDegrees   = 64
+	scratchStrengths = 32
+)
 
 // Option configures an Engine at construction time.
 type Option func(*Engine)
@@ -102,6 +105,7 @@ func NewEngine(inputs []*Variable, output *Variable, rules []Rule, opts ...Optio
 	if err := output.CheckCoverage(e.resolution); err != nil {
 		return nil, err
 	}
+	e.table = newSampleTable(output, e.resolution)
 	e.rules = make([]compiledRule, 0, len(rules))
 	for i, r := range rules {
 		cr, err := e.compileRule(r)
@@ -136,7 +140,7 @@ func (e *Engine) compileRule(r Rule) (compiledRule, error) {
 	if err := r.Validate(); err != nil {
 		return compiledRule{}, err
 	}
-	cr := compiledRule{clauses: make([]clauseRef, 0, len(r.If)), weight: r.Weight}
+	cr := compiledRule{clauses: make([]int, 0, len(r.If)), weight: r.Weight}
 	if cr.weight == 0 {
 		cr.weight = 1
 	}
@@ -154,7 +158,11 @@ func (e *Engine) compileRule(r Rule) (compiledRule, error) {
 		if !ok {
 			return compiledRule{}, fmt.Errorf("variable %q has no term %q", c.Var, c.Term)
 		}
-		cr.clauses = append(cr.clauses, clauseRef{varIdx: vi, termIdx: ti})
+		off := 0
+		for _, v := range e.inputs[:vi] {
+			off += v.NumTerms()
+		}
+		cr.clauses = append(cr.clauses, off+ti)
 	}
 	if r.Then.Var != e.output.Name() {
 		return compiledRule{}, fmt.Errorf("consequent references %q, want output variable %q", r.Then.Var, e.output.Name())
@@ -201,49 +209,100 @@ func (e *Engine) Evaluate(inputs map[string]float64) (float64, error) {
 }
 
 // EvaluateVec runs one inference with crisp inputs given in input
-// declaration order. It is the allocation-light fast path.
+// declaration order. It is the allocation-free fast path: with a
+// built-in defuzzifier and an engine within the stack scratch it makes
+// no heap allocation.
 func (e *Engine) EvaluateVec(vals ...float64) (float64, error) {
-	agg, err := e.Infer(vals)
-	if err != nil {
+	var degBuf [scratchDegrees]float64
+	var strBuf [scratchStrengths]float64
+	degrees, strengths := degBuf[:], strBuf[:]
+	if e.totalTerms > len(degBuf) {
+		degrees = make([]float64, e.totalTerms) //facs:alloc heap fallback for engines larger than the stack scratch
+	}
+	if n := e.output.NumTerms(); n > len(strBuf) {
+		strengths = make([]float64, n) //facs:alloc heap fallback for engines larger than the stack scratch
+	} else {
+		strengths = strBuf[:n]
+	}
+	if err := e.fire(vals, degrees, strengths, nil); err != nil {
 		return 0, err
 	}
-	return e.defuzz.Defuzzify(agg, e.resolution)
+	return e.defuzzify(strengths)
 }
 
 // Infer runs fuzzification and rule aggregation, returning the aggregated
 // output fuzzy set without defuzzifying it.
-//
-//facs:coldpath exact-inference fallback builds its aggregation state per call; steady-state waves run the compiled surfaces and reach here only when an interpolation bound misses the decision margin
 func (e *Engine) Infer(vals []float64) (*AggregatedOutput, error) {
-	if len(vals) != len(e.inputs) {
-		return nil, fmt.Errorf("fuzzy: got %d input values, want %d", len(vals), len(e.inputs))
-	}
-	degrees := make([]float64, e.totalTerms)
-	offsets := make([]int, len(e.inputs))
-	off := 0
-	for i, v := range e.inputs {
-		offsets[i] = off
-		v.FuzzifyInto(vals[i], degrees[off:off+v.NumTerms()])
-		off += v.NumTerms()
-	}
 	agg := &AggregatedOutput{
 		out:         e.output,
 		strengths:   make([]float64, e.output.NumTerms()),
 		implication: e.implication,
+		table:       e.table,
 	}
-	for _, r := range e.rules {
+	if err := e.fire(vals, make([]float64, e.totalTerms), agg.strengths, nil); err != nil {
+		return nil, err
+	}
+	return agg, nil
+}
+
+// fire fuzzifies vals into degrees (length totalTerms) and max-aggregates
+// the rule firing strengths per output term into strengths, which must
+// be zero on entry. When ruleW is non-nil it receives every rule's
+// strength. It is the one firing loop behind EvaluateVec, Infer and
+// Explain.
+func (e *Engine) fire(vals, degrees, strengths, ruleW []float64) error {
+	if len(vals) != len(e.inputs) {
+		return fmt.Errorf("fuzzy: got %d input values, want %d", len(vals), len(e.inputs)) //facs:alloc reject/error path; formats nothing on the steady-state wave
+	}
+	off := 0
+	for i, v := range e.inputs {
+		n := v.NumTerms()
+		v.FuzzifyInto(vals[i], degrees[off:off+n])
+		off += n
+	}
+	for i, r := range e.rules {
 		w := r.weight
-		for _, c := range r.clauses {
-			w = e.tnorm.Apply(w, degrees[offsets[c.varIdx]+c.termIdx])
+		for _, d := range r.clauses {
+			w = e.tnorm.Apply(w, degrees[d])
 			if w == 0 {
 				break
 			}
 		}
-		if w > agg.strengths[r.outTerm] {
-			agg.strengths[r.outTerm] = w
+		if ruleW != nil {
+			ruleW[i] = w
+		}
+		if w > strengths[r.outTerm] {
+			strengths[r.outTerm] = w
 		}
 	}
-	return agg, nil
+	return nil
+}
+
+// defuzzify reduces aggregated term strengths to the crisp output. The
+// built-in defuzzifiers are called statically so that the aggregated
+// output stays on the caller's stack; a custom Defuzzifier receives a
+// heap copy, because the interface call lets its argument escape.
+func (e *Engine) defuzzify(strengths []float64) (float64, error) {
+	agg := AggregatedOutput{out: e.output, strengths: strengths, implication: e.implication, table: e.table}
+	switch d := e.defuzz.(type) {
+	case Centroid:
+		return d.Defuzzify(&agg, e.resolution)
+	case Bisector:
+		return d.Defuzzify(&agg, e.resolution)
+	case MeanOfMaxima:
+		return d.Defuzzify(&agg, e.resolution)
+	case *WeightedAverage:
+		if d.forVar == e.output {
+			return d.mean(&agg) // centroids primed by NewEngine
+		}
+	}
+	heap := &AggregatedOutput{ //facs:alloc custom defuzzifiers only: the interface call lets the aggregated output escape
+		out:         e.output,
+		strengths:   append([]float64(nil), strengths...), //facs:alloc custom defuzzifiers only
+		implication: e.implication,
+		table:       e.table,
+	}
+	return e.defuzz.Defuzzify(heap, e.resolution)
 }
 
 // RuleActivation reports the firing strength of one rule for one inference.
@@ -269,42 +328,25 @@ type Explanation struct {
 // It is intended for debugging, testing and interactive exploration rather
 // than hot paths.
 func (e *Engine) Explain(vals []float64) (*Explanation, error) {
-	if len(vals) != len(e.inputs) {
-		return nil, fmt.Errorf("fuzzy: got %d input values, want %d", len(vals), len(e.inputs))
-	}
-	clamped := make([]float64, len(vals))
-	for i, v := range e.inputs {
-		clamped[i] = v.Clamp(vals[i])
-	}
-	agg, err := e.Infer(vals)
-	if err != nil {
+	degrees := make([]float64, e.totalTerms)
+	strengths := make([]float64, e.output.NumTerms())
+	ruleW := make([]float64, len(e.rules))
+	if err := e.fire(vals, degrees, strengths, ruleW); err != nil {
 		return nil, err
 	}
-	out, err := e.defuzz.Defuzzify(agg, e.resolution)
+	out, err := e.defuzzify(strengths)
 	if err != nil {
 		return nil, err
 	}
 	ex := &Explanation{
-		Inputs:     clamped,
+		Inputs:     make([]float64, len(vals)),
 		Output:     out,
 		OutputTerm: e.output.HighestTerm(out),
 	}
-	degrees := make([]float64, e.totalTerms)
-	offsets := make([]int, len(e.inputs))
-	off := 0
 	for i, v := range e.inputs {
-		offsets[i] = off
-		v.FuzzifyInto(vals[i], degrees[off:off+v.NumTerms()])
-		off += v.NumTerms()
+		ex.Inputs[i] = v.Clamp(vals[i])
 	}
-	for i, r := range e.rules {
-		w := r.weight
-		for _, c := range r.clauses {
-			w = e.tnorm.Apply(w, degrees[offsets[c.varIdx]+c.termIdx])
-			if w == 0 {
-				break
-			}
-		}
+	for i, w := range ruleW {
 		if w > 0 {
 			ex.Fired = append(ex.Fired, RuleActivation{Index: i, Rule: e.srcRules[i], Strength: w})
 		}

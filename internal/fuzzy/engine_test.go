@@ -269,23 +269,25 @@ func TestEngineExplain(t *testing.T) {
 }
 
 func TestEngineConcurrentEvaluate(t *testing.T) {
-	e := testController(t, WithDefuzzifier(NewWeightedAverage()))
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(seed float64) {
-			for i := 0; i < 200; i++ {
-				x := math.Mod(seed+float64(i)*0.37, 10)
-				if _, err := e.EvaluateVec(x, 10-x); err != nil {
-					done <- err
-					return
+	for _, d := range []Defuzzifier{NewWeightedAverage(), Centroid{}} {
+		e := testController(t, WithDefuzzifier(d))
+		done := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			go func(seed float64) {
+				for i := 0; i < 200; i++ {
+					x := math.Mod(seed+float64(i)*0.37, 10)
+					if _, err := e.EvaluateVec(x, 10-x); err != nil {
+						done <- err
+						return
+					}
 				}
+				done <- nil
+			}(float64(g))
+		}
+		for g := 0; g < 8; g++ {
+			if err := <-done; err != nil {
+				t.Fatalf("%s: %v", d.Name(), err)
 			}
-			done <- nil
-		}(float64(g))
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -171,11 +171,20 @@ func (v *Variable) CheckCoverage(resolution int) error {
 // HighestTerm returns the name of the term with the greatest membership at
 // x, breaking ties towards the earliest declared term.
 func (v *Variable) HighestTerm(x float64) string {
-	best, bestDeg := "", math.Inf(-1)
+	if i := v.HighestTermIndex(x); i >= 0 {
+		return v.terms[i].Name
+	}
+	return ""
+}
+
+// HighestTermIndex is HighestTerm as a position in declaration order, or
+// -1 when no membership compares greater than -Inf (every one is NaN).
+func (v *Variable) HighestTermIndex(x float64) int {
+	best, bestDeg := -1, math.Inf(-1)
 	x = v.Clamp(x)
-	for _, t := range v.terms {
+	for i, t := range v.terms {
 		if d := t.MF.Membership(x); d > bestDeg {
-			best, bestDeg = t.Name, d
+			best, bestDeg = i, d
 		}
 	}
 	return best

@@ -164,8 +164,22 @@ func TestHighestTerm(t *testing.T) {
 		if got := v.HighestTerm(tc.x); got != tc.want {
 			t.Errorf("HighestTerm(%v) = %q, want %q", tc.x, got, tc.want)
 		}
+		if i := v.HighestTermIndex(tc.x); v.TermAt(i).Name != tc.want {
+			t.Errorf("HighestTermIndex(%v) = %d (%q), want %q", tc.x, i, v.TermAt(i).Name, tc.want)
+		}
+	}
+	nan := MustVariable("n", 0, 1, Term{Name: "nan", MF: nanMF{}})
+	if i, name := nan.HighestTermIndex(0.5), nan.HighestTerm(0.5); i != -1 || name != "" {
+		t.Errorf("all-NaN memberships: HighestTermIndex = %d, HighestTerm = %q; want -1, \"\"", i, name)
 	}
 }
+
+// nanMF is a membership function that is NaN everywhere.
+type nanMF struct{}
+
+func (nanMF) Membership(float64) float64 { return math.NaN() }
+func (nanMF) Support() (lo, hi float64)  { return 0, 1 }
+func (nanMF) Kernel() (lo, hi float64)   { return 0, 1 }
 
 func TestTermCentroid(t *testing.T) {
 	v := speedVariable(t)
