@@ -391,6 +391,71 @@ func BenchmarkCompiledFACSEvaluateMixed(b *testing.B) {
 	}
 }
 
+// BenchmarkCompiledDecideBatch times the compiled decision path the
+// city-facs workload runs: DecideBatchInto on a seeded batch of 512 new
+// calls and handoffs (one in three) over a 19-cell network of 40 BU
+// stations at random occupancy. One op is the whole batch; the metrics
+// report the cost per decision and the share of decisions that fell
+// back to the exact engines.
+func BenchmarkCompiledDecideBatch(b *testing.B) {
+	const batchSize = 512
+	cc := compiledBench(b)
+	net, err := facs.NewNetwork(facs.NetworkConfig{Rings: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	id := 1
+	for _, bs := range net.Stations() {
+		for target := rng.Intn(bs.Capacity() - 3); bs.Used() < target; id++ {
+			if err := bs.Admit(facs.Call{ID: id, Class: facs.Text, BU: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	classes := []facs.Class{facs.Text, facs.Voice, facs.Video}
+	reqs := make([]facs.AdmissionRequest, 0, batchSize)
+	for len(reqs) < batchSize {
+		pos := facs.Point{
+			X: (2*rng.Float64() - 1) * 7000,
+			Y: (2*rng.Float64() - 1) * 7000,
+		}
+		bs, err := net.StationAt(pos)
+		if err != nil {
+			continue
+		}
+		class := classes[rng.Intn(len(classes))]
+		est := igps.Estimate{
+			Pos:        pos,
+			HeadingDeg: rng.Float64()*360 - 180,
+			SpeedKmh:   rng.Float64() * 120,
+		}
+		reqs = append(reqs, facs.AdmissionRequest{
+			Call:    facs.Call{ID: id, Class: class, BU: class.BandwidthUnits()},
+			Station: bs,
+			Obs:     igps.Observe(est, bs.Pos()),
+			Est:     est,
+			Handoff: rng.Intn(3) == 0,
+		})
+		id++
+	}
+	out := make([]facs.Decision, len(reqs))
+	f0, e0 := cc.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cc.DecideBatchInto(reqs, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/decision")
+	f1, e1 := cc.Stats()
+	if total := (f1 - f0) + (e1 - e0); total > 0 {
+		b.ReportMetric(100*float64(e1-e0)/float64(total), "fallback%")
+	}
+}
+
 // BenchmarkCompiledSurfaceBuild times the one-off compilation of both
 // decision surfaces (the cost the fast path amortises).
 func BenchmarkCompiledSurfaceBuild(b *testing.B) {

@@ -40,13 +40,18 @@
 // a small interpolation tolerance (documented and enforced by the
 // golden-equivalence test suite in internal/facs), while accept/reject
 // outcomes and decision grades are always identical to the exact
-// System — each surface carries per-cell error bounds, and any query
-// whose interpolated A/R value lands within its bound of a decision
-// boundary is re-run on the exact engines (about 10% of a uniformly
-// random workload, and 23% on the city-facs benchmark, whose loaded
-// cells sit near the threshold). Use the exact System when the crisp
-// values themselves must be reference-grade; use the compiled path
-// when decision throughput matters.
+// System. An admission decision (Decide, DecideBatchInto) is
+// compare-only: one FLC1 lookup gives Cv and its error bound, and a
+// per-(handoff, R, Cs) table of Cv intervals on which FLC2 is certain
+// to accept or to reject settles the verdict; a request whose Cv range
+// is not inside one interval is re-run on the exact engines (about 1%
+// of a uniformly random workload, and 2% on the city-facs benchmark,
+// whose loaded cells sit near the threshold). Evaluate, which also
+// reports the crisp values and the grade, guards the interpolated A/R
+// value against the threshold and the grade boundaries instead (about
+// 2% fallbacks on the same random workload). Use the exact System when
+// the crisp values themselves must be reference-grade; use the compiled
+// path when decision throughput matters.
 //
 // # Batch admission and the SCC demand ledger
 //

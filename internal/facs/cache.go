@@ -40,7 +40,8 @@ func (i CacheInfo) String() string {
 // surfaceConfigHash fingerprints everything the compiled surfaces'
 // content depends on: the persistence format version, the compilation
 // constants of this package (grid layout, pinned integer nodes,
-// error-map safety factor — all functions of gridSize and the params),
+// error-map safety factor and aligned axes — all functions of gridSize
+// and the params),
 // and the System configuration (membership break-points, accept
 // threshold, handoff bias, inference operators, defuzzifier type and
 // resolution). Two systems with equal hashes compile byte-identical
@@ -49,7 +50,7 @@ func (i CacheInfo) String() string {
 // such systems must not share a cache directory.
 func surfaceConfigHash(sys *System, gridSize int) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "fmt=%d|grid=%d|safety=%v|", fuzzy.SurfaceFormatVersion, gridSize, float64(surfaceErrorSafety))
+	fmt.Fprintf(h, "fmt=%d|grid=%d|safety=%v|aligned=%v|", fuzzy.SurfaceFormatVersion, gridSize, float64(surfaceErrorSafety), flc2AlignedAxes)
 	fmt.Fprintf(h, "params=%+v|", sys.params)
 	fmt.Fprintf(h, "thr=%v|bias=%v|tnorm=%d|impl=%d|res=%d|defuzz=%T",
 		sys.acceptThreshold, sys.handoffBias, sys.tnorm, sys.implication, sys.resolution, sys.mkDefuzz())

@@ -1,10 +1,13 @@
 package facs
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"facs/internal/fuzzy"
 	"facs/internal/gps"
 )
 
@@ -237,4 +240,53 @@ func TestSurfaceCacheEmptyDirCompiles(t *testing.T) {
 	if got := CompileCount() - before; got != 1 {
 		t.Fatalf("compiled %d times, want 1", got)
 	}
+}
+
+// TestSurfaceCacheV1EntryRecompiled: a cache entry written in the
+// version 1 surface format (before the FLC2 error map became
+// node-aligned) reads as stale; CompileSystemCached recompiles it,
+// rewrites the entry in the current format, and the next start hits.
+func TestSurfaceCacheV1EntryRecompiled(t *testing.T) {
+	const grid = 2 // the fixture's grid size
+	old, err := os.ReadFile("testdata/facs-g2-v1.surfaces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := cachePath(dir, grid)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loadSurfaces(path, surfaceConfigHash(Must(), grid)); !errors.Is(err, fuzzy.ErrSurfaceStale) {
+		t.Fatalf("version 1 entry loads with %v, want ErrSurfaceStale", err)
+	}
+
+	before := CompileCount()
+	c, info, err := CompileSystemCached(Must(), grid, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Stale || info.Hit {
+		t.Fatalf("version 1 entry should report stale, got %+v", info)
+	}
+	if got := CompileCount() - before; got != 1 {
+		t.Fatalf("version 1 entry must recompile once, compiled %d times", got)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(rewritten, old) {
+		t.Fatal("version 1 entry was not rewritten")
+	}
+
+	before = CompileCount()
+	warm, info, err := CompileSystemCached(Must(), grid, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Hit || CompileCount() != before {
+		t.Fatalf("rewritten entry should hit, got %+v", info)
+	}
+	assertSameAnswers(t, c, warm)
 }

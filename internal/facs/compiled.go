@@ -18,29 +18,32 @@ import (
 // error at this size.
 const DefaultSurfaceGridSize = fuzzy.DefaultSurfaceGridSize
 
-// surfaceErrorSafety scales the sampled per-cell interpolation error
-// bounds (fuzzy.WithSurfaceErrorMap). A single centre probe can
-// under-read the peak error of a cell crossed asymmetrically by a
-// t-norm crease; doubling it gives the guard band its margin. The
-// golden-equivalence suite verifies empirically that the resulting
-// guards are sound (zero decision or grade flips).
+// surfaceErrorSafety scales the sampled interpolation error bounds
+// (fuzzy.WithSurfaceErrorMap). A single centre probe can under-read
+// the peak error of a cell crossed asymmetrically by a t-norm crease;
+// doubling it gives the guard band and the accept table their margin.
+// The golden-equivalence suite and TestDecisionTableMatchesExact verify
+// empirically that the resulting guards are sound (zero decision or
+// grade flips).
 const surfaceErrorSafety = 2
 
 // CompiledController is the lookup-table fast path of the FACS: both
 // controllers compiled into dense interpolation surfaces
 // (FLC1: speed x angle x distance -> Cv; FLC2: Cv x R x Cs -> A/R) at
-// construction time, so that a full admission decision costs two
-// trilinear interpolations instead of two complete Mamdani inferences.
+// construction time.
 //
-// Accept/reject outcomes and decision grades are protected by a guard
-// band: each surface carries per-cell interpolation error bounds, and
-// when the interpolated A/R value lands within the propagated bound of
-// the accept threshold or a grade boundary, the controller re-runs the
-// exact engines for that one request. Everywhere else the fast answer
-// is provably on the same side of every boundary as the exact one, so
-// decisions and grades match the exact System; the crisp Cv and A/R
-// values themselves carry the small interpolation tolerance documented
-// in the golden-equivalence test suite (internal/facs/compiled_test.go).
+// An admission decision (Decide, DecideBatchInto) is compare-only: one
+// FLC1 lookup gives the interpolated Cv and its error bound b1, and a
+// per-(handoff, R, Cs) table of certain Cv intervals, built from the
+// FLC2 surface's node values and node-aligned error bounds, settles
+// the verdict when [Cv−b1, Cv+b1] lies inside one of them. Any other
+// request re-runs the exact engines. Evaluate, which also reports the
+// crisp values and the grade, interpolates both surfaces and falls back
+// when the A/R value lands within the propagated bound of the accept
+// threshold or a grade boundary. Either way decisions and grades match
+// the exact System; the crisp Cv and A/R values themselves carry the
+// small interpolation tolerance documented in the golden-equivalence
+// test suite (internal/facs/compiled_test.go).
 //
 // A CompiledController is immutable after construction (the fallback
 // counters aside) and safe for concurrent use.
@@ -49,6 +52,7 @@ type CompiledController struct {
 	surf1      *fuzzy.Surface
 	surf2      *fuzzy.Surface
 	boundaries []float64 // accept threshold + grade switch points, on the A/R axis
+	table      acceptTable
 
 	fast  atomic.Int64
 	exact atomic.Int64
@@ -113,12 +117,14 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 	// corners): every realistic query hits their nodes and reproduces
 	// the exact engine with zero error on those axes, confining
 	// interpolation to the genuinely continuous Cv axis — and shrinking
-	// the table and its compile time by an order of magnitude.
+	// the table and its compile time by an order of magnitude. The error
+	// map is aligned to those nodes, so it bounds only the Cv-axis error.
 	surf2, err := fuzzy.NewSurface(sys.FLC2(),
 		fuzzy.WithSurfaceGrid(gridSize, 2, 2),
 		fuzzy.WithSurfaceNodes(VarRequest, integerNodes(sys.params.RequestMax)...),
 		fuzzy.WithSurfaceNodes(VarCounter, integerNodes(sys.params.CapacityBU)...),
 		fuzzy.WithSurfaceErrorMap(surfaceErrorSafety),
+		fuzzy.WithSurfaceAlignedAxes(flc2AlignedAxes...),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("facs: compiling FLC2 surface: %w", err)
@@ -127,16 +133,21 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 	return newCompiledFromSurfaces(sys, surf1, surf2), nil
 }
 
+// flc2AlignedAxes are the admission surface's inputs that every query
+// supplies as an integral number of bandwidth units.
+var flc2AlignedAxes = []string{VarRequest, VarCounter}
+
 // newCompiledFromSurfaces assembles a controller from already compiled
-// (or cache-decoded) surfaces. The grade/threshold boundaries are
-// re-derived from the exact system, which is cheap; only the surface
-// sampling itself is worth persisting.
+// (or cache-decoded) surfaces. The grade/threshold boundaries and the
+// accept table are re-derived from the system and the surfaces, which
+// is cheap; only the surface sampling itself is worth persisting.
 func newCompiledFromSurfaces(sys *System, surf1, surf2 *fuzzy.Surface) *CompiledController {
 	return &CompiledController{
 		sys:        sys,
 		surf1:      surf1,
 		surf2:      surf2,
 		boundaries: append(gradeBoundaries(sys.flc2.Output()), sys.acceptThreshold),
+		table:      newAcceptTable(sys, surf2),
 	}
 }
 
@@ -224,8 +235,8 @@ func (c *CompiledController) FLC2Surface() *fuzzy.Surface { return c.surf2 }
 // AcceptThreshold returns the crisp decision boundary.
 func (c *CompiledController) AcceptThreshold() float64 { return c.sys.AcceptThreshold() }
 
-// Stats reports how many evaluations took the interpolation fast path
-// versus the exact guard-band fallback since construction.
+// Stats reports how many decisions and evaluations were answered from
+// the surfaces versus by the exact engines since construction.
 func (c *CompiledController) Stats() (fast, exact int64) {
 	return c.fast.Load(), c.exact.Load()
 }
@@ -283,11 +294,7 @@ func (c *CompiledController) Evaluate(obs gps.Observation, requestBU, usedBU int
 }
 
 // DecideBatch implements cac.BatchController with the same semantics as
-// per-request Decide calls against unchanged station state. The batch
-// path amortises the station-occupancy read across runs of requests
-// aimed at the same station (the common shape: many candidates
-// evaluated against one cell), on top of the per-query surface lookups
-// that already dominate the cost.
+// per-request Decide calls against unchanged station state.
 func (c *CompiledController) DecideBatch(reqs []cac.Request) ([]cac.Decision, error) {
 	out := make([]cac.Decision, len(reqs))
 	if err := c.DecideBatchInto(reqs, out); err != nil {
@@ -297,17 +304,30 @@ func (c *CompiledController) DecideBatch(reqs []cac.Request) ([]cac.Decision, er
 }
 
 // DecideBatchInto implements cac.BatchIntoController: DecideBatch
-// semantics into a caller-provided buffer. Surface lookups allocate
-// nothing, so the fast path (no guard-band fallback) is allocation-free.
+// semantics into a caller-provided buffer. Each request that its
+// station can carry costs one FLC1 lookup and an interval compare in
+// the accept table; only requests whose FLC1 uncertainty range is not
+// inside one certain interval run the exact engines. The station
+// occupancy is read once per run of requests aimed at the same station.
+// Nothing here allocates.
 //
 //facs:hotpath
 func (c *CompiledController) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {
+	fast, exact, err := c.decideBatch(reqs, out)
+	c.fast.Add(fast)
+	c.exact.Add(exact)
+	return err
+}
+
+// decideBatch is DecideBatchInto with the fallback counts returned
+// rather than published per request.
+func (c *CompiledController) decideBatch(reqs []cac.Request, out []cac.Decision) (fast, exact int64, err error) {
 	var station *cell.BaseStation
 	used, free := 0, 0
 	for i := range reqs {
 		req := &reqs[i]
 		if err := req.Validate(); err != nil {
-			return err
+			return fast, exact, err
 		}
 		// Decide must not mutate stations, so occupancy is stable for
 		// the whole batch and one read serves every consecutive request
@@ -321,34 +341,36 @@ func (c *CompiledController) DecideBatchInto(reqs []cac.Request, out []cac.Decis
 			out[i] = cac.Reject
 			continue
 		}
-		ev, err := c.Evaluate(req.Obs, req.Call.BU, used, req.Handoff)
+		cv, b1, err := c.surf1.EvaluateVecWithBound(req.Obs.SpeedKmh, req.Obs.AngleDeg, req.Obs.DistanceKm)
 		if err != nil {
-			return err
+			return fast, exact, err
 		}
-		if ev.Accepted {
+		accepted, ok := c.table.decide(req.Handoff, req.Call.BU, used, cv-b1, cv+b1)
+		if ok {
+			fast++
+		} else {
+			exact++
+			ev, err := c.sys.Evaluate(req.Obs, req.Call.BU, used, req.Handoff)
+			if err != nil {
+				return fast, exact, err
+			}
+			accepted = ev.Accepted
+		}
+		if accepted {
 			out[i] = cac.Accept
 		} else {
 			out[i] = cac.Reject
 		}
 	}
-	return nil
+	return fast, exact, nil
 }
 
 // Decide implements cac.Controller with the same semantics as
-// System.Decide, on the compiled surfaces.
+// System.Decide: a one-request DecideBatchInto.
 func (c *CompiledController) Decide(req cac.Request) (cac.Decision, error) {
-	if err := req.Validate(); err != nil {
+	out := [1]cac.Decision{cac.Reject}
+	if err := c.DecideBatchInto([]cac.Request{req}, out[:]); err != nil {
 		return cac.Reject, err
 	}
-	if !req.Station.Fits(req.Call.BU) {
-		return cac.Reject, nil
-	}
-	ev, err := c.Evaluate(req.Obs, req.Call.BU, req.Station.Used(), req.Handoff)
-	if err != nil {
-		return cac.Reject, err
-	}
-	if ev.Accepted {
-		return cac.Accept, nil
-	}
-	return cac.Reject, nil
+	return out[0], nil
 }

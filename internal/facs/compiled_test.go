@@ -174,25 +174,51 @@ func TestCompiledExactAtNodes(t *testing.T) {
 
 // TestCompiledDecideMatchesSystem drives both controllers through the
 // cac.Controller interface against a real base station, covering the
-// capacity short-circuit and the handoff flag.
+// capacity short-circuit, handoffs with and without a handoff bias, and
+// stations above the 40 BU counter universe (whose occupancy FLC2
+// clamps to its last row).
 func TestCompiledDecideMatchesSystem(t *testing.T) {
-	sys := Must()
-	cc := goldenCompiled(t)
-	bs, err := cell.NewBaseStation(geo.Hex{}, geo.Point{}, cell.DefaultCapacityBU)
+	for _, tc := range []struct {
+		name     string
+		cc       *CompiledController
+		capacity int
+	}{
+		{"default", goldenCompiled(t), cell.DefaultCapacityBU},
+		{"handoff-bias", goldenBiasedCompiled(t), cell.DefaultCapacityBU},
+		{"over-capacity", goldenCompiled(t), 120},
+		{"over-capacity-handoff-bias", goldenBiasedCompiled(t), 120},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			compiledDecideMatchesSystem(t, tc.cc, tc.capacity)
+		})
+	}
+}
+
+func compiledDecideMatchesSystem(t *testing.T, cc *CompiledController, capacity int) {
+	sys := cc.System()
+	bs, err := cell.NewBaseStation(geo.Hex{}, geo.Point{}, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(23))
-	id := 0
+	id, peak := 0, 0
 	for trial := 0; trial < 2000; trial++ {
-		// Random occupancy between trials.
-		if bs.Used() > 30 || (bs.Used() > 0 && rng.Intn(3) == 0) {
+		// Random occupancy between trials: FACS itself stops admitting
+		// well below 40 BU, so filler calls take the station anywhere
+		// up to 10 BU short of its capacity.
+		if bs.Used() > capacity-10 || rng.Intn(3) == 0 {
 			for _, c := range bs.Calls() {
 				if _, err := bs.Release(c.ID); err != nil {
 					t.Fatal(err)
 				}
 			}
+			for target := rng.Intn(capacity - 9); bs.Used() < target; id++ {
+				if err := bs.Admit(cell.Call{ID: 1000 + id, Class: traffic.Text, BU: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		peak = max(peak, bs.Used())
 		class := []traffic.Class{traffic.Text, traffic.Voice, traffic.Video}[rng.Intn(3)]
 		req := cac.Request{
 			Call: cell.Call{
@@ -218,14 +244,17 @@ func TestCompiledDecideMatchesSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("Decide mismatch at %+v used=%d: exact %v, compiled %v",
-				req.Obs, bs.Used(), want, got)
+			t.Fatalf("Decide mismatch at %+v used=%d handoff=%v: exact %v, compiled %v",
+				req.Obs, bs.Used(), req.Handoff, want, got)
 		}
 		if want.Accepted() {
 			if err := bs.Admit(req.Call); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	if capacity > cell.DefaultCapacityBU && peak <= cell.DefaultCapacityBU {
+		t.Fatalf("occupancy peaked at %d BU, never above the %d BU counter universe", peak, cell.DefaultCapacityBU)
 	}
 }
 

@@ -214,6 +214,12 @@ func (s *System) Evaluate(obs gps.Observation, requestBU, usedBU int, handoff bo
 	if err != nil {
 		return Evaluation{}, err
 	}
+	return s.evaluateCv(cv, requestBU, usedBU, handoff)
+}
+
+// evaluateCv is Evaluate's second stage: FLC2 and the decision
+// boundary at a given correction value.
+func (s *System) evaluateCv(cv float64, requestBU, usedBU int, handoff bool) (Evaluation, error) {
 	ar, err := s.flc2.EvaluateVec(cv, float64(requestBU), float64(usedBU))
 	if err != nil {
 		return Evaluation{}, fmt.Errorf("facs: FLC2: %w", err) //facs:alloc reject/error path; formats nothing on the steady-state wave

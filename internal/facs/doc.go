@@ -15,11 +15,26 @@
 // (fuzzy.Surface) at ~8x the throughput. The contract between
 // them is asymmetric on purpose: crisp Cv and A/R values carry a small
 // documented interpolation tolerance, but accept/reject outcomes and
-// decision grades NEVER differ — each surface carries per-cell error
-// bounds, and any query whose interpolated A/R value lands within the
-// propagated bound of the accept threshold or a grade boundary is
-// re-run on the exact engines. The golden-equivalence suite in
-// compiled_test.go pins both halves of the contract.
+// decision grades NEVER differ.
+//
+// A compiled decision (Decide, DecideBatchInto) is compare-only. The
+// FLC2 surface pins a node at every integral R and Cs, and its error
+// map is aligned to those nodes (fuzzy.WithSurfaceAlignedAxes), so at
+// each (R, Cs) it is a piecewise-linear function of Cv with one error
+// bound per Cv cell. From those alone the controller builds, at
+// construction, an accept table: per (handoff, R, Cs), the Cv intervals
+// on which the surface minus its bound clears the threshold (certain
+// accept) or plus its bound stays below it (certain reject), by a
+// margin ε. One FLC1 lookup gives Cv and its error bound b1; when
+// [Cv−b1, Cv+b1] lies inside one interval its class is the verdict,
+// and otherwise the exact engines decide (about 2% of the decisions
+// on the city-facs benchmark, 1% of a uniformly random workload).
+// Evaluate, which reports the crisp values and the grade as well,
+// interpolates both surfaces and re-runs the exact engines when the
+// A/R value lands within the propagated bound of the accept threshold
+// or a grade boundary. compiled_test.go pins the contract end to end;
+// accept_test.go checks every interval of the table against the exact
+// engines.
 //
 // # Surface persistence
 //

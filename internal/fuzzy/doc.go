@@ -49,7 +49,7 @@
 // Surface is the lookup-table fast path: an engine sampled over a
 // breakpoint-aligned grid at construction time and answered by
 // multilinear interpolation — exact at grid nodes, bounded-error
-// between them, with optional per-cell error bounds
+// between them, with optional local error bounds
 // (WithSurfaceErrorMap) that let callers guard decisions near
 // thresholds. A Surface is immutable and safe for concurrent use.
 // EncodeSurface/DecodeSurface persist a compiled surface as a
@@ -57,6 +57,25 @@
 // config hash (SurfaceFormatVersion, ErrSurfaceStale,
 // ErrSurfaceCorrupt), so processes can load surfaces in milliseconds
 // instead of recompiling for seconds.
+//
+// # Error maps and aligned axes
+//
+// By default the error map holds one bound per grid cell: the engine
+// is probed at the cell centre, the difference to the interpolated
+// value is scaled by a safety factor, and every bound is widened to the
+// maximum of its 3^d cell neighbourhood. WithSurfaceAlignedAxes
+// declares axes whose queries always land on grid nodes (discrete
+// inputs pinned with WithSurfaceNodes). Along those axes the map holds
+// one bound per node instead: the probe sits on the node, at the
+// centre of the cell along the other axes, and the dilation runs along
+// the other axes only. Interpolation is exact at a node, so an aligned
+// bound covers only the error the unaligned axes contribute and is
+// much tighter than the cell bound. EvaluateVecWithBound and
+// AxisRangeBounds report +Inf for a query whose aligned coordinate is
+// off its nodes after clamping, so a guarded caller falls back to the
+// exact engine rather than trust a bound that was never probed.
+// Profile returns a surface along one axis — node values and each
+// cell's bound — for callers that precompute decisions from it.
 //
 // # Entry points
 //

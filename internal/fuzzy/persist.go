@@ -14,7 +14,10 @@ import (
 // decoder only accepts blobs of exactly this version, so every consumer
 // of a persisted surface recompiles after a format change instead of
 // misreading old bytes.
-const SurfaceFormatVersion = 1
+//
+// Version 2 added the aligned-axis mask of the error map
+// (WithSurfaceAlignedAxes); version 1 blobs decode as ErrSurfaceStale.
+const SurfaceFormatVersion = 2
 
 // surfaceMagic identifies a persisted surface blob.
 var surfaceMagic = [4]byte{'F', 'S', 'R', 'F'}
@@ -58,11 +61,14 @@ const maxEncodedTotalNodes = 1 << 24
 //	magic "FSRF" | version u32 | configHash u64 | name | nAxes u32
 //	per axis: name | nNodes u32 | nodes []f64
 //	values []f64 (length implied by the axis product)
-//	hasErrMap u8 | errs []f64 (cell product, only when hasErrMap=1)
+//	hasErrMap u8 | when hasErrMap=1: aligned u32 | errs []f64
 //	checksum u64 (FNV-64a of every preceding byte)
 //
-// Strings are a u32 length plus raw bytes. Strides are not stored; the
-// decoder rebuilds them from the axis shape exactly as NewSurface does.
+// aligned is the error map's aligned-axis mask (bit i for axis i), and
+// errs has one entry per node along aligned axes and per cell along
+// the others, row-major like values. Strings are a u32 length plus raw
+// bytes. Strides are not stored; the decoder rebuilds them from the
+// axis shape exactly as NewSurface does.
 func EncodeSurface(w io.Writer, s *Surface, configHash uint64) error {
 	if s == nil {
 		return fmt.Errorf("fuzzy: cannot encode a nil surface")
@@ -107,6 +113,9 @@ func EncodeSurface(w io.Writer, s *Surface, configHash uint64) error {
 		return err
 	}
 	if s.errs != nil {
+		if err := writeU32(mw, s.aligned); err != nil {
+			return err
+		}
 		if err := writeFloats(mw, s.errs); err != nil {
 			return err
 		}
@@ -156,7 +165,7 @@ func DecodeSurface(r io.Reader, wantConfigHash uint64) (*Surface, error) {
 	}
 	s.axes = make([]SurfaceAxis, nAxes)
 	s.strides = make([]int, nAxes)
-	total, cells := 1, 1
+	total := 1
 	for i := range s.axes {
 		name := d.str()
 		n := int(d.u32())
@@ -173,13 +182,13 @@ func DecodeSurface(r io.Reader, wantConfigHash uint64) (*Surface, error) {
 			}
 		}
 		s.axes[i] = SurfaceAxis{Name: name, nodes: nodes}
-		// Guard the products before multiplying: n >= 2 here, so the
-		// divisions are safe and overflow is impossible.
-		if total > maxEncodedTotalNodes/n || cells > maxEncodedTotalNodes/(n-1) {
+		// Guard the product before multiplying: n >= 2 here, so the
+		// division is safe and overflow is impossible. The error map is
+		// never longer than the value table, so this bounds it too.
+		if total > maxEncodedTotalNodes/n {
 			return nil, fmt.Errorf("%w: declared grid exceeds %d nodes", ErrSurfaceCorrupt, maxEncodedTotalNodes)
 		}
 		total *= n
-		cells *= n - 1
 	}
 	// Row-major layout, identical to NewSurface.
 	stride := 1
@@ -190,13 +199,11 @@ func DecodeSurface(r io.Reader, wantConfigHash uint64) (*Surface, error) {
 	s.values = d.floats(total)
 	hasErr := d.byte()
 	if hasErr == 1 {
-		s.cellStrides = make([]int, nAxes)
-		stride = 1
-		for i := nAxes - 1; i >= 0; i-- {
-			s.cellStrides[i] = stride
-			stride *= s.axes[i].N() - 1
+		aligned := d.u32()
+		if d.err == nil && aligned>>nAxes != 0 {
+			return nil, fmt.Errorf("%w: aligned-axis mask %#x names axes beyond %d", ErrSurfaceCorrupt, aligned, nAxes)
 		}
-		s.errs = d.floats(cells)
+		s.errs = d.floats(s.initErrorMap(aligned))
 	} else if d.err == nil && hasErr != 0 {
 		return nil, fmt.Errorf("%w: bad error-map flag %d", ErrSurfaceCorrupt, hasErr)
 	}

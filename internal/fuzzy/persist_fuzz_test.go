@@ -11,8 +11,9 @@ import (
 const fuzzConfigHash uint64 = 0xfacc0de5
 
 // fuzzSurfaceBlob encodes one small valid surface — the happy-path seed
-// every mutation starts from.
-func fuzzSurfaceBlob() []byte {
+// every mutation starts from — with its error map aligned to the given
+// axes.
+func fuzzSurfaceBlob(aligned ...string) []byte {
 	x := MustVariable("x", 0, 10,
 		Term{Name: "lo", MF: MustTriangular(0, 0, 6)},
 		Term{Name: "hi", MF: MustTriangular(10, 6, 0)},
@@ -32,7 +33,7 @@ func fuzzSurfaceBlob() []byte {
 		{If: []Clause{{Var: "x", Term: "hi"}, {Var: "y", Term: "on"}}, Then: Clause{Var: "z", Term: "small"}},
 	}
 	e := MustEngine([]*Variable{x, y}, z, rules)
-	s, err := NewSurface(e, WithSurfaceGrid(5, 3), WithSurfaceErrorMap(1))
+	s, err := NewSurface(e, WithSurfaceGrid(5, 3), WithSurfaceErrorMap(1), WithSurfaceAlignedAxes(aligned...))
 	if err != nil {
 		panic(err)
 	}
@@ -70,6 +71,7 @@ func FuzzDecodeSurface(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Add(append(append([]byte(nil), valid...), 0xff))
+	f.Add(fuzzSurfaceBlob("y"))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		s, err := DecodeSurface(bytes.NewReader(blob), fuzzConfigHash)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -74,6 +75,59 @@ func TestSurfacePersistRoundTrip(t *testing.T) {
 		if haveV != wantV || haveB != wantB {
 			t.Fatalf("decoded surface(%v, %v) = (%v, %v), want (%v, %v)", xv, yv, haveV, haveB, wantV, wantB)
 		}
+	}
+}
+
+// TestSurfacePersistAlignedRoundTrip: a node-aligned error map survives
+// encode/decode bit for bit — the decoded surface re-encodes to the same
+// bytes and answers every query, its +Inf off-node bounds included,
+// identically.
+func TestSurfacePersistAlignedRoundTrip(t *testing.T) {
+	_, s := alignedTestSurface(t, 2)
+	var buf bytes.Buffer
+	if err := EncodeSurface(&buf, s, 0xa11e); err != nil {
+		t.Fatal(err)
+	}
+	blob := append([]byte(nil), buf.Bytes()...)
+	got, err := DecodeSurface(&buf, 0xa11e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.aligned != s.aligned || !reflect.DeepEqual(got.errStrides, s.errStrides) {
+		t.Fatalf("decoded aligned mask %#x strides %v, want %#x %v", got.aligned, got.errStrides, s.aligned, s.errStrides)
+	}
+	var again bytes.Buffer
+	if err := EncodeSurface(&again, got, 0xa11e); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), blob) {
+		t.Fatal("decoded aligned surface re-encodes to different bytes")
+	}
+	for i := 0; i < 400; i++ {
+		xv := 10 * (float64(i) + 0.31) / 401
+		yv := float64(i%23) / 20 // on and off the tenths, and clamped
+		wantV, wantB, _ := s.EvaluateVecWithBound(xv, yv)
+		haveV, haveB, _ := got.EvaluateVecWithBound(xv, yv)
+		if math.Float64bits(haveV) != math.Float64bits(wantV) || math.Float64bits(haveB) != math.Float64bits(wantB) {
+			t.Fatalf("decoded surface(%v, %v) = (%v, %v), want (%v, %v)", xv, yv, haveV, haveB, wantV, wantB)
+		}
+	}
+}
+
+// TestSurfacePersistV1IsStale: a blob in the version 1 layout (no
+// aligned-axis mask), as written before SurfaceFormatVersion 2, decodes
+// as stale, so caches recompile it.
+func TestSurfacePersistV1IsStale(t *testing.T) {
+	blob, err := os.ReadFile("testdata/surface-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(blob[4:]); v != 1 {
+		t.Fatalf("fixture has format version %d, want 1", v)
+	}
+	s, err := DecodeSurface(bytes.NewReader(blob), fuzzConfigHash)
+	if !errors.Is(err, ErrSurfaceStale) || s != nil {
+		t.Fatalf("version 1 blob: got (%v, %v), want ErrSurfaceStale", s, err)
 	}
 }
 
@@ -154,6 +208,17 @@ func TestSurfacePersistRejectsCorruption(t *testing.T) {
 		fixChecksum(bad)
 		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, ErrSurfaceStale) {
 			t.Fatalf("got %v, want ErrSurfaceStale", err)
+		}
+	})
+	t.Run("aligned mask beyond the axes", func(t *testing.T) {
+		// The mask sits right after the hasErrMap byte, ahead of the
+		// error map; the surface has two axes.
+		errBytes := 8 * len(s.errs)
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad[len(bad)-8-errBytes-4:], 1<<2)
+		fixChecksum(bad)
+		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, ErrSurfaceCorrupt) {
+			t.Fatalf("got %v, want ErrSurfaceCorrupt", err)
 		}
 	})
 	t.Run("trailing garbage", func(t *testing.T) {

@@ -2,6 +2,7 @@ package fuzzy
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -93,12 +94,13 @@ func (a SurfaceAxis) locate(x float64) (int, float64) {
 // finite inputs (out-of-universe inputs are clamped exactly as the
 // engine clamps them).
 type Surface struct {
-	axes        []SurfaceAxis
-	strides     []int
-	values      []float64
-	cellStrides []int
-	errs        []float64 // per-cell local error bound; nil without error map
-	name        string
+	axes       []SurfaceAxis
+	strides    []int
+	values     []float64
+	errStrides []int
+	errs       []float64 // local error bounds; nil without error map
+	aligned    uint32    // error-map axes indexed by node, one bit per axis
+	name       string
 }
 
 // surfaceCompiler configures NewSurface.
@@ -108,6 +110,7 @@ type surfaceCompiler struct {
 	workers int
 	errMap  bool
 	safety  float64
+	aligned []string
 }
 
 // SurfaceOption configures surface compilation.
@@ -157,6 +160,8 @@ func WithSurfaceWorkers(n int) SurfaceOption {
 // neighbours — a query near a cell boundary (or an upstream error that
 // pushes the true input into the next cell) stays covered. The error
 // map roughly doubles compilation cost and adds one float per cell.
+// WithSurfaceAlignedAxes changes the layout along axes whose queries
+// sit on grid nodes.
 func WithSurfaceErrorMap(safety float64) SurfaceOption {
 	return func(c *surfaceCompiler) {
 		c.errMap = true
@@ -165,6 +170,24 @@ func WithSurfaceErrorMap(safety float64) SurfaceOption {
 		}
 		c.safety = safety
 	}
+}
+
+// WithSurfaceAlignedAxes declares axes whose queries always land on
+// grid nodes (e.g. inputs pinned with WithSurfaceNodes that callers
+// only ever query at those values). It changes the error map only:
+// along an aligned axis the map holds one bound per node instead of
+// one per cell, probed at the node rather than at the cell centre, and
+// it is not dilated along that axis. Interpolation along an aligned
+// axis is exact at its nodes, so the map then bounds only the error
+// that the remaining axes contribute — a much tighter guard than the
+// per-cell map, which also covers the error between the nodes of the
+// aligned axes.
+//
+// A query whose aligned coordinate lies off the axis nodes after
+// clamping has no bound: EvaluateVecWithBound and AxisRangeBounds
+// report +Inf for it, so guarded callers fall back to the exact engine.
+func WithSurfaceAlignedAxes(names ...string) SurfaceOption {
+	return func(c *surfaceCompiler) { c.aligned = append(c.aligned, names...) }
 }
 
 // axisNodes builds the grid nodes for one input variable: a uniform
@@ -242,17 +265,26 @@ func NewSurface(e *Engine, opts ...SurfaceOption) (*Surface, error) {
 	if c.workers < 1 {
 		c.workers = 1
 	}
-	for name := range c.extra {
-		known := false
-		for _, v := range inputs {
+	axisIndex := func(name string) int {
+		for i, v := range inputs {
 			if v.Name() == name {
-				known = true
-				break
+				return i
 			}
 		}
-		if !known {
+		return -1
+	}
+	for name := range c.extra {
+		if axisIndex(name) < 0 {
 			return nil, fmt.Errorf("fuzzy: surface nodes pinned for unknown axis %q", name)
 		}
+	}
+	var aligned uint32
+	for _, name := range c.aligned {
+		i := axisIndex(name)
+		if i < 0 {
+			return nil, fmt.Errorf("fuzzy: unknown aligned axis %q", name)
+		}
+		aligned |= 1 << i
 	}
 	s := &Surface{
 		axes:    make([]SurfaceAxis, len(inputs)),
@@ -278,7 +310,7 @@ func NewSurface(e *Engine, opts ...SurfaceOption) (*Surface, error) {
 		return nil, err
 	}
 	if c.errMap {
-		if err := s.compileErrorMap(e, c.workers, c.safety); err != nil {
+		if err := s.compileErrorMap(e, c.workers, c.safety, aligned); err != nil {
 			return nil, err
 		}
 	}
@@ -367,21 +399,39 @@ func (s *Surface) compile(e *Engine, workers int) error {
 	return firstErr
 }
 
-// compileErrorMap fills the per-cell error table by probing the engine
-// at every cell centre. Workers shard slabs of the first axis exactly
-// like compile, so the map is scheduling-independent too.
-func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64) error {
+// errShape returns the error-map extent along axis i: its node count
+// when the axis is aligned, its cell count otherwise.
+func (s *Surface) errShape(i int) int {
+	if s.aligned&(1<<i) != 0 {
+		return s.axes[i].N()
+	}
+	return s.axes[i].N() - 1
+}
+
+// initErrorMap lays out the error table for the given aligned axes,
+// row-major like the value table, and returns its length.
+func (s *Surface) initErrorMap(aligned uint32) int {
 	d := len(s.axes)
-	s.cellStrides = make([]int, d)
+	s.aligned = aligned
+	s.errStrides = make([]int, d)
 	stride := 1
 	for i := d - 1; i >= 0; i-- {
-		s.cellStrides[i] = stride
-		stride *= s.axes[i].N() - 1
+		s.errStrides[i] = stride
+		stride *= s.errShape(i)
 	}
-	s.errs = make([]float64, stride)
-	outerCells := s.axes[0].N() - 1
-	if workers > outerCells {
-		workers = outerCells
+	return stride
+}
+
+// compileErrorMap fills the error table by probing the engine at every
+// cell centre — at the node itself along aligned axes. Workers shard
+// slabs of the first axis exactly like compile, so the map is
+// scheduling-independent too.
+func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64, aligned uint32) error {
+	d := len(s.axes)
+	s.errs = make([]float64, s.initErrorMap(aligned))
+	outer := s.errShape(0)
+	if workers > outer {
+		workers = outer
 	}
 	var (
 		wg       sync.WaitGroup
@@ -390,10 +440,10 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64) error 
 		errSlab  = -1
 		failed   atomic.Bool
 	)
-	slab := s.cellStrides[0]
+	slab := s.errStrides[0]
 	next := make(chan int)
 	go func() {
-		for i := 0; i < outerCells; i++ {
+		for i := 0; i < outer; i++ {
 			next <- i
 		}
 		close(next)
@@ -403,7 +453,7 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64) error 
 		go func() {
 			defer wg.Done()
 			idx := make([]int, d)
-			center := make([]float64, d)
+			probe := make([]float64, d)
 			for i := range next {
 				if failed.Load() {
 					continue // drain the channel so the feeder can finish
@@ -415,20 +465,24 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64) error 
 				for off := 0; off < slab; off++ {
 					for k := 0; k < d; k++ {
 						nodes := s.axes[k].nodes
-						center[k] = (nodes[idx[k]] + nodes[idx[k]+1]) / 2
+						if aligned&(1<<k) != 0 {
+							probe[k] = nodes[idx[k]]
+						} else {
+							probe[k] = (nodes[idx[k]] + nodes[idx[k]+1]) / 2
+						}
 					}
-					exact, err := e.EvaluateVec(center...)
+					exact, err := e.EvaluateVec(probe...)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil || i < errSlab {
-							firstErr = fmt.Errorf("fuzzy: probing surface error at %v: %w", append([]float64(nil), center...), err)
+							firstErr = fmt.Errorf("fuzzy: probing surface error at %v: %w", append([]float64(nil), probe...), err)
 							errSlab = i
 						}
 						mu.Unlock()
 						failed.Store(true)
 						break
 					}
-					approx, _ := s.EvaluateVec(center...)
+					approx, _ := s.EvaluateVec(probe...)
 					diff := exact - approx
 					if diff < 0 {
 						diff = -diff
@@ -436,7 +490,7 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64) error 
 					s.errs[i*slab+off] = diff * safety
 					for k := d - 1; k >= 1; k-- {
 						idx[k]++
-						if idx[k] < s.axes[k].N()-1 {
+						if idx[k] < s.errShape(k) {
 							break
 						}
 						idx[k] = 0
@@ -454,17 +508,21 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64) error 
 }
 
 // dilateErrorMap replaces every cell's bound with the maximum over its
-// 3^d cell neighbourhood, via d separable one-dimensional max passes.
-// Probing only cell centres can under-read a crease that clips a cell
-// corner; the crease then necessarily crosses a neighbouring cell
-// whose centre probe reads it, so widening each bound to the
-// neighbourhood maximum restores coverage near cell boundaries.
+// 3^k cell neighbourhood along the k unaligned axes, via separable
+// one-dimensional max passes. Probing only cell centres can under-read
+// a crease that clips a cell corner; the crease then necessarily
+// crosses a neighbouring cell whose centre probe reads it, so widening
+// each bound to the neighbourhood maximum restores coverage near cell
+// boundaries. Aligned axes are not dilated: their queries sit on the
+// very node that was probed.
 func (s *Surface) dilateErrorMap() {
-	d := len(s.axes)
 	tmp := make([]float64, len(s.errs))
-	for axis := 0; axis < d; axis++ {
-		stride := s.cellStrides[axis]
-		n := s.axes[axis].N() - 1
+	for axis := range s.axes {
+		if s.aligned&(1<<axis) != 0 {
+			continue
+		}
+		stride := s.errStrides[axis]
+		n := s.errShape(axis)
 		copy(tmp, s.errs)
 		for i := range s.errs {
 			j := (i / stride) % n
@@ -480,8 +538,23 @@ func (s *Surface) dilateErrorMap() {
 	}
 }
 
-// HasErrorMap reports whether the surface carries per-cell error
-// bounds.
+// errIndex maps the located cell (j, f) of axis i to its error-map
+// coordinate. Along an aligned axis that is the node the query sits
+// on, and ok is false when the query lies strictly between two nodes.
+func (s *Surface) errIndex(i, j int, f float64) (k int, ok bool) {
+	if s.aligned&(1<<i) == 0 {
+		return j, true
+	}
+	switch f {
+	case 0:
+		return j, true
+	case 1:
+		return j + 1, true
+	}
+	return 0, false
+}
+
+// HasErrorMap reports whether the surface carries local error bounds.
 func (s *Surface) HasErrorMap() bool { return s.errs != nil }
 
 // Axes returns the grid axes in input declaration order.
@@ -513,6 +586,12 @@ func (s *Surface) EvaluateVec(vals ...float64) (float64, error) {
 		frac[i] = f
 		base += j * s.strides[i]
 	}
+	return s.interpolate(base, &frac), nil
+}
+
+// interpolate blends the 2^d corner values of the cell whose lower
+// corner is at base with the multilinear weights of frac.
+func (s *Surface) interpolate(base int, frac *[maxSurfaceDims]float64) float64 {
 	d := len(s.axes)
 	var out float64
 	for corner := 0; corner < 1<<d; corner++ {
@@ -530,29 +609,36 @@ func (s *Surface) EvaluateVec(vals ...float64) (float64, error) {
 			out += w * s.values[base+off]
 		}
 	}
-	return out, nil
+	return out
 }
 
 // EvaluateVecWithBound is EvaluateVec plus the local interpolation
-// error bound of the grid cell the query falls in. Without an error
-// map (WithSurfaceErrorMap) the bound is reported as 0. Callers that
-// must never act on an uncertain value — e.g. an admission decision
-// near its accept threshold — compare the bound against their decision
-// margin and fall back to the exact engine when it does not clear.
+// error bound the error map holds for the query: that of its grid cell,
+// or of its node along aligned axes (WithSurfaceAlignedAxes), +Inf when
+// an aligned coordinate is off its nodes. Without an error map
+// (WithSurfaceErrorMap) the bound is reported as 0. Callers that must
+// never act on an uncertain value — e.g. an admission decision near its
+// accept threshold — compare the bound against their decision margin
+// and fall back to the exact engine when it does not clear.
 func (s *Surface) EvaluateVecWithBound(vals ...float64) (value, bound float64, err error) {
 	if len(vals) != len(s.axes) {
 		return 0, 0, fmt.Errorf("fuzzy: got %d input values, want %d", len(vals), len(s.axes)) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	var frac [maxSurfaceDims]float64
-	base, cell := 0, 0
+	base, ei := 0, 0
+	onNodes := true
 	for i := range s.axes {
 		j, f := s.axes[i].locate(vals[i])
 		frac[i] = f
 		base += j * s.strides[i]
 		if s.errs != nil {
-			cell += j * s.cellStrides[i]
+			k, ok := s.errIndex(i, j, f)
+			ei += k * s.errStrides[i]
+			onNodes = onNodes && ok
 		}
 	}
+	// The corner loop of interpolate, inlined: this is the lookup on
+	// every compiled admission decision.
 	d := len(s.axes)
 	var out float64
 	for corner := 0; corner < 1<<d; corner++ {
@@ -570,8 +656,12 @@ func (s *Surface) EvaluateVecWithBound(vals ...float64) (value, bound float64, e
 			out += w * s.values[base+off]
 		}
 	}
-	if s.errs != nil {
-		bound = s.errs[cell]
+	switch {
+	case s.errs == nil:
+	case !onNodes:
+		bound = math.Inf(1)
+	default:
+		bound = s.errs[ei]
 	}
 	return out, bound, nil
 }
@@ -590,8 +680,10 @@ func (s *Surface) AxisSlopeBound(axis int, vals ...float64) (float64, error) {
 // interval spanned by the axis coordinate of vals and the points in
 // extra intersects, holding the other coordinates fixed: it returns
 // the largest absolute slope along the axis across those cells' edges
-// and the largest per-cell interpolation error bound among them (zero
-// without an error map).
+// and the largest error-map bound among them (zero without an error
+// map). The error bound follows EvaluateVecWithBound: it is +Inf when
+// an aligned coordinate is off its nodes, and when the range runs
+// along an aligned axis.
 //
 // Callers composing surfaces use it to propagate an upstream error
 // bound soundly: when the true input may lie anywhere in
@@ -604,15 +696,17 @@ func (s *Surface) AxisRangeBounds(axis int, extra []float64, vals ...float64) (s
 	if axis < 0 || axis >= len(s.axes) {
 		return 0, 0, fmt.Errorf("fuzzy: axis %d out of range (surface has %d)", axis, len(s.axes)) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
-	base := 0
-	cell := 0
+	base, ei := 0, 0
+	onNodes := true
 	var lo [maxSurfaceDims]int
 	for i := range s.axes {
-		j, _ := s.axes[i].locate(vals[i])
+		j, f := s.axes[i].locate(vals[i])
 		lo[i] = j
 		base += j * s.strides[i]
-		if s.errs != nil {
-			cell += j * s.cellStrides[i]
+		if s.errs != nil && i != axis {
+			k, ok := s.errIndex(i, j, f)
+			ei += k * s.errStrides[i]
+			onNodes = onNodes && ok
 		}
 	}
 	jLo, jHi := lo[axis], lo[axis]
@@ -649,13 +743,75 @@ func (s *Surface) AxisRangeBounds(axis int, extra []float64, vals ...float64) (s
 				slope = sl
 			}
 		}
-		if s.errs != nil {
-			if e := s.errs[cell+(j-lo[axis])*s.cellStrides[axis]]; e > errBound {
-				errBound = e
-			}
+	}
+	if s.errs == nil {
+		return slope, 0, nil
+	}
+	if !onNodes || s.aligned&(1<<axis) != 0 {
+		// Between the nodes of an aligned axis nothing was probed.
+		return slope, math.Inf(1), nil
+	}
+	for j := jLo; j <= jHi; j++ {
+		if e := s.errs[ei+j*s.errStrides[axis]]; e > errBound {
+			errBound = e
 		}
 	}
 	return slope, errBound, nil
+}
+
+// Profile returns the surface along one axis with every other input
+// held at vals: the axis nodes, the surface value at each node, and
+// the error bound EvaluateVecWithBound reports inside each cell between
+// consecutive nodes (len(nodes)-1 of them; +Inf throughout when the
+// axis itself is aligned or another aligned coordinate is off its
+// nodes). Between two nodes the surface is the straight line joining
+// their values, so the profile describes the surface along the axis
+// exactly; each node value is bit for bit what EvaluateVec returns
+// there. The axis coordinate of vals is ignored.
+func (s *Surface) Profile(axis int, vals ...float64) (nodes, values, bounds []float64, err error) {
+	if len(vals) != len(s.axes) {
+		return nil, nil, nil, fmt.Errorf("fuzzy: got %d input values, want %d", len(vals), len(s.axes))
+	}
+	if axis < 0 || axis >= len(s.axes) {
+		return nil, nil, nil, fmt.Errorf("fuzzy: axis %d out of range (surface has %d)", axis, len(s.axes))
+	}
+	var frac [maxSurfaceDims]float64
+	base, ei := 0, 0
+	onNodes := s.aligned&(1<<axis) == 0
+	for i := range s.axes {
+		if i == axis {
+			continue
+		}
+		j, f := s.axes[i].locate(vals[i])
+		frac[i] = f
+		base += j * s.strides[i]
+		if s.errs != nil {
+			k, ok := s.errIndex(i, j, f)
+			ei += k * s.errStrides[i]
+			onNodes = onNodes && ok
+		}
+	}
+	nodes = s.axes[axis].Nodes()
+	last := len(nodes) - 1
+	values = make([]float64, len(nodes))
+	bounds = make([]float64, last)
+	for k := range nodes {
+		// Locate each node exactly as EvaluateVec does: the last node
+		// is the far end of the last cell.
+		j := min(k, last-1)
+		frac[axis] = float64(k - j)
+		values[k] = s.interpolate(base+j*s.strides[axis], &frac)
+	}
+	for j := range bounds {
+		switch {
+		case s.errs == nil:
+		case !onNodes:
+			bounds[j] = math.Inf(1)
+		default:
+			bounds[j] = s.errs[ei+j*s.errStrides[axis]]
+		}
+	}
+	return nodes, values, bounds, nil
 }
 
 // Evaluate answers one query for named crisp inputs, mirroring

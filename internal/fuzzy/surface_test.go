@@ -213,6 +213,143 @@ func TestSurfaceErrorMap(t *testing.T) {
 	}
 }
 
+// alignedTestSurface pins y to tenths and declares it aligned, so the
+// error map holds one bound per (x cell, y node).
+func alignedTestSurface(t *testing.T, safety float64) (*Engine, *Surface) {
+	t.Helper()
+	e := surfTestEngine(t)
+	s, err := NewSurface(e, WithSurfaceGrid(9, 2),
+		WithSurfaceNodes("y", 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+		WithSurfaceErrorMap(safety), WithSurfaceAlignedAxes("y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, s
+}
+
+// TestSurfaceAlignedErrorMap: along an aligned axis the error map is
+// indexed by node. On the nodes the bound covers the actual error at
+// the probe points (safety 1 makes it exactly the sampled error), the
+// map is dilated along x only, and off-node queries get no bound.
+func TestSurfaceAlignedErrorMap(t *testing.T) {
+	e, s := alignedTestSurface(t, 1)
+	axes := s.Axes()
+	xs, ys := axes[0].Nodes(), axes[1].Nodes()
+	if len(ys) != 11 || len(s.errs) != (len(xs)-1)*len(ys) {
+		t.Fatalf("error map has %d entries for %d x nodes and %d y nodes, want one per (x cell, y node)", len(s.errs), len(xs), len(ys))
+	}
+	var sampled []float64 // undilated centre errors, x cell-major
+	for i := 0; i+1 < len(xs); i++ {
+		cx := (xs[i] + xs[i+1]) / 2
+		for _, y := range ys {
+			want, err := e.EvaluateVec(cx, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, bound, err := s.EvaluateVecWithBound(cx, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diff := math.Abs(got - want)
+			if diff > bound {
+				t.Fatalf("(%v, %v): error %v exceeds bound %v", cx, y, diff, bound)
+			}
+			sampled = append(sampled, diff)
+		}
+	}
+	// Dilation along x: each bound is the max of its x neighbours'
+	// samples at the same y node, never of another node's.
+	for i := 0; i+1 < len(xs); i++ {
+		for j, y := range ys {
+			want := sampled[i*len(ys)+j]
+			if i > 0 {
+				want = math.Max(want, sampled[(i-1)*len(ys)+j])
+			}
+			if i+2 < len(xs) {
+				want = math.Max(want, sampled[(i+1)*len(ys)+j])
+			}
+			_, bound, _ := s.EvaluateVecWithBound((xs[i]+xs[i+1])/2, y)
+			if bound != want {
+				t.Fatalf("x cell %d, y node %v: bound %v, want dilated %v", i, y, bound, want)
+			}
+		}
+	}
+	// Clamped inputs land on the end nodes; off-node ones have no bound.
+	for _, q := range [][2]float64{{4.2, -1}, {4.2, 7}, {4.2, math.NaN()}, {-3, 1}} {
+		if _, bound, _ := s.EvaluateVecWithBound(q[0], q[1]); math.IsInf(bound, 1) {
+			t.Fatalf("clamped query %v has no bound", q)
+		}
+	}
+	if _, bound, _ := s.EvaluateVecWithBound(4.2, 0.35); !math.IsInf(bound, 1) {
+		t.Fatalf("off-node query bound = %v, want +Inf", bound)
+	}
+	// AxisRangeBounds: along x the bound is the max over the spanned x
+	// cells at the y node; a range along the aligned y axis has none.
+	_, rx, err := s.AxisRangeBounds(0, []float64{1, 9}, 4.2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for x := 1.0; x <= 9; x += 0.05 {
+		_, b, _ := s.EvaluateVecWithBound(x, 0.3)
+		want = math.Max(want, b)
+	}
+	if rx != want {
+		t.Fatalf("x range bound = %v, want %v", rx, want)
+	}
+	if _, b, _ := s.AxisRangeBounds(0, nil, 4.2, 0.35); !math.IsInf(b, 1) {
+		t.Fatalf("x range at off-node y: bound %v, want +Inf", b)
+	}
+	if _, b, _ := s.AxisRangeBounds(1, nil, 4.2, 0.3); !math.IsInf(b, 1) {
+		t.Fatalf("range along the aligned y axis: bound %v, want +Inf", b)
+	}
+}
+
+// TestSurfaceProfile: a profile is the surface along one axis — its
+// node values are the surface's, the surface is the straight line
+// between them, and each cell's bound is the one a query inside it
+// reads.
+func TestSurfaceProfile(t *testing.T) {
+	_, s := alignedTestSurface(t, 2)
+	nodes, values, bounds, err := s.Profile(0, 99, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(nodes, s.Axes()[0].Nodes()) || len(values) != len(nodes) || len(bounds) != len(nodes)-1 {
+		t.Fatalf("profile shape: %d nodes, %d values, %d bounds", len(nodes), len(values), len(bounds))
+	}
+	for k, x := range nodes {
+		if v, _ := s.EvaluateVec(x, 0.3); v != values[k] {
+			t.Fatalf("node %v: profile %v, surface %v", x, values[k], v)
+		}
+		if k == len(bounds) {
+			break
+		}
+		for _, f := range []float64{0.1, 0.5, 0.9} {
+			xq := x + f*(nodes[k+1]-x)
+			v, b, _ := s.EvaluateVecWithBound(xq, 0.3)
+			line := values[k] + (xq-x)/(nodes[k+1]-x)*(values[k+1]-values[k])
+			if math.Abs(v-line) > 1e-12 || b != bounds[k] {
+				t.Fatalf("x %v: surface (%v, %v), profile (%v, %v)", xq, v, b, line, bounds[k])
+			}
+		}
+	}
+	// Off-node aligned coordinates and the aligned axis itself carry no
+	// bound.
+	if _, _, bounds, _ := s.Profile(0, 0, 0.35); !math.IsInf(bounds[0], 1) {
+		t.Fatalf("off-node profile bound = %v, want +Inf", bounds[0])
+	}
+	if _, _, bounds, _ := s.Profile(1, 4.2, 0); !math.IsInf(bounds[0], 1) {
+		t.Fatalf("aligned-axis profile bound = %v, want +Inf", bounds[0])
+	}
+	if _, _, _, err := s.Profile(2, 1, 1); err == nil {
+		t.Fatal("axis out of range should error")
+	}
+	if _, _, _, err := s.Profile(0, 1); err == nil {
+		t.Fatal("wrong arity should error")
+	}
+}
+
 func TestSurfaceAxisSlopeBound(t *testing.T) {
 	e := surfTestEngine(t)
 	s, err := NewSurface(e, WithSurfaceGrid(9))
@@ -364,6 +501,9 @@ func TestSurfaceConstructionErrors(t *testing.T) {
 	}
 	if _, err := NewSurface(e, WithSurfaceNodes("nope", 1)); err == nil {
 		t.Fatal("unknown pinned axis should error")
+	}
+	if _, err := NewSurface(e, WithSurfaceErrorMap(1), WithSurfaceAlignedAxes("nope")); err == nil {
+		t.Fatal("unknown aligned axis should error")
 	}
 	defer func() {
 		if recover() == nil {
