@@ -261,9 +261,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return finishProf(err)
 	}
-	// The serving path always runs the sharded engine: at -shards 1 it
-	// is the classic single decision loop (plus the handoff op); above
-	// it the cells spread across parallel loops.
+	// The serving path always runs the sharded engine: at -shards 1 one
+	// controller owns every cell; above it the cells spread across
+	// shards decided in parallel.
 	eng, err := ishard.New(ishard.Config{
 		Network: netw,
 		Shards:  o.shards,

@@ -400,7 +400,7 @@ func TestHandoffOpOverStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unknown calls and malformed lines are shed at the wire layer, so
-	// only the successful transfer reaches the engine's protocol worker.
+	// only the successful transfer reaches the engine's handoff protocol.
 	if st := eng.Stats(); st.Handoffs != 1 || st.Errs != 0 || st.CrossShard != 1 {
 		t.Fatalf("engine handoff counters: %+v", st)
 	}

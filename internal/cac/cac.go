@@ -132,8 +132,8 @@ type DemandDelta struct {
 // instance's delta into a separate ghost aggregate that decisions read
 // alongside local demand. Both methods follow the Controller threading
 // contract: the caller serializes them with decisions (the sharded
-// engine runs the whole exchange inside the Tick barrier, on each
-// instance's own decision loop).
+// engine runs the whole exchange inside the Tick barrier, under each
+// instance's own shard lock).
 //
 // A DemandExchanger is the complement of CellLocal: cell-local
 // controllers have no cross-cell state to exchange, exchangers restore

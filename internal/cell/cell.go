@@ -278,12 +278,11 @@ func (b *BaseStation) Release(id int) (Call, error) {
 // DetachCalls the station carries nothing: counters are zero and the
 // pool slots are free. Together with AttachCalls it is the
 // cell-migration seam of the sharded engine: the old owner shard
-// detaches the station's slots inside its decision loop, the new owner
-// re-attaches them inside its own, making the ownership handover an
-// explicit pair of writes that conservation checks (and the race
-// detector) can observe. The pair is behaviour-preserving: records are
-// moved verbatim, and every externally observable order (Calls) is
-// ID-sorted anyway.
+// detaches the station's slots, the new owner re-attaches them, making
+// the ownership handover an explicit pair of writes that conservation
+// checks (and the race detector) can observe. The pair is
+// behaviour-preserving: records are moved verbatim, and every
+// externally observable order (Calls) is ID-sorted anyway.
 func (b *BaseStation) DetachCalls(dst []Call) []Call {
 	start := len(dst)
 	for _, slot := range b.pool.dense {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -67,16 +68,30 @@ func TestMetropolisStreamingIdentitySCC(t *testing.T) {
 // TestMetropolisSteadyStateAllocs is the allocation gate on the
 // streaming wave loop: once the run has warmed through a full diurnal
 // day (population high-water reached, every scratch buffer at final
-// size), additional waves on the inline paths must allocate nothing —
-// zero allocations per decision, not merely few. Station pools are
-// reserved to their capacity bound up front, so the only allocator the
-// loop otherwise retains (per-station population high-water growth,
-// bounded by CapacityBU) is paid before measurement.
+// size), additional waves on the inline paths and on the 1-shard engine
+// must allocate nothing — zero allocations per decision, not merely
+// few. On the 2-shard engine the only allocations allowed are the
+// fan-out goroutines of chunks spanning both shards (one closure each,
+// counted by shard.Stats.FanOuts); releases, handoffs and ticks allocate
+// nothing. Station pools are reserved to their capacity bound up front,
+// so the only allocator the loop otherwise retains (per-station
+// population high-water growth, bounded by CapacityBU) is paid before
+// measurement.
 func TestMetropolisSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []MetropolisMode{MetroSingle, MetroBatch} {
-		t.Run(mode.String(), func(t *testing.T) {
+	variants := []struct {
+		name   string
+		mode   MetropolisMode
+		shards int
+	}{
+		{"single", MetroSingle, 1},
+		{"batch", MetroBatch, 1},
+		{"sharded-1", MetroSharded, 1},
+		{"sharded-2", MetroSharded, 2},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
 			cfg := metroTestConfig(shardGuardFactory)
-			cfg.Mode = mode
+			cfg.Mode, cfg.Shards = v.mode, v.shards
 			cfg.Waves = 3 * cfg.WavesPerDay
 			r, err := newMetroRun(cfg)
 			if err != nil {
@@ -85,6 +100,12 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			defer r.engine.close()
 			for _, bs := range r.workload.stations {
 				bs.Reserve(bs.Capacity())
+			}
+			fanOuts := func() int64 {
+				if se, ok := r.engine.(*shardMetroEngine); ok {
+					return se.engine.Stats().FanOuts
+				}
+				return 0
 			}
 			// Warm-up: one full day, reaching the ledger and scratch
 			// high-water marks.
@@ -96,18 +117,39 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			}
 			const measured = 12
 			decisionsBefore := r.result.Requested + r.result.Handoffs
-			avg := testing.AllocsPerRun(measured, func() {
+			spawnedBefore := fanOuts()
+			// Measured like testing.AllocsPerRun — on one P, and as a
+			// per-wave average floored to whole allocations, so a stray
+			// runtime allocation in the window is not charged to the
+			// loop — but with the fan-out goroutines counted over exactly
+			// the measured waves. On one P a fan-out goroutine exits onto
+			// the P that starts the next one, so the runtime reuses its g
+			// instead of allocating a fresh one while another P's free
+			// list fills.
+			procs := runtime.GOMAXPROCS(1)
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			for i := 0; i < measured; i++ {
 				if err := r.runWave(); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
+			runtime.ReadMemStats(&ms)
+			runtime.GOMAXPROCS(procs)
+			allocs := ms.Mallocs - mallocs
+			spawned := fanOuts() - spawnedBefore
 			decisions := r.result.Requested + r.result.Handoffs - decisionsBefore
 			if decisions == 0 {
 				t.Fatal("steady-state waves rendered no decisions")
 			}
-			if avg != 0 {
-				t.Errorf("steady-state wave allocates: %.2f allocs/wave over %d decisions (want 0)",
-					avg, decisions)
+			if v.shards == 2 && spawned == 0 {
+				t.Fatal("2-shard waves never fanned out")
+			}
+			t.Logf("%d waves: %d decisions, %d allocs, %d fan-out goroutines", measured, decisions, allocs, spawned)
+			if excess := int64(allocs) - spawned; excess/measured > 0 {
+				t.Errorf("steady-state waves allocate: %d allocs over %d waves (%d decisions) beyond one per fan-out goroutine (%d)",
+					allocs, measured, decisions, spawned)
 			}
 		})
 	}

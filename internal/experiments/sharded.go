@@ -401,8 +401,7 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 		now += cfg.WaveIntervalSec
 	}
 	// Snapshot per-shard ledger counters through the Do barrier while
-	// the decision loops are still live (Close would make them
-	// unreachable).
+	// the engine is still live (Close would make them unreachable).
 	for s := 0; s < engine.Shards(); s++ {
 		if err := engine.Do(s, func(ctrl cac.Controller) {
 			if l, ok := ctrl.(*scc.Ledger); ok {

@@ -40,8 +40,8 @@
 // Neither implementation declares cac.CellLocal: an SCC decision reads
 // the demand projected by every tracked call, which is cross-cell
 // state by design. Under the sharded engine (internal/shard) the
-// shard-safe construction is one fresh Ledger per shard, each confined
-// to its shard's decision loop, and the Ledger additionally implements
+// shard-safe construction is one fresh Ledger per shard, each called
+// only under its shard's lock, and the Ledger additionally implements
 // cac.DemandExchanger: at every engine tick barrier each shard exports
 // the change of its own demand matrix since the previous barrier
 // (ExportDemand) and ingests every sibling's delta into a separate

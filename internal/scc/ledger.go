@@ -278,8 +278,8 @@ func (l *Ledger) Stats() (exactFallbacks, rebuilds int64) {
 
 // LedgerStats is a point-in-time snapshot of one ledger's internal
 // counters — the observability surface for ledgers running behind a
-// serve.Service or shard.Engine decision loop, where the instance
-// itself is only reachable through a serialized Do op.
+// serve.Service decision loop or a shard.Engine shard lock, where the
+// instance itself is only reachable through a serialized Do op.
 type LedgerStats struct {
 	// ActiveCalls is the number of calls currently projecting shadows.
 	ActiveCalls int

@@ -38,8 +38,15 @@
 // Release and UpdateState forward controller lifecycle events; Do and
 // Flush are serialized barriers; Stats snapshots throughput, latency
 // (avg/max plus p50/p99 from a mergeable power-of-two histogram),
-// accept-rate and batching counters; Close drains and stops. The
-// internal/shard engine scales the Service horizontally (one per cell
-// shard), and the cmd/facs-serve binary wraps either behind a
-// newline-delimited JSON listener on stdin or TCP.
+// accept-rate and batching counters; Close drains and stops.
+//
+// Two pieces are shared with front ends that run their own decisions:
+// DecideChunk is the decide-commit-observe step of every micro-batch
+// and wave chunk, and Intake is a Service's coalescing front half
+// (SubmitAsync, MaxBatch/MaxDelay batching, Drain) handing each batch
+// to a caller-supplied decide function. The internal/shard engine
+// builds on both: it scales admission horizontally with one controller
+// per cell shard, executed on the caller, and fronts its singles with
+// one Intake. The cmd/facs-serve binary serves the sharded engine
+// behind a newline-delimited JSON listener on stdin or TCP.
 package serve

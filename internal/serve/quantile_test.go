@@ -12,7 +12,7 @@ import (
 func histStats(samples []time.Duration) Stats {
 	var s Stats
 	for _, lat := range samples {
-		s.LatencyHist[latencyBucket(lat)]++
+		s.LatencyHist[LatencyBucket(lat)]++
 		if lat > s.MaxLatency {
 			s.MaxLatency = lat
 		}

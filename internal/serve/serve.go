@@ -270,6 +270,122 @@ type item struct {
 	op     *op
 }
 
+// queue is the intake shared by Service and Intake: a bounded channel
+// of items that refuses sends after close, drained by one loop
+// goroutine that coalesces consecutive single requests into
+// micro-batches.
+type queue struct {
+	in       chan item
+	done     chan struct{}
+	mu       sync.RWMutex // guards closed against in-flight sends
+	closed   bool
+	maxBatch int
+	maxDelay time.Duration
+	batch    []*pending // gather scratch, owned by the loop goroutine
+}
+
+func newQueue(cfg Config) queue {
+	return queue{
+		in:       make(chan item, cfg.Queue),
+		done:     make(chan struct{}),
+		maxBatch: cfg.MaxBatch,
+		maxDelay: cfg.MaxDelay,
+		batch:    make([]*pending, 0, cfg.MaxBatch),
+	}
+}
+
+// send enqueues an item unless the queue is closed. The read lock is
+// held across the channel send so shutdown cannot close the channel
+// under an in-flight submitter.
+func (q *queue) send(it item) error {
+	q.mu.RLock()
+	defer q.mu.RUnlock()
+	if q.closed {
+		return ErrClosed
+	}
+	q.in <- it
+	return nil
+}
+
+// shutdown stops intake and waits for the loop to drain the queue and
+// exit. Idempotent.
+func (q *queue) shutdown() {
+	q.mu.Lock()
+	if !q.closed {
+		q.closed = true
+		close(q.in)
+	}
+	q.mu.Unlock()
+	<-q.done
+}
+
+// run is the loop goroutine: every item goes to handle, in queue order.
+// handle returns the item that interrupted a micro-batch, if any, so it
+// is handled next — strictly after the requests that preceded it.
+func (q *queue) run(handle func(it item) *item) {
+	defer close(q.done)
+	for it := range q.in {
+		for next := handle(it); next != nil; {
+			next = handle(*next)
+		}
+	}
+}
+
+// gather grows a micro-batch from the first pending request until
+// maxBatch, maxDelay after enqueue of the first request, or a
+// non-single item interrupts. It returns the batch (valid until the
+// next gather) and the interrupting item, if any.
+func (q *queue) gather(first *pending) ([]*pending, *item) {
+	batch := append(q.batch[:0], first)
+	var interrupt *item
+	if q.maxDelay > 0 && q.maxBatch > 1 {
+		wait := q.maxDelay - time.Since(first.enq) //facs:wallclock shapes batch boundaries only; the outcome contracts pin decision equality across batchings
+		if wait > 0 {
+			timer := time.NewTimer(wait)
+		fill:
+			for len(batch) < q.maxBatch {
+				select {
+				case it, ok := <-q.in:
+					if !ok {
+						break fill
+					}
+					if it.single != nil {
+						batch = append(batch, it.single)
+					} else {
+						interrupt = &it
+						break fill
+					}
+				case <-timer.C:
+					break fill
+				}
+			}
+			timer.Stop()
+		}
+	}
+	// Greedy tail: take whatever is already queued without waiting.
+	if interrupt == nil {
+	drain:
+		for len(batch) < q.maxBatch {
+			select {
+			case it, ok := <-q.in:
+				if !ok {
+					break drain
+				}
+				if it.single != nil {
+					batch = append(batch, it.single)
+				} else {
+					interrupt = &it
+					break drain
+				}
+			default:
+				break drain
+			}
+		}
+	}
+	q.batch = batch
+	return batch, interrupt
+}
+
 // Service is a streaming admission front end over an admission
 // controller: concurrent submitters enqueue requests, a single loop
 // goroutine coalesces them into micro-batches (bounded by MaxBatch and
@@ -280,17 +396,13 @@ type item struct {
 // controllers (e.g. the SCC demand ledger) keep their invariants
 // without any locking of their own.
 type Service struct {
-	cfg  Config
-	in   chan item
-	done chan struct{}
-
-	mu     sync.RWMutex // guards closed against in-flight sends
-	closed bool
+	cfg Config
+	q   queue
 
 	// Loop-local scratch, reused across micro-batches.
-	reqScratch  []cac.Request
-	pendScratch []*pending
-	decScratch  []cac.Decision
+	reqScratch []cac.Request
+	outScratch []Response
+	decScratch []cac.Decision
 
 	submitted  atomic.Int64
 	decided    atomic.Int64
@@ -309,17 +421,14 @@ type Service struct {
 	latHist    [LatencyBuckets]atomic.Int64
 }
 
-// New validates the configuration, applies defaults and starts the
-// decision loop. The returned service is live until Close.
-func New(cfg Config) (*Service, error) {
-	if cfg.Controller == nil {
-		return nil, fmt.Errorf("serve: config needs a controller")
-	}
+// withDefaults validates the batching fields and applies their
+// defaults.
+func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.MaxBatch < 1 {
-		return nil, fmt.Errorf("serve: MaxBatch must be >= 1, got %d", cfg.MaxBatch)
+		return cfg, fmt.Errorf("serve: MaxBatch must be >= 1, got %d", cfg.MaxBatch)
 	}
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = DefaultMaxDelay
@@ -328,17 +437,29 @@ func New(cfg Config) (*Service, error) {
 		cfg.Queue = 4 * cfg.MaxBatch
 	}
 	if cfg.Queue < 1 {
-		return nil, fmt.Errorf("serve: Queue must be >= 1, got %d", cfg.Queue)
+		return cfg, fmt.Errorf("serve: Queue must be >= 1, got %d", cfg.Queue)
+	}
+	return cfg, nil
+}
+
+// New validates the configuration, applies defaults and starts the
+// decision loop. The returned service is live until Close.
+func New(cfg Config) (*Service, error) {
+	if cfg.Controller == nil {
+		return nil, fmt.Errorf("serve: config needs a controller")
+	}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	s := &Service{
-		cfg:         cfg,
-		in:          make(chan item, cfg.Queue),
-		done:        make(chan struct{}),
-		reqScratch:  make([]cac.Request, 0, cfg.MaxBatch),
-		pendScratch: make([]*pending, 0, cfg.MaxBatch),
-		decScratch:  make([]cac.Decision, cfg.MaxBatch),
+		cfg:        cfg,
+		q:          newQueue(cfg),
+		reqScratch: make([]cac.Request, 0, cfg.MaxBatch),
+		outScratch: make([]Response, cfg.MaxBatch),
+		decScratch: make([]cac.Decision, cfg.MaxBatch),
 	}
-	go s.loop()
+	go s.q.run(s.handle)
 	return s, nil
 }
 
@@ -346,19 +467,6 @@ func New(cfg Config) (*Service, error) {
 // state concurrently with the loop is racy; use Do for a serialized
 // view.
 func (s *Service) Controller() cac.Controller { return s.cfg.Controller }
-
-// send enqueues an item unless the service is closed. The read lock is
-// held across the channel send so Close cannot close the intake channel
-// under an in-flight submitter.
-func (s *Service) send(it item) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.in <- it
-	return nil
-}
 
 // Submit enqueues one request and blocks until its decision. It is safe
 // for any number of concurrent callers; requests from one goroutine are
@@ -377,7 +485,7 @@ func (s *Service) Submit(req cac.Request) Response {
 func (s *Service) SubmitAsync(req cac.Request) <-chan Response {
 	p := &pending{req: req, enq: time.Now(), reply: make(chan Response, 1)} //facs:wallclock latency stamp; feeds the latency gauges only
 	s.submitted.Add(1)
-	if err := s.send(item{single: p}); err != nil {
+	if err := s.q.send(item{single: p}); err != nil {
 		s.submitted.Add(-1)
 		p.reply <- Response{Decision: cac.Reject, Err: err}
 	}
@@ -404,11 +512,11 @@ func (s *Service) SubmitAll(reqs []cac.Request) ([]Response, error) {
 
 // SubmitAllInto is SubmitAll with a caller-owned response buffer: the
 // wave's responses are written into out[:len(reqs)] instead of a fresh
-// slice, so closed-loop drivers (the sharded engine's scatter path, the
-// metropolis wave loop) reuse one buffer across millions of waves. out
-// must hold at least len(reqs) entries; outcomes are identical to
-// SubmitAll in every respect. The buffer must not be read until
-// SubmitAllInto returns, and is safe to reuse immediately afterwards.
+// slice, so closed-loop drivers reuse one buffer across millions of
+// waves. out must hold at least len(reqs) entries; outcomes are
+// identical to SubmitAll in every respect. The buffer must not be read
+// until SubmitAllInto returns, and is safe to reuse immediately
+// afterwards.
 //
 //facs:hotpath
 func (s *Service) SubmitAllInto(reqs []cac.Request, out []Response) error {
@@ -421,7 +529,7 @@ func (s *Service) SubmitAllInto(reqs []cac.Request, out []Response) error {
 	enq := time.Now()                                                                       //facs:wallclock latency stamp; feeds the latency gauges only
 	w := &wave{reqs: reqs, out: out[:len(reqs)], enq: enq, reply: make(chan []Response, 1)} //facs:alloc one wave header and reply channel per batch, not per request; the per-request path is alloc-free
 	s.submitted.Add(int64(len(reqs)))
-	if err := s.send(item{wave: w}); err != nil {
+	if err := s.q.send(item{wave: w}); err != nil {
 		s.submitted.Add(int64(-len(reqs)))
 		return err
 	}
@@ -435,7 +543,7 @@ func (s *Service) SubmitAllInto(reqs []cac.Request, out []Response) error {
 // of any station state the service commits to.
 func (s *Service) Do(fn func(ctrl cac.Controller)) error {
 	o := &op{fn: fn, done: make(chan struct{})}
-	if err := s.send(item{op: o}); err != nil {
+	if err := s.q.send(item{op: o}); err != nil {
 		return err
 	}
 	<-o.done
@@ -455,7 +563,7 @@ func (s *Service) Tick(now float64) error {
 	if !ok {
 		return nil
 	}
-	return s.send(item{op: &op{fn: func(cac.Controller) {
+	return s.q.send(item{op: &op{fn: func(cac.Controller) {
 		t.OnTick(now)
 		s.ticks.Add(1)
 	}}})
@@ -466,7 +574,7 @@ func (s *Service) Tick(now float64) error {
 // observer controllers are notified either way. Asynchronous, ordered
 // after everything already enqueued.
 func (s *Service) Release(callID int, station *cell.BaseStation, now float64) error {
-	return s.send(item{op: &op{fn: func(ctrl cac.Controller) {
+	return s.q.send(item{op: &op{fn: func(ctrl cac.Controller) {
 		if s.cfg.Commit {
 			if _, err := station.Release(callID); err != nil {
 				s.opErrs.Add(1)
@@ -486,7 +594,7 @@ func (s *Service) UpdateState(callID int, est gps.Estimate, station *cell.BaseSt
 	if !ok {
 		return nil
 	}
-	return s.send(item{op: &op{fn: func(cac.Controller) {
+	return s.q.send(item{op: &op{fn: func(cac.Controller) {
 		u.OnStateUpdate(callID, est, station)
 	}}})
 }
@@ -495,13 +603,7 @@ func (s *Service) UpdateState(callID int, est gps.Estimate, station *cell.BaseSt
 // exit, then returns. Submissions racing with Close either complete
 // normally or return ErrClosed; Close is idempotent.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.in)
-	}
-	s.mu.Unlock()
-	<-s.done
+	s.q.shutdown()
 	return nil
 }
 
@@ -538,94 +640,35 @@ func safeDiv(sum, n int64) int64 {
 	return sum / n
 }
 
-// loop is the decision goroutine: the only place the controller is
-// invoked and (in Commit mode) stations are mutated.
-func (s *Service) loop() {
-	defer close(s.done)
-	for it := range s.in {
-		for {
-			var next *item
-			switch {
-			case it.single != nil:
-				next = s.coalesce(it.single)
-			case it.wave != nil:
-				s.decideWave(it.wave)
-			case it.op != nil:
-				s.runOp(it.op)
-			}
-			if next == nil {
-				break
-			}
-			it = *next
-		}
+// handle runs one queue item inside the decision loop: the only place
+// the controller is invoked and (in Commit mode) stations are mutated.
+func (s *Service) handle(it item) *item {
+	switch {
+	case it.single != nil:
+		return s.coalesce(it.single)
+	case it.wave != nil:
+		s.decideWave(it.wave)
+	case it.op != nil:
+		s.runOp(it.op)
 	}
+	return nil
 }
 
-// coalesce grows a micro-batch from the first pending request until
-// MaxBatch, MaxDelay after enqueue of the first request, or a
-// non-single item interrupts; the batch is then decided. The
-// interrupting item, if any, is returned so the loop handles it next —
-// strictly after the requests that preceded it.
+// coalesce gathers a micro-batch from the first pending request and
+// decides it, returning the item that interrupted the batch, if any.
 func (s *Service) coalesce(first *pending) *item {
-	batch := append(s.pendScratch[:0], first)
-	var interrupt *item
-	if s.cfg.MaxDelay > 0 && s.cfg.MaxBatch > 1 {
-		wait := s.cfg.MaxDelay - time.Since(first.enq) //facs:wallclock shapes batch boundaries only; the outcome contracts pin decision equality across batchings
-		if wait > 0 {
-			timer := time.NewTimer(wait)
-		fill:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case it, ok := <-s.in:
-					if !ok {
-						break fill
-					}
-					if it.single != nil {
-						batch = append(batch, it.single)
-					} else {
-						interrupt = &it
-						break fill
-					}
-				case <-timer.C:
-					break fill
-				}
-			}
-			timer.Stop()
-		}
-	}
-	// Greedy tail: take whatever is already queued without waiting.
-	if interrupt == nil {
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case it, ok := <-s.in:
-				if !ok {
-					break drain
-				}
-				if it.single != nil {
-					batch = append(batch, it.single)
-				} else {
-					interrupt = &it
-					break drain
-				}
-			default:
-				break drain
-			}
-		}
-	}
+	batch, interrupt := s.q.gather(first)
 	reqs := s.reqScratch[:0]
 	for _, p := range batch {
 		reqs = append(reqs, p.req)
 	}
-	err := cac.DecideAllInto(s.cfg.Controller, reqs, s.decScratch)
+	s.reqScratch = reqs
+	// A decision error is already carried by every response.
+	t, _ := DecideChunk(s.cfg.Controller, s.cfg.Commit, reqs, s.decScratch, s.outScratch)
 	s.noteBatch(len(batch))
+	s.tally(t)
 	for i, p := range batch {
-		var resp Response
-		if err != nil {
-			resp = s.finishErr(err, len(batch))
-		} else {
-			resp = s.finish(p.req, s.decScratch[i], len(batch))
-		}
+		resp := s.outScratch[i]
 		resp.Latency = s.noteLatency(p.enq, 1)
 		p.reply <- resp
 	}
@@ -639,27 +682,18 @@ func (s *Service) decideWave(w *wave) {
 	out := w.out
 	var failed error
 	for lo := 0; lo < len(w.reqs); lo += s.cfg.MaxBatch {
-		hi := lo + s.cfg.MaxBatch
-		if hi > len(w.reqs) {
-			hi = len(w.reqs)
-		}
-		chunk := w.reqs[lo:hi]
+		hi := min(lo+s.cfg.MaxBatch, len(w.reqs))
 		if failed == nil {
-			err := cac.DecideAllInto(s.cfg.Controller, chunk, s.decScratch)
-			s.noteBatch(len(chunk))
-			if err != nil {
-				failed = err
-			} else {
-				for i := range chunk {
-					out[lo+i] = s.finish(chunk[i], s.decScratch[i], len(chunk))
-				}
-			}
+			t, err := DecideChunk(s.cfg.Controller, s.cfg.Commit, w.reqs[lo:hi], s.decScratch, out[lo:hi])
+			s.noteBatch(hi - lo)
+			s.tally(t)
+			failed = err
+			continue
 		}
-		if failed != nil {
-			for i := range chunk {
-				out[lo+i] = s.finishErr(failed, len(chunk))
-			}
+		for i := lo; i < hi; i++ {
+			out[i] = Response{Decision: cac.Reject, Err: failed, Batch: hi - lo}
 		}
+		s.tally(Tally{Requests: hi - lo})
 	}
 	lat := s.noteLatency(w.enq, len(w.reqs))
 	for i := range out {
@@ -668,42 +702,70 @@ func (s *Service) decideWave(w *wave) {
 	w.reply <- out
 }
 
-// finish applies the outcome of one decided request: commit in Commit
-// mode, outcome counters, and the response skeleton.
-func (s *Service) finish(req cac.Request, d cac.Decision, batchSize int) Response {
-	s.decided.Add(1)
-	resp := Response{Decision: d, Batch: batchSize}
-	if !d.Accepted() {
-		s.rejected.Add(1)
-		return resp
-	}
-	s.accepted.Add(1)
-	if !s.cfg.Commit {
-		return resp
-	}
-	call := req.Call
-	call.AdmittedAt = req.Now
-	call.Handoff = req.Handoff
-	if err := req.Station.Admit(call); err != nil {
-		// Accepted against the batch-start snapshot, but earlier
-		// accepts in the same chunk exhausted the bandwidth.
-		s.commitErrs.Add(1)
-		resp.Err = err
-		return resp
-	}
-	resp.Committed = true
-	s.committed.Add(1)
-	if obs, ok := s.cfg.Controller.(cac.Observer); ok {
-		obs.OnAdmit(req)
-	}
-	return resp
+// Tally counts the outcomes of one chunk decided by DecideChunk: the
+// chunk's size and the Stats counters it splits into. Requests not
+// accepted are rejected.
+type Tally struct {
+	Requests, Accepted, Committed, CommitErrs int
 }
 
-// finishErr records one request failed by a batch decision error.
-func (s *Service) finishErr(err error, batchSize int) Response {
-	s.decided.Add(1)
-	s.rejected.Add(1)
-	return Response{Decision: cac.Reject, Err: err, Batch: batchSize}
+// DecideChunk is the decision step shared by every front end (a
+// Service's micro-batches and waves, the sharded engine's chunks and
+// handoffs): it decides reqs with ctrl through cac.DecideAllInto, using
+// dec as scratch (at least len(reqs) slots), and finishes the requests
+// into out[:len(reqs)] in request order. In Commit mode an accepted
+// call is allocated on its station (cell.Admit) and then reported to a
+// cac.Observer controller before the next request is finished, so a
+// commit sees every earlier one; an accept that no longer fits carries
+// the commit error uncommitted. A decision error rejects the whole
+// chunk with that error and is returned. Latency is left to the caller.
+//
+//facs:hotpath
+func DecideChunk(ctrl cac.Controller, commit bool, reqs []cac.Request, dec []cac.Decision, out []Response) (Tally, error) {
+	t := Tally{Requests: len(reqs)}
+	if err := cac.DecideAllInto(ctrl, reqs, dec); err != nil {
+		for i := range reqs {
+			out[i] = Response{Decision: cac.Reject, Err: err, Batch: len(reqs)}
+		}
+		return t, err
+	}
+	obs, _ := ctrl.(cac.Observer)
+	for i := range reqs {
+		d := dec[i]
+		out[i] = Response{Decision: d, Batch: len(reqs)}
+		if !d.Accepted() {
+			continue
+		}
+		t.Accepted++
+		if !commit {
+			continue
+		}
+		call := reqs[i].Call
+		call.AdmittedAt = reqs[i].Now
+		call.Handoff = reqs[i].Handoff
+		if err := reqs[i].Station.Admit(call); err != nil {
+			// Accepted against the chunk-start snapshot, but earlier
+			// accepts in the same chunk exhausted the bandwidth.
+			t.CommitErrs++
+			out[i].Err = err
+			continue
+		}
+		out[i].Committed = true
+		t.Committed++
+		if obs != nil {
+			obs.OnAdmit(reqs[i])
+		}
+	}
+	return t, nil
+}
+
+// tally adds one chunk's outcomes to the counters.
+func (s *Service) tally(t Tally) {
+	s.decided.Add(int64(t.Requests))
+	s.accepted.Add(int64(t.Accepted))
+	s.rejected.Add(int64(t.Requests - t.Accepted))
+	s.committed.Add(int64(t.Committed))
+	s.commitErrs.Add(int64(t.CommitErrs))
 }
 
 func (s *Service) runOp(o *op) {
@@ -730,14 +792,14 @@ func (s *Service) noteLatency(enq time.Time, n int) time.Duration {
 	if int64(lat) > s.latMaxNs.Load() {
 		s.latMaxNs.Store(int64(lat))
 	}
-	s.latHist[latencyBucket(lat)].Add(int64(n))
+	s.latHist[LatencyBucket(lat)].Add(int64(n))
 	return lat
 }
 
-// latencyBucket maps a latency to its power-of-two histogram bucket:
-// the index of the highest set bit, i.e. bucket i covers [2^(i-1), 2^i)
-// nanoseconds.
-func latencyBucket(lat time.Duration) int {
+// LatencyBucket maps a latency to its power-of-two Stats.LatencyHist
+// bucket: the index of the highest set bit, i.e. bucket i covers
+// [2^(i-1), 2^i) nanoseconds.
+func LatencyBucket(lat time.Duration) int {
 	if lat <= 0 {
 		return 0
 	}
@@ -746,4 +808,104 @@ func latencyBucket(lat time.Duration) int {
 		b = LatencyBuckets - 1
 	}
 	return b
+}
+
+// Intake is a Service's single-request front half without its decision
+// loop, for front ends that decide batches themselves (the sharded
+// engine routes each batch across its shards). SubmitAsync enqueues;
+// one goroutine coalesces the queue into micro-batches exactly as a
+// Service does — at most MaxBatch requests, waiting at most MaxDelay
+// after the first — and hands each batch to the owner's decide
+// function.
+type Intake struct {
+	q      queue
+	decide func(reqs []cac.Request, enq time.Time, out []Response)
+	reqs   []cac.Request
+	out    []Response
+	// pending counts requests enqueued and not yet answered.
+	pending atomic.Int64
+}
+
+// NewIntake starts an intake batching by cfg's MaxBatch, MaxDelay and
+// Queue (defaults as for New; Controller and Commit are unused). decide
+// receives each micro-batch, the enqueue time of its oldest request and
+// a response buffer of len(reqs) slots to fill, Latency included; it
+// runs on the intake goroutine, one batch at a time.
+func NewIntake(cfg Config, decide func(reqs []cac.Request, enq time.Time, out []Response)) (*Intake, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	in := &Intake{
+		q:      newQueue(cfg),
+		decide: decide,
+		reqs:   make([]cac.Request, 0, cfg.MaxBatch),
+		out:    make([]Response, cfg.MaxBatch),
+	}
+	go in.q.run(in.handle)
+	return in, nil
+}
+
+// SubmitAsync enqueues one request and returns a buffered channel that
+// will carry exactly one Response; enqueue order is decision order.
+// After Close the response carries ErrClosed.
+func (in *Intake) SubmitAsync(req cac.Request) <-chan Response {
+	p := &pending{req: req, enq: time.Now(), reply: make(chan Response, 1)} //facs:wallclock latency stamp; feeds the latency gauges only
+	in.pending.Add(1)
+	if err := in.q.send(item{single: p}); err != nil {
+		in.pending.Add(-1)
+		p.reply <- Response{Decision: cac.Reject, Err: err}
+	}
+	return p.reply
+}
+
+// Drain blocks until every request enqueued before it has been decided.
+// With nothing pending it returns after one counter load; otherwise a
+// barrier travels the queue, which also cuts the current micro-batch
+// short instead of letting it wait out MaxDelay.
+func (in *Intake) Drain() error {
+	if in.pending.Load() == 0 {
+		return nil
+	}
+	return in.barrier()
+}
+
+// barrier sends a barrier down the queue and waits until the intake
+// goroutine reaches it.
+//
+//facs:coldpath runs only while singles are pending, never on a wave-only driver's path
+func (in *Intake) barrier() error {
+	o := &op{done: make(chan struct{})}
+	if err := in.q.send(item{op: o}); err != nil {
+		return err
+	}
+	<-o.done
+	return nil
+}
+
+// Close stops intake and waits until every queued request has been
+// decided. Idempotent.
+func (in *Intake) Close() {
+	in.q.shutdown()
+}
+
+// handle runs one queue item on the intake goroutine: a single starts a
+// micro-batch, a barrier (from Drain) is released.
+func (in *Intake) handle(it item) *item {
+	if it.op != nil {
+		close(it.op.done)
+		return nil
+	}
+	batch, interrupt := in.q.gather(it.single)
+	reqs := in.reqs[:0]
+	for _, p := range batch {
+		reqs = append(reqs, p.req)
+	}
+	in.reqs = reqs
+	in.decide(reqs, batch[0].enq, in.out[:len(reqs)])
+	for i, p := range batch {
+		p.reply <- in.out[i]
+	}
+	in.pending.Add(-int64(len(batch)))
+	return interrupt
 }

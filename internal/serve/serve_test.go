@@ -362,7 +362,7 @@ func TestMicroBatchCoalesces(t *testing.T) {
 	}
 	// Wait until all n sit in the intake queue, then release the loop:
 	// the greedy drain must take them as one batch.
-	for len(s.in) < n {
+	for len(s.q.in) < n {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
@@ -554,8 +554,8 @@ func TestLatencyQuantiles(t *testing.T) {
 		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {1023, 10}, {1024, 11},
 		{time.Duration(1) << 62, 63},
 	} {
-		if got := latencyBucket(tc.lat); got != tc.want {
-			t.Errorf("latencyBucket(%d) = %d, want %d", tc.lat, got, tc.want)
+		if got := LatencyBucket(tc.lat); got != tc.want {
+			t.Errorf("LatencyBucket(%d) = %d, want %d", tc.lat, got, tc.want)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"facs/internal/facs"
 	"facs/internal/scc"
 	"facs/internal/serve"
+	"facs/internal/traffic"
 )
 
 // BenchmarkShardedServe measures decision throughput of the sharded
@@ -132,4 +133,52 @@ func mustLedger(b *testing.B, factory func(View) (cac.Controller, error)) cac.Co
 		b.Fatal(err)
 	}
 	return ctrl
+}
+
+// BenchmarkShardHandoff times one HandoffCall — source release, then
+// target admission with handoff priority — on a 2-shard guard-channel
+// engine in Commit mode. One voice call bounces between two stations
+// owned by the same shard (same-shard) or by different shards
+// (cross-shard), so every handoff commits and the station state stays
+// put across iterations. It reports ns/op and allocs/op.
+func BenchmarkShardHandoff(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		cross bool
+	}{{"same-shard", false}, {"cross-shard", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			net := testNetwork(b, 1) // 7 cells, round-robin over 2 shards
+			e, err := New(Config{Network: net, Shards: 2, Commit: true, NewController: guardFactory})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			stations := net.Stations()
+			from, to := stations[0], stations[2] // shard 0, shard 0
+			if tc.cross {
+				to = stations[1] // shard 1
+			}
+			sf, _ := e.ShardOf(from.Hex())
+			st, _ := e.ShardOf(to.Hex())
+			if (sf != st) != tc.cross {
+				b.Fatalf("stations %v and %v do not match the %s layout", from.Hex(), to.Hex(), tc.name)
+			}
+			req := genRequests(b, net, 1, 1)[0]
+			req.Station = from
+			req.Call.Class, req.Call.BU = traffic.Voice, traffic.Voice.BandwidthUnits()
+			if resp := e.Submit(req); !resp.Committed {
+				b.Fatalf("seed call not committed: %+v", resp)
+			}
+			h := Handoff{CallID: req.Call.ID, From: from, To: to, Est: req.Est}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Now = float64(i)
+				if res := e.HandoffCall(h); res.Err != nil || !res.Response.Committed {
+					b.Fatalf("handoff %d failed: %+v", i, res)
+				}
+				h.From, h.To = h.To, h.From
+			}
+		})
+	}
 }

@@ -9,12 +9,32 @@
 // cross-cell transfer only at handoff. Cells are partitioned across N
 // shards by a deterministic router (PartitionRoundRobin spreads
 // station i of the network's (Q, R) order to shard i mod N;
-// PartitionBlocks assigns contiguous runs), each shard runs its own
-// controller behind its own serve.Service decision loop, and every
-// station's traffic — decisions, releases, state updates — is
-// serialized by exactly one shard. The cell-to-shard map is an
-// immutable epoch value swapped whole at rebalances, so routing never
-// observes a half-applied layout.
+// PartitionBlocks assigns contiguous runs), each shard holds its own
+// controller behind its own lock, and every station's traffic —
+// decisions, releases, state updates — is serialized by exactly one
+// shard. The cell-to-shard map is an immutable epoch value swapped
+// whole at rebalances, so routing never observes a half-applied
+// layout.
+//
+// # Execution
+//
+// A shard is state, not a goroutine: its controller, decision scratch
+// and counters sit behind one mutex, and every operation runs on the
+// goroutine that calls it, under the locks of the shards it touches
+// (taken in shard order whenever several are held). SubmitWave routes
+// each chunk, decides the first owning shard's slice on the caller and
+// the other owning shards' slices on fan-out goroutines — the
+// cross-shard parallelism — and joins them before the next chunk.
+// Release, UpdateState, Do and Tick lock one shard at a time;
+// rebalancing and snapshots hold every lock for the epoch or the cut.
+// Each chunk slice goes through serve.DecideChunk, the decide-commit-
+// observe step a serve.Service uses, and is counted in serve.Stats
+// terms. Only Submit/SubmitAsync singles travel a queue: one intake
+// goroutine per engine (serve.Intake) coalesces them by MaxBatch and
+// MaxDelay, as a Service would, and decides each micro-batch as one
+// chunk. Every other operation first drains that intake, so it is
+// ordered after the singles already enqueued; with nothing pending the
+// drain is one counter load.
 //
 // # Determinism
 //
@@ -27,9 +47,9 @@
 //     chunks, so every request is decided against the same chunk-start
 //     station state regardless of how the chunk scattered across
 //     shards.
-//   - Serialized handoffs: a single protocol worker processes the
-//     handoff queue in FIFO order, releasing on the source shard (a
-//     barrier op) before admitting on the target shard.
+//   - Serialized handoffs: one mutex runs handoffs one at a time, each
+//     to completion on its caller, releasing on the source shard before
+//     admitting on the target shard.
 //
 // For controllers declaring cac.CellLocal — FACS exact and compiled,
 // complete sharing, guard channel, multi-priority threshold — this
@@ -46,7 +66,7 @@
 // is a distinct cac.DemandExchanger instance, the engine therefore
 // runs a ghost-demand exchange inside the Tick barrier: once every
 // shard has applied the tick, each shard's demand delta is collected
-// (a serialized op on its own loop) and the union fanned back out to
+// (under that shard's lock) and the union fanned back out to
 // every other shard, all before Tick returns. Exchange cadence equals
 // tick cadence — deterministic and race-free by construction. Global
 // demand visibility is thus restored at tick granularity; what remains
@@ -91,11 +111,12 @@
 //
 // New starts the engine; SubmitWave / Submit / SubmitAsync decide
 // traffic; Tick is a cross-shard barrier (hosting the ghost exchange);
-// Release / UpdateState route to the owner shard; HandoffCall /
-// HandoffAsync run the two-phase cross-shard handoff; ForceRebalance
+// Release / UpdateState route to the owner shard; HandoffCall runs the
+// two-phase cross-shard handoff; ForceRebalance
 // applies an epoch on demand; Epoch, ShardOf and View read the current
-// ownership; Stats aggregates per-shard serve.Stats (including merged
-// latency percentiles) with handoff, exchange and rebalance counters.
+// ownership; Stats aggregates the per-shard counters as serve.Stats
+// (including merged latency percentiles) with handoff, fan-out,
+// exchange and rebalance counters.
 // experiments.RunSharded drives the closed loop; cmd/facs-serve wires
 // the engine behind -shards / -partition / -rebalance-ticks.
 package shard

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -16,8 +17,7 @@ import (
 )
 
 // View is the slice of the network one shard owns: the stations whose
-// admission, release and state-update traffic this shard's decision
-// loop serializes. It is handed to Config.NewController so factories
+// admission, release and state-update traffic this shard serializes. It is handed to Config.NewController so factories
 // can build per-shard controller instances (or return one shared,
 // concurrency-safe instance). Under elastic rebalancing the owned set
 // changes at epoch boundaries; Engine.View always reports the current
@@ -76,15 +76,15 @@ type Config struct {
 	// Network is the deployment whose cells are partitioned. Required.
 	Network *cell.Network
 
-	// Shards is the number of decision loops. Zero selects
+	// Shards is the number of shards. Zero selects
 	// min(GOMAXPROCS, cells); any value is capped at the cell count
 	// (an empty shard could never receive traffic).
 	Shards int
 
 	// NewController builds the admission controller for one shard.
 	// Stateful controllers (e.g. the SCC ledger) must return a fresh
-	// instance per call — each instance is confined to its shard's
-	// decision loop; concurrency-safe cell-local controllers (FACS
+	// instance per call — each instance is only ever called under its
+	// shard's lock; concurrency-safe cell-local controllers (FACS
 	// exact or compiled, the classical baselines) may return one shared
 	// instance. Required.
 	NewController func(v View) (cac.Controller, error)
@@ -93,21 +93,22 @@ type Config struct {
 	// MaxBatch boundaries in global request order BEFORE routing, with
 	// a cross-shard barrier between chunks, so chunk boundaries — and
 	// therefore outcomes — are identical for every shard count
-	// (default serve.DefaultMaxBatch). Per-shard services inherit it as
-	// their micro-batch cap.
+	// (default serve.DefaultMaxBatch). It also caps the micro-batches
+	// the intake coalesces from Submit/SubmitAsync singles.
 	MaxBatch int
 
-	// MaxDelay bounds how long a per-shard batcher waits for singles to
-	// coalesce (default serve.DefaultMaxDelay); it cannot change wave
-	// outcomes, only single-submit latency.
+	// MaxDelay bounds how long the intake waits for Submit/SubmitAsync
+	// singles to coalesce (default serve.DefaultMaxDelay; negative:
+	// never wait); it cannot change wave outcomes, only single-submit
+	// latency.
 	MaxDelay time.Duration
 
-	// Queue is the per-shard intake capacity (default serve's 4 x
+	// Queue is the intake capacity for singles (default serve's 4 x
 	// MaxBatch).
 	Queue int
 
 	// Commit makes each shard the owner of its stations' allocation
-	// state, exactly like serve.Config.Commit. Handoffs require it.
+	// state, with serve.Config.Commit's semantics. Handoffs require it.
 	Commit bool
 
 	// DisableExchange turns off the tick-barrier ghost-demand exchange
@@ -128,8 +129,8 @@ type Config struct {
 	// (decisions routed since the last epoch plus current occupancy),
 	// runs the deterministic PlanRebalance planner, migrates the
 	// planned cells — station call slots and controller state move
-	// between shards through the serialized Do-op seam, inside the
-	// barrier — and publishes a new ownership epoch. 0 (the default)
+	// between shards inside the barrier, under the shard locks — and
+	// publishes a new ownership epoch. 0 (the default)
 	// keeps the static partition. Rebalancing requires every controller
 	// to be cac.CellLocal or a cac.CellMigrator; exchanging controllers
 	// must additionally implement cac.ExchangeResetter so their ghost
@@ -178,26 +179,19 @@ type HandoffResult struct {
 	// shards.
 	CrossShard bool
 	// Err carries a protocol failure: unknown call at the source,
-	// unroutable station, or a closed engine. The target decision never
-	// ran when Err is non-nil and the release did not happen unless
-	// Err wraps the target shard's submission failure.
+	// unroutable station, or a closed engine. When Err is non-nil
+	// nothing was released and the target decision never ran.
 	Err error
 }
 
 // Dropped reports that the call did not survive the handoff.
 func (r HandoffResult) Dropped() bool { return r.Err != nil || !r.Response.Committed }
 
-// handoffItem is one queued handoff awaiting the protocol worker.
-type handoffItem struct {
-	h     Handoff
-	reply chan HandoffResult
-}
-
 // waveRoute is one shard's persistent wave-scatter state: the chunk
 // positions routed to the shard, the gathered requests, and the
-// response buffer its service fills. One chunk holds at most MaxBatch
-// requests, so the buffers are sized once at construction and never
-// grow in steady state.
+// response buffer its slice is decided into. One chunk holds at most
+// MaxBatch requests, so the buffers are sized once at construction and
+// never grow in steady state.
 type waveRoute struct {
 	idx  []int
 	reqs []cac.Request
@@ -217,6 +211,48 @@ func (b bitset) count() (n int) {
 	return n
 }
 
+// cellGrid maps a hex to its dense station index (network (Q, R)
+// order) through a table over the deployment's bounding box: routing
+// every request, release and handoff costs an index computation, not a
+// map lookup.
+type cellGrid struct {
+	q0, r0, cols, rows int
+	idx                []int32 // -1: no station at that hex
+}
+
+func newCellGrid(stations []*cell.BaseStation) cellGrid {
+	if len(stations) == 0 {
+		return cellGrid{}
+	}
+	h0 := stations[0].Hex()
+	qMin, qMax, rMin, rMax := h0.Q, h0.Q, h0.R, h0.R
+	for _, bs := range stations {
+		h := bs.Hex()
+		qMin, qMax = min(qMin, h.Q), max(qMax, h.Q)
+		rMin, rMax = min(rMin, h.R), max(rMax, h.R)
+	}
+	g := cellGrid{q0: qMin, r0: rMin, cols: qMax - qMin + 1, rows: rMax - rMin + 1}
+	g.idx = make([]int32, g.cols*g.rows)
+	for i := range g.idx {
+		g.idx[i] = -1
+	}
+	for i, bs := range stations {
+		g.idx[(bs.Hex().Q-qMin)*g.rows+bs.Hex().R-rMin] = int32(i)
+	}
+	return g
+}
+
+// index returns h's dense station index, or false for a hex outside the
+// deployment.
+func (g *cellGrid) index(h geo.Hex) (int32, bool) {
+	q, r := h.Q-g.q0, h.R-g.r0
+	if uint(q) >= uint(g.cols) || uint(r) >= uint(g.rows) {
+		return 0, false
+	}
+	ci := g.idx[q*g.rows+r]
+	return ci, ci >= 0
+}
+
 // ownership is one immutable epoch of the cell-to-shard assignment.
 // The engine swaps a fresh snapshot atomically at each rebalance, so
 // routers (which may run concurrently with the barrier in free-running
@@ -234,10 +270,10 @@ type ownership struct {
 	interest []bitset
 }
 
-// Stats aggregates engine counters with the per-shard service
-// snapshots.
+// Stats aggregates engine counters with the per-shard decision
+// counters.
 type Stats struct {
-	// Shards is the number of decision loops.
+	// Shards is the number of shards.
 	Shards int
 	// CellLocal reports that every shard controller declared
 	// cac.CellLocal, i.e. outcomes are provably shard-count-invariant.
@@ -247,7 +283,11 @@ type Stats struct {
 	// decided requests and the latency histogram (and so the
 	// percentiles) merges (serve.Stats.Merge).
 	Total serve.Stats
-	// PerShard holds one service snapshot per shard.
+	// PerShard holds one counter snapshot per shard, in serve.Stats
+	// terms: every chunk slice (and handoff admission) a shard decides
+	// is one batch, and releases, state updates, ticks and Do calls are
+	// its ops. Waves are counted engine-wide (Waves below), not per
+	// shard.
 	PerShard []serve.Stats
 	// Waves counts engine-level SubmitWave calls.
 	Waves int64
@@ -256,6 +296,10 @@ type Stats struct {
 	// whose target did not commit; Errs the protocol failures (unknown
 	// call, unroutable station).
 	Handoffs, CrossShard, Drops, Errs int64
+	// FanOuts counts the goroutines SubmitWave started: one per owning
+	// shard beyond the first in every chunk spanning several shards
+	// (the first slice is decided on the caller's goroutine).
+	FanOuts int64
 	// Exchanges counts tick-barrier ghost-demand exchange rounds;
 	// GhostRows the (cell, interval) demand rows actually applied on
 	// sibling shards across them. GhostRowsAllToAll is what an
@@ -293,10 +337,82 @@ func (s Stats) String() string {
 	return out
 }
 
+// shardState is one shard: its controller, decision scratch and
+// counters, all guarded by mu. Whatever touches the shard's controller
+// or the stations it owns — deciding and committing a chunk slice,
+// releasing, ticking, exchanging, migrating — runs under mu on the
+// goroutine that asked for it.
+type shardState struct {
+	mu     sync.Mutex
+	ctrl   cac.Controller
+	commit bool // Config.Commit
+	// observer, ticker and updater are ctrl's optional interfaces,
+	// resolved once (nil when not implemented).
+	observer cac.Observer
+	ticker   cac.Ticker
+	updater  cac.StateUpdater
+	dec      []cac.Decision // decision scratch, MaxBatch slots
+	// st holds the counters; st.AvgLatency is derived from latSum (the
+	// summed per-request latency in nanoseconds) when read.
+	st     serve.Stats
+	latSum int64
+}
+
+func newShardState(ctrl cac.Controller, cfg Config) *shardState {
+	sh := &shardState{ctrl: ctrl, commit: cfg.Commit, dec: make([]cac.Decision, cfg.MaxBatch)}
+	sh.observer, _ = ctrl.(cac.Observer)
+	sh.ticker, _ = ctrl.(cac.Ticker)
+	sh.updater, _ = ctrl.(cac.StateUpdater)
+	return sh
+}
+
+// decide decides one chunk slice (at most MaxBatch requests) through
+// serve.DecideChunk, stamps the latency since enq on every response and
+// counts the slice as one batch. The caller holds mu.
+func (sh *shardState) decide(reqs []cac.Request, out []serve.Response, enq time.Time) {
+	// A decision error is already carried by every response of the slice.
+	t, _ := serve.DecideChunk(sh.ctrl, sh.commit, reqs, sh.dec, out)
+	lat := time.Since(enq) //facs:wallclock latency metric only
+	for i := range reqs {
+		out[i].Latency = lat
+	}
+	n := int64(t.Requests)
+	st := &sh.st
+	st.Submitted += n
+	st.Decided += n
+	st.Accepted += int64(t.Accepted)
+	st.Rejected += n - int64(t.Accepted)
+	st.Committed += int64(t.Committed)
+	st.CommitErrs += int64(t.CommitErrs)
+	st.Batches++
+	st.MaxBatch = max(st.MaxBatch, t.Requests)
+	st.MaxLatency = max(st.MaxLatency, lat)
+	st.LatencyHist[serve.LatencyBucket(lat)] += n
+	sh.latSum += int64(lat) * n
+}
+
+// stats snapshots the shard's counters.
+func (sh *shardState) stats() serve.Stats {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st := sh.st
+	if st.Decided > 0 {
+		st.AvgLatency = time.Duration(sh.latSum / st.Decided)
+	}
+	return st
+}
+
 // Engine is the horizontally sharded admission engine: the network's
-// cells are partitioned across N shards, each running its own
-// controller behind its own serve.Service decision loop, with a
-// deterministic router mapping every station to its owner shard.
+// cells are partitioned across N shards, each holding its own
+// controller behind its own lock, with a deterministic router mapping
+// every station to its owner shard. There is no goroutine per shard:
+// every operation runs directly on the goroutine that calls it, under
+// the lock of each shard it touches (several locks are always taken in
+// shard order). SubmitWave decides one owning shard's slice of each
+// chunk on the caller and fans the other owning shards' slices out to
+// goroutines; Submit and SubmitAsync singles coalesce through one
+// intake goroutine (serve.Intake) into micro-batches decided the same
+// way.
 //
 // Determinism contract: a station's traffic is serialized by exactly
 // one shard in submission order, and SubmitWave chunks waves at
@@ -313,35 +429,41 @@ func (s Stats) String() string {
 // single-ledger replay and bounding free-running divergence to
 // intra-epoch admissions; see the package documentation.
 //
+// Ordering contract: Release, UpdateState, Do, Tick, Flush, SubmitWave
+// and HandoffCall first drain the intake, so each is ordered after
+// every single already enqueued — in particular after the caller's own
+// earlier SubmitAsync calls. With nothing pending the drain is one
+// counter load.
+//
 // Elastic ownership: the cell-to-shard map is an immutable epoch
 // snapshot behind an atomic pointer. With RebalanceEveryTicks set, the
 // Tick barrier periodically plans (PlanRebalance, a pure function of
 // the per-cell load counters) and applies cell migrations — station
-// call slots detach on the old owner's loop and attach on the new
-// owner's, controller state moves through cac.CellMigrator, ghost
-// state re-seeds through cac.ExchangeResetter — then publishes the
-// next epoch. Every step runs inside the barrier on serialized Do ops,
-// so the replay contracts above survive rebalancing unchanged: for
-// cell-local controllers a migration changes only which loop
-// serializes a station's (unchanged) request stream.
+// call slots detach from the old owner and attach on the new one,
+// controller state moves through cac.CellMigrator, ghost state
+// re-seeds through cac.ExchangeResetter — then publishes the next
+// epoch. The whole epoch runs with every shard lock held, so the
+// replay contracts above survive rebalancing unchanged: for cell-local
+// controllers a migration changes only which shard serializes a
+// station's (unchanged) request stream.
 //
-// Handoffs travel a dedicated FIFO queue processed by one protocol
-// worker: release on the source shard (a serialized barrier op), then
-// admit on the target shard, so source-release-before-target-admit
-// ordering holds for every shard count and interleaving.
+// Handoffs run the two-phase protocol on the caller, one at a time
+// under one mutex: release on the source shard, then admit on the
+// target shard, so source-release-before-target-admit ordering holds
+// for every shard count and interleaving.
 type Engine struct {
 	cfg       Config
 	stations  []*cell.BaseStation
 	hexes     []geo.Hex
-	cellIdx   map[geo.Hex]int32
-	services  []*serve.Service
+	cells     cellGrid
+	shards    []*shardState
 	cellLocal bool
 	// own is the current ownership epoch, swapped whole at rebalances.
 	own atomic.Pointer[ownership]
 	// exchangers holds each shard's controller as a cac.DemandExchanger
 	// when every shard got a distinct exchanger instance (and the
 	// exchange was not disabled); nil otherwise. Index-aligned with
-	// services.
+	// shards.
 	exchangers []cac.DemandExchanger
 	// interestRadius is the hex-ring dilation of a shard's owned cells
 	// that covers every cell its decisions may read; -1 keeps the
@@ -353,35 +475,44 @@ type Engine struct {
 	rebalanceErr error
 
 	// cellLoad counts decisions routed per dense cell index since the
-	// last epoch (accessed atomically: wave scatter, singles and the
-	// handoff worker all count concurrently).
+	// last epoch (accessed atomically: waves, intake batches and
+	// handoffs all count concurrently).
 	cellLoad []int64
 	loadBuf  []float64
 
-	// waveMu serializes SubmitWave/SubmitWaveTo so the per-shard routing
-	// and response-scatter buffers below are reused across waves instead
-	// of rebuilt per call. Waves from concurrent callers queue on the
-	// mutex — their relative order was already scheduling-dependent, so
-	// serializing them changes no determinism contract.
+	// intake coalesces Submit/SubmitAsync singles into micro-batches on
+	// its own goroutine; closed refuses new work after Close.
+	intake *serve.Intake
+	closed atomic.Bool
+
+	// waveMu serializes chunk decisions (SubmitWave and intake batches)
+	// so the per-shard routing and response-scatter buffers below are
+	// reused across chunks instead of rebuilt per call. Waves from
+	// concurrent callers queue on the mutex — their relative order was
+	// already scheduling-dependent, so serializing them changes no
+	// determinism contract. fanWG joins a chunk's fan-out goroutines.
 	waveMu     sync.Mutex
 	waveRoutes []waveRoute
-	waveErrs   []error
+	fanWG      sync.WaitGroup
 
-	// Migration scratch, touched only inside rebalance (barrier-
-	// serialized with everything else by the Tick caller's contract).
+	// handoffMu serializes handoffs, each run to completion; hoReq and
+	// hoOut are the target admission's one-request chunk.
+	handoffMu sync.Mutex
+	hoReq     [1]cac.Request
+	hoOut     [1]serve.Response
+
+	// Migration scratch, touched only inside rebalance (all shard locks
+	// held).
 	migCalls []cell.Call
 	migRows  []cac.MigratedCall
-	// scoped[s] is shard s's receive buffer for interest-filtered
-	// exchange rows (each shard's apply op writes only its own slot).
-	scoped [][]cac.DemandRow
-
-	mu     sync.RWMutex // guards closed against in-flight handoff sends
-	closed bool
-
-	handoffs    chan handoffItem
-	handoffDone chan struct{}
+	// Exchange scratch, touched only inside exchangeDemand (serialized
+	// by the Tick caller's contract): deltas[s] is shard s's export,
+	// scoped the receive buffer for interest-filtered rows.
+	deltas []cac.DemandDelta
+	scoped []cac.DemandRow
 
 	waves         atomic.Int64
+	fanOuts       atomic.Int64
 	handoffCount  atomic.Int64
 	crossShard    atomic.Int64
 	drops         atomic.Int64
@@ -395,9 +526,9 @@ type Engine struct {
 	migratedCalls atomic.Int64
 }
 
-// New validates the configuration, partitions the network, starts one
-// decision loop per shard plus the handoff worker, and returns the live
-// engine.
+// New validates the configuration, partitions the network, builds one
+// controller per shard, starts the intake goroutine, and returns the
+// live engine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("shard: config needs a network")
@@ -432,18 +563,15 @@ func New(cfg Config) (*Engine, error) {
 		cfg:            cfg,
 		stations:       stations,
 		hexes:          make([]geo.Hex, len(stations)),
-		cellIdx:        make(map[geo.Hex]int32, len(stations)),
-		services:       make([]*serve.Service, 0, cfg.Shards),
+		cells:          newCellGrid(stations),
+		shards:         make([]*shardState, 0, cfg.Shards),
 		interestRadius: -1,
 		cellLoad:       make([]int64, len(stations)),
 		loadBuf:        make([]float64, len(stations)),
-		handoffs:       make(chan handoffItem, cfg.Shards),
-		handoffDone:    make(chan struct{}),
 		cellLocal:      true,
 	}
 	for i, bs := range stations {
 		e.hexes[i] = bs.Hex()
-		e.cellIdx[bs.Hex()] = int32(i)
 	}
 	// Epoch 0: the deterministic initial partition over the network's
 	// (Q, R) station order.
@@ -463,32 +591,19 @@ func New(cfg Config) (*Engine, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		ctrl, err := cfg.NewController(initial.views[i])
 		if err != nil {
-			e.closeServices()
 			return nil, fmt.Errorf("shard: building controller for shard %d: %w", i, err)
 		}
 		if _, ok := ctrl.(cac.CellLocal); !ok {
 			e.cellLocal = false
 		}
 		ctrls = append(ctrls, ctrl)
-		svc, err := serve.New(serve.Config{
-			Controller: ctrl,
-			MaxBatch:   cfg.MaxBatch,
-			MaxDelay:   cfg.MaxDelay,
-			Queue:      cfg.Queue,
-			Commit:     cfg.Commit,
-		})
-		if err != nil {
-			e.closeServices()
-			return nil, fmt.Errorf("shard: starting shard %d: %w", i, err)
-		}
-		e.services = append(e.services, svc)
+		e.shards = append(e.shards, newShardState(ctrl, cfg))
 	}
 	if !cfg.DisableExchange {
 		e.exchangers = demandExchangers(ctrls)
 	}
 	e.rebalanceErr = rebalanceSupport(ctrls, e.exchangers)
 	if cfg.RebalanceEveryTicks > 0 && e.rebalanceErr != nil {
-		e.closeServices()
 		return nil, e.rebalanceErr
 	}
 	if e.exchangers != nil && !cfg.DisableInterestScope {
@@ -499,8 +614,8 @@ func New(cfg Config) (*Engine, error) {
 		// before the controllers existed).
 		e.own.Store(e.buildOwnership(owner, 0))
 	}
-	e.scoped = make([][]cac.DemandRow, len(e.services))
-	e.waveRoutes = make([]waveRoute, len(e.services))
+	e.deltas = make([]cac.DemandDelta, cfg.Shards)
+	e.waveRoutes = make([]waveRoute, cfg.Shards)
 	for s := range e.waveRoutes {
 		e.waveRoutes[s] = waveRoute{
 			idx:  make([]int, 0, cfg.MaxBatch),
@@ -508,8 +623,11 @@ func New(cfg Config) (*Engine, error) {
 			out:  make([]serve.Response, cfg.MaxBatch),
 		}
 	}
-	e.waveErrs = make([]error, len(e.services))
-	go e.handoffLoop()
+	intake, err := serve.NewIntake(serve.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay, Queue: cfg.Queue}, e.decideBatch)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	e.intake = intake
 	return e, nil
 }
 
@@ -607,17 +725,9 @@ func (e *Engine) buildOwnership(owner []int32, epoch uint64) *ownership {
 	return o
 }
 
-// closeServices tears down the services started so far (construction
-// failure path).
-func (e *Engine) closeServices() {
-	for _, svc := range e.services {
-		_ = svc.Close()
-	}
-}
-
-// Shards returns the number of decision loops (after capping at the
-// cell count).
-func (e *Engine) Shards() int { return len(e.services) }
+// Shards returns the number of shards (after capping at the cell
+// count).
+func (e *Engine) Shards() int { return len(e.shards) }
 
 // CellLocal reports that every shard controller declared
 // cac.CellLocal, making outcomes shard-count-invariant.
@@ -634,7 +744,7 @@ func (e *Engine) InterestScoped() bool { return e.interestRadius >= 0 }
 // ShardOf returns the shard owning cell h at the current epoch, or
 // false for a hex outside the deployment.
 func (e *Engine) ShardOf(h geo.Hex) (int, bool) {
-	ci, ok := e.cellIdx[h]
+	ci, ok := e.cells.index(h)
 	if !ok {
 		return 0, false
 	}
@@ -644,37 +754,92 @@ func (e *Engine) ShardOf(h geo.Hex) (int, bool) {
 // View returns shard s's slice of the network at the current epoch.
 func (e *Engine) View(s int) View { return e.own.Load().views[s] }
 
-// route resolves the owner shard of a request's station and counts the
-// decision against the cell's load window.
-func (e *Engine) route(req cac.Request) (int, error) {
-	if req.Station == nil {
-		return 0, fmt.Errorf("shard: request for call %d has no station", req.Call.ID)
-	}
-	ci, ok := e.cellIdx[req.Station.Hex()]
-	if !ok {
-		return 0, fmt.Errorf("shard: station %v is outside the engine's network", req.Station.Hex())
-	}
-	atomic.AddInt64(&e.cellLoad[ci], 1)
-	return int(e.own.Load().owner[ci]), nil
+// errHandoffNeedsCommit rejects handoffs on an engine that does not own
+// station state.
+var errHandoffNeedsCommit = errors.New("shard: handoffs require Commit mode (the engine must own station state)")
+
+//facs:coldpath error constructor; unroutable requests never reach a steady-state wave
+func errNoStation(callID int) error {
+	return fmt.Errorf("shard: request for call %d has no station", callID)
 }
 
-// Submit routes one request to its station's shard and blocks until
-// the decision. Safe for any number of concurrent callers.
+//facs:coldpath error constructor; unroutable requests never reach a steady-state wave
+func errOutside(h geo.Hex) error {
+	return fmt.Errorf("shard: station %v is outside the engine's network", h)
+}
+
+//facs:coldpath error constructor; called only on caller misuse
+func errHandoffStations(callID int, what string) error {
+	return fmt.Errorf("shard: handoff of call %d %s", callID, what)
+}
+
+//facs:coldpath error constructor; called only on caller misuse
+func errShortBuffer(reqs, slots int) error {
+	return fmt.Errorf("shard: response buffer too short: %d requests, %d slots", reqs, slots)
+}
+
+// ready refuses work once the engine is closed and otherwise drains
+// the intake, ordering the caller's operation after every single
+// already enqueued (one counter load when nothing is pending).
+func (e *Engine) ready() error {
+	if e.closed.Load() {
+		return serve.ErrClosed
+	}
+	return e.intake.Drain()
+}
+
+// lockAll takes every shard lock in shard order, the engine's lock
+// order wherever more than one shard lock is held.
+func (e *Engine) lockAll() {
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+	}
+}
+
+func (e *Engine) unlockAll() {
+	for _, sh := range e.shards {
+		sh.mu.Unlock()
+	}
+}
+
+// Submit routes one request to its station's shard through the intake
+// and blocks until the decision. Safe for any number of concurrent
+// callers.
 func (e *Engine) Submit(req cac.Request) serve.Response {
 	return <-e.SubmitAsync(req)
 }
 
-// SubmitAsync routes one request to its station's shard and returns a
-// buffered channel carrying exactly one response. An unroutable
-// request is answered immediately with a rejection carrying the error.
+// SubmitAsync enqueues one request on the engine's intake and returns a
+// buffered channel carrying exactly one response. The intake goroutine
+// coalesces singles into micro-batches (MaxBatch, MaxDelay) and decides
+// each one as a chunk, exactly like one chunk of SubmitWave. An
+// unroutable request is answered immediately with a rejection carrying
+// the error.
 func (e *Engine) SubmitAsync(req cac.Request) <-chan serve.Response {
-	s, err := e.route(req)
+	var err error
+	if req.Station == nil {
+		err = errNoStation(req.Call.ID)
+	} else if _, ok := e.cells.index(req.Station.Hex()); !ok {
+		err = errOutside(req.Station.Hex())
+	}
 	if err != nil {
 		ch := make(chan serve.Response, 1)
 		ch <- serve.Response{Decision: cac.Reject, Err: err}
 		return ch
 	}
-	return e.services[s].SubmitAsync(req)
+	return e.intake.SubmitAsync(req)
+}
+
+// decideBatch decides one intake micro-batch (at most MaxBatch
+// singles, routable by SubmitAsync's check) as one chunk.
+func (e *Engine) decideBatch(reqs []cac.Request, enq time.Time, out []serve.Response) {
+	e.waveMu.Lock()
+	defer e.waveMu.Unlock()
+	if err := e.decideChunk(reqs, out, enq); err != nil {
+		for i := range out {
+			out[i] = serve.Response{Decision: cac.Reject, Err: err, Batch: len(reqs)}
+		}
+	}
 }
 
 // SubmitWave decides a caller-defined batch, returning responses in
@@ -699,7 +864,8 @@ func (e *Engine) SubmitWave(reqs []cac.Request) ([]serve.Response, error) {
 // SubmitWaveTo is SubmitWave into a caller-provided response buffer:
 // out[i] receives the response for reqs[i]. The routing and scatter
 // state lives on the engine and is reused across waves, so a steady
-// caller that also reuses out allocates nothing per wave. out must
+// caller that also reuses out allocates nothing per wave beyond one
+// goroutine per extra owning shard of a chunk (Stats.FanOuts). out must
 // hold at least len(reqs) slots.
 //
 //facs:hotpath
@@ -708,65 +874,98 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 		return nil
 	}
 	if len(out) < len(reqs) {
-		return fmt.Errorf("shard: response buffer too short: %d requests, %d slots", len(reqs), len(out)) //facs:alloc reject/error path; formats nothing on the steady-state wave
+		return errShortBuffer(len(reqs), len(out))
 	}
+	if err := e.ready(); err != nil {
+		return err
+	}
+	enq := time.Now() //facs:wallclock latency stamp; feeds the latency gauges only
 	e.waveMu.Lock()
 	defer e.waveMu.Unlock()
-	routes, errs := e.waveRoutes, e.waveErrs
 	for lo := 0; lo < len(reqs); lo += e.cfg.MaxBatch {
 		hi := min(lo+e.cfg.MaxBatch, len(reqs))
-		own := e.own.Load()
-		for s := range routes {
-			routes[s].idx = routes[s].idx[:0]
-			routes[s].reqs = routes[s].reqs[:0]
-			errs[s] = nil
-		}
-		for i := lo; i < hi; i++ {
-			if reqs[i].Station == nil {
-				return fmt.Errorf("shard: request for call %d has no station", reqs[i].Call.ID) //facs:alloc reject/error path; formats nothing on the steady-state wave
-			}
-			ci, ok := e.cellIdx[reqs[i].Station.Hex()]
-			if !ok {
-				return fmt.Errorf("shard: station %v is outside the engine's network", reqs[i].Station.Hex()) //facs:alloc reject/error path; formats nothing on the steady-state wave
-			}
-			atomic.AddInt64(&e.cellLoad[ci], 1)
-			s := int(own.owner[ci])
-			routes[s].idx = append(routes[s].idx, i)
-			routes[s].reqs = append(routes[s].reqs, reqs[i])
-		}
-		var wg sync.WaitGroup
-		for s := range routes {
-			if len(routes[s].reqs) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(s int) { //facs:alloc one fan-out goroutine per owning shard per batch, not per request
-				defer wg.Done()
-				n := len(routes[s].reqs)
-				if err := e.services[s].SubmitAllInto(routes[s].reqs, routes[s].out[:n]); err != nil {
-					errs[s] = err
-					return
-				}
-				for j := 0; j < n; j++ {
-					out[routes[s].idx[j]] = routes[s].out[j]
-				}
-			}(s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if err := e.decideChunk(reqs[lo:hi], out[lo:hi], enq); err != nil {
+			return err
 		}
 	}
 	e.waves.Add(1)
 	return nil
 }
 
-// Tick fans one cac.Ticker.OnTick delivery out to every shard and
-// blocks until all have applied it — a cross-shard barrier: every
-// request enqueued before Tick is decided before it fires, and no
-// request submitted after Tick returns can overtake it on any shard.
+// decideChunk routes one chunk (at most MaxBatch requests) to its owner
+// shards and decides every owning shard's slice against the
+// chunk-start state: the first owning shard's slice on the calling
+// goroutine, every other one on a fan-out goroutine, all joined before
+// it returns. out[i] receives reqs[i]'s response. The caller holds
+// waveMu.
+func (e *Engine) decideChunk(reqs []cac.Request, out []serve.Response, enq time.Time) error {
+	own := e.own.Load()
+	routes := e.waveRoutes
+	for s := range routes {
+		routes[s].idx = routes[s].idx[:0]
+	}
+	for i := range reqs {
+		bs := reqs[i].Station
+		if bs == nil {
+			return errNoStation(reqs[i].Call.ID)
+		}
+		ci, ok := e.cells.index(bs.Hex())
+		if !ok {
+			return errOutside(bs.Hex())
+		}
+		atomic.AddInt64(&e.cellLoad[ci], 1)
+		s := own.owner[ci]
+		routes[s].idx = append(routes[s].idx, i)
+	}
+	first := -1
+	for s := range routes {
+		r := &routes[s]
+		if len(r.idx) == 0 {
+			continue
+		}
+		r.reqs = r.reqs[:0]
+		for _, i := range r.idx {
+			r.reqs = append(r.reqs, reqs[i])
+		}
+		if first < 0 {
+			first = s
+			continue
+		}
+		e.fanWG.Add(1)
+		e.fanOuts.Add(1)
+		go e.fanOut(s, out, enq)
+	}
+	e.decideSlice(first, out, enq)
+	e.fanWG.Wait()
+	return nil
+}
+
+// fanOut is one fan-out goroutine of decideChunk.
+func (e *Engine) fanOut(s int, out []serve.Response, enq time.Time) {
+	defer e.fanWG.Done()
+	e.decideSlice(s, out, enq)
+}
+
+// decideSlice decides shard s's gathered slice of the current chunk
+// under the shard's lock and scatters the responses to their chunk
+// positions.
+func (e *Engine) decideSlice(s int, out []serve.Response, enq time.Time) {
+	r := &e.waveRoutes[s]
+	n := len(r.reqs)
+	sh := e.shards[s]
+	sh.mu.Lock()
+	sh.decide(r.reqs, r.out[:n], enq)
+	sh.mu.Unlock()
+	for j, i := range r.idx {
+		out[i] = r.out[j]
+	}
+}
+
+// Tick delivers cac.Ticker.OnTick to every shard's controller, in
+// shard order, and returns once all have applied it — a cross-shard
+// barrier: every request submitted before Tick is decided before it
+// fires, and no request submitted after Tick returns can overtake it on
+// any shard.
 //
 // For demand-exchanging controllers (see Exchanging) the barrier also
 // hosts the ghost-demand exchange: once every shard has applied the
@@ -774,12 +973,11 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 // shard's demand delta is collected and fanned back out — to every
 // sibling, or only to interested ones when the exchange is scoped —
 // all before Tick returns. The exchange cadence is therefore exactly
-// the tick cadence — deterministic and race-free by construction,
-// since both phases run as serialized ops on each shard's own decision
-// loop.
+// the tick cadence, deterministic and race-free by construction, since
+// both phases run under each shard's own lock.
 //
 // With RebalanceEveryTicks set, every Nth barrier additionally runs
-// one rebalance epoch between the flush and the exchange: plan,
+// one rebalance epoch between the tick and the exchange: plan,
 // migrate, publish the next ownership snapshot, re-seed exchange
 // state. The exchange that follows carries absolute demand matrices
 // (see cac.ExchangeResetter), so every ghost is consistent under the
@@ -789,13 +987,18 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 // rebalancing) must quiesce submissions across Tick, exactly as the
 // closed-loop drivers do.
 func (e *Engine) Tick(now float64) error {
-	for _, svc := range e.services {
-		if err := svc.Tick(now); err != nil {
-			return err
-		}
-	}
-	if err := e.Flush(); err != nil {
+	if err := e.ready(); err != nil {
 		return err
+	}
+	for _, sh := range e.shards {
+		if sh.ticker == nil {
+			continue
+		}
+		sh.mu.Lock()
+		sh.ticker.OnTick(now)
+		sh.st.Ops++
+		sh.st.Ticks++
+		sh.mu.Unlock()
 	}
 	if n := e.cfg.RebalanceEveryTicks; n > 0 {
 		if t := e.ticks.Add(1); t%int64(n) == 0 {
@@ -804,7 +1007,8 @@ func (e *Engine) Tick(now float64) error {
 			}
 		}
 	}
-	return e.exchangeDemand()
+	e.exchangeDemand()
+	return nil
 }
 
 // Exchanging reports that the engine runs the ghost-demand exchange at
@@ -812,30 +1016,30 @@ func (e *Engine) Tick(now float64) error {
 // cac.DemandExchanger instance and Config.DisableExchange is unset.
 func (e *Engine) Exchanging() bool { return e.exchangers != nil }
 
-// ForceRebalance runs one rebalance epoch immediately: flush, plan,
-// migrate, publish, then a full exchange round. Like Tick it assumes
-// quiesced submissions. It returns an error when the controller set
-// does not support rebalancing (see Config.RebalanceEveryTicks).
+// ForceRebalance runs one rebalance epoch immediately: plan, migrate,
+// publish, then a full exchange round. Like Tick it assumes quiesced
+// submissions. It returns an error when the controller set does not
+// support rebalancing (see Config.RebalanceEveryTicks).
 func (e *Engine) ForceRebalance() error {
-	if err := e.Flush(); err != nil {
+	if err := e.ready(); err != nil {
 		return err
 	}
 	if err := e.rebalance(); err != nil {
 		return err
 	}
-	return e.exchangeDemand()
+	e.exchangeDemand()
+	return nil
 }
 
-// rebalance runs one epoch inside the barrier: snapshot the load
-// counters, plan, migrate each planned cell through the Do-op seam
-// (source loop first, then target loop), publish the next ownership
-// snapshot, and re-seed exchanger state. The caller runs (or is) the
-// tick barrier, so no wave is in flight and every Do op serializes
-// cleanly behind drained queues.
+// rebalance runs one epoch with every shard lock held: snapshot the
+// load counters, plan, migrate each planned cell, publish the next
+// ownership snapshot, and re-seed exchanger state.
 func (e *Engine) rebalance() error {
 	if e.rebalanceErr != nil {
 		return e.rebalanceErr
 	}
+	e.lockAll()
+	defer e.unlockAll()
 	cur := e.own.Load()
 	load := e.loadBuf
 	for i := range load {
@@ -845,7 +1049,7 @@ func (e *Engine) rebalance() error {
 		// shard counts, so plans replay identically too.
 		load[i] = float64(atomic.LoadInt64(&e.cellLoad[i])) + float64(e.stations[i].Used())
 	}
-	plan := PlanRebalance(load, cur.owner, len(e.services), e.cfg.Rebalance)
+	plan := PlanRebalance(load, cur.owner, len(e.shards), e.cfg.Rebalance)
 	for i := range e.cellLoad {
 		atomic.StoreInt64(&e.cellLoad[i], 0)
 	}
@@ -864,14 +1068,10 @@ func (e *Engine) rebalance() error {
 	}
 	e.own.Store(e.buildOwnership(next, cur.epoch+1))
 	if e.exchangers != nil {
-		if err := e.eachShard(func(s int) error {
-			return e.services[s].Do(func(ctrl cac.Controller) {
-				if r, ok := ctrl.(cac.ExchangeResetter); ok {
-					r.ResetExchange()
-				}
-			})
-		}); err != nil {
-			return err
+		for _, sh := range e.shards {
+			if r, ok := sh.ctrl.(cac.ExchangeResetter); ok {
+				r.ResetExchange()
+			}
 		}
 	}
 	e.rebalances.Add(1)
@@ -880,35 +1080,25 @@ func (e *Engine) rebalance() error {
 }
 
 // migrate moves one cell: detach its station's call slots and extract
-// its controller state on the source shard's loop, then attach and
-// insert both on the target shard's loop. Two serialized ops — at
-// every instant the cell's state lives on exactly one loop.
+// its controller state from the source shard, then attach and insert
+// both on the target shard — at every instant the cell's state lives
+// on exactly one shard. The caller holds every shard lock.
 func (e *Engine) migrate(m Migration) error {
 	bs := e.stations[m.Cell]
 	h := e.hexes[m.Cell]
-	var attachErr error
-	if err := e.services[m.From].Do(func(ctrl cac.Controller) {
-		if e.cfg.Commit {
-			e.migCalls = bs.DetachCalls(e.migCalls[:0])
-		}
-		if mig, ok := ctrl.(cac.CellMigrator); ok {
-			e.migRows = mig.MigrateOut(h, e.migRows[:0])
-		}
-	}); err != nil {
-		return err
+	if e.cfg.Commit {
+		e.migCalls = bs.DetachCalls(e.migCalls[:0])
 	}
-	if err := e.services[m.To].Do(func(ctrl cac.Controller) {
-		if e.cfg.Commit {
-			attachErr = bs.AttachCalls(e.migCalls)
-		}
-		if mig, ok := ctrl.(cac.CellMigrator); ok {
-			mig.MigrateIn(e.migRows)
-		}
-	}); err != nil {
-		return err
+	if mig, ok := e.shards[m.From].ctrl.(cac.CellMigrator); ok {
+		e.migRows = mig.MigrateOut(h, e.migRows[:0])
 	}
-	if attachErr != nil {
-		return fmt.Errorf("shard: migrating cell %v from shard %d to %d: %w", h, m.From, m.To, attachErr)
+	if e.cfg.Commit {
+		if err := bs.AttachCalls(e.migCalls); err != nil {
+			return fmt.Errorf("shard: migrating cell %v from shard %d to %d: %w", h, m.From, m.To, err)
+		}
+	}
+	if mig, ok := e.shards[m.To].ctrl.(cac.CellMigrator); ok {
+		mig.MigrateIn(e.migRows)
 	}
 	e.migratedCalls.Add(int64(len(e.migCalls)))
 	e.migCalls = e.migCalls[:0]
@@ -917,203 +1107,183 @@ func (e *Engine) migrate(m Migration) error {
 }
 
 // exchangeDemand runs one exchange round inside the tick barrier:
-// phase 1 collects every shard's demand delta (a serialized op on each
-// shard's loop), phase 2 applies the union on every shard — every
-// delta except a shard's own, in ascending source-shard order,
-// filtered down to the receiver's interest set when the exchange is
-// scoped. Both phases complete before the caller's Tick returns.
-func (e *Engine) exchangeDemand() error {
+// phase 1 collects every shard's demand delta under that shard's lock,
+// phase 2 applies the union on every shard — every delta except a
+// shard's own, in ascending source-shard order, filtered down to the
+// receiver's interest set when the exchange is scoped. Both phases
+// complete before the caller's Tick returns.
+func (e *Engine) exchangeDemand() {
 	if e.exchangers == nil {
-		return nil
+		return
 	}
 	own := e.own.Load()
-	deltas := make([]cac.DemandDelta, len(e.services))
-	collect := func(s int) error {
-		return e.services[s].Do(func(cac.Controller) { deltas[s] = e.exchangers[s].ExportDemand() })
-	}
-	if err := e.eachShard(collect); err != nil {
-		return err
-	}
+	deltas := e.deltas
 	var rows int64
-	for _, d := range deltas {
-		rows += int64(len(d.Rows))
+	for s, sh := range e.shards {
+		sh.mu.Lock()
+		deltas[s] = e.exchangers[s].ExportDemand()
+		sh.mu.Unlock()
+		rows += int64(len(deltas[s].Rows))
 	}
-	apply := func(s int) error {
-		return e.services[s].Do(func(cac.Controller) {
-			var fanned int64
-			for src := range deltas {
-				if src == s || len(deltas[src].Rows) == 0 {
-					continue
-				}
-				d := deltas[src]
-				if own.interest != nil {
-					// Keep only rows inside this shard's read set; the
-					// generation still advances on empty filtered deltas so
-					// replay guards stay aligned with the exporter.
-					buf := e.scoped[s][:0]
-					set := own.interest[s]
-					for _, r := range d.Rows {
-						if ci, ok := e.cellIdx[r.Cell]; ok && set.has(int(ci)) {
-							buf = append(buf, r)
-						}
-					}
-					e.scoped[s] = buf
-					d = cac.DemandDelta{Gen: d.Gen, Rows: buf}
-				}
-				fanned += int64(len(d.Rows))
-				e.exchangers[s].ApplyGhost(src, d)
+	var fanned int64
+	for s, sh := range e.shards {
+		sh.mu.Lock()
+		for src := range deltas {
+			if src == s || len(deltas[src].Rows) == 0 {
+				continue
 			}
-			e.ghostRows.Add(fanned)
-		})
+			d := deltas[src]
+			if own.interest != nil {
+				// Keep only rows inside this shard's read set; the
+				// generation still advances on empty filtered deltas so
+				// replay guards stay aligned with the exporter.
+				set := own.interest[s]
+				e.scoped = e.scoped[:0]
+				for _, r := range d.Rows {
+					if ci, ok := e.cells.index(r.Cell); ok && set.has(int(ci)) {
+						e.scoped = append(e.scoped, r)
+					}
+				}
+				d = cac.DemandDelta{Gen: d.Gen, Rows: e.scoped}
+			}
+			fanned += int64(len(d.Rows))
+			e.exchangers[s].ApplyGhost(src, d)
+		}
+		sh.mu.Unlock()
 	}
-	if err := e.eachShard(apply); err != nil {
+	clear(deltas)
+	e.ghostRows.Add(fanned)
+	e.exchanges.Add(1)
+	e.ghostRowsAll.Add(rows * int64(len(e.shards)-1))
+}
+
+// Flush blocks until every request already submitted has been decided
+// (everything else the engine does is synchronous).
+func (e *Engine) Flush() error { return e.ready() }
+
+// Do runs fn on shard s's controller under the shard's lock, ordered
+// after everything already submitted, and returns once fn does. fn must
+// not call back into the engine. A globally consistent multi-shard
+// view additionally requires the caller to quiesce submissions (as the
+// closed-loop drivers do between waves).
+func (e *Engine) Do(s int, fn func(ctrl cac.Controller)) error {
+	if err := e.ready(); err != nil {
 		return err
 	}
-	e.exchanges.Add(1)
-	e.ghostRowsAll.Add(rows * int64(len(e.services)-1))
+	sh := e.shards[s]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fn(sh.ctrl)
+	sh.st.Ops++
 	return nil
-}
-
-// eachShard runs fn(s) for every shard concurrently and returns the
-// first error.
-func (e *Engine) eachShard(fn func(s int) error) error {
-	errs := make([]error, len(e.services))
-	var wg sync.WaitGroup
-	for s := range e.services {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = fn(s)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush blocks until everything enqueued on every shard has been
-// processed.
-func (e *Engine) Flush() error {
-	return e.eachShard(func(s int) error { return e.services[s].Flush() })
-}
-
-// Do runs fn inside shard s's decision loop, serialized after
-// everything already enqueued there, and blocks until it returns. A
-// globally consistent multi-shard view additionally requires the
-// caller to quiesce submissions (as the closed-loop drivers do between
-// waves).
-func (e *Engine) Do(s int, fn func(ctrl cac.Controller)) error {
-	return e.services[s].Do(fn)
 }
 
 // Release retires a carried call on its station's shard, ordered after
-// everything already enqueued there (see serve.Service.Release).
+// everything already submitted: in Commit mode the bandwidth is
+// released on the station (a failure counts into the shard's OpErrs),
+// and an observer controller is notified either way.
+//
+//facs:hotpath
 func (e *Engine) Release(callID int, station *cell.BaseStation, now float64) error {
-	ci, ok := e.cellIdx[station.Hex()]
+	ci, ok := e.cells.index(station.Hex())
 	if !ok {
-		return fmt.Errorf("shard: station %v is outside the engine's network", station.Hex())
+		return errOutside(station.Hex())
 	}
-	return e.services[e.own.Load().owner[ci]].Release(callID, station, now)
+	if err := e.ready(); err != nil {
+		return err
+	}
+	sh := e.shards[e.own.Load().owner[ci]]
+	sh.mu.Lock()
+	if e.cfg.Commit {
+		if _, err := station.Release(callID); err != nil {
+			sh.st.OpErrs++
+		}
+	}
+	if sh.observer != nil {
+		sh.observer.OnRelease(callID, station, now)
+	}
+	sh.st.Ops++
+	sh.mu.Unlock()
+	return nil
 }
 
 // UpdateState delivers a fresh kinematic estimate for a carried call to
-// its station's shard (see serve.Service.UpdateState).
+// its station's shard controller when it tracks mobility
+// (cac.StateUpdater), ordered after everything already submitted.
 func (e *Engine) UpdateState(callID int, est gps.Estimate, station *cell.BaseStation) error {
-	ci, ok := e.cellIdx[station.Hex()]
+	ci, ok := e.cells.index(station.Hex())
 	if !ok {
-		return fmt.Errorf("shard: station %v is outside the engine's network", station.Hex())
+		return errOutside(station.Hex())
 	}
-	return e.services[e.own.Load().owner[ci]].UpdateState(callID, est, station)
+	if err := e.ready(); err != nil {
+		return err
+	}
+	sh := e.shards[e.own.Load().owner[ci]]
+	if sh.updater == nil {
+		return nil
+	}
+	sh.mu.Lock()
+	sh.updater.OnStateUpdate(callID, est, station)
+	sh.st.Ops++
+	sh.mu.Unlock()
+	return nil
 }
 
-// HandoffAsync enqueues one handoff on the engine's FIFO protocol
-// queue and returns a buffered channel carrying exactly one result.
-// The single protocol worker processes handoffs strictly in queue
-// order, each to completion: source release (barrier on the source
-// shard), then target admission — so two handoffs never interleave and
-// source-release-before-target-admit holds regardless of shard count.
-func (e *Engine) HandoffAsync(h Handoff) <-chan HandoffResult {
-	reply := make(chan HandoffResult, 1)
-	if !e.cfg.Commit {
-		e.handoffErrs.Add(1)
-		reply <- HandoffResult{Err: fmt.Errorf("shard: handoffs require Commit mode (the engine must own station state)")}
-		return reply
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		e.handoffErrs.Add(1)
-		reply <- HandoffResult{Err: serve.ErrClosed}
-		return reply
-	}
-	e.handoffs <- handoffItem{h: h, reply: reply}
-	return reply
-}
-
-// HandoffCall runs one handoff to completion and returns its result.
+// HandoffCall runs one handoff to completion on the calling goroutine
+// and returns its result. Handoffs are serialized by one mutex, each
+// running the two-phase protocol whole: release at the source under
+// the source shard's lock, then admission with handoff priority at the
+// target under the target shard's lock — a one-request chunk, so the
+// decision sees every previously committed call. Source release
+// therefore precedes target admission for every shard count and
+// interleaving.
+//
+//facs:hotpath
 func (e *Engine) HandoffCall(h Handoff) HandoffResult {
-	return <-e.HandoffAsync(h)
-}
-
-// handoffLoop is the protocol worker: one handoff at a time, in FIFO
-// order.
-func (e *Engine) handoffLoop() {
-	defer close(e.handoffDone)
-	for it := range e.handoffs {
-		it.reply <- e.processHandoff(it.h)
-	}
-}
-
-// processHandoff executes the two-phase protocol for one handoff.
-func (e *Engine) processHandoff(h Handoff) HandoffResult {
 	var res HandoffResult
-	if h.From == nil || h.To == nil {
+	switch {
+	case !e.cfg.Commit:
+		res.Err = errHandoffNeedsCommit
+	case h.From == nil || h.To == nil:
+		res.Err = errHandoffStations(h.CallID, "needs both stations")
+	default:
+		res.Err = e.ready()
+	}
+	if res.Err != nil {
 		e.handoffErrs.Add(1)
-		res.Err = fmt.Errorf("shard: handoff of call %d needs both stations", h.CallID)
 		return res
 	}
-	srcCi, okSrc := e.cellIdx[h.From.Hex()]
-	dstCi, okDst := e.cellIdx[h.To.Hex()]
+	srcCi, okSrc := e.cells.index(h.From.Hex())
+	dstCi, okDst := e.cells.index(h.To.Hex())
 	if !okSrc || !okDst {
 		e.handoffErrs.Add(1)
-		res.Err = fmt.Errorf("shard: handoff of call %d touches a station outside the engine's network", h.CallID)
+		res.Err = errHandoffStations(h.CallID, "touches a station outside the engine's network")
 		return res
 	}
+
+	e.handoffMu.Lock()
+	defer e.handoffMu.Unlock()
 	own := e.own.Load()
-	src, dst := int(own.owner[srcCi]), int(own.owner[dstCi])
+	src, dst := e.shards[own.owner[srcCi]], e.shards[own.owner[dstCi]]
 	res.CrossShard = src != dst
 
-	// Phase 1: release at the source, serialized inside the source
-	// shard's loop after everything already enqueued there.
-	var call cell.Call
-	var relErr error
-	if err := e.services[src].Do(func(ctrl cac.Controller) {
-		call, relErr = h.From.Release(h.CallID)
-		if relErr != nil {
-			return
-		}
-		if obs, ok := ctrl.(cac.Observer); ok {
-			obs.OnRelease(h.CallID, h.From, h.Now)
-		}
-	}); err != nil {
+	// Phase 1: release at the source.
+	src.mu.Lock()
+	call, err := h.From.Release(h.CallID)
+	if err == nil && src.observer != nil {
+		src.observer.OnRelease(h.CallID, h.From, h.Now)
+	}
+	src.st.Ops++
+	src.mu.Unlock()
+	if err != nil {
 		e.handoffErrs.Add(1)
 		res.Err = err
 		return res
 	}
-	if relErr != nil {
-		e.handoffErrs.Add(1)
-		res.Err = relErr
-		return res
-	}
 
-	// Phase 2: admission at the target, with handoff priority. The
-	// single-request wave is its own chunk, so the decision sees every
-	// previously committed call.
-	req := cac.Request{
+	// Phase 2: admission at the target, with handoff priority.
+	enq := time.Now() //facs:wallclock latency stamp; feeds the latency gauges only
+	e.hoReq[0] = cac.Request{
 		Call:    cell.Call{ID: call.ID, Class: call.Class, BU: call.BU},
 		Station: h.To,
 		Obs:     gps.Observe(h.Est, h.To.Pos()),
@@ -1122,13 +1292,11 @@ func (e *Engine) processHandoff(h Handoff) HandoffResult {
 		Now:     h.Now,
 	}
 	atomic.AddInt64(&e.cellLoad[dstCi], 1)
-	resps, err := e.services[dst].SubmitAll([]cac.Request{req})
-	if err != nil {
-		e.handoffErrs.Add(1)
-		res.Err = err
-		return res
-	}
-	res.Response = resps[0]
+	dst.mu.Lock()
+	dst.decide(e.hoReq[:], e.hoOut[:], enq)
+	dst.mu.Unlock()
+	res.Response = e.hoOut[0]
+	e.hoReq[0] = cac.Request{}
 	e.handoffCount.Add(1)
 	if res.CrossShard {
 		e.crossShard.Add(1)
@@ -1139,18 +1307,19 @@ func (e *Engine) processHandoff(h Handoff) HandoffResult {
 	return res
 }
 
-// Stats snapshots every shard's service counters and aggregates them
-// into engine totals. After Flush (or Close) the snapshot is exact.
+// Stats snapshots every shard's counters and aggregates them into
+// engine totals. After Flush (or Close) the snapshot is exact.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Shards:            len(e.services),
+		Shards:            len(e.shards),
 		CellLocal:         e.cellLocal,
-		PerShard:          make([]serve.Stats, len(e.services)),
+		PerShard:          make([]serve.Stats, len(e.shards)),
 		Waves:             e.waves.Load(),
 		Handoffs:          e.handoffCount.Load(),
 		CrossShard:        e.crossShard.Load(),
 		Drops:             e.drops.Load(),
 		Errs:              e.handoffErrs.Load(),
+		FanOuts:           e.fanOuts.Load(),
 		Exchanges:         e.exchanges.Load(),
 		GhostRows:         e.ghostRows.Load(),
 		GhostRowsAllToAll: e.ghostRowsAll.Load(),
@@ -1160,30 +1329,20 @@ func (e *Engine) Stats() Stats {
 		Migrations:        e.migrations.Load(),
 		MigratedCalls:     e.migratedCalls.Load(),
 	}
-	for i, svc := range e.services {
-		s := svc.Stats()
+	for i, sh := range e.shards {
+		s := sh.stats()
 		st.PerShard[i] = s
 		st.Total = st.Total.Merge(s)
 	}
 	return st
 }
 
-// Close stops handoff intake, waits for the protocol worker, then
-// drains and stops every shard. Idempotent; submissions racing with
-// Close either complete normally or report serve.ErrClosed.
+// Close decides every single still queued on the intake and stops the
+// intake goroutine; afterwards every operation reports serve.ErrClosed.
+// Idempotent; submissions racing with Close either complete normally
+// or report serve.ErrClosed.
 func (e *Engine) Close() error {
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.handoffs)
-	}
-	e.mu.Unlock()
-	<-e.handoffDone
-	var firstErr error
-	for _, svc := range e.services {
-		if err := svc.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	e.intake.Close()
+	e.closed.Store(true)
+	return nil
 }

@@ -18,7 +18,7 @@ var _ cac.Snapshotter = (*Engine)(nil)
 func (e *Engine) snapshotHash() uint64 {
 	h := snap.NewHasher().
 		Str("shard-engine").
-		Int(len(e.services)).
+		Int(len(e.shards)).
 		Int(len(e.stations))
 	for _, bs := range e.stations {
 		h.Int(bs.Hex().Q).Int(bs.Hex().R).Int(bs.Capacity())
@@ -29,8 +29,8 @@ func (e *Engine) snapshotHash() uint64 {
 // SnapshotTo implements cac.Snapshotter: it captures a consistent cut
 // of the whole engine — epoch ownership, tick and load accounting,
 // engine counters, every station's call set and every shard's
-// controller state (each a nested self-describing envelope, captured
-// inside that shard's decision loop via Do).
+// controller state (each a nested self-describing envelope), captured
+// with every shard lock held.
 //
 // The caller must quiesce submissions for the duration (no SubmitWave/
 // SubmitAsync/Handoff in flight), exactly as the closed-loop drivers
@@ -42,6 +42,8 @@ func (e *Engine) SnapshotTo(w io.Writer) error {
 	if err := e.Flush(); err != nil {
 		return err
 	}
+	e.lockAll()
+	defer e.unlockAll()
 	cur := e.own.Load()
 	enc := snap.NewEncoder(w, "shard-engine", e.snapshotHash())
 
@@ -78,26 +80,18 @@ func (e *Engine) SnapshotTo(w io.Writer) error {
 		enc.Blob(buf.Bytes())
 	}
 
-	enc.U32(uint32(len(e.services)))
-	for s := range e.services {
-		var snapErr error
-		hasState := false
+	enc.U32(uint32(len(e.shards)))
+	for _, sh := range e.shards {
+		sn, hasState := sh.ctrl.(cac.Snapshotter)
+		enc.Bool(hasState)
+		if !hasState {
+			continue
+		}
 		buf.Reset()
-		if err := e.services[s].Do(func(ctrl cac.Controller) {
-			if sn, ok := ctrl.(cac.Snapshotter); ok {
-				hasState = true
-				snapErr = sn.SnapshotTo(&buf)
-			}
-		}); err != nil {
+		if err := sn.SnapshotTo(&buf); err != nil {
 			return err
 		}
-		if snapErr != nil {
-			return snapErr
-		}
-		enc.Bool(hasState)
-		if hasState {
-			enc.Blob(buf.Bytes())
-		}
+		enc.Blob(buf.Bytes())
 	}
 	return enc.Close()
 }
@@ -132,8 +126,8 @@ func (e *Engine) RestoreFrom(r io.Reader) error {
 	owner := make([]int32, nOwner)
 	for i := range owner {
 		o := d.Int()
-		if d.Err() == nil && (o < 0 || o >= len(e.services)) {
-			d.Fail("cell %d owned by shard %d of %d", i, o, len(e.services))
+		if d.Err() == nil && (o < 0 || o >= len(e.shards)) {
+			d.Fail("cell %d owned by shard %d of %d", i, o, len(e.shards))
 		}
 		owner[i] = int32(o)
 	}
@@ -179,8 +173,8 @@ func (e *Engine) RestoreFrom(r io.Reader) error {
 	}
 
 	nShards := int(d.U32())
-	if d.Err() == nil && nShards != len(e.services) {
-		d.Fail("snapshot carries %d shards, want %d", nShards, len(e.services))
+	if d.Err() == nil && nShards != len(e.shards) {
+		d.Fail("snapshot carries %d shards, want %d", nShards, len(e.shards))
 	}
 	if err := d.Err(); err != nil {
 		return err
@@ -198,6 +192,8 @@ func (e *Engine) RestoreFrom(r io.Reader) error {
 	// Envelope validated: install ownership, counters, stations and
 	// controller state. Nested envelopes still validate themselves as
 	// they restore.
+	e.lockAll()
+	defer e.unlockAll()
 	e.own.Store(e.buildOwnership(owner, epoch))
 	e.ticks.Store(ticks)
 	for i := range e.cellLoad {
@@ -220,26 +216,16 @@ func (e *Engine) RestoreFrom(r io.Reader) error {
 			return err
 		}
 	}
-	for s := range e.services {
+	for s, sh := range e.shards {
 		if ctrlBlobs[s] == nil {
 			continue
 		}
-		blob := ctrlBlobs[s]
-		var restoreErr error
-		restored := false
-		if err := e.services[s].Do(func(ctrl cac.Controller) {
-			if sn, ok := ctrl.(cac.Snapshotter); ok {
-				restored = true
-				restoreErr = sn.RestoreFrom(bytes.NewReader(blob))
-			}
-		}); err != nil {
-			return err
-		}
-		if restoreErr != nil {
-			return restoreErr
-		}
-		if !restored {
+		sn, ok := sh.ctrl.(cac.Snapshotter)
+		if !ok {
 			return snap.ErrSnapshotStale
+		}
+		if err := sn.RestoreFrom(bytes.NewReader(ctrlBlobs[s])); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -7,10 +7,11 @@ import (
 
 // ShardedEngine is the horizontally sharded admission engine: the
 // network's cells are partitioned across N shards by a deterministic
-// router, each shard runs its own controller behind its own decision
-// loop, waves chunk in global request order with cross-shard barriers,
-// and handoffs travel a serialized two-phase protocol (release on the
-// source shard, admit on the target shard). For cell-local controllers
+// router, each shard holds its own controller behind its own lock and
+// runs its work on the calling goroutine, waves chunk in global
+// request order with cross-shard barriers, and handoffs run a
+// serialized two-phase protocol (release on the source shard, admit on
+// the target shard). For cell-local controllers
 // every outcome is byte-identical for every shard count; see
 // internal/shard for the full contract.
 type ShardedEngine = ishard.Engine
@@ -22,7 +23,7 @@ type ShardedEngineConfig = ishard.Config
 // per-shard controller factory.
 type ShardView = ishard.View
 
-// ShardedStats aggregates per-shard service snapshots (summed
+// ShardedStats aggregates per-shard counter snapshots (summed
 // counters, merged latency percentiles) with the engine's handoff
 // counters.
 type ShardedStats = ishard.Stats
@@ -35,8 +36,10 @@ type (
 	ShardHandoffResult = ishard.HandoffResult
 )
 
-// NewShardedEngine partitions the network and starts one decision loop
-// per shard plus the handoff protocol worker.
+// NewShardedEngine partitions the network, builds one controller per
+// shard and starts the engine's one intake goroutine, which coalesces
+// Submit/SubmitAsync singles; waves, releases, handoffs and ticks run
+// directly on their caller.
 func NewShardedEngine(cfg ShardedEngineConfig) (*ShardedEngine, error) { return ishard.New(cfg) }
 
 // SingleShardView returns the view a 1-shard engine hands its
