@@ -5,10 +5,8 @@
 // JSON decision line per request. The front end is the sharded
 // admission engine: -shards N partitions the network's cells across N
 // parallel decision loops with deterministic routing (the default 1
-// behaves like the classic single loop). With -loadgen N it instead
-// drives itself with the closed-loop synthetic workload and prints a
-// throughput summary (the sharded workload, including cross-shard
-// handoffs, when -shards > 1).
+// behaves like the classic single loop). For a self-driven closed loop
+// through the same engine, run facs-sim -metropolis -metro-mode sharded.
 //
 // Examples:
 //
@@ -16,7 +14,6 @@
 //	facs-serve -compiled -surface-cache /tmp/facs-cache      # warm restarts
 //	facs-serve -listen 127.0.0.1:4747 -controller scc
 //	facs-serve -shards 4 -rings 3                            # sharded engine
-//	facs-serve -loadgen 100000 -wave 128 -batch 64 -shards 4
 //	facs-serve -snapshot-dir /var/lib/facs -snapshot-every-ticks 8 -metrics :9090
 //	facs-serve -restore /var/lib/facs/engine.snap            # warm restart
 //
@@ -92,8 +89,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -137,9 +132,6 @@ type serveOptions struct {
 	rings        int
 	capacity     int
 	guard        int
-	loadgen      int
-	wave         int
-	seed         int64
 	cpuProfile   string
 	memProfile   string
 	traceOut     string
@@ -170,9 +162,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.IntVar(&o.rings, "rings", 1, "network size in hex rings (1 = seven cells)")
 	fs.IntVar(&o.capacity, "capacity", icell.DefaultCapacityBU, "per-station bandwidth in BU")
 	fs.IntVar(&o.guard, "guard", 8, "guard bandwidth for -controller guard")
-	fs.IntVar(&o.loadgen, "loadgen", 0, "run the closed-loop load generator with N requests instead of serving")
-	fs.IntVar(&o.wave, "wave", 64, "requests per wave for -loadgen")
-	fs.Int64Var(&o.seed, "seed", 1, "random seed for -loadgen")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile (stopped at shutdown) to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof allocs profile (post-GC, at shutdown) to this file")
 	fs.StringVar(&o.traceOut, "trace", "", "write a runtime execution trace to this file")
@@ -195,7 +184,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if o.shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
 	}
-	if cells := 1 + 3*o.rings*(o.rings+1); o.rings >= 1 && o.shards > cells {
+	if cells := 1 + 3*o.rings*(o.rings+1); o.rings >= 0 && o.shards > cells {
 		return fmt.Errorf("-shards %d exceeds the deployment's %d cells (an empty shard could never receive traffic)", o.shards, cells)
 	}
 	if _, ok := shardPartitions[o.partition]; !ok {
@@ -210,26 +199,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if o.maxInflight < 1 {
 		return fmt.Errorf("-max-inflight must be >= 1, got %d", o.maxInflight)
 	}
-	// -loadgen always runs the closed loop in commit mode
-	// (experiments.RunStreaming/RunSharded own station state); reject an
-	// explicit -commit=false rather than silently ignoring it.
-	commitSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "commit" {
-			commitSet = true
-		}
-	})
-	if o.loadgen > 0 && commitSet && !o.commit {
-		return fmt.Errorf("-loadgen always commits accepted calls; -commit=false is not supported with it")
-	}
 	if o.snapshotTick < 0 {
 		return fmt.Errorf("-snapshot-every-ticks must be >= 0, got %d", o.snapshotTick)
 	}
 	if o.snapshotTick > 0 && o.snapshotDir == "" {
 		return fmt.Errorf("-snapshot-every-ticks needs a -snapshot-dir")
-	}
-	if o.loadgen > 0 && (o.snapshotDir != "" || o.restorePath != "" || o.metricsAddr != "") {
-		return fmt.Errorf("-snapshot-dir, -restore and -metrics apply to serving runs, not -loadgen")
 	}
 
 	factory, err := controllerFactory(o, stderr)
@@ -250,13 +224,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
-	if o.loadgen > 0 {
-		if o.shards > 1 {
-			return finishProf(runShardedLoadgen(o, factory, stdout))
-		}
-		return finishProf(runLoadgen(o, factory, stdout))
-	}
-
 	netw, err := facs.NewNetwork(facs.NetworkConfig{Rings: o.rings, CapacityBU: o.capacity})
 	if err != nil {
 		return finishProf(err)
@@ -481,111 +448,10 @@ func buildCompiled(grid int, cacheDir string, stderr io.Writer) (facs.Controller
 	return ctrl, nil
 }
 
-// runLoadgen drives the single-loop closed-loop generator and prints a
-// summary.
-func runLoadgen(o serveOptions, factory func(*facs.Network) (facs.Controller, error), stdout io.Writer) error {
-	start := time.Now()
-	res, err := facs.RunStreaming(facs.StreamingConfig{
-		NewController: factory,
-		Rings:         o.rings,
-		CapacityBU:    o.capacity,
-		Requests:      o.loadgen,
-		Wave:          o.wave,
-		MaxBatch:      o.batch,
-		MaxDelay:      o.maxDelay,
-		Seed:          o.seed,
-	})
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(stdout, "scenario      closed-loop streaming (%d rings x %d BU)\n", o.rings, o.capacity)
-	fmt.Fprintf(stdout, "controller    %s\n", res.ControllerName)
-	fmt.Fprintf(stdout, "requested     %d in %d waves of %d\n", res.Requested, res.Waves, o.wave)
-	fmt.Fprintf(stdout, "accepted      %d (%.1f%%), committed %d, released %d\n",
-		res.Accepted, res.AcceptedPct(), res.Committed, res.Released)
-	fmt.Fprintf(stdout, "throughput    %.0f decisions/s (%.2fs total, incl. setup)\n",
-		float64(res.Requested)/elapsed.Seconds(), elapsed.Seconds())
-	fmt.Fprintf(stdout, "latency       avg %s p50 %s p99 %s max %s\n",
-		res.Stats.AvgLatency, res.Stats.P50Latency(), res.Stats.P99Latency(), res.Stats.MaxLatency)
-	fmt.Fprintf(stdout, "per-class     %s\n", classBreakdown(res.ByClass))
-	fmt.Fprintf(stdout, "service       %s\n", res.Stats)
-	if res.Ledger != nil {
-		fmt.Fprintf(stdout, "controller    %s\n", res.Ledger)
-	}
-	return nil
-}
-
-// classBreakdown renders per-class accept rates in ascending class
-// order, so the summary line is byte-stable run to run (and golden
-// tests can pin it).
-func classBreakdown(m map[facs.Class]facs.ClassTally) string {
-	classes := make([]facs.Class, 0, len(m))
-	for c := range m { //facs:orderless key collection; rendered in sorted class order below
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	parts := make([]string, 0, len(classes))
-	for _, c := range classes {
-		t := m[c]
-		pct := 0.0
-		if t.Requested > 0 {
-			pct = 100 * float64(t.Accepted) / float64(t.Requested)
-		}
-		parts = append(parts, fmt.Sprintf("%s %d/%d (%.1f%%)", c, t.Accepted, t.Requested, pct))
-	}
-	return strings.Join(parts, "  ")
-}
-
 // shardPartitions maps the -partition flag to layouts.
 var shardPartitions = map[string]facs.ShardPartition{
 	"roundrobin": facs.PartitionRoundRobin,
 	"blocks":     facs.PartitionBlocks,
-}
-
-// runShardedLoadgen drives the sharded closed-loop generator (with
-// cross-shard handoffs) and prints a summary.
-func runShardedLoadgen(o serveOptions, factory func(*facs.Network) (facs.Controller, error), stdout io.Writer) error {
-	start := time.Now()
-	res, err := facs.RunSharded(facs.ShardedConfig{
-		NewController: func(v facs.ShardView) (facs.Controller, error) {
-			return factory(v.Network())
-		},
-		Shards:               o.shards,
-		Rings:                o.rings,
-		CapacityBU:           o.capacity,
-		Requests:             o.loadgen,
-		Wave:                 o.wave,
-		MaxBatch:             o.batch,
-		MaxDelay:             o.maxDelay,
-		Seed:                 o.seed,
-		Partition:            shardPartitions[o.partition],
-		RebalanceEveryTicks:  o.rebalTicks,
-		Rebalance:            facs.ShardPlannerConfig{MaxMoves: o.rebalMoves},
-		DisableInterestScope: o.noScope,
-	})
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	total := res.Stats.Total
-	fmt.Fprintf(stdout, "scenario      closed-loop sharded (%d rings x %d BU, %d shards)\n", o.rings, o.capacity, res.Shards)
-	fmt.Fprintf(stdout, "controller    %s (cell-local %v)\n", res.ControllerName, res.CellLocal)
-	fmt.Fprintf(stdout, "requested     %d in %d waves of %d\n", res.Requested, res.Waves, o.wave)
-	fmt.Fprintf(stdout, "accepted      %d (%.1f%%), committed %d, released %d\n",
-		res.Accepted, res.AcceptedPct(), res.Committed, res.Released)
-	fmt.Fprintf(stdout, "handoffs      %d (%d cross-shard, %d dropped)\n",
-		res.Handoffs, res.CrossShard, res.HandoffDropped)
-	fmt.Fprintf(stdout, "throughput    %.0f decisions/s (%.2fs total, incl. setup)\n",
-		float64(res.Requested)/elapsed.Seconds(), elapsed.Seconds())
-	fmt.Fprintf(stdout, "latency       avg %s p50 %s p99 %s max %s\n",
-		total.AvgLatency, total.P50Latency(), total.P99Latency(), total.MaxLatency)
-	fmt.Fprintf(stdout, "per-class     %s\n", classBreakdown(res.ByClass))
-	fmt.Fprintf(stdout, "engine        %s\n", res.Stats)
-	if len(res.Ledgers) > 0 {
-		fmt.Fprintf(stdout, "controller    %s across %d shard ledgers\n", res.LedgerTotal(), len(res.Ledgers))
-	}
-	return nil
 }
 
 // admitter is the front-end surface serveStream drives; both the

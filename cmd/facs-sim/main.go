@@ -14,6 +14,7 @@
 //	facs-sim -batch -n 10000 -active 500     # one-shot batch admission sweep
 //	facs-sim -metropolis -controller guard   # city-scale diurnal day, batch path
 //	facs-sim -metropolis -metro-mode sharded -shards 4 -target 500000
+//	facs-sim -metropolis -rings 2 -capacity 40 -metro-mode sharded -shards 4  # contested
 package main
 
 import (
@@ -69,8 +70,8 @@ type simOptions struct {
 	rings        int
 	target       int
 	waves        int
+	capacity     int
 	measureMem   bool
-	materialize  bool
 	snapshotDir  string
 	snapshotTick int
 	restorePath  string
@@ -110,8 +111,8 @@ func run(args []string) error {
 	fs.IntVar(&o.rings, "rings", 0, "hex rings for -metropolis (0 = default 18: 1027 cells)")
 	fs.IntVar(&o.target, "target", 0, "peak concurrent-call target for -metropolis (0 = default 20000)")
 	fs.IntVar(&o.waves, "waves", 0, "decision waves for -metropolis (0 = one simulated day)")
+	fs.IntVar(&o.capacity, "capacity", 0, "per-station bandwidth in BU for -metropolis (0 = derived from -target, at least 40)")
 	fs.BoolVar(&o.measureMem, "measure-mem", false, "report heap bytes per concurrent call at the population peak (-metropolis)")
-	fs.BoolVar(&o.materialize, "metro-materialize", false, "materialize whole waves instead of streaming MaxBatch chunks (-metropolis A/B check)")
 	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "directory for durable run snapshots (-metropolis; written atomically as "+facs.MetroSnapshotFile+")")
 	fs.IntVar(&o.snapshotTick, "snapshot-every-ticks", 0, "snapshot every N tick barriers into -snapshot-dir (-metropolis; 0 = only on interrupt)")
 	fs.StringVar(&o.restorePath, "restore", "", "warm-start a -metropolis run from a snapshot file")
@@ -149,8 +150,11 @@ func run(args []string) error {
 		if o.reps > 1 || o.workers != 0 {
 			return fmt.Errorf("-metropolis runs one scenario; -reps/-workers do not apply")
 		}
-	} else if o.materialize {
-		return fmt.Errorf("-metro-materialize applies to -metropolis runs")
+		if o.capacity < 0 {
+			return fmt.Errorf("-capacity must be >= 0, got %d", o.capacity)
+		}
+	} else if o.capacity != 0 {
+		return fmt.Errorf("-capacity applies to -metropolis runs")
 	}
 	if !o.metropolis && (o.snapshotDir != "" || o.snapshotTick != 0 || o.restorePath != "") {
 		return fmt.Errorf("-snapshot-dir/-snapshot-every-ticks/-restore apply to -metropolis runs")
@@ -432,11 +436,11 @@ func runMetropolis(o simOptions) error {
 		Rebalance:            facs.ShardPlannerConfig{MaxMoves: o.rebalMoves},
 		DisableInterestScope: o.noScope,
 		Rings:                o.rings,
+		CapacityBU:           o.capacity,
 		TargetCalls:          o.target,
 		Waves:                o.waves,
 		Seed:                 o.seed,
 		MeasureMem:           o.measureMem,
-		Materialize:          o.materialize,
 		SnapshotDir:          o.snapshotDir,
 		SnapshotEveryTicks:   o.snapshotTick,
 		Restore:              o.restorePath,

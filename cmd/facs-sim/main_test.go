@@ -148,6 +148,9 @@ func TestRunMetropolisCLI(t *testing.T) {
 	if err := run(append(small, "-metro-mode", "single", "-controller", "cs")); err != nil {
 		t.Fatal(err)
 	}
+	if err := run(append(small, "-controller", "guard", "-capacity", "40")); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRunMetropolisBadFlags(t *testing.T) {
@@ -168,6 +171,12 @@ func TestRunMetropolisBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-metropolis", "-controller", "bogus"}); err == nil {
 		t.Fatal("unknown controller should fail")
+	}
+	if err := run([]string{"-metropolis", "-capacity", "-1"}); err == nil {
+		t.Fatal("negative -capacity should fail")
+	}
+	if err := run([]string{"-n", "10", "-capacity", "40"}); err == nil {
+		t.Fatal("-capacity without -metropolis should fail")
 	}
 }
 

@@ -98,10 +98,8 @@
 //
 // Micro-batching cannot change outcomes: without Commit a streamed run
 // is byte-identical to DecideAll over the same requests, and waves
-// chunk at deterministic batch boundaries only. RunStreaming is the
-// closed-loop load generator over the service (facs-serve -loadgen),
-// and the cmd/facs-serve binary serves newline-delimited JSON over
-// stdin or TCP.
+// chunk at deterministic batch boundaries only. The cmd/facs-serve
+// binary serves newline-delimited JSON over stdin or TCP.
 //
 // # Sharded admission engine
 //
@@ -121,11 +119,11 @@
 //
 // For cell-local controllers (CellLocalController: FACS exact and
 // compiled, the classical baselines) every outcome is byte-identical
-// for every shard count — pinned against an inline sequential replay —
-// while throughput scales with cores. RunSharded / RunShardedSweep
-// drive the closed-loop sharded workload (facs-serve -loadgen -shards
-// N), and facs-serve -shards N serves the engine over NDJSON including
-// the handoff wire op. ARCHITECTURE.md's "The sharded engine" section
+// for every shard count — pinned against the inline batch engine —
+// while throughput scales with cores. RunMetropolis with MetroSharded
+// drives the closed loop through the engine (facs-sim -metropolis
+// -metro-mode sharded -shards N), and facs-serve -shards N serves it
+// over NDJSON including the handoff wire op. ARCHITECTURE.md's "The sharded engine" section
 // records the router, the protocol and the determinism argument.
 //
 // # Surface persistence

@@ -109,44 +109,6 @@ type (
 // RunBatchAdmission executes the batch admission sweep.
 var RunBatchAdmission = iexp.RunBatchAdmission
 
-// StreamingConfig parameterises the closed-loop streaming load
-// generator: waves of synthetic requests streamed through an
-// AdmissionService with per-wave call releases and controller ticks;
-// StreamingResult aggregates the deterministic decision stream and the
-// service statistics.
-type (
-	StreamingConfig = iexp.StreamingConfig
-	StreamingResult = iexp.StreamingResult
-	// ClassTally counts one traffic class's streamed outcomes; summary
-	// printers must render per-class maps in sorted class order.
-	ClassTally = iexp.ClassTally
-)
-
-// RunStreaming executes the closed-loop streaming scenario. Equal
-// configurations produce byte-identical decision streams regardless of
-// timing (see internal/serve's determinism contract).
-var RunStreaming = iexp.RunStreaming
-
-// ShardedConfig parameterises the closed-loop sharded load generator:
-// waves of synthetic requests streamed through a ShardedEngine with
-// per-wave releases, barrier ticks and cross-cell (often cross-shard)
-// handoffs; ShardedResult aggregates the deterministic decision and
-// handoff streams plus engine statistics.
-type (
-	ShardedConfig = iexp.ShardedConfig
-	ShardedResult = iexp.ShardedResult
-)
-
-// RunSharded executes the closed-loop sharded scenario for one shard
-// count; RunShardedSweep repeats the identical workload once per shard
-// count (for cell-local controllers, every entry's decision and
-// handoff streams are byte-identical — only wall-clock and the
-// cross-shard split change).
-var (
-	RunSharded      = iexp.RunSharded
-	RunShardedSweep = iexp.RunShardedSweep
-)
-
 // MetropolisConfig parameterises the metropolis-scale workload: a
 // city-sized hex deployment (a thousand-plus cells by default) under
 // one simulated day of diurnal traffic with rush-hour mobility steered

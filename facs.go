@@ -212,7 +212,7 @@ func NewSCCLedger(cfg SCCConfig) (*SCCLedger, error) { return iscc.NewLedger(cfg
 // counters — guard-band fallbacks, rebuilds and ghost-exchange activity
 // — taken via SCCLedger.Snapshot from the decision loop that owns the
 // ledger (e.g. a ShardedEngine.Do barrier). Snapshots aggregate with
-// Add; RunSharded and RunStreaming capture them automatically.
+// Add; facs-serve prints the per-shard total at end of stream.
 type SCCLedgerStats = iscc.LedgerStats
 
 // CompleteSharing is the simplest baseline: admit whenever the call fits.

@@ -1,13 +1,10 @@
 // Package experiments contains the reproduction and load harness: one
 // driver per figure of the paper's evaluation section (Figs. 7-10), the
 // ablation studies enumerated in ablations.go, the one-shot batch
-// admission sweep (RunBatchAdmission), the closed-loop streaming load
-// generator (RunStreaming) over the internal/serve service, the
-// closed-loop sharded load generator (RunSharded / RunShardedSweep)
-// over the internal/shard engine, and the metropolis-scale diurnal
-// workload (RunMetropolis) — a city-sized hex deployment with
-// rush-hour hotspot mobility, runnable through the single, batch and
-// sharded decision paths.
+// admission sweep (RunBatchAdmission), and the one closed-loop driver:
+// the metropolis-scale diurnal workload (RunMetropolis) — a hex
+// deployment of any size with rush-hour hotspot mobility, runnable
+// through the single, inline batch and internal/shard decision paths.
 //
 // # Determinism
 //
@@ -15,15 +12,14 @@
 // replication derives all of its randomness from its own seed via
 // sim.NewStream, so figure results are byte-identical for every worker
 // count (RunSingleCellSeeds/RunMultiCellSeeds shard replications over a
-// worker pool), RunStreaming produces byte-identical decision streams
-// regardless of service timing because waves chunk only at MaxBatch
-// boundaries, and RunSharded produces byte-identical decision and
-// handoff streams for every shard count when the controller is
-// cell-local (cac.CellLocal), and RunMetropolis folds every decision
-// into one FNV-1a digest that is identical across repeats, decision
-// paths and shard counts for cell-local controllers. The determinism
-// suites in parallel_test.go, dispatch_test.go, streaming_test.go,
-// sharded_test.go and metropolis_test.go pin these contracts.
+// worker pool), and RunMetropolis folds every decision into one FNV-1a
+// digest that is identical across repeats, and — for cell-local
+// controllers (cac.CellLocal) — across decision paths and shard counts,
+// because waves chunk only at MaxBatch boundaries. The inline batch
+// path runs no shard code, so it is the sequential oracle the sharded
+// engine is pinned against. The determinism suites in parallel_test.go,
+// dispatch_test.go, sharded_test.go, ghost_test.go, rebalance_test.go
+// and metropolis_test.go pin these contracts.
 //
 // # Entry points
 //
@@ -31,11 +27,9 @@
 // a FigureConfig (load points, seeds, workers, compiled fast path);
 // AllAblations runs the sensitivity studies; RunSingleCell/RunMultiCell
 // execute one scenario; RunBatchAdmission sweeps a request batch
-// against a loaded network snapshot; RunStreaming drives the streaming
-// admission service with waves, held calls and controller ticks;
-// RunSharded drives the sharded engine with the same closed loop plus
-// neighbour handoffs (RunShardedSweep repeats it per shard count);
-// RunMetropolis runs the city-scale diurnal day. The controller
+// against a loaded network snapshot; RunMetropolis runs the closed
+// loop — waves of arrivals, held calls, releases, barrier ticks and
+// neighbour handoffs — over a diurnal day. The controller
 // factories (FACSFactory, CompiledFACSFactory, SCCFactory,
 // SCCRecomputeFactory) build the multi-cell contestants.
 package experiments

@@ -17,143 +17,48 @@ func ghostLedgerFactory(mode scc.ReservationMode) func(shard.View) (cac.Controll
 	}
 }
 
-// tickAlignedConfig is the golden workload: every wave fits one
-// MaxBatch chunk and is followed by a barrier tick (whose exchange
-// republishes every shard's demand), and handoffs — which would inject
-// cross-shard mutations between barriers — never fire. Under it, every
-// admission any shard performs is visible to every other shard before
-// the next decision is rendered, exactly like the single sequential
-// ledger.
-func tickAlignedConfig(mode scc.ReservationMode) ShardedConfig {
-	return ShardedConfig{
-		NewController:     ghostLedgerFactory(mode),
-		Rings:             2, // 19 cells
-		Requests:          600,
-		Wave:              40, // == MaxBatch default: one chunk per wave
-		HoldWaves:         3,
-		TickEveryWaves:    1,       // barrier tick + ghost exchange after every wave
-		HandoffEveryWaves: 1 << 30, // no handoff rounds
-		Seed:              47,
-	}
+// tickAlignedConfig is the golden SCC workload: every wave fits one
+// MaxBatch chunk (the diurnal peak schedules TargetCalls / mean hold =
+// 80 arrivals), a barrier tick — whose exchange republishes every
+// shard's demand — precedes every wave, and handoffs, which would
+// inject cross-shard mutations between barriers, never fire. Under it,
+// every admission any shard performs is visible to every other shard
+// before the next decision is rendered, exactly like the single
+// sequential ledger.
+func tickAlignedConfig(mode scc.ReservationMode) MetropolisConfig {
+	cfg := contestedConfig(ghostLedgerFactory(mode))
+	cfg.TickEveryWaves = 1
+	cfg.HandoffEveryWaves = 1 << 30
+	cfg.MaxBatch = 128
+	return cfg
 }
 
-// TestShardedSCCGhostExchangeByteIdentity is the tentpole acceptance
-// suite: with tick-aligned waves the ghost-demand exchange restores the
-// Shadow Cluster baseline's GLOBAL demand visibility, so sharded SCC
-// decisions are byte-identical at shard counts 1/2/4/8 to the
-// sequential single-ledger replay. ReservationFull aggregates are sums
-// of whole bandwidth units, making the identity exact by construction;
-// the weighted mode is pinned at the same seeds (summation-order noise
-// is orders of magnitude below the ledger's guard band).
+// TestShardedSCCGhostExchangeByteIdentity pins the ghost exchange:
+// with tick-aligned waves it restores the Shadow Cluster baseline's
+// GLOBAL demand visibility, so sharded SCC decisions are byte-identical
+// at shard counts 1/2/4/8 to the inline single-ledger run.
+// ReservationFull aggregates are sums of whole bandwidth units, making
+// the identity exact by construction; the weighted mode is pinned at
+// the same seed (summation-order noise is orders of magnitude below
+// the ledger's guard band).
 func TestShardedSCCGhostExchangeByteIdentity(t *testing.T) {
 	for _, mode := range []scc.ReservationMode{scc.ReservationFull, scc.ReservationWeighted} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := tickAlignedConfig(mode)
-			oracle := replaySharded(t, cfg)
+			oracle, results := sweepShards(t, mode.String(), cfg)
 			if oracle.Accepted == 0 || oracle.Accepted == oracle.Requested || oracle.Released == 0 {
 				// Without both accepts and demand-driven rejects the
 				// identity would hold vacuously.
-				t.Fatalf("degenerate workload: %+v", oracle)
-			}
-
-			results, err := RunShardedSweep(cfg, []int{1, 2, 4, 8})
-			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("uncontested workload: %+v", oracle)
 			}
 			for _, res := range results {
-				label := mode.String() + "/shards-" + string(rune('0'+res.Shards))
-				assertShardedEqual(t, res, oracle, label)
-				if res.CellLocal {
-					t.Fatalf("%s: SCC shards must not report cell-local", label)
+				if res.Shards > 1 && res.GhostRows == 0 {
+					t.Fatalf("shards-%d: exchange fanned out no demand rows", res.Shards)
 				}
-				if res.Stats.Exchanges == 0 {
-					t.Fatalf("%s: no ghost exchanges ran", label)
-				}
-				if res.Shards > 1 && res.Stats.GhostRows == 0 {
-					t.Fatalf("%s: exchange fanned out no demand rows", label)
-				}
-				if res.Shards == 1 && res.Stats.GhostRows != 0 {
-					t.Fatalf("%s: a 1-shard engine has no siblings to fan rows to", label)
-				}
-				total := res.LedgerTotal()
-				if total.Exports == 0 || (res.Shards > 1 && total.GhostApplies == 0) {
-					t.Fatalf("%s: ledger snapshots missed the exchange: %+v", label, total)
+				if res.Shards == 1 && res.GhostRows != 0 {
+					t.Fatalf("shards-1: a 1-shard engine has no siblings to fan %d rows to", res.GhostRows)
 				}
 			}
 		})
-	}
-}
-
-// divergence counts position-wise mismatches and reports the index of
-// the first one (-1 when the streams agree).
-func divergence(got, want []cac.Decision) (count, first int) {
-	first = -1
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			if first < 0 {
-				first = i
-			}
-			count++
-		}
-	}
-	return count, first
-}
-
-// TestShardedSCCFreeRunningDivergenceBounded quantifies the model gap
-// that remains when waves free-run between barriers (ticks every 4
-// waves): shards only learn of each other's admissions at the next
-// exchange, so decisions may diverge from the sequential replay — but
-// ONLY from intra-epoch admissions. Concretely: the first wave after a
-// barrier decides against fully synchronized demand, so the FIRST
-// divergent decision must sit in an intra-epoch wave; and switching the
-// exchange off (the pre-exchange partitioned-visibility model) must
-// diverge at least as much, never less.
-func TestShardedSCCFreeRunningDivergenceBounded(t *testing.T) {
-	cfg := tickAlignedConfig(scc.ReservationFull)
-	cfg.TickEveryWaves = 4
-	cfg.Shards = 4
-	oracle := replaySharded(t, cfg)
-
-	withExchange, err := RunSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noExchange := cfg
-	noExchange.DisableExchange = true
-	without, err := RunSharded(noExchange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.Stats.Exchanges != 0 {
-		t.Fatalf("disabled run exchanged: %+v", without.Stats)
-	}
-
-	divWith, firstWith := divergence(withExchange.Decisions, oracle.Decisions)
-	divWithout, _ := divergence(without.Decisions, oracle.Decisions)
-	t.Logf("free-running divergence vs sequential replay: %d/%d with exchange (first at %d), %d/%d without",
-		divWith, len(oracle.Decisions), firstWith, divWithout, len(oracle.Decisions))
-
-	if divWithout == 0 {
-		t.Fatal("partitioned visibility never diverged: the workload cannot distinguish the models")
-	}
-	if divWith > divWithout {
-		t.Fatalf("exchange increased divergence: %d with vs %d without", divWith, divWithout)
-	}
-	if firstWith >= 0 {
-		// Requests stream in fixed-size waves, so an index maps straight
-		// to its wave. A wave w with w%TickEveryWaves == 0 was decided
-		// right after a barrier exchange against fully synchronized
-		// demand: state there is identical to the sequential replay's
-		// until an earlier divergence exists, so the FIRST divergence
-		// cannot sit in such a wave.
-		wave := firstWith / cfg.Wave
-		if wave%cfg.TickEveryWaves == 0 {
-			t.Fatalf("first divergence at request %d falls in tick-aligned wave %d", firstWith, wave)
-		}
-	}
-	// The exchange must close most of the gap on this workload; the
-	// residual is bounded well below the partitioned model's divergence.
-	if divWith*2 > divWithout {
-		t.Fatalf("exchange left %d of %d divergences — more than half the partitioned model's", divWith, divWithout)
 	}
 }

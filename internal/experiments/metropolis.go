@@ -137,16 +137,6 @@ type MetropolisConfig struct {
 	// forced GC at the predicted population peak (default off: the GC
 	// pass costs wall-clock, never outcomes).
 	MeasureMem bool
-	// Materialize restores the pre-streaming arrival path: each wave's
-	// full request slice is generated up front and handed to the engine
-	// in one call. The default (false) streams arrivals in
-	// MaxBatch-sized chunks from persistent scratch, so a wave's memory
-	// footprint is O(MaxBatch) instead of O(arrivals). The two paths
-	// are byte-identical: engines chunk waves at MaxBatch boundaries
-	// anyway, so feeding pre-chunked waves produces the same decision
-	// stream and DecisionHash. Materialize exists for exactly that
-	// identity check (and for A/B measurement).
-	Materialize bool
 	// SnapshotDir, when non-empty, enables durable snapshots: the run
 	// writes metropolis.snap into this directory (atomically, via a
 	// temp-file rename) every SnapshotEveryTicks tick barriers and once
@@ -900,9 +890,8 @@ type metroRun struct {
 	result     MetropolisResult
 	hash       fnv1a
 	ledger     metroLedger
-	// Wave scratch, reused across waves: the streaming path sizes it at
-	// one MaxBatch chunk; the materialized path grows it once to the
-	// largest scheduled wave.
+	// Wave scratch, reused across waves: arrivals stream through it one
+	// MaxBatch chunk at a time.
 	reqs  []cac.Request
 	outs  []metroOutcome
 	holds []int
@@ -986,20 +975,12 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 		return nil, err
 	}
 
-	// Size the wave scratch once: a streaming run never holds more than
-	// one MaxBatch chunk; a materialized run holds the largest wave.
-	scratch := cfg.MaxBatch
-	if cfg.Materialize {
-		for _, n := range r.workload.arrivals {
-			if n > scratch {
-				scratch = n
-			}
-		}
-	}
-	r.reqs = make([]cac.Request, 0, scratch)
-	r.outs = make([]metroOutcome, scratch)
-	r.holds = make([]int, 0, scratch)
-	r.cells = make([]int, 0, scratch)
+	// Size the wave scratch once: a run never holds more than one
+	// MaxBatch chunk of arrivals.
+	r.reqs = make([]cac.Request, 0, cfg.MaxBatch)
+	r.outs = make([]metroOutcome, cfg.MaxBatch)
+	r.holds = make([]int, 0, cfg.MaxBatch)
+	r.cells = make([]int, 0, cfg.MaxBatch)
 
 	if cfg.MeasureMem {
 		r.peakWave = r.workload.peakWave()
@@ -1091,18 +1072,12 @@ func (r *metroRun) runWave() error {
 	}
 
 	// Arrivals: the wave's scheduled draw from the diurnal curve,
-	// streamed through the engine seam one MaxBatch chunk at a time
-	// (Materialize hands the whole wave over in one call instead).
-	// Engines re-chunk waves at MaxBatch boundaries, so the chunk
-	// cadence changes no decision and no hash — only the footprint.
+	// streamed through the engine seam one MaxBatch chunk at a time, so
+	// a wave's footprint is O(MaxBatch) rather than O(arrivals).
 	n := workload.arrivals[wave]
 	workload.ensureCellCum(wave)
-	step := n
-	if !cfg.Materialize && cfg.MaxBatch < n {
-		step = cfg.MaxBatch
-	}
-	for lo := 0; lo < n; lo += step {
-		m := step
+	for lo := 0; lo < n; lo += cfg.MaxBatch {
+		m := cfg.MaxBatch
 		if lo+m > n {
 			m = n - lo
 		}

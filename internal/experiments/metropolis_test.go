@@ -57,6 +57,7 @@ func TestMetropolisRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMetroOutcome(t, "repeat", a, b)
+	assertConserved(t, "repeat", a)
 	if a.Requested == 0 || a.Committed == 0 || a.Handoffs == 0 || a.Released == 0 {
 		t.Fatalf("degenerate run: %+v", a)
 	}
@@ -166,6 +167,10 @@ func TestMetropolisSCCReproducible(t *testing.T) {
 	}
 }
 
+// metroGoldenHash is the frozen DecisionHash of metroTestConfig on the
+// guard channel.
+const metroGoldenHash uint64 = 0x46af924cb8e9eacc
+
 // TestMetropolisGolden freezes the guard-channel scenario's decision
 // digest: any change to workload generation, chunking, commit order or
 // the hash itself shows up as a different constant.
@@ -174,9 +179,8 @@ func TestMetropolisGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantHash uint64 = 0x46af924cb8e9eacc
-	if res.DecisionHash != wantHash {
-		t.Errorf("DecisionHash = %#x, want %#x (golden)", res.DecisionHash, wantHash)
+	if res.DecisionHash != metroGoldenHash {
+		t.Errorf("DecisionHash = %#x, want %#x (golden)", res.DecisionHash, metroGoldenHash)
 	}
 }
 

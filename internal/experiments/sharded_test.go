@@ -1,23 +1,14 @@
 package experiments
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
-	"time"
 
 	"facs/internal/cac"
-	"facs/internal/cell"
 	"facs/internal/facs"
-	"facs/internal/gps"
 	"facs/internal/scc"
 	"facs/internal/shard"
-	"facs/internal/sim"
 )
-
-// observeAt mirrors the engine's handoff request construction.
-func observeAt(est gps.Estimate, bs *cell.BaseStation) gps.Observation {
-	return gps.Observe(est, bs.Pos())
-}
 
 // shardGuardFactory hands every shard the same stateless guard-channel
 // baseline (cell-local: outcomes must be shard-count-invariant).
@@ -41,202 +32,74 @@ func shardLedgerFactory(v shard.View) (cac.Controller, error) {
 	})
 }
 
-// replaySharded is the sequential oracle: the identical closed loop —
-// same seeded draws, same MaxBatch chunking, same two-phase handoff
-// protocol — executed inline against the single controller a 1-shard
-// engine would build, without any service or goroutine. Byte-identical
-// output proves the sharded engine computes exactly this.
-func replaySharded(t *testing.T, cfg ShardedConfig) ShardedResult {
-	t.Helper()
-	cfg = cfg.withDefaults()
-	net, err := cell.NewNetwork(cell.NetworkConfig{
-		Rings:       cfg.Rings,
-		CellRadiusM: cfg.CellRadiusM,
-		CapacityBU:  cfg.CapacityBU,
-	})
-	if err != nil {
-		t.Fatal(err)
+// contestedConfig is the small-ring closed loop the sharded identity
+// pins run on: 19 cells at the paper's 40 BU, so capacity binds and
+// both accepts and rejects (and handoff drops) occur, with handoffs
+// every other wave and a barrier tick every fourth.
+func contestedConfig(factory func(shard.View) (cac.Controller, error)) MetropolisConfig {
+	return MetropolisConfig{
+		NewController: factory,
+		Rings:         2,
+		CapacityBU:    40,
+		TargetCalls:   400,
+		Waves:         24,
+		WavesPerDay:   24,
+		MaxBatch:      16,
+		Seed:          29,
 	}
-	controller, err := cfg.NewController(shard.SingleView(net))
-	if err != nil {
-		t.Fatal(err)
-	}
-	observer, _ := controller.(cac.Observer)
-	ticker, _ := controller.(cac.Ticker)
-	sampleCfg := BatchAdmissionConfig{
-		Rings:       cfg.Rings,
-		CellRadiusM: cfg.CellRadiusM,
-		CapacityBU:  cfg.CapacityBU,
-		Mix:         cfg.Mix,
-		SpeedKmh:    cfg.SpeedKmh,
-	}
-	rng := sim.NewStream(cfg.Seed, "sharded")
-	result := ShardedResult{ControllerName: controller.Name(), Shards: 1}
-
-	// commit mirrors serve's finish: allocate and notify on success.
-	commit := func(req cac.Request) bool {
-		call := req.Call
-		call.AdmittedAt = req.Now
-		call.Handoff = req.Handoff
-		if err := req.Station.Admit(call); err != nil {
-			return false
-		}
-		if observer != nil {
-			observer.OnAdmit(req)
-		}
-		return true
-	}
-
-	var active []shardedCall
-	now := 0.0
-	for wave := 0; result.Requested < cfg.Requests; wave++ {
-		keep := active[:0]
-		for _, c := range active {
-			if c.releaseWave <= wave {
-				if _, err := c.station.Release(c.id); err != nil {
-					t.Fatal(err)
-				}
-				if observer != nil {
-					observer.OnRelease(c.id, c.station, now)
-				}
-				result.Released++
-			} else {
-				keep = append(keep, c)
-			}
-		}
-		active = keep
-		if wave > 0 && wave%cfg.TickEveryWaves == 0 && ticker != nil {
-			ticker.OnTick(now)
-		}
-
-		if wave > 0 && wave%cfg.HandoffEveryWaves == 0 {
-			keep = active[:0]
-			for i := range active {
-				c := active[i]
-				if rng.Float64() >= cfg.HandoffFraction {
-					keep = append(keep, c)
-					continue
-				}
-				neighbors := net.Neighbors(c.station.Hex())
-				if len(neighbors) == 0 {
-					keep = append(keep, c)
-					continue
-				}
-				target := neighbors[rng.Intn(len(neighbors))]
-				est := sampleHandoffEstimate(rng, target, cfg)
-				// Two-phase protocol, inline: source release, then
-				// target admission as its own single-request chunk.
-				call, err := c.station.Release(c.id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if observer != nil {
-					observer.OnRelease(c.id, c.station, now)
-				}
-				req := cac.Request{
-					Call:    cell.Call{ID: call.ID, Class: call.Class, BU: call.BU},
-					Station: target,
-					Obs:     observeAt(est, target),
-					Est:     est,
-					Handoff: true,
-					Now:     now,
-				}
-				decisions, err := cac.DecideAll(controller, []cac.Request{req})
-				if err != nil {
-					t.Fatal(err)
-				}
-				result.Handoffs++
-				result.HandoffDecisions = append(result.HandoffDecisions, decisions[0])
-				if !decisions[0].Accepted() || !commit(req) {
-					result.HandoffDropped++
-					continue
-				}
-				c.station = target
-				c.est = est
-				keep = append(keep, c)
-			}
-			active = keep
-		}
-
-		k := cfg.Wave
-		if remaining := cfg.Requests - result.Requested; k > remaining {
-			k = remaining
-		}
-		reqs := make([]cac.Request, k)
-		for i := 0; i < k; i++ {
-			req, err := sampleBatchRequest(rng, net, sampleCfg, result.Requested+i+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Now = now
-			reqs[i] = req
-		}
-		for lo := 0; lo < k; lo += cfg.MaxBatch {
-			hi := lo + cfg.MaxBatch
-			if hi > k {
-				hi = k
-			}
-			chunk := reqs[lo:hi]
-			decisions, err := cac.DecideAll(controller, chunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, d := range decisions {
-				result.Decisions = append(result.Decisions, d)
-				if !d.Accepted() {
-					continue
-				}
-				result.Accepted++
-				if !commit(chunk[i]) {
-					continue
-				}
-				result.Committed++
-				active = append(active, shardedCall{
-					releaseWave: wave + cfg.HoldWaves,
-					id:          chunk[i].Call.ID,
-					station:     chunk[i].Station,
-					est:         chunk[i].Est,
-				})
-			}
-		}
-		result.Requested += k
-		result.Waves++
-		now += cfg.WaveIntervalSec
-	}
-	return result
 }
 
-func assertShardedEqual(t *testing.T, got, want ShardedResult, label string) {
+// assertConserved checks call conservation on an uninterrupted run:
+// every committed call is still active unless it was released or
+// dropped on a failed handoff.
+func assertConserved(t *testing.T, label string, r MetropolisResult) {
 	t.Helper()
-	if got.Requested != want.Requested || got.Accepted != want.Accepted ||
-		got.Committed != want.Committed || got.Released != want.Released ||
-		got.Waves != want.Waves || got.Handoffs != want.Handoffs ||
-		got.HandoffDropped != want.HandoffDropped {
-		t.Fatalf("%s: aggregate mismatch:\n got {req %d acc %d com %d rel %d waves %d ho %d drop %d}\nwant {req %d acc %d com %d rel %d waves %d ho %d drop %d}",
-			label,
-			got.Requested, got.Accepted, got.Committed, got.Released, got.Waves, got.Handoffs, got.HandoffDropped,
-			want.Requested, want.Accepted, want.Committed, want.Released, want.Waves, want.Handoffs, want.HandoffDropped)
+	if want := r.Committed - r.Released - r.HandoffDropped; r.FinalActive != want {
+		t.Errorf("%s: FinalActive %d != Committed %d - Released %d - HandoffDropped %d",
+			label, r.FinalActive, r.Committed, r.Released, r.HandoffDropped)
 	}
-	if !reflect.DeepEqual(got.Decisions, want.Decisions) {
-		for i := range want.Decisions {
-			if i < len(got.Decisions) && got.Decisions[i] != want.Decisions[i] {
-				t.Fatalf("%s: decision %d is %v, want %v", label, i, got.Decisions[i], want.Decisions[i])
-			}
+}
+
+// sweepShards runs base on the inline batch engine — the sequential
+// oracle, which runs no shard code — and then on the sharded engine at
+// 1, 2, 4 and 8 shards, requiring each sharded run to reproduce the
+// oracle's DecisionHash and counters. It returns the oracle and the
+// sharded results in shard-count order.
+func sweepShards(t *testing.T, label string, base MetropolisConfig) (MetropolisResult, []MetropolisResult) {
+	t.Helper()
+	batch := base
+	batch.Mode = MetroBatch
+	oracle, err := RunMetropolis(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConserved(t, label+"/batch", oracle)
+	var results []MetropolisResult
+	for _, n := range []int{1, 2, 4, 8} {
+		cfg := base
+		cfg.Mode = MetroSharded
+		cfg.Shards = n
+		res, err := RunMetropolis(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("%s: decision streams differ in length: %d vs %d", label, len(got.Decisions), len(want.Decisions))
+		if res.Shards != n {
+			t.Fatalf("%s: ran %d shards, want %d", label, res.Shards, n)
+		}
+		runLabel := fmt.Sprintf("%s/shards-%d", label, n)
+		sameMetroOutcome(t, runLabel, oracle, res)
+		assertConserved(t, runLabel, res)
+		results = append(results, res)
 	}
-	if !reflect.DeepEqual(got.HandoffDecisions, want.HandoffDecisions) {
-		t.Fatalf("%s: handoff streams differ:\n got %v\nwant %v", label, got.HandoffDecisions, want.HandoffDecisions)
-	}
+	return oracle, results
 }
 
 // TestShardedDeterminism is the acceptance suite for the sharded
-// engine: a randomized multi-cell closed-loop workload — admissions,
-// holds, releases, barrier ticks and neighbour handoffs interleaved —
-// must produce byte-identical decision and handoff streams for shard
-// counts 1, 2, 4 and 8, equal to the inline sequential replay, for
-// cell-local controllers. It stays fast enough for the race-detector
-// job in short mode.
+// engine: the contested closed loop — admissions, holds, releases,
+// barrier ticks and neighbour handoffs interleaved — must produce the
+// inline batch engine's outcome at shard counts 1, 2, 4 and 8 for
+// cell-local controllers, and the one-at-a-time loop's outcome at
+// MaxBatch 1. Handoffs must actually cross shards above one shard.
 func TestShardedDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -246,103 +109,38 @@ func TestShardedDeterminism(t *testing.T) {
 		{"facs", shardFACSFactory},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := ShardedConfig{
-				NewController:     tc.factory,
-				Rings:             2, // 19 cells
-				Requests:          600,
-				Wave:              48,
-				MaxBatch:          16,
-				HoldWaves:         3,
-				HandoffEveryWaves: 2,
-				TickEveryWaves:    4,
-				Seed:              29,
-			}
-			oracle := replaySharded(t, cfg)
-			if oracle.Handoffs == 0 || oracle.Released == 0 || oracle.Accepted == 0 {
-				t.Fatalf("degenerate workload: %+v", oracle)
-			}
-
-			results, err := RunShardedSweep(cfg, []int{1, 2, 4, 8})
-			if err != nil {
-				t.Fatal(err)
+			base := contestedConfig(tc.factory)
+			oracle, results := sweepShards(t, tc.name, base)
+			if oracle.Handoffs == 0 || oracle.Released == 0 || oracle.HandoffDropped == 0 ||
+				oracle.Accepted == 0 || oracle.Accepted == oracle.Requested {
+				t.Fatalf("uncontested workload: %+v", oracle)
 			}
 			for _, res := range results {
-				label := tc.name + "/shards-" + string(rune('0'+res.Shards))
-				assertShardedEqual(t, res, oracle, label)
-				if !res.CellLocal {
-					t.Fatalf("%s: engine should report cell-local", label)
-				}
-				if res.Stats.Total.Decided != int64(res.Requested)+int64(res.Handoffs) {
-					t.Fatalf("%s: engine decided %d, want %d requests + %d handoffs",
-						label, res.Stats.Total.Decided, res.Requested, res.Handoffs)
-				}
 				if res.Shards > 1 && res.CrossShard == 0 {
-					t.Fatalf("%s: no cross-shard handoffs in a %d-shard run (%d handoffs)",
-						label, res.Shards, res.Handoffs)
+					t.Fatalf("shards-%d: no cross-shard handoffs (%d handoffs)", res.Shards, res.Handoffs)
 				}
 				if res.Shards == 1 && res.CrossShard != 0 {
-					t.Fatalf("%s: 1-shard run reports cross-shard handoffs", label)
+					t.Fatalf("shards-1: %d cross-shard handoffs", res.CrossShard)
 				}
 			}
 
-			// Timing knobs must not leak into outcomes.
-			slow := cfg
-			slow.Shards = 4
-			slow.MaxDelay = 2 * time.Millisecond
-			slowRes, err := RunSharded(slow)
+			// At MaxBatch 1 the one-at-a-time loop is the oracle.
+			single := base
+			single.Mode = MetroSingle
+			singleRes, err := RunMetropolis(single)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertShardedEqual(t, slowRes, oracle, tc.name+"/slow-delay")
+			assertConserved(t, tc.name+"/single", singleRes)
+			sharded1 := base
+			sharded1.Mode = MetroSharded
+			sharded1.Shards = 4
+			sharded1.MaxBatch = 1
+			sharded1Res, err := RunMetropolis(sharded1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMetroOutcome(t, tc.name+"/single-vs-sharded-maxbatch-1", singleRes, sharded1Res)
 		})
-	}
-}
-
-// TestShardedSCCFixedCountReproducible covers the non-cell-local
-// regime: per-shard SCC ledgers are deterministic run-to-run for a
-// fixed shard count (and race-free under -race), even though outcomes
-// legitimately differ between shard counts.
-func TestShardedSCCFixedCountReproducible(t *testing.T) {
-	cfg := ShardedConfig{
-		NewController:     shardLedgerFactory,
-		Rings:             2,
-		Requests:          400,
-		Wave:              40,
-		MaxBatch:          16,
-		HoldWaves:         3,
-		HandoffEveryWaves: 2,
-		TickEveryWaves:    4,
-		Shards:            4,
-		Seed:              31,
-	}
-	first, err := RunSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CellLocal {
-		t.Fatal("SCC shards must not report cell-local")
-	}
-	if first.Handoffs == 0 || first.Accepted == 0 {
-		t.Fatalf("degenerate workload: %+v", first)
-	}
-	again, err := RunSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShardedEqual(t, again, first, "scc rerun")
-}
-
-func TestRunShardedValidates(t *testing.T) {
-	if _, err := RunSharded(ShardedConfig{Requests: 10}); err == nil {
-		t.Fatal("missing factory should fail")
-	}
-	if _, err := RunSharded(ShardedConfig{NewController: shardGuardFactory}); err == nil {
-		t.Fatal("missing request count should fail")
-	}
-	if _, err := RunSharded(ShardedConfig{NewController: shardGuardFactory, Requests: 10, HandoffFraction: 1.5}); err == nil {
-		t.Fatal("out-of-range handoff fraction should fail")
-	}
-	if _, err := RunShardedSweep(ShardedConfig{NewController: shardGuardFactory, Requests: 10}, nil); err == nil {
-		t.Fatal("empty sweep should fail")
 	}
 }

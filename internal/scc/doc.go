@@ -57,10 +57,9 @@
 // preceded by a barrier can differ from a sequential single-ledger run
 // — and with tick-aligned waves (every wave followed by a barrier
 // tick, waves no larger than one chunk) sharded decisions are
-// byte-identical to the sequential replay for every shard count
-// (pinned at 1/2/4/8 in internal/experiments/ghost_test.go, which also
-// quantifies the free-running divergence). Guard-band fallbacks
-// sum LOCAL rows only; ghost rows are taken as-is, whose
+// byte-identical to the inline single-ledger run for every shard count
+// (pinned at 1/2/4/8 in internal/experiments/ghost_test.go). Guard-band
+// fallbacks sum LOCAL rows only; ghost rows are taken as-is, whose
 // residual is receiver-side accumulation rounding (exactly zero in
 // ReservationFull mode, where every aggregate is a whole-BU sum —
 // see ExportDemand and DESIGN.md).

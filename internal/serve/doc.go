@@ -29,8 +29,7 @@
 // batches; timing-dependent boundaries then matter, so closed-loop
 // drivers that need reproducibility submit waves (SubmitAll), which
 // are chunked at deterministic MaxBatch boundaries only. The
-// experiments.RunStreaming load generator and the determinism suite in
-// serve_test.go pin both contracts.
+// determinism suite in serve_test.go pins both contracts.
 //
 // # Entry points
 //

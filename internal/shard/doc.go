@@ -54,9 +54,9 @@
 // For controllers declaring cac.CellLocal — FACS exact and compiled,
 // complete sharing, guard channel, multi-priority threshold — this
 // makes every per-request outcome byte-identical to the 1-shard
-// engine and to an inline sequential replay (the pinned oracle in
-// internal/experiments). Engine.CellLocal reports whether a
-// configuration is in that regime.
+// engine and to the metropolis driver's inline batch engine (the
+// pinned oracle in internal/experiments). Engine.CellLocal reports
+// whether a configuration is in that regime.
 //
 // # Ghost-demand exchange
 //
@@ -72,12 +72,11 @@
 // demand visibility is thus restored at tick granularity; what remains
 // is bounded intra-epoch divergence (admissions on another shard since
 // the last barrier), which vanishes entirely for tick-aligned waves:
-// the ghost suites pin sharded SCC decisions byte-identical at shard
-// counts 1/2/4/8 to a sequential single-ledger replay
-// (internal/experiments/ghost_test.go) and quantify the free-running
-// gap. Config.DisableExchange restores the old partitioned-visibility
-// model; Engine.Exchanging reports the active regime, and Stats counts
-// exchange rounds and fanned-out demand rows.
+// the ghost suite pins sharded SCC decisions byte-identical at shard
+// counts 1/2/4/8 to the inline single-ledger run
+// (internal/experiments/ghost_test.go). Engine.Exchanging reports the
+// active regime, and Stats counts exchange rounds and fanned-out demand
+// rows.
 //
 // # Elastic rebalancing
 //
@@ -117,6 +116,7 @@
 // ownership; Stats aggregates the per-shard counters as serve.Stats
 // (including merged latency percentiles) with handoff, fan-out,
 // exchange and rebalance counters.
-// experiments.RunSharded drives the closed loop; cmd/facs-serve wires
-// the engine behind -shards / -partition / -rebalance-ticks.
+// experiments.RunMetropolis drives the closed loop; cmd/facs-serve and
+// cmd/facs-sim wire the engine behind -shards / -partition /
+// -rebalance-ticks.
 package shard

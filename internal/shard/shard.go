@@ -111,15 +111,6 @@ type Config struct {
 	// state, with serve.Config.Commit's semantics. Handoffs require it.
 	Commit bool
 
-	// DisableExchange turns off the tick-barrier ghost-demand exchange
-	// that otherwise runs automatically when every shard controller is a
-	// distinct cac.DemandExchanger instance (the SCC ledger). With the
-	// exchange off, each shard's instance sees only demand projected by
-	// calls homed on its own cells — the pre-exchange partitioned-
-	// visibility model, kept as an escape hatch and for divergence
-	// measurements.
-	DisableExchange bool
-
 	// Partition selects the initial ownership layout (default
 	// PartitionRoundRobin, the historical assignment).
 	Partition Partition
@@ -306,7 +297,7 @@ type Stats struct {
 	// unscoped fan-out would have applied (every exported row on every
 	// other shard): with interest scoping active GhostRows <=
 	// GhostRowsAllToAll, without it they are equal. All stay zero for
-	// cell-local controllers and when Config.DisableExchange is set.
+	// cell-local controllers.
 	Exchanges, GhostRows, GhostRowsAllToAll int64
 	// InterestScoped reports that exchange rows route by interest sets
 	// instead of all-to-all.
@@ -599,9 +590,7 @@ func New(cfg Config) (*Engine, error) {
 		ctrls = append(ctrls, ctrl)
 		e.shards = append(e.shards, newShardState(ctrl, cfg))
 	}
-	if !cfg.DisableExchange {
-		e.exchangers = demandExchangers(ctrls)
-	}
+	e.exchangers = demandExchangers(ctrls)
 	e.rebalanceErr = rebalanceSupport(ctrls, e.exchangers)
 	if cfg.RebalanceEveryTicks > 0 && e.rebalanceErr != nil {
 		return nil, e.rebalanceErr
@@ -1013,7 +1002,7 @@ func (e *Engine) Tick(now float64) error {
 
 // Exchanging reports that the engine runs the ghost-demand exchange at
 // tick barriers: every shard controller is a distinct
-// cac.DemandExchanger instance and Config.DisableExchange is unset.
+// cac.DemandExchanger instance.
 func (e *Engine) Exchanging() bool { return e.exchangers != nil }
 
 // ForceRebalance runs one rebalance epoch immediately: plan, migrate,

@@ -447,9 +447,9 @@ func TestTickBarrierGhostExchange(t *testing.T) {
 	}
 }
 
-// TestExchangeRequiresDistinctInstances covers the two ways the
-// exchange stays off: a shared controller instance (which would ingest
-// its own exports) and the explicit DisableExchange escape hatch.
+// TestExchangeRequiresDistinctInstances covers how the exchange stays
+// off for demand exchangers: a shared controller instance would ingest
+// its own exports.
 func TestExchangeRequiresDistinctInstances(t *testing.T) {
 	net := testNetwork(t, 1)
 	shared := &fakeExchanger{}
@@ -468,22 +468,6 @@ func TestExchangeRequiresDistinctInstances(t *testing.T) {
 	}
 	if st := e.Stats(); st.Exchanges != 0 || !strings.Contains(st.String(), "handoffs 0") || strings.Contains(st.String(), "ghost") {
 		t.Fatalf("exchange ran on a shared instance: %+v (%s)", st, st)
-	}
-
-	disabled, err := New(Config{Network: net, Shards: 3, DisableExchange: true,
-		NewController: func(v View) (cac.Controller, error) { return &fakeExchanger{index: v.Index()}, nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disabled.Close()
-	if disabled.Exchanging() {
-		t.Fatal("DisableExchange must keep the exchange off")
-	}
-	if err := disabled.Tick(1); err != nil {
-		t.Fatal(err)
-	}
-	if st := disabled.Stats(); st.Exchanges != 0 {
-		t.Fatalf("disabled engine exchanged: %+v", st)
 	}
 }
 

@@ -58,10 +58,9 @@ type CellLocalController = icac.CellLocal
 // demand deltas at the engine's tick barriers, restoring the global
 // demand visibility sharding would otherwise partition. When every
 // shard controller is a distinct exchanger instance the engine runs
-// the exchange automatically (ShardedEngineConfig.DisableExchange
-// opts out); with tick-aligned waves, sharded SCC decisions are then
-// byte-identical to a sequential single-ledger replay for every shard
-// count.
+// the exchange automatically; with tick-aligned waves, sharded SCC
+// decisions are then byte-identical to the inline single-ledger run
+// for every shard count.
 type DemandExchangingController = icac.DemandExchanger
 
 // DemandDelta is one controller's projected-demand change since its

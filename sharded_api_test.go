@@ -63,71 +63,70 @@ func TestPublicShardedEngine(t *testing.T) {
 }
 
 // TestPublicGhostExchange smokes the demand-exchange surface: SCC
-// ledgers built per shard enable the tick-barrier exchange, the engine
-// reports its activity, and the closed loop surfaces the per-shard
-// ledger snapshots.
+// ledgers built per shard enable the tick-barrier exchange, and the
+// metropolis closed loop reports the demand rows it fanned to sibling
+// shards.
 func TestPublicGhostExchange(t *testing.T) {
 	var _ facs.DemandExchangingController = (*facs.SCCLedger)(nil)
-	res, err := facs.RunSharded(facs.ShardedConfig{
+	res, err := facs.RunMetropolis(facs.MetropolisConfig{
 		NewController: func(v facs.ShardView) (facs.Controller, error) {
 			return facs.NewSCCLedger(facs.SCCConfig{
 				Network:     v.Network(),
 				Reservation: facs.SCCReservationFull,
 			})
 		},
-		Shards:            4,
-		Rings:             2,
-		Requests:          200,
-		Wave:              25,
-		TickEveryWaves:    2,
-		HandoffEveryWaves: 1 << 30,
-		Seed:              9,
+		Mode:           facs.MetroSharded,
+		Shards:         4,
+		Rings:          2,
+		CapacityBU:     40,
+		TargetCalls:    200,
+		Waves:          12,
+		WavesPerDay:    24,
+		TickEveryWaves: 2,
+		Seed:           9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CellLocal {
-		t.Fatal("SCC shards must not report cell-local")
+	if res.Shards != 4 || res.Accepted == 0 {
+		t.Fatalf("degenerate run: %+v", res)
 	}
-	if res.Stats.Exchanges == 0 || res.Stats.GhostRows == 0 {
-		t.Fatalf("exchange did not run: %+v", res.Stats)
-	}
-	if len(res.Ledgers) != res.Shards {
-		t.Fatalf("got %d ledger snapshots for %d shards", len(res.Ledgers), res.Shards)
-	}
-	var total facs.SCCLedgerStats
-	for _, st := range res.Ledgers {
-		total = total.Add(st)
-	}
-	if total.Exports == 0 || total.GhostApplies == 0 {
-		t.Fatalf("ledger counters missed the exchange: %+v", total)
+	if res.GhostRows == 0 || res.GhostRows > res.GhostRowsAllToAll {
+		t.Fatalf("exchange did not run: %d rows fanned of %d all-to-all", res.GhostRows, res.GhostRowsAllToAll)
 	}
 }
 
-func TestPublicRunShardedSweep(t *testing.T) {
-	cfg := facs.ShardedConfig{
+// TestPublicMetropolisShardSweep runs one contested closed loop at two
+// shard counts through the root facade: for a cell-local controller the
+// outcome is identical, and only the cross-shard handoff split moves.
+func TestPublicMetropolisShardSweep(t *testing.T) {
+	cfg := facs.MetropolisConfig{
 		NewController: func(facs.ShardView) (facs.Controller, error) {
 			return facs.NewGuardChannel(8)
 		},
-		Requests: 200,
-		Wave:     32,
-		Seed:     3,
+		Mode:        facs.MetroSharded,
+		Rings:       2,
+		CapacityBU:  40,
+		TargetCalls: 200,
+		Waves:       12,
+		WavesPerDay: 24,
+		Seed:        3,
 	}
-	results, err := facs.RunShardedSweep(cfg, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].Requested != results[0].Requested ||
-			results[i].Accepted != results[0].Accepted ||
-			results[i].Handoffs != results[0].Handoffs {
-			t.Fatalf("sweep entries diverge: %+v vs %+v", results[i], results[0])
+	var results []facs.MetropolisResult
+	for _, shards := range []int{1, 4} {
+		cfg.Shards = shards
+		res, err := facs.RunMetropolis(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		results = append(results, res)
 	}
-	if !results[1].CellLocal || results[1].Shards != 4 {
-		t.Fatalf("entry: %+v", results[1])
+	one, four := results[0], results[1]
+	if one.DecisionHash != four.DecisionHash || one.Accepted != four.Accepted || one.Handoffs != four.Handoffs {
+		t.Fatalf("shard counts diverge: %+v vs %+v", four, one)
+	}
+	if one.Handoffs == 0 || one.CrossShard != 0 || four.CrossShard == 0 || four.Shards != 4 {
+		t.Fatalf("cross-shard split: 1 shard %d of %d, 4 shards %d of %d",
+			one.CrossShard, one.Handoffs, four.CrossShard, four.Handoffs)
 	}
 }
