@@ -1,9 +1,11 @@
 package cell
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"facs/internal/geo"
 	"facs/internal/traffic"
@@ -39,110 +41,110 @@ type Call struct {
 	Handoff bool
 }
 
-// callPool is the station's struct-of-arrays call ledger: call records
-// live in a slot-indexed slice, freed slots are recycled through a
-// free-list stack, and the live slots are tracked in a dense array with
-// swap-removal — so admit and release are O(1) and, once the pool has
-// grown to its working-set size, allocation-free. Only the small ID →
-// slot index map remains (Go map buckets are retained across
-// delete/insert at steady size, so it does not allocate per call
-// either); the call records themselves never churn through map buckets.
+// callPool is the station's call ledger: one power-of-two table
+// open-addressed by call ID (Fibonacci hash, linear probing,
+// backward-shift deletion, no tombstones) and a live count. A slot is
+// live when its BU is positive, which Admit requires, and an empty slot
+// is the zero Call. The table grows past 3/4 load and never shrinks.
 type callPool struct {
-	// slots holds the call records; a freed slot's record is zeroed.
-	slots []Call
-	// dense lists the live slots (unordered: releases swap-remove).
-	dense []int32
-	// pos maps slot → index in dense, -1 for free slots.
-	pos []int32
-	// free is the stack of recyclable slots.
-	free []int32
-	// index maps call ID → slot.
-	index map[int]int32
+	table []Call
+	// n is the number of live calls.
+	n int
+	// shift maps the 64-bit hash to a table index: 64 - log2(len(table)).
+	shift uint
 }
 
-// put inserts a call into a recycled or fresh slot. The caller has
-// already checked the ID is new.
-func (p *callPool) put(c Call) {
-	var slot int32
-	if n := len(p.free); n > 0 {
-		slot = p.free[n-1]
-		p.free = p.free[:n-1]
-		p.slots[slot] = c
-	} else {
-		slot = int32(len(p.slots))
-		p.slots = append(p.slots, c)
-		p.pos = append(p.pos, -1)
+const (
+	// minPoolSlots is the table size the first admission allocates.
+	minPoolSlots = 8
+	// fibMul is 2^64 divided by the golden ratio, rounded to odd: the
+	// Fibonacci-hashing multiplier.
+	fibMul = 0x9e3779b97f4a7c15
+)
+
+// poolSlots returns the smallest table size holding n live calls at no
+// more than 3/4 load.
+func poolSlots(n int) int {
+	size := minPoolSlots
+	for size*3 < n*4 {
+		size *= 2
 	}
-	p.pos[slot] = int32(len(p.dense))
-	p.dense = append(p.dense, slot)
-	p.index[c.ID] = slot
+	return size
 }
 
-// take removes and returns the call with the given ID.
-func (p *callPool) take(id int) (Call, bool) {
-	slot, ok := p.index[id]
-	if !ok {
-		return Call{}, false
-	}
-	delete(p.index, id)
-	c := p.slots[slot]
-	// Swap-remove from the dense live list.
-	di := p.pos[slot]
-	last := p.dense[len(p.dense)-1]
-	p.dense[di] = last
-	p.pos[last] = di
-	p.dense = p.dense[:len(p.dense)-1]
-	p.pos[slot] = -1
-	p.slots[slot] = Call{}
-	p.free = append(p.free, slot)
-	return c, true
+// home returns the slot a call ID hashes to.
+func (p *callPool) home(id int) int {
+	return int(uint64(id) * fibMul >> p.shift)
 }
 
-// get looks up a live call by ID.
-func (p *callPool) get(id int) (Call, bool) {
-	slot, ok := p.index[id]
-	if !ok {
-		return Call{}, false
+// find probes for id. It returns the slot holding it, or the empty slot
+// that ends its probe run and false. An unallocated table reports -1.
+func (p *callPool) find(id int) (int, bool) {
+	if len(p.table) == 0 {
+		return -1, false
 	}
-	return p.slots[slot], true
+	mask := len(p.table) - 1
+	for i := p.home(id); ; i = (i + 1) & mask {
+		switch s := &p.table[i]; {
+		case s.BU == 0:
+			return i, false
+		case s.ID == id:
+			return i, true
+		}
+	}
 }
 
-// reserve materializes storage for up to n concurrent calls: fresh
-// slots are pushed onto the free stack (lowest first, matching the
-// order lazy growth would have assigned them), every backing array gets
-// capacity n, and the ID index is rebuilt with room for n entries.
-// After reserve(n), put and take never allocate while the live
-// population stays at or below n. Slot numbering is unobservable
-// outside the pool, so reserving changes no behaviour — only when the
-// memory is paid for.
-func (p *callPool) reserve(n int) {
-	if n <= len(p.slots) {
-		return
+// insert stores c in the empty slot find returned for c.ID, growing the
+// table first when one more call would pass 3/4 load.
+func (p *callPool) insert(slot int, c Call) {
+	if (p.n+1)*4 > len(p.table)*3 {
+		p.resize(poolSlots(p.n + 1))
+		slot, _ = p.find(c.ID)
 	}
-	old := len(p.slots)
-	slots := make([]Call, n)
-	copy(slots, p.slots)
-	p.slots = slots
-	pos := make([]int32, n)
-	copy(pos, p.pos)
-	for i := old; i < n; i++ {
-		pos[i] = -1
+	p.table[slot] = c
+	p.n++
+}
+
+// remove empties slot i, shifting later members of its probe run back so
+// that every live call stays reachable from its home slot.
+func (p *callPool) remove(i int) {
+	mask := len(p.table) - 1
+	for j := (i + 1) & mask; p.table[j].BU > 0; j = (j + 1) & mask {
+		// The record at j may fill the hole at i when i lies on its probe
+		// path, i.e. its home is at least as far behind j as i is.
+		if (j-p.home(p.table[j].ID))&mask >= (j-i)&mask {
+			p.table[i] = p.table[j]
+			i = j
+		}
 	}
-	p.pos = pos
-	free := make([]int32, len(p.free), n)
-	copy(free, p.free)
-	p.free = free
-	for slot := n - 1; slot >= old; slot-- {
-		p.free = append(p.free, int32(slot))
+	p.table[i] = Call{}
+	p.n--
+}
+
+// resize rehashes the live calls into a table of size slots (a power of
+// two above the live count).
+func (p *callPool) resize(size int) {
+	old := p.table
+	p.table = make([]Call, size) //facs:alloc amortized growth; a steady population never resizes
+	p.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, c := range old {
+		if c.BU > 0 {
+			slot, _ := p.find(c.ID)
+			p.table[slot] = c
+		}
 	}
-	dense := make([]int32, len(p.dense), n)
-	copy(dense, p.dense)
-	p.dense = dense
-	index := make(map[int]int32, n)
-	for id, slot := range p.index { //facs:orderless map-to-map rehash; the rebuilt index is order-free
-		index[id] = slot
+}
+
+// appendLive appends the live calls to dst in ascending ID order.
+func (p *callPool) appendLive(dst []Call) []Call {
+	start := len(dst)
+	for _, c := range p.table {
+		if c.BU > 0 {
+			dst = append(dst, c)
+		}
 	}
-	p.index = index
+	slices.SortFunc(dst[start:], func(a, b Call) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // BaseStation is one cell's radio resource manager. It is not safe for
@@ -169,7 +171,6 @@ func NewBaseStation(hex geo.Hex, pos geo.Point, capacityBU int) (*BaseStation, e
 		hex:      hex,
 		pos:      pos,
 		capacity: capacityBU,
-		pool:     callPool{index: make(map[int]int32)},
 	}, nil
 }
 
@@ -182,14 +183,18 @@ func (b *BaseStation) Pos() geo.Point { return b.pos }
 // Capacity returns the total bandwidth in BU.
 func (b *BaseStation) Capacity() int { return b.capacity }
 
-// Reserve presizes the station's call-pool storage for up to n
-// concurrent calls, so admit/release churn below that population
-// performs no allocation. Every call occupies at least 1 BU, so
-// Reserve(Capacity()) is the hard bound: after it the pool never
-// allocates again. Reserving is purely a memory-layout decision —
-// admission behaviour and outcomes are unchanged. n values not above
-// the already-materialized pool size are no-ops.
-func (b *BaseStation) Reserve(n int) { b.pool.reserve(n) }
+// Reserve presizes the station's call table for up to n concurrent
+// calls, so admit/release churn below that population performs no
+// allocation. Every call occupies at least 1 BU, so Reserve(Capacity())
+// is the hard bound: after it the table never allocates again.
+// Reserving is purely a memory-layout decision — admission behaviour
+// and outcomes are unchanged. n values the table already holds are
+// no-ops.
+func (b *BaseStation) Reserve(n int) {
+	if size := poolSlots(n); n > 0 && size > len(b.pool.table) {
+		b.pool.resize(size)
+	}
+}
 
 // Used returns the occupied bandwidth in BU (RTC + NRTC).
 func (b *BaseStation) Used() int { return b.usedRT + b.usedNRT }
@@ -218,7 +223,7 @@ func (b *BaseStation) Occupancy() float64 {
 }
 
 // NumCalls returns the number of carried calls.
-func (b *BaseStation) NumCalls() int { return len(b.pool.dense) }
+func (b *BaseStation) NumCalls() int { return b.pool.n }
 
 // Fits reports whether a call of the given size would be admissible
 // right now. It agrees with Admit on degenerate sizes: a call must
@@ -239,14 +244,15 @@ func (b *BaseStation) Admit(c Call) error {
 	if !c.Class.Valid() {
 		return fmt.Errorf("cell: call %d has invalid class %v", c.ID, c.Class) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
-	if _, dup := b.pool.index[c.ID]; dup {
+	slot, dup := b.pool.find(c.ID)
+	if dup {
 		return fmt.Errorf("cell: admitting call %d at %v: %w", c.ID, b.hex, ErrDuplicateCall) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	if c.BU > b.Free() {
 		return fmt.Errorf("cell: admitting call %d (%d BU) at %v with %d BU free: %w", //facs:alloc reject/error path; formats nothing on the steady-state wave
 			c.ID, c.BU, b.hex, b.Free(), ErrInsufficientBandwidth)
 	}
-	b.pool.put(c)
+	b.pool.insert(slot, c)
 	if c.Class.RealTime() {
 		b.usedRT += c.BU
 	} else {
@@ -260,10 +266,12 @@ func (b *BaseStation) Admit(c Call) error {
 //
 //facs:hotpath
 func (b *BaseStation) Release(id int) (Call, error) {
-	c, ok := b.pool.take(id)
+	slot, ok := b.pool.find(id)
 	if !ok {
 		return Call{}, fmt.Errorf("cell: releasing call %d at %v: %w", id, b.hex, ErrUnknownCall) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
+	c := b.pool.table[slot]
+	b.pool.remove(slot)
 	if c.Class.RealTime() {
 		b.usedRT -= c.BU
 	} else {
@@ -276,23 +284,17 @@ func (b *BaseStation) Release(id int) (Call, error) {
 // DetachCalls removes every carried call from the ledger in ascending
 // call-ID order, appending the records to dst and returning it. After
 // DetachCalls the station carries nothing: counters are zero and the
-// pool slots are free. Together with AttachCalls it is the
-// cell-migration seam of the sharded engine: the old owner shard
-// detaches the station's slots, the new owner re-attaches them, making
-// the ownership handover an explicit pair of writes that conservation
-// checks (and the race detector) can observe. The pair is
+// call table is empty (its storage is kept). Together with AttachCalls
+// it is the cell-migration seam of the sharded engine: the old owner
+// shard detaches the station's calls, the new owner re-attaches them,
+// making the ownership handover an explicit pair of writes that
+// conservation checks (and the race detector) can observe. The pair is
 // behaviour-preserving: records are moved verbatim, and every
 // externally observable order (Calls) is ID-sorted anyway.
 func (b *BaseStation) DetachCalls(dst []Call) []Call {
-	start := len(dst)
-	for _, slot := range b.pool.dense {
-		dst = append(dst, b.pool.slots[slot])
-	}
-	moved := dst[start:]
-	sort.Slice(moved, func(i, j int) bool { return moved[i].ID < moved[j].ID })
-	for _, c := range moved {
-		b.pool.take(c.ID)
-	}
+	dst = b.pool.appendLive(dst)
+	clear(b.pool.table)
+	b.pool.n = 0
 	b.usedRT, b.usedNRT = 0, 0
 	b.classBU = [4]int{}
 	return dst
@@ -315,19 +317,17 @@ func (b *BaseStation) AttachCalls(calls []Call) error {
 
 // Call looks up a carried call by ID.
 func (b *BaseStation) Call(id int) (Call, bool) {
-	return b.pool.get(id)
+	if slot, ok := b.pool.find(id); ok {
+		return b.pool.table[slot], true
+	}
+	return Call{}, false
 }
 
 // Calls returns the carried calls sorted by ID (a defensive copy). The
-// pool's dense order is history-dependent, so the sort keeps every
+// table's slot order is history-dependent, so the sort keeps every
 // observer deterministic.
 func (b *BaseStation) Calls() []Call {
-	out := make([]Call, 0, len(b.pool.dense))
-	for _, slot := range b.pool.dense {
-		out = append(out, b.pool.slots[slot])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return b.pool.appendLive(make([]Call, 0, b.pool.n))
 }
 
 // String implements fmt.Stringer.

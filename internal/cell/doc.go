@@ -14,12 +14,12 @@
 // is single-threaded by design, and the streaming service serializes
 // all mutation in one goroutine (internal/serve).
 //
-// Calls live in a struct-of-arrays pool (a slot arena with a dense
-// iteration list and a free-list stack), so steady-state admit/release
-// cycles are allocation-free and per-class occupancy (ClassBU) is an
-// O(1) counter — the memory model metropolis-scale populations rest on
-// (see pool_test.go for the map-ledger equivalence and allocation
-// gates).
+// Calls live in one flat table per station, open-addressed by call ID,
+// so steady-state admit/release cycles are one probe each and
+// allocation-free, and per-class occupancy (ClassBU) is an O(1)
+// counter. Capacity bounds the live calls, and so the longest probe
+// run, whatever IDs arrive (see pool_test.go for the map-ledger
+// oracle, the fuzz target and the allocation gates).
 //
 // # Entry points
 //

@@ -150,9 +150,10 @@ func (n *Network) TotalCapacity() int {
 	return sum
 }
 
-// Handoff atomically moves a carried call from one station to another.
-// On any failure the call remains where it was and an error is returned;
-// in particular ErrInsufficientBandwidth signals a handoff drop candidate.
+// Handoff atomically moves a carried call from one station to another:
+// the target admits it first, so on any failure the source record is
+// untouched. ErrInsufficientBandwidth signals a handoff drop candidate,
+// ErrDuplicateCall a target (or from == to) already carrying the ID.
 func (n *Network) Handoff(callID int, from, to geo.Hex, now float64) error {
 	src, ok := n.stations[from]
 	if !ok {
@@ -166,20 +167,13 @@ func (n *Network) Handoff(callID int, from, to geo.Hex, now float64) error {
 	if !ok {
 		return fmt.Errorf("cell: handoff of call %d from %v: %w", callID, from, ErrUnknownCall)
 	}
-	if !dst.Fits(c.BU) {
-		return fmt.Errorf("cell: handoff of call %d (%d BU) into %v with %d BU free: %w",
-			callID, c.BU, to, dst.Free(), ErrInsufficientBandwidth)
-	}
-	if _, err := src.Release(callID); err != nil {
-		return err
-	}
 	c.AdmittedAt = now
 	c.Handoff = true
 	if err := dst.Admit(c); err != nil {
-		// Should be impossible after the Fits check; restore the source
-		// ledger to keep the network consistent.
-		_ = src.Admit(c)
-		return err
+		return fmt.Errorf("cell: handoff from %v: %w", from, err)
 	}
-	return nil
+	// Cannot fail: src carries the call, and src != dst since the admit
+	// above would have reported the duplicate.
+	_, err := src.Release(callID)
+	return err
 }

@@ -2,6 +2,7 @@ package cell
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"facs/internal/geo"
@@ -166,6 +167,33 @@ func TestHandoffFailures(t *testing.T) {
 	}
 	if err := n.Handoff(1, src.Hex(), geo.Hex{Q: 9, R: 9}, 0); !errors.Is(err, ErrOutsideCoverage) {
 		t.Fatalf("err = %v, want ErrOutsideCoverage", err)
+	}
+	// Duplicate ID at the target, and a self-handoff (the source is the
+	// target): both fail with ErrDuplicateCall before anything moves,
+	// and the source record comes back unchanged.
+	otherHex := geo.Hex{Q: 0, R: 1}
+	other, _ := n.At(otherHex)
+	orig := Call{ID: 7, Class: traffic.Text, BU: 1, AdmittedAt: 7}
+	clash := Call{ID: 7, Class: traffic.Voice, BU: 5, AdmittedAt: 3, Handoff: true}
+	if err := src.Admit(orig); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Admit(clash); err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []geo.Hex{otherHex, src.Hex()} {
+		if err := n.Handoff(7, src.Hex(), to, 42); !errors.Is(err, ErrDuplicateCall) {
+			t.Fatalf("handoff into %v: err = %v, want ErrDuplicateCall", to, err)
+		}
+		if got, ok := src.Call(7); !ok || got != orig || math.Float64bits(got.AdmittedAt) != math.Float64bits(orig.AdmittedAt) {
+			t.Fatalf("handoff into %v: source record %+v,%v, want %+v", to, got, ok, orig)
+		}
+		if got, _ := other.Call(7); got != clash {
+			t.Fatalf("handoff into %v: target record %+v, want %+v", to, got, clash)
+		}
+	}
+	if _, err := src.Release(7); err != nil {
+		t.Fatal(err)
 	}
 	// Target full: fill dst to the brim.
 	for i := 0; i < 4; i++ {
