@@ -8,7 +8,8 @@ import (
 )
 
 // Snapsym enforces the snapshot round-trip contract at compile time:
-// for every SnapshotTo/RestoreFrom pair (exported or not), the ordered
+// for every SnapshotTo/RestoreFrom method pair (exported or not) and
+// every package-level EncodeX/DecodeX function pair, the ordered
 // sequence of snap.Encoder payload writes must mirror the sequence of
 // snap.Decoder payload reads — the envelope has no field tags, so one
 // missing or transposed read silently shears every subsequent field
@@ -29,7 +30,7 @@ import (
 // enumeration budget are skipped.
 var Snapsym = &Analyzer{
 	Name: "snapsym",
-	Doc:  "checks snap.Encoder/Decoder call-sequence symmetry and exported-field coverage of SnapshotTo/RestoreFrom pairs",
+	Doc:  "checks snap.Encoder/Decoder call-sequence symmetry of SnapshotTo/RestoreFrom and EncodeX/DecodeX pairs, and exported-field coverage of snapshotting types",
 	Run:  runSnapsym,
 }
 
@@ -42,56 +43,85 @@ var snapPayloadMethods = map[string]bool{
 
 const snapsymMaxPaths = 512
 
+// snapPairKey names one codec pair: the receiver type of a
+// SnapshotTo/RestoreFrom pair, or the X of an EncodeX/DecodeX pair.
+type snapPairKey struct {
+	tn     *types.TypeName
+	suffix string
+}
+
 func runSnapsym(pass *Pass) error {
 	pkg := pass.Pkg
 	type pair struct{ snap, restore *ast.FuncDecl }
-	pairs := map[*types.TypeName]*pair{}
-	var order []*types.TypeName
+	pairs := map[snapPairKey]*pair{}
+	var order []snapPairKey
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			kind := 0
-			switch fd.Name.Name {
-			case "SnapshotTo", "snapshotTo":
-				kind = 1
-			case "RestoreFrom", "restoreFrom":
-				kind = 2
-			default:
-				continue
-			}
-			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+			key, write, ok := snapCodecKey(pkg, fd)
 			if !ok {
 				continue
 			}
-			named := receiverNamed(fn)
-			if named == nil {
-				continue
-			}
-			p := pairs[named.Obj()]
+			p := pairs[key]
 			if p == nil {
 				p = &pair{}
-				pairs[named.Obj()] = p
-				order = append(order, named.Obj())
+				pairs[key] = p
+				order = append(order, key)
 			}
-			if kind == 1 {
+			if write {
 				p.snap = fd
 			} else {
 				p.restore = fd
 			}
 		}
 	}
-	for _, tn := range order {
-		p := pairs[tn]
+	for _, key := range order {
+		p := pairs[key]
 		if p.snap == nil || p.restore == nil {
 			continue
 		}
-		checkSnapSequences(pass, tn, p.snap, p.restore)
-		checkSnapFieldCoverage(pass, tn, p.snap)
+		if key.tn == nil {
+			checkSnapSequences(pass, p.restore.Name.Name, p.snap, p.restore)
+			continue
+		}
+		checkSnapSequences(pass, key.tn.Name()+"."+p.restore.Name.Name, p.snap, p.restore)
+		checkSnapFieldCoverage(pass, key.tn, p.snap)
 	}
 	return nil
+}
+
+// snapCodecKey classifies fd as the write (write=true) or read half of
+// a codec pair; ok is false for any other function.
+func snapCodecKey(pkg *Package, fd *ast.FuncDecl) (key snapPairKey, write, ok bool) {
+	name := fd.Name.Name
+	if fd.Recv == nil {
+		if suffix, found := strings.CutPrefix(name, "Encode"); found && suffix != "" {
+			return snapPairKey{suffix: suffix}, true, true
+		}
+		if suffix, found := strings.CutPrefix(name, "Decode"); found && suffix != "" {
+			return snapPairKey{suffix: suffix}, false, true
+		}
+		return key, false, false
+	}
+	switch name {
+	case "SnapshotTo", "snapshotTo":
+		write = true
+	case "RestoreFrom", "restoreFrom":
+	default:
+		return key, false, false
+	}
+	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return key, false, false
+	}
+	named := receiverNamed(fn)
+	if named == nil {
+		return key, false, false
+	}
+	return snapPairKey{tn: named.Obj()}, write, true
 }
 
 func receiverNamed(fn *types.Func) *types.Named {
@@ -107,9 +137,9 @@ func receiverNamed(fn *types.Func) *types.Named {
 	return named
 }
 
-// checkSnapSequences compares the write-path set of SnapshotTo with
-// the read-path set of RestoreFrom.
-func checkSnapSequences(pass *Pass, tn *types.TypeName, snapFD, restoreFD *ast.FuncDecl) {
+// checkSnapSequences compares the write-path set of the encoding half
+// with the read-path set of the decoding half, reported as restore.
+func checkSnapSequences(pass *Pass, restore string, snapFD, restoreFD *ast.FuncDecl) {
 	writes, wOK := snapPathSet(pass.Pkg, snapFD, "Encoder")
 	reads, rOK := snapPathSet(pass.Pkg, restoreFD, "Decoder")
 	if !wOK || !rOK {
@@ -130,8 +160,8 @@ func checkSnapSequences(pass *Pass, tn *types.TypeName, snapFD, restoreFD *ast.F
 	if len(extra) > 0 {
 		parts = append(parts, "read path ["+extra[0]+"] has no matching write path")
 	}
-	pass.Reportf(restoreFD.Name.Pos(), "%s.%s does not mirror %s: %s (sequences are loop-collapsed; branches compared as path sets)",
-		tn.Name(), restoreFD.Name.Name, snapFD.Name.Name, strings.Join(parts, "; "))
+	pass.Reportf(restoreFD.Name.Pos(), "%s does not mirror %s: %s (sequences are loop-collapsed; branches compared as path sets)",
+		restore, snapFD.Name.Name, strings.Join(parts, "; "))
 }
 
 func diffPaths(a, b []string) []string {
@@ -358,41 +388,35 @@ func (w *snapWalker) payloadCall(call *ast.CallExpr) (string, bool) {
 }
 
 // returnKept classifies a return statement: error-path returns are
-// excluded from the compared path set. A return is kept when every
-// result is nil, a bare return, or a Close/Err call on the snap
-// Encoder/Decoder (the canonical success epilogues).
+// excluded from the compared path set. A return is kept when it is
+// bare or its last result (the error) is nil or a Close/Err call on
+// the snap Encoder/Decoder (the canonical success epilogues); a
+// decoder's decoded value ahead of the error is not inspected.
 func returnKept(pkg *Package, s *ast.ReturnStmt) bool {
 	if len(s.Results) == 0 {
 		return true
 	}
-	for _, r := range s.Results {
-		switch r := r.(type) {
-		case *ast.Ident:
-			if r.Name != "nil" {
-				return false
-			}
-		case *ast.CallExpr:
-			sel, ok := r.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Close" && sel.Sel.Name != "Err") {
-				return false
-			}
-			tv, ok := pkg.Info.Types[sel.X]
-			if !ok {
-				return false
-			}
-			t := tv.Type
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok || (named.Obj().Name() != "Encoder" && named.Obj().Name() != "Decoder") {
-				return false
-			}
-		default:
+	switch r := s.Results[len(s.Results)-1].(type) {
+	case *ast.Ident:
+		return r.Name == "nil"
+	case *ast.CallExpr:
+		sel, ok := r.Fun.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Close" && sel.Sel.Name != "Err") {
 			return false
 		}
+		tv, ok := pkg.Info.Types[sel.X]
+		if !ok {
+			return false
+		}
+		t := tv.Type
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := t.(*types.Named)
+		return ok && (named.Obj().Name() == "Encoder" || named.Obj().Name() == "Decoder")
+	default:
+		return false
 	}
-	return true
 }
 
 // checkSnapFieldCoverage requires every exported, snapshotable field

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"facs/internal/fuzzy"
+	"facs/internal/snap"
 )
 
 // CacheInfo reports how a cached compile was satisfied.
@@ -38,19 +39,18 @@ func (i CacheInfo) String() string {
 }
 
 // surfaceConfigHash fingerprints everything the compiled surfaces'
-// content depends on: the persistence format version, the compilation
-// constants of this package (grid layout, pinned integer nodes,
-// error-map safety factor and aligned axes — all functions of gridSize
-// and the params),
-// and the System configuration (membership break-points, accept
-// threshold, handoff bias, inference operators, defuzzifier type and
-// resolution). Two systems with equal hashes compile byte-identical
-// surfaces; a parameterised custom Defuzzifier whose type name does not
-// change with its parameters is the one case the hash cannot see, so
-// such systems must not share a cache directory.
+// content depends on: the compilation constants of this package (grid
+// layout, pinned integer nodes, error-map safety factor and aligned
+// axes — all functions of gridSize and the params), and the System
+// configuration (membership break-points, accept threshold, handoff
+// bias, inference operators, defuzzifier type and resolution). Two
+// systems with equal hashes compile byte-identical surfaces; a
+// parameterised custom Defuzzifier whose type name does not change with
+// its parameters is the one case the hash cannot see, so such systems
+// must not share a cache directory.
 func surfaceConfigHash(sys *System, gridSize int) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "fmt=%d|grid=%d|safety=%v|aligned=%v|", fuzzy.SurfaceFormatVersion, gridSize, float64(surfaceErrorSafety), flc2AlignedAxes)
+	fmt.Fprintf(h, "grid=%d|safety=%v|aligned=%v|", gridSize, float64(surfaceErrorSafety), flc2AlignedAxes)
 	fmt.Fprintf(h, "params=%+v|", sys.params)
 	fmt.Fprintf(h, "thr=%v|bias=%v|tnorm=%d|impl=%d|res=%d|defuzz=%T",
 		sys.acceptThreshold, sys.handoffBias, sys.tnorm, sys.implication, sys.resolution, sys.mkDefuzz())
@@ -65,6 +65,11 @@ func cachePath(dir string, gridSize int) string {
 	return filepath.Join(dir, fmt.Sprintf("facs-g%d.surfaces", gridSize))
 }
 
+// cacheKind is the snap envelope kind of a cache entry: FLC1's and
+// FLC2's surface envelopes nested as two blobs, all under the same
+// config hash.
+const cacheKind = "facs-surfaces"
+
 // loadSurfaces reads and validates both compiled surfaces from path.
 func loadSurfaces(path string, wantHash uint64) (surf1, surf2 *fuzzy.Surface, err error) {
 	f, err := os.Open(path)
@@ -72,55 +77,47 @@ func loadSurfaces(path string, wantHash uint64) (surf1, surf2 *fuzzy.Surface, er
 		return nil, nil, err
 	}
 	defer f.Close()
-	// The file holds two length-framed surface blobs: FLC1 then FLC2.
-	for i, dst := range []**fuzzy.Surface{&surf1, &surf2} {
-		var n int64
-		if _, err := fmt.Fscanf(f, "%016x\n", &n); err != nil {
-			return nil, nil, fmt.Errorf("%w: reading frame %d header: %v", fuzzy.ErrSurfaceCorrupt, i, err)
-		}
-		s, err := fuzzy.DecodeSurface(io.LimitReader(f, n), wantHash)
+	d, err := snap.NewDecoder(f, cacheKind, wantHash)
+	if err != nil {
+		return nil, nil, err
+	}
+	blobs := [2][]byte{d.Blob(), d.Blob()}
+	if err := d.Close(); err != nil {
+		return nil, nil, err
+	}
+	var surfs [2]*fuzzy.Surface
+	for i, b := range blobs {
+		s, err := fuzzy.DecodeSurface(bytes.NewReader(b), wantHash)
 		if err != nil {
 			return nil, nil, err
 		}
 		if !s.HasErrorMap() {
-			return nil, nil, fmt.Errorf("%w: cached surface %s has no error map", fuzzy.ErrSurfaceCorrupt, s)
+			return nil, nil, fmt.Errorf("%w: cached surface %s has no error map", snap.ErrSnapshotCorrupt, s)
 		}
-		*dst = s
+		surfs[i] = s
 	}
-	return surf1, surf2, nil
+	return surfs[0], surfs[1], nil
 }
 
-// writeSurfaces persists both compiled surfaces atomically: encode into
-// a temp file in the same directory, then rename over the final path,
-// so concurrent readers never observe a partial entry.
+// writeSurfaces persists both compiled surfaces with
+// snap.WriteFileAtomic, so readers and a crash mid-write see either the
+// previous entry or the complete new one.
 func writeSurfaces(path string, c *CompiledController, hash uint64) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	for _, s := range []*fuzzy.Surface{c.surf1, c.surf2} {
-		var buf bytes.Buffer
-		if err := fuzzy.EncodeSurface(&buf, s, hash); err != nil {
-			tmp.Close()
-			return err
+	_, err := snap.WriteFileAtomic(path, func(w io.Writer) error {
+		e := snap.NewEncoder(w, cacheKind, hash)
+		for _, s := range []*fuzzy.Surface{c.surf1, c.surf2} {
+			var buf bytes.Buffer
+			if err := fuzzy.EncodeSurface(&buf, s, hash); err != nil {
+				return err
+			}
+			e.Blob(buf.Bytes())
 		}
-		if _, err := fmt.Fprintf(tmp, "%016x\n", int64(buf.Len())); err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := tmp.Write(buf.Bytes()); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+		return e.Close()
+	})
+	return err
 }
 
 // CompileSystemCached is CompileSystem behind a load-or-compile surface

@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"facs/internal/fuzzy"
 	"facs/internal/gps"
+	"facs/internal/snap"
 )
 
 // cacheTestGrid keeps cache-test compiles fast; correctness of the
@@ -243,9 +243,10 @@ func TestSurfaceCacheEmptyDirCompiles(t *testing.T) {
 }
 
 // TestSurfaceCacheV1EntryRecompiled: a cache entry written in the
-// version 1 surface format (before the FLC2 error map became
-// node-aligned) reads as stale; CompileSystemCached recompiles it,
-// rewrites the entry in the current format, and the next start hits.
+// version 1 surface format (hex-framed pre-envelope blobs, before the
+// FLC2 error map became node-aligned) never decodes; CompileSystemCached
+// reports it stale, recompiles it, rewrites the entry in the current
+// format, and the next start hits.
 func TestSurfaceCacheV1EntryRecompiled(t *testing.T) {
 	const grid = 2 // the fixture's grid size
 	old, err := os.ReadFile("testdata/facs-g2-v1.surfaces")
@@ -257,8 +258,8 @@ func TestSurfaceCacheV1EntryRecompiled(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadSurfaces(path, surfaceConfigHash(Must(), grid)); !errors.Is(err, fuzzy.ErrSurfaceStale) {
-		t.Fatalf("version 1 entry loads with %v, want ErrSurfaceStale", err)
+	if s1, s2, err := loadSurfaces(path, surfaceConfigHash(Must(), grid)); !errors.Is(err, snap.ErrSnapshotCorrupt) || s1 != nil || s2 != nil {
+		t.Fatalf("version 1 entry loads as (%v, %v, %v), want snap.ErrSnapshotCorrupt", s1, s2, err)
 	}
 
 	before := CompileCount()

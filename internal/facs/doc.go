@@ -40,9 +40,10 @@
 //
 // Compiling the default surfaces costs about half a second, so
 // CompileSystemCached/NewCompiledCached put a load-or-compile cache in
-// front: entries are versioned binary blobs (fuzzy.EncodeSurface)
-// validated by a config+grid hash and a checksum, making a warm
-// service restart milliseconds instead of a recompile. CompileCount
+// front: an entry is one snap envelope nesting both surfaces
+// (fuzzy.EncodeSurface), validated by a config+grid hash and a
+// checksum and written atomically with snap.WriteFileAtomic, making a
+// warm service restart milliseconds instead of a recompile. CompileCount
 // exposes the process-wide compilation counter the cache tests assert
 // against.
 //

@@ -114,9 +114,12 @@ func decisionPathBatch(t *testing.T, cc *CompiledController, n int, fallback boo
 //     bound inside every cell, through the public query path. These were
 //     computed before the FLC2 error map became node-aligned and must
 //     never move with the persistence format.
-//   - blob: an FNV-64a digest of the encoded surface (format version,
+//   - blob: an FNV-64a digest of the encoded surface (snap envelope,
 //     axes, node values, error map and name, config hash 0), which moves
-//     with SurfaceFormatVersion and with the error map.
+//     with the persistence format and with the error map.
+//
+// FLC2's node-aligned error map is also pinned by content: the bound at
+// every Cv cell centre on every R and Cs node (its aligned axes).
 func TestDefaultSurfaceDigest(t *testing.T) {
 	cc := goldenCompiled(t)
 	for _, tc := range []struct {
@@ -124,8 +127,8 @@ func TestDefaultSurfaceDigest(t *testing.T) {
 		bounds        bool
 		content, blob uint64
 	}{
-		{cc.FLC1Surface(), true, 0x9e7899c32ba49904, 0x05f1dfb59ba8c9f0},
-		{cc.FLC2Surface(), false, 0xe41c0ce49b052922, 0x120f4189fef7f7a4},
+		{cc.FLC1Surface(), true, 0x9e7899c32ba49904, 0x9afe9190942cded1},
+		{cc.FLC2Surface(), false, 0xe41c0ce49b052922, 0x49499fe8653af1f1},
 	} {
 		name := tc.surf.OutputName()
 		if got := surfaceContentDigest(t, tc.surf, tc.bounds); got != tc.content {
@@ -141,6 +144,34 @@ func TestDefaultSurfaceDigest(t *testing.T) {
 			t.Errorf("%s surface blob digest = %#016x, want %#016x", name, got, tc.blob)
 		}
 	}
+	if got, want := alignedBoundDigest(t, cc.FLC2Surface()), uint64(0x2cb89e5e5b01afb0); got != want {
+		t.Errorf("%s surface aligned bound digest = %#016x, want %#016x", cc.FLC2Surface().OutputName(), got, want)
+	}
+}
+
+// alignedBoundDigest hashes the error bound of a surface whose last two
+// axes are error-map aligned: at every cell centre of the first axis on
+// every node of the other two, as little-endian float64 bits under
+// FNV-64a.
+func alignedBoundDigest(t *testing.T, s *fuzzy.Surface) uint64 {
+	t.Helper()
+	axes := s.Axes()
+	n0, n1, n2 := axes[0].Nodes(), axes[1].Nodes(), axes[2].Nodes()
+	h := fnv.New64a()
+	var b [8]byte
+	for i := 0; i+1 < len(n0); i++ {
+		for _, y := range n1 {
+			for _, z := range n2 {
+				_, e, err := s.EvaluateVecWithBound((n0[i]+n0[i+1])/2, y, z)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(e))
+				h.Write(b[:])
+			}
+		}
+	}
+	return h.Sum64()
 }
 
 // surfaceContentDigest hashes a three-input surface's value at every

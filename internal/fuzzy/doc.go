@@ -52,11 +52,11 @@
 // between them, with optional local error bounds
 // (WithSurfaceErrorMap) that let callers guard decisions near
 // thresholds. A Surface is immutable and safe for concurrent use.
-// EncodeSurface/DecodeSurface persist a compiled surface as a
-// versioned, checksummed binary blob validated against a caller
-// config hash (SurfaceFormatVersion, ErrSurfaceStale,
-// ErrSurfaceCorrupt), so processes can load surfaces in milliseconds
-// instead of recompiling for seconds.
+// EncodeSurface/DecodeSurface persist a compiled surface as the
+// "fuzzy-surface" kind of the internal/snap envelope, versioned by
+// snap.FormatVersion, checksummed and validated against a caller config
+// hash (snap.ErrSnapshotStale, snap.ErrSnapshotCorrupt), so processes
+// can load surfaces in milliseconds instead of recompiling for seconds.
 //
 // # Error maps and aligned axes
 //

@@ -3,7 +3,12 @@ package fuzzy
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"facs/internal/snap"
 )
 
 // fuzzConfigHash is the expected config hash the fuzz target decodes
@@ -44,40 +49,75 @@ func fuzzSurfaceBlob(aligned ...string) []byte {
 	return buf.Bytes()
 }
 
+// fuzzSurfaceSeeds are FuzzDecodeSurface's named seeds: the valid
+// blobs, truncations and flips in every envelope section, and payload
+// edits behind a re-fixed checksum, which are the only mutations that
+// reach the surface shape checks.
+func fuzzSurfaceSeeds() []fuzzSeed {
+	valid := fuzzSurfaceBlob()
+	seeds := []fuzzSeed{
+		{"valid", valid},
+		{"valid_aligned", fuzzSurfaceBlob("y")},
+		{"empty", []byte{}},
+		{"magic_only", []byte("FSNP")},
+		{"trailing", append(append([]byte(nil), valid...), 0xff)},
+	}
+	// Envelope offsets: magic, version, kind, config hash, payload.
+	kind := 4 + 4
+	hash := kind + 4 + len(surfaceKind)
+	nAxes := hash + 8 + 4 + len("z")
+	xNodes := nAxes + 4 + 4 + len("x") + 4
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"magic", 2}, {"header", kind + 6}, {"hash", hash + 3}, {"mid", len(valid) / 2}, {"sum", len(valid) - 1}} {
+		seeds = append(seeds, fuzzSeed{"trunc_" + c.name, valid[:c.n]})
+	}
+	for _, c := range []struct {
+		name string
+		i    int
+	}{{"magic", 0}, {"version", 5}, {"kind", kind + 6}, {"hash", hash + 3}, {"payload", len(valid) / 2}, {"sum", len(valid) - 3}} {
+		mut := append([]byte(nil), valid...)
+		mut[c.i] ^= 0x40
+		seeds = append(seeds, fuzzSeed{"flip_" + c.name, mut})
+	}
+	for _, c := range []struct {
+		name string
+		i    int
+		v    byte
+	}{{"axes", nAxes, 9}, {"axis_nodes", xNodes - 4, 1}, {"node_order", xNodes + 8 + 7, 0xff}, {"payload", len(valid) / 2, 0x7f}} {
+		mut := append([]byte(nil), valid...)
+		mut[c.i] = c.v
+		fixChecksum(mut)
+		seeds = append(seeds, fuzzSeed{"fixed_" + c.name, mut})
+	}
+	return seeds
+}
+
+type fuzzSeed struct {
+	name string
+	blob []byte
+}
+
 // FuzzDecodeSurface pins the decoder's total robustness contract:
 // whatever bytes arrive — truncated, bit-flipped, adversarially
 // structured — DecodeSurface either returns a usable surface or one of
-// the two sentinel errors (ErrSurfaceStale, ErrSurfaceCorrupt). It must
-// never panic, never return an unclassified error, and never hand back
-// a surface alongside an error. Seeds cover the valid blob plus the
-// interesting manual corruptions (empty, truncations at every section
-// boundary, flips in magic/version/hash/payload/checksum); the mutator
-// grows the corpus from there. CI runs a bounded smoke
-// (-fuzz=FuzzDecodeSurface -fuzztime=10s); the checked-in corpus under
-// testdata/fuzz replays as part of the normal test suite.
+// the two snap sentinel errors (ErrSnapshotStale, ErrSnapshotCorrupt).
+// It must never panic, never return an unclassified error, and never
+// hand back a surface alongside an error. It is the one fuzz target
+// that reaches the surface shape checks behind the envelope. CI runs a
+// bounded smoke (-fuzz=FuzzDecodeSurface -fuzztime=10s); the checked-in
+// corpus under testdata/fuzz replays as part of the normal test suite.
 func FuzzDecodeSurface(f *testing.F) {
-	valid := fuzzSurfaceBlob()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte("FSRF"))
-	for _, n := range []int{1, 4, 8, 16, len(valid) / 2, len(valid) - 9, len(valid) - 1} {
-		if n > 0 && n < len(valid) {
-			f.Add(valid[:n])
-		}
+	for _, seed := range fuzzSurfaceSeeds() {
+		f.Add(seed.blob)
 	}
-	for _, i := range []int{0, 5, 13, 20, len(valid) / 2, len(valid) - 3} {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0x40
-		f.Add(mut)
-	}
-	f.Add(append(append([]byte(nil), valid...), 0xff))
-	f.Add(fuzzSurfaceBlob("y"))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		s, err := DecodeSurface(bytes.NewReader(blob), fuzzConfigHash)
 		if err != nil {
-			if !errors.Is(err, ErrSurfaceStale) && !errors.Is(err, ErrSurfaceCorrupt) {
-				t.Fatalf("unclassified decode error %v (want ErrSurfaceStale or ErrSurfaceCorrupt)", err)
+			if !errors.Is(err, snap.ErrSnapshotStale) && !errors.Is(err, snap.ErrSnapshotCorrupt) {
+				t.Fatalf("unclassified decode error %v (want snap.ErrSnapshotStale or snap.ErrSnapshotCorrupt)", err)
 			}
 			if s != nil {
 				t.Fatalf("non-nil surface returned alongside error %v", err)
@@ -98,4 +138,23 @@ func FuzzDecodeSurface(f *testing.F) {
 			t.Fatalf("decoded surface rejects its own corner: %v", evalErr)
 		}
 	})
+}
+
+// TestWriteSurfaceFuzzCorpus regenerates the checked-in seed corpus
+// under testdata/fuzz/FuzzDecodeSurface when FACS_WRITE_FUZZ_CORPUS=1
+// is set; it is a no-op otherwise.
+func TestWriteSurfaceFuzzCorpus(t *testing.T) {
+	if os.Getenv("FACS_WRITE_FUZZ_CORPUS") != "1" {
+		t.Skip("set FACS_WRITE_FUZZ_CORPUS=1 to regenerate the seed corpus")
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSurface")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range fuzzSurfaceSeeds() {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.blob)
+		if err := os.WriteFile(filepath.Join(dir, "seed_"+seed.name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"facs/internal/snap"
 )
 
 // encodeRoundTrip encodes s and decodes it back, failing the test on
@@ -114,10 +116,11 @@ func TestSurfacePersistAlignedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSurfacePersistV1IsStale: a blob in the version 1 layout (no
-// aligned-axis mask), as written before SurfaceFormatVersion 2, decodes
-// as stale, so caches recompile it.
-func TestSurfacePersistV1IsStale(t *testing.T) {
+// TestSurfacePersistV1IsCorrupt: a blob in the version 1 layout of the
+// pre-envelope surface format (its own magic, no aligned-axis mask)
+// fails the snap envelope's magic check, so it never decodes and caches
+// recompile it.
+func TestSurfacePersistV1IsCorrupt(t *testing.T) {
 	blob, err := os.ReadFile("testdata/surface-v1.bin")
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +129,8 @@ func TestSurfacePersistV1IsStale(t *testing.T) {
 		t.Fatalf("fixture has format version %d, want 1", v)
 	}
 	s, err := DecodeSurface(bytes.NewReader(blob), fuzzConfigHash)
-	if !errors.Is(err, ErrSurfaceStale) || s != nil {
-		t.Fatalf("version 1 blob: got (%v, %v), want ErrSurfaceStale", s, err)
+	if !errors.Is(err, snap.ErrSnapshotCorrupt) || s != nil {
+		t.Fatalf("version 1 blob: got (%v, %v), want snap.ErrSnapshotCorrupt", s, err)
 	}
 }
 
@@ -164,8 +167,8 @@ func TestSurfacePersistStaleHash(t *testing.T) {
 	if err := EncodeSurface(&buf, s, 111); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeSurface(bytes.NewReader(buf.Bytes()), 222); !errors.Is(err, ErrSurfaceStale) {
-		t.Fatalf("decode with wrong config hash: got %v, want ErrSurfaceStale", err)
+	if _, err := DecodeSurface(bytes.NewReader(buf.Bytes()), 222); !errors.Is(err, snap.ErrSnapshotStale) {
+		t.Fatalf("decode with wrong config hash: got %v, want snap.ErrSnapshotStale", err)
 	}
 }
 
@@ -182,15 +185,15 @@ func TestSurfacePersistRejectsCorruption(t *testing.T) {
 	blob := buf.Bytes()
 
 	t.Run("truncated", func(t *testing.T) {
-		if _, err := DecodeSurface(bytes.NewReader(blob[:len(blob)/2]), 42); !errors.Is(err, ErrSurfaceCorrupt) {
-			t.Fatalf("got %v, want ErrSurfaceCorrupt", err)
+		if _, err := DecodeSurface(bytes.NewReader(blob[:len(blob)/2]), 42); !errors.Is(err, snap.ErrSnapshotCorrupt) {
+			t.Fatalf("got %v, want snap.ErrSnapshotCorrupt", err)
 		}
 	})
 	t.Run("bitflip", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[len(bad)/2] ^= 0x40
-		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, ErrSurfaceCorrupt) {
-			t.Fatalf("got %v, want ErrSurfaceCorrupt", err)
+		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, snap.ErrSnapshotCorrupt) {
+			t.Fatalf("got %v, want snap.ErrSnapshotCorrupt", err)
 		}
 	})
 	t.Run("bad magic", func(t *testing.T) {
@@ -198,36 +201,36 @@ func TestSurfacePersistRejectsCorruption(t *testing.T) {
 		bad[0] = 'X'
 		// Re-fix the checksum so only the magic is wrong.
 		fixChecksum(bad)
-		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, ErrSurfaceCorrupt) {
-			t.Fatalf("got %v, want ErrSurfaceCorrupt", err)
+		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, snap.ErrSnapshotCorrupt) {
+			t.Fatalf("got %v, want snap.ErrSnapshotCorrupt", err)
 		}
 	})
 	t.Run("future version", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
-		binary.LittleEndian.PutUint32(bad[4:], SurfaceFormatVersion+1)
+		binary.LittleEndian.PutUint32(bad[4:], snap.FormatVersion+1)
 		fixChecksum(bad)
-		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, ErrSurfaceStale) {
-			t.Fatalf("got %v, want ErrSurfaceStale", err)
+		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, snap.ErrSnapshotStale) {
+			t.Fatalf("got %v, want snap.ErrSnapshotStale", err)
 		}
 	})
 	t.Run("aligned mask beyond the axes", func(t *testing.T) {
 		// The mask sits right after the hasErrMap byte, ahead of the
-		// error map; the surface has two axes.
-		errBytes := 8 * len(s.errs)
+		// error map's count and values; the surface has two axes.
+		errBytes := 4 + 8*len(s.errs)
 		bad := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint32(bad[len(bad)-8-errBytes-4:], 1<<2)
 		fixChecksum(bad)
-		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, ErrSurfaceCorrupt) {
-			t.Fatalf("got %v, want ErrSurfaceCorrupt", err)
+		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, snap.ErrSnapshotCorrupt) {
+			t.Fatalf("got %v, want snap.ErrSnapshotCorrupt", err)
 		}
 	})
 	t.Run("trailing garbage", func(t *testing.T) {
-		// Valid payload, valid checksum position, but extra bytes spliced
-		// in before the checksum would fail the checksum; instead append
-		// beyond it so the payload grows and the checksum shifts.
-		bad := append(append([]byte(nil), blob...), 0, 0, 0, 0)
-		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, ErrSurfaceCorrupt) {
-			t.Fatalf("got %v, want ErrSurfaceCorrupt", err)
+		// Extra payload bytes ahead of a re-fixed checksum: only the
+		// decoder's end-of-payload check can catch them.
+		bad := append(append([]byte(nil), blob[:len(blob)-8]...), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+		fixChecksum(bad)
+		if _, err := DecodeSurface(bytes.NewReader(bad), 42); !errors.Is(err, snap.ErrSnapshotCorrupt) {
+			t.Fatalf("got %v, want snap.ErrSnapshotCorrupt", err)
 		}
 	})
 }
@@ -244,34 +247,56 @@ func fixChecksum(blob []byte) {
 	binary.LittleEndian.PutUint64(blob[len(blob)-8:], h)
 }
 
-func TestSurfacePersistRejectsOverflowingGrid(t *testing.T) {
-	// A crafted blob can carry a valid checksum (it is not a secret),
-	// so declared axis sizes whose product overflows must be rejected
-	// as corrupt, not trusted into a slice-bounds panic: 6 axes of 256
-	// nodes declare 2^48 table entries.
+// craftSurfaceBlob writes a surface envelope through snap.Encoder with
+// an arbitrary payload, so tests can declare shapes EncodeSurface never
+// produces. The checksum is valid: it is not a secret.
+func craftSurfaceBlob(t *testing.T, hash uint64, payload func(e *snap.Encoder)) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	buf.Write([]byte{'F', 'S', 'R', 'F'})
-	var u32 [4]byte
-	var u64 [8]byte
-	putU32 := func(v uint32) { binary.LittleEndian.PutUint32(u32[:], v); buf.Write(u32[:]) }
-	putU64 := func(v uint64) { binary.LittleEndian.PutUint64(u64[:], v); buf.Write(u64[:]) }
-	putU32(SurfaceFormatVersion)
-	putU64(9) // config hash
-	putU32(1) // name "z"
-	buf.WriteByte('z')
-	putU32(6) // axes
-	for ax := 0; ax < 6; ax++ {
-		putU32(1) // axis name
-		buf.WriteByte(byte('a' + ax))
-		putU32(256)
-		for i := 0; i < 256; i++ {
-			putU64(math.Float64bits(float64(i)))
-		}
+	e := snap.NewEncoder(&buf, surfaceKind, hash)
+	payload(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
-	blob := append(buf.Bytes(), 0, 0, 0, 0, 0, 0, 0, 0)
-	fixChecksum(blob)
-	if _, err := DecodeSurface(bytes.NewReader(blob), 9); !errors.Is(err, ErrSurfaceCorrupt) {
+	return buf.Bytes()
+}
+
+func TestSurfacePersistRejectsOverflowingGrid(t *testing.T) {
+	// Declared axis sizes whose product overflows must be rejected as
+	// corrupt, not trusted into a slice-bounds panic: 8 axes of 256
+	// nodes declare 2^64 table entries, which wraps to the empty value
+	// table that follows.
+	nodes := make([]float64, 256)
+	for i := range nodes {
+		nodes[i] = float64(i)
+	}
+	blob := craftSurfaceBlob(t, 9, func(e *snap.Encoder) {
+		e.Str("z")
+		e.U32(8)
+		for ax := 0; ax < 8; ax++ {
+			e.Str(string(rune('a' + ax)))
+			e.F64s(nodes)
+		}
+		e.F64s(nil)
+		e.Bool(false)
+	})
+	if _, err := DecodeSurface(bytes.NewReader(blob), 9); !errors.Is(err, snap.ErrSnapshotCorrupt) {
 		t.Fatalf("overflowing grid should be corrupt, got %v", err)
+	}
+}
+
+func TestSurfacePersistRejectsValuesLengthMismatch(t *testing.T) {
+	// A two-node axis needs exactly two values.
+	blob := craftSurfaceBlob(t, 9, func(e *snap.Encoder) {
+		e.Str("z")
+		e.U32(1)
+		e.Str("x")
+		e.F64s([]float64{0, 1})
+		e.F64s([]float64{0.1, 0.2, 0.3})
+		e.Bool(false)
+	})
+	if s, err := DecodeSurface(bytes.NewReader(blob), 9); !errors.Is(err, snap.ErrSnapshotCorrupt) || s != nil {
+		t.Fatalf("values length mismatch: got (%v, %v), want snap.ErrSnapshotCorrupt", s, err)
 	}
 }
 

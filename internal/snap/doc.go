@@ -1,8 +1,8 @@
-// Package snap is the durable-serving snapshot format: a versioned,
-// checksummed binary envelope for controller and station state,
-// extending the persistence style of fuzzy.EncodeSurface
-// (magic/version/config-hash/checksum) from immutable compiled
-// surfaces to live mutable state.
+// Package snap is the repository's one persistence format: a
+// versioned, checksummed binary envelope for controller and station
+// state and for compiled surfaces, which are the "fuzzy-surface" kind
+// (fuzzy.EncodeSurface) nested in the surface cache's "facs-surfaces"
+// entries.
 //
 // # Envelope
 //

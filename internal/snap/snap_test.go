@@ -259,4 +259,32 @@ func TestWriteFileAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Errorf("directory has %d entries, want only the snapshot", len(entries))
 	}
+
+	// A failed rename (the destination is a non-empty directory) must
+	// return the error, remove the temp file and leave the directory
+	// as it was.
+	busy := filepath.Join(dir, "busy.snap")
+	if err := os.Mkdir(busy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keep := filepath.Join(busy, "keep")
+	if err := os.WriteFile(keep, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteFileAtomic(busy, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	}); err == nil {
+		t.Fatal("WriteFileAtomic over a non-empty directory did not fail")
+	}
+	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*")); err != nil || len(tmps) != 0 {
+		t.Errorf("failed rename left temp files %v (err %v)", tmps, err)
+	}
+	inside, err := os.ReadDir(busy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(keep); len(inside) != 1 || err != nil || string(got) != "keep" {
+		t.Errorf("failed rename changed the destination directory: %d entries, keep = %q (err %v)", len(inside), got, err)
+	}
 }
