@@ -4,8 +4,8 @@
 // micro-batches them through the configured controller, and writes one
 // JSON decision line per request. The front end is the sharded
 // admission engine: -shards N partitions the network's cells across N
-// parallel decision loops with deterministic routing (the default 1
-// behaves like the classic single loop). For a self-driven closed loop
+// shards, each a controller behind its own lock, with deterministic
+// routing (the default 1 serializes every decision behind one lock). For a self-driven closed loop
 // through the same engine, run facs-sim -metropolis -metro-mode sharded.
 //
 // Examples:
@@ -150,7 +150,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.BoolVar(&o.compiled, "compiled", false, "use the lookup-table FACS fast path (controller facs only)")
 	fs.StringVar(&o.surfaceCache, "surface-cache", "", "directory for persisted compiled surfaces (implies -compiled)")
 	fs.IntVar(&o.grid, "grid", 0, "per-axis surface resolution for -compiled (0 = default)")
-	fs.IntVar(&o.shards, "shards", 1, "decision loops to shard the network's cells across (at most the cell count)")
+	fs.IntVar(&o.shards, "shards", 1, "shards to partition the network's cells across (at most the cell count)")
 	fs.StringVar(&o.partition, "partition", "roundrobin", "initial shard layout: roundrobin, blocks")
 	fs.IntVar(&o.rebalTicks, "rebalance-ticks", 0, "rebalance shard ownership every N tick barriers (0 = static)")
 	fs.IntVar(&o.rebalMoves, "rebalance-max-moves", 0, "cap cell migrations per rebalance epoch (0 = planner default)")
@@ -454,8 +454,9 @@ var shardPartitions = map[string]facs.ShardPartition{
 	"blocks":     facs.PartitionBlocks,
 }
 
-// admitter is the front-end surface serveStream drives; both the
-// single-loop serve.Service and the sharded engine satisfy it.
+// admitter is the front-end surface serveStream drives; both
+// serve.Service (one Core behind one lock) and the sharded engine
+// satisfy it.
 type admitter interface {
 	SubmitAsync(req icac.Request) <-chan iserve.Response
 	Tick(now float64) error

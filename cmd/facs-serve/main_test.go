@@ -202,7 +202,7 @@ func (b *lockedBuffer) String() string {
 // TestSCCServeReportsLedgerStats pins the observability satellite: an
 // SCC stream run's end-of-stream line carries the ledger counter
 // summary (guard-band fallbacks, ghost exchange activity) that is
-// otherwise unreachable behind the engine's decision loops.
+// otherwise unreachable behind the engine's shard locks.
 func TestSCCServeReportsLedgerStats(t *testing.T) {
 	in := strings.Join([]string{
 		`{"id":1,"class":"voice","station":0,"speed":10,"angle":0,"distance":1}`,

@@ -103,7 +103,7 @@ func run(args []string) error {
 	fs.IntVar(&o.workers, "workers", 0, "worker pool size for replications (0 = one per CPU)")
 	fs.BoolVar(&o.metropolis, "metropolis", false, "run the metropolis-scale diurnal workload")
 	fs.StringVar(&o.metroMode, "metro-mode", "batch", "metropolis decision path: single, batch, sharded")
-	fs.IntVar(&o.shards, "shards", 1, "decision loops for -metro-mode sharded")
+	fs.IntVar(&o.shards, "shards", 1, "shards for -metro-mode sharded")
 	fs.StringVar(&o.partition, "partition", "roundrobin", "initial shard layout for -metro-mode sharded: roundrobin, blocks")
 	fs.IntVar(&o.rebalTicks, "rebalance-ticks", 0, "rebalance shard ownership every N tick barriers (-metro-mode sharded; 0 = static)")
 	fs.IntVar(&o.rebalMoves, "rebalance-max-moves", 0, "cap cell migrations per rebalance epoch (0 = planner default)")

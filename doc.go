@@ -103,8 +103,8 @@
 //
 // # Sharded admission engine
 //
-// One decision loop is a ceiling on multi-cell throughput. The sharded
-// engine partitions the network's cells across N shards, each a
+// One controller behind one lock is a ceiling on multi-cell
+// throughput. The sharded engine partitions the network's cells across N shards, each a
 // controller behind its own lock that runs on the caller, with a
 // deterministic router and a serialized cross-shard handoff protocol
 // (release on the source shard, then admit with handoff priority on

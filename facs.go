@@ -210,7 +210,7 @@ func NewSCCLedger(cfg SCCConfig) (*SCCLedger, error) { return iscc.NewLedger(cfg
 
 // SCCLedgerStats is a point-in-time snapshot of an SCCLedger's internal
 // counters — guard-band fallbacks, rebuilds and ghost-exchange activity
-// — taken via SCCLedger.Snapshot from the decision loop that owns the
+// — taken via SCCLedger.Snapshot under the lock that serializes the
 // ledger (e.g. a ShardedEngine.Do barrier). Snapshots aggregate with
 // Add; facs-serve prints the per-shard total at end of stream.
 type SCCLedgerStats = iscc.LedgerStats

@@ -21,9 +21,10 @@ type BatchController interface {
 // BatchIntoController is the allocation-free refinement of
 // BatchController: DecideBatchInto writes decisions into a
 // caller-provided buffer instead of allocating a fresh slice per batch.
-// Long-lived decision loops (serve.Service, the sharded engine, the
-// metropolis wave loop) reuse one buffer across millions of batches, so
-// the steady-state decision path performs zero allocations.
+// serve.Core — the decision step behind serve.Service, every shard of
+// the sharded engine and the metropolis wave loop — reuses one buffer
+// across millions of batches, so the steady-state decision path
+// performs zero allocations.
 //
 // Contract: identical outcome semantics to DecideBatch — out[i] must
 // equal Decide(reqs[i]) — and len(out) must be >= len(reqs) (only the

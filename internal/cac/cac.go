@@ -82,7 +82,7 @@ type Controller interface {
 // station (everything else they read — parameters, surfaces, network
 // geometry — is immutable after construction), and that must also be
 // safe for concurrent use. Cell-locality is the sharding seam: a
-// sharded engine that partitions stations across decision loops changes
+// sharded engine that partitions stations across shards changes
 // neither the inputs nor the order of any station's decisions, so
 // outcomes of a CellLocal controller are byte-identical for every shard
 // count. Controllers tracking cross-cell state (e.g. SCC's shadow
@@ -233,8 +233,9 @@ type ExchangeResetter interface {
 // of silently diverging.
 //
 // Consistency is the caller's job: SnapshotTo and RestoreFrom must run
-// with no decision in flight — inside a serve.Service.Do op, inside
-// the shard engine's tick barrier, or before the serving loops start.
+// with no decision in flight — inside a serve.Service.Do call (which
+// holds the service's lock), inside the shard engine's tick barrier,
+// or before any traffic starts.
 // Restore contracts are exact: a component restored from a snapshot
 // continues byte-identically to the instance that was captured
 // (replaying the same inputs yields the same decisions, exports and

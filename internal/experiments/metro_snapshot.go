@@ -111,7 +111,7 @@ func (r *metroRun) snapshotTo(w io.Writer) error {
 			}
 			e.Blob(buf.Bytes())
 		}
-		sn, ok := eng.ctrl.(cac.Snapshotter)
+		sn, ok := eng.core.Controller().(cac.Snapshotter)
 		e.Bool(ok)
 		if ok {
 			buf.Reset()
@@ -241,7 +241,7 @@ func (r *metroRun) restoreFrom(rd io.Reader) error {
 				return err
 			}
 		}
-		sn, ok := eng.ctrl.(cac.Snapshotter)
+		sn, ok := eng.core.Controller().(cac.Snapshotter)
 		if ok != hasCtrl {
 			return snap.ErrSnapshotStale
 		}

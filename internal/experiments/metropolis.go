@@ -30,8 +30,8 @@ const (
 	// path: decide, commit, next).
 	MetroSingle MetropolisMode = iota + 1
 	// MetroBatch decides MaxBatch-sized chunks against chunk-start
-	// snapshots and commits per request in order — serve.Service's wave
-	// semantics, inline.
+	// snapshots and commits per request in order — a serve.Core's wave
+	// semantics, driven inline.
 	MetroBatch
 	// MetroSharded routes waves through a shard.Engine with Commit mode
 	// and the serialized handoff protocol.
@@ -61,8 +61,7 @@ type MetropolisConfig struct {
 	NewController func(v shard.View) (cac.Controller, error)
 	// Mode selects the decision path (default MetroBatch).
 	Mode MetropolisMode
-	// Shards is the engine's decision-loop count for MetroSharded
-	// (default 1).
+	// Shards is the engine's shard count for MetroSharded (default 1).
 	Shards int
 	// Partition selects the initial station-to-shard layout for
 	// MetroSharded (see shard.Config.Partition; default round-robin).
@@ -358,145 +357,66 @@ func (r MetropolisResult) DropPct() float64 {
 	return 100 * float64(r.HandoffDropped) / float64(r.Handoffs)
 }
 
-// metroOutcome is one admission outcome as hashed into DecisionHash.
-type metroOutcome struct {
-	accepted  bool
-	committed bool
-}
-
-// metroEngine abstracts the three decision paths behind the wave loop.
+// metroEngine abstracts the decision paths behind the wave loop.
 type metroEngine interface {
 	controllerName() (string, error)
-	submitWave(reqs []cac.Request, out []metroOutcome) error
+	// submitWave decides one chunk of arrivals into out[:len(reqs)];
+	// a decision error is either returned or carried by the responses.
+	submitWave(reqs []cac.Request, out []serve.Response) error
 	release(id int, station *cell.BaseStation, now float64) error
 	// handoff runs the two-phase transfer protocol and reports the
-	// target-side outcome plus whether the transfer crossed shards.
-	handoff(id int, class traffic.Class, bu int, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error)
+	// target-side response plus whether the transfer crossed shards.
+	handoff(id int, from, to *cell.BaseStation, est gps.Estimate, now float64) (serve.Response, bool, error)
 	tick(now float64) error
 	close() error
 }
 
-// inlineMetroEngine realises serve.Service's Commit-mode wave semantics
-// sequentially: chunk at MaxBatch in request order, decide each chunk
-// against its start snapshot, commit per request in order. With
-// maxBatch 1 it is the single-loop path.
+// inlineMetroEngine drives one serve.Core on the wave loop's goroutine,
+// with no lock: Commit-mode waves chunked at MaxBatch in request order,
+// each chunk decided against its start snapshot and committed per
+// request in order. With maxBatch 1 it is the single-request path.
 type inlineMetroEngine struct {
-	ctrl     cac.Controller
-	observer cac.Observer
-	ticker   cac.Ticker
-	maxBatch int
-	scratch  [1]cac.Request
-	// dec is the persistent decision buffer DecideAllInto fills: one
-	// slot per chunk position, reused across chunks and waves.
-	dec []cac.Decision
+	core *serve.Core
 }
 
-func newInlineMetroEngine(ctrl cac.Controller, maxBatch int) *inlineMetroEngine {
-	e := &inlineMetroEngine{ctrl: ctrl, maxBatch: maxBatch, dec: make([]cac.Decision, maxBatch)}
-	e.observer, _ = ctrl.(cac.Observer)
-	e.ticker, _ = ctrl.(cac.Ticker)
-	return e
-}
+func (e *inlineMetroEngine) controllerName() (string, error) { return e.core.Controller().Name(), nil }
 
-func (e *inlineMetroEngine) controllerName() (string, error) { return e.ctrl.Name(), nil }
-
-// commit applies one accepted decision exactly as serve.Service.finish:
-// allocate on the station with the request's time and handoff flag, and
-// notify observer controllers. A failed admit (bandwidth claimed by
-// earlier accepts in the same chunk) leaves the request uncommitted.
-func (e *inlineMetroEngine) commit(req cac.Request) bool {
-	call := req.Call
-	call.AdmittedAt = req.Now
-	call.Handoff = req.Handoff
-	if err := req.Station.Admit(call); err != nil {
-		return false
-	}
-	if e.observer != nil {
-		e.observer.OnAdmit(req)
-	}
-	return true
-}
-
-func (e *inlineMetroEngine) submitWave(reqs []cac.Request, out []metroOutcome) error {
-	for lo := 0; lo < len(reqs); lo += e.maxBatch {
-		hi := lo + e.maxBatch
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		chunk := reqs[lo:hi]
-		if err := cac.DecideAllInto(e.ctrl, chunk, e.dec[:len(chunk)]); err != nil {
-			return err
-		}
-		for i := range chunk {
-			d := e.dec[i]
-			out[lo+i] = metroOutcome{accepted: d.Accepted()}
-			if d.Accepted() {
-				out[lo+i].committed = e.commit(chunk[i])
-			}
-		}
-	}
-	return nil
+func (e *inlineMetroEngine) submitWave(reqs []cac.Request, out []serve.Response) error {
+	return e.core.DecideWave(reqs, out, time.Now()) //facs:wallclock latency stamp; feeds the Core's latency gauges only
 }
 
 func (e *inlineMetroEngine) release(id int, station *cell.BaseStation, now float64) error {
-	// Mirror serve.Service.Release: a failed station release is counted
-	// by the service, not fatal; observers hear the release either way.
-	_, _ = station.Release(id)
-	if e.observer != nil {
-		e.observer.OnRelease(id, station, now)
-	}
+	// A failed station release counts into the Core's OpErrs instead of
+	// failing the wave, as on the sharded path; the conservation check
+	// in finish then fails the run.
+	e.core.Release(id, station, now)
 	return nil
 }
 
-func (e *inlineMetroEngine) handoff(id int, class traffic.Class, bu int, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error) {
+func (e *inlineMetroEngine) handoff(id int, from, to *cell.BaseStation, est gps.Estimate, now float64) (serve.Response, bool, error) {
 	// Phase 1: release at the source (shard.Engine's protocol order).
-	if _, err := from.Release(id); err != nil {
-		return metroOutcome{}, false, err
-	}
-	if e.observer != nil {
-		e.observer.OnRelease(id, from, now)
-	}
-	// Phase 2: target-side admission with handoff priority, a
-	// single-request chunk exactly like the engine's SubmitAll. The
-	// request and decision ride the engine's persistent scratch so the
-	// two-phase protocol stays allocation-free.
-	e.scratch[0] = cac.Request{
-		Call:    cell.Call{ID: id, Class: class, BU: bu},
-		Station: to,
-		Obs:     gps.Observe(est, to.Pos()),
-		Est:     est,
-		Handoff: true,
-		Now:     now,
-	}
-	err := cac.DecideAllInto(e.ctrl, e.scratch[:], e.dec[:1])
-	req := e.scratch[0]
-	e.scratch[0] = cac.Request{}
+	call, err := e.core.Depart(id, from, now)
 	if err != nil {
-		return metroOutcome{}, false, err
+		return serve.Response{}, false, err
 	}
-	d := e.dec[0]
-	outcome := metroOutcome{accepted: d.Accepted()}
-	if d.Accepted() {
-		outcome.committed = e.commit(req)
+	// Phase 2: target-side admission with handoff priority.
+	resp := e.core.Handoff(call, to, est, now)
+	if resp.Err != nil && !resp.Decision.Accepted() {
+		return serve.Response{}, false, resp.Err
 	}
-	return outcome, false, nil
+	return resp, false, nil
 }
 
 func (e *inlineMetroEngine) tick(now float64) error {
-	if e.ticker != nil {
-		e.ticker.OnTick(now)
-	}
+	e.core.Tick(now)
 	return nil
 }
 
 func (e *inlineMetroEngine) close() error { return nil }
 
-// shardMetroEngine adapts shard.Engine to the wave loop. resp is the
-// persistent response-scatter buffer SubmitWaveTo fills, grown once to
-// the largest wave seen and reused thereafter.
+// shardMetroEngine adapts shard.Engine to the wave loop.
 type shardMetroEngine struct {
 	engine *shard.Engine
-	resp   []serve.Response
 }
 
 func (e *shardMetroEngine) controllerName() (string, error) {
@@ -505,36 +425,17 @@ func (e *shardMetroEngine) controllerName() (string, error) {
 	return name, err
 }
 
-func (e *shardMetroEngine) submitWave(reqs []cac.Request, out []metroOutcome) error {
-	if cap(e.resp) < len(reqs) {
-		e.resp = make([]serve.Response, len(reqs))
-	}
-	resps := e.resp[:len(reqs)]
-	if err := e.engine.SubmitWaveTo(reqs, resps); err != nil {
-		return err
-	}
-	for i, resp := range resps {
-		if resp.Err != nil && !resp.Decision.Accepted() {
-			return resp.Err
-		}
-		out[i] = metroOutcome{accepted: resp.Decision.Accepted(), committed: resp.Committed}
-	}
-	return nil
+func (e *shardMetroEngine) submitWave(reqs []cac.Request, out []serve.Response) error {
+	return e.engine.SubmitWaveTo(reqs, out)
 }
 
 func (e *shardMetroEngine) release(id int, station *cell.BaseStation, now float64) error {
 	return e.engine.Release(id, station, now)
 }
 
-func (e *shardMetroEngine) handoff(id int, class traffic.Class, bu int, from, to *cell.BaseStation, est gps.Estimate, now float64) (metroOutcome, bool, error) {
+func (e *shardMetroEngine) handoff(id int, from, to *cell.BaseStation, est gps.Estimate, now float64) (serve.Response, bool, error) {
 	res := e.engine.HandoffCall(shard.Handoff{CallID: id, From: from, To: to, Est: est, Now: now})
-	if res.Err != nil {
-		return metroOutcome{}, res.CrossShard, res.Err
-	}
-	return metroOutcome{
-		accepted:  res.Response.Decision.Accepted(),
-		committed: res.Response.Committed,
-	}, res.CrossShard, nil
+	return res.Response, res.CrossShard, res.Err
 }
 
 func (e *shardMetroEngine) tick(now float64) error { return e.engine.Tick(now) }
@@ -551,7 +452,9 @@ const (
 
 func (h *fnv1a) writeByte(b byte) { *h = (*h ^ fnv1a(b)) * fnvPrime64 }
 
-func (h *fnv1a) writeOutcome(kind byte, id int, o metroOutcome) {
+// writeOutcome hashes one admission outcome: its kind, call ID, and
+// accepted and committed bits.
+func (h *fnv1a) writeOutcome(kind byte, id int, o serve.Response) {
 	h.writeByte(kind)
 	u := uint32(id)
 	h.writeByte(byte(u))
@@ -559,10 +462,10 @@ func (h *fnv1a) writeOutcome(kind byte, id int, o metroOutcome) {
 	h.writeByte(byte(u >> 16))
 	h.writeByte(byte(u >> 24))
 	var bits byte
-	if o.accepted {
+	if o.Decision.Accepted() {
 		bits |= 1
 	}
-	if o.committed {
+	if o.Committed {
 		bits |= 2
 	}
 	h.writeByte(bits)
@@ -893,7 +796,7 @@ type metroRun struct {
 	// Wave scratch, reused across waves: arrivals stream through it one
 	// MaxBatch chunk at a time.
 	reqs  []cac.Request
-	outs  []metroOutcome
+	outs  []serve.Response
 	holds []int
 	cells []int
 
@@ -944,7 +847,7 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 		if cfg.Mode == MetroSingle {
 			maxBatch = 1
 		}
-		engine = newInlineMetroEngine(ctrl, maxBatch)
+		engine = &inlineMetroEngine{core: serve.NewCore(ctrl, true, maxBatch)}
 	}
 
 	callRNG, callSrc := sim.NewCountedStream(cfg.Seed, "metro-calls")
@@ -978,7 +881,7 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 	// Size the wave scratch once: a run never holds more than one
 	// MaxBatch chunk of arrivals.
 	r.reqs = make([]cac.Request, 0, cfg.MaxBatch)
-	r.outs = make([]metroOutcome, cfg.MaxBatch)
+	r.outs = make([]serve.Response, cfg.MaxBatch)
 	r.holds = make([]int, 0, cfg.MaxBatch)
 	r.cells = make([]int, 0, cfg.MaxBatch)
 
@@ -1047,8 +950,7 @@ func (r *metroRun) runWave() error {
 				continue
 			}
 			est := workload.sampleEstimate(r.handoffRNG, ti, now)
-			outcome, crossShard, err := engine.handoff(
-				int(r.ledger.id[i]), r.ledger.class[i], int(r.ledger.bu[i]),
+			outcome, crossShard, err := engine.handoff(int(r.ledger.id[i]),
 				workload.stations[si], workload.stations[ti], est, now)
 			if err != nil {
 				return err
@@ -1058,7 +960,7 @@ func (r *metroRun) runWave() error {
 				r.result.CrossShard++
 			}
 			r.hash.writeOutcome('H', int(r.ledger.id[i]), outcome)
-			if !outcome.committed {
+			if !outcome.Committed {
 				r.result.HandoffDropped++
 				continue // the call is lost; the source released it
 			}
@@ -1102,13 +1004,16 @@ func (r *metroRun) runWave() error {
 			return err
 		}
 		for i := range reqs {
-			o := r.outs[i]
-			r.hash.writeOutcome('A', reqs[i].Call.ID, o)
+			o := &r.outs[i]
+			if o.Err != nil && !o.Decision.Accepted() {
+				return o.Err // a decision error
+			}
+			r.hash.writeOutcome('A', reqs[i].Call.ID, *o)
 			r.result.Requested++
-			if o.accepted {
+			if o.Decision.Accepted() {
 				r.result.Accepted++
 			}
-			if o.committed {
+			if o.Committed {
 				r.result.Committed++
 				r.ledger.push(reqs[i].Call.ID, reqs[i].Call.Class, reqs[i].Call.BU,
 					cells[i], wave+holds[i])
@@ -1131,7 +1036,8 @@ func (r *metroRun) runWave() error {
 	return nil
 }
 
-// finish closes the engine and returns the accumulated result.
+// finish closes the engine, checks call conservation and returns the
+// accumulated result.
 func (r *metroRun) finish() (MetropolisResult, error) {
 	r.result.FinalActive = r.ledger.len()
 	r.result.DecisionHash = uint64(r.hash)
@@ -1148,5 +1054,27 @@ func (r *metroRun) finish() (MetropolisResult, error) {
 	if err := r.engine.close(); err != nil {
 		return MetropolisResult{}, err
 	}
+	if err := r.conserved(); err != nil {
+		return MetropolisResult{}, err
+	}
 	return r.result, nil
+}
+
+// conserved checks that every committed call is accounted for: the run
+// tracks exactly the calls committed and neither released nor dropped
+// in a handoff, and the stations carry exactly those.
+func (r *metroRun) conserved() error {
+	res := &r.result
+	if want := res.Committed - res.Released - res.HandoffDropped; res.FinalActive != want {
+		return fmt.Errorf("experiments: %d active calls, but %d committed - %d released - %d dropped in handoffs = %d",
+			res.FinalActive, res.Committed, res.Released, res.HandoffDropped, want)
+	}
+	carried := 0
+	for _, bs := range r.workload.stations {
+		carried += bs.NumCalls()
+	}
+	if carried != res.FinalActive {
+		return fmt.Errorf("experiments: stations carry %d calls, but the run tracks %d active", carried, res.FinalActive)
+	}
+	return nil
 }

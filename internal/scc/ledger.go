@@ -111,8 +111,9 @@ func (h *handover) matches(id, bu int, pos geo.Point, headingDeg, speedMps float
 //
 // A Ledger implements cac.Controller, cac.BatchController, cac.Observer,
 // cac.StateUpdater, cac.Ticker and cac.DemandExchanger. It is not safe
-// for concurrent use; the simulation kernel (or the owning shard's
-// decision loop) is single-threaded.
+// for concurrent use; the simulation kernel is single-threaded, and a
+// serve.Core owning the ledger is serialized by its owner (a Service's
+// or a shard's lock).
 type Ledger struct {
 	cfg      Config
 	stations []*cell.BaseStation
@@ -278,8 +279,8 @@ func (l *Ledger) Stats() (exactFallbacks, rebuilds int64) {
 
 // LedgerStats is a point-in-time snapshot of one ledger's internal
 // counters — the observability surface for ledgers running behind a
-// serve.Service decision loop or a shard.Engine shard lock, where the
-// instance itself is only reachable through a serialized Do op.
+// serve.Service or a shard.Engine shard lock, where the instance
+// itself is only reachable through a serialized Do call.
 type LedgerStats struct {
 	// ActiveCalls is the number of calls currently projecting shadows.
 	ActiveCalls int

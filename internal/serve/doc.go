@@ -1,21 +1,30 @@
 // Package serve is the streaming admission front end over the batch
 // pipeline: a long-lived Service that ingests a concurrent stream of
 // admission requests, coalesces them into micro-batches and answers
-// them through a cac.Controller — amortised by cac.DecideAll whenever
-// the controller has a native batch path.
+// them through a cac.Controller — amortised by cac.DecideAllInto
+// whenever the controller has a native batch path.
 //
 // # Architecture
 //
-// All work funnels through one intake queue into a single decision
-// goroutine. Submitters (any number, any goroutine) enqueue requests
-// with Submit, caller-defined batches with SubmitAll, and control
-// operations — Tick, Release, UpdateState, Do — as first-class queue
-// items. The loop coalesces consecutive single requests until MaxBatch
-// requests are pending or MaxDelay has passed since the first one, then
-// decides the micro-batch in one DecideBatch call and fans the
-// responses back with per-request latency. Because decisions, commits,
-// ticks and state updates all execute in that one goroutine in queue
-// order, stateful controllers such as the SCC demand ledger keep their
+// Two pieces make up a Service, and every other front end reuses them.
+// Core is the one decide-commit-observe-count step: it decides a chunk
+// of requests, commits accepted calls in Commit mode, notifies an
+// observer controller and counts the outcomes; its methods are also
+// the bodies of the control operations (Tick, Release, UpdateState,
+// Do) and of a handoff's two phases (Depart, Handoff). A Core is not
+// safe for concurrent use. Intake is the single-request front half:
+// SubmitAsync enqueues, and one intake goroutine coalesces consecutive
+// singles until MaxBatch requests are pending or MaxDelay has passed
+// since the first one, then hands the micro-batch to its owner.
+//
+// A Service is one Core behind a mutex, fronted by one Intake. The
+// intake goroutine decides each micro-batch under the mutex and fans
+// the responses back with their latency. Waves (SubmitAll,
+// SubmitAllInto) and control operations run on the calling goroutine:
+// each first drains the intake, so it is ordered after every single
+// already enqueued, then runs under the mutex and returns once applied.
+// Because decisions, commits, ticks and state updates all hold that one
+// mutex, stateful controllers such as the SCC demand ledger keep their
 // invariants with no locking of their own.
 //
 // # Decision semantics
@@ -34,18 +43,16 @@
 // # Entry points
 //
 // New starts a Service; Submit/SubmitAll stream requests; Tick,
-// Release and UpdateState forward controller lifecycle events; Do and
-// Flush are serialized barriers; Stats snapshots throughput, latency
-// (avg/max plus p50/p99 from a mergeable power-of-two histogram),
-// accept-rate and batching counters; Close drains and stops.
+// Release and UpdateState forward controller lifecycle events; Do is
+// a serialized barrier and Flush waits for the singles already
+// submitted; Stats snapshots throughput, latency (avg/max plus p50/p99
+// from a mergeable power-of-two histogram), accept-rate and batching
+// counters; Close drains and stops.
 //
-// Two pieces are shared with front ends that run their own decisions:
-// DecideChunk is the decide-commit-observe step of every micro-batch
-// and wave chunk, and Intake is a Service's coalescing front half
-// (SubmitAsync, MaxBatch/MaxDelay batching, Drain) handing each batch
-// to a caller-supplied decide function. The internal/shard engine
-// builds on both: it scales admission horizontally with one controller
-// per cell shard, executed on the caller, and fronts its singles with
-// one Intake. The cmd/facs-serve binary serves the sharded engine
-// behind a newline-delimited JSON listener on stdin or TCP.
+// The internal/shard engine builds on the same pieces: it scales
+// admission horizontally with one Core per cell shard, executed on the
+// caller under the shard's lock, and fronts its singles with one
+// Intake. The metropolis driver's inline engine drives one Core
+// directly. The cmd/facs-serve binary serves the sharded engine behind
+// a newline-delimited JSON listener on stdin or TCP.
 package serve

@@ -30,8 +30,8 @@ var ErrClosed = errors.New("serve: service is closed")
 type Config struct {
 	// Controller renders the admission decisions. Controllers with a
 	// native batch path (cac.BatchController) are amortised through
-	// cac.DecideAll; any other controller is decided sequentially
-	// inside the loop with identical outcomes. Required.
+	// cac.DecideAllInto; any other controller is decided sequentially
+	// with identical outcomes. Required.
 	Controller cac.Controller
 
 	// MaxBatch caps how many requests one DecideBatch call may carry
@@ -45,8 +45,9 @@ type Config struct {
 	// never wait, batch only what is already queued.
 	MaxDelay time.Duration
 
-	// Queue is the intake channel capacity (default 4 x MaxBatch).
-	// Submitters block once it is full, providing natural backpressure.
+	// Queue is the intake channel capacity for singles (default 4 x
+	// MaxBatch). Submitters block once it is full, providing natural
+	// backpressure.
 	Queue int
 
 	// Commit makes the service the owner of station state: an accepted
@@ -72,7 +73,9 @@ type Response struct {
 	// Err is the decision or commit error, if any. A decision error
 	// forces Decision to Reject.
 	Err error
-	// Latency is the time from enqueue to decided (including commit).
+	// Latency is the time from enqueue to decided (including commit),
+	// shared by every request of one chunk: measured from the oldest
+	// request of a micro-batch, and from the call of a wave.
 	Latency time.Duration
 	// Batch is the size of the micro-batch that carried the request.
 	Batch int
@@ -86,18 +89,20 @@ const LatencyBuckets = 64
 
 // Stats is a point-in-time snapshot of the service counters.
 type Stats struct {
-	// Submitted counts requests accepted into the intake queue;
-	// Decided counts requests answered (equal once drained).
+	// Submitted counts requests handed to the controller; Decided
+	// counts requests answered. Both are counted as a chunk finishes,
+	// so they are always equal.
 	Submitted, Decided int64
 	// Accepted / Rejected split Decided by outcome; Committed counts
 	// accepted requests actually allocated (Commit mode).
 	Accepted, Rejected, Committed int64
-	// Batches counts DecideBatch calls; MaxBatch is the largest batch
+	// Batches counts decided chunks; MaxBatch is the largest batch
 	// realised; Waves counts SubmitAll calls.
 	Batches, Waves int64
 	MaxBatch       int
-	// Ops counts serialized control operations (ticks, releases, state
-	// updates, Do barriers); Ticks the OnTick deliveries among them.
+	// Ops counts applied control operations (ticks, releases, state
+	// updates, Do calls; Flush is not one); Ticks the OnTick deliveries
+	// among them.
 	Ops, Ticks int64
 	// CommitErrs counts accepted-but-uncommitted requests; OpErrs
 	// counts failed releases.
@@ -107,7 +112,7 @@ type Stats struct {
 	AvgLatency, MaxLatency time.Duration
 	// LatencyHist is the per-request latency histogram over
 	// power-of-two buckets (see LatencyBuckets): the source for the
-	// LatencyQuantile / P50Latency / P99Latency percentiles. A wave's
+	// LatencyQuantile / P50Latency / P99Latency percentiles. A chunk's
 	// requests complete together, so its latency weighs once per
 	// request, exactly like AvgLatency. Histograms from several
 	// services add field-wise, which is how the sharded engine
@@ -239,186 +244,249 @@ func (s Stats) String() string {
 		s.AvgLatency, s.P50Latency(), s.P99Latency(), s.MaxLatency, s.Ops)
 }
 
-// pending is one in-flight single request.
-type pending struct {
-	req   cac.Request
-	enq   time.Time
-	reply chan Response
+// Core is the decision step every front end shares: it decides chunks
+// of requests with one controller, commits accepted calls on their
+// stations in Commit mode, notifies an observer controller, and counts
+// the outcomes in Stats terms. Its methods are also the bodies of the
+// control operations (Tick, Release, UpdateState, Do) and of the two
+// handoff phases. A Service, every shard of the sharded engine and the
+// metropolis driver's inline engine each own one Core.
+//
+// Core is not safe for concurrent use: its owner serializes every call
+// (a Service and a shard behind a mutex, the inline engine by running
+// on one goroutine).
+type Core struct {
+	ctrl   cac.Controller
+	commit bool
+	// observer, ticker and updater are ctrl's optional interfaces,
+	// resolved once (nil when not implemented).
+	observer cac.Observer
+	ticker   cac.Ticker
+	updater  cac.StateUpdater
+	dec      []cac.Decision // decision scratch, MaxBatch slots
+	// hoReq and hoOut are Handoff's one-request chunk.
+	hoReq [1]cac.Request
+	hoOut [1]Response
+	// st holds the counters; st.AvgLatency is derived from latSum (the
+	// summed per-request latency in nanoseconds) when read.
+	st     Stats
+	latSum int64
 }
 
-// wave is one SubmitAll / SubmitAllInto call: a caller-defined batch
-// that is decided as a unit, split only at deterministic MaxBatch
-// boundaries. out is the response buffer the loop fills (caller-owned
-// for SubmitAllInto, allocated by SubmitAll).
-type wave struct {
-	reqs  []cac.Request
-	out   []Response
-	enq   time.Time
-	reply chan []Response
+// NewCore returns a Core deciding with ctrl in chunks of at most
+// maxBatch requests; commit selects Config.Commit's semantics.
+func NewCore(ctrl cac.Controller, commit bool, maxBatch int) *Core {
+	c := &Core{ctrl: ctrl, commit: commit, dec: make([]cac.Decision, maxBatch)}
+	c.observer, _ = ctrl.(cac.Observer)
+	c.ticker, _ = ctrl.(cac.Ticker)
+	c.updater, _ = ctrl.(cac.StateUpdater)
+	return c
 }
 
-// op is one serialized control operation.
-type op struct {
-	fn   func(ctrl cac.Controller)
-	done chan struct{} // non-nil for synchronous ops
-}
+// Controller returns the controller the Core decides with.
+func (c *Core) Controller() cac.Controller { return c.ctrl }
 
-// item is one intake-queue entry; exactly one field is set.
-type item struct {
-	single *pending
-	wave   *wave
-	op     *op
-}
-
-// queue is the intake shared by Service and Intake: a bounded channel
-// of items that refuses sends after close, drained by one loop
-// goroutine that coalesces consecutive single requests into
-// micro-batches.
-type queue struct {
-	in       chan item
-	done     chan struct{}
-	mu       sync.RWMutex // guards closed against in-flight sends
-	closed   bool
-	maxBatch int
-	maxDelay time.Duration
-	batch    []*pending // gather scratch, owned by the loop goroutine
-}
-
-func newQueue(cfg Config) queue {
-	return queue{
-		in:       make(chan item, cfg.Queue),
-		done:     make(chan struct{}),
-		maxBatch: cfg.MaxBatch,
-		maxDelay: cfg.MaxDelay,
-		batch:    make([]*pending, 0, cfg.MaxBatch),
+// Decide decides one chunk of at most MaxBatch requests through
+// cac.DecideAllInto — every request against the chunk-start station
+// state — and finishes them into out[:len(reqs)] in request order. In
+// Commit mode an accepted call is allocated on its station (cell.Admit)
+// and then reported to an observer controller before the next request
+// is finished, so a commit sees every earlier one; an accept that no
+// longer fits carries the commit error uncommitted. A decision error
+// rejects the whole chunk with that error and is returned. Every
+// response carries the latency since enq, and the chunk counts as one
+// batch.
+//
+//facs:hotpath
+func (c *Core) Decide(reqs []cac.Request, out []Response, enq time.Time) error {
+	out = out[:len(reqs)]
+	c.st.Batches++
+	c.st.MaxBatch = max(c.st.MaxBatch, len(reqs))
+	if err := cac.DecideAllInto(c.ctrl, reqs, c.dec[:len(reqs)]); err != nil {
+		c.reject(out, err, enq)
+		return err
 	}
-}
-
-// send enqueues an item unless the queue is closed. The read lock is
-// held across the channel send so shutdown cannot close the channel
-// under an in-flight submitter.
-func (q *queue) send(it item) error {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		return ErrClosed
+	for i := range reqs {
+		d := c.dec[i]
+		out[i] = Response{Decision: d, Batch: len(reqs)}
+		if !d.Accepted() {
+			c.st.Rejected++
+			continue
+		}
+		c.st.Accepted++
+		if !c.commit {
+			continue
+		}
+		call := reqs[i].Call
+		call.AdmittedAt = reqs[i].Now
+		call.Handoff = reqs[i].Handoff
+		if err := reqs[i].Station.Admit(call); err != nil {
+			// Accepted against the chunk-start snapshot, but earlier
+			// accepts in the same chunk exhausted the bandwidth.
+			c.st.CommitErrs++
+			out[i].Err = err
+			continue
+		}
+		out[i].Committed = true
+		c.st.Committed++
+		if c.observer != nil {
+			c.observer.OnAdmit(reqs[i])
+		}
 	}
-	q.in <- it
+	c.finish(out, enq)
 	return nil
 }
 
-// shutdown stops intake and waits for the loop to drain the queue and
-// exit. Idempotent.
-func (q *queue) shutdown() {
-	q.mu.Lock()
-	if !q.closed {
-		q.closed = true
-		close(q.in)
+// DecideWave decides a caller-defined batch (a wave) through Decide in
+// deterministic MaxBatch chunks, in request order, and counts one wave.
+// A chunk's decision error rejects the rest of the wave with that error
+// — counted as decided, not as batches — and is returned.
+//
+//facs:hotpath
+func (c *Core) DecideWave(reqs []cac.Request, out []Response, enq time.Time) error {
+	c.st.Waves++
+	var failed error
+	for lo := 0; lo < len(reqs); lo += len(c.dec) {
+		hi := min(lo+len(c.dec), len(reqs))
+		if failed == nil {
+			failed = c.Decide(reqs[lo:hi], out[lo:hi], enq)
+			continue
+		}
+		c.reject(out[lo:hi], failed, enq)
 	}
-	q.mu.Unlock()
-	<-q.done
+	return failed
 }
 
-// run is the loop goroutine: every item goes to handle, in queue order.
-// handle returns the item that interrupted a micro-batch, if any, so it
-// is handled next — strictly after the requests that preceded it.
-func (q *queue) run(handle func(it item) *item) {
-	defer close(q.done)
-	for it := range q.in {
-		for next := handle(it); next != nil; {
-			next = handle(*next)
-		}
+// reject fails every request of a chunk with err.
+func (c *Core) reject(out []Response, err error, enq time.Time) {
+	for i := range out {
+		out[i] = Response{Decision: cac.Reject, Err: err, Batch: len(out)}
 	}
+	c.st.Rejected += int64(len(out))
+	c.finish(out, enq)
 }
 
-// gather grows a micro-batch from the first pending request until
-// maxBatch, maxDelay after enqueue of the first request, or a
-// non-single item interrupts. It returns the batch (valid until the
-// next gather) and the interrupting item, if any.
-func (q *queue) gather(first *pending) ([]*pending, *item) {
-	batch := append(q.batch[:0], first)
-	var interrupt *item
-	if q.maxDelay > 0 && q.maxBatch > 1 {
-		wait := q.maxDelay - time.Since(first.enq) //facs:wallclock shapes batch boundaries only; the outcome contracts pin decision equality across batchings
-		if wait > 0 {
-			timer := time.NewTimer(wait)
-		fill:
-			for len(batch) < q.maxBatch {
-				select {
-				case it, ok := <-q.in:
-					if !ok {
-						break fill
-					}
-					if it.single != nil {
-						batch = append(batch, it.single)
-					} else {
-						interrupt = &it
-						break fill
-					}
-				case <-timer.C:
-					break fill
-				}
-			}
-			timer.Stop()
+// finish stamps the latency since enq on a chunk's responses and counts
+// its requests as decided.
+func (c *Core) finish(out []Response, enq time.Time) {
+	lat := time.Since(enq) //facs:wallclock latency metric only
+	for i := range out {
+		out[i].Latency = lat
+	}
+	n := int64(len(out))
+	c.st.Submitted += n
+	c.st.Decided += n
+	c.st.MaxLatency = max(c.st.MaxLatency, lat)
+	c.st.LatencyHist[LatencyBucket(lat)] += n
+	c.latSum += int64(lat) * n
+}
+
+// Handoff is a handoff's target phase: it decides call's admission at
+// station to with handoff priority, from the user's estimate est at
+// time now, as a one-request chunk — so the decision sees every earlier
+// commit — and returns the response.
+//
+//facs:hotpath
+func (c *Core) Handoff(call cell.Call, to *cell.BaseStation, est gps.Estimate, now float64) Response {
+	enq := time.Now() //facs:wallclock latency stamp; feeds the latency gauges only
+	c.hoReq[0] = cac.Request{
+		Call:    cell.Call{ID: call.ID, Class: call.Class, BU: call.BU},
+		Station: to,
+		Obs:     gps.Observe(est, to.Pos()),
+		Est:     est,
+		Handoff: true,
+		Now:     now,
+	}
+	// A decision error is carried by the response.
+	_ = c.Decide(c.hoReq[:], c.hoOut[:], enq)
+	c.hoReq[0] = cac.Request{}
+	return c.hoOut[0]
+}
+
+// Depart is a handoff's source phase: it releases the call from station
+// and notifies an observer controller only when the release succeeds.
+// A failed release is the handoff's protocol error, returned rather
+// than counted into OpErrs. Either way it counts as one op.
+//
+//facs:hotpath
+func (c *Core) Depart(callID int, station *cell.BaseStation, now float64) (cell.Call, error) {
+	call, err := station.Release(callID)
+	if err == nil && c.observer != nil {
+		c.observer.OnRelease(callID, station, now)
+	}
+	c.st.Ops++
+	return call, err
+}
+
+// Release retires a carried call: in Commit mode the bandwidth is
+// released on the station (a failure counts into Stats.OpErrs), and an
+// observer controller is notified either way. It counts as one op.
+//
+//facs:hotpath
+func (c *Core) Release(callID int, station *cell.BaseStation, now float64) {
+	if c.commit {
+		if _, err := station.Release(callID); err != nil {
+			c.st.OpErrs++
 		}
 	}
-	// Greedy tail: take whatever is already queued without waiting.
-	if interrupt == nil {
-	drain:
-		for len(batch) < q.maxBatch {
-			select {
-			case it, ok := <-q.in:
-				if !ok {
-					break drain
-				}
-				if it.single != nil {
-					batch = append(batch, it.single)
-				} else {
-					interrupt = &it
-					break drain
-				}
-			default:
-				break drain
-			}
-		}
+	if c.observer != nil {
+		c.observer.OnRelease(callID, station, now)
 	}
-	q.batch = batch
-	return batch, interrupt
+	c.st.Ops++
+}
+
+// Tick delivers cac.Ticker.OnTick(now), counted as an op and a tick; a
+// controller without time-driven state makes it a no-op.
+func (c *Core) Tick(now float64) {
+	if c.ticker == nil {
+		return
+	}
+	c.ticker.OnTick(now)
+	c.st.Ops++
+	c.st.Ticks++
+}
+
+// UpdateState delivers a fresh kinematic estimate for a carried call to
+// a mobility-tracking controller (cac.StateUpdater), counted as an op;
+// any other controller makes it a no-op.
+func (c *Core) UpdateState(callID int, est gps.Estimate, station *cell.BaseStation) {
+	if c.updater == nil {
+		return
+	}
+	c.updater.OnStateUpdate(callID, est, station)
+	c.st.Ops++
+}
+
+// Do runs fn on the controller, counted as an op.
+func (c *Core) Do(fn func(ctrl cac.Controller)) {
+	fn(c.ctrl)
+	c.st.Ops++
+}
+
+// Stats snapshots the counters.
+func (c *Core) Stats() Stats {
+	st := c.st
+	if st.Decided > 0 {
+		st.AvgLatency = time.Duration(c.latSum / st.Decided)
+	}
+	return st
 }
 
 // Service is a streaming admission front end over an admission
-// controller: concurrent submitters enqueue requests, a single loop
-// goroutine coalesces them into micro-batches (bounded by MaxBatch and
-// MaxDelay), decides each batch through cac.DecideAll, and fans the
-// responses back with per-request latency. Control operations — ticks,
-// releases, kinematic updates — travel the same queue and execute in
-// the same goroutine, strictly ordered against decisions, so stateful
-// controllers (e.g. the SCC demand ledger) keep their invariants
-// without any locking of their own.
+// controller: one Core behind a mutex, fronted by an Intake. Concurrent
+// Submit/SubmitAsync singles are coalesced by the intake goroutine into
+// micro-batches (bounded by MaxBatch and MaxDelay), each decided as one
+// chunk with per-request latency. Waves (SubmitAll/SubmitAllInto) and
+// control operations — ticks, releases, kinematic updates, Do — run on
+// the calling goroutine after draining the intake, so each is ordered
+// after every single already enqueued and returns once applied.
+// Decisions, commits and operations all hold the same mutex, so
+// stateful controllers (e.g. the SCC demand ledger) keep their
+// invariants without any locking of their own.
 type Service struct {
-	cfg Config
-	q   queue
-
-	// Loop-local scratch, reused across micro-batches.
-	reqScratch []cac.Request
-	outScratch []Response
-	decScratch []cac.Decision
-
-	submitted  atomic.Int64
-	decided    atomic.Int64
-	accepted   atomic.Int64
-	rejected   atomic.Int64
-	committed  atomic.Int64
-	batches    atomic.Int64
-	waves      atomic.Int64
-	ops        atomic.Int64
-	ticks      atomic.Int64
-	commitErrs atomic.Int64
-	opErrs     atomic.Int64
-	maxBatch   atomic.Int64
-	latSumNs   atomic.Int64
-	latMaxNs   atomic.Int64
-	latHist    [LatencyBuckets]atomic.Int64
+	in   *Intake
+	mu   sync.Mutex // guards core
+	core *Core
 }
 
 // withDefaults validates the batching fields and applies their
@@ -443,7 +511,7 @@ func (cfg Config) withDefaults() (Config, error) {
 }
 
 // New validates the configuration, applies defaults and starts the
-// decision loop. The returned service is live until Close.
+// intake. The returned service is live until Close.
 func New(cfg Config) (*Service, error) {
 	if cfg.Controller == nil {
 		return nil, fmt.Errorf("serve: config needs a controller")
@@ -452,21 +520,25 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{
-		cfg:        cfg,
-		q:          newQueue(cfg),
-		reqScratch: make([]cac.Request, 0, cfg.MaxBatch),
-		outScratch: make([]Response, cfg.MaxBatch),
-		decScratch: make([]cac.Decision, cfg.MaxBatch),
+	s := &Service{core: NewCore(cfg.Controller, cfg.Commit, cfg.MaxBatch)}
+	if s.in, err = NewIntake(cfg, s.decideBatch); err != nil {
+		return nil, err
 	}
-	go s.q.run(s.handle)
 	return s, nil
 }
 
+// decideBatch decides one intake micro-batch as one chunk.
+func (s *Service) decideBatch(reqs []cac.Request, enq time.Time, out []Response) {
+	s.mu.Lock()
+	// A decision error is already carried by every response.
+	_ = s.core.Decide(reqs, out, enq)
+	s.mu.Unlock()
+}
+
 // Controller returns the wrapped controller. Reading mutable controller
-// state concurrently with the loop is racy; use Do for a serialized
+// state concurrently with traffic is racy; use Do for a serialized
 // view.
-func (s *Service) Controller() cac.Controller { return s.cfg.Controller }
+func (s *Service) Controller() cac.Controller { return s.core.Controller() }
 
 // Submit enqueues one request and blocks until its decision. It is safe
 // for any number of concurrent callers; requests from one goroutine are
@@ -483,22 +555,17 @@ func (s *Service) Submit(req cac.Request) Response {
 // order — and therefore the decision order — is the call order. After
 // Close the response carries ErrClosed.
 func (s *Service) SubmitAsync(req cac.Request) <-chan Response {
-	p := &pending{req: req, enq: time.Now(), reply: make(chan Response, 1)} //facs:wallclock latency stamp; feeds the latency gauges only
-	s.submitted.Add(1)
-	if err := s.q.send(item{single: p}); err != nil {
-		s.submitted.Add(-1)
-		p.reply <- Response{Decision: cac.Reject, Err: err}
-	}
-	return p.reply
+	return s.in.SubmitAsync(req)
 }
 
-// SubmitAll enqueues a caller-defined batch (a "wave") and blocks until
-// every decision is rendered, returning responses in request order. A
-// wave is decided as a unit: it never coalesces with other traffic, and
-// it is split only at MaxBatch boundaries — deterministically, never by
-// timing — so closed-loop drivers that need reproducible outcomes
-// stream waves. In Commit mode, accepted calls of one chunk are
-// allocated before the next chunk is decided.
+// SubmitAll decides a caller-defined batch (a "wave") and returns
+// responses in request order. A wave is decided as a unit: it never
+// coalesces with other traffic, and it is split only at MaxBatch
+// boundaries — deterministically, never by timing — so closed-loop
+// drivers that need reproducible outcomes stream waves. In Commit mode,
+// accepted calls of one chunk are allocated before the next chunk is
+// decided. A chunk's decision error rejects the rest of the wave; the
+// responses carry it.
 func (s *Service) SubmitAll(reqs []cac.Request) ([]Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -514,9 +581,7 @@ func (s *Service) SubmitAll(reqs []cac.Request) ([]Response, error) {
 // wave's responses are written into out[:len(reqs)] instead of a fresh
 // slice, so closed-loop drivers reuse one buffer across millions of
 // waves. out must hold at least len(reqs) entries; outcomes are
-// identical to SubmitAll in every respect. The buffer must not be read
-// until SubmitAllInto returns, and is safe to reuse immediately
-// afterwards.
+// identical to SubmitAll in every respect.
 //
 //facs:hotpath
 func (s *Service) SubmitAllInto(reqs []cac.Request, out []Response) error {
@@ -524,276 +589,104 @@ func (s *Service) SubmitAllInto(reqs []cac.Request, out []Response) error {
 		return nil
 	}
 	if len(out) < len(reqs) {
-		return fmt.Errorf("serve: response buffer too short: %d requests, %d slots", len(reqs), len(out)) //facs:alloc reject/error path; formats nothing on the steady-state wave
+		return errShortBuffer(len(reqs), len(out))
 	}
-	enq := time.Now()                                                                       //facs:wallclock latency stamp; feeds the latency gauges only
-	w := &wave{reqs: reqs, out: out[:len(reqs)], enq: enq, reply: make(chan []Response, 1)} //facs:alloc one wave header and reply channel per batch, not per request; the per-request path is alloc-free
-	s.submitted.Add(int64(len(reqs)))
-	if err := s.q.send(item{wave: w}); err != nil {
-		s.submitted.Add(int64(-len(reqs)))
+	if err := s.in.Drain(); err != nil {
 		return err
 	}
-	<-w.reply
+	enq := time.Now() //facs:wallclock latency stamp; feeds the latency gauges only
+	s.mu.Lock()
+	// A decision error is already carried by the responses.
+	_ = s.core.DecideWave(reqs, out, enq)
+	s.mu.Unlock()
 	return nil
 }
 
-// Do runs fn inside the decision loop, after every previously enqueued
-// request and op has completed, and blocks until fn returns. It is the
+//facs:coldpath error constructor; called only on caller misuse
+func errShortBuffer(reqs, slots int) error {
+	return fmt.Errorf("serve: response buffer too short: %d requests, %d slots", reqs, slots)
+}
+
+// Do runs fn on the controller, after every previously submitted
+// request and op has completed, and returns once fn does. It is the
 // barrier primitive: a serialized, race-free view of the controller and
-// of any station state the service commits to.
+// of any station state the service commits to. fn must not call back
+// into the service.
 func (s *Service) Do(fn func(ctrl cac.Controller)) error {
-	o := &op{fn: fn, done: make(chan struct{})}
-	if err := s.q.send(item{op: o}); err != nil {
+	if err := s.in.Drain(); err != nil {
 		return err
 	}
-	<-o.done
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.core.Do(fn)
 	return nil
 }
 
-// Flush blocks until everything enqueued before it has been decided.
+// Flush blocks until everything submitted before it has been decided.
+// It is not an op: Stats counts nothing for it.
 func (s *Service) Flush() error {
-	return s.Do(func(cac.Controller) {})
+	return s.in.Drain()
 }
 
-// Tick delivers cac.Ticker.OnTick(now) to the controller, serialized
-// after everything already enqueued. It is asynchronous; a controller
-// without time-driven state makes it a cheap no-op.
+// Tick delivers cac.Ticker.OnTick(now) to the controller, ordered after
+// everything already submitted; a controller without time-driven state
+// makes it a no-op.
+//
+//facs:hotpath
 func (s *Service) Tick(now float64) error {
-	t, ok := s.cfg.Controller.(cac.Ticker)
-	if !ok {
-		return nil
+	if err := s.in.Drain(); err != nil {
+		return err
 	}
-	return s.q.send(item{op: &op{fn: func(cac.Controller) {
-		t.OnTick(now)
-		s.ticks.Add(1)
-	}}})
+	s.mu.Lock()
+	s.core.Tick(now)
+	s.mu.Unlock()
+	return nil
 }
 
-// Release retires a carried call: in Commit mode the bandwidth is
-// released on the station (a failure counts into Stats.OpErrs), and
-// observer controllers are notified either way. Asynchronous, ordered
-// after everything already enqueued.
+// Release retires a carried call, ordered after everything already
+// submitted: in Commit mode the bandwidth is released on the station (a
+// failure counts into Stats.OpErrs), and observer controllers are
+// notified either way.
+//
+//facs:hotpath
 func (s *Service) Release(callID int, station *cell.BaseStation, now float64) error {
-	return s.q.send(item{op: &op{fn: func(ctrl cac.Controller) {
-		if s.cfg.Commit {
-			if _, err := station.Release(callID); err != nil {
-				s.opErrs.Add(1)
-			}
-		}
-		if obs, ok := ctrl.(cac.Observer); ok {
-			obs.OnRelease(callID, station, now)
-		}
-	}}})
+	if err := s.in.Drain(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.core.Release(callID, station, now)
+	s.mu.Unlock()
+	return nil
 }
 
 // UpdateState delivers a fresh kinematic estimate for a carried call to
-// mobility-tracking controllers (cac.StateUpdater). Asynchronous,
-// ordered after everything already enqueued.
+// mobility-tracking controllers (cac.StateUpdater), ordered after
+// everything already submitted.
 func (s *Service) UpdateState(callID int, est gps.Estimate, station *cell.BaseStation) error {
-	u, ok := s.cfg.Controller.(cac.StateUpdater)
-	if !ok {
-		return nil
+	if err := s.in.Drain(); err != nil {
+		return err
 	}
-	return s.q.send(item{op: &op{fn: func(cac.Controller) {
-		u.OnStateUpdate(callID, est, station)
-	}}})
+	s.mu.Lock()
+	s.core.UpdateState(callID, est, station)
+	s.mu.Unlock()
+	return nil
 }
 
-// Close stops intake, waits for the queue to drain and the loop to
-// exit, then returns. Submissions racing with Close either complete
-// normally or return ErrClosed; Close is idempotent.
+// Close stops intake, decides every single still queued and returns;
+// afterwards every submission and operation reports ErrClosed.
+// Submissions racing with Close either complete normally or return
+// ErrClosed; Close is idempotent.
 func (s *Service) Close() error {
-	s.q.shutdown()
+	s.in.Close()
 	return nil
 }
 
-// Stats returns a consistent-enough snapshot of the counters: each
-// field is atomically read, and after Flush (or Close) the snapshot is
-// exact.
+// Stats returns a snapshot of the counters; after Flush (or Close) it
+// is exact.
 func (s *Service) Stats() Stats {
-	st := Stats{
-		Submitted:  s.submitted.Load(),
-		Decided:    s.decided.Load(),
-		Accepted:   s.accepted.Load(),
-		Rejected:   s.rejected.Load(),
-		Committed:  s.committed.Load(),
-		Batches:    s.batches.Load(),
-		Waves:      s.waves.Load(),
-		MaxBatch:   int(s.maxBatch.Load()),
-		Ops:        s.ops.Load(),
-		Ticks:      s.ticks.Load(),
-		CommitErrs: s.commitErrs.Load(),
-		OpErrs:     s.opErrs.Load(),
-		AvgLatency: time.Duration(safeDiv(s.latSumNs.Load(), s.decided.Load())),
-		MaxLatency: time.Duration(s.latMaxNs.Load()),
-	}
-	for i := range s.latHist {
-		st.LatencyHist[i] = s.latHist[i].Load()
-	}
-	return st
-}
-
-func safeDiv(sum, n int64) int64 {
-	if n == 0 {
-		return 0
-	}
-	return sum / n
-}
-
-// handle runs one queue item inside the decision loop: the only place
-// the controller is invoked and (in Commit mode) stations are mutated.
-func (s *Service) handle(it item) *item {
-	switch {
-	case it.single != nil:
-		return s.coalesce(it.single)
-	case it.wave != nil:
-		s.decideWave(it.wave)
-	case it.op != nil:
-		s.runOp(it.op)
-	}
-	return nil
-}
-
-// coalesce gathers a micro-batch from the first pending request and
-// decides it, returning the item that interrupted the batch, if any.
-func (s *Service) coalesce(first *pending) *item {
-	batch, interrupt := s.q.gather(first)
-	reqs := s.reqScratch[:0]
-	for _, p := range batch {
-		reqs = append(reqs, p.req)
-	}
-	s.reqScratch = reqs
-	// A decision error is already carried by every response.
-	t, _ := DecideChunk(s.cfg.Controller, s.cfg.Commit, reqs, s.decScratch, s.outScratch)
-	s.noteBatch(len(batch))
-	s.tally(t)
-	for i, p := range batch {
-		resp := s.outScratch[i]
-		resp.Latency = s.noteLatency(p.enq, 1)
-		p.reply <- resp
-	}
-	return interrupt
-}
-
-// decideWave decides one SubmitAll batch in deterministic MaxBatch
-// chunks. A chunk's decision error fails the rest of the wave.
-func (s *Service) decideWave(w *wave) {
-	s.waves.Add(1)
-	out := w.out
-	var failed error
-	for lo := 0; lo < len(w.reqs); lo += s.cfg.MaxBatch {
-		hi := min(lo+s.cfg.MaxBatch, len(w.reqs))
-		if failed == nil {
-			t, err := DecideChunk(s.cfg.Controller, s.cfg.Commit, w.reqs[lo:hi], s.decScratch, out[lo:hi])
-			s.noteBatch(hi - lo)
-			s.tally(t)
-			failed = err
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			out[i] = Response{Decision: cac.Reject, Err: failed, Batch: hi - lo}
-		}
-		s.tally(Tally{Requests: hi - lo})
-	}
-	lat := s.noteLatency(w.enq, len(w.reqs))
-	for i := range out {
-		out[i].Latency = lat
-	}
-	w.reply <- out
-}
-
-// Tally counts the outcomes of one chunk decided by DecideChunk: the
-// chunk's size and the Stats counters it splits into. Requests not
-// accepted are rejected.
-type Tally struct {
-	Requests, Accepted, Committed, CommitErrs int
-}
-
-// DecideChunk is the decision step shared by every front end (a
-// Service's micro-batches and waves, the sharded engine's chunks and
-// handoffs): it decides reqs with ctrl through cac.DecideAllInto, using
-// dec as scratch (at least len(reqs) slots), and finishes the requests
-// into out[:len(reqs)] in request order. In Commit mode an accepted
-// call is allocated on its station (cell.Admit) and then reported to a
-// cac.Observer controller before the next request is finished, so a
-// commit sees every earlier one; an accept that no longer fits carries
-// the commit error uncommitted. A decision error rejects the whole
-// chunk with that error and is returned. Latency is left to the caller.
-//
-//facs:hotpath
-func DecideChunk(ctrl cac.Controller, commit bool, reqs []cac.Request, dec []cac.Decision, out []Response) (Tally, error) {
-	t := Tally{Requests: len(reqs)}
-	if err := cac.DecideAllInto(ctrl, reqs, dec); err != nil {
-		for i := range reqs {
-			out[i] = Response{Decision: cac.Reject, Err: err, Batch: len(reqs)}
-		}
-		return t, err
-	}
-	obs, _ := ctrl.(cac.Observer)
-	for i := range reqs {
-		d := dec[i]
-		out[i] = Response{Decision: d, Batch: len(reqs)}
-		if !d.Accepted() {
-			continue
-		}
-		t.Accepted++
-		if !commit {
-			continue
-		}
-		call := reqs[i].Call
-		call.AdmittedAt = reqs[i].Now
-		call.Handoff = reqs[i].Handoff
-		if err := reqs[i].Station.Admit(call); err != nil {
-			// Accepted against the chunk-start snapshot, but earlier
-			// accepts in the same chunk exhausted the bandwidth.
-			t.CommitErrs++
-			out[i].Err = err
-			continue
-		}
-		out[i].Committed = true
-		t.Committed++
-		if obs != nil {
-			obs.OnAdmit(reqs[i])
-		}
-	}
-	return t, nil
-}
-
-// tally adds one chunk's outcomes to the counters.
-func (s *Service) tally(t Tally) {
-	s.decided.Add(int64(t.Requests))
-	s.accepted.Add(int64(t.Accepted))
-	s.rejected.Add(int64(t.Requests - t.Accepted))
-	s.committed.Add(int64(t.Committed))
-	s.commitErrs.Add(int64(t.CommitErrs))
-}
-
-func (s *Service) runOp(o *op) {
-	o.fn(s.cfg.Controller)
-	s.ops.Add(1)
-	if o.done != nil {
-		close(o.done)
-	}
-}
-
-func (s *Service) noteBatch(n int) {
-	s.batches.Add(1)
-	if int64(n) > s.maxBatch.Load() {
-		s.maxBatch.Store(int64(n))
-	}
-}
-
-// noteLatency records one completion covering n requests (a wave's
-// requests all complete together, so its latency weighs n times into
-// the average).
-func (s *Service) noteLatency(enq time.Time, n int) time.Duration {
-	lat := time.Since(enq) //facs:wallclock latency metric only
-	s.latSumNs.Add(int64(lat) * int64(n))
-	if int64(lat) > s.latMaxNs.Load() {
-		s.latMaxNs.Store(int64(lat))
-	}
-	s.latHist[LatencyBucket(lat)].Add(int64(n))
-	return lat
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.core.Stats()
 }
 
 // LatencyBucket maps a latency to its power-of-two Stats.LatencyHist
@@ -810,18 +703,39 @@ func LatencyBucket(lat time.Duration) int {
 	return b
 }
 
-// Intake is a Service's single-request front half without its decision
-// loop, for front ends that decide batches themselves (the sharded
-// engine routes each batch across its shards). SubmitAsync enqueues;
-// one goroutine coalesces the queue into micro-batches exactly as a
-// Service does — at most MaxBatch requests, waiting at most MaxDelay
-// after the first — and hands each batch to the owner's decide
-// function.
+// pending is one in-flight single request.
+type pending struct {
+	req   cac.Request
+	enq   time.Time
+	reply chan Response
+}
+
+// item is one intake-queue entry: a single request, or a Drain barrier
+// that is closed when the intake goroutine reaches it.
+type item struct {
+	single  *pending
+	barrier chan struct{}
+}
+
+// Intake is the single-request front half of a front end: SubmitAsync
+// enqueues on a bounded channel, and one goroutine coalesces the queue
+// into micro-batches — at most MaxBatch requests, waiting at most
+// MaxDelay after the first — and hands each batch to the owner's decide
+// function. A Service and the sharded engine each front their singles
+// with one Intake; every other operation of theirs runs on its caller
+// after Drain.
 type Intake struct {
-	q      queue
-	decide func(reqs []cac.Request, enq time.Time, out []Response)
-	reqs   []cac.Request
-	out    []Response
+	in       chan item
+	done     chan struct{}
+	mu       sync.RWMutex // held across sends so Close cannot close in under one
+	closed   atomic.Bool  // written under mu
+	maxBatch int
+	maxDelay time.Duration
+	decide   func(reqs []cac.Request, enq time.Time, out []Response)
+	// Scratch owned by the intake goroutine.
+	batch []*pending
+	reqs  []cac.Request
+	out   []Response
 	// pending counts requests enqueued and not yet answered.
 	pending atomic.Int64
 }
@@ -837,13 +751,30 @@ func NewIntake(cfg Config, decide func(reqs []cac.Request, enq time.Time, out []
 		return nil, err
 	}
 	in := &Intake{
-		q:      newQueue(cfg),
-		decide: decide,
-		reqs:   make([]cac.Request, 0, cfg.MaxBatch),
-		out:    make([]Response, cfg.MaxBatch),
+		in:       make(chan item, cfg.Queue),
+		done:     make(chan struct{}),
+		maxBatch: cfg.MaxBatch,
+		maxDelay: cfg.MaxDelay,
+		decide:   decide,
+		batch:    make([]*pending, 0, cfg.MaxBatch),
+		reqs:     make([]cac.Request, 0, cfg.MaxBatch),
+		out:      make([]Response, cfg.MaxBatch),
 	}
-	go in.q.run(in.handle)
+	go in.run()
 	return in, nil
+}
+
+// send enqueues an item unless the intake is closed. The read lock is
+// held across the channel send so Close cannot close the channel under
+// an in-flight submitter.
+func (in *Intake) send(it item) error {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if in.closed.Load() {
+		return ErrClosed
+	}
+	in.in <- it
+	return nil
 }
 
 // SubmitAsync enqueues one request and returns a buffered channel that
@@ -852,18 +783,22 @@ func NewIntake(cfg Config, decide func(reqs []cac.Request, enq time.Time, out []
 func (in *Intake) SubmitAsync(req cac.Request) <-chan Response {
 	p := &pending{req: req, enq: time.Now(), reply: make(chan Response, 1)} //facs:wallclock latency stamp; feeds the latency gauges only
 	in.pending.Add(1)
-	if err := in.q.send(item{single: p}); err != nil {
+	if err := in.send(item{single: p}); err != nil {
 		in.pending.Add(-1)
 		p.reply <- Response{Decision: cac.Reject, Err: err}
 	}
 	return p.reply
 }
 
-// Drain blocks until every request enqueued before it has been decided.
-// With nothing pending it returns after one counter load; otherwise a
-// barrier travels the queue, which also cuts the current micro-batch
-// short instead of letting it wait out MaxDelay.
+// Drain blocks until every request enqueued before it has been decided,
+// and reports ErrClosed after Close. With nothing pending it returns
+// after two atomic loads; otherwise a barrier travels the queue, which
+// also cuts the current micro-batch short instead of letting it wait
+// out MaxDelay.
 func (in *Intake) Drain() error {
+	if in.closed.Load() {
+		return ErrClosed
+	}
 	if in.pending.Load() == 0 {
 		return nil
 	}
@@ -875,28 +810,47 @@ func (in *Intake) Drain() error {
 //
 //facs:coldpath runs only while singles are pending, never on a wave-only driver's path
 func (in *Intake) barrier() error {
-	o := &op{done: make(chan struct{})}
-	if err := in.q.send(item{op: o}); err != nil {
+	b := make(chan struct{})
+	if err := in.send(item{barrier: b}); err != nil {
 		return err
 	}
-	<-o.done
+	<-b
 	return nil
 }
 
 // Close stops intake and waits until every queued request has been
-// decided. Idempotent.
+// decided; afterwards SubmitAsync and Drain report ErrClosed.
+// Idempotent.
 func (in *Intake) Close() {
-	in.q.shutdown()
+	in.mu.Lock()
+	if !in.closed.Load() {
+		in.closed.Store(true)
+		close(in.in)
+	}
+	in.mu.Unlock()
+	<-in.done
 }
 
-// handle runs one queue item on the intake goroutine: a single starts a
-// micro-batch, a barrier (from Drain) is released.
+// run is the intake goroutine: a single starts a micro-batch, a barrier
+// is released. A barrier or single that interrupted a micro-batch is
+// handled next, strictly after the requests that preceded it.
+func (in *Intake) run() {
+	defer close(in.done)
+	for it := range in.in {
+		for next := in.handle(it); next != nil; {
+			next = in.handle(*next)
+		}
+	}
+}
+
+// handle runs one queue item, returning the item that interrupted its
+// micro-batch, if any.
 func (in *Intake) handle(it item) *item {
-	if it.op != nil {
-		close(it.op.done)
+	if it.barrier != nil {
+		close(it.barrier)
 		return nil
 	}
-	batch, interrupt := in.q.gather(it.single)
+	batch, interrupt := in.gather(it.single)
 	reqs := in.reqs[:0]
 	for _, p := range batch {
 		reqs = append(reqs, p.req)
@@ -908,4 +862,59 @@ func (in *Intake) handle(it item) *item {
 	}
 	in.pending.Add(-int64(len(batch)))
 	return interrupt
+}
+
+// gather grows a micro-batch from the first pending request until
+// maxBatch, maxDelay after enqueue of the first request, or a barrier
+// interrupts. It returns the batch (valid until the next gather) and
+// the interrupting item, if any.
+func (in *Intake) gather(first *pending) ([]*pending, *item) {
+	batch := append(in.batch[:0], first)
+	var interrupt *item
+	if in.maxDelay > 0 && in.maxBatch > 1 {
+		wait := in.maxDelay - time.Since(first.enq) //facs:wallclock shapes batch boundaries only; the outcome contracts pin decision equality across batchings
+		if wait > 0 {
+			timer := time.NewTimer(wait)
+		fill:
+			for len(batch) < in.maxBatch {
+				select {
+				case it, ok := <-in.in:
+					if !ok {
+						break fill
+					}
+					if it.single != nil {
+						batch = append(batch, it.single)
+					} else {
+						interrupt = &it
+						break fill
+					}
+				case <-timer.C:
+					break fill
+				}
+			}
+			timer.Stop()
+		}
+	}
+	// Greedy tail: take whatever is already queued without waiting.
+	if interrupt == nil {
+	drain:
+		for len(batch) < in.maxBatch {
+			select {
+			case it, ok := <-in.in:
+				if !ok {
+					break drain
+				}
+				if it.single != nil {
+					batch = append(batch, it.single)
+				} else {
+					interrupt = &it
+					break drain
+				}
+			default:
+				break drain
+			}
+		}
+	}
+	in.batch = batch
+	return batch, interrupt
 }

@@ -227,7 +227,7 @@ func TestCommitWavesMatchSequentialReplay(t *testing.T) {
 	}
 }
 
-// scriptController records, in loop-goroutine order, every controller
+// scriptController records, in call order, every controller
 // interaction; Decide accepts even IDs.
 type scriptController struct {
 	events []string
@@ -260,7 +260,7 @@ func (c *scriptController) OnStateUpdate(callID int, _ gps.Estimate, _ *cell.Bas
 }
 
 // TestOpsSerializedWithDecisions pins the ordering contract: ticks,
-// releases and state updates enqueued between requests execute after
+// releases and state updates issued between requests execute after
 // every earlier request and before every later one.
 func TestOpsSerializedWithDecisions(t *testing.T) {
 	bs, err := cell.NewBaseStation(geo.Hex{}, geo.Point{}, 40)
@@ -281,7 +281,7 @@ func TestOpsSerializedWithDecisions(t *testing.T) {
 		}
 	}
 
-	// Sequential submission from one goroutine fixes the queue order.
+	// Sequential submission from one goroutine fixes the order.
 	if r := s.Submit(mkReq(1)); r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -328,25 +328,22 @@ func TestOpsSerializedWithDecisions(t *testing.T) {
 	}
 }
 
-// TestMicroBatchCoalesces verifies that queued singles are decided in
-// one batch once the loop is free, and that the cap is respected.
+// TestMicroBatchCoalesces verifies that concurrent singles are decided
+// in one intake micro-batch and that the cap is respected: with a
+// MaxDelay far longer than the test, the first request's batch waits
+// until MaxBatch singles have arrived, so the batch boundary does not
+// depend on scheduling.
 func TestMicroBatchCoalesces(t *testing.T) {
 	net := testNetwork(t, 2)
 	bs := net.Stations()[0]
 	ctrl := &scriptController{}
-	s, err := New(Config{Controller: ctrl, MaxBatch: 8, Queue: 64, MaxDelay: 20 * time.Millisecond})
+	const n = 8
+	s, err := New(Config{Controller: ctrl, MaxBatch: n, Queue: 64, MaxDelay: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Hold the loop hostage so submissions pile up in the queue.
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	go s.Do(func(cac.Controller) { close(entered); <-gate })
-	<-entered
-
-	const n = 8
 	var wg sync.WaitGroup
 	responses := make([]Response, n)
 	for i := 0; i < n; i++ {
@@ -360,17 +357,11 @@ func TestMicroBatchCoalesces(t *testing.T) {
 			})
 		}(i)
 	}
-	// Wait until all n sit in the intake queue, then release the loop:
-	// the greedy drain must take them as one batch.
-	for len(s.q.in) < n {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
 	wg.Wait()
 
 	st := s.Stats()
-	if st.MaxBatch != n {
-		t.Fatalf("queued singles should coalesce into one batch of %d, got max batch %d (stats %+v)", n, st.MaxBatch, st)
+	if st.Batches != 1 || st.MaxBatch != n {
+		t.Fatalf("%d singles should coalesce into one batch, got %d batches, max %d (stats %+v)", n, st.Batches, st.MaxBatch, st)
 	}
 	for i, r := range responses {
 		if r.Err != nil {
@@ -668,5 +659,54 @@ func TestSubmitAllIntoMatchesSubmitAll(t *testing.T) {
 	}
 	if err := b.SubmitAllInto(nil, nil); err != nil {
 		t.Fatalf("empty wave: %v", err)
+	}
+}
+
+// TestServiceWaveZeroAllocs gates the closed-loop Service path: in
+// Commit mode a steady wave — SubmitAllInto, a Release of every call it
+// committed, and a Tick — allocates nothing.
+func TestServiceWaveZeroAllocs(t *testing.T) {
+	guard, err := cac.NewGuardChannel(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := testNetwork(t, 5)
+	for _, bs := range net.Stations() {
+		bs.Reserve(bs.Capacity())
+	}
+	s, err := New(Config{Controller: guard, MaxBatch: 16, Commit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reqs := genRequests(t, net, 41, 48)
+	out := make([]Response, len(reqs))
+	committed := 0
+	wave := func() {
+		if err := s.SubmitAllInto(reqs, out); err != nil {
+			t.Fatal(err)
+		}
+		for i := range reqs {
+			if !out[i].Committed {
+				continue
+			}
+			committed++
+			if err := s.Release(reqs[i].Call.ID, reqs[i].Station, reqs[i].Now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Tick(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wave()
+	if committed == 0 {
+		t.Fatal("the wave committed nothing")
+	}
+	if allocs := testing.AllocsPerRun(50, wave); allocs != 0 {
+		t.Fatalf("a Service wave allocates %.1f times, want 0", allocs)
+	}
+	if st := s.Stats(); st.OpErrs != 0 {
+		t.Fatalf("%d releases failed", st.OpErrs)
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // BenchmarkShardedServe measures decision throughput of the sharded
-// engine against the single-loop serve.Service it generalises, on a
-// multi-cell workload (37 cells, exact FACS — the Mamdani inference is
-// the realistic per-decision cost that parallelism amortises). The
-// acceptance bar from the sharding issue: >= 1.5x over the single loop
+// engine against the serve.Service (one Core behind one lock) it
+// generalises, on a multi-cell workload (37 cells, exact FACS — the
+// Mamdani inference is the realistic per-decision cost that
+// parallelism amortises). The acceptance bar: >= 1.5x over the Service
 // at >= 4 shards on multi-core hardware; on a single core the engine
 // must merely not regress (CI runs this as a 1x smoke). Commit stays
 // off so iteration count cannot saturate station state and skew the

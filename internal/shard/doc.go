@@ -2,8 +2,8 @@
 // scale-out layer between the admission controllers and the network
 // front end.
 //
-// A single serve.Service serializes every decision through one
-// goroutine — correct, but a ceiling on multi-cell throughput. The
+// A single serve.Service serializes every decision behind one lock —
+// correct, but a ceiling on multi-cell throughput. The
 // engine removes the ceiling along the seam the CAC literature
 // identifies: admission state is naturally cell-local, with explicit
 // cross-cell transfer only at handoff. Cells are partitioned across N
@@ -18,8 +18,8 @@
 //
 // # Execution
 //
-// A shard is state, not a goroutine: its controller, decision scratch
-// and counters sit behind one mutex, and every operation runs on the
+// A shard is state, not a goroutine: one serve.Core — its controller,
+// decision scratch and counters — behind one mutex, and every operation runs on the
 // goroutine that calls it, under the locks of the shards it touches
 // (taken in shard order whenever several are held). SubmitWave routes
 // each chunk, decides the first owning shard's slice on the caller and
@@ -27,12 +27,13 @@
 // cross-shard parallelism — and joins them before the next chunk.
 // Release, UpdateState, Do and Tick lock one shard at a time;
 // rebalancing and snapshots hold every lock for the epoch or the cut.
-// Each chunk slice goes through serve.DecideChunk, the decide-commit-
-// observe step a serve.Service uses, and is counted in serve.Stats
-// terms. Only Submit/SubmitAsync singles travel a queue: one intake
-// goroutine per engine (serve.Intake) coalesces them by MaxBatch and
-// MaxDelay, as a Service would, and decides each micro-batch as one
-// chunk. Every other operation first drains that intake, so it is
+// Each chunk slice goes through the shard's Core.Decide, the
+// decide-commit-observe step a serve.Service uses, and is counted in
+// serve.Stats terms; releases, state updates, ticks, Do calls and both
+// handoff phases are Core methods too. Only Submit/SubmitAsync singles
+// travel a queue: one intake goroutine per engine (serve.Intake)
+// coalesces them by MaxBatch and MaxDelay, as for a Service, and
+// decides each micro-batch as one chunk. Every other operation first drains that intake, so it is
 // ordered after the singles already enqueued; with nothing pending the
 // drain is one counter load.
 //

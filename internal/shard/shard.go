@@ -328,69 +328,14 @@ func (s Stats) String() string {
 	return out
 }
 
-// shardState is one shard: its controller, decision scratch and
-// counters, all guarded by mu. Whatever touches the shard's controller
-// or the stations it owns — deciding and committing a chunk slice,
-// releasing, ticking, exchanging, migrating — runs under mu on the
-// goroutine that asked for it.
+// shardState is one shard: a serve.Core — its controller, decision
+// scratch and counters — guarded by mu. Whatever touches the shard's
+// controller or the stations it owns — deciding and committing a chunk
+// slice, releasing, ticking, exchanging, migrating — runs under mu on
+// the goroutine that asked for it.
 type shardState struct {
-	mu     sync.Mutex
-	ctrl   cac.Controller
-	commit bool // Config.Commit
-	// observer, ticker and updater are ctrl's optional interfaces,
-	// resolved once (nil when not implemented).
-	observer cac.Observer
-	ticker   cac.Ticker
-	updater  cac.StateUpdater
-	dec      []cac.Decision // decision scratch, MaxBatch slots
-	// st holds the counters; st.AvgLatency is derived from latSum (the
-	// summed per-request latency in nanoseconds) when read.
-	st     serve.Stats
-	latSum int64
-}
-
-func newShardState(ctrl cac.Controller, cfg Config) *shardState {
-	sh := &shardState{ctrl: ctrl, commit: cfg.Commit, dec: make([]cac.Decision, cfg.MaxBatch)}
-	sh.observer, _ = ctrl.(cac.Observer)
-	sh.ticker, _ = ctrl.(cac.Ticker)
-	sh.updater, _ = ctrl.(cac.StateUpdater)
-	return sh
-}
-
-// decide decides one chunk slice (at most MaxBatch requests) through
-// serve.DecideChunk, stamps the latency since enq on every response and
-// counts the slice as one batch. The caller holds mu.
-func (sh *shardState) decide(reqs []cac.Request, out []serve.Response, enq time.Time) {
-	// A decision error is already carried by every response of the slice.
-	t, _ := serve.DecideChunk(sh.ctrl, sh.commit, reqs, sh.dec, out)
-	lat := time.Since(enq) //facs:wallclock latency metric only
-	for i := range reqs {
-		out[i].Latency = lat
-	}
-	n := int64(t.Requests)
-	st := &sh.st
-	st.Submitted += n
-	st.Decided += n
-	st.Accepted += int64(t.Accepted)
-	st.Rejected += n - int64(t.Accepted)
-	st.Committed += int64(t.Committed)
-	st.CommitErrs += int64(t.CommitErrs)
-	st.Batches++
-	st.MaxBatch = max(st.MaxBatch, t.Requests)
-	st.MaxLatency = max(st.MaxLatency, lat)
-	st.LatencyHist[serve.LatencyBucket(lat)] += n
-	sh.latSum += int64(lat) * n
-}
-
-// stats snapshots the shard's counters.
-func (sh *shardState) stats() serve.Stats {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := sh.st
-	if st.Decided > 0 {
-		st.AvgLatency = time.Duration(sh.latSum / st.Decided)
-	}
-	return st
+	mu   sync.Mutex
+	core *serve.Core
 }
 
 // Engine is the horizontally sharded admission engine: the network's
@@ -472,9 +417,8 @@ type Engine struct {
 	loadBuf  []float64
 
 	// intake coalesces Submit/SubmitAsync singles into micro-batches on
-	// its own goroutine; closed refuses new work after Close.
+	// its own goroutine.
 	intake *serve.Intake
-	closed atomic.Bool
 
 	// waveMu serializes chunk decisions (SubmitWave and intake batches)
 	// so the per-shard routing and response-scatter buffers below are
@@ -486,11 +430,8 @@ type Engine struct {
 	waveRoutes []waveRoute
 	fanWG      sync.WaitGroup
 
-	// handoffMu serializes handoffs, each run to completion; hoReq and
-	// hoOut are the target admission's one-request chunk.
+	// handoffMu serializes handoffs, each run to completion.
 	handoffMu sync.Mutex
-	hoReq     [1]cac.Request
-	hoOut     [1]serve.Response
 
 	// Migration scratch, touched only inside rebalance (all shard locks
 	// held).
@@ -588,7 +529,7 @@ func New(cfg Config) (*Engine, error) {
 			e.cellLocal = false
 		}
 		ctrls = append(ctrls, ctrl)
-		e.shards = append(e.shards, newShardState(ctrl, cfg))
+		e.shards = append(e.shards, &shardState{core: serve.NewCore(ctrl, cfg.Commit, cfg.MaxBatch)})
 	}
 	e.exchangers = demandExchangers(ctrls)
 	e.rebalanceErr = rebalanceSupport(ctrls, e.exchangers)
@@ -625,7 +566,7 @@ func New(cfg Config) (*Engine, error) {
 // instances — a shared instance would ingest its own exports as ghost
 // demand, double-counting every call. Factories for exchanging
 // controllers must therefore build one instance per shard (which the
-// decision-loop confinement contract already requires for any stateful
+// one-lock-per-instance contract already requires for any stateful
 // controller).
 func demandExchangers(ctrls []cac.Controller) []cac.DemandExchanger {
 	out := make([]cac.DemandExchanger, len(ctrls))
@@ -767,16 +708,6 @@ func errShortBuffer(reqs, slots int) error {
 	return fmt.Errorf("shard: response buffer too short: %d requests, %d slots", reqs, slots)
 }
 
-// ready refuses work once the engine is closed and otherwise drains
-// the intake, ordering the caller's operation after every single
-// already enqueued (one counter load when nothing is pending).
-func (e *Engine) ready() error {
-	if e.closed.Load() {
-		return serve.ErrClosed
-	}
-	return e.intake.Drain()
-}
-
 // lockAll takes every shard lock in shard order, the engine's lock
 // order wherever more than one shard lock is held.
 func (e *Engine) lockAll() {
@@ -865,7 +796,7 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 	if len(out) < len(reqs) {
 		return errShortBuffer(len(reqs), len(out))
 	}
-	if err := e.ready(); err != nil {
+	if err := e.intake.Drain(); err != nil {
 		return err
 	}
 	enq := time.Now() //facs:wallclock latency stamp; feeds the latency gauges only
@@ -943,7 +874,8 @@ func (e *Engine) decideSlice(s int, out []serve.Response, enq time.Time) {
 	n := len(r.reqs)
 	sh := e.shards[s]
 	sh.mu.Lock()
-	sh.decide(r.reqs, r.out[:n], enq)
+	// A decision error is already carried by every response.
+	_ = sh.core.Decide(r.reqs, r.out[:n], enq)
 	sh.mu.Unlock()
 	for j, i := range r.idx {
 		out[i] = r.out[j]
@@ -976,17 +908,12 @@ func (e *Engine) decideSlice(s int, out []serve.Response, enq time.Time) {
 // rebalancing) must quiesce submissions across Tick, exactly as the
 // closed-loop drivers do.
 func (e *Engine) Tick(now float64) error {
-	if err := e.ready(); err != nil {
+	if err := e.intake.Drain(); err != nil {
 		return err
 	}
 	for _, sh := range e.shards {
-		if sh.ticker == nil {
-			continue
-		}
 		sh.mu.Lock()
-		sh.ticker.OnTick(now)
-		sh.st.Ops++
-		sh.st.Ticks++
+		sh.core.Tick(now)
 		sh.mu.Unlock()
 	}
 	if n := e.cfg.RebalanceEveryTicks; n > 0 {
@@ -1010,7 +937,7 @@ func (e *Engine) Exchanging() bool { return e.exchangers != nil }
 // submissions. It returns an error when the controller set does not
 // support rebalancing (see Config.RebalanceEveryTicks).
 func (e *Engine) ForceRebalance() error {
-	if err := e.ready(); err != nil {
+	if err := e.intake.Drain(); err != nil {
 		return err
 	}
 	if err := e.rebalance(); err != nil {
@@ -1058,7 +985,7 @@ func (e *Engine) rebalance() error {
 	e.own.Store(e.buildOwnership(next, cur.epoch+1))
 	if e.exchangers != nil {
 		for _, sh := range e.shards {
-			if r, ok := sh.ctrl.(cac.ExchangeResetter); ok {
+			if r, ok := sh.core.Controller().(cac.ExchangeResetter); ok {
 				r.ResetExchange()
 			}
 		}
@@ -1078,7 +1005,7 @@ func (e *Engine) migrate(m Migration) error {
 	if e.cfg.Commit {
 		e.migCalls = bs.DetachCalls(e.migCalls[:0])
 	}
-	if mig, ok := e.shards[m.From].ctrl.(cac.CellMigrator); ok {
+	if mig, ok := e.shards[m.From].core.Controller().(cac.CellMigrator); ok {
 		e.migRows = mig.MigrateOut(h, e.migRows[:0])
 	}
 	if e.cfg.Commit {
@@ -1086,7 +1013,7 @@ func (e *Engine) migrate(m Migration) error {
 			return fmt.Errorf("shard: migrating cell %v from shard %d to %d: %w", h, m.From, m.To, err)
 		}
 	}
-	if mig, ok := e.shards[m.To].ctrl.(cac.CellMigrator); ok {
+	if mig, ok := e.shards[m.To].core.Controller().(cac.CellMigrator); ok {
 		mig.MigrateIn(e.migRows)
 	}
 	e.migratedCalls.Add(int64(len(e.migCalls)))
@@ -1148,7 +1075,7 @@ func (e *Engine) exchangeDemand() {
 
 // Flush blocks until every request already submitted has been decided
 // (everything else the engine does is synchronous).
-func (e *Engine) Flush() error { return e.ready() }
+func (e *Engine) Flush() error { return e.intake.Drain() }
 
 // Do runs fn on shard s's controller under the shard's lock, ordered
 // after everything already submitted, and returns once fn does. fn must
@@ -1156,14 +1083,13 @@ func (e *Engine) Flush() error { return e.ready() }
 // view additionally requires the caller to quiesce submissions (as the
 // closed-loop drivers do between waves).
 func (e *Engine) Do(s int, fn func(ctrl cac.Controller)) error {
-	if err := e.ready(); err != nil {
+	if err := e.intake.Drain(); err != nil {
 		return err
 	}
 	sh := e.shards[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	fn(sh.ctrl)
-	sh.st.Ops++
+	sh.core.Do(fn)
 	return nil
 }
 
@@ -1178,20 +1104,12 @@ func (e *Engine) Release(callID int, station *cell.BaseStation, now float64) err
 	if !ok {
 		return errOutside(station.Hex())
 	}
-	if err := e.ready(); err != nil {
+	if err := e.intake.Drain(); err != nil {
 		return err
 	}
 	sh := e.shards[e.own.Load().owner[ci]]
 	sh.mu.Lock()
-	if e.cfg.Commit {
-		if _, err := station.Release(callID); err != nil {
-			sh.st.OpErrs++
-		}
-	}
-	if sh.observer != nil {
-		sh.observer.OnRelease(callID, station, now)
-	}
-	sh.st.Ops++
+	sh.core.Release(callID, station, now)
 	sh.mu.Unlock()
 	return nil
 }
@@ -1204,16 +1122,12 @@ func (e *Engine) UpdateState(callID int, est gps.Estimate, station *cell.BaseSta
 	if !ok {
 		return errOutside(station.Hex())
 	}
-	if err := e.ready(); err != nil {
+	if err := e.intake.Drain(); err != nil {
 		return err
 	}
 	sh := e.shards[e.own.Load().owner[ci]]
-	if sh.updater == nil {
-		return nil
-	}
 	sh.mu.Lock()
-	sh.updater.OnStateUpdate(callID, est, station)
-	sh.st.Ops++
+	sh.core.UpdateState(callID, est, station)
 	sh.mu.Unlock()
 	return nil
 }
@@ -1236,7 +1150,7 @@ func (e *Engine) HandoffCall(h Handoff) HandoffResult {
 	case h.From == nil || h.To == nil:
 		res.Err = errHandoffStations(h.CallID, "needs both stations")
 	default:
-		res.Err = e.ready()
+		res.Err = e.intake.Drain()
 	}
 	if res.Err != nil {
 		e.handoffErrs.Add(1)
@@ -1258,11 +1172,7 @@ func (e *Engine) HandoffCall(h Handoff) HandoffResult {
 
 	// Phase 1: release at the source.
 	src.mu.Lock()
-	call, err := h.From.Release(h.CallID)
-	if err == nil && src.observer != nil {
-		src.observer.OnRelease(h.CallID, h.From, h.Now)
-	}
-	src.st.Ops++
+	call, err := src.core.Depart(h.CallID, h.From, h.Now)
 	src.mu.Unlock()
 	if err != nil {
 		e.handoffErrs.Add(1)
@@ -1271,21 +1181,10 @@ func (e *Engine) HandoffCall(h Handoff) HandoffResult {
 	}
 
 	// Phase 2: admission at the target, with handoff priority.
-	enq := time.Now() //facs:wallclock latency stamp; feeds the latency gauges only
-	e.hoReq[0] = cac.Request{
-		Call:    cell.Call{ID: call.ID, Class: call.Class, BU: call.BU},
-		Station: h.To,
-		Obs:     gps.Observe(h.Est, h.To.Pos()),
-		Est:     h.Est,
-		Handoff: true,
-		Now:     h.Now,
-	}
 	atomic.AddInt64(&e.cellLoad[dstCi], 1)
 	dst.mu.Lock()
-	dst.decide(e.hoReq[:], e.hoOut[:], enq)
+	res.Response = dst.core.Handoff(call, h.To, h.Est, h.Now)
 	dst.mu.Unlock()
-	res.Response = e.hoOut[0]
-	e.hoReq[0] = cac.Request{}
 	e.handoffCount.Add(1)
 	if res.CrossShard {
 		e.crossShard.Add(1)
@@ -1319,7 +1218,9 @@ func (e *Engine) Stats() Stats {
 		MigratedCalls:     e.migratedCalls.Load(),
 	}
 	for i, sh := range e.shards {
-		s := sh.stats()
+		sh.mu.Lock()
+		s := sh.core.Stats()
+		sh.mu.Unlock()
 		st.PerShard[i] = s
 		st.Total = st.Total.Merge(s)
 	}
@@ -1332,6 +1233,5 @@ func (e *Engine) Stats() Stats {
 // or report serve.ErrClosed.
 func (e *Engine) Close() error {
 	e.intake.Close()
-	e.closed.Store(true)
 	return nil
 }

@@ -82,7 +82,7 @@ func (e *Engine) SnapshotTo(w io.Writer) error {
 
 	enc.U32(uint32(len(e.shards)))
 	for _, sh := range e.shards {
-		sn, hasState := sh.ctrl.(cac.Snapshotter)
+		sn, hasState := sh.core.Controller().(cac.Snapshotter)
 		enc.Bool(hasState)
 		if !hasState {
 			continue
@@ -220,7 +220,7 @@ func (e *Engine) RestoreFrom(r io.Reader) error {
 		if ctrlBlobs[s] == nil {
 			continue
 		}
-		sn, ok := sh.ctrl.(cac.Snapshotter)
+		sn, ok := sh.core.Controller().(cac.Snapshotter)
 		if !ok {
 			return snap.ErrSnapshotStale
 		}

@@ -7,11 +7,11 @@ import (
 
 // AdmissionService is the streaming admission front end: a long-lived
 // micro-batching service over any admission controller. Concurrent
-// submitters stream requests; a single decision loop coalesces them
-// into batches (bounded by MaxBatch/MaxDelay), decides them through
-// DecideAll, and serializes ticks, releases and state updates with the
-// decisions so stateful controllers keep their invariants. See
-// internal/serve for the full contract.
+// submitters stream requests; an intake goroutine coalesces them into
+// batches (bounded by MaxBatch/MaxDelay), and one lock serializes
+// their decisions with waves, ticks, releases and state updates, all
+// run on the caller, so stateful controllers keep their invariants.
+// See internal/serve for the full contract.
 type AdmissionService = iserve.Service
 
 // ServeConfig parameterises an AdmissionService.
