@@ -44,7 +44,9 @@
 //
 // Responses stream back as batches complete and may interleave across
 // ids; correlate by id. Release an admitted call only after observing
-// its response.
+// its response. An id stays live from its request line until the call
+// is answered uncommitted, released or dropped in a handoff; a request
+// line reusing a live id is answered with an error line instead.
 //
 // Flow control: each stream holds at most -max-inflight undecided
 // requests, and the window is class-aware — text requests may fill
@@ -124,7 +126,6 @@ type serveOptions struct {
 	partition    string
 	rebalTicks   int
 	rebalMoves   int
-	noScope      bool
 	batch        int
 	maxDelay     time.Duration
 	commit       bool
@@ -154,7 +155,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.StringVar(&o.partition, "partition", "roundrobin", "initial shard layout: roundrobin, blocks")
 	fs.IntVar(&o.rebalTicks, "rebalance-ticks", 0, "rebalance shard ownership every N tick barriers (0 = static)")
 	fs.IntVar(&o.rebalMoves, "rebalance-max-moves", 0, "cap cell migrations per rebalance epoch (0 = planner default)")
-	fs.BoolVar(&o.noScope, "no-interest-scope", false, "keep the all-to-all ghost fan-out even when the exchange could be interest-scoped")
 	fs.IntVar(&o.batch, "batch", iserve.DefaultMaxBatch, "micro-batch size cap (the sharded engine's chunk size)")
 	fs.DurationVar(&o.maxDelay, "max-delay", iserve.DefaultMaxDelay, "max time a request waits for its batch to fill (negative = never wait)")
 	fs.BoolVar(&o.commit, "commit", true, "allocate accepted calls on their stations")
@@ -237,13 +237,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		NewController: func(v ishard.View) (icac.Controller, error) {
 			return factory(v.Network())
 		},
-		MaxBatch:             o.batch,
-		MaxDelay:             o.maxDelay,
-		Commit:               o.commit,
-		Partition:            shardPartitions[o.partition],
-		RebalanceEveryTicks:  o.rebalTicks,
-		Rebalance:            ishard.PlannerConfig{MaxMoves: o.rebalMoves},
-		DisableInterestScope: o.noScope,
+		MaxBatch:            o.batch,
+		MaxDelay:            o.maxDelay,
+		Commit:              o.commit,
+		Partition:           shardPartitions[o.partition],
+		RebalanceEveryTicks: o.rebalTicks,
+		Rebalance:           ishard.PlannerConfig{MaxMoves: o.rebalMoves},
 	})
 	if err != nil {
 		return finishProf(err)
@@ -454,17 +453,12 @@ var shardPartitions = map[string]facs.ShardPartition{
 	"blocks":     facs.PartitionBlocks,
 }
 
-// admitter is the front-end surface serveStream drives; both
-// serve.Service (one Core behind one lock) and the sharded engine
-// satisfy it.
+// admitter is the front-end surface serveStream drives: the sharded
+// engine, or snapshotFront around it.
 type admitter interface {
 	SubmitAsync(req icac.Request) <-chan iserve.Response
 	Tick(now float64) error
 	Release(callID int, station *icell.BaseStation, now float64) error
-}
-
-// handoffer is the optional handoff surface (the sharded engine).
-type handoffer interface {
 	HandoffCall(h ishard.Handoff) ishard.HandoffResult
 }
 
@@ -621,10 +615,13 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 	// against the class cap cannot race with another enqueue).
 	inflight := make(chan struct{}, in.max)
 
-	// committed maps call ID -> station for release and handoff ops.
+	// calls holds every call ID live on this stream: in flight (nil
+	// station) or committed (its station, for release and handoff ops).
+	// A request reusing a live ID is refused, so each committed call
+	// stays releasable.
 	var (
-		commitMu  sync.Mutex
-		committed = map[int]*icell.BaseStation{}
+		callsMu sync.Mutex
+		calls   = map[int]*icell.BaseStation{}
 	)
 
 	sc := bufio.NewScanner(r)
@@ -655,6 +652,15 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 			}
 			inflight <- struct{}{}
 			req, err := buildRequest(netw, stations, wr)
+			if err == nil {
+				callsMu.Lock()
+				if _, live := calls[wr.ID]; live {
+					err = fmt.Errorf("call %d is already live on this stream", wr.ID)
+				} else {
+					calls[wr.ID] = nil
+				}
+				callsMu.Unlock()
+			}
 			if err != nil {
 				<-inflight
 				writeLine(wireResponse{ID: wr.ID, Error: err.Error()})
@@ -666,11 +672,13 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 				defer wg.Done()
 				defer func() { <-inflight }()
 				resp := <-ch
+				callsMu.Lock()
 				if resp.Committed {
-					commitMu.Lock()
-					committed[id] = station
-					commitMu.Unlock()
+					calls[id] = station
+				} else {
+					delete(calls, id)
 				}
+				callsMu.Unlock()
 				writeLine(toWire(id, resp))
 			}(wr.ID, req.Station)
 		case "tick":
@@ -678,11 +686,13 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 				writeLine(wireResponse{ID: wr.ID, Error: err.Error()})
 			}
 		case "release":
-			commitMu.Lock()
-			bs, ok := committed[wr.ID]
-			delete(committed, wr.ID)
-			commitMu.Unlock()
-			if !ok {
+			callsMu.Lock()
+			bs := calls[wr.ID]
+			if bs != nil {
+				delete(calls, wr.ID)
+			}
+			callsMu.Unlock()
+			if bs == nil {
 				writeLine(wireResponse{ID: wr.ID, Error: "release of unknown or uncommitted call"})
 				continue
 			}
@@ -690,19 +700,14 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 				writeLine(wireResponse{ID: wr.ID, Error: err.Error()})
 			}
 		case "handoff":
-			ho, ok := front.(handoffer)
-			if !ok {
-				writeLine(wireResponse{ID: wr.ID, Error: "handoff is not supported by this front end"})
-				continue
-			}
 			if wr.X == nil || wr.Y == nil {
 				writeLine(wireResponse{ID: wr.ID, Error: "handoff needs the new x/y position"})
 				continue
 			}
-			commitMu.Lock()
-			from, ok := committed[wr.ID]
-			commitMu.Unlock()
-			if !ok {
+			callsMu.Lock()
+			from := calls[wr.ID]
+			callsMu.Unlock()
+			if from == nil {
 				writeLine(wireResponse{ID: wr.ID, Error: "handoff of unknown or uncommitted call"})
 				continue
 			}
@@ -712,7 +717,7 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 				writeLine(wireResponse{ID: wr.ID, Error: err.Error()})
 				continue
 			}
-			res := ho.HandoffCall(ishard.Handoff{
+			res := front.HandoffCall(ishard.Handoff{
 				CallID: wr.ID,
 				From:   from,
 				To:     target,
@@ -723,13 +728,13 @@ func serveStream(front admitter, netw *facs.Network, r io.Reader, w io.Writer, i
 				writeLine(wireResponse{ID: wr.ID, Error: res.Err.Error()})
 				continue
 			}
-			commitMu.Lock()
+			callsMu.Lock()
 			if res.Response.Committed {
-				committed[wr.ID] = target
+				calls[wr.ID] = target
 			} else {
-				delete(committed, wr.ID) // dropped: the source released it
+				delete(calls, wr.ID) // dropped: the source released it
 			}
-			commitMu.Unlock()
+			callsMu.Unlock()
 			writeLine(toWire(wr.ID, res.Response))
 		default:
 			writeLine(wireResponse{ID: wr.ID, Error: fmt.Sprintf("unknown op %q", wr.Op)})

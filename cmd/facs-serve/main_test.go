@@ -14,7 +14,6 @@ import (
 
 	"facs"
 	icac "facs/internal/cac"
-	iserve "facs/internal/serve"
 	ishard "facs/internal/shard"
 )
 
@@ -379,16 +378,22 @@ func TestServeStreamOverConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := iserve.New(iserve.Config{Controller: facs.CompleteSharing{}, MaxBatch: 4, Commit: true})
+	eng, err := ishard.New(ishard.Config{
+		Network:       netw,
+		Shards:        1,
+		NewController: func(ishard.View) (icac.Controller, error) { return facs.CompleteSharing{}, nil },
+		MaxBatch:      4,
+		Commit:        true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
+	defer eng.Close()
 
 	client, server := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		done <- serveStream(svc, netw, server, server, newIntake(1024))
+		done <- serveStream(eng, netw, server, server, newIntake(1024))
 		server.Close()
 	}()
 
@@ -418,7 +423,82 @@ func TestServeStreamOverConnection(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Stats(); st.Decided != 6 || st.Committed != 6 {
+	if st := eng.Stats().Total; st.Decided != 6 || st.Committed != 6 {
 		t.Fatalf("stats = %+v, want 6 decided and committed", st)
+	}
+}
+
+// TestLiveCallIDRefused pins the stream's call-ID discipline: a request
+// reusing the ID of a call still live on the stream is refused, so the
+// release that follows frees the one call the ID names and the network
+// ends empty. Once released, the ID may be reused.
+func TestLiveCallIDRefused(t *testing.T) {
+	netw, err := facs.NewNetwork(facs.NetworkConfig{Rings: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := ishard.New(ishard.Config{
+		Network:       netw,
+		Shards:        1,
+		NewController: func(ishard.View) (icac.Controller, error) { return facs.CompleteSharing{}, nil },
+		Commit:        true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := serveStream(eng, netw, inR, outW, newIntake(64))
+		outW.Close()
+		done <- err
+	}()
+	sc := bufio.NewScanner(outR)
+	send := func(line string) {
+		t.Helper()
+		if _, err := fmt.Fprintln(inW, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange := func(line string) wireResponse {
+		t.Helper()
+		send(line)
+		if !sc.Scan() {
+			t.Fatalf("stream ended early: %v", sc.Err())
+		}
+		var r wireResponse
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	if r := exchange(`{"id":7,"class":"voice","station":0,"speed":10,"angle":0,"distance":1}`); !r.Committed {
+		t.Fatalf("first request should commit: %+v", r)
+	}
+	if r := exchange(`{"id":7,"class":"voice","station":1,"speed":10,"angle":0,"distance":1}`); r.Committed || !strings.Contains(r.Error, "already live") {
+		t.Fatalf("request reusing a live id should be refused: %+v", r)
+	}
+	send(`{"op":"release","id":7,"now":1}`)
+	if r := exchange(`{"id":7,"class":"voice","station":1,"speed":10,"angle":0,"distance":1}`); !r.Committed {
+		t.Fatalf("a released id should be reusable: %+v", r)
+	}
+	send(`{"op":"release","id":7,"now":2}`)
+	inW.Close()
+	for sc.Scan() {
+		t.Errorf("unexpected line %s", sc.Text())
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	carried := 0
+	for _, bs := range netw.Stations() {
+		carried += bs.NumCalls()
+	}
+	if carried != 0 {
+		t.Fatalf("network still carries %d calls after every id was released", carried)
 	}
 }

@@ -66,7 +66,6 @@ type simOptions struct {
 	partition    string
 	rebalTicks   int
 	rebalMoves   int
-	noScope      bool
 	rings        int
 	target       int
 	waves        int
@@ -102,12 +101,11 @@ func run(args []string) error {
 	fs.IntVar(&o.reps, "reps", 1, "independent replications with seeds seed..seed+reps-1")
 	fs.IntVar(&o.workers, "workers", 0, "worker pool size for replications (0 = one per CPU)")
 	fs.BoolVar(&o.metropolis, "metropolis", false, "run the metropolis-scale diurnal workload")
-	fs.StringVar(&o.metroMode, "metro-mode", "batch", "metropolis decision path: single, batch, sharded")
+	fs.StringVar(&o.metroMode, "metro-mode", "batch", "metropolis decision path: batch, sharded")
 	fs.IntVar(&o.shards, "shards", 1, "shards for -metro-mode sharded")
 	fs.StringVar(&o.partition, "partition", "roundrobin", "initial shard layout for -metro-mode sharded: roundrobin, blocks")
 	fs.IntVar(&o.rebalTicks, "rebalance-ticks", 0, "rebalance shard ownership every N tick barriers (-metro-mode sharded; 0 = static)")
 	fs.IntVar(&o.rebalMoves, "rebalance-max-moves", 0, "cap cell migrations per rebalance epoch (0 = planner default)")
-	fs.BoolVar(&o.noScope, "no-interest-scope", false, "keep the all-to-all ghost fan-out even when the exchange could be interest-scoped")
 	fs.IntVar(&o.rings, "rings", 0, "hex rings for -metropolis (0 = default 18: 1027 cells)")
 	fs.IntVar(&o.target, "target", 0, "peak concurrent-call target for -metropolis (0 = default 20000)")
 	fs.IntVar(&o.waves, "waves", 0, "decision waves for -metropolis (0 = one simulated day)")
@@ -373,7 +371,6 @@ func runBatch(o simOptions) error {
 
 // metroModes maps the -metro-mode flag to decision paths.
 var metroModes = map[string]facs.MetropolisMode{
-	"single":  facs.MetroSingle,
 	"batch":   facs.MetroBatch,
 	"sharded": facs.MetroSharded,
 }
@@ -384,7 +381,7 @@ var metroModes = map[string]facs.MetropolisMode{
 func runMetropolis(o simOptions) error {
 	mode, ok := metroModes[o.metroMode]
 	if !ok {
-		return fmt.Errorf("unknown -metro-mode %q (single, batch, sharded)", o.metroMode)
+		return fmt.Errorf("unknown -metro-mode %q (batch, sharded)", o.metroMode)
 	}
 	if o.shards != 1 && mode != facs.MetroSharded {
 		return fmt.Errorf("-shards applies to -metro-mode sharded")
@@ -399,8 +396,8 @@ func runMetropolis(o simOptions) error {
 	if !ok {
 		return fmt.Errorf("unknown -partition %q (roundrobin, blocks)", o.partition)
 	}
-	if (o.partition != "roundrobin" || o.rebalTicks != 0 || o.rebalMoves != 0 || o.noScope) && mode != facs.MetroSharded {
-		return fmt.Errorf("-partition/-rebalance-ticks/-rebalance-max-moves/-no-interest-scope apply to -metro-mode sharded")
+	if (o.partition != "roundrobin" || o.rebalTicks != 0 || o.rebalMoves != 0) && mode != facs.MetroSharded {
+		return fmt.Errorf("-partition/-rebalance-ticks/-rebalance-max-moves apply to -metro-mode sharded")
 	}
 	if o.rebalTicks < 0 {
 		return fmt.Errorf("-rebalance-ticks must be >= 0, got %d", o.rebalTicks)
@@ -428,23 +425,22 @@ func runMetropolis(o simOptions) error {
 	}()
 
 	res, err := facs.RunMetropolis(facs.MetropolisConfig{
-		NewController:        func(v facs.ShardView) (facs.Controller, error) { return factory(v.Network()) },
-		Mode:                 mode,
-		Shards:               o.shards,
-		Partition:            partition,
-		RebalanceEveryTicks:  o.rebalTicks,
-		Rebalance:            facs.ShardPlannerConfig{MaxMoves: o.rebalMoves},
-		DisableInterestScope: o.noScope,
-		Rings:                o.rings,
-		CapacityBU:           o.capacity,
-		TargetCalls:          o.target,
-		Waves:                o.waves,
-		Seed:                 o.seed,
-		MeasureMem:           o.measureMem,
-		SnapshotDir:          o.snapshotDir,
-		SnapshotEveryTicks:   o.snapshotTick,
-		Restore:              o.restorePath,
-		Stop:                 stop,
+		NewController:       func(v facs.ShardView) (facs.Controller, error) { return factory(v.Network()) },
+		Mode:                mode,
+		Shards:              o.shards,
+		Partition:           partition,
+		RebalanceEveryTicks: o.rebalTicks,
+		Rebalance:           facs.ShardPlannerConfig{MaxMoves: o.rebalMoves},
+		Rings:               o.rings,
+		CapacityBU:          o.capacity,
+		TargetCalls:         o.target,
+		Waves:               o.waves,
+		Seed:                o.seed,
+		MeasureMem:          o.measureMem,
+		SnapshotDir:         o.snapshotDir,
+		SnapshotEveryTicks:  o.snapshotTick,
+		Restore:             o.restorePath,
+		Stop:                stop,
 	})
 	if err != nil {
 		return err

@@ -145,7 +145,7 @@ func TestRunMetropolisCLI(t *testing.T) {
 	if err := run(sharded); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(small, "-metro-mode", "single", "-controller", "cs")); err != nil {
+	if err := run(append(small, "-metro-mode", "batch", "-controller", "cs")); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(append(small, "-controller", "guard", "-capacity", "40")); err != nil {
@@ -154,8 +154,10 @@ func TestRunMetropolisCLI(t *testing.T) {
 }
 
 func TestRunMetropolisBadFlags(t *testing.T) {
-	if err := run([]string{"-metropolis", "-metro-mode", "bogus"}); err == nil {
-		t.Fatal("unknown metro mode should fail")
+	for _, mode := range []string{"bogus", "single"} {
+		if err := run([]string{"-metropolis", "-metro-mode", mode}); err == nil {
+			t.Fatalf("metro mode %q should fail", mode)
+		}
 	}
 	if err := run([]string{"-metropolis", "-shards", "4"}); err == nil {
 		t.Fatal("-shards without sharded mode should fail")

@@ -121,14 +121,13 @@ type (
 )
 
 // MetropolisMode selects the decision path carrying the metropolis
-// workload: the classic one-at-a-time loop, inline batch waves, or a
-// sharded engine. For cell-local controllers all paths produce
-// byte-identical outcomes at matching chunk sizes.
+// workload: inline batch waves (MaxBatch 1 is the classic one-at-a-time
+// loop) or a sharded engine. For cell-local controllers both paths
+// produce byte-identical outcomes at matching chunk sizes.
 type MetropolisMode = iexp.MetropolisMode
 
 // Metropolis decision paths.
 const (
-	MetroSingle  = iexp.MetroSingle
 	MetroBatch   = iexp.MetroBatch
 	MetroSharded = iexp.MetroSharded
 )

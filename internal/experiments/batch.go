@@ -35,8 +35,6 @@ type BatchAdmissionConfig struct {
 	ActiveCalls int
 	// Requests is the batch size. Required.
 	Requests int
-	// Mix is the class mix (default 60/30/10).
-	Mix traffic.Mix
 	// SpeedKmh samples user speeds (default Span{10, 80}).
 	SpeedKmh Span
 	// Seed drives all randomness.
@@ -52,9 +50,6 @@ func (c BatchAdmissionConfig) withDefaults() BatchAdmissionConfig {
 	}
 	if c.CapacityBU == 0 {
 		c.CapacityBU = cell.DefaultCapacityBU
-	}
-	if (c.Mix == traffic.Mix{}) {
-		c.Mix = traffic.DefaultMix()
 	}
 	if (c.SpeedKmh == Span{}) {
 		c.SpeedKmh = Span{Min: 10, Max: 80}
@@ -73,10 +68,7 @@ func (c BatchAdmissionConfig) Validate() error {
 	if c.ActiveCalls < 0 {
 		return fmt.Errorf("experiments: ActiveCalls must be >= 0, got %d", c.ActiveCalls)
 	}
-	if err := c.SpeedKmh.Validate(); err != nil {
-		return err
-	}
-	return c.Mix.Validate()
+	return c.SpeedKmh.Validate()
 }
 
 // BatchAdmissionResult aggregates one sweep.
@@ -102,7 +94,7 @@ func (r BatchAdmissionResult) AcceptedPct() float64 {
 
 // sampleBatchRequest draws one synthetic admission request: a covered
 // position with random heading and sampled speed, the station owning
-// that position, and a class drawn from the mix.
+// that position, and a class drawn from the 60/30/10 mix.
 func sampleBatchRequest(rng *rand.Rand, net *cell.Network, cfg BatchAdmissionConfig, id int) (cac.Request, error) {
 	radius := cfg.CellRadiusM * (1.8*float64(cfg.Rings) + 1)
 	var pos geo.Point
@@ -120,7 +112,7 @@ func sampleBatchRequest(rng *rand.Rand, net *cell.Network, cfg BatchAdmissionCon
 			return cac.Request{}, fmt.Errorf("experiments: could not place a user inside coverage")
 		}
 	}
-	class := cfg.Mix.Sample(rng)
+	class := traffic.DefaultMix().Sample(rng)
 	est := gps.Estimate{
 		Pos:        pos,
 		HeadingDeg: sim.Uniform(rng, -180, 180),

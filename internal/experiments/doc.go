@@ -4,7 +4,7 @@
 // admission sweep (RunBatchAdmission), and the one closed-loop driver:
 // the metropolis-scale diurnal workload (RunMetropolis) — a hex
 // deployment of any size with rush-hour hotspot mobility, runnable
-// through the single, inline batch and internal/shard decision paths.
+// through the inline batch and internal/shard decision paths.
 //
 // # Determinism
 //

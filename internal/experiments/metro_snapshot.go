@@ -16,11 +16,13 @@ import (
 // MetropolisConfig.SnapshotDir.
 const MetroSnapshotFile = "metropolis.snap"
 
-// snapshotConfigHash fingerprints every configuration field that shapes
+// snapshotConfigHash fingerprints every configuration value that shapes
 // the workload or the decision stream. A snapshot restores only into a
 // run whose hash matches, except Waves: the remaining-wave budget is
 // the one knob a resumed run may legitimately change (resume-and-extend
-// is the crash-recovery pattern itself).
+// is the crash-recovery pattern itself). The scenario constants and the
+// retired interest-scope switch (always off) are hashed in the slots
+// their config fields held, so older snapshots still restore.
 func (r *metroRun) snapshotConfigHash() uint64 {
 	cfg := r.cfg
 	return snap.NewHasher().
@@ -31,27 +33,27 @@ func (r *metroRun) snapshotConfigHash() uint64 {
 		Int(cfg.RebalanceEveryTicks).
 		Int(cfg.Rebalance.MaxMoves).
 		F64(cfg.Rebalance.Tolerance).
-		Bool(cfg.DisableInterestScope).
+		Bool(false).
 		Int(cfg.Rings).
 		F64(cfg.CellRadiusM).
 		Int(cfg.CapacityBU).
 		Int(cfg.TargetCalls).
 		Int(cfg.WavesPerDay).
-		F64(cfg.StartHour).
-		Int(cfg.Hotspots).
-		F64(cfg.HotspotSigmaCells).
-		F64(cfg.RushBias).
-		F64(cfg.Mix.Text).
-		F64(cfg.Mix.Voice).
-		F64(cfg.Mix.Video).
+		F64(metroStartHour).
+		Int(metroHotspots).
+		F64(metroHotspotSigmaCells).
+		F64(metroRushBias).
+		F64(metroMix.Text).
+		F64(metroMix.Voice).
+		F64(metroMix.Video).
 		F64(cfg.SpeedKmh.Min).
 		F64(cfg.SpeedKmh.Max).
-		Int(cfg.HoldWavesMin).
-		Int(cfg.HoldWavesMax).
+		Int(metroHoldWavesMin).
+		Int(metroHoldWavesMax).
 		Int(cfg.HandoffEveryWaves).
-		F64(cfg.HandoffFraction).
+		F64(metroHandoffFraction).
 		Int(cfg.TickEveryWaves).
-		F64(cfg.WaveIntervalSec).
+		F64(metroWaveSec(cfg.WavesPerDay)).
 		Int(cfg.MaxBatch).
 		I64(cfg.Seed).
 		Sum()

@@ -60,15 +60,15 @@ func runInterrupted(t *testing.T, cfg MetropolisConfig) MetropolisResult {
 // contract end to end: interrupting a metropolis day at the half-way
 // snapshot and replaying the remainder reproduces the uninterrupted
 // run's DecisionHash and every outcome counter — for the stateless
-// guard baseline across all three decision paths and shard counts
-// 1/2/4, for the compiled FACS controller, and for the stateful SCC
+// guard baseline on the one-at-a-time loop, the batch path and shard
+// counts 1/2/4, for the compiled FACS controller, and for the stateful SCC
 // demand ledger (whose per-shard demand matrices restore verbatim).
 func TestMetropolisCrashRecovery(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*MetropolisConfig)
 	}{
-		{"guard/single", func(c *MetropolisConfig) { c.Mode = MetroSingle }},
+		{"guard/single", func(c *MetropolisConfig) { c.Mode = MetroBatch; c.MaxBatch = 1 }},
 		{"guard/batch", func(c *MetropolisConfig) { c.Mode = MetroBatch }},
 		{"guard/sharded=1", func(c *MetropolisConfig) { c.Mode = MetroSharded; c.Shards = 1 }},
 		{"guard/sharded=2", func(c *MetropolisConfig) { c.Mode = MetroSharded; c.Shards = 2 }},
@@ -244,5 +244,60 @@ func TestMetropolisSnapshotStaleAndCorrupt(t *testing.T) {
 	// The good blob still restores after the failed attempts.
 	if err := r3.restoreFrom(bytes.NewReader(blob)); err != nil {
 		t.Fatalf("restore of good blob: %v", err)
+	}
+}
+
+// TestMetropolisRestoresCommittedSnapshots restores snapshot files cut
+// at the half-way wave by the configuration layout that carried the
+// scenario shape, the interest-scope switch and the retired mode value
+// 1 as settable fields. Each must still restore, replay to the end and
+// match the uninterrupted run's pinned DecisionHash: the constants that
+// replaced those fields are hashed into the snapshot configuration
+// exactly as the fields were.
+func TestMetropolisRestoresCommittedSnapshots(t *testing.T) {
+	contested := contestedConfig(shardFACSFactory)
+	contested.Mode, contested.Shards = MetroSharded, 4
+	guard := metroTestConfig(shardGuardFactory)
+	sccCfg := metroTestConfig(shardLedgerFactory)
+	sccCfg.Mode, sccCfg.Shards = MetroSharded, 2
+	for _, tc := range []struct {
+		file string
+		cfg  MetropolisConfig
+		hash uint64
+	}{
+		{"contested-facs-sharded4.snap", contested, 0x1ed4b4ae634d127c},
+		{"guard-batch.snap", guard, metroGoldenHash},
+		{"scc-sharded2.snap", sccCfg, 0x63d1dd13b22384bc},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			full, err := RunMetropolis(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.DecisionHash != tc.hash {
+				t.Fatalf("uninterrupted DecisionHash = %#x, want %#x", full.DecisionHash, tc.hash)
+			}
+			r, err := newMetroRun(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.engine.close()
+			if err := r.restoreFromFile(filepath.Join("testdata", tc.file)); err != nil {
+				t.Fatal(err)
+			}
+			if half := r.cfg.Waves / 2; r.wave != half {
+				t.Fatalf("restored wave cursor %d, want %d", r.wave, half)
+			}
+			for r.wave < r.cfg.Waves {
+				if err := r.runWave(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := r.finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMetroOutcome(t, tc.file, full, res)
+		})
 	}
 }

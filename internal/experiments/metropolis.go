@@ -18,31 +18,27 @@ import (
 )
 
 // MetropolisMode selects which decision path carries the metropolis
-// workload. All three paths consume the identical request stream; for
+// workload. Both paths consume the identical request stream; for
 // cell-local controllers MetroBatch and MetroSharded (at any shard
-// count) produce byte-identical outcomes at equal MaxBatch, and
-// MetroSingle matches them at MaxBatch 1.
+// count) produce byte-identical outcomes at equal MaxBatch.
 type MetropolisMode int
 
-// Decision paths.
+// Decision paths. The values are hashed into snapshot configurations,
+// so they never change; 1 is retired.
 const (
-	// MetroSingle decides one request at a time (the classic event-loop
-	// path: decide, commit, next).
-	MetroSingle MetropolisMode = iota + 1
 	// MetroBatch decides MaxBatch-sized chunks against chunk-start
 	// snapshots and commits per request in order — a serve.Core's wave
-	// semantics, driven inline.
-	MetroBatch
+	// semantics, driven inline. At MaxBatch 1 it is the classic
+	// decide-one event loop.
+	MetroBatch MetropolisMode = 2
 	// MetroSharded routes waves through a shard.Engine with Commit mode
 	// and the serialized handoff protocol.
-	MetroSharded
+	MetroSharded MetropolisMode = 3
 )
 
 // String implements fmt.Stringer.
 func (m MetropolisMode) String() string {
 	switch m {
-	case MetroSingle:
-		return "single"
 	case MetroBatch:
 		return "batch"
 	case MetroSharded:
@@ -52,12 +48,40 @@ func (m MetropolisMode) String() string {
 	}
 }
 
+// The scenario's fixed shape. Each value is hashed into snapshot
+// configurations exactly as when it was a MetropolisConfig field, so
+// snapshots written before it became a constant still restore.
+const (
+	// metroStartHour is the local time of wave 0 in hours: the run
+	// climbs into the morning rush.
+	metroStartHour = 5.0
+	// metroHotspots is the number of hot-spot cells attracting
+	// rush-hour traffic.
+	metroHotspots = 3
+	// metroHotspotSigmaCells is the Gaussian reach of a hotspot in hex
+	// rings.
+	metroHotspotSigmaCells = 3.0
+	// metroRushBias scales both the arrival skew toward hotspot cells
+	// and the handoff steering during rush hours.
+	metroRushBias = 2.0
+	// metroHoldWavesMin and metroHoldWavesMax bound the uniform
+	// call-duration draw in waves.
+	metroHoldWavesMin = 2
+	metroHoldWavesMax = 8
+	// metroHandoffFraction is the per-round probability that an active
+	// call attempts a handoff.
+	metroHandoffFraction = 0.08
+)
+
+// metroMix is the class mix (60/30/10).
+var metroMix = traffic.DefaultMix()
+
 // MetropolisConfig parameterises the metropolis-scale workload: a
 // city-sized hex deployment under one simulated day of diurnal traffic,
 // with rush-hour mobility steered toward hot-spot cells.
 type MetropolisConfig struct {
 	// NewController builds the admission controller for one shard view;
-	// inline modes receive shard.SingleView. Required.
+	// MetroBatch passes shard.SingleView. Required.
 	NewController func(v shard.View) (cac.Controller, error)
 	// Mode selects the decision path (default MetroBatch).
 	Mode MetropolisMode
@@ -72,9 +96,6 @@ type MetropolisConfig struct {
 	RebalanceEveryTicks int
 	// Rebalance bounds the planner when rebalancing is enabled.
 	Rebalance shard.PlannerConfig
-	// DisableInterestScope keeps the all-to-all ghost fan-out for
-	// MetroSharded (see shard.Config.DisableInterestScope).
-	DisableInterestScope bool
 	// Rings is the network size (default 18: 1027 cells).
 	Rings int
 	// CellRadiusM is the hex cell radius (default 500 m: urban
@@ -94,41 +115,15 @@ type MetropolisConfig struct {
 	// WavesPerDay sets the wave cadence against the diurnal clock
 	// (default 96: 15-minute waves).
 	WavesPerDay int
-	// StartHour is the local time of wave 0 in hours (default 5: the
-	// run climbs into the morning rush).
-	StartHour float64
-	// Hotspots is the number of hot-spot cells attracting rush-hour
-	// traffic (default 3).
-	Hotspots int
-	// HotspotSigmaCells is the Gaussian reach of a hotspot in hex rings
-	// (default 3).
-	HotspotSigmaCells float64
-	// RushBias scales both the arrival skew toward hotspot cells and the
-	// handoff steering during rush hours (default 2).
-	RushBias float64
-	// Mix is the class mix (default 60/30/10).
-	Mix traffic.Mix
 	// SpeedKmh samples user speeds (default Span{10, 80}).
 	SpeedKmh Span
-	// HoldWavesMin/HoldWavesMax bound the uniform call-duration draw in
-	// waves (defaults 2 and 8).
-	HoldWavesMin int
-	HoldWavesMax int
 	// HandoffEveryWaves runs a handoff round every so many waves
 	// (default 2).
 	HandoffEveryWaves int
-	// HandoffFraction is the per-round probability that an active call
-	// attempts a handoff (default 0.08).
-	HandoffFraction float64
 	// TickEveryWaves delivers a barrier OnTick every so many waves
 	// (default 4).
 	TickEveryWaves int
-	// WaveIntervalSec advances simulation time per wave (default one
-	// diurnal-clock wave: 86400 / WavesPerDay).
-	WaveIntervalSec float64
-	// MaxBatch is the decision chunk size for MetroBatch and
-	// MetroSharded (default 256). MetroSingle always decides chunks of
-	// one.
+	// MaxBatch is the decision chunk size (default 256).
 	MaxBatch int
 	// Seed drives all randomness.
 	Seed int64
@@ -179,47 +174,20 @@ func (c MetropolisConfig) withDefaults() MetropolisConfig {
 	if c.Waves == 0 {
 		c.Waves = c.WavesPerDay
 	}
-	if c.StartHour == 0 {
-		c.StartHour = 5
-	}
-	if c.Hotspots == 0 {
-		c.Hotspots = 3
-	}
-	if c.HotspotSigmaCells == 0 {
-		c.HotspotSigmaCells = 3
-	}
-	if c.RushBias == 0 {
-		c.RushBias = 2
-	}
-	if (c.Mix == traffic.Mix{}) {
-		c.Mix = traffic.DefaultMix()
-	}
 	if (c.SpeedKmh == Span{}) {
 		c.SpeedKmh = Span{Min: 10, Max: 80}
-	}
-	if c.HoldWavesMin == 0 {
-		c.HoldWavesMin = 2
-	}
-	if c.HoldWavesMax == 0 {
-		c.HoldWavesMax = 8
 	}
 	if c.HandoffEveryWaves == 0 {
 		c.HandoffEveryWaves = 2
 	}
-	if c.HandoffFraction == 0 {
-		c.HandoffFraction = 0.08
-	}
 	if c.TickEveryWaves == 0 {
 		c.TickEveryWaves = 4
-	}
-	if c.WaveIntervalSec == 0 {
-		c.WaveIntervalSec = 86400 / float64(c.WavesPerDay)
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 256
 	}
 	if c.CapacityBU == 0 {
-		mean := c.Mix.MeanBU()
+		mean := metroMix.MeanBU()
 		cells := 1 + 3*c.Rings*(c.Rings+1)
 		c.CapacityBU = int(math.Ceil(2.6 * float64(c.TargetCalls) * mean / float64(cells)))
 		if c.CapacityBU < cell.DefaultCapacityBU {
@@ -234,7 +202,7 @@ func (c MetropolisConfig) Validate() error {
 	if c.NewController == nil {
 		return fmt.Errorf("experiments: metropolis config needs a controller factory")
 	}
-	if c.Mode != MetroSingle && c.Mode != MetroBatch && c.Mode != MetroSharded {
+	if c.Mode != MetroBatch && c.Mode != MetroSharded {
 		return fmt.Errorf("experiments: unknown metropolis mode %v", c.Mode)
 	}
 	if c.Shards < 1 {
@@ -249,21 +217,8 @@ func (c MetropolisConfig) Validate() error {
 	if c.Waves < 1 || c.WavesPerDay < 1 {
 		return fmt.Errorf("experiments: Waves and WavesPerDay must be >= 1")
 	}
-	if c.Hotspots < 0 {
-		return fmt.Errorf("experiments: Hotspots must be >= 0, got %d", c.Hotspots)
-	}
-	if c.HotspotSigmaCells <= 0 {
-		return fmt.Errorf("experiments: HotspotSigmaCells must be > 0, got %v", c.HotspotSigmaCells)
-	}
-	if c.HoldWavesMin < 1 || c.HoldWavesMax < c.HoldWavesMin {
-		return fmt.Errorf("experiments: need 1 <= HoldWavesMin <= HoldWavesMax, got %d/%d",
-			c.HoldWavesMin, c.HoldWavesMax)
-	}
 	if c.HandoffEveryWaves < 1 || c.TickEveryWaves < 1 {
 		return fmt.Errorf("experiments: HandoffEveryWaves and TickEveryWaves must be >= 1")
-	}
-	if c.HandoffFraction < 0 || c.HandoffFraction > 1 {
-		return fmt.Errorf("experiments: HandoffFraction must be in [0, 1], got %v", c.HandoffFraction)
 	}
 	if c.MaxBatch < 1 {
 		return fmt.Errorf("experiments: MaxBatch must be >= 1, got %d", c.MaxBatch)
@@ -274,18 +229,15 @@ func (c MetropolisConfig) Validate() error {
 	if c.SnapshotEveryTicks > 0 && c.SnapshotDir == "" {
 		return fmt.Errorf("experiments: SnapshotEveryTicks needs a SnapshotDir")
 	}
-	if err := c.SpeedKmh.Validate(); err != nil {
-		return err
-	}
-	return c.Mix.Validate()
+	return c.SpeedKmh.Validate()
 }
 
 // MetropolisResult aggregates one metropolis run.
 type MetropolisResult struct {
 	// ControllerName identifies the scheme under test.
 	ControllerName string
-	// Mode is the decision path; Shards the realised loop count
-	// (1 for inline modes); Cells the deployment size; CapacityBU the
+	// Mode is the decision path; Shards the realised shard count
+	// (1 for MetroBatch); Cells the deployment size; CapacityBU the
 	// realised per-station bandwidth.
 	Mode       MetropolisMode
 	Shards     int
@@ -297,7 +249,7 @@ type MetropolisResult struct {
 	// outcomes; Released the closed-loop retirements.
 	Requested, Accepted, Committed, Released int
 	// Handoffs / HandoffDropped / CrossShard count the handoff protocol
-	// (CrossShard stays 0 for inline modes).
+	// (CrossShard stays 0 for MetroBatch).
 	Handoffs, HandoffDropped, CrossShard int
 	// PeakConcurrent is the largest live-call population observed at a
 	// wave boundary; FinalActive the population when the run ended.
@@ -374,7 +326,7 @@ type metroEngine interface {
 // inlineMetroEngine drives one serve.Core on the wave loop's goroutine,
 // with no lock: Commit-mode waves chunked at MaxBatch in request order,
 // each chunk decided against its start snapshot and committed per
-// request in order. With maxBatch 1 it is the single-request path.
+// request in order.
 type inlineMetroEngine struct {
 	core *serve.Core
 }
@@ -508,6 +460,10 @@ func (l *metroLedger) truncate(n int) {
 
 func (l *metroLedger) len() int { return len(l.id) }
 
+// metroWaveSec is the simulation time one wave advances: one
+// diurnal-clock wave.
+func metroWaveSec(wavesPerDay int) float64 { return 86400 / float64(wavesPerDay) }
+
 // metroWorkload precomputes the deterministic scenario shape: the
 // diurnal arrival schedule, the hotspot proximity field, and the
 // per-wave cell-choice distributions.
@@ -577,12 +533,12 @@ func newMetroWorkload(cfg MetropolisConfig, net *cell.Network) *metroWorkload {
 	}
 	// Hotspots: evenly spaced picks from the spiral order, skipping the
 	// exact centre so the downtown cluster sits off-origin.
-	hotspots := make([]geo.Hex, 0, cfg.Hotspots)
-	for k := 1; k <= cfg.Hotspots; k++ {
-		hotspots = append(hotspots, w.stations[(k*len(w.stations))/(cfg.Hotspots+1)].Hex())
+	hotspots := make([]geo.Hex, 0, metroHotspots)
+	for k := 1; k <= metroHotspots; k++ {
+		hotspots = append(hotspots, w.stations[(k*len(w.stations))/(metroHotspots+1)].Hex())
 	}
 	w.prox = make([]float64, len(w.stations))
-	sigma2 := 2 * cfg.HotspotSigmaCells * cfg.HotspotSigmaCells
+	sigma2 := 2 * metroHotspotSigmaCells * metroHotspotSigmaCells
 	for i, bs := range w.stations {
 		for _, h := range hotspots {
 			d := float64(bs.Hex().DistanceTo(h))
@@ -592,30 +548,27 @@ func newMetroWorkload(cfg MetropolisConfig, net *cell.Network) *metroWorkload {
 	// Arrival schedule: the population integrates arrivals over the mean
 	// hold, so arrivals-per-wave = diurnal x TargetCalls / meanHold puts
 	// the concurrent population at the diurnal curve times TargetCalls.
-	meanHold := float64(cfg.HoldWavesMin+cfg.HoldWavesMax) / 2
+	meanHold := float64(metroHoldWavesMin+metroHoldWavesMax) / 2
 	w.arrivals = make([]int, cfg.Waves)
 	for wave := range w.arrivals {
 		w.arrivals[wave] = int(diurnal(w.hourOf(wave)) * float64(cfg.TargetCalls) / meanHold)
 	}
 	w.cellCum = make([]float64, len(w.stations))
-	total := cfg.Mix.Text + cfg.Mix.Voice + cfg.Mix.Video
-	w.mixCum[0] = cfg.Mix.Text / total
-	w.mixCum[1] = w.mixCum[0] + cfg.Mix.Voice/total
+	total := metroMix.Text + metroMix.Voice + metroMix.Video
+	w.mixCum[0] = metroMix.Text / total
+	w.mixCum[1] = w.mixCum[0] + metroMix.Voice/total
 	w.mixCum[2] = 1
 	return w
 }
 
 func (w *metroWorkload) hourOf(wave int) float64 {
-	return math.Mod(w.cfg.StartHour+24*float64(wave)/float64(w.cfg.WavesPerDay), 24)
+	return math.Mod(metroStartHour+24*float64(wave)/float64(w.cfg.WavesPerDay), 24)
 }
 
 // peakWave returns the wave with the largest scheduled population (the
 // arrival sum over one mean hold), where MeasureMem snapshots the heap.
 func (w *metroWorkload) peakWave() int {
-	meanHold := (w.cfg.HoldWavesMin + w.cfg.HoldWavesMax) / 2
-	if meanHold < 1 {
-		meanHold = 1
-	}
+	const meanHold = (metroHoldWavesMin + metroHoldWavesMax) / 2
 	best, bestSum, sum := 0, 0, 0
 	for wave := range w.arrivals {
 		sum += w.arrivals[wave]
@@ -633,10 +586,9 @@ func (w *metroWorkload) peakWave() int {
 // wave: uniform base plus rush-scaled hotspot proximity. The weights
 // depend on the wave only through the hotspot skew, so the rebuild is
 // skipped whenever the skew repeats — every wave of a multi-day run
-// after the first day (the diurnal clock wraps), and every wave when
-// hotspots are disabled.
+// after the first day (the diurnal clock wraps).
 func (w *metroWorkload) ensureCellCum(wave int) {
-	skew := w.cfg.RushBias * rushFactor(w.hourOf(wave))
+	skew := metroRushBias * rushFactor(w.hourOf(wave))
 	if w.cellCumOK && skew == w.cellCumSkew {
 		return
 	}
@@ -694,7 +646,7 @@ func (w *metroWorkload) sampleEstimate(rng *rand.Rand, si int, now float64) gps.
 // steered along the hotspot gradient during rush hours: toward hotspots
 // through the morning commute, away through the evening.
 func (w *metroWorkload) sampleHandoffTarget(rng *rand.Rand, si int, wave int) (int, bool) {
-	steer := w.cfg.RushBias * rushDirection(w.hourOf(wave))
+	steer := metroRushBias * rushDirection(w.hourOf(wave))
 	var weights [6]float64
 	var targets [6]int
 	n, total := 0, 0.0
@@ -729,8 +681,7 @@ func (w *metroWorkload) sampleHandoffTarget(rng *rand.Rand, si int, wave int) (i
 // the selected decision path. Outcomes are deterministic in the config:
 // repeats produce identical DecisionHash values. For cell-local
 // controllers the hash is additionally identical across every shard
-// count and across batch/sharded modes at equal MaxBatch (MetroSingle
-// matches at MaxBatch 1); non-cell-local controllers such as the SCC
+// count and across batch/sharded modes at equal MaxBatch; non-cell-local controllers such as the SCC
 // demand ledger are reproducible per shard count but legitimately
 // diverge between shard counts.
 func RunMetropolis(cfg MetropolisConfig) (MetropolisResult, error) {
@@ -824,15 +775,14 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 	switch cfg.Mode {
 	case MetroSharded:
 		eng, err := shard.New(shard.Config{
-			Network:              net,
-			Shards:               cfg.Shards,
-			NewController:        cfg.NewController,
-			MaxBatch:             cfg.MaxBatch,
-			Commit:               true,
-			Partition:            cfg.Partition,
-			RebalanceEveryTicks:  cfg.RebalanceEveryTicks,
-			Rebalance:            cfg.Rebalance,
-			DisableInterestScope: cfg.DisableInterestScope,
+			Network:             net,
+			Shards:              cfg.Shards,
+			NewController:       cfg.NewController,
+			MaxBatch:            cfg.MaxBatch,
+			Commit:              true,
+			Partition:           cfg.Partition,
+			RebalanceEveryTicks: cfg.RebalanceEveryTicks,
+			Rebalance:           cfg.Rebalance,
 		})
 		if err != nil {
 			return nil, err
@@ -843,11 +793,7 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		maxBatch := cfg.MaxBatch
-		if cfg.Mode == MetroSingle {
-			maxBatch = 1
-		}
-		engine = &inlineMetroEngine{core: serve.NewCore(ctrl, true, maxBatch)}
+		engine = &inlineMetroEngine{core: serve.NewCore(ctrl, true, cfg.MaxBatch)}
 	}
 
 	callRNG, callSrc := sim.NewCountedStream(cfg.Seed, "metro-calls")
@@ -902,7 +848,7 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 func (r *metroRun) runWave() error {
 	cfg, workload, engine := r.cfg, r.workload, r.engine
 	wave := r.wave
-	now := float64(wave) * cfg.WaveIntervalSec
+	now := float64(wave) * metroWaveSec(cfg.WavesPerDay)
 
 	// Retire calls due this wave, strictly before handoffs and new
 	// admissions; stable in-place compaction keeps admission order.
@@ -933,7 +879,7 @@ func (r *metroRun) runWave() error {
 	if wave > 0 && wave%cfg.HandoffEveryWaves == 0 {
 		keep = 0
 		for i := 0; i < r.ledger.len(); i++ {
-			if r.handoffRNG.Float64() >= cfg.HandoffFraction {
+			if r.handoffRNG.Float64() >= metroHandoffFraction {
 				if keep != i {
 					r.ledger.set(keep, i)
 				}
@@ -996,7 +942,7 @@ func (r *metroRun) runWave() error {
 				Est:     est,
 				Now:     now,
 			})
-			holds = append(holds, cfg.HoldWavesMin+r.callRNG.Intn(cfg.HoldWavesMax-cfg.HoldWavesMin+1))
+			holds = append(holds, metroHoldWavesMin+r.callRNG.Intn(metroHoldWavesMax-metroHoldWavesMin+1))
 			cells = append(cells, si)
 			r.nextID++
 		}

@@ -10,13 +10,13 @@ import (
 // scratch and handed to the engine chunk by chunk, and every path and
 // shard count must reproduce the frozen golden digest, which was
 // recorded on whole-wave delivery. On this scenario chunking changes
-// no outcome, so the one-at-a-time loop matches it too.
+// no outcome, so the one-at-a-time loop (MaxBatch 1) matches it too.
 func TestMetropolisStreamingIdentity(t *testing.T) {
 	variants := []struct {
 		name   string
 		mutate func(*MetropolisConfig)
 	}{
-		{"single", func(c *MetropolisConfig) { c.Mode = MetroSingle }},
+		{"single", func(c *MetropolisConfig) { c.Mode = MetroBatch; c.MaxBatch = 1 }},
 		{"batch", func(c *MetropolisConfig) { c.Mode = MetroBatch }},
 		{"sharded-1", func(c *MetropolisConfig) { c.Mode = MetroSharded; c.Shards = 1 }},
 		{"sharded-2", func(c *MetropolisConfig) { c.Mode = MetroSharded; c.Shards = 2 }},
@@ -78,19 +78,23 @@ func TestMetropolisStreamingIdentitySCC(t *testing.T) {
 // measurement.
 func TestMetropolisSteadyStateAllocs(t *testing.T) {
 	variants := []struct {
-		name   string
-		mode   MetropolisMode
-		shards int
+		name     string
+		mode     MetropolisMode
+		shards   int
+		maxBatch int
 	}{
-		{"single", MetroSingle, 1},
-		{"batch", MetroBatch, 1},
-		{"sharded-1", MetroSharded, 1},
-		{"sharded-2", MetroSharded, 2},
+		{"single", MetroBatch, 1, 1},
+		{"batch", MetroBatch, 1, 0},
+		{"sharded-1", MetroSharded, 1, 0},
+		{"sharded-2", MetroSharded, 2, 0},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := metroTestConfig(shardGuardFactory)
 			cfg.Mode, cfg.Shards = v.mode, v.shards
+			if v.maxBatch > 0 {
+				cfg.MaxBatch = v.maxBatch
+			}
 			cfg.Waves = 3 * cfg.WavesPerDay
 			r, err := newMetroRun(cfg)
 			if err != nil {

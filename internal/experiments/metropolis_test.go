@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"facs/internal/cac"
@@ -65,7 +66,7 @@ func TestMetropolisRepeatable(t *testing.T) {
 
 // TestMetropolisModeIdentity pins the cross-path contract for
 // cell-local controllers: batch == sharded at every shard count for
-// equal MaxBatch, and single == batch(MaxBatch 1) == sharded(MaxBatch 1).
+// equal MaxBatch, including the one-at-a-time MaxBatch 1.
 func TestMetropolisModeIdentity(t *testing.T) {
 	base := metroTestConfig(shardGuardFactory)
 
@@ -90,19 +91,12 @@ func TestMetropolisModeIdentity(t *testing.T) {
 		sameMetroOutcome(t, res.Mode.String(), batch, res)
 	}
 
-	single := base
-	single.Mode = MetroSingle
-	singleRes, err := RunMetropolis(single)
-	if err != nil {
-		t.Fatal(err)
-	}
 	batch1 := base
 	batch1.MaxBatch = 1
 	batch1Res, err := RunMetropolis(batch1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMetroOutcome(t, "single-vs-batch1", singleRes, batch1Res)
 	sharded1 := base
 	sharded1.Mode = MetroSharded
 	sharded1.MaxBatch = 1
@@ -111,7 +105,7 @@ func TestMetropolisModeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMetroOutcome(t, "single-vs-sharded1", singleRes, sharded1Res)
+	sameMetroOutcome(t, "batch1-vs-sharded1", batch1Res, sharded1Res)
 }
 
 // TestMetropolisFACSModeIdentity runs the compiled fuzzy controller
@@ -193,7 +187,6 @@ func TestMetropolisPopulationTracksTarget(t *testing.T) {
 	})
 	cfg.TargetCalls = 2000
 	cfg.CapacityBU = 100000 // no blocking: population is pure workload shape
-	cfg.StartHour = 5       // climbs into the morning rush within the run
 	res, err := RunMetropolis(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -261,20 +254,16 @@ func TestMetropolisValidation(t *testing.T) {
 	if _, err := RunMetropolis(MetropolisConfig{}); err == nil {
 		t.Fatal("missing factory should error")
 	}
+	for _, mode := range []MetropolisMode{1, 99} {
+		bad := metroTestConfig(shardGuardFactory)
+		bad.Mode = mode
+		if _, err := RunMetropolis(bad); err == nil {
+			t.Fatalf("mode %v should error", mode)
+		}
+	}
 	bad := metroTestConfig(shardGuardFactory)
-	bad.Mode = MetropolisMode(99)
+	bad.SpeedKmh = Span{Min: math.NaN(), Max: 10}
 	if _, err := RunMetropolis(bad); err == nil {
-		t.Fatal("unknown mode should error")
-	}
-	bad = metroTestConfig(shardGuardFactory)
-	bad.HoldWavesMax = 1
-	bad.HoldWavesMin = 3
-	if _, err := RunMetropolis(bad); err == nil {
-		t.Fatal("inverted hold bounds should error")
-	}
-	bad = metroTestConfig(shardGuardFactory)
-	bad.HandoffFraction = 1.5
-	if _, err := RunMetropolis(bad); err == nil {
-		t.Fatal("out-of-range handoff fraction should error")
+		t.Fatal("NaN speed span should error")
 	}
 }

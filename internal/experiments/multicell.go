@@ -38,8 +38,6 @@ type MultiCellConfig struct {
 	WindowSec float64
 	// MeanHoldingSec is the exponential mean call duration (default 120).
 	MeanHoldingSec float64
-	// Mix is the class mix (default 60/30/10).
-	Mix traffic.Mix
 	// SpeedKmh samples user speeds (default Span{10, 80}: a mixed
 	// pedestrian-to-vehicular population).
 	SpeedKmh Span
@@ -52,9 +50,6 @@ type MultiCellConfig struct {
 	GPSNoiseM float64
 	// ObserveSteps is the GPS warm-up before admission (default 10).
 	ObserveSteps int
-	// MoveIntervalSec is how often active calls update their position
-	// and check for handoffs (default 5 s).
-	MoveIntervalSec float64
 	// TickIntervalSec is how often controllers with time-driven state
 	// (cac.Ticker, e.g. the incremental SCC ledger) receive OnTick while
 	// arrivals remain or calls are active. Default 10 s (the SCC
@@ -66,6 +61,10 @@ type MultiCellConfig struct {
 	// Seed drives all randomness.
 	Seed int64
 }
+
+// moveIntervalSec is how often active calls update their position and
+// check for handoffs.
+const moveIntervalSec = 5
 
 // HandoffPolicy selects the handoff admission rule.
 type HandoffPolicy int
@@ -111,9 +110,6 @@ func (c MultiCellConfig) withDefaults() MultiCellConfig {
 	if c.MeanHoldingSec == 0 {
 		c.MeanHoldingSec = 120
 	}
-	if (c.Mix == traffic.Mix{}) {
-		c.Mix = traffic.DefaultMix()
-	}
 	if (c.SpeedKmh == Span{}) {
 		c.SpeedKmh = Span{Min: 10, Max: 80}
 	}
@@ -128,9 +124,6 @@ func (c MultiCellConfig) withDefaults() MultiCellConfig {
 	}
 	if c.ObserveSteps == 0 {
 		c.ObserveSteps = 10
-	}
-	if c.MoveIntervalSec == 0 {
-		c.MoveIntervalSec = 5
 	}
 	if c.TickIntervalSec == 0 {
 		c.TickIntervalSec = 10
@@ -149,7 +142,7 @@ func (c MultiCellConfig) Validate() error {
 	if c.NumRequests <= 0 {
 		return fmt.Errorf("experiments: NumRequests must be > 0, got %d", c.NumRequests)
 	}
-	if !(c.WindowSec > 0) || !(c.MeanHoldingSec > 0) || !(c.MoveIntervalSec > 0) || !(c.TickIntervalSec > 0) {
+	if !(c.WindowSec > 0) || !(c.MeanHoldingSec > 0) || !(c.TickIntervalSec > 0) {
 		return fmt.Errorf("experiments: time parameters must be > 0")
 	}
 	if c.ObserveSteps < 2 {
@@ -161,7 +154,7 @@ func (c MultiCellConfig) Validate() error {
 	if c.HandoffPolicy != HandoffPhysical && c.HandoffPolicy != HandoffControlled {
 		return fmt.Errorf("experiments: unknown handoff policy %v", c.HandoffPolicy)
 	}
-	return c.Mix.Validate()
+	return nil
 }
 
 // MultiCellResult aggregates one multi-cell run.
@@ -274,7 +267,6 @@ func RunMultiCell(cfg MultiCellConfig) (MultiCellResult, error) {
 	ticker, _ := controller.(cac.Ticker)
 
 	gen, err := traffic.NewGenerator(traffic.GeneratorConfig{
-		Mix:              cfg.Mix,
 		MeanInterarrival: cfg.WindowSec / float64(cfg.NumRequests),
 		MeanHolding:      cfg.MeanHoldingSec,
 	}, sim.NewStream(cfg.Seed, "traffic"))
@@ -468,7 +460,7 @@ func (r *multiCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 		r.err = err
 		return
 	}
-	call.moveEv, err = s.After(r.cfg.MoveIntervalSec, func(s *sim.Scheduler) { r.move(s, call) })
+	call.moveEv, err = s.After(moveIntervalSec, func(s *sim.Scheduler) { r.move(s, call) })
 	if err != nil {
 		r.err = err
 	}
@@ -530,7 +522,7 @@ func (r *multiCellRun) move(s *sim.Scheduler, call *activeCall) {
 	if r.err != nil || call.dropped {
 		return
 	}
-	st := call.walk.Step(r.cfg.MoveIntervalSec)
+	st := call.walk.Step(moveIntervalSec)
 	newBS, err := r.net.StationAt(st.Pos)
 	if err != nil {
 		// The user left coverage: terminate the call normally (the
@@ -592,7 +584,7 @@ func (r *multiCellRun) move(s *sim.Scheduler, call *activeCall) {
 		}
 	}
 	var schedErr error
-	call.moveEv, schedErr = s.After(r.cfg.MoveIntervalSec, func(s *sim.Scheduler) { r.move(s, call) })
+	call.moveEv, schedErr = s.After(moveIntervalSec, func(s *sim.Scheduler) { r.move(s, call) })
 	if schedErr != nil {
 		r.err = schedErr
 	}

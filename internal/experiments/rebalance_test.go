@@ -130,16 +130,20 @@ func TestMetropolisRebalanceIdentity(t *testing.T) {
 // the hotspot metropolis: ledgers declaring a bounded interest radius
 // (slow traffic, wide cells) must fan strictly fewer ghost rows than
 // the all-to-all baseline on a blocks partition, with the savings
-// reported in the result — while a DisableInterestScope run of the
-// same scenario fans the full baseline.
+// reported in the result — while the same ledgers without the speed
+// bound fan the full baseline with unchanged outcomes (the ledger uses
+// the bound only to route exchanged rows).
 func TestMetropolisInterestScopedReduction(t *testing.T) {
-	cfg := metroTestConfig(func(v shard.View) (cac.Controller, error) {
-		return scc.NewLedger(scc.Config{
-			Network:     v.Network(),
-			Reservation: scc.ReservationFull,
-			MaxSpeedKmh: 30,
-		})
-	})
+	ledgers := func(maxSpeedKmh float64) func(shard.View) (cac.Controller, error) {
+		return func(v shard.View) (cac.Controller, error) {
+			return scc.NewLedger(scc.Config{
+				Network:     v.Network(),
+				Reservation: scc.ReservationFull,
+				MaxSpeedKmh: maxSpeedKmh,
+			})
+		}
+	}
+	cfg := metroTestConfig(ledgers(30))
 	cfg.Mode = MetroSharded
 	cfg.Shards = 4
 	cfg.Partition = shard.PartitionBlocks
@@ -152,11 +156,12 @@ func TestMetropolisInterestScopedReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	unscopedCfg := cfg
-	unscopedCfg.DisableInterestScope = true
+	unscopedCfg.NewController = ledgers(0)
 	unscoped, err := RunMetropolis(unscopedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameMetroOutcome(t, "unscoped", scoped, unscoped)
 
 	if !scoped.InterestScoped || unscoped.InterestScoped {
 		t.Fatalf("scoping flags wrong: scoped=%v unscoped=%v", scoped.InterestScoped, unscoped.InterestScoped)

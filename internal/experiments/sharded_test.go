@@ -98,8 +98,8 @@ func sweepShards(t *testing.T, label string, base MetropolisConfig) (MetropolisR
 // engine: the contested closed loop — admissions, holds, releases,
 // barrier ticks and neighbour handoffs interleaved — must produce the
 // inline batch engine's outcome at shard counts 1, 2, 4 and 8 for
-// cell-local controllers, and the one-at-a-time loop's outcome at
-// MaxBatch 1. Handoffs must actually cross shards above one shard.
+// cell-local controllers, and the one-at-a-time inline loop's outcome
+// at MaxBatch 1. Handoffs must actually cross shards above one shard.
 func TestShardedDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -126,7 +126,8 @@ func TestShardedDeterminism(t *testing.T) {
 
 			// At MaxBatch 1 the one-at-a-time loop is the oracle.
 			single := base
-			single.Mode = MetroSingle
+			single.Mode = MetroBatch
+			single.MaxBatch = 1
 			singleRes, err := RunMetropolis(single)
 			if err != nil {
 				t.Fatal(err)

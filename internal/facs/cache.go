@@ -43,7 +43,10 @@ func (i CacheInfo) String() string {
 // layout, pinned integer nodes, error-map safety factor and aligned
 // axes — all functions of gridSize and the params), and the System
 // configuration (membership break-points, accept threshold, handoff
-// bias, inference operators, defuzzifier type and resolution). Two
+// bias, defuzzifier type). The fixed inference operators and
+// resolution (min t-norm, clip implication, 201 samples) keep their
+// slots in the hash so cache entries written while they were
+// configurable stay valid. Two
 // systems with equal hashes compile byte-identical surfaces; a
 // parameterised custom Defuzzifier whose type name does not change with
 // its parameters is the one case the hash cannot see, so such systems
@@ -53,7 +56,7 @@ func surfaceConfigHash(sys *System, gridSize int) uint64 {
 	fmt.Fprintf(h, "grid=%d|safety=%v|aligned=%v|", gridSize, float64(surfaceErrorSafety), flc2AlignedAxes)
 	fmt.Fprintf(h, "params=%+v|", sys.params)
 	fmt.Fprintf(h, "thr=%v|bias=%v|tnorm=%d|impl=%d|res=%d|defuzz=%T",
-		sys.acceptThreshold, sys.handoffBias, sys.tnorm, sys.implication, sys.resolution, sys.mkDefuzz())
+		sys.acceptThreshold, sys.handoffBias, fuzzy.TNormMin, fuzzy.ImplicationClip, 201, sys.mkDefuzz())
 	return h.Sum64()
 }
 

@@ -79,31 +79,21 @@ func WithDefuzzifier(mk func() fuzzy.Defuzzifier) Option {
 	return func(s *System) { s.mkDefuzz = mk }
 }
 
-// WithTNorm selects the antecedent combination operator (default min).
-func WithTNorm(t fuzzy.TNorm) Option { return func(s *System) { s.tnorm = t } }
-
-// WithImplication selects the implication operator (default clip).
-func WithImplication(im fuzzy.Implication) Option { return func(s *System) { s.implication = im } }
-
-// WithResolution sets the defuzzification sample count (default 201).
-func WithResolution(n int) Option { return func(s *System) { s.resolution = n } }
-
 // WithHandoffBias adds a fixed bonus to the crisp A/R value of handoff
 // requests, prioritising them over new calls. The paper leaves call
 // priority to future work; the default is 0 (no priority).
 func WithHandoffBias(b float64) Option { return func(s *System) { s.handoffBias = b } }
 
 // System is the Fuzzy Admission Control System: FLC1 and FLC2 in series
-// plus the crisp decision boundary. It implements cac.Controller.
+// plus the crisp decision boundary. Both controllers infer with the
+// fuzzy engine's defaults: min t-norm, clip implication and 201
+// defuzzification samples. It implements cac.Controller.
 //
 // A System is immutable after construction and safe for concurrent use.
 type System struct {
 	params          Params
 	acceptThreshold float64
 	mkDefuzz        func() fuzzy.Defuzzifier
-	tnorm           fuzzy.TNorm
-	implication     fuzzy.Implication
-	resolution      int
 	handoffBias     float64
 
 	flc1   *fuzzy.Engine
@@ -123,27 +113,16 @@ func New(opts ...Option) (*System, error) {
 		params:          DefaultParams(),
 		acceptThreshold: DefaultAcceptThreshold,
 		mkDefuzz:        func() fuzzy.Defuzzifier { return fuzzy.Centroid{} },
-		tnorm:           fuzzy.TNormMin,
-		implication:     fuzzy.ImplicationClip,
-		resolution:      201,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	engineOpts := func() []fuzzy.Option {
-		return []fuzzy.Option{
-			fuzzy.WithTNorm(s.tnorm),
-			fuzzy.WithImplication(s.implication),
-			fuzzy.WithDefuzzifier(s.mkDefuzz()),
-			fuzzy.WithResolution(s.resolution),
-		}
-	}
 	var err error
-	s.flc1, err = NewFLC1(s.params, engineOpts()...)
+	s.flc1, err = NewFLC1(s.params, fuzzy.WithDefuzzifier(s.mkDefuzz()))
 	if err != nil {
 		return nil, err
 	}
-	s.flc2, err = NewFLC2(s.params, engineOpts()...)
+	s.flc2, err = NewFLC2(s.params, fuzzy.WithDefuzzifier(s.mkDefuzz()))
 	if err != nil {
 		return nil, err
 	}

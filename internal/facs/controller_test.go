@@ -270,13 +270,8 @@ func TestWithHandoffBias(t *testing.T) {
 	}
 }
 
-func TestWithDefuzzifierAndTNormOptions(t *testing.T) {
-	wa, err := New(
-		WithDefuzzifier(func() fuzzy.Defuzzifier { return fuzzy.NewWeightedAverage() }),
-		WithTNorm(fuzzy.TNormProduct),
-		WithImplication(fuzzy.ImplicationScale),
-		WithResolution(501),
-	)
+func TestWithDefuzzifierOption(t *testing.T) {
+	wa, err := New(WithDefuzzifier(func() fuzzy.Defuzzifier { return fuzzy.NewWeightedAverage() }))
 	if err != nil {
 		t.Fatal(err)
 	}

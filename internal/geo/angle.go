@@ -26,18 +26,6 @@ func AngleDiffDeg(a, b float64) float64 {
 	return NormalizeDeg(a - b)
 }
 
-// AbsAngleDiffDeg returns the magnitude of the smallest rotation between
-// two angles, in [0, 180].
-func AbsAngleDiffDeg(a, b float64) float64 {
-	return math.Abs(AngleDiffDeg(a, b))
-}
-
-// DegToRad converts degrees to radians.
-func DegToRad(d float64) float64 { return d * math.Pi / 180 }
-
-// RadToDeg converts radians to degrees.
-func RadToDeg(r float64) float64 { return r * 180 / math.Pi }
-
 // KmhToMps converts a speed in km/h to m/s.
 func KmhToMps(kmh float64) float64 { return kmh / 3.6 }
 

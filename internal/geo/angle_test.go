@@ -50,15 +50,6 @@ func TestAngleDiffDeg(t *testing.T) {
 	}
 }
 
-func TestAbsAngleDiffDeg(t *testing.T) {
-	if got := AbsAngleDiffDeg(350, 10); got != 20 {
-		t.Fatalf("AbsAngleDiffDeg = %v, want 20", got)
-	}
-	if got := AbsAngleDiffDeg(10, 350); got != 20 {
-		t.Fatalf("AbsAngleDiffDeg = %v, want 20", got)
-	}
-}
-
 func TestUnitConversions(t *testing.T) {
 	tests := []struct {
 		name      string
@@ -68,8 +59,6 @@ func TestUnitConversions(t *testing.T) {
 		{"MpsToKmh(10)", MpsToKmh(10), 36},
 		{"KmToM(1.5)", KmToM(1.5), 1500},
 		{"MToKm(250)", MToKm(250), 0.25},
-		{"DegToRad(180)", DegToRad(180), math.Pi},
-		{"RadToDeg(pi/2)", RadToDeg(math.Pi / 2), 90},
 	}
 	for _, tc := range tests {
 		if !approx(tc.got, tc.want, 1e-12) {

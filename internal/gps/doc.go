@@ -11,7 +11,7 @@
 // away". Estimate carries the absolute kinematics (position, heading,
 // speed) that mobility-predictive controllers such as SCC consume.
 //
-// Entry points: NewReceiver + NewEstimator for the noisy pipeline,
-// ExactReceiverConfig for noise-free studies, Observe for the
-// relative-triple projection.
+// Entry points: NewReceiver + NewEstimator for the noisy pipeline
+// (a negative ReceiverConfig.NoiseSigmaM makes it noise-free), Observe
+// for the relative-triple projection.
 package gps

@@ -75,18 +75,6 @@ func NewReceiver(model mobility.Model, cfg ReceiverConfig, rng *rand.Rand) (*Rec
 	return &Receiver{cfg: cfg, model: model, rng: rng}, nil
 }
 
-// ExactReceiverConfig returns a config with the given sample interval and
-// no position noise (for tests and noise ablations).
-func ExactReceiverConfig(sampleInterval float64) ReceiverConfig {
-	return ReceiverConfig{SampleInterval: sampleInterval, NoiseSigmaM: -1}
-}
-
-// Now returns the receiver clock in seconds.
-func (r *Receiver) Now() float64 { return r.now }
-
-// Model returns the underlying mobility model.
-func (r *Receiver) Model() mobility.Model { return r.model }
-
 // NextFix advances the mobility model by one sample interval and returns
 // the resulting noisy fix.
 func (r *Receiver) NextFix() Fix {
@@ -182,9 +170,6 @@ func (e *Estimator) Estimate() (Estimate, bool) {
 		Time:       newest.Time,
 	}, true
 }
-
-// Reset clears the fix window.
-func (e *Estimator) Reset() { e.fixes = e.fixes[:0] }
 
 // Observation is the FLC1 input triple for one user relative to one base
 // station.

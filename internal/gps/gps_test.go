@@ -9,13 +9,27 @@ import (
 	"facs/internal/sim"
 )
 
-func constantModel(t *testing.T, speedKmh, headingDeg float64) mobility.Model {
-	t.Helper()
-	m, err := mobility.NewConstantVelocity(geo.Point{X: 0, Y: 0}, speedKmh, headingDeg)
-	if err != nil {
-		t.Fatal(err)
+// constantVelocity is a straight-line mobility.Model: the noise-free
+// reference track the receiver and estimator tests check against.
+type constantVelocity struct{ state mobility.State }
+
+func (m *constantVelocity) State() mobility.State { return m.state }
+
+func (m *constantVelocity) Step(dt float64) mobility.State {
+	if dt > 0 {
+		m.state.Pos = geo.Move(m.state.Pos, m.state.HeadingDeg, geo.KmhToMps(m.state.SpeedKmh)*dt)
 	}
-	return m
+	return m.state
+}
+
+// constantModel starts a straight-line mover at the origin.
+func constantModel(speedKmh, headingDeg float64) mobility.Model {
+	return &constantVelocity{state: mobility.State{SpeedKmh: speedKmh, HeadingDeg: headingDeg}}
+}
+
+// exactConfig samples every sampleInterval seconds without noise.
+func exactConfig(sampleInterval float64) ReceiverConfig {
+	return ReceiverConfig{SampleInterval: sampleInterval, NoiseSigmaM: -1}
 }
 
 func TestReceiverConfigValidate(t *testing.T) {
@@ -26,7 +40,7 @@ func TestReceiverConfigValidate(t *testing.T) {
 	}{
 		{"defaults", ReceiverConfig{}, false},
 		{"explicit", ReceiverConfig{SampleInterval: 2, NoiseSigmaM: 10}, false},
-		{"no noise", ExactReceiverConfig(1), false},
+		{"no noise", exactConfig(1), false},
 		{"bad interval", ReceiverConfig{SampleInterval: -1}, true},
 		{"NaN interval", ReceiverConfig{SampleInterval: math.NaN()}, true},
 		{"NaN sigma", ReceiverConfig{SampleInterval: 1, NoiseSigmaM: math.NaN()}, true},
@@ -42,7 +56,7 @@ func TestReceiverConfigValidate(t *testing.T) {
 }
 
 func TestNewReceiverErrors(t *testing.T) {
-	m := constantModel(t, 10, 0)
+	m := constantModel(10, 0)
 	if _, err := NewReceiver(nil, ReceiverConfig{}, sim.NewRNG(1)); err == nil {
 		t.Fatal("nil model should error")
 	}
@@ -56,7 +70,7 @@ func TestNewReceiverErrors(t *testing.T) {
 
 func TestReceiverExactTrack(t *testing.T) {
 	// 36 km/h = 10 m/s east, no noise, 1s fixes.
-	r, err := NewReceiver(constantModel(t, 36, 0), ExactReceiverConfig(1), sim.NewRNG(1))
+	r, err := NewReceiver(constantModel(36, 0), exactConfig(1), sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +87,8 @@ func TestReceiverExactTrack(t *testing.T) {
 			t.Fatalf("fix %d pos = %v, want (%v, 0)", i, f.Pos, 10*wantT)
 		}
 	}
-	if r.Now() != 5 {
-		t.Fatalf("Now = %v, want 5", r.Now())
-	}
-	if r.Model() == nil {
-		t.Fatal("Model accessor returned nil")
+	if r.now != 5 {
+		t.Fatalf("receiver clock = %v, want 5", r.now)
 	}
 	if got := r.Track(0); got != nil {
 		t.Fatal("Track(0) should return nil")
@@ -85,7 +96,7 @@ func TestReceiverExactTrack(t *testing.T) {
 }
 
 func TestReceiverNoiseMagnitude(t *testing.T) {
-	r, err := NewReceiver(constantModel(t, 0, 0), ReceiverConfig{SampleInterval: 1, NoiseSigmaM: 5}, sim.NewRNG(2))
+	r, err := NewReceiver(constantModel(0, 0), ReceiverConfig{SampleInterval: 1, NoiseSigmaM: 5}, sim.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,16 +164,6 @@ func TestEstimatorIgnoresOutOfOrderFixes(t *testing.T) {
 	}
 }
 
-func TestEstimatorReset(t *testing.T) {
-	e := NewEstimator(2)
-	e.AddFix(Fix{Time: 1})
-	e.AddFix(Fix{Time: 2})
-	e.Reset()
-	if e.Ready() {
-		t.Fatal("Reset should clear the window")
-	}
-}
-
 func TestNewEstimatorDefaults(t *testing.T) {
 	if e := NewEstimator(0); e.window != 4 {
 		t.Fatalf("default window = %d, want 4", e.window)
@@ -226,7 +227,7 @@ func TestEndToEndEstimationAccuracy(t *testing.T) {
 	// A vehicle at 60 km/h heading 45° observed through a noisy receiver:
 	// windowed estimation should recover speed within 10% and heading
 	// within 10 degrees.
-	model := constantModel(t, 60, 45)
+	model := constantModel(60, 45)
 	r, err := NewReceiver(model, ReceiverConfig{SampleInterval: 1, NoiseSigmaM: 5}, sim.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +239,7 @@ func TestEndToEndEstimationAccuracy(t *testing.T) {
 		e.AddFix(r.NextFix())
 		if est, ok := e.Estimate(); ok {
 			speedSum += est.SpeedKmh
-			headErrSum += geo.AbsAngleDiffDeg(est.HeadingDeg, 45)
+			headErrSum += math.Abs(geo.AngleDiffDeg(est.HeadingDeg, 45))
 			count++
 		}
 	}

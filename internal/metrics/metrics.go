@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates streaming moments (Welford's algorithm) plus range
@@ -166,29 +165,4 @@ func (s *Series) MinMaxY() (min, max float64) {
 		}
 	}
 	return min, max
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of data using
-// linear interpolation between order statistics. It returns 0 for empty
-// input and does not modify data.
-func Percentile(data []float64, p float64) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

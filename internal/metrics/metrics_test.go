@@ -101,32 +101,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	data := []float64{5, 1, 3, 2, 4}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4}, {-5, 1}, {200, 5},
-	}
-	for _, tc := range tests {
-		if got := Percentile(data, tc.p); got != tc.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	// Interpolation between order statistics.
-	if got := Percentile([]float64{0, 10}, 50); got != 5 {
-		t.Fatalf("interpolated median = %v, want 5", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %v, want 0", got)
-	}
-	// Input must not be mutated.
-	if data[0] != 5 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
 // Property: summary mean always lies within [min, max].
 func TestSummaryMeanBoundsProperty(t *testing.T) {
 	prop := func(raw []float64) bool {
@@ -143,31 +117,6 @@ func TestSummaryMeanBoundsProperty(t *testing.T) {
 			return true
 		}
 		return s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: percentile is monotone in p.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	prop := func(raw []float64, p1, p2 float64) bool {
-		var data []float64
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			data = append(data, math.Mod(x, 1e6))
-		}
-		if len(data) == 0 {
-			return true
-		}
-		a := math.Mod(math.Abs(p1), 100)
-		b := math.Mod(math.Abs(p2), 100)
-		if a > b {
-			a, b = b, a
-		}
-		return Percentile(data, a) <= Percentile(data, b)+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

@@ -19,11 +19,6 @@ type State struct {
 	HeadingDeg float64
 }
 
-// Velocity returns the velocity vector in metres/second.
-func (s State) Velocity() geo.Vector {
-	return geo.UnitFromHeading(s.HeadingDeg).Scale(geo.KmhToMps(s.SpeedKmh))
-}
-
 // Model advances the kinematic state of a single terminal. Implementations
 // are stateful and not safe for concurrent use; each terminal owns one.
 type Model interface {
@@ -32,74 +27,6 @@ type Model interface {
 	// Step advances the model by dt seconds and returns the new state.
 	// Non-positive dt leaves the state unchanged.
 	Step(dt float64) State
-}
-
-// Rect is an axis-aligned rectangular region in metres.
-type Rect struct {
-	MinX, MinY float64
-	MaxX, MaxY float64
-}
-
-// NewRect validates and constructs a region.
-func NewRect(minX, minY, maxX, maxY float64) (Rect, error) {
-	if math.IsNaN(minX) || math.IsNaN(minY) || math.IsNaN(maxX) || math.IsNaN(maxY) {
-		return Rect{}, fmt.Errorf("mobility: rect bounds must not be NaN")
-	}
-	if minX >= maxX || minY >= maxY {
-		return Rect{}, fmt.Errorf("mobility: rect [%v,%v]x[%v,%v] is empty", minX, maxX, minY, maxY)
-	}
-	return Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}, nil
-}
-
-// Contains reports whether p lies inside the region (inclusive).
-func (r Rect) Contains(p geo.Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
-// Clamp restricts p to the region.
-func (r Rect) Clamp(p geo.Point) geo.Point {
-	return geo.Point{
-		X: math.Min(math.Max(p.X, r.MinX), r.MaxX),
-		Y: math.Min(math.Max(p.Y, r.MinY), r.MaxY),
-	}
-}
-
-// RandomPoint draws a uniform point inside the region.
-func (r Rect) RandomPoint(rng *rand.Rand) geo.Point {
-	return geo.Point{
-		X: sim.Uniform(rng, r.MinX, r.MaxX),
-		Y: sim.Uniform(rng, r.MinY, r.MaxY),
-	}
-}
-
-// ConstantVelocity moves in a straight line at fixed speed and heading.
-type ConstantVelocity struct {
-	state State
-}
-
-var _ Model = (*ConstantVelocity)(nil)
-
-// NewConstantVelocity constructs a straight-line mover.
-func NewConstantVelocity(start geo.Point, speedKmh, headingDeg float64) (*ConstantVelocity, error) {
-	if math.IsNaN(speedKmh) || speedKmh < 0 {
-		return nil, fmt.Errorf("mobility: speed must be >= 0 km/h, got %v", speedKmh)
-	}
-	return &ConstantVelocity{state: State{
-		Pos:        start,
-		SpeedKmh:   speedKmh,
-		HeadingDeg: geo.NormalizeDeg(headingDeg),
-	}}, nil
-}
-
-// State implements Model.
-func (m *ConstantVelocity) State() State { return m.state }
-
-// Step implements Model.
-func (m *ConstantVelocity) Step(dt float64) State {
-	if dt > 0 {
-		m.state.Pos = geo.Move(m.state.Pos, m.state.HeadingDeg, geo.KmhToMps(m.state.SpeedKmh)*dt)
-	}
-	return m.state
 }
 
 // TurningConfig parameterises the speed-dependent turning walk.
@@ -111,9 +38,6 @@ type TurningConfig struct {
 	// effective sigma is TurnSigmaDeg / (1 + speed/RefSpeedKmh).
 	// Default 15 km/h, so a 60 km/h vehicle turns 5x less than a walker.
 	RefSpeedKmh float64
-	// Region, when non-zero, bounds the walk; the walker reflects off the
-	// region border.
-	Region Rect
 }
 
 func (c TurningConfig) withDefaults() TurningConfig {
@@ -143,10 +67,9 @@ func (c TurningConfig) Validate() error {
 // slow (walking users) the prediction of the user direction becomes
 // difficult, because the users can change their direction".
 type TurningWalk struct {
-	cfg     TurningConfig
-	rng     *rand.Rand
-	state   State
-	bounded bool
+	cfg   TurningConfig
+	rng   *rand.Rand
+	state State
 }
 
 var _ Model = (*TurningWalk)(nil)
@@ -164,11 +87,7 @@ func NewTurningWalk(start State, cfg TurningConfig, rng *rand.Rand) (*TurningWal
 		return nil, fmt.Errorf("mobility: speed must be >= 0 km/h, got %v", start.SpeedKmh)
 	}
 	start.HeadingDeg = geo.NormalizeDeg(start.HeadingDeg)
-	bounded := cfg.Region != Rect{}
-	if bounded && !cfg.Region.Contains(start.Pos) {
-		return nil, fmt.Errorf("mobility: start %v outside region %+v", start.Pos, cfg.Region)
-	}
-	return &TurningWalk{cfg: cfg, rng: rng, state: start, bounded: bounded}, nil
+	return &TurningWalk{cfg: cfg, rng: rng, state: start}, nil
 }
 
 // State implements Model.
@@ -187,128 +106,6 @@ func (m *TurningWalk) Step(dt float64) State {
 	}
 	sigma := m.EffectiveTurnSigma() * math.Sqrt(dt)
 	m.state.HeadingDeg = geo.NormalizeDeg(m.state.HeadingDeg + sim.Normal(m.rng, 0, sigma))
-	next := geo.Move(m.state.Pos, m.state.HeadingDeg, geo.KmhToMps(m.state.SpeedKmh)*dt)
-	if m.bounded && !m.cfg.Region.Contains(next) {
-		// Reflect: turn back towards the region centre and clamp.
-		centre := geo.Point{
-			X: (m.cfg.Region.MinX + m.cfg.Region.MaxX) / 2,
-			Y: (m.cfg.Region.MinY + m.cfg.Region.MaxY) / 2,
-		}
-		m.state.HeadingDeg = geo.BearingDeg(next, centre)
-		next = m.cfg.Region.Clamp(next)
-	}
-	m.state.Pos = next
+	m.state.Pos = geo.Move(m.state.Pos, m.state.HeadingDeg, geo.KmhToMps(m.state.SpeedKmh)*dt)
 	return m.state
-}
-
-// WaypointConfig parameterises the random waypoint model.
-type WaypointConfig struct {
-	// Region bounds the waypoints. Required.
-	Region Rect
-	// SpeedMinKmh and SpeedMaxKmh bound the per-leg speed draw.
-	SpeedMinKmh float64
-	SpeedMaxKmh float64
-	// PauseMeanSec is the mean pause at each waypoint (exponential);
-	// zero disables pausing.
-	PauseMeanSec float64
-}
-
-// Validate checks the configuration.
-func (c WaypointConfig) Validate() error {
-	if c.Region == (Rect{}) {
-		return fmt.Errorf("mobility: waypoint model requires a region")
-	}
-	if math.IsNaN(c.SpeedMinKmh) || c.SpeedMinKmh <= 0 {
-		return fmt.Errorf("mobility: min speed must be > 0, got %v", c.SpeedMinKmh)
-	}
-	if math.IsNaN(c.SpeedMaxKmh) || c.SpeedMaxKmh < c.SpeedMinKmh {
-		return fmt.Errorf("mobility: max speed %v below min speed %v", c.SpeedMaxKmh, c.SpeedMinKmh)
-	}
-	if math.IsNaN(c.PauseMeanSec) || c.PauseMeanSec < 0 {
-		return fmt.Errorf("mobility: pause mean must be >= 0, got %v", c.PauseMeanSec)
-	}
-	return nil
-}
-
-// RandomWaypoint is the classic random-waypoint model: pick a uniform
-// destination in the region, travel to it in a straight line at a uniform
-// random speed, optionally pause, repeat.
-type RandomWaypoint struct {
-	cfg       WaypointConfig
-	rng       *rand.Rand
-	state     State
-	target    geo.Point
-	pauseLeft float64
-}
-
-var _ Model = (*RandomWaypoint)(nil)
-
-// NewRandomWaypoint constructs a random-waypoint mover starting at start
-// (clamped into the region).
-func NewRandomWaypoint(start geo.Point, cfg WaypointConfig, rng *rand.Rand) (*RandomWaypoint, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("mobility: rng must not be nil")
-	}
-	m := &RandomWaypoint{cfg: cfg, rng: rng}
-	m.state.Pos = cfg.Region.Clamp(start)
-	m.pickLeg()
-	return m, nil
-}
-
-func (m *RandomWaypoint) pickLeg() {
-	m.target = m.cfg.Region.RandomPoint(m.rng)
-	m.state.SpeedKmh = sim.Uniform(m.rng, m.cfg.SpeedMinKmh, m.cfg.SpeedMaxKmh)
-	m.state.HeadingDeg = geo.BearingDeg(m.state.Pos, m.target)
-}
-
-// State implements Model.
-func (m *RandomWaypoint) State() State { return m.state }
-
-// Target returns the current waypoint.
-func (m *RandomWaypoint) Target() geo.Point { return m.target }
-
-// Step implements Model.
-func (m *RandomWaypoint) Step(dt float64) State {
-	for dt > 0 {
-		if m.pauseLeft > 0 {
-			used := math.Min(dt, m.pauseLeft)
-			m.pauseLeft -= used
-			dt -= used
-			continue
-		}
-		speedMps := geo.KmhToMps(m.state.SpeedKmh)
-		remaining := m.state.Pos.DistanceTo(m.target)
-		if speedMps <= 0 {
-			break
-		}
-		timeToTarget := remaining / speedMps
-		if timeToTarget > dt {
-			m.state.Pos = geo.Move(m.state.Pos, m.state.HeadingDeg, speedMps*dt)
-			return m.state
-		}
-		m.state.Pos = m.target
-		dt -= timeToTarget
-		if m.cfg.PauseMeanSec > 0 {
-			m.pauseLeft = sim.Exponential(m.rng, m.cfg.PauseMeanSec)
-		}
-		m.pickLeg()
-	}
-	return m.state
-}
-
-// Trace samples a model every dt seconds for n steps, returning n+1 states
-// including the initial one. It is the bridge to the GPS substrate.
-func Trace(m Model, dt float64, n int) []State {
-	if n < 0 || dt <= 0 || math.IsNaN(dt) {
-		return []State{m.State()}
-	}
-	out := make([]State, 0, n+1)
-	out = append(out, m.State())
-	for i := 0; i < n; i++ {
-		out = append(out, m.Step(dt))
-	}
-	return out
 }

@@ -28,11 +28,6 @@ type Config struct {
 	Trace string
 }
 
-// Enabled reports whether any capture was requested.
-func (c Config) Enabled() bool {
-	return c.CPUProfile != "" || c.MemProfile != "" || c.Trace != ""
-}
-
 // Start begins the requested captures and returns the stop function.
 // On error nothing is left running and no stop call is needed.
 func Start(c Config) (stop func() error, err error) {

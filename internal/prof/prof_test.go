@@ -7,11 +7,7 @@ import (
 )
 
 func TestDisabledIsNoop(t *testing.T) {
-	var c Config
-	if c.Enabled() {
-		t.Fatal("zero config should be disabled")
-	}
-	stop, err := Start(c)
+	stop, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +22,6 @@ func TestCapturesWriteFiles(t *testing.T) {
 		CPUProfile: filepath.Join(dir, "cpu.out"),
 		MemProfile: filepath.Join(dir, "mem.out"),
 		Trace:      filepath.Join(dir, "trace.out"),
-	}
-	if !c.Enabled() {
-		t.Fatal("config should be enabled")
 	}
 	stop, err := Start(c)
 	if err != nil {

@@ -45,11 +45,6 @@ type Config struct {
 	// never wait, batch only what is already queued.
 	MaxDelay time.Duration
 
-	// Queue is the intake channel capacity for singles (default 4 x
-	// MaxBatch). Submitters block once it is full, providing natural
-	// backpressure.
-	Queue int
-
 	// Commit makes the service the owner of station state: an accepted
 	// request is immediately allocated on its station (cell.Admit) and
 	// observers (cac.Observer) are notified, before any later request
@@ -501,12 +496,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = DefaultMaxDelay
 	}
-	if cfg.Queue == 0 {
-		cfg.Queue = 4 * cfg.MaxBatch
-	}
-	if cfg.Queue < 1 {
-		return cfg, fmt.Errorf("serve: Queue must be >= 1, got %d", cfg.Queue)
-	}
 	return cfg, nil
 }
 
@@ -740,18 +729,20 @@ type Intake struct {
 	pending atomic.Int64
 }
 
-// NewIntake starts an intake batching by cfg's MaxBatch, MaxDelay and
-// Queue (defaults as for New; Controller and Commit are unused). decide
-// receives each micro-batch, the enqueue time of its oldest request and
-// a response buffer of len(reqs) slots to fill, Latency included; it
-// runs on the intake goroutine, one batch at a time.
+// NewIntake starts an intake batching by cfg's MaxBatch and MaxDelay
+// (defaults as for New; Controller and Commit are unused). It queues up
+// to 4 x MaxBatch singles; submitters block once the queue is full,
+// which is the intake's backpressure. decide receives each micro-batch,
+// the enqueue time of its oldest request and a response buffer of
+// len(reqs) slots to fill, Latency included; it runs on the intake
+// goroutine, one batch at a time.
 func NewIntake(cfg Config, decide func(reqs []cac.Request, enq time.Time, out []Response)) (*Intake, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	in := &Intake{
-		in:       make(chan item, cfg.Queue),
+		in:       make(chan item, 4*cfg.MaxBatch),
 		done:     make(chan struct{}),
 		maxBatch: cfg.MaxBatch,
 		maxDelay: cfg.MaxDelay,

@@ -338,7 +338,7 @@ func TestMicroBatchCoalesces(t *testing.T) {
 	bs := net.Stations()[0]
 	ctrl := &scriptController{}
 	const n = 8
-	s, err := New(Config{Controller: ctrl, MaxBatch: n, Queue: 64, MaxDelay: time.Hour})
+	s, err := New(Config{Controller: ctrl, MaxBatch: n, MaxDelay: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

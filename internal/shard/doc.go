@@ -104,8 +104,8 @@
 // ownership — owned cells plus the radius — contains the row's cell.
 // A dropped row is one the receiver could never read, so outcomes are
 // unchanged while Stats.GhostRows falls below Stats.GhostRowsAllToAll
-// on skewed workloads; Config.DisableInterestScope restores the full
-// fan-out.
+// on skewed workloads. A ledger built without the speed bound declares
+// no radius, and the exchange stays all-to-all.
 //
 // # Entry points
 //

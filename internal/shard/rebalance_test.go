@@ -448,16 +448,23 @@ func TestRebalanceRandomizedSoak(t *testing.T) {
 	}
 }
 
-// runScopedSCC drives a tick-aligned hotspot workload through an SCC
-// engine and returns the outcome stream plus final stats.
-func runScopedSCC(t *testing.T, shards int, maxSpeedKmh float64, disableScope bool, rebalanceTicks int) ([]outcome, Stats) {
+// runScopedSCC drives a tick-aligned hotspot workload with speeds at
+// most maxSpeedKmh through an SCC engine and returns the outcome stream
+// plus final stats. With declareBound the ledgers are promised that
+// speed bound (and so declare an interest radius); without it they
+// declare none and the exchange stays all-to-all.
+func runScopedSCC(t *testing.T, shards int, maxSpeedKmh float64, declareBound bool, rebalanceTicks int) ([]outcome, Stats) {
 	t.Helper()
 	const rings, waves, waveLen, maxBatch = 4, 12, 64, 64
 	net := testNetwork(t, rings)
+	ledgerKmh := 0.0
+	if declareBound {
+		ledgerKmh = maxSpeedKmh
+	}
 	e, err := New(Config{
 		Network: net, Shards: shards, MaxBatch: maxBatch, Commit: true,
-		NewController: sccFactory(maxSpeedKmh), Partition: PartitionBlocks,
-		RebalanceEveryTicks: rebalanceTicks, DisableInterestScope: disableScope,
+		NewController: sccFactory(ledgerKmh), Partition: PartitionBlocks,
+		RebalanceEveryTicks: rebalanceTicks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -491,18 +498,20 @@ func runScopedSCC(t *testing.T, shards int, maxSpeedKmh float64, disableScope bo
 // bounded interest radius, the scoped exchange must fan strictly fewer
 // ghost rows than the all-to-all baseline on a hotspot workload — while
 // leaving every admission outcome byte-identical to both the unscoped
-// run and the 1-shard sequential baseline, with rebalancing enabled.
+// run (the same ledgers without the speed bound, which the ledger uses
+// only to route exchanged rows) and the 1-shard sequential baseline,
+// with rebalancing enabled.
 func TestInterestScopedExchangeReducesFanOut(t *testing.T) {
 	const maxKmh = 30.0
-	oracle, _ := runScopedSCC(t, 1, maxKmh, false, 2)
-	scoped, scopedStats := runScopedSCC(t, 4, maxKmh, false, 2)
-	unscoped, unscopedStats := runScopedSCC(t, 4, maxKmh, true, 2)
+	oracle, _ := runScopedSCC(t, 1, maxKmh, true, 2)
+	scoped, scopedStats := runScopedSCC(t, 4, maxKmh, true, 2)
+	unscoped, unscopedStats := runScopedSCC(t, 4, maxKmh, false, 2)
 
 	if !scopedStats.InterestScoped {
 		t.Fatalf("bounded-radius ledgers should scope the exchange: %+v", scopedStats)
 	}
 	if unscopedStats.InterestScoped {
-		t.Fatal("DisableInterestScope run still reports scoping")
+		t.Fatal("ledgers without a speed bound still report scoping")
 	}
 	if scopedStats.GhostRows == 0 || scopedStats.Exchanges == 0 {
 		t.Fatalf("scoped exchange never fanned rows: %+v", scopedStats)

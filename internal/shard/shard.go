@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -103,10 +102,6 @@ type Config struct {
 	// latency.
 	MaxDelay time.Duration
 
-	// Queue is the intake capacity for singles (default serve's 4 x
-	// MaxBatch).
-	Queue int
-
 	// Commit makes each shard the owner of its stations' allocation
 	// state, with serve.Config.Commit's semantics. Handoffs require it.
 	Commit bool
@@ -131,12 +126,6 @@ type Config struct {
 	// Rebalance bounds the planner (moves per epoch, imbalance
 	// tolerance); see PlannerConfig.
 	Rebalance PlannerConfig
-
-	// DisableInterestScope keeps the all-to-all ghost fan-out even when
-	// every exchanger declares an interest radius (cac.InterestScoped).
-	// Scoping never changes outcomes — it drops only rows the receiver
-	// provably never reads — so this is a measurement escape hatch.
-	DisableInterestScope bool
 }
 
 // Handoff describes one call transfer between cells: release the call
@@ -195,12 +184,6 @@ type bitset []uint64
 func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (b bitset) count() (n int) {
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // cellGrid maps a hex to its dense station index (network (Q, R)
 // order) through a table over the deployment's bounding box: routing
@@ -536,7 +519,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.RebalanceEveryTicks > 0 && e.rebalanceErr != nil {
 		return nil, e.rebalanceErr
 	}
-	if e.exchangers != nil && !cfg.DisableInterestScope {
+	if e.exchangers != nil {
 		e.interestRadius = interestRadius(e.exchangers)
 	}
 	if e.interestRadius >= 0 {
@@ -553,7 +536,7 @@ func New(cfg Config) (*Engine, error) {
 			out:  make([]serve.Response, cfg.MaxBatch),
 		}
 	}
-	intake, err := serve.NewIntake(serve.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay, Queue: cfg.Queue}, e.decideBatch)
+	intake, err := serve.NewIntake(serve.Config{MaxBatch: cfg.MaxBatch, MaxDelay: cfg.MaxDelay}, e.decideBatch)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}

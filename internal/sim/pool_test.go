@@ -99,8 +99,8 @@ func TestEventRecordsRecycled(t *testing.T) {
 	}
 	// The first record cannot come from the pool, and the record fired at
 	// step i is only recycled at step i+1, so at least 98 reuses.
-	if s.Pooled() < 98 {
-		t.Fatalf("Pooled() = %d, want >= 98", s.Pooled())
+	if s.pooled < 98 {
+		t.Fatalf("pooled = %d, want >= 98", s.pooled)
 	}
 }
 
@@ -153,7 +153,7 @@ func TestCancelDuringOwnFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev2.Canceled() {
+	if ev2.canceled {
 		t.Fatal("recycled record kept its cancelled flag")
 	}
 	if !s.Step() {

@@ -29,9 +29,6 @@ type Event struct {
 	poolNext *Event
 }
 
-// Time returns the simulation time at which the event fires.
-func (e *Event) Time() float64 { return e.at }
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. Cancelled events are deleted
 // lazily: they stay in the queue until popped or until the scheduler
@@ -49,24 +46,22 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether the event was cancelled.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Scheduler is a discrete-event executor. The zero value is not usable;
 // construct with NewScheduler.
 //
 // A Scheduler is single-threaded by design: all events run on the goroutine
-// that calls Step, Run or RunUntil.
+// that calls Step or Run.
 type Scheduler struct {
 	now      float64
 	seq      uint64
 	pq       eventHeap
-	executed uint64
-	canceled int // cancelled events still sitting in pq
-	compacts uint64
+	canceled int    // cancelled events still sitting in pq
 	pool     *Event // free list of recycled event records
 	fired    *Event // last fired event, recycled at the next Step
-	pooled   uint64 // events served from the pool instead of the heap allocator
+	// executed, compacts and pooled count fired events, bulk
+	// compactions and records served from the pool instead of the heap
+	// allocator; the scheduler's tests read them.
+	executed, compacts, pooled uint64
 }
 
 // compactMinLen is the queue size below which compaction is not worth
@@ -84,13 +79,6 @@ func (s *Scheduler) Now() float64 { return s.now }
 // Len returns the number of pending events, including cancelled events
 // that have not yet been discarded.
 func (s *Scheduler) Len() int { return len(s.pq) }
-
-// Executed returns the number of events fired so far.
-func (s *Scheduler) Executed() uint64 { return s.executed }
-
-// Pooled returns the number of events whose records were recycled from
-// the free list rather than freshly allocated.
-func (s *Scheduler) Pooled() uint64 { return s.pooled }
 
 // recycle clears an event record and pushes it onto the free list. The
 // record must no longer be in the queue.
@@ -156,10 +144,6 @@ func (s *Scheduler) maybeCompact() {
 	s.compacts++
 }
 
-// Compactions returns how many times the queue discarded its cancelled
-// events in bulk.
-func (s *Scheduler) Compactions() uint64 { return s.compacts }
-
 // After schedules fn d seconds from now. Negative delays are errors. The
 // returned *Event may be a recycled record; see the Event reuse contract.
 func (s *Scheduler) After(d float64, fn Handler) (*Event, error) {
@@ -214,38 +198,6 @@ func (s *Scheduler) Run(maxEvents uint64) uint64 {
 		}
 		n++
 	}
-}
-
-// RunUntil fires all events up to and including time t, then advances the
-// clock to t. It returns the number of events fired.
-func (s *Scheduler) RunUntil(t float64) uint64 {
-	var n uint64
-	for {
-		ev := s.peek()
-		if ev == nil || ev.at > t {
-			break
-		}
-		s.Step()
-		n++
-	}
-	if t > s.now {
-		s.now = t
-	}
-	return n
-}
-
-// peek returns the next non-cancelled event without firing it.
-func (s *Scheduler) peek() *Event {
-	for len(s.pq) > 0 {
-		if s.pq[0].canceled {
-			ev := heap.Pop(&s.pq).(*Event)
-			s.canceled--
-			s.recycle(ev)
-			continue
-		}
-		return s.pq[0]
-	}
-	return nil
 }
 
 // eventHeap orders events by time, breaking ties by schedule sequence so

@@ -27,8 +27,8 @@ func TestSchedulerFiresInTimeOrder(t *testing.T) {
 	if s.Now() != 5 {
 		t.Fatalf("Now = %v, want 5", s.Now())
 	}
-	if s.Executed() != 5 {
-		t.Fatalf("Executed = %d, want 5", s.Executed())
+	if s.executed != 5 {
+		t.Fatalf("executed = %d, want 5", s.executed)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestEventCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() should be true")
+	if !ev.canceled {
+		t.Fatal("event should be marked cancelled")
 	}
 	if n := s.Run(0); n != 1 {
 		t.Fatalf("Run fired %d, want 1", n)
@@ -112,33 +112,6 @@ func TestEventCancel(t *testing.T) {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
 	ev.Cancel() // cancelling again is a no-op
-}
-
-func TestRunUntil(t *testing.T) {
-	s := NewScheduler()
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 10} {
-		at := at
-		if _, err := s.At(at, func(*Scheduler) { fired = append(fired, at) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.RunUntil(3); n != 3 {
-		t.Fatalf("RunUntil fired %d, want 3", n)
-	}
-	if s.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", s.Now())
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-	// Advancing past the horizon with no events still moves the clock.
-	if n := s.RunUntil(5); n != 0 {
-		t.Fatalf("RunUntil(5) fired %d, want 0", n)
-	}
-	if s.Now() != 5 {
-		t.Fatalf("Now = %v, want 5", s.Now())
-	}
 }
 
 func TestRunMaxEventsBound(t *testing.T) {
@@ -164,19 +137,6 @@ func TestStepOnEmpty(t *testing.T) {
 	}
 }
 
-func TestEventTimeAccessor(t *testing.T) {
-	s := NewScheduler()
-	ev, err := s.At(42, func(*Scheduler) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Time() != 42 {
-		t.Fatalf("Time = %v, want 42", ev.Time())
-	}
-}
-
-// Property: for any multiset of schedule times, events fire in
-// non-decreasing time order.
 func TestSchedulerOrderingProperty(t *testing.T) {
 	prop := func(raw []float64) bool {
 		s := NewScheduler()
@@ -225,7 +185,7 @@ func TestCompactionDiscardsCancelledEvents(t *testing.T) {
 	if got := s.Len(); got > 500 {
 		t.Fatalf("queue holds %d events after cancelling ~half, want compaction to <= 500", got)
 	}
-	if s.Compactions() == 0 {
+	if s.compacts == 0 {
 		t.Fatal("compaction should have run")
 	}
 	// Double-cancel must not corrupt the cancelled counter.
@@ -293,7 +253,7 @@ func TestSmallQueueSkipsCompaction(t *testing.T) {
 	for _, ev := range events {
 		ev.Cancel()
 	}
-	if s.Compactions() != 0 {
+	if s.compacts != 0 {
 		t.Fatal("small queues should not pay for compaction")
 	}
 	if fired := s.Run(0); fired != 0 {
