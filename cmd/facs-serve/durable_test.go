@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"facs"
-	icac "facs/internal/cac"
 	ishard "facs/internal/shard"
 	itelemetry "facs/internal/telemetry"
 	itraffic "facs/internal/traffic"
@@ -52,7 +51,7 @@ func TestClassAwareShedding(t *testing.T) {
 	eng, err := ishard.New(ishard.Config{
 		Network:       netw,
 		Shards:        1,
-		NewController: func(ishard.View) (icac.Controller, error) { return facs.CompleteSharing{}, nil },
+		NewController: shardContestant(t, "cs"),
 		MaxBatch:      64,
 		MaxDelay:      300 * time.Millisecond, // hold every request undecided
 	})
@@ -111,16 +110,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := ishard.New(ishard.Config{
-		Network: netw,
-		Shards:  2,
-		NewController: func(v ishard.View) (icac.Controller, error) {
-			return facs.NewSCCLedger(facs.SCCConfig{
-				Network:     v.Network(),
-				Reservation: facs.SCCReservationFull,
-			})
-		},
-		MaxBatch: 4,
-		Commit:   true,
+		Network:       netw,
+		Shards:        2,
+		NewController: shardContestant(t, "scc"),
+		MaxBatch:      4,
+		Commit:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

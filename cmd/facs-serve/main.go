@@ -99,6 +99,7 @@ import (
 	"facs"
 	icac "facs/internal/cac"
 	icell "facs/internal/cell"
+	iexp "facs/internal/experiments"
 	igeo "facs/internal/geo"
 	igps "facs/internal/gps"
 	"facs/internal/prof"
@@ -172,23 +173,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if o.surfaceCache != "" {
-		o.compiled = true
-	}
-	if o.compiled && o.controller != "facs" {
-		return fmt.Errorf("-compiled applies to -controller facs, got %q", o.controller)
-	}
-	if o.grid != 0 && !o.compiled {
-		return fmt.Errorf("-grid applies to -compiled runs")
-	}
 	if o.shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
 	}
-	if cells := 1 + 3*o.rings*(o.rings+1); o.rings >= 0 && o.shards > cells {
+	if cells := igeo.SpiralLen(o.rings); o.rings >= 0 && o.shards > cells {
 		return fmt.Errorf("-shards %d exceeds the deployment's %d cells (an empty shard could never receive traffic)", o.shards, cells)
 	}
-	if _, ok := shardPartitions[o.partition]; !ok {
-		return fmt.Errorf("unknown -partition %q (roundrobin, blocks)", o.partition)
+	partition, err := ishard.ParsePartition(o.partition)
+	if err != nil {
+		return err
 	}
 	if o.rebalTicks < 0 {
 		return fmt.Errorf("-rebalance-ticks must be >= 0, got %d", o.rebalTicks)
@@ -206,7 +199,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-snapshot-every-ticks needs a -snapshot-dir")
 	}
 
-	factory, err := controllerFactory(o, stderr)
+	// The sharded engine calls the factory once per shard: every shard
+	// shares one FACS, while scc builds a fresh (loop-confined) ledger
+	// per shard.
+	factory, err := iexp.Contestant{
+		Name:            o.controller,
+		GuardBU:         o.guard,
+		AcceptThreshold: facs.DefaultAcceptThreshold,
+		Compiled:        o.compiled,
+		Grid:            o.grid,
+		SurfaceCache:    o.surfaceCache,
+		Log:             func(line string) { fmt.Fprintln(stderr, "facs-serve:", line) },
+	}.Factory()
 	if err != nil {
 		return err
 	}
@@ -240,7 +244,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		MaxBatch:            o.batch,
 		MaxDelay:            o.maxDelay,
 		Commit:              o.commit,
-		Partition:           shardPartitions[o.partition],
+		Partition:           partition,
 		RebalanceEveryTicks: o.rebalTicks,
 		Rebalance:           ishard.PlannerConfig{MaxMoves: o.rebalMoves},
 	})
@@ -378,79 +382,6 @@ func printEngineStats(stderr io.Writer, eng *ishard.Engine, ledger iscc.LedgerSt
 		return
 	}
 	fmt.Fprintln(stderr, "facs-serve:", eng.Stats())
-}
-
-// controllerFactory builds the per-network controller constructor,
-// reporting surface compile/cache timing for the FACS fast path. The
-// sharded engine calls it once per shard: FACS and the classical
-// baselines hand every shard one shared concurrency-safe instance,
-// while scc builds a fresh (loop-confined) ledger per shard.
-func controllerFactory(o serveOptions, stderr io.Writer) (func(*facs.Network) (facs.Controller, error), error) {
-	switch o.controller {
-	case "facs":
-		var ctrl facs.Controller
-		var err error
-		if o.compiled {
-			ctrl, err = buildCompiled(o.grid, o.surfaceCache, stderr)
-		} else {
-			ctrl, err = facs.NewSystem()
-		}
-		if err != nil {
-			return nil, err
-		}
-		return func(*facs.Network) (facs.Controller, error) { return ctrl, nil }, nil
-	case "scc":
-		return func(netw *facs.Network) (facs.Controller, error) {
-			return facs.NewSCCLedger(facs.SCCConfig{
-				Network:                netw,
-				Reservation:            facs.SCCReservationFull,
-				RequireClusterCoverage: true,
-			})
-		}, nil
-	case "cs":
-		return func(*facs.Network) (facs.Controller, error) { return facs.CompleteSharing{}, nil }, nil
-	case "guard":
-		return func(*facs.Network) (facs.Controller, error) { return facs.NewGuardChannel(o.guard) }, nil
-	case "threshold":
-		return func(*facs.Network) (facs.Controller, error) {
-			return facs.NewThresholdPolicy(map[facs.Class]int{facs.Video: 10})
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown controller %q", o.controller)
-	}
-}
-
-// buildCompiled compiles (or cache-loads) the FACS fast path, reporting
-// what happened and how long it took.
-func buildCompiled(grid int, cacheDir string, stderr io.Writer) (facs.Controller, error) {
-	start := time.Now()
-	if cacheDir == "" {
-		fmt.Fprintf(stderr, "facs-serve: compiling FACS surfaces (no cache)...\n")
-		ctrl, err := facs.NewCompiledSystem(grid)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(stderr, "facs-serve: compiled in %v\n", time.Since(start).Round(time.Millisecond))
-		return ctrl, nil
-	}
-	ctrl, info, err := facs.NewCompiledSystemCached(grid, cacheDir)
-	if err != nil {
-		// A compiled controller alongside the error means only the cache
-		// write failed (e.g. read-only directory): degrade to plain
-		// compilation instead of discarding the work.
-		if ctrl == nil {
-			return nil, err
-		}
-		fmt.Fprintf(stderr, "facs-serve: warning: %v\n", err)
-	}
-	fmt.Fprintf(stderr, "facs-serve: surface cache %s in %v\n", info, time.Since(start).Round(time.Millisecond))
-	return ctrl, nil
-}
-
-// shardPartitions maps the -partition flag to layouts.
-var shardPartitions = map[string]facs.ShardPartition{
-	"roundrobin": facs.PartitionRoundRobin,
-	"blocks":     facs.PartitionBlocks,
 }
 
 // admitter is the front-end surface serveStream drives: the sharded

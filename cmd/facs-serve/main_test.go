@@ -14,8 +14,42 @@ import (
 
 	"facs"
 	icac "facs/internal/cac"
+	iexp "facs/internal/experiments"
 	ishard "facs/internal/shard"
 )
+
+// shardContestant adapts the catalogue's constructor for name to the
+// sharded engine.
+func shardContestant(t *testing.T, name string) func(ishard.View) (icac.Controller, error) {
+	t.Helper()
+	factory, err := iexp.Contestant{Name: name}.Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(v ishard.View) (icac.Controller, error) { return factory(v.Network()) }
+}
+
+// TestBuildController holds facs-serve to the contestant catalogue:
+// every catalogue name serves, and an unknown name fails with the
+// catalogue's list (the same list facs-sim's TestBuildController
+// expects).
+func TestBuildController(t *testing.T) {
+	for _, name := range append(append([]string{}, iexp.ContestantNames...), "bogus") {
+		t.Run(name, func(t *testing.T) {
+			var out, errw bytes.Buffer
+			err := run([]string{"-controller", name}, strings.NewReader(""), &out, &errw)
+			if name != "bogus" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "(valid: facs, scc, cs, guard, threshold)") {
+				t.Fatalf("unknown controller should fail with the catalogue's names, got %v", err)
+			}
+		})
+	}
+}
 
 // decodeLines parses every NDJSON output line by request id.
 func decodeLines(t *testing.T, out string) map[int]wireResponse {
@@ -256,7 +290,7 @@ func TestBackpressureShedsWhenFull(t *testing.T) {
 	eng, err := ishard.New(ishard.Config{
 		Network:       netw,
 		Shards:        1,
-		NewController: func(ishard.View) (icac.Controller, error) { return facs.CompleteSharing{}, nil },
+		NewController: shardContestant(t, "cs"),
 		MaxBatch:      64,
 		MaxDelay:      300 * time.Millisecond, // hold the first request undecided
 	})
@@ -292,7 +326,7 @@ func TestHandoffOpOverStream(t *testing.T) {
 	eng, err := ishard.New(ishard.Config{
 		Network:       netw,
 		Shards:        3,
-		NewController: func(ishard.View) (icac.Controller, error) { return facs.CompleteSharing{}, nil },
+		NewController: shardContestant(t, "cs"),
 		Commit:        true,
 	})
 	if err != nil {
@@ -381,7 +415,7 @@ func TestServeStreamOverConnection(t *testing.T) {
 	eng, err := ishard.New(ishard.Config{
 		Network:       netw,
 		Shards:        1,
-		NewController: func(ishard.View) (icac.Controller, error) { return facs.CompleteSharing{}, nil },
+		NewController: shardContestant(t, "cs"),
 		MaxBatch:      4,
 		Commit:        true,
 	})
@@ -440,7 +474,7 @@ func TestLiveCallIDRefused(t *testing.T) {
 	eng, err := ishard.New(ishard.Config{
 		Network:       netw,
 		Shards:        1,
-		NewController: func(ishard.View) (icac.Controller, error) { return facs.CompleteSharing{}, nil },
+		NewController: shardContestant(t, "cs"),
 		Commit:        true,
 	})
 	if err != nil {

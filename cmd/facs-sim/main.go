@@ -28,9 +28,10 @@ import (
 
 	"facs"
 	icell "facs/internal/cell"
+	iexp "facs/internal/experiments"
+	igeo "facs/internal/geo"
 	"facs/internal/prof"
-	iscc "facs/internal/scc"
-	itraffic "facs/internal/traffic"
+	ishard "facs/internal/shard"
 )
 
 func main() {
@@ -123,15 +124,6 @@ func run(args []string) error {
 	if o.reps < 1 {
 		return fmt.Errorf("-reps must be >= 1, got %d", o.reps)
 	}
-	if o.surfaceCache != "" {
-		o.compiled = true
-	}
-	if o.compiled && o.controller != "facs" {
-		return fmt.Errorf("-compiled applies to -controller facs, got %q", o.controller)
-	}
-	if o.grid != 0 && !o.compiled {
-		return fmt.Errorf("-grid applies to -compiled runs")
-	}
 	if o.batch && o.multicell {
 		return fmt.Errorf("-batch and -multicell are mutually exclusive")
 	}
@@ -190,71 +182,29 @@ func (o simOptions) seeds() []int64 {
 	return out
 }
 
-// buildFACS constructs the FACS under test: exact by default, the
-// compiled fast path with -compiled (a custom accept threshold or grid
-// compiles a dedicated instance; -surface-cache loads persisted
-// surfaces instead of recompiling). Compiled construction costs seconds
-// on a cache miss, so progress and elapsed time are reported on stderr.
-func buildFACS(o simOptions) (facs.Controller, error) {
-	if !o.compiled {
-		return facs.NewSystem(facs.WithAcceptThreshold(o.threshold))
-	}
-	start := time.Now()
-	if o.surfaceCache != "" {
-		ctrl, info, err := facs.NewCompiledSystemCached(o.grid, o.surfaceCache,
-			facs.WithAcceptThreshold(o.threshold))
-		if err != nil {
-			// A compiled controller alongside the error means only the
-			// cache write failed (e.g. read-only directory): degrade to
-			// plain compilation instead of discarding the work.
-			if ctrl == nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "facs-sim: warning: %v\n", err)
-		}
-		fmt.Fprintf(os.Stderr, "facs-sim: surface cache %s in %v\n",
-			info, time.Since(start).Round(time.Millisecond))
-		return ctrl, nil
-	}
-	fmt.Fprintln(os.Stderr, "facs-sim: compiling FACS surfaces (no cache)...")
-	var (
-		ctrl facs.Controller
-		err  error
-	)
-	if o.threshold == facs.DefaultAcceptThreshold && o.grid == 0 {
-		ctrl, err = facs.DefaultCompiledSystem()
-	} else {
-		ctrl, err = facs.NewCompiledSystem(o.grid, facs.WithAcceptThreshold(o.threshold))
-	}
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "facs-sim: compiled in %v\n", time.Since(start).Round(time.Millisecond))
-	return ctrl, nil
-}
-
-// buildController constructs a standalone controller (single-cell
-// scenarios; SCC needs a network and is built separately).
-func buildController(o simOptions) (facs.Controller, error) {
-	switch o.controller {
-	case "facs":
-		return buildFACS(o)
-	case "cs":
-		return facs.CompleteSharing{}, nil
-	case "guard":
-		return facs.NewGuardChannel(o.guard)
-	case "threshold":
-		return facs.NewThresholdPolicy(map[facs.Class]int{facs.Video: 10})
-	default:
-		return nil, fmt.Errorf("unknown controller %q (single cell supports facs, cs, guard, threshold)", o.controller)
-	}
+// contestant returns the catalogue's constructor for the -controller
+// flags. A compiled FACS reports its compile or cache timing on stderr.
+func (o simOptions) contestant() (func(*facs.Network) (facs.Controller, error), error) {
+	return iexp.Contestant{
+		Name:            o.controller,
+		GuardBU:         o.guard,
+		AcceptThreshold: o.threshold,
+		Compiled:        o.compiled,
+		Grid:            o.grid,
+		SurfaceCache:    o.surfaceCache,
+		Log:             func(line string) { fmt.Fprintln(os.Stderr, "facs-sim:", line) },
+	}.Factory()
 }
 
 func runSingle(o simOptions) error {
 	if o.controller == "scc" {
 		return fmt.Errorf("scc requires -multicell (its projections need a neighbourhood)")
 	}
-	ctrl, err := buildController(o)
+	factory, err := o.contestant()
+	if err != nil {
+		return err
+	}
+	ctrl, err := factory(nil) // every single-cell contestant is cell-local
 	if err != nil {
 		return err
 	}
@@ -305,45 +255,11 @@ func printSingleReplications(o simOptions, results []facs.SingleCellResult) {
 	fmt.Printf("mean accepted %.1f%% over %d replications\n", sum/float64(len(results)), len(results))
 }
 
-// networkFactory builds the controller factory shared by the
-// multi-cell and batch modes. SCC runs on the incremental demand
-// ledger, whose decisions are byte-identical to the recompute oracle's.
-func networkFactory(o simOptions) (func(*facs.Network) (facs.Controller, error), error) {
-	switch o.controller {
-	case "facs":
-		// Build once and share across replications: the FACS is
-		// stateless, and the compiled variant costs seconds to build.
-		ctrl, err := buildFACS(o)
-		if err != nil {
-			return nil, err
-		}
-		return func(*facs.Network) (facs.Controller, error) { return ctrl, nil }, nil
-	case "scc":
-		return func(net *facs.Network) (facs.Controller, error) {
-			return iscc.NewLedger(iscc.Config{
-				Network:                net,
-				Reservation:            iscc.ReservationFull,
-				RequireClusterCoverage: true,
-			})
-		}, nil
-	case "cs":
-		return func(*facs.Network) (facs.Controller, error) { return facs.CompleteSharing{}, nil }, nil
-	case "guard":
-		return func(*facs.Network) (facs.Controller, error) { return facs.NewGuardChannel(o.guard) }, nil
-	case "threshold":
-		return func(*facs.Network) (facs.Controller, error) {
-			return facs.NewThresholdPolicy(map[itraffic.Class]int{itraffic.Video: 10})
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown controller %q", o.controller)
-	}
-}
-
 // runBatch decides -n synthetic requests in one pass through the batch
 // pipeline against a network snapshot with -active pre-admitted calls,
 // reporting acceptance and decision throughput.
 func runBatch(o simOptions) error {
-	factory, err := networkFactory(o)
+	factory, err := o.contestant()
 	if err != nil {
 		return err
 	}
@@ -389,12 +305,16 @@ func runMetropolis(o simOptions) error {
 	if o.shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
 	}
-	if cells := ringCells(o.rings, 18); o.shards > cells {
+	rings := o.rings
+	if rings == 0 {
+		rings = 18 // the metropolis default
+	}
+	if cells := igeo.SpiralLen(rings); rings >= 0 && o.shards > cells {
 		return fmt.Errorf("-shards %d exceeds the deployment's %d cells (an empty shard could never receive traffic)", o.shards, cells)
 	}
-	partition, ok := shardPartitions[o.partition]
-	if !ok {
-		return fmt.Errorf("unknown -partition %q (roundrobin, blocks)", o.partition)
+	partition, err := ishard.ParsePartition(o.partition)
+	if err != nil {
+		return err
 	}
 	if (o.partition != "roundrobin" || o.rebalTicks != 0 || o.rebalMoves != 0) && mode != facs.MetroSharded {
 		return fmt.Errorf("-partition/-rebalance-ticks/-rebalance-max-moves apply to -metro-mode sharded")
@@ -402,7 +322,7 @@ func runMetropolis(o simOptions) error {
 	if o.rebalTicks < 0 {
 		return fmt.Errorf("-rebalance-ticks must be >= 0, got %d", o.rebalTicks)
 	}
-	factory, err := networkFactory(o)
+	factory, err := o.contestant()
 	if err != nil {
 		return err
 	}
@@ -485,23 +405,8 @@ func runMetropolis(o simOptions) error {
 	return nil
 }
 
-// shardPartitions maps the -partition flag to layouts.
-var shardPartitions = map[string]facs.ShardPartition{
-	"roundrobin": facs.PartitionRoundRobin,
-	"blocks":     facs.PartitionBlocks,
-}
-
-// ringCells returns the cell count of a hex deployment with the given
-// ring count (def when rings is 0): 1 + 3r(r+1).
-func ringCells(rings, def int) int {
-	if rings == 0 {
-		rings = def
-	}
-	return 1 + 3*rings*(rings+1)
-}
-
 func runMulti(o simOptions) error {
-	factory, err := networkFactory(o)
+	factory, err := o.contestant()
 	if err != nil {
 		return err
 	}

@@ -7,36 +7,37 @@ import (
 	"testing"
 
 	"facs"
+	iexp "facs/internal/experiments"
 	ifacs "facs/internal/facs"
 )
 
+// TestBuildController holds facs-sim to the contestant catalogue:
+// -multicell accepts every catalogue name, single cell every name but
+// scc, and an unknown name fails with the catalogue's list (the same
+// list facs-serve's TestBuildController expects).
 func TestBuildController(t *testing.T) {
-	tests := []struct {
-		name     string
-		wantName string
-		wantErr  bool
-	}{
-		{"facs", "facs", false},
-		{"cs", "complete-sharing", false},
-		{"guard", "guard-channel", false},
-		{"threshold", "multi-priority-threshold", false},
-		{"bogus", "", true},
-		{"scc", "", true}, // scc is multi-cell only
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			ctrl, err := buildController(simOptions{controller: tc.name, guard: 8, threshold: 0.25})
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("expected an error")
+	for _, name := range append(append([]string{}, iexp.ContestantNames...), "bogus") {
+		t.Run(name, func(t *testing.T) {
+			multi := run([]string{"-multicell", "-n", "10", "-controller", name})
+			single := run([]string{"-n", "10", "-controller", name})
+			switch name {
+			case "bogus":
+				for _, err := range []error{multi, single} {
+					if err == nil || !strings.Contains(err.Error(), "(valid: facs, scc, cs, guard, threshold)") {
+						t.Fatalf("unknown controller should fail with the catalogue's names, got %v", err)
+					}
 				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ctrl.Name() != tc.wantName {
-				t.Fatalf("Name = %q, want %q", ctrl.Name(), tc.wantName)
+			case "scc":
+				if multi != nil {
+					t.Fatal(multi)
+				}
+				if single == nil || !strings.Contains(single.Error(), "scc requires -multicell") {
+					t.Fatalf("single-cell scc should be refused, got %v", single)
+				}
+			default:
+				if multi != nil || single != nil {
+					t.Fatalf("multicell: %v; single cell: %v", multi, single)
+				}
 			}
 		})
 	}

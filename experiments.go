@@ -87,9 +87,11 @@ var (
 )
 
 // FACSFactory and SCCFactory build the Fig. 10 contestants for multi-cell
-// runs. SCCFactory supplies the incremental demand-ledger SCC;
-// SCCRecomputeFactory the original recompute-on-query oracle it is
-// golden-tested against.
+// runs; they live in the contestant catalogue
+// (internal/experiments/contestants.go) that facs-sim, facs-serve and
+// the figures build their controllers from. SCCFactory supplies the
+// incremental demand-ledger SCC; SCCRecomputeFactory the original
+// recompute-on-query oracle it is golden-tested against.
 var (
 	FACSFactory         = iexp.FACSFactory
 	CompiledFACSFactory = iexp.CompiledFACSFactory

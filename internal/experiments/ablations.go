@@ -8,8 +8,6 @@ import (
 	"facs/internal/facs"
 	"facs/internal/fuzzy"
 	"facs/internal/metrics"
-	"facs/internal/scc"
-	"facs/internal/traffic"
 )
 
 // AblationDefuzzifier (A1) compares the defuzzification method on the
@@ -106,29 +104,13 @@ func AblationSCC(fc FigureConfig) (Figure, error) {
 		{"tau=0.85,K=12", 0.85, 12},
 	}
 	for _, v := range variants {
-		v := v
-		factory := func(net *cell.Network) (cac.Controller, error) {
-			return scc.New(scc.Config{
-				Network:                net,
-				Threshold:              v.threshold,
-				Horizon:                v.horizon,
-				Reservation:            scc.ReservationFull,
-				RequireClusterCoverage: true,
-			})
-		}
-		grid, err := multiCellCurve(fc, MultiCellConfig{NewController: factory})
+		curve, err := runMultiCellCurve(fc, v.label, MultiCellConfig{
+			NewController: sccLedgerFactory(v.threshold, v.horizon),
+		})
 		if err != nil {
 			return Figure{}, err
 		}
-		series := metrics.Series{Label: v.label}
-		for pi, n := range fc.LoadPoints {
-			var acc float64
-			for _, res := range grid[pi] {
-				acc += res.AcceptedPct()
-			}
-			series.Append(float64(n), acc/float64(len(fc.Seeds)))
-		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve.series)
 	}
 	return fig, nil
 }
@@ -146,43 +128,25 @@ func AblationBaselines(fc FigureConfig) (Figure, error) {
 		XLabel: "number of requesting connections",
 		YLabel: "percentage of accepted calls",
 	}
-	schemes := []struct {
-		label   string
-		factory func(*cell.Network) (cac.Controller, error)
-	}{
-		{"FACS", FACSFactory()},
-		{"SCC", SCCFactory()},
-		{"complete-sharing", func(*cell.Network) (cac.Controller, error) {
-			return cac.CompleteSharing{}, nil
-		}},
-		{"guard-channel(8)", func(*cell.Network) (cac.Controller, error) {
-			return cac.NewGuardChannel(8)
-		}},
-		{"threshold(video<=10)", func(*cell.Network) (cac.Controller, error) {
-			return cac.NewThresholdPolicy(map[traffic.Class]int{traffic.Video: 10})
-		}},
+	schemes := []struct{ label, name string }{
+		{"FACS", "facs"},
+		{"SCC", "scc"},
+		{"complete-sharing", "cs"},
+		{"guard-channel(8)", "guard"},
+		{"threshold(video<=10)", "threshold"},
 	}
 	for _, sc := range schemes {
-		sc := sc
-		grid, err := multiCellCurve(fc, MultiCellConfig{NewController: sc.factory})
+		factory, err := fc.contestant(sc.name)
 		if err != nil {
 			return Figure{}, err
 		}
-		series := metrics.Series{Label: sc.label}
-		var dropSum float64
-		var runs int
-		for pi, n := range fc.LoadPoints {
-			var acc float64
-			for _, res := range grid[pi] {
-				acc += res.AcceptedPct()
-				dropSum += res.DropPct()
-				runs++
-			}
-			series.Append(float64(n), acc/float64(len(fc.Seeds)))
+		curve, err := runMultiCellCurve(fc, sc.label, MultiCellConfig{NewController: factory})
+		if err != nil {
+			return Figure{}, err
 		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve.series)
 		fig.Notes = append(fig.Notes,
-			fmt.Sprintf("%s: mean handoff drop %.2f%%", sc.label, dropSum/float64(runs)))
+			fmt.Sprintf("%s: mean handoff drop %.2f%%", sc.label, curve.meanDropPct))
 	}
 	return fig, nil
 }
@@ -259,6 +223,10 @@ func AblationHandoffPriority(fc FigureConfig) (Figure, error) {
 		XLabel: "number of requesting connections",
 		YLabel: "percentage of accepted calls",
 	}
+	guard, err := fc.contestant("guard")
+	if err != nil {
+		return Figure{}, err
+	}
 	schemes := []struct {
 		label   string
 		factory func(*cell.Network) (cac.Controller, error)
@@ -272,13 +240,10 @@ func AblationHandoffPriority(fc FigureConfig) (Figure, error) {
 		{"facs bias=1", func(*cell.Network) (cac.Controller, error) {
 			return facs.New(facs.WithHandoffBias(1))
 		}},
-		{"guard-channel(8)", func(*cell.Network) (cac.Controller, error) {
-			return cac.NewGuardChannel(8)
-		}},
+		{"guard-channel(8)", guard},
 	}
 	for _, sc := range schemes {
-		sc := sc
-		grid, err := multiCellCurve(fc, MultiCellConfig{
+		curve, err := runMultiCellCurve(fc, sc.label, MultiCellConfig{
 			NewController: sc.factory,
 			WindowSec:     80, // heavier than Fig. 10 so drops occur
 			HandoffPolicy: HandoffControlled,
@@ -286,21 +251,9 @@ func AblationHandoffPriority(fc FigureConfig) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		series := metrics.Series{Label: sc.label}
-		var dropSum float64
-		var runs int
-		for pi, n := range fc.LoadPoints {
-			var acc float64
-			for _, res := range grid[pi] {
-				acc += res.AcceptedPct()
-				dropSum += res.DropPct()
-				runs++
-			}
-			series.Append(float64(n), acc/float64(len(fc.Seeds)))
-		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve.series)
 		fig.Notes = append(fig.Notes,
-			fmt.Sprintf("%s: mean handoff drop %.2f%%", sc.label, dropSum/float64(runs)))
+			fmt.Sprintf("%s: mean handoff drop %.2f%%", sc.label, curve.meanDropPct))
 	}
 	return fig, nil
 }
@@ -329,7 +282,11 @@ func AblationQueueing(fc FigureConfig) (Figure, error) {
 		{"queue 15s", true, 15},
 		{"queue 60s", true, 60},
 	}
-	ctrl, err := fc.facsController()
+	newFACS, err := fc.contestant("facs")
+	if err != nil {
+		return Figure{}, err
+	}
+	ctrl, err := newFACS(nil)
 	if err != nil {
 		return Figure{}, err
 	}

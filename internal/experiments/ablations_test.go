@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"facs/internal/cac"
 	"facs/internal/cell"
 	"facs/internal/facs"
+	"facs/internal/plot"
 )
 
 // tinyFC keeps ablation runs fast: one light and one heavy load point,
@@ -173,6 +175,54 @@ func TestAllFiguresAndAblations(t *testing.T) {
 		}
 		seen[fig.ID] = true
 	}
+
+	// Byte-identity pin: every figure and ablation, exact and compiled,
+	// renders to the same CSV and notes as when the digests were
+	// captured. Compiled FACS decides exactly like the exact engine, so
+	// one table serves both modes.
+	for _, compiled := range []bool{false, true} {
+		fc := FigureConfig{LoadPoints: []int{30, 90}, Seeds: []int64{1, 2}, Compiled: compiled}
+		figs, err := AllFigures(fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abls, err := AllAblations(fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fig := range append(figs, abls...) {
+			if got, want := figureDigest(fig), figureDigests[fig.ID]; got != want {
+				t.Errorf("compiled=%v: %s digest %#016x, want %#016x", compiled, fig.ID, got, want)
+			}
+		}
+	}
+}
+
+// figureDigests pins figureDigest for every figure and ablation at load
+// points {30, 90} and seeds {1, 2}.
+var figureDigests = map[string]uint64{
+	"fig7":                      0xba70ca439febef14,
+	"fig8":                      0x003b38fd89b77aa0,
+	"fig9":                      0xc8f4c351e9233be5,
+	"fig10":                     0x55e97a40dd98c39e,
+	"ablation-defuzzifier":      0x7001598b1fdff29e,
+	"ablation-threshold":        0xa7659b6152e2e08c,
+	"ablation-scc":              0xafd441dd4a2490cb,
+	"ablation-baselines":        0x947a63508488fd6e,
+	"ablation-gps-noise":        0x5b6db742e161878a,
+	"ablation-handoff-priority": 0x82decb6f8856ffaf,
+	"ablation-queueing":         0x455e601cc1019dfd,
+}
+
+// figureDigest is the FNV-64a digest of a figure's CSV rendering
+// followed by its notes, one per line.
+func figureDigest(fig Figure) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(plot.CSV(fig.Series)))
+	for _, note := range fig.Notes {
+		h.Write([]byte(note + "\n"))
+	}
+	return h.Sum64()
 }
 
 func TestAblationHandoffPriorityTradeoff(t *testing.T) {

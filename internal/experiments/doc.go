@@ -29,7 +29,9 @@
 // execute one scenario; RunBatchAdmission sweeps a request batch
 // against a loaded network snapshot; RunMetropolis runs the closed
 // loop — waves of arrivals, held calls, releases, barrier ticks and
-// neighbour handoffs — over a diurnal day. The controller
-// factories (FACSFactory, CompiledFACSFactory, SCCFactory,
-// SCCRecomputeFactory) build the multi-cell contestants.
+// neighbour handoffs — over a diurnal day. The contestant catalogue
+// (Contestant.Factory over ContestantNames, in contestants.go) turns a
+// controller name into a controller for both binaries, the figures and
+// the ablations; the same file holds FACSFactory, CompiledFACSFactory,
+// SCCFactory and the recompute oracle's SCCRecomputeFactory.
 package experiments

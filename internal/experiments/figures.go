@@ -7,7 +7,6 @@ import (
 	"facs/internal/cell"
 	"facs/internal/facs"
 	"facs/internal/metrics"
-	"facs/internal/scc"
 )
 
 // Figure is one regenerated paper artifact: a set of labelled series over
@@ -60,15 +59,16 @@ func (c FigureConfig) withDefaults() FigureConfig {
 	return c
 }
 
-// facsController returns the FACS instance the figure curves run:
-// the shared compiled fast path when fc.Compiled is set, otherwise a
-// fresh exact System. Both are safe for concurrent use across
-// replications.
-func (c FigureConfig) facsController() (cac.Controller, error) {
-	if c.Compiled {
-		return facs.DefaultCompiled()
-	}
-	return facs.New()
+// contestant returns the catalogue factory a figure runs under name:
+// FACS at the default threshold, compiled when c.Compiled is set, and
+// the guard channel reserving 8 BU.
+func (c FigureConfig) contestant(name string) (func(*cell.Network) (cac.Controller, error), error) {
+	return Contestant{
+		Name:            name,
+		GuardBU:         8,
+		AcceptThreshold: facs.DefaultAcceptThreshold,
+		Compiled:        c.Compiled && name == "facs",
+	}.Factory()
 }
 
 // Validate checks the configuration.
@@ -86,7 +86,11 @@ func (c FigureConfig) Validate() error {
 // controller is built once and shared by every replication; mutate may
 // override it per configuration.
 func singleCellCurve(fc FigureConfig, label string, mutate func(*SingleCellConfig)) (metrics.Series, error) {
-	ctrl, err := fc.facsController()
+	newFACS, err := fc.contestant("facs")
+	if err != nil {
+		return metrics.Series{}, err
+	}
+	ctrl, err := newFACS(nil)
 	if err != nil {
 		return metrics.Series{}, err
 	}
@@ -113,16 +117,43 @@ func singleCellCurve(fc FigureConfig, label string, mutate func(*SingleCellConfi
 	return series, nil
 }
 
-// multiCellCurve runs the multi-cell scenario for every (load point,
-// seed) pair on the worker pool, returning the full result grid in
-// deterministic order for the caller to aggregate.
-func multiCellCurve(fc FigureConfig, base MultiCellConfig) ([][]MultiCellResult, error) {
-	return replicate(fc, func(n int, seed int64) (MultiCellResult, error) {
+// multiCellCurve is one multi-cell contestant's acceptance curve, with
+// its handoff drop and utilisation percentages averaged over every
+// (load point, seed) run.
+type multiCellCurve struct {
+	series               metrics.Series
+	meanDropPct, utilPct float64
+}
+
+// runMultiCellCurve runs the multi-cell scenario for every (load point,
+// seed) pair on the worker pool and averages acceptance per load point
+// into a series labelled label.
+func runMultiCellCurve(fc FigureConfig, label string, base MultiCellConfig) (multiCellCurve, error) {
+	grid, err := replicate(fc, func(n int, seed int64) (MultiCellResult, error) {
 		cfg := base
 		cfg.NumRequests = n
 		cfg.Seed = seed
 		return RunMultiCell(cfg)
 	})
+	if err != nil {
+		return multiCellCurve{}, fmt.Errorf("experiments: %s: %w", label, err)
+	}
+	out := multiCellCurve{series: metrics.Series{Label: label}}
+	var dropSum, utilSum float64
+	var runs int
+	for pi, n := range fc.LoadPoints {
+		var acc float64
+		for _, res := range grid[pi] {
+			acc += res.AcceptedPct()
+			dropSum += res.DropPct()
+			utilSum += res.Utilization.Mean()
+			runs++
+		}
+		out.series.Append(float64(n), acc/float64(len(fc.Seeds)))
+	}
+	out.meanDropPct = dropSum / float64(runs)
+	out.utilPct = 100 * utilSum / float64(runs)
+	return out, nil
 }
 
 // Figure7 regenerates paper Fig. 7: percentage of accepted calls versus
@@ -205,48 +236,6 @@ func Figure9(fc FigureConfig) (Figure, error) {
 	return fig, nil
 }
 
-// FACSFactory builds the default FACS controller for a multi-cell run.
-func FACSFactory() func(*cell.Network) (cac.Controller, error) {
-	return func(*cell.Network) (cac.Controller, error) { return facs.New() }
-}
-
-// CompiledFACSFactory supplies the shared lookup-table FACS fast path
-// for multi-cell runs. The controller is stateless and concurrency
-// safe, so one compiled instance serves every cell and replication.
-func CompiledFACSFactory() func(*cell.Network) (cac.Controller, error) {
-	return func(*cell.Network) (cac.Controller, error) { return facs.DefaultCompiled() }
-}
-
-// sccFig10Config is the Fig. 10 SCC parameterisation: full-bandwidth
-// reservation over the shadow cluster plus the cluster-coverage (path
-// survivability) requirement, per internal/scc/DESIGN.md.
-func sccFig10Config(net *cell.Network) scc.Config {
-	return scc.Config{
-		Network:                net,
-		Reservation:            scc.ReservationFull,
-		RequireClusterCoverage: true,
-	}
-}
-
-// SCCFactory builds the Fig. 10 SCC baseline on the incrementally
-// maintained demand ledger (scc.Ledger): decisions are byte-identical
-// to the recompute Controller's, at O(horizon x cluster-cells) per
-// decision instead of O(active x horizon x stations).
-func SCCFactory() func(*cell.Network) (cac.Controller, error) {
-	return func(net *cell.Network) (cac.Controller, error) {
-		return scc.NewLedger(sccFig10Config(net))
-	}
-}
-
-// SCCRecomputeFactory builds the same baseline on the original
-// recompute-on-query Controller — the reference oracle the
-// golden-equivalence suite holds the ledger against.
-func SCCRecomputeFactory() func(*cell.Network) (cac.Controller, error) {
-	return func(net *cell.Network) (cac.Controller, error) {
-		return scc.New(sccFig10Config(net))
-	}
-}
-
 // Figure10 regenerates paper Fig. 10: FACS versus SCC on the multi-cell
 // scenario. Secondary QoS metrics (handoff drops, utilization) are
 // reported in the figure notes.
@@ -261,40 +250,19 @@ func Figure10(fc FigureConfig) (Figure, error) {
 		XLabel: "number of requesting connections",
 		YLabel: "percentage of accepted calls",
 	}
-	type scheme struct {
-		label   string
-		factory func(*cell.Network) (cac.Controller, error)
-	}
-	facsFactory := FACSFactory()
-	if fc.Compiled {
-		facsFactory = CompiledFACSFactory()
-	}
-	schemes := []scheme{
-		{"FACS", facsFactory},
-		{"SCC", SCCFactory()},
-	}
-	for _, sc := range schemes {
-		grid, err := multiCellCurve(fc, MultiCellConfig{NewController: sc.factory})
+	for _, sc := range []struct{ label, name string }{{"FACS", "facs"}, {"SCC", "scc"}} {
+		factory, err := fc.contestant(sc.name)
 		if err != nil {
-			return Figure{}, fmt.Errorf("experiments: %s: %w", sc.label, err)
+			return Figure{}, err
 		}
-		series := metrics.Series{Label: sc.label}
-		var dropSum, utilSum float64
-		var runs int
-		for pi, n := range fc.LoadPoints {
-			var acc float64
-			for _, res := range grid[pi] {
-				acc += res.AcceptedPct()
-				dropSum += res.DropPct()
-				utilSum += res.Utilization.Mean()
-				runs++
-			}
-			series.Append(float64(n), acc/float64(len(fc.Seeds)))
+		curve, err := runMultiCellCurve(fc, sc.label, MultiCellConfig{NewController: factory})
+		if err != nil {
+			return Figure{}, err
 		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve.series)
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"%s: mean handoff drop %.2f%%, mean utilization %.1f%% across all runs",
-			sc.label, dropSum/float64(runs), 100*utilSum/float64(runs)))
+			sc.label, curve.meanDropPct, curve.utilPct))
 	}
 	return fig, nil
 }

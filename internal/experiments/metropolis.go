@@ -188,7 +188,7 @@ func (c MetropolisConfig) withDefaults() MetropolisConfig {
 	}
 	if c.CapacityBU == 0 {
 		mean := metroMix.MeanBU()
-		cells := 1 + 3*c.Rings*(c.Rings+1)
+		cells := geo.SpiralLen(c.Rings)
 		c.CapacityBU = int(math.Ceil(2.6 * float64(c.TargetCalls) * mean / float64(cells)))
 		if c.CapacityBU < cell.DefaultCapacityBU {
 			c.CapacityBU = cell.DefaultCapacityBU

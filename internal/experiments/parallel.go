@@ -84,24 +84,11 @@ func runShards(n, workers int, run func(i int) error) error {
 // shared across replications and must be safe for concurrent use (the
 // FACS System, CompiledController and every baseline are).
 func RunSingleCellSeeds(cfg SingleCellConfig, seeds []int64, workers int) ([]SingleCellResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiments: need at least one seed")
-	}
-	out := make([]SingleCellResult, len(seeds))
-	err := runShards(len(seeds), workers, func(i int) error {
+	return runSeeds(seeds, workers, func(seed int64) (SingleCellResult, error) {
 		c := cfg
-		c.Seed = seeds[i]
-		res, err := RunSingleCell(c)
-		if err != nil {
-			return fmt.Errorf("experiments: seed %d: %w", seeds[i], err)
-		}
-		out[i] = res
-		return nil
+		c.Seed = seed
+		return RunSingleCell(c)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RunMultiCellSeeds runs the multi-cell scenario once per seed, sharded
@@ -110,14 +97,22 @@ func RunSingleCellSeeds(cfg SingleCellConfig, seeds []int64, workers int) ([]Sin
 // once per replication, so stateful controllers such as SCC get a
 // fresh instance each run.
 func RunMultiCellSeeds(cfg MultiCellConfig, seeds []int64, workers int) ([]MultiCellResult, error) {
+	return runSeeds(seeds, workers, func(seed int64) (MultiCellResult, error) {
+		c := cfg
+		c.Seed = seed
+		return RunMultiCell(c)
+	})
+}
+
+// runSeeds runs fn once per seed on the worker pool and returns the
+// results in seed order.
+func runSeeds[T any](seeds []int64, workers int, fn func(seed int64) (T, error)) ([]T, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: need at least one seed")
 	}
-	out := make([]MultiCellResult, len(seeds))
+	out := make([]T, len(seeds))
 	err := runShards(len(seeds), workers, func(i int) error {
-		c := cfg
-		c.Seed = seeds[i]
-		res, err := RunMultiCell(c)
+		res, err := fn(seeds[i])
 		if err != nil {
 			return fmt.Errorf("experiments: seed %d: %w", seeds[i], err)
 		}

@@ -80,16 +80,26 @@ func (h Hex) Ring(radius int) []Hex {
 }
 
 // Spiral returns all hexes within radius steps of h: h itself followed by
-// rings of increasing radius. It contains 1+3·r·(r+1) hexes.
+// rings of increasing radius. It contains SpiralLen(radius) hexes.
 func (h Hex) Spiral(radius int) []Hex {
 	if radius < 0 {
 		return nil
 	}
-	out := make([]Hex, 0, 1+3*radius*(radius+1))
+	out := make([]Hex, 0, SpiralLen(radius))
 	for r := 0; r <= radius; r++ {
 		out = append(out, h.Ring(r)...)
 	}
 	return out
+}
+
+// SpiralLen is the number of hexes within radius steps of a hex,
+// 1+3·r·(r+1): the cell count of a deployment of radius rings. A
+// negative radius holds none.
+func SpiralLen(radius int) int {
+	if radius < 0 {
+		return 0
+	}
+	return 1 + 3*radius*(radius+1)
 }
 
 // Layout converts between hex coordinates and plane positions for a

@@ -70,6 +70,18 @@ const (
 	PartitionBlocks
 )
 
+// ParsePartition maps the -partition flag both binaries share to its
+// layout: roundrobin or blocks.
+func ParsePartition(name string) (Partition, error) {
+	switch name {
+	case "roundrobin":
+		return PartitionRoundRobin, nil
+	case "blocks":
+		return PartitionBlocks, nil
+	}
+	return 0, fmt.Errorf("unknown -partition %q (roundrobin, blocks)", name)
+}
+
 // Config parameterises an Engine.
 type Config struct {
 	// Network is the deployment whose cells are partitioned. Required.
