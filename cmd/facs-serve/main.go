@@ -34,7 +34,11 @@
 // position through the engine's two-phase protocol (release at the
 // source shard, admit with handoff priority at the target shard); the
 // response line reports the target-side decision — committed:false
-// means the call was dropped.
+// means the call was dropped. A handoff whose position maps to the
+// call's current station is refused with an error line and leaves the
+// call committed where it is:
+//
+//	{"id":2,"error":"shard: handoff of call 2 targets the station it is on"}
 //
 // Each decision line carries the request id, the outcome, whether the
 // call was allocated (commit mode), the service-side latency and the

@@ -130,8 +130,9 @@ type Controller = icac.Controller
 type BatchController = icac.BatchController
 
 // DecideAll renders decisions for a batch of requests through the
-// controller's native batch path when it implements BatchController,
-// falling back to sequential Decide calls otherwise.
+// controller's native batch path — the allocation-free DecideBatchInto
+// method every built-in BatchController also has — falling back to
+// sequential Decide calls otherwise.
 var DecideAll = icac.DecideAll
 
 // AdmissionRequest is one admission question posed to a controller.

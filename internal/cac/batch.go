@@ -22,9 +22,10 @@ type BatchController interface {
 // BatchController: DecideBatchInto writes decisions into a
 // caller-provided buffer instead of allocating a fresh slice per batch.
 // serve.Core — the decision step behind serve.Service, every shard of
-// the sharded engine and the metropolis wave loop — reuses one buffer
-// across millions of batches, so the steady-state decision path
-// performs zero allocations.
+// the sharded engine, the metropolis wave loop and the paper's
+// single- and multi-cell simulators — reuses one buffer across millions
+// of batches, so the steady-state decision path performs zero
+// allocations.
 //
 // Contract: identical outcome semantics to DecideBatch — out[i] must
 // equal Decide(reqs[i]) — and len(out) must be >= len(reqs) (only the
@@ -52,11 +53,11 @@ func DecideOne(c Controller, scratch *[1]Request, req Request) (Decision, error)
 }
 
 // DecideAll renders decisions for a batch of requests through c's
-// native batch path when it implements BatchController (or
-// BatchIntoController), and falls back to sequential Decide calls
-// otherwise. It is the single entry point callers should use for
-// multi-request admission when they do not manage an output buffer;
-// hot loops should prefer DecideAllInto with reused scratch.
+// native batch path when it implements BatchIntoController, and falls
+// back to sequential Decide calls otherwise. It is the single entry
+// point callers should use for multi-request admission when they do
+// not manage an output buffer; hot loops should prefer DecideAllInto
+// with reused scratch.
 func DecideAll(c Controller, reqs []Request) ([]Decision, error) {
 	out := make([]Decision, len(reqs))
 	if err := DecideAllInto(c, reqs, out); err != nil {
@@ -67,12 +68,13 @@ func DecideAll(c Controller, reqs []Request) ([]Decision, error) {
 
 // DecideAllInto renders decisions for a batch of requests into the
 // caller-provided buffer out, which must hold at least len(reqs)
-// entries. Dispatch prefers the allocation-free BatchIntoController
-// path, then BatchController (copying its result), then sequential
-// Decide calls — outcomes are identical on every path; only the
-// allocation behaviour differs. Controllers with native Into support
-// make the whole call allocation-free, which is what the steady-state
-// zero-alloc gates on the metropolis wave loop pin.
+// entries. Dispatch takes the allocation-free BatchIntoController path
+// when c has one and sequential Decide calls otherwise — outcomes are
+// identical either way. Every BatchController in this repository is
+// also a BatchIntoController, so DecideBatch itself is never called
+// here. Controllers with native Into support make the whole call
+// allocation-free, which is what the steady-state zero-alloc gates on
+// the metropolis wave loop pin.
 //
 //facs:hotpath
 func DecideAllInto(c Controller, reqs []Request, out []Decision) error {
@@ -82,14 +84,6 @@ func DecideAllInto(c Controller, reqs []Request, out []Decision) error {
 	out = out[:len(reqs)]
 	if bi, ok := c.(BatchIntoController); ok {
 		return bi.DecideBatchInto(reqs, out)
-	}
-	if bc, ok := c.(BatchController); ok {
-		decisions, err := bc.DecideBatch(reqs)
-		if err != nil {
-			return err
-		}
-		copy(out, decisions)
-		return nil
 	}
 	for i := range reqs {
 		d, err := c.Decide(reqs[i])

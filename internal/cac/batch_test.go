@@ -96,22 +96,27 @@ func TestDecideAllMatchesSequential(t *testing.T) {
 }
 
 // TestDecideAllUsesNativeBatchPath asserts the adapter dispatches to a
-// BatchController implementation instead of looping Decide.
+// BatchIntoController implementation instead of looping Decide.
 func TestDecideAllUsesNativeBatchPath(t *testing.T) {
-	spy := &batchSpy{}
+	spy := &batchIntoSpy{}
 	reqs := batchRequests(t)[:4]
 	decisions, err := DecideAll(spy, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spy.batched {
-		t.Fatal("DecideAll should route through DecideBatch")
+	if !spy.into || spy.batched {
+		t.Fatalf("DecideAll should route through DecideBatchInto: into=%v batched=%v", spy.into, spy.batched)
 	}
 	if spy.decides != 0 {
 		t.Fatalf("native path still made %d Decide calls", spy.decides)
 	}
 	if len(decisions) != len(reqs) {
 		t.Fatalf("got %d decisions, want %d", len(decisions), len(reqs))
+	}
+	// DecideBatch alone is not a native path: it decides sequentially.
+	plain := &batchSpy{}
+	if _, err := DecideAll(plain, reqs); err != nil || plain.batched || plain.decides != len(reqs) {
+		t.Fatalf("DecideBatch-only controller: err=%v batched=%v decides=%d", err, plain.batched, plain.decides)
 	}
 }
 
@@ -157,14 +162,14 @@ var _ fmt.Stringer = Decision(0)
 // TestDecideOne asserts the single-request adapter routes through the
 // batch pipeline and propagates errors.
 func TestDecideOne(t *testing.T) {
-	spy := &batchSpy{}
+	spy := &batchIntoSpy{}
 	var scratch [1]Request
 	d, err := DecideOne(spy, &scratch, batchRequests(t)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != Accept || !spy.batched {
-		t.Fatalf("DecideOne = %v (batched=%v), want accept via batch path", d, spy.batched)
+	if d != Accept || !spy.into {
+		t.Fatalf("DecideOne = %v (into=%v), want accept via batch path", d, spy.into)
 	}
 	if _, err := DecideOne(CompleteSharing{}, &scratch, Request{}); err == nil {
 		t.Fatal("invalid request should error")

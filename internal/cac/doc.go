@@ -20,10 +20,11 @@
 //
 // # Entry points
 //
-// Controller is the single-request interface; BatchController marks
-// controllers with a native amortised batch path. DecideAll is the
-// dispatch every multi-request caller should use (native batch when
-// available, sequential otherwise), and DecideOne routes event loops
+// Controller is the single-request interface; BatchController and its
+// allocation-free refinement BatchIntoController mark controllers with
+// a native amortised batch path. DecideAll is the dispatch every
+// multi-request caller should use (the native Into path when available,
+// sequential otherwise), and DecideOne routes event loops
 // through the same dispatch without a per-decision allocation. The
 // classical baselines (CompleteSharing, GuardChannel, ThresholdPolicy)
 // live in baselines.go. The streaming front end over this framework is

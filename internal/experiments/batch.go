@@ -6,7 +6,6 @@ import (
 
 	"facs/internal/cac"
 	"facs/internal/cell"
-	"facs/internal/geo"
 	"facs/internal/gps"
 	"facs/internal/sim"
 	"facs/internal/traffic"
@@ -96,21 +95,9 @@ func (r BatchAdmissionResult) AcceptedPct() float64 {
 // position with random heading and sampled speed, the station owning
 // that position, and a class drawn from the 60/30/10 mix.
 func sampleBatchRequest(rng *rand.Rand, net *cell.Network, cfg BatchAdmissionConfig, id int) (cac.Request, error) {
-	radius := cfg.CellRadiusM * (1.8*float64(cfg.Rings) + 1)
-	var pos geo.Point
-	var bs *cell.BaseStation
-	for tries := 0; ; tries++ {
-		pos = geo.Point{
-			X: sim.Uniform(rng, -radius, radius),
-			Y: sim.Uniform(rng, -radius, radius),
-		}
-		var err error
-		if bs, err = net.StationAt(pos); err == nil {
-			break
-		}
-		if tries > 1000 {
-			return cac.Request{}, fmt.Errorf("experiments: could not place a user inside coverage")
-		}
+	pos, bs, err := placeInCoverage(rng, net, cfg.CellRadiusM, cfg.Rings)
+	if err != nil {
+		return cac.Request{}, err
 	}
 	class := traffic.DefaultMix().Sample(rng)
 	est := gps.Estimate{

@@ -34,4 +34,10 @@
 // controller name into a controller for both binaries, the figures and
 // the ablations; the same file holds FACSFactory, CompiledFACSFactory,
 // SCCFactory and the recompute oracle's SCCRecomputeFactory.
+//
+// The event-driven simulators and the metropolis driver share one
+// decide-commit-notify step, serve.Core: RunSingleCell and RunMultiCell
+// admit one request at a time through a Core in Commit mode and route
+// releases (Core.Depart), ticks and post-handoff state updates through
+// it, the same calls the served and sharded paths make.
 package experiments

@@ -11,6 +11,7 @@ import (
 	"facs/internal/gps"
 	"facs/internal/metrics"
 	"facs/internal/mobility"
+	"facs/internal/serve"
 	"facs/internal/sim"
 	"facs/internal/traffic"
 )
@@ -262,9 +263,6 @@ func RunMultiCell(cfg MultiCellConfig) (MultiCellResult, error) {
 	if err != nil {
 		return MultiCellResult{}, err
 	}
-	observer, _ := controller.(cac.Observer)
-	updater, _ := controller.(cac.StateUpdater)
-	ticker, _ := controller.(cac.Ticker)
 
 	gen, err := traffic.NewGenerator(traffic.GeneratorConfig{
 		MeanInterarrival: cfg.WindowSec / float64(cfg.NumRequests),
@@ -278,15 +276,12 @@ func RunMultiCell(cfg MultiCellConfig) (MultiCellResult, error) {
 
 	result := MultiCellResult{ControllerName: controller.Name()}
 	run := &multiCellRun{
-		cfg:      cfg,
-		net:      net,
-		ctrl:     controller,
-		observer: observer,
-		updater:  updater,
-		ticker:   ticker,
-		userRNG:  userRNG,
-		gpsRNG:   gpsRNG,
-		result:   &result,
+		cfg:     cfg,
+		net:     net,
+		step:    commitStep{core: serve.NewCore(controller, true, 1)},
+		userRNG: userRNG,
+		gpsRNG:  gpsRNG,
+		result:  &result,
 	}
 
 	sched := sim.NewScheduler()
@@ -299,7 +294,7 @@ func RunMultiCell(cfg MultiCellConfig) (MultiCellResult, error) {
 			return MultiCellResult{}, err
 		}
 	}
-	if ticker != nil {
+	if _, ok := controller.(cac.Ticker); ok {
 		if _, err := sched.After(cfg.TickIntervalSec, run.tick); err != nil {
 			return MultiCellResult{}, err
 		}
@@ -312,33 +307,19 @@ func RunMultiCell(cfg MultiCellConfig) (MultiCellResult, error) {
 }
 
 type multiCellRun struct {
-	cfg      MultiCellConfig
-	net      *cell.Network
-	ctrl     cac.Controller
-	observer cac.Observer
-	updater  cac.StateUpdater
-	ticker   cac.Ticker
-	userRNG  *rand.Rand
-	gpsRNG   *rand.Rand
-	result   *MultiCellResult
-	err      error
+	cfg     MultiCellConfig
+	net     *cell.Network
+	step    commitStep
+	userRNG *rand.Rand
+	gpsRNG  *rand.Rand
+	result  *MultiCellResult
+	err     error
 	// pendingArrivals and liveCalls gate the tick chain: ticks re-arm
 	// only while the run still has work, so the scheduler drains.
 	pendingArrivals int
 	liveCalls       int
-	// reqScratch routes every admission question through the batch
-	// pipeline (cac.DecideAll) without a per-decision allocation.
-	reqScratch [1]cac.Request
 	// arena recycles activeCall records across the call population.
 	arena callArena
-}
-
-// decide renders one admission decision through the batch pipeline, so
-// controllers with a native DecideBatch are exercised uniformly by the
-// event-driven runner (single-request batches here, real batches in the
-// RunBatchAdmission sweep).
-func (r *multiCellRun) decide(req cac.Request) (cac.Decision, error) {
-	return cac.DecideOne(r.ctrl, &r.reqScratch, req)
 }
 
 // tick delivers the periodic time advance to the controller and re-arms
@@ -347,7 +328,7 @@ func (r *multiCellRun) tick(s *sim.Scheduler) {
 	if r.err != nil {
 		return
 	}
-	r.ticker.OnTick(s.Now())
+	r.step.core.Tick(s.Now())
 	if r.pendingArrivals == 0 && r.liveCalls == 0 {
 		return
 	}
@@ -359,20 +340,9 @@ func (r *multiCellRun) tick(s *sim.Scheduler) {
 // spawn places a new user uniformly inside network coverage with a random
 // heading and a sampled speed, returning its mobility model.
 func (r *multiCellRun) spawn() (*mobility.TurningWalk, error) {
-	// Bounding box of the deployment with half-cell margin.
-	radius := r.cfg.CellRadiusM * (1.8*float64(r.cfg.Rings) + 1)
-	var pos geo.Point
-	for tries := 0; ; tries++ {
-		pos = geo.Point{
-			X: sim.Uniform(r.userRNG, -radius, radius),
-			Y: sim.Uniform(r.userRNG, -radius, radius),
-		}
-		if _, err := r.net.StationAt(pos); err == nil {
-			break
-		}
-		if tries > 1000 {
-			return nil, fmt.Errorf("experiments: could not place a user inside coverage")
-		}
+	pos, _, err := placeInCoverage(r.userRNG, r.net, r.cfg.CellRadiusM, r.cfg.Rings)
+	if err != nil {
+		return nil, err
 	}
 	return mobility.NewTurningWalk(mobility.State{
 		Pos:        pos,
@@ -382,6 +352,25 @@ func (r *multiCellRun) spawn() (*mobility.TurningWalk, error) {
 		TurnSigmaDeg: r.cfg.TurnSigmaDeg,
 		RefSpeedKmh:  r.cfg.RefSpeedKmh,
 	}, r.userRNG)
+}
+
+// placeInCoverage draws uniform positions over the bounding box of a
+// network of rings rings of cellRadiusM cells (with half-cell margin)
+// until one falls inside coverage, and returns it with its station.
+func placeInCoverage(rng *rand.Rand, net *cell.Network, cellRadiusM float64, rings int) (geo.Point, *cell.BaseStation, error) {
+	radius := cellRadiusM * (1.8*float64(rings) + 1)
+	for tries := 0; ; tries++ {
+		pos := geo.Point{
+			X: sim.Uniform(rng, -radius, radius),
+			Y: sim.Uniform(rng, -radius, radius),
+		}
+		if bs, err := net.StationAt(pos); err == nil {
+			return pos, bs, nil
+		}
+		if tries > 1000 {
+			return geo.Point{}, nil, fmt.Errorf("experiments: could not place a user inside coverage")
+		}
+	}
 }
 
 // arrive handles one new connection request.
@@ -395,21 +384,9 @@ func (r *multiCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 		r.err = err
 		return
 	}
-	receiver, err := gps.NewReceiver(walk, gps.ReceiverConfig{
-		SampleInterval: 1,
-		NoiseSigmaM:    r.cfg.GPSNoiseM,
-	}, r.gpsRNG)
+	est, err := warmUp(walk, r.cfg.GPSNoiseM, r.cfg.ObserveSteps, r.gpsRNG)
 	if err != nil {
 		r.err = err
-		return
-	}
-	estimator := gps.NewEstimator(5)
-	for _, fix := range receiver.Track(r.cfg.ObserveSteps) {
-		estimator.AddFix(fix)
-	}
-	est, ok := estimator.Estimate()
-	if !ok {
-		r.err = fmt.Errorf("experiments: estimator not ready")
 		return
 	}
 	// The warm-up may have carried the user outside coverage; skip such
@@ -419,7 +396,7 @@ func (r *multiCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 		return
 	}
 	r.result.Utilization.Add(float64(r.net.TotalUsed()) / float64(r.net.TotalCapacity()))
-	cacReq := cac.Request{
+	committed, err := r.step.admit(cac.Request{
 		Call: cell.Call{
 			ID:         req.ID,
 			Class:      req.Class,
@@ -430,25 +407,17 @@ func (r *multiCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 		Obs:     gps.Observe(est, bs.Pos()),
 		Est:     est,
 		Now:     s.Now(),
-	}
-	decision, err := r.decide(cacReq)
+	})
 	if err != nil {
 		r.err = err
 		return
 	}
 	r.result.Requested++
-	if !decision.Accepted() {
-		return
-	}
-	if err := bs.Admit(cacReq.Call); err != nil {
-		r.err = fmt.Errorf("experiments: controller accepted an unfittable call: %w", err)
+	if !committed {
 		return
 	}
 	r.result.Accepted++
 	r.liveCalls++
-	if r.observer != nil {
-		r.observer.OnAdmit(cacReq)
-	}
 	call := r.arena.alloc()
 	call.id = req.ID
 	call.bu = req.BU
@@ -479,15 +448,12 @@ func (r *multiCellRun) complete(s *sim.Scheduler, call *activeCall) {
 		r.err = fmt.Errorf("experiments: call %d completed in unknown cell %v", call.id, call.hex)
 		return
 	}
-	if _, err := bs.Release(call.id); err != nil {
+	if _, err := r.step.core.Depart(call.id, bs, s.Now()); err != nil {
 		r.err = err
 		return
 	}
 	r.result.Completed++
 	r.liveCalls--
-	if r.observer != nil {
-		r.observer.OnRelease(call.id, bs, s.Now())
-	}
 	// Both events are now fired or cancelled, so the record can recycle.
 	r.arena.release(call)
 }
@@ -504,14 +470,11 @@ func (r *multiCellRun) dropCall(s *sim.Scheduler, call *activeCall) {
 		r.err = fmt.Errorf("experiments: dropping call %d from unknown cell %v", call.id, call.hex)
 		return
 	}
-	if _, err := src.Release(call.id); err != nil {
+	if _, err := r.step.core.Depart(call.id, src, s.Now()); err != nil {
 		r.err = err
 		return
 	}
 	r.liveCalls--
-	if r.observer != nil {
-		r.observer.OnRelease(call.id, src, s.Now())
-	}
 	// endEv is cancelled and moveEv is the currently-firing event: no
 	// pending handler references the record any more.
 	r.arena.release(call)
@@ -540,22 +503,23 @@ func (r *multiCellRun) move(s *sim.Scheduler, call *activeCall) {
 	}
 	if newBS.Hex() != call.hex {
 		r.result.HandoffAttempts++
+		est := gps.Estimate{
+			SpeedKmh:   st.SpeedKmh,
+			HeadingDeg: st.HeadingDeg,
+			Pos:        st.Pos,
+			Time:       s.Now(),
+		}
 		if r.cfg.HandoffPolicy == HandoffControlled {
-			est := gps.Estimate{
-				SpeedKmh:   st.SpeedKmh,
-				HeadingDeg: st.HeadingDeg,
-				Pos:        st.Pos,
-				Time:       s.Now(),
-			}
-			hoReq := cac.Request{
+			// The decision only gates the move: Network.Handoff below
+			// commits it.
+			decision, err := cac.DecideOne(r.step.core.Controller(), &r.step.req, cac.Request{
 				Call:    cell.Call{ID: call.id, Class: call.class, BU: call.bu, AdmittedAt: s.Now()},
 				Station: newBS,
 				Obs:     gps.Observe(est, newBS.Pos()),
 				Est:     est,
 				Handoff: true,
 				Now:     s.Now(),
-			}
-			decision, err := r.decide(hoReq)
+			})
 			if err != nil {
 				r.err = err
 				return
@@ -574,14 +538,7 @@ func (r *multiCellRun) move(s *sim.Scheduler, call *activeCall) {
 			return
 		}
 		call.hex = newBS.Hex()
-		if r.updater != nil {
-			r.updater.OnStateUpdate(call.id, gps.Estimate{
-				SpeedKmh:   st.SpeedKmh,
-				HeadingDeg: st.HeadingDeg,
-				Pos:        st.Pos,
-				Time:       s.Now(),
-			}, newBS)
-		}
+		r.step.core.UpdateState(call.id, est, newBS)
 	}
 	var schedErr error
 	call.moveEv, schedErr = s.After(moveIntervalSec, func(s *sim.Scheduler) { r.move(s, call) })

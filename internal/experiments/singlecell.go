@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"facs/internal/cac"
 	"facs/internal/cell"
@@ -12,6 +13,7 @@ import (
 	"facs/internal/gps"
 	"facs/internal/metrics"
 	"facs/internal/mobility"
+	"facs/internal/serve"
 	"facs/internal/sim"
 	"facs/internal/traffic"
 )
@@ -221,6 +223,7 @@ func RunSingleCell(cfg SingleCellConfig) (SingleCellResult, error) {
 	run := &singleCellRun{
 		cfg:     cfg,
 		bs:      bs,
+		step:    commitStep{core: serve.NewCore(cfg.Controller, true, 1)},
 		userRNG: sim.NewStream(cfg.Seed, "users"),
 		gpsRNG:  sim.NewStream(cfg.Seed, "gps"),
 		result: SingleCellResult{
@@ -231,7 +234,6 @@ func RunSingleCell(cfg SingleCellConfig) (SingleCellResult, error) {
 			},
 		},
 	}
-	run.observer, _ = cfg.Controller.(cac.Observer)
 	if cfg.QueueTextRequests {
 		run.grader, _ = cfg.Controller.(grader)
 	}
@@ -247,7 +249,7 @@ func RunSingleCell(cfg SingleCellConfig) (SingleCellResult, error) {
 	sched.Run(0)
 	// Requests still queued at the end of the run were never admitted.
 	for _, q := range run.queue {
-		run.result.ByClass[q.class].Observe(false)
+		run.result.ByClass[q.req.Call.Class].Observe(false)
 	}
 	if run.err != nil {
 		return SingleCellResult{}, run.err
@@ -264,35 +266,46 @@ type grader interface {
 
 // queuedRequest is one text request waiting in the NRNA queue.
 type queuedRequest struct {
-	id         int
-	class      traffic.Class
-	bu         int
-	obs        gps.Observation
-	est        gps.Estimate
+	req        cac.Request
 	holding    float64
 	enqueuedAt float64
 	deadline   float64
 }
 
 type singleCellRun struct {
-	cfg      SingleCellConfig
-	bs       *cell.BaseStation
-	userRNG  *rand.Rand
-	gpsRNG   *rand.Rand
-	observer cac.Observer
-	grader   grader
-	queue    []queuedRequest
-	result   SingleCellResult
-	err      error
-	// reqScratch routes arrival decisions through the batch pipeline
-	// (cac.DecideAll) without a per-decision allocation; drainQueue
-	// builds real multi-request batches.
-	reqScratch [1]cac.Request
+	cfg     SingleCellConfig
+	bs      *cell.BaseStation
+	step    commitStep
+	userRNG *rand.Rand
+	gpsRNG  *rand.Rand
+	grader  grader
+	queue   []queuedRequest
+	result  SingleCellResult
+	err     error
 }
 
-// decide renders one admission decision through the batch pipeline.
-func (r *singleCellRun) decide(req cac.Request) (cac.Decision, error) {
-	return cac.DecideOne(r.cfg.Controller, &r.reqScratch, req)
+// commitStep is the simulators' decide-commit-notify step: one request
+// at a time through a serve.Core in Commit mode, which allocates an
+// accepted call on its station and reports it to an observer
+// controller, so every decision sees every earlier commit.
+type commitStep struct {
+	core *serve.Core
+	req  [1]cac.Request
+	resp [1]serve.Response
+}
+
+// admit decides req and reports whether its call was committed. An
+// accept the station cannot fit is an error: the controller decided
+// against the very state it is committed on.
+func (c *commitStep) admit(req cac.Request) (bool, error) {
+	c.req[0] = req
+	if err := c.core.Decide(c.req[:], c.resp[:], time.Now()); err != nil { //facs:wallclock latency stamp; feeds the Core's latency gauges only
+		return false, err
+	}
+	if err := c.resp[0].Err; err != nil {
+		return false, fmt.Errorf("experiments: controller accepted an unfittable call: %w", err)
+	}
+	return c.resp[0].Committed, nil
 }
 
 // arrive handles one connection request.
@@ -320,15 +333,13 @@ func (r *singleCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 		Est:     est,
 		Now:     s.Now(),
 	}
-	decision, err := r.decide(cacReq)
-	if err != nil {
-		r.err = err
+	admitted := r.admit(s, cacReq, req.HoldingTime)
+	if r.err != nil {
 		return
 	}
 	r.result.Requested++
-	if decision.Accepted() {
+	if admitted {
 		r.result.ByClass[req.Class].Observe(true)
-		r.admit(s, cacReq, req.HoldingTime)
 		return
 	}
 	// Queueing extension: hold NRNA text requests instead of rejecting.
@@ -340,11 +351,7 @@ func (r *singleCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 		}
 		if ev.Grade == ifacs.GradeNRNA {
 			r.queue = append(r.queue, queuedRequest{
-				id:         req.ID,
-				class:      req.Class,
-				bu:         req.BU,
-				obs:        obs,
-				est:        est,
+				req:        cacReq,
 				holding:    req.HoldingTime,
 				enqueuedAt: s.Now(),
 				deadline:   s.Now() + r.cfg.MaxQueueWaitSec,
@@ -356,101 +363,56 @@ func (r *singleCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 	r.result.ByClass[req.Class].Observe(false)
 }
 
-// admit allocates the call and schedules its release.
-func (r *singleCellRun) admit(s *sim.Scheduler, cacReq cac.Request, holding float64) {
-	if err := r.bs.Admit(cacReq.Call); err != nil {
-		r.err = fmt.Errorf("experiments: controller accepted an unfittable call: %w", err)
-		return
+// admit decides req and, when its call is committed, schedules the
+// release after holding seconds. A release notifies an observer
+// controller and retries the queue.
+func (r *singleCellRun) admit(s *sim.Scheduler, req cac.Request, holding float64) bool {
+	committed, err := r.step.admit(req)
+	if err != nil {
+		r.err = err
+	}
+	if !committed {
+		return false
 	}
 	r.result.Accepted++
-	if r.observer != nil {
-		r.observer.OnAdmit(cacReq)
-	}
-	callID := cacReq.Call.ID
+	callID := req.Call.ID
 	if _, err := s.After(holding, func(s *sim.Scheduler) {
-		if _, err := r.bs.Release(callID); err != nil {
+		if _, err := r.step.core.Depart(callID, r.bs, s.Now()); err != nil {
 			r.err = err
 			return
-		}
-		if r.observer != nil {
-			r.observer.OnRelease(callID, r.bs, s.Now())
 		}
 		r.drainQueue(s)
 	}); err != nil {
 		r.err = err
 	}
+	return true
 }
 
-// drainQueue retries queued text requests after bandwidth was released.
-// The still-live queue is decided in one pass through the batch
-// pipeline: station state only changes on an accept, so every batched
-// decision up to and including the first accept coincides with the
-// sequential trace and batch-capable controllers amortise that whole
-// prefix. In the common all-reject drain the single batch is the
-// entire cost; after the first accept (which changes the state and
-// invalidates the remaining batched answers) the tail is decided
-// sequentially, exactly like the pre-batch loop, keeping the total
-// decision count linear in the queue length.
+// drainQueue retries the queued text requests in FIFO order after
+// bandwidth was released, each decided against the station state every
+// earlier retry left; requests past their deadline are rejected.
 func (r *singleCellRun) drainQueue(s *sim.Scheduler) {
-	if r.err != nil || len(r.queue) == 0 {
+	if r.err != nil {
 		return
 	}
-	live := make([]queuedRequest, 0, len(r.queue))
+	remaining := r.queue[:0]
 	for _, q := range r.queue {
+		class := q.req.Call.Class
 		if s.Now() > q.deadline {
-			r.result.ByClass[q.class].Observe(false)
+			r.result.ByClass[class].Observe(false)
 			continue
 		}
-		live = append(live, q)
-	}
-	batch := make([]cac.Request, len(live))
-	for i, q := range live {
-		batch[i] = cac.Request{
-			Call: cell.Call{
-				ID:         q.id,
-				Class:      q.class,
-				BU:         q.bu,
-				AdmittedAt: s.Now(),
-			},
-			Station: r.bs,
-			Obs:     q.obs,
-			Est:     q.est,
-			Now:     s.Now(),
-		}
-	}
-	decisions, err := cac.DecideAll(r.cfg.Controller, batch)
-	if err != nil {
-		r.err = err
-		r.queue = live
-		return
-	}
-	var remaining []queuedRequest
-	accepts := 0
-	for i, q := range live {
-		if r.err != nil {
-			remaining = append(remaining, q)
-			continue
-		}
-		decision := decisions[i]
-		if accepts > 0 {
-			// Station state changed since the batch was decided; the
-			// remaining answers are stale, so re-decide one by one.
-			decision, err = r.decide(batch[i])
-			if err != nil {
-				r.err = err
-				remaining = append(remaining, q)
-				continue
+		q.req.Call.AdmittedAt, q.req.Now = s.Now(), s.Now()
+		if !r.admit(s, q.req, q.holding) {
+			if r.err != nil {
+				return
 			}
-		}
-		if !decision.Accepted() {
 			remaining = append(remaining, q)
 			continue
 		}
-		accepts++
-		r.result.ByClass[q.class].Observe(true)
+		r.result.ByClass[class].Observe(true)
 		r.result.QueuedAccepted++
 		r.result.QueueWait.Add(s.Now() - q.enqueuedAt)
-		r.admit(s, batch[i], q.holding)
 	}
 	r.queue = remaining
 }
@@ -474,20 +436,31 @@ func observeUser(cfg SingleCellConfig, userRNG, gpsRNG *rand.Rand) (gps.Observat
 	if err != nil {
 		return gps.Observation{}, gps.Estimate{}, err
 	}
-	receiver, err := gps.NewReceiver(walk, gps.ReceiverConfig{
-		SampleInterval: 1,
-		NoiseSigmaM:    cfg.GPSNoiseM,
-	}, gpsRNG)
+	est, err := warmUp(walk, cfg.GPSNoiseM, cfg.ObserveSteps, gpsRNG)
 	if err != nil {
 		return gps.Observation{}, gps.Estimate{}, err
 	}
+	return gps.Observe(est, geo.Point{}), est, nil
+}
+
+// warmUp tracks the user on walk with a 1 Hz GPS receiver (per-axis
+// noise noiseM) for steps fixes and returns the kinematic estimate an
+// admission decision sees.
+func warmUp(walk mobility.Model, noiseM float64, steps int, gpsRNG *rand.Rand) (gps.Estimate, error) {
+	receiver, err := gps.NewReceiver(walk, gps.ReceiverConfig{
+		SampleInterval: 1,
+		NoiseSigmaM:    noiseM,
+	}, gpsRNG)
+	if err != nil {
+		return gps.Estimate{}, err
+	}
 	estimator := gps.NewEstimator(5)
-	for _, fix := range receiver.Track(cfg.ObserveSteps) {
+	for _, fix := range receiver.Track(steps) {
 		estimator.AddFix(fix)
 	}
 	est, ok := estimator.Estimate()
 	if !ok {
-		return gps.Observation{}, gps.Estimate{}, fmt.Errorf("experiments: estimator not ready after %d fixes", cfg.ObserveSteps)
+		return gps.Estimate{}, fmt.Errorf("experiments: estimator not ready after %d fixes", steps)
 	}
-	return gps.Observe(est, geo.Point{}), est, nil
+	return est, nil
 }

@@ -52,7 +52,8 @@
 // The internal/shard engine builds on the same pieces: it scales
 // admission horizontally with one Core per cell shard, executed on the
 // caller under the shard's lock, and fronts its singles with one
-// Intake. The metropolis driver's inline engine drives one Core
-// directly. The cmd/facs-serve binary serves the sharded engine behind
+// Intake. The metropolis driver's inline engine and the paper's
+// single- and multi-cell simulators (experiments.RunSingleCell,
+// RunMultiCell) each drive one Core directly. The cmd/facs-serve binary serves the sharded engine behind
 // a newline-delimited JSON listener on stdin or TCP.
 package serve

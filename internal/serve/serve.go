@@ -244,12 +244,13 @@ func (s Stats) String() string {
 // stations in Commit mode, notifies an observer controller, and counts
 // the outcomes in Stats terms. Its methods are also the bodies of the
 // control operations (Tick, Release, UpdateState, Do) and of the two
-// handoff phases. A Service, every shard of the sharded engine and the
-// metropolis driver's inline engine each own one Core.
+// handoff phases. A Service, every shard of the sharded engine, the
+// metropolis driver's inline engine and each run of the single- and
+// multi-cell simulators own one Core.
 //
 // Core is not safe for concurrent use: its owner serializes every call
-// (a Service and a shard behind a mutex, the inline engine by running
-// on one goroutine).
+// (a Service and a shard behind a mutex, the inline engine and the
+// simulators by running on one goroutine).
 type Core struct {
 	ctrl   cac.Controller
 	commit bool

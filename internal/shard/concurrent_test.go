@@ -210,6 +210,9 @@ func mixedWorker(e *Engine, stations []*cell.BaseStation, w, rounds int, live ma
 				continue
 			}
 			to := pick()
+			if to == from {
+				continue // a handoff must leave its station
+			}
 			res := e.HandoffCall(Handoff{CallID: id, From: from, To: to, Now: float64(r)})
 			if res.Err != nil {
 				return fmt.Errorf("worker %d: handoff of call %d: %w", w, id, res.Err)

@@ -1134,7 +1134,9 @@ func (e *Engine) UpdateState(callID int, est gps.Estimate, station *cell.BaseSta
 // target under the target shard's lock — a one-request chunk, so the
 // decision sees every previously committed call. Source release
 // therefore precedes target admission for every shard count and
-// interleaving.
+// interleaving. A handoff to the station the call is on is refused
+// before phase 1, a protocol error counted in Errs that leaves the call
+// committed (cell.Network.Handoff refuses it too).
 //
 //facs:hotpath
 func (e *Engine) HandoffCall(h Handoff) HandoffResult {
@@ -1144,6 +1146,8 @@ func (e *Engine) HandoffCall(h Handoff) HandoffResult {
 		res.Err = errHandoffNeedsCommit
 	case h.From == nil || h.To == nil:
 		res.Err = errHandoffStations(h.CallID, "needs both stations")
+	case h.From.Hex() == h.To.Hex():
+		res.Err = errHandoffStations(h.CallID, "targets the station it is on")
 	default:
 		res.Err = e.intake.Drain()
 	}

@@ -352,6 +352,36 @@ func TestHandoffProtocol(t *testing.T) {
 	}
 }
 
+// TestHandoffToSameStationRefused pins that a handoff whose target is
+// the call's own station is a protocol error that leaves the call
+// committed where it is, instead of releasing it and re-deciding it
+// there (which could drop a call that never left its cell).
+func TestHandoffToSameStationRefused(t *testing.T) {
+	net := testNetwork(t, 1)
+	e, err := New(Config{Network: net, Shards: 2, Commit: true, NewController: guardFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	bs := net.Stations()[0]
+	req := genRequests(t, net, 1, 1)[0]
+	req.Station = bs
+	req.Call.Class, req.Call.BU = traffic.Voice, traffic.Voice.BandwidthUnits()
+	if resp := e.Submit(req); !resp.Committed {
+		t.Fatalf("seed call not committed: %+v", resp)
+	}
+	res := e.HandoffCall(Handoff{CallID: req.Call.ID, From: bs, To: bs, Est: req.Est, Now: 5})
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "targets the station it is on") {
+		t.Fatalf("same-station handoff: err %v, response %+v", res.Err, res.Response)
+	}
+	if _, ok := bs.Call(req.Call.ID); !ok {
+		t.Fatal("a refused same-station handoff released the call")
+	}
+	if st := e.Stats(); st.Errs != 1 || st.Handoffs != 0 || st.Drops != 0 {
+		t.Fatalf("handoff counters: errs %d, handoffs %d, drops %d", st.Errs, st.Handoffs, st.Drops)
+	}
+}
+
 func TestHandoffRequiresCommit(t *testing.T) {
 	net := testNetwork(t, 1)
 	e, err := New(Config{Network: net, Shards: 2, NewController: guardFactory})
