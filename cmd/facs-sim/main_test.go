@@ -85,6 +85,9 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-compiled", "-controller", "cs"}); err == nil {
 		t.Fatal("-compiled with a non-facs controller should fail")
 	}
+	if err := run([]string{"-n", "5", "-accept-threshold", "NaN"}); err == nil {
+		t.Fatal("-accept-threshold NaN should fail")
+	}
 }
 
 func TestRunCompiledAndReplications(t *testing.T) {

@@ -81,10 +81,13 @@ func (b *BaseStation) RestoreFrom(r io.Reader) error {
 		if i > 0 && c.ID <= calls[i-1].ID {
 			d.Fail("call IDs not strictly ascending at %d", c.ID)
 		}
+		// Compared against the room left, not summed first: a sum of
+		// huge bandwidths could overflow past the capacity check.
+		if c.BU > b.capacity-total {
+			d.Fail("call %d needs %d BU, %d of capacity %d left", c.ID, c.BU, b.capacity-total, b.capacity)
+			break
+		}
 		total += c.BU
-	}
-	if d.Err() == nil && total > b.capacity {
-		d.Fail("snapshot carries %d BU, capacity is %d", total, b.capacity)
 	}
 	if err := d.Close(); err != nil {
 		return err

@@ -43,20 +43,20 @@ func (i CacheInfo) String() string {
 // layout, pinned integer nodes, error-map safety factor and aligned
 // axes — all functions of gridSize and the params), and the System
 // configuration (membership break-points, accept threshold, handoff
-// bias, defuzzifier type). The fixed inference operators and
-// resolution (min t-norm, clip implication, 201 samples) keep their
-// slots in the hash so cache entries written while they were
-// configurable stay valid. Two
-// systems with equal hashes compile byte-identical surfaces; a
-// parameterised custom Defuzzifier whose type name does not change with
-// its parameters is the one case the hash cannot see, so such systems
-// must not share a cache directory.
+// bias, defuzzifier type). The literal "tnorm=1|impl=1|res=201" stands
+// for the fixed inference (min t-norm, clip implication, 201 samples),
+// written byte for byte as it was formatted while those were options,
+// so older cache entries stay valid; TestSurfaceConfigHashStable pins
+// the result. Two systems with equal hashes compile byte-identical
+// surfaces; a parameterised custom Defuzzifier whose type name does not
+// change with its parameters is the one case the hash cannot see, so
+// such systems must not share a cache directory.
 func surfaceConfigHash(sys *System, gridSize int) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "grid=%d|safety=%v|aligned=%v|", gridSize, float64(surfaceErrorSafety), flc2AlignedAxes)
 	fmt.Fprintf(h, "params=%+v|", sys.params)
-	fmt.Fprintf(h, "thr=%v|bias=%v|tnorm=%d|impl=%d|res=%d|defuzz=%T",
-		sys.acceptThreshold, sys.handoffBias, fuzzy.TNormMin, fuzzy.ImplicationClip, 201, sys.mkDefuzz())
+	fmt.Fprintf(h, "thr=%v|bias=%v|tnorm=1|impl=1|res=201|defuzz=%T",
+		sys.acceptThreshold, sys.handoffBias, sys.mkDefuzz())
 	return h.Sum64()
 }
 

@@ -70,6 +70,17 @@ func assertSameAnswers(t *testing.T, want, got *CompiledController) {
 	}
 }
 
+// TestSurfaceConfigHashStable pins the cache key of the default system
+// at the default grid, so a surface cache written by an earlier build
+// keeps loading as a hit. A deliberate change to what the surfaces
+// depend on must change this constant too.
+func TestSurfaceConfigHashStable(t *testing.T) {
+	const want = 0xa4de58e530b8fbb
+	if got := surfaceConfigHash(Must(), DefaultSurfaceGridSize); got != want {
+		t.Fatalf("surfaceConfigHash(Must(), %d) = %#x, want %#x", DefaultSurfaceGridSize, got, want)
+	}
+}
+
 func TestSurfaceCacheMissThenHit(t *testing.T) {
 	dir := t.TempDir()
 	sys := Must()

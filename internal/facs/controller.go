@@ -2,6 +2,7 @@ package facs
 
 import (
 	"fmt"
+	"math"
 
 	"facs/internal/cac"
 	"facs/internal/fuzzy"
@@ -86,7 +87,7 @@ func WithHandoffBias(b float64) Option { return func(s *System) { s.handoffBias 
 
 // System is the Fuzzy Admission Control System: FLC1 and FLC2 in series
 // plus the crisp decision boundary. Both controllers infer with the
-// fuzzy engine's defaults: min t-norm, clip implication and 201
+// fuzzy engine's one pipeline: min t-norm, clip implication and 201
 // defuzzification samples. It implements cac.Controller.
 //
 // A System is immutable after construction and safe for concurrent use.
@@ -126,8 +127,11 @@ func New(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.acceptThreshold < -1 || s.acceptThreshold > 1 {
-		return nil, fmt.Errorf("facs: accept threshold %v outside [-1, 1]", s.acceptThreshold)
+	if t := s.acceptThreshold; !(t >= -1 && t <= 1) { // also rejects NaN
+		return nil, fmt.Errorf("facs: accept threshold %v outside [-1, 1]", t)
+	}
+	if math.IsNaN(s.handoffBias) || math.IsInf(s.handoffBias, 0) {
+		return nil, fmt.Errorf("facs: handoff bias %v is not finite", s.handoffBias)
 	}
 	for _, t := range s.flc2.Output().Terms() {
 		s.grades = append(s.grades, gradeFromTerm(t.Name))

@@ -1,6 +1,7 @@
 package facs
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -244,8 +245,10 @@ func TestWithAcceptThreshold(t *testing.T) {
 	if dLax != cac.Accept {
 		t.Fatal("-1 threshold should accept anything that fits")
 	}
-	if _, err := New(WithAcceptThreshold(2)); err == nil {
-		t.Fatal("threshold outside [-1,1] should error")
+	for _, bad := range []float64{2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(WithAcceptThreshold(bad)); err == nil {
+			t.Fatalf("threshold %v outside [-1,1] should error", bad)
+		}
 	}
 }
 
@@ -267,6 +270,11 @@ func TestWithHandoffBias(t *testing.T) {
 	}
 	if evHO.AR > 1 {
 		t.Fatalf("biased AR must stay within [-1, 1], got %v", evHO.AR)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(WithHandoffBias(bad)); err == nil {
+			t.Fatalf("handoff bias %v should error", bad)
+		}
 	}
 }
 
@@ -356,7 +364,3 @@ func TestSystemConcurrentDecide(t *testing.T) {
 		}
 	}
 }
-
-// fuzzyParse adapts the fuzzy package's parser for the FRB round-trip
-// tests.
-func fuzzyParse(text string) (fuzzy.Rule, error) { return fuzzy.ParseRule(text) }

@@ -223,8 +223,7 @@ func NewCvVariable(p Params) (*fuzzy.Variable, error) {
 }
 
 // NewFLC1 compiles the prediction controller with the paper's variables
-// and FRB1. Engine options (t-norm, defuzzifier, resolution) may be
-// overridden.
+// and FRB1. Engine options (the defuzzifier) may be overridden.
 func NewFLC1(p Params, opts ...fuzzy.Option) (*fuzzy.Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

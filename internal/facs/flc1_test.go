@@ -395,17 +395,3 @@ func clampFinite(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// TestFRB1ParserRoundTrip feeds every FRB1 rule through the textual rule
-// parser and back, proving that the parser and the static tables agree.
-func TestFRB1ParserRoundTrip(t *testing.T) {
-	for i, r := range FRB1Rules() {
-		parsed, err := fuzzyParse(r.String())
-		if err != nil {
-			t.Fatalf("rule %d: %v", i, err)
-		}
-		if parsed.String() != r.String() {
-			t.Fatalf("rule %d round trip: %q vs %q", i, parsed.String(), r.String())
-		}
-	}
-}

@@ -260,17 +260,3 @@ func mustMu(t *testing.T, v interface {
 	}
 	return m
 }
-
-// TestFRB2ParserRoundTrip feeds every FRB2 rule through the textual rule
-// parser and back.
-func TestFRB2ParserRoundTrip(t *testing.T) {
-	for i, r := range FRB2Rules() {
-		parsed, err := fuzzyParse(r.String())
-		if err != nil {
-			t.Fatalf("rule %d: %v", i, err)
-		}
-		if parsed.String() != r.String() {
-			t.Fatalf("rule %d round trip: %q vs %q", i, parsed.String(), r.String())
-		}
-	}
-}

@@ -19,7 +19,7 @@ func symmetricAgg(t *testing.T, strengths ...float64) *AggregatedOutput {
 	if len(strengths) != out.NumTerms() {
 		t.Fatalf("need %d strengths", out.NumTerms())
 	}
-	return &AggregatedOutput{out: out, strengths: strengths, implication: ImplicationClip}
+	return &AggregatedOutput{out: out, strengths: strengths}
 }
 
 func TestCentroidSymmetric(t *testing.T) {
@@ -164,8 +164,7 @@ func TestDefuzzifiersWithinUniverseProperty(t *testing.T) {
 					Term{Name: "mid", MF: MustTriangular(0.5, 0.5, 0.5)},
 					Term{Name: "hi", MF: MustTriangular(1, 0.5, 0)},
 				),
-				strengths:   []float64{a, b, c},
-				implication: ImplicationClip,
+				strengths: []float64{a, b, c},
 			}
 			got, err := d.Defuzzify(agg, 501)
 			if err != nil || got < 0 || got > 1 {
@@ -208,29 +207,19 @@ func symmetricAggQuick(a, b, c float64) *AggregatedOutput {
 			Term{Name: "mid", MF: MustTriangular(0.5, 0.5, 0.5)},
 			Term{Name: "hi", MF: MustTriangular(1, 0.5, 0)},
 		),
-		strengths:   []float64{a, b, c},
-		implication: ImplicationClip,
+		strengths: []float64{a, b, c},
 	}
 }
 
-func TestImplicationScaleVersusClip(t *testing.T) {
-	// Scale implication preserves shape; clip flattens. For a triangle
-	// clipped/scaled at 0.5 the centroid is identical by symmetry, but the
-	// aggregated membership at the apex differs.
-	aggClip := symmetricAggQuick(0, 0.5, 0)
-	aggScale := &AggregatedOutput{out: aggClip.out, strengths: aggClip.strengths, implication: ImplicationScale}
-	if got := aggClip.At(0.5); !almostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("clip apex = %v, want 0.5", got)
-	}
-	if got := aggScale.At(0.5); !almostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("scale apex = %v, want 0.5", got)
-	}
-	// Half-way up the left slope (y = 0.375, µ_mid = 0.75): clip keeps
-	// min(0.5, 0.75) = 0.5, scale gives 0.5*0.75 = 0.375.
-	if got := aggClip.At(0.375); !almostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("clip slope = %v, want 0.5", got)
-	}
-	if got := aggScale.At(0.375); !almostEqual(got, 0.375, 1e-12) {
-		t.Fatalf("scale slope = %v, want 0.375", got)
+func TestImplicationClip(t *testing.T) {
+	// Clip implication flattens the consequent at the firing strength:
+	// a triangle clipped at 0.5 reads 0.5 at its apex and half-way up
+	// its slope (y = 0.375, µ_mid = 0.75, min(0.5, 0.75) = 0.5), and its
+	// own membership below the cut (y = 0.125, µ_mid = 0.25).
+	agg := symmetricAggQuick(0, 0.5, 0)
+	for _, tc := range []struct{ y, want float64 }{{0.5, 0.5}, {0.375, 0.5}, {0.125, 0.25}} {
+		if got := agg.At(tc.y); !almostEqual(got, tc.want, 1e-12) {
+			t.Fatalf("At(%v) = %v, want %v", tc.y, got, tc.want)
+		}
 	}
 }

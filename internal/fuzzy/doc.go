@@ -1,13 +1,11 @@
-// Package fuzzy implements a self-contained Mamdani fuzzy-inference
-// engine: membership functions, linguistic variables, a rule base with
-// a textual rule parser, min/product inference, and several
-// defuzzifiers.
-//
-// The engine is the substrate for the paper's two fuzzy logic
-// controllers (FLC1 and FLC2). It is deliberately generic: nothing in
-// this package knows about call admission control. The
-// membership-function forms are exactly the triangular f(x; x0, a0, a1)
-// and trapezoidal g(x; x0, x1, a0, a1) functions of the paper (Fig. 3).
+// Package fuzzy implements the Mamdani fuzzy-inference pipeline of the
+// paper's two fuzzy logic controllers (FLC1 and FLC2): linguistic
+// variables over the triangular f(x; x0, a0, a1) and trapezoidal
+// g(x; x0, x1, a0, a1) membership functions of the paper (Fig. 3), rule
+// tables of AND-ed clauses, min inference with clip implication and max
+// aggregation, and centroid defuzzification (plus the bisector,
+// mean-of-maxima and weighted-average defuzzifiers the ablations
+// compare). Nothing in this package knows about call admission control.
 //
 // # Exact inference
 //
@@ -18,19 +16,20 @@
 // Infer and Explain share one fuzzify-and-fire loop.
 //
 // The integral defuzzifiers (Centroid, Bisector, MeanOfMaxima) sample
-// the aggregated output at y_i = min + float64(i)*step. NewEngine
-// tabulates the output terms' memberships at those points once, with
-// the same Membership calls that AggregatedOutput.At makes, keeping
-// only the non-zero (term, membership) pairs of each sample in term
-// order and each term's first and last non-zero sample. A sample's
-// aggregate is then the running max of Implication.Apply(w, m) over
-// its pairs whose term fired, and the sums run only over the hull of
-// the fired terms' non-zero samples. Both shortcuts are exact, so the
-// table gives the same bits as sampling through At:
+// the aggregated output at y_i = min + float64(i)*step; an engine
+// always uses 201 samples. NewEngine tabulates the output terms'
+// memberships at those points once, with the same Membership calls
+// that AggregatedOutput.At makes, keeping only the non-zero (term,
+// membership) pairs of each sample in term order and each term's first
+// and last non-zero sample. A sample's aggregate is then the running
+// max of the clip min(w, m) over its pairs whose term fired, and the
+// sums run only over the hull of the fired terms' non-zero samples.
+// Both shortcuts are exact, so the table gives the same bits as
+// sampling through At:
 //
-//   - A fired term (w > 0) with membership 0 shapes to 0 under clip
-//     and scale alike, and best starts at +0 and only grows on a
-//     strict >, so skipping that term cannot change best.
+//   - A fired term (w > 0) with membership 0 clips to 0, and best
+//     starts at +0 and only grows on a strict >, so skipping that term
+//     cannot change best.
 //   - Outside the hull every sample's aggregate is +0, so it adds y*0
 //     = ±0 to num and +0 to den. In round-to-nearest, x + ±0 = x for
 //     every x except -0, and a running sum that starts at +0 is never
@@ -79,8 +78,9 @@
 //
 // # Entry points
 //
-// NewVariable/NewTriangular/NewTrapezoidal build the vocabulary;
-// NewEngine (with WithTNorm, WithImplication, WithDefuzzifier,
-// WithResolution) assembles a controller; Engine.Evaluate/EvaluateVec
-// run one inference; NewSurface compiles the lookup table.
+// NewVariable/NewTriangular/NewTrapezoidal (and the shoulder forms)
+// build the vocabulary; Rule literals write the rule table; NewEngine
+// (with WithDefuzzifier) assembles a controller; Engine.EvaluateVec runs
+// one inference, Infer stops before defuzzification and Explain reports
+// the fired rules; NewSurface compiles the lookup table.
 package fuzzy

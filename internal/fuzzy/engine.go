@@ -11,17 +11,14 @@ import (
 //
 // An Engine is immutable after construction and safe for concurrent use.
 type Engine struct {
-	inputs      []*Variable
-	inputIdx    map[string]int
-	output      *Variable
-	rules       []compiledRule
-	srcRules    []Rule
-	tnorm       TNorm
-	implication Implication
-	defuzz      Defuzzifier
-	resolution  int
-	totalTerms  int
-	table       *sampleTable // output memberships at the resolution's samples
+	inputs     []*Variable
+	inputIdx   map[string]int
+	output     *Variable
+	rules      []compiledRule
+	srcRules   []Rule
+	defuzz     Defuzzifier
+	totalTerms int
+	table      *sampleTable // output memberships at engineResolution's samples
 }
 
 type compiledRule struct {
@@ -29,6 +26,10 @@ type compiledRule struct {
 	outTerm int
 	weight  float64
 }
+
+// engineResolution is the sample count of an engine's integral
+// defuzzifiers, sample table and coverage checks.
+const engineResolution = 201
 
 // Stack scratch for one evaluation: engines with at most this many
 // input terms and output terms evaluate without touching the heap.
@@ -40,18 +41,8 @@ const (
 // Option configures an Engine at construction time.
 type Option func(*Engine)
 
-// WithTNorm selects the antecedent combination operator (default min).
-func WithTNorm(t TNorm) Option { return func(e *Engine) { e.tnorm = t } }
-
-// WithImplication selects the rule implication operator (default clip).
-func WithImplication(im Implication) Option { return func(e *Engine) { e.implication = im } }
-
 // WithDefuzzifier selects the defuzzification method (default Centroid).
 func WithDefuzzifier(d Defuzzifier) Option { return func(e *Engine) { e.defuzz = d } }
-
-// WithResolution sets the sample count used by integral defuzzifiers and
-// coverage checks (default 201, minimum 2).
-func WithResolution(n int) Option { return func(e *Engine) { e.resolution = n } }
 
 // NewEngine compiles a controller from its input variables, output variable
 // and rule base. Every rule clause must reference a declared variable and
@@ -69,14 +60,11 @@ func NewEngine(inputs []*Variable, output *Variable, rules []Rule, opts ...Optio
 		return nil, fmt.Errorf("fuzzy: engine needs at least one rule")
 	}
 	e := &Engine{
-		inputs:      append([]*Variable(nil), inputs...),
-		inputIdx:    make(map[string]int, len(inputs)),
-		output:      output,
-		srcRules:    append([]Rule(nil), rules...),
-		tnorm:       TNormMin,
-		implication: ImplicationClip,
-		defuzz:      Centroid{},
-		resolution:  201,
+		inputs:   append([]*Variable(nil), inputs...),
+		inputIdx: make(map[string]int, len(inputs)),
+		output:   output,
+		srcRules: append([]Rule(nil), rules...),
+		defuzz:   Centroid{},
 	}
 	for i, v := range e.inputs {
 		if v == nil {
@@ -94,18 +82,15 @@ func NewEngine(inputs []*Variable, output *Variable, rules []Rule, opts ...Optio
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.resolution < 2 {
-		e.resolution = 2
-	}
 	for _, v := range e.inputs {
-		if err := v.CheckCoverage(e.resolution); err != nil {
+		if err := v.CheckCoverage(engineResolution); err != nil {
 			return nil, err
 		}
 	}
-	if err := output.CheckCoverage(e.resolution); err != nil {
+	if err := output.CheckCoverage(engineResolution); err != nil {
 		return nil, err
 	}
-	e.table = newSampleTable(output, e.resolution)
+	e.table = newSampleTable(output, engineResolution)
 	e.rules = make([]compiledRule, 0, len(rules))
 	for i, r := range rules {
 		cr, err := e.compileRule(r)
@@ -114,12 +99,12 @@ func NewEngine(inputs []*Variable, output *Variable, rules []Rule, opts ...Optio
 		}
 		e.rules = append(e.rules, cr)
 	}
-	// Prime cache-bearing defuzzifiers so that Evaluate stays read-only
+	// Prime cache-bearing defuzzifiers so that EvaluateVec stays read-only
 	// and therefore safe for concurrent use.
 	if wa, ok := e.defuzz.(*WeightedAverage); ok {
-		agg := &AggregatedOutput{out: e.output, strengths: make([]float64, e.output.NumTerms()), implication: e.implication}
+		agg := &AggregatedOutput{out: e.output, strengths: make([]float64, e.output.NumTerms())}
 		agg.strengths[0] = 1
-		if _, err := wa.Defuzzify(agg, e.resolution); err != nil {
+		if _, err := wa.Defuzzify(agg, engineResolution); err != nil {
 			return nil, fmt.Errorf("fuzzy: priming weighted-average defuzzifier: %w", err)
 		}
 	}
@@ -187,27 +172,6 @@ func (e *Engine) Rules() []Rule { return append([]Rule(nil), e.srcRules...) }
 // NumRules returns the size of the rule base.
 func (e *Engine) NumRules() int { return len(e.rules) }
 
-// Evaluate runs one inference for the named crisp inputs. Every input
-// variable must be present in the map.
-func (e *Engine) Evaluate(inputs map[string]float64) (float64, error) {
-	vals := make([]float64, len(e.inputs))
-	for name, x := range inputs {
-		i, ok := e.inputIdx[name]
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: engine has no input variable %q", name)
-		}
-		vals[i] = x
-	}
-	if len(inputs) != len(e.inputs) {
-		for _, v := range e.inputs {
-			if _, ok := inputs[v.Name()]; !ok {
-				return 0, fmt.Errorf("fuzzy: missing value for input variable %q", v.Name())
-			}
-		}
-	}
-	return e.EvaluateVec(vals...)
-}
-
 // EvaluateVec runs one inference with crisp inputs given in input
 // declaration order. It is the allocation-free fast path: with a
 // built-in defuzzifier and an engine within the stack scratch it makes
@@ -234,10 +198,9 @@ func (e *Engine) EvaluateVec(vals ...float64) (float64, error) {
 // output fuzzy set without defuzzifying it.
 func (e *Engine) Infer(vals []float64) (*AggregatedOutput, error) {
 	agg := &AggregatedOutput{
-		out:         e.output,
-		strengths:   make([]float64, e.output.NumTerms()),
-		implication: e.implication,
-		table:       e.table,
+		out:       e.output,
+		strengths: make([]float64, e.output.NumTerms()),
+		table:     e.table,
 	}
 	if err := e.fire(vals, make([]float64, e.totalTerms), agg.strengths, nil); err != nil {
 		return nil, err
@@ -263,7 +226,11 @@ func (e *Engine) fire(vals, degrees, strengths, ruleW []float64) error {
 	for i, r := range e.rules {
 		w := r.weight
 		for _, d := range r.clauses {
-			w = e.tnorm.Apply(w, degrees[d])
+			// Min t-norm as "w < deg ? w : deg", which the builtin
+			// min does not match on NaN and ±0.
+			if deg := degrees[d]; !(w < deg) {
+				w = deg
+			}
 			if w == 0 {
 				break
 			}
@@ -283,26 +250,25 @@ func (e *Engine) fire(vals, degrees, strengths, ruleW []float64) error {
 // output stays on the caller's stack; a custom Defuzzifier receives a
 // heap copy, because the interface call lets its argument escape.
 func (e *Engine) defuzzify(strengths []float64) (float64, error) {
-	agg := AggregatedOutput{out: e.output, strengths: strengths, implication: e.implication, table: e.table}
+	agg := AggregatedOutput{out: e.output, strengths: strengths, table: e.table}
 	switch d := e.defuzz.(type) {
 	case Centroid:
-		return d.Defuzzify(&agg, e.resolution)
+		return d.Defuzzify(&agg, engineResolution)
 	case Bisector:
-		return d.Defuzzify(&agg, e.resolution)
+		return d.Defuzzify(&agg, engineResolution)
 	case MeanOfMaxima:
-		return d.Defuzzify(&agg, e.resolution)
+		return d.Defuzzify(&agg, engineResolution)
 	case *WeightedAverage:
 		if d.forVar == e.output {
 			return d.mean(&agg) // centroids primed by NewEngine
 		}
 	}
 	heap := &AggregatedOutput{ //facs:alloc custom defuzzifiers only: the interface call lets the aggregated output escape
-		out:         e.output,
-		strengths:   append([]float64(nil), strengths...), //facs:alloc custom defuzzifiers only
-		implication: e.implication,
-		table:       e.table,
+		out:       e.output,
+		strengths: append([]float64(nil), strengths...), //facs:alloc custom defuzzifiers only
+		table:     e.table,
 	}
-	return e.defuzz.Defuzzify(heap, e.resolution)
+	return e.defuzz.Defuzzify(heap, engineResolution)
 }
 
 // RuleActivation reports the firing strength of one rule for one inference.

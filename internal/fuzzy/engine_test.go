@@ -26,15 +26,12 @@ func testController(t *testing.T, opts ...Option) *Engine {
 		Term{Name: "average", MF: MustTriangular(15, 10, 10)},
 		Term{Name: "generous", MF: MustTrapezoidal(25, 30, 10, 0)},
 	)
-	rules, err := ParseRules(`
-IF service is poor AND food is rancid THEN tip is cheap
-IF service is good THEN tip is average
-IF service is excellent AND food is delicious THEN tip is generous
-IF service is poor THEN tip is cheap
-IF service is excellent THEN tip is generous
-`)
-	if err != nil {
-		t.Fatal(err)
+	rules := []Rule{
+		{If: []Clause{{"service", "poor"}, {"food", "rancid"}}, Then: Clause{"tip", "cheap"}},
+		{If: []Clause{{"service", "good"}}, Then: Clause{"tip", "average"}},
+		{If: []Clause{{"service", "excellent"}, {"food", "delicious"}}, Then: Clause{"tip", "generous"}},
+		{If: []Clause{{"service", "poor"}}, Then: Clause{"tip", "cheap"}},
+		{If: []Clause{{"service", "excellent"}}, Then: Clause{"tip", "generous"}},
 	}
 	e, err := NewEngine([]*Variable{service, food}, tip, rules, opts...)
 	if err != nil {
@@ -58,12 +55,12 @@ func TestEngineEvaluateKnownPoints(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := e.Evaluate(map[string]float64{"service": tc.service, "food": tc.food})
+			got, err := e.EvaluateVec(tc.service, tc.food)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got < tc.wantLo || got > tc.wantHi {
-				t.Fatalf("Evaluate(%v, %v) = %v, want in [%v, %v]", tc.service, tc.food, got, tc.wantLo, tc.wantHi)
+				t.Fatalf("EvaluateVec(%v, %v) = %v, want in [%v, %v]", tc.service, tc.food, got, tc.wantLo, tc.wantHi)
 			}
 		})
 	}
@@ -86,12 +83,6 @@ func TestEngineEvaluateMonotoneInService(t *testing.T) {
 
 func TestEngineEvaluateErrors(t *testing.T) {
 	e := testController(t)
-	if _, err := e.Evaluate(map[string]float64{"service": 5}); err == nil {
-		t.Fatal("missing input should error")
-	}
-	if _, err := e.Evaluate(map[string]float64{"service": 5, "food": 5, "bogus": 1}); err == nil {
-		t.Fatal("unknown input should error")
-	}
 	if _, err := e.EvaluateVec(1); err == nil {
 		t.Fatal("short input vector should error")
 	}
@@ -103,7 +94,8 @@ func TestEngineEvaluateErrors(t *testing.T) {
 func TestNewEngineValidation(t *testing.T) {
 	in := MustVariable("x", 0, 1, Term{Name: "a", MF: MustTrapezoidal(0, 1, 0, 0)})
 	out := MustVariable("y", 0, 1, Term{Name: "b", MF: MustTrapezoidal(0, 1, 0, 0)})
-	okRule := []Rule{MustParseRule("IF x is a THEN y is b")}
+	rule := func(then Clause, clauses ...Clause) []Rule { return []Rule{{If: clauses, Then: then}} }
+	okRule := rule(Clause{"y", "b"}, Clause{"x", "a"})
 
 	tests := []struct {
 		name    string
@@ -119,11 +111,11 @@ func TestNewEngineValidation(t *testing.T) {
 		{"nil input", []*Variable{nil}, out, okRule, "is nil"},
 		{"duplicate input", []*Variable{in, in}, out, okRule, "duplicate input"},
 		{"output as input", []*Variable{in, out}, out, okRule, "also appears as an input"},
-		{"unknown rule variable", []*Variable{in}, out, []Rule{MustParseRule("IF z is a THEN y is b")}, `unknown input variable "z"`},
-		{"unknown rule term", []*Variable{in}, out, []Rule{MustParseRule("IF x is zz THEN y is b")}, `no term "zz"`},
-		{"wrong consequent var", []*Variable{in}, out, []Rule{MustParseRule("IF x is a THEN z is b")}, "consequent references"},
-		{"unknown output term", []*Variable{in}, out, []Rule{MustParseRule("IF x is a THEN y is zz")}, `no term "zz"`},
-		{"duplicate clause variable", []*Variable{in}, out, []Rule{MustParseRule("IF x is a AND x is a THEN y is b")}, "referenced twice"},
+		{"unknown rule variable", []*Variable{in}, out, rule(Clause{"y", "b"}, Clause{"z", "a"}), `unknown input variable "z"`},
+		{"unknown rule term", []*Variable{in}, out, rule(Clause{"y", "b"}, Clause{"x", "zz"}), `no term "zz"`},
+		{"wrong consequent var", []*Variable{in}, out, rule(Clause{"z", "b"}, Clause{"x", "a"}), "consequent references"},
+		{"unknown output term", []*Variable{in}, out, rule(Clause{"y", "zz"}, Clause{"x", "a"}), `no term "zz"`},
+		{"duplicate clause variable", []*Variable{in}, out, rule(Clause{"y", "b"}, Clause{"x", "a"}, Clause{"x", "a"}), "referenced twice"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,7 +139,7 @@ func TestNewEngineRejectsCoverageHole(t *testing.T) {
 		Term{Name: "hi", MF: MustTriangular(10, 2, 0)},
 	)
 	out := MustVariable("y", 0, 1, Term{Name: "b", MF: MustTrapezoidal(0, 1, 0, 0)})
-	_, err := NewEngine([]*Variable{in}, out, []Rule{MustParseRule("IF x is lo THEN y is b")})
+	_, err := NewEngine([]*Variable{in}, out, []Rule{{If: []Clause{{"x", "lo"}}, Then: Clause{"y", "b"}}})
 	if err == nil || !strings.Contains(err.Error(), "coverage hole") {
 		t.Fatalf("error = %v, want coverage hole", err)
 	}
@@ -197,8 +189,8 @@ func TestEngineRuleWeightScalesStrength(t *testing.T) {
 		Term{Name: "hi", MF: MustTriangular(1, 1, 0)},
 	)
 	full, err := NewEngine([]*Variable{in}, out, []Rule{
-		MustParseRule("IF x is a THEN y is hi"),
-		MustParseRule("IF x is a THEN y is lo [0.2]"),
+		{If: []Clause{{"x", "a"}}, Then: Clause{"y", "hi"}, Weight: 1},
+		{If: []Clause{{"x", "a"}}, Then: Clause{"y", "lo"}, Weight: 0.2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,34 +204,6 @@ func TestEngineRuleWeightScalesStrength(t *testing.T) {
 	}
 	if got := agg.Strength(0); !almostEqual(got, 0.2, 1e-12) {
 		t.Fatalf("lo strength = %v, want 0.2", got)
-	}
-}
-
-func TestEngineTNormProduct(t *testing.T) {
-	in1 := MustVariable("a", 0, 1, Term{Name: "t", MF: MustTrapezoidal(0, 1, 0, 0)})
-	in2 := MustVariable("b", 0, 1,
-		Term{Name: "half", MF: MustTriangular(0.5, 0.5, 0.5)},
-		Term{Name: "rest", MF: MustTrapezoidal(0, 1, 0, 0)},
-	)
-	out := MustVariable("y", 0, 1,
-		Term{Name: "lo", MF: MustTriangular(0, 0, 1)},
-		Term{Name: "hi", MF: MustTriangular(1, 1, 0)},
-	)
-	rules := []Rule{MustParseRule("IF a is t AND b is half THEN y is hi")}
-	eMin := MustEngine([]*Variable{in1, in2}, out, rules, WithTNorm(TNormMin))
-	eProd := MustEngine([]*Variable{in1, in2}, out, rules, WithTNorm(TNormProduct))
-
-	aggMin, err := eMin.Infer([]float64{1, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggProd, err := eProd.Infer([]float64{1, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// µ(half at 0.25) = 0.5; min(1, 0.5) = 0.5 and 1*0.5 = 0.5 agree here.
-	if !almostEqual(aggMin.Strength(1), 0.5, 1e-12) || !almostEqual(aggProd.Strength(1), 0.5, 1e-12) {
-		t.Fatalf("strengths = %v, %v, want 0.5", aggMin.Strength(1), aggProd.Strength(1))
 	}
 }
 
@@ -326,21 +290,6 @@ func TestEngineDeterministicProperty(t *testing.T) {
 	}
 }
 
-func TestTNormStringer(t *testing.T) {
-	if TNormMin.String() != "min" || TNormProduct.String() != "product" {
-		t.Fatal("TNorm stringer mismatch")
-	}
-	if !strings.Contains(TNorm(99).String(), "99") {
-		t.Fatal("unknown TNorm should include its value")
-	}
-	if ImplicationClip.String() != "clip" || ImplicationScale.String() != "scale" {
-		t.Fatal("Implication stringer mismatch")
-	}
-	if !strings.Contains(Implication(42).String(), "42") {
-		t.Fatal("unknown Implication should include its value")
-	}
-}
-
 func TestErrNoRuleFiredSurfacing(t *testing.T) {
 	// A rule base that only covers part of the input space can leave the
 	// aggregated output empty; the engine must surface ErrNoRuleFired.
@@ -352,7 +301,7 @@ func TestErrNoRuleFiredSurfacing(t *testing.T) {
 		Term{Name: "a", MF: MustTriangular(0, 0, 1)},
 		Term{Name: "b", MF: MustTriangular(1, 1, 0)},
 	)
-	e := MustEngine([]*Variable{in}, out, []Rule{MustParseRule("IF x is lo THEN y is a")})
+	e := MustEngine([]*Variable{in}, out, []Rule{{If: []Clause{{"x", "lo"}}, Then: Clause{"y", "a"}}})
 	_, err := e.EvaluateVec(10) // only "hi" is active; no rule covers it
 	if !errors.Is(err, ErrNoRuleFired) {
 		t.Fatalf("err = %v, want ErrNoRuleFired", err)

@@ -1,90 +1,12 @@
 package fuzzy
 
-import "fmt"
-
-// TNorm selects how antecedent clause memberships are combined (fuzzy AND).
-type TNorm int
-
-// Supported t-norms.
-const (
-	// TNormMin is the Mamdani minimum t-norm (the paper's choice).
-	TNormMin TNorm = iota + 1
-	// TNormProduct is the algebraic product t-norm.
-	TNormProduct
-)
-
-// String implements fmt.Stringer.
-func (t TNorm) String() string {
-	switch t {
-	case TNormMin:
-		return "min"
-	case TNormProduct:
-		return "product"
-	default:
-		return fmt.Sprintf("TNorm(%d)", int(t))
-	}
-}
-
-// Apply combines two membership degrees.
-func (t TNorm) Apply(a, b float64) float64 {
-	switch t {
-	case TNormProduct:
-		return a * b
-	default: // TNormMin
-		if a < b {
-			return a
-		}
-		return b
-	}
-}
-
-// Implication selects how a rule's firing strength shapes its consequent
-// fuzzy set during Mamdani inference.
-type Implication int
-
-// Supported implication operators.
-const (
-	// ImplicationClip truncates the consequent at the firing strength
-	// (Mamdani min implication, the classical choice).
-	ImplicationClip Implication = iota + 1
-	// ImplicationScale multiplies the consequent by the firing strength
-	// (Larsen product implication).
-	ImplicationScale
-)
-
-// String implements fmt.Stringer.
-func (im Implication) String() string {
-	switch im {
-	case ImplicationClip:
-		return "clip"
-	case ImplicationScale:
-		return "scale"
-	default:
-		return fmt.Sprintf("Implication(%d)", int(im))
-	}
-}
-
-// Apply shapes membership degree m by firing strength w.
-func (im Implication) Apply(w, m float64) float64 {
-	switch im {
-	case ImplicationScale:
-		return w * m
-	default: // ImplicationClip
-		if m < w {
-			return m
-		}
-		return w
-	}
-}
-
 // AggregatedOutput is the union (max-aggregation) of all shaped consequent
 // sets for one evaluation. It is the function that the area-based
 // defuzzifiers integrate.
 type AggregatedOutput struct {
-	out         *Variable
-	strengths   []float64 // per output term, max across fired rules
-	implication Implication
-	table       *sampleTable // the engine's output samples; nil outside an engine
+	out       *Variable
+	strengths []float64    // per output term, max across fired rules
+	table     *sampleTable // the engine's output samples; nil outside an engine
 }
 
 // Variable returns the output linguistic variable.
@@ -96,15 +18,22 @@ func (a *AggregatedOutput) Strength(i int) float64 { return a.strengths[i] }
 // NumTerms returns the number of output terms.
 func (a *AggregatedOutput) NumTerms() int { return len(a.strengths) }
 
-// At evaluates the aggregated output membership at crisp point y.
+// At evaluates the aggregated output membership at crisp point y: the
+// max over the fired terms of each term's membership clipped at its
+// firing strength (Mamdani min implication).
 func (a *AggregatedOutput) At(y float64) float64 {
 	var best float64
 	for i, w := range a.strengths {
 		if w == 0 {
 			continue
 		}
-		if m := a.implication.Apply(w, a.out.terms[i].MF.Membership(y)); m > best {
-			best = m
+		// Clip: min(m, w) in this exact form, which the builtin min
+		// does not match on NaN and ±0.
+		if m := a.out.terms[i].MF.Membership(y); m < w {
+			w = m
+		}
+		if w > best {
+			best = w
 		}
 	}
 	return best
@@ -184,15 +113,18 @@ func (t *sampleTable) hull(strengths []float64) (lo, hi int) {
 // at is At(ys[i]) read from the table. A term with zero membership at
 // the sample is absent, which is exact: it would shape to 0 and never
 // raise best above its starting 0.
-func (t *sampleTable) at(i int, strengths []float64, im Implication) float64 {
+func (t *sampleTable) at(i int, strengths []float64) float64 {
 	var best float64
 	for _, p := range t.pairs[t.start[i]:t.start[i+1]] {
 		w := strengths[p.term]
 		if w == 0 {
 			continue
 		}
-		if m := im.Apply(w, p.m); m > best {
-			best = m
+		if p.m < w {
+			w = p.m
+		}
+		if w > best {
+			best = w
 		}
 	}
 	return best
@@ -245,7 +177,7 @@ func (s *sampling) y(i int) float64 {
 // m returns the aggregated membership at the i-th sample point.
 func (s *sampling) m(i int) float64 {
 	if s.tab != nil {
-		return s.tab.at(i, s.agg.strengths, s.agg.implication)
+		return s.tab.at(i, s.agg.strengths)
 	}
 	return s.agg.At(s.y(i))
 }

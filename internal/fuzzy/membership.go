@@ -216,32 +216,6 @@ func MustRightShoulder(edge, width float64) Trapezoidal {
 	return g
 }
 
-// Singleton is a degenerate fuzzy set whose membership is one at exactly
-// Point and zero elsewhere. It is mainly useful in tests and for
-// Sugeno-style crisp consequents.
-type Singleton struct {
-	Point float64
-}
-
-var _ MembershipFunc = Singleton{}
-
-// Membership implements MembershipFunc.
-func (s Singleton) Membership(x float64) float64 {
-	if x == s.Point {
-		return 1
-	}
-	return 0
-}
-
-// Support implements MembershipFunc.
-func (s Singleton) Support() (lo, hi float64) { return s.Point, s.Point }
-
-// Kernel implements MembershipFunc.
-func (s Singleton) Kernel() (lo, hi float64) { return s.Point, s.Point }
-
-// String returns a compact description, e.g. "singleton(0.5)".
-func (s Singleton) String() string { return fmt.Sprintf("singleton(%g)", s.Point) }
-
 func clamp01(v float64) float64 {
 	switch {
 	case v < 0:

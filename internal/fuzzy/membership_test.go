@@ -191,13 +191,17 @@ func TestTrapezoidalValidation(t *testing.T) {
 	}
 }
 
+// TestSingleton checks that a zero-width triangle is a singleton: one
+// at its centre, zero everywhere else.
 func TestSingleton(t *testing.T) {
-	s := Singleton{Point: 0.5}
+	s := MustTriangular(0.5, 0, 0)
 	if got := s.Membership(0.5); got != 1 {
 		t.Fatalf("Membership at point = %v, want 1", got)
 	}
-	if got := s.Membership(0.5000001); got != 0 {
-		t.Fatalf("Membership off point = %v, want 0", got)
+	for _, x := range []float64{0.4999999, 0.5000001, math.NaN()} {
+		if got := s.Membership(x); got != 0 {
+			t.Fatalf("Membership(%v) = %v, want 0", x, got)
+		}
 	}
 	if lo, hi := s.Support(); lo != 0.5 || hi != 0.5 {
 		t.Fatalf("Support = [%v,%v], want [0.5,0.5]", lo, hi)
@@ -282,7 +286,6 @@ func TestMembershipStringers(t *testing.T) {
 	}{
 		{"triangular", MustTriangular(30, 15, 30).String(), "tri(30; 15, 30)"},
 		{"trapezoidal", MustTrapezoidal(0, 15, 0, 15).String(), "trap(0, 15; 0, 15)"},
-		{"singleton", Singleton{Point: 0.5}.String(), "singleton(0.5)"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -142,10 +142,14 @@ func paperFLC1(t *testing.T, opts ...Option) *Engine {
 	}
 	var rules []Rule
 	for i, c := range consequents {
-		s := []string{"Sl", "M", "Fa"}[i/14]
-		a := []string{"B1", "L1", "L2", "St", "R1", "R2", "B2"}[i/2%7]
-		d := []string{"N", "F"}[i%2]
-		rules = append(rules, MustParseRule(fmt.Sprintf("IF S is %s AND A is %s AND D is %s THEN Cv is Cv%d", s, a, d, c)))
+		rules = append(rules, Rule{
+			If: []Clause{
+				{"S", []string{"Sl", "M", "Fa"}[i/14]},
+				{"A", []string{"B1", "L1", "L2", "St", "R1", "R2", "B2"}[i/2%7]},
+				{"D", []string{"N", "F"}[i%2]},
+			},
+			Then: Clause{"Cv", fmt.Sprintf("Cv%d", c)},
+		})
 	}
 	return mustTestEngine(t, []*Variable{speed, angle, distance}, cv, rules, opts...)
 }
@@ -183,50 +187,52 @@ func paperFLC2(t *testing.T, opts ...Option) *Engine {
 		A A NRNA     A A WR       A A R`)
 	var rules []Rule
 	for i, c := range consequents {
-		x := []string{"B", "N", "G"}[i/9]
-		r := []string{"T", "Vo", "Vi"}[i/3%3]
-		s := []string{"S", "M", "F"}[i%3]
-		rules = append(rules, MustParseRule(fmt.Sprintf("IF Cv is %s AND R is %s AND Cs is %s THEN AR is %s", x, r, s, c)))
+		rules = append(rules, Rule{
+			If: []Clause{
+				{"Cv", []string{"B", "N", "G"}[i/9]},
+				{"R", []string{"T", "Vo", "Vi"}[i/3%3]},
+				{"Cs", []string{"S", "M", "F"}[i%3]},
+			},
+			Then: Clause{"AR", c},
+		})
 	}
 	return mustTestEngine(t, []*Variable{cv, request, counter}, ar, rules, opts...)
 }
 
-// smoothEngine mixes Gaussian, bell, shoulder and singleton terms. No
-// rule fires for x >= 1 with y <= 3 (ErrNoRuleFired), and for x >= 1
-// with y > 9 only the off-grid singleton "spike" fires (a zero-area
-// aggregate).
+// smoothEngine mixes triangles, trapezoids and shoulders of uneven
+// widths with two zero-width triangles (singletons): "dot" sits on a
+// sample point at some resolutions (201 among them) and "spike" at 1/3
+// on none. No rule fires for x >= 1 with y <= 3 (ErrNoRuleFired), and
+// for x >= 1 with y > 9 only "spike" fires (a zero-area aggregate).
 func smoothEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
 	x := MustVariable("x", -5, 5,
 		Term{Name: "lo", MF: MustLeftShoulder(-2, 3)},
-		Term{Name: "mid", MF: MustGaussian(0, 1.5)},
+		Term{Name: "mid", MF: MustTriangular(0, 3, 3)},
 		Term{Name: "hi", MF: MustRightShoulder(4, 2)},
 	)
 	y := MustVariable("y", 0, 10,
-		Term{Name: "low", MF: MustBell(2, 3, 2)},
+		Term{Name: "low", MF: MustTriangular(2, 3, 4)},
 		Term{Name: "high", MF: MustTrapezoidal(6, 9, 3, 0)},
 		Term{Name: "top", MF: MustRightShoulder(9, 0)},
 	)
 	z := MustVariable("z", -2, 3,
 		Term{Name: "neg", MF: MustLeftShoulder(-1.5, 1)},
-		Term{Name: "bump", MF: MustGaussian(0, 0.4)},
-		Term{Name: "bell", MF: MustBell(1.2, 0.5, 3)},
+		Term{Name: "bump", MF: MustTriangular(0, 1, 0.7)},
+		Term{Name: "bell", MF: MustTrapezoidal(1, 1.4, 0.5, 0.3)},
 		Term{Name: "tri", MF: MustTriangular(2, 1, 0.5)},
 		Term{Name: "pos", MF: MustRightShoulder(2.5, 0.5)},
-		Term{Name: "dot", MF: Singleton{Point: 0.5}},
-		Term{Name: "spike", MF: Singleton{Point: 1.0 / 3}},
+		Term{Name: "dot", MF: MustTriangular(0.5, 0, 0)},
+		Term{Name: "spike", MF: MustTriangular(1.0/3, 0, 0)},
 	)
-	rules, err := ParseRules(`
-IF x is lo THEN z is neg
-IF x is lo AND y is low THEN z is bell [0.5]
-IF x is mid AND y is high THEN z is bump
-IF x is mid AND y is high THEN z is tri [0.8]
-IF x is mid AND y is high THEN z is dot [0.7]
-IF x is hi AND y is high THEN z is pos
-IF y is top THEN z is spike
-`)
-	if err != nil {
-		t.Fatal(err)
+	rules := []Rule{
+		{If: []Clause{{"x", "lo"}}, Then: Clause{"z", "neg"}},
+		{If: []Clause{{"x", "lo"}, {"y", "low"}}, Then: Clause{"z", "bell"}, Weight: 0.5},
+		{If: []Clause{{"x", "mid"}, {"y", "high"}}, Then: Clause{"z", "bump"}},
+		{If: []Clause{{"x", "mid"}, {"y", "high"}}, Then: Clause{"z", "tri"}, Weight: 0.8},
+		{If: []Clause{{"x", "mid"}, {"y", "high"}}, Then: Clause{"z", "dot"}, Weight: 0.7},
+		{If: []Clause{{"x", "hi"}, {"y", "high"}}, Then: Clause{"z", "pos"}},
+		{If: []Clause{{"y", "top"}}, Then: Clause{"z", "spike"}},
 	}
 	return mustTestEngine(t, []*Variable{x, y}, z, rules, opts...)
 }
@@ -277,9 +283,10 @@ func sameResult(got float64, gotErr error, want float64, wantErr error) bool {
 
 // TestEngineMatchesSamplingReference pins the tabulated defuzzifiers to
 // the At-based sampling loops bit for bit: EvaluateVec, Explain and a
-// direct Defuzzify of Infer's aggregate (at the engine's resolution, so
-// through the table, and at a different one, so through At) must all
-// return the oracle's float bits or its exact error.
+// direct Defuzzify of Infer's aggregate at the engine's resolution (so
+// through the table) must all return the oracle's float bits or its
+// exact error, and so must Defuzzify at other resolutions (so through
+// At).
 func TestEngineMatchesSamplingReference(t *testing.T) {
 	engines := []struct {
 		name  string
@@ -290,56 +297,48 @@ func TestEngineMatchesSamplingReference(t *testing.T) {
 		{"smooth", smoothEngine},
 	}
 	defuzzifiers := []Defuzzifier{Centroid{}, Bisector{}, MeanOfMaxima{}}
+	otherResolutions := []int{2, 3, 208, 1001}
 	rng := rand.New(rand.NewSource(1))
 	counts := map[string]int{}
 	for _, eng := range engines {
-		for _, tn := range []TNorm{TNormMin, TNormProduct} {
-			for _, im := range []Implication{ImplicationClip, ImplicationScale} {
-				for _, res := range []int{2, 3, 201, 1001} {
-					for _, d := range defuzzifiers {
-						name := fmt.Sprintf("%s/%v/%v/%d/%s", eng.name, tn, im, res, d.Name())
-						e := eng.build(t, WithTNorm(tn), WithImplication(im), WithResolution(res), WithDefuzzifier(d))
-						n := 120
-						if res > 201 {
-							n = 30
-						}
-						for _, vals := range referenceInputs(rng, e, n) {
-							agg, err := e.Infer(vals)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want, wantErr := referenceDefuzzify(d, agg, res)
-							switch {
-							case wantErr == nil:
-								counts["value"]++
-							case errors.Is(wantErr, ErrNoRuleFired):
-								counts["no rule fired"]++
-							default:
-								counts["zero area"]++
-							}
-							got, gotErr := e.EvaluateVec(vals...)
-							if !sameResult(got, gotErr, want, wantErr) {
-								t.Fatalf("%s: EvaluateVec(%v) = %v, %v; reference %v, %v", name, vals, got, gotErr, want, wantErr)
-							}
-							got, gotErr = d.Defuzzify(agg, res)
-							if !sameResult(got, gotErr, want, wantErr) {
-								t.Fatalf("%s: Defuzzify(Infer(%v)) = %v, %v; reference %v, %v", name, vals, got, gotErr, want, wantErr)
-							}
-							var exOut float64
-							ex, exErr := e.Explain(vals)
-							if exErr == nil {
-								exOut = ex.Output
-							}
-							if !sameResult(exOut, exErr, want, wantErr) {
-								t.Fatalf("%s: Explain(%v) = %v, %v; reference %v, %v", name, vals, exOut, exErr, want, wantErr)
-							}
-							other := res + 7
-							want, wantErr = referenceDefuzzify(d, agg, other)
-							got, gotErr = d.Defuzzify(agg, other)
-							if !sameResult(got, gotErr, want, wantErr) {
-								t.Fatalf("%s: Defuzzify(Infer(%v), %d) = %v, %v; reference %v, %v", name, vals, other, got, gotErr, want, wantErr)
-							}
-						}
+		for _, d := range defuzzifiers {
+			name := eng.name + "/" + d.Name()
+			e := eng.build(t, WithDefuzzifier(d))
+			for _, vals := range referenceInputs(rng, e, 600) {
+				agg, err := e.Infer(vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantErr := referenceDefuzzify(d, agg, engineResolution)
+				switch {
+				case wantErr == nil:
+					counts["value"]++
+				case errors.Is(wantErr, ErrNoRuleFired):
+					counts["no rule fired"]++
+				default:
+					counts["zero area"]++
+				}
+				got, gotErr := e.EvaluateVec(vals...)
+				if !sameResult(got, gotErr, want, wantErr) {
+					t.Fatalf("%s: EvaluateVec(%v) = %v, %v; reference %v, %v", name, vals, got, gotErr, want, wantErr)
+				}
+				got, gotErr = d.Defuzzify(agg, engineResolution)
+				if !sameResult(got, gotErr, want, wantErr) {
+					t.Fatalf("%s: Defuzzify(Infer(%v)) = %v, %v; reference %v, %v", name, vals, got, gotErr, want, wantErr)
+				}
+				var exOut float64
+				ex, exErr := e.Explain(vals)
+				if exErr == nil {
+					exOut = ex.Output
+				}
+				if !sameResult(exOut, exErr, want, wantErr) {
+					t.Fatalf("%s: Explain(%v) = %v, %v; reference %v, %v", name, vals, exOut, exErr, want, wantErr)
+				}
+				for _, res := range otherResolutions {
+					want, wantErr = referenceDefuzzify(d, agg, res)
+					got, gotErr = d.Defuzzify(agg, res)
+					if !sameResult(got, gotErr, want, wantErr) {
+						t.Fatalf("%s: Defuzzify(Infer(%v), %d) = %v, %v; reference %v, %v", name, vals, res, got, gotErr, want, wantErr)
 					}
 				}
 			}

@@ -15,7 +15,7 @@ type Clause struct {
 func (c Clause) String() string { return c.Var + " is " + c.Term }
 
 // Rule is a single fuzzy IF/THEN rule. All antecedent clauses are combined
-// with AND (the engine's t-norm). Weight scales the firing strength; zero
+// with AND (the min t-norm). Weight scales the firing strength; zero
 // weight is replaced by one at compile time so that the zero value of the
 // field means "unweighted".
 type Rule struct {
@@ -24,7 +24,9 @@ type Rule struct {
 	Weight float64
 }
 
-// String renders the rule in the textual form accepted by ParseRule.
+// String renders the rule as text, e.g.
+// "IF S is Sl AND A is B1 THEN Cv is Cv3 [0.8]"; the bracketed weight
+// appears only when it is neither 0 nor 1.
 func (r Rule) String() string {
 	parts := make([]string, len(r.If))
 	for i, c := range r.If {
@@ -54,169 +56,4 @@ func (r Rule) Validate() error {
 		return fmt.Errorf("fuzzy: rule %q weight %g outside [0, 1]", r.String(), r.Weight)
 	}
 	return nil
-}
-
-// ParseRule parses a single textual rule of the form
-//
-//	IF S is Sl AND A is B1 AND D is N THEN Cv is Cv3 [0.8]
-//
-// The trailing bracketed weight is optional (default 1). Keywords IF, AND,
-// THEN and "is" are case-insensitive; variable and term names are
-// case-sensitive.
-func ParseRule(text string) (Rule, error) {
-	fields := strings.Fields(text)
-	if len(fields) == 0 {
-		return Rule{}, fmt.Errorf("fuzzy: empty rule text")
-	}
-	p := parser{fields: fields, text: text}
-	return p.parse()
-}
-
-// MustParseRule is like ParseRule but panics on malformed input. It is
-// intended for statically known rule tables.
-func MustParseRule(text string) Rule {
-	r, err := ParseRule(text)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// ParseRules parses a newline-separated list of rules. Blank lines and
-// lines starting with '#' or "//" are ignored. The 1-based line number is
-// included in error messages.
-func ParseRules(text string) ([]Rule, error) {
-	var rules []Rule
-	for lineNo, line := range strings.Split(text, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") || strings.HasPrefix(trimmed, "//") {
-			continue
-		}
-		r, err := ParseRule(trimmed)
-		if err != nil {
-			return nil, fmt.Errorf("fuzzy: line %d: %w", lineNo+1, err)
-		}
-		rules = append(rules, r)
-	}
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("fuzzy: no rules found")
-	}
-	return rules, nil
-}
-
-type parser struct {
-	fields []string
-	text   string
-	pos    int
-}
-
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("fuzzy: parsing %q: %s", p.text, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) peek() (string, bool) {
-	if p.pos >= len(p.fields) {
-		return "", false
-	}
-	return p.fields[p.pos], true
-}
-
-func (p *parser) next() (string, bool) {
-	tok, ok := p.peek()
-	if ok {
-		p.pos++
-	}
-	return tok, ok
-}
-
-func (p *parser) expectKeyword(kw string) error {
-	tok, ok := p.next()
-	if !ok {
-		return p.errf("expected %q, got end of input", kw)
-	}
-	if !strings.EqualFold(tok, kw) {
-		return p.errf("expected %q, got %q", kw, tok)
-	}
-	return nil
-}
-
-// clause parses "<var> is <term>".
-func (p *parser) clause() (Clause, error) {
-	v, ok := p.next()
-	if !ok {
-		return Clause{}, p.errf("expected a variable name, got end of input")
-	}
-	if isKeyword(v) {
-		return Clause{}, p.errf("expected a variable name, got keyword %q", v)
-	}
-	if err := p.expectKeyword("is"); err != nil {
-		return Clause{}, err
-	}
-	t, ok := p.next()
-	if !ok {
-		return Clause{}, p.errf("expected a term name, got end of input")
-	}
-	if isKeyword(t) {
-		return Clause{}, p.errf("expected a term name, got keyword %q", t)
-	}
-	return Clause{Var: v, Term: t}, nil
-}
-
-func (p *parser) parse() (Rule, error) {
-	if err := p.expectKeyword("IF"); err != nil {
-		return Rule{}, err
-	}
-	var rule Rule
-	for {
-		c, err := p.clause()
-		if err != nil {
-			return Rule{}, err
-		}
-		rule.If = append(rule.If, c)
-		tok, ok := p.peek()
-		if !ok {
-			return Rule{}, p.errf("expected AND or THEN, got end of input")
-		}
-		if strings.EqualFold(tok, "AND") {
-			p.pos++
-			continue
-		}
-		if strings.EqualFold(tok, "THEN") {
-			p.pos++
-			break
-		}
-		return Rule{}, p.errf("expected AND or THEN, got %q", tok)
-	}
-	then, err := p.clause()
-	if err != nil {
-		return Rule{}, err
-	}
-	rule.Then = then
-	rule.Weight = 1
-	if tok, ok := p.peek(); ok {
-		if !strings.HasPrefix(tok, "[") || !strings.HasSuffix(tok, "]") {
-			return Rule{}, p.errf("unexpected trailing token %q", tok)
-		}
-		var w float64
-		if _, err := fmt.Sscanf(tok, "[%g]", &w); err != nil {
-			return Rule{}, p.errf("malformed weight %q", tok)
-		}
-		if w < 0 || w > 1 {
-			return Rule{}, p.errf("weight %g outside [0, 1]", w)
-		}
-		rule.Weight = w
-		p.pos++
-		if extra, ok := p.peek(); ok {
-			return Rule{}, p.errf("unexpected trailing token %q", extra)
-		}
-	}
-	return rule, nil
-}
-
-func isKeyword(tok string) bool {
-	switch strings.ToUpper(tok) {
-	case "IF", "AND", "THEN", "IS":
-		return true
-	}
-	return false
 }

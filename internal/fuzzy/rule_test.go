@@ -1,118 +1,6 @@
 package fuzzy
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestParseRule(t *testing.T) {
-	tests := []struct {
-		name    string
-		text    string
-		want    Rule
-		wantErr string
-	}{
-		{
-			name: "paper FRB1 style",
-			text: "IF S is Sl AND A is B1 AND D is N THEN Cv is Cv3",
-			want: Rule{
-				If:     []Clause{{"S", "Sl"}, {"A", "B1"}, {"D", "N"}},
-				Then:   Clause{"Cv", "Cv3"},
-				Weight: 1,
-			},
-		},
-		{
-			name: "single antecedent",
-			text: "IF x is hot THEN y is cold",
-			want: Rule{If: []Clause{{"x", "hot"}}, Then: Clause{"y", "cold"}, Weight: 1},
-		},
-		{
-			name: "weighted",
-			text: "IF x is hot THEN y is cold [0.5]",
-			want: Rule{If: []Clause{{"x", "hot"}}, Then: Clause{"y", "cold"}, Weight: 0.5},
-		},
-		{
-			name: "case-insensitive keywords",
-			text: "if x IS hot and z is wet then y is cold",
-			want: Rule{If: []Clause{{"x", "hot"}, {"z", "wet"}}, Then: Clause{"y", "cold"}, Weight: 1},
-		},
-		{name: "empty", text: "   ", wantErr: "empty rule"},
-		{name: "missing IF", text: "x is hot THEN y is cold", wantErr: `expected "IF"`},
-		{name: "missing THEN", text: "IF x is hot y is cold", wantErr: "expected AND or THEN"},
-		{name: "truncated", text: "IF x is", wantErr: "end of input"},
-		{name: "truncated after THEN", text: "IF x is hot THEN", wantErr: "end of input"},
-		{name: "keyword as name", text: "IF and is hot THEN y is cold", wantErr: "keyword"},
-		{name: "trailing garbage", text: "IF x is hot THEN y is cold extra", wantErr: "trailing token"},
-		{name: "bad weight", text: "IF x is hot THEN y is cold [abc]", wantErr: "malformed weight"},
-		{name: "weight out of range", text: "IF x is hot THEN y is cold [1.5]", wantErr: "outside [0, 1]"},
-		{name: "garbage after weight", text: "IF x is hot THEN y is cold [0.5] more", wantErr: "trailing token"},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := ParseRule(tc.text)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error = %v, want substring %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if !rulesEqual(got, tc.want) {
-				t.Fatalf("ParseRule(%q) = %+v, want %+v", tc.text, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestParseRuleRoundTrip(t *testing.T) {
-	texts := []string{
-		"IF S is Sl AND A is B1 AND D is N THEN Cv is Cv3",
-		"IF Cv is B AND R is T AND Cs is S THEN AR is A",
-		"IF x is hot THEN y is cold [0.25]",
-	}
-	for _, text := range texts {
-		r1 := MustParseRule(text)
-		r2, err := ParseRule(r1.String())
-		if err != nil {
-			t.Fatalf("reparsing %q: %v", r1.String(), err)
-		}
-		if !rulesEqual(r1, r2) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", r1, r2)
-		}
-	}
-}
-
-func TestParseRules(t *testing.T) {
-	text := `
-# FRB excerpt
-IF S is Sl AND A is B1 AND D is N THEN Cv is Cv3
-// another comment
-
-IF S is Sl AND A is B1 AND D is F THEN Cv is Cv1
-`
-	rules, err := ParseRules(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 2 {
-		t.Fatalf("got %d rules, want 2", len(rules))
-	}
-	if rules[1].Then.Term != "Cv1" {
-		t.Fatalf("second rule consequent = %q, want Cv1", rules[1].Then.Term)
-	}
-}
-
-func TestParseRulesErrors(t *testing.T) {
-	if _, err := ParseRules("# only comments\n"); err == nil {
-		t.Fatal("expected error for empty rule set")
-	}
-	_, err := ParseRules("IF x is a THEN y is b\nbroken rule here")
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("error = %v, want line number 2", err)
-	}
-}
+import "testing"
 
 func TestRuleValidate(t *testing.T) {
 	tests := []struct {
@@ -138,23 +26,21 @@ func TestRuleValidate(t *testing.T) {
 	}
 }
 
-func TestMustParseRulePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParseRule should panic on malformed input")
-		}
-	}()
-	MustParseRule("not a rule")
-}
-
-func rulesEqual(a, b Rule) bool {
-	if len(a.If) != len(b.If) || a.Then != b.Then || a.Weight != b.Weight {
-		return false
+func TestRuleString(t *testing.T) {
+	tests := []struct {
+		rule Rule
+		want string
+	}{
+		{
+			Rule{If: []Clause{{"S", "Sl"}, {"A", "B1"}, {"D", "N"}}, Then: Clause{"Cv", "Cv3"}},
+			"IF S is Sl AND A is B1 AND D is N THEN Cv is Cv3",
+		},
+		{Rule{If: []Clause{{"x", "hot"}}, Then: Clause{"y", "cold"}, Weight: 1}, "IF x is hot THEN y is cold"},
+		{Rule{If: []Clause{{"x", "hot"}}, Then: Clause{"y", "cold"}, Weight: 0.25}, "IF x is hot THEN y is cold [0.25]"},
 	}
-	for i := range a.If {
-		if a.If[i] != b.If[i] {
-			return false
+	for _, tc := range tests {
+		if got := tc.rule.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
 	}
-	return true
 }

@@ -90,7 +90,7 @@ func (a SurfaceAxis) locate(x float64) (int, float64) {
 // realised error bounds for the paper's controllers.
 //
 // A Surface is immutable after construction and safe for concurrent
-// use. Unlike Engine.Evaluate, Surface evaluation never fails for
+// use. Unlike Engine.EvaluateVec, Surface evaluation never fails for
 // finite inputs (out-of-universe inputs are clamped exactly as the
 // engine clamps them).
 type Surface struct {
@@ -666,16 +666,6 @@ func (s *Surface) EvaluateVecWithBound(vals ...float64) (value, bound float64, e
 	return out, bound, nil
 }
 
-// AxisSlopeBound returns the largest absolute slope of the surface
-// along the given axis across the edges of the grid cell the query
-// falls in. It bounds how strongly a perturbation of that input can
-// move the interpolated output inside the cell, which lets callers
-// propagate an upstream error bound through a surface composition.
-func (s *Surface) AxisSlopeBound(axis int, vals ...float64) (float64, error) {
-	slope, _, err := s.AxisRangeBounds(axis, nil, vals...)
-	return slope, err
-}
-
 // AxisRangeBounds bounds the surface over every grid cell that the
 // interval spanned by the axis coordinate of vals and the points in
 // extra intersects, holding the other coordinates fixed: it returns
@@ -812,34 +802,6 @@ func (s *Surface) Profile(axis int, vals ...float64) (nodes, values, bounds []fl
 		}
 	}
 	return nodes, values, bounds, nil
-}
-
-// Evaluate answers one query for named crisp inputs, mirroring
-// Engine.Evaluate. Every axis must be present in the map.
-func (s *Surface) Evaluate(inputs map[string]float64) (float64, error) {
-	vals := make([]float64, len(s.axes))
-	for i, ax := range s.axes {
-		x, ok := inputs[ax.Name]
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: missing value for input variable %q", ax.Name)
-		}
-		vals[i] = x
-	}
-	if len(inputs) != len(s.axes) {
-		for name := range inputs {
-			found := false
-			for _, ax := range s.axes {
-				if ax.Name == name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return 0, fmt.Errorf("fuzzy: surface has no input variable %q", name)
-			}
-		}
-	}
-	return s.EvaluateVec(vals...)
 }
 
 // String returns a compact description such as "Cv[67x71x67]".

@@ -350,6 +350,8 @@ func TestSurfaceProfile(t *testing.T) {
 	}
 }
 
+// TestSurfaceAxisSlopeBound: with no extra points AxisRangeBounds
+// reports the steepest edge of the query's own cell along the axis.
 func TestSurfaceAxisSlopeBound(t *testing.T) {
 	e := surfTestEngine(t)
 	s, err := NewSurface(e, WithSurfaceGrid(9))
@@ -358,7 +360,7 @@ func TestSurfaceAxisSlopeBound(t *testing.T) {
 	}
 	q := []float64{4.2, 0.3}
 	for axis := 0; axis < 2; axis++ {
-		got, err := s.AxisSlopeBound(axis, q...)
+		got, _, err := s.AxisRangeBounds(axis, nil, q...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,10 +401,10 @@ func TestSurfaceAxisSlopeBound(t *testing.T) {
 			t.Fatalf("axis %d slope bound = %v, want %v", axis, got, want)
 		}
 	}
-	if _, err := s.AxisSlopeBound(5, q...); err == nil {
+	if _, _, err := s.AxisRangeBounds(5, nil, q...); err == nil {
 		t.Fatal("out-of-range axis should error")
 	}
-	if _, err := s.AxisSlopeBound(0, 1); err == nil {
+	if _, _, err := s.AxisRangeBounds(0, nil, 1); err == nil {
 		t.Fatal("wrong arity should error")
 	}
 }
@@ -425,7 +427,7 @@ func TestSurfaceAxisRangeBounds(t *testing.T) {
 	}
 	// Every cell inside the interval is dominated.
 	for _, x := range []float64{q[0] - spread, q[0] - 1, q[0], q[0] + 1, q[0] + spread} {
-		cellSlope, err := s.AxisSlopeBound(0, x, q[1])
+		cellSlope, _, err := s.AxisRangeBounds(0, nil, x, q[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,51 +442,20 @@ func TestSurfaceAxisRangeBounds(t *testing.T) {
 			t.Fatalf("range error bound %v below cell bound %v at x=%v", bound, cellBound, x)
 		}
 	}
-	// Degenerate interval reduces to the single-cell bound.
+	// Extra points inside the query's own cell add nothing.
 	only, _, err := s.AxisRangeBounds(0, nil, q...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := s.AxisSlopeBound(0, q...)
+	same, _, err := s.AxisRangeBounds(0, []float64{q[0]}, q...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if only != single {
-		t.Fatalf("degenerate range slope %v != single-cell slope %v", only, single)
+	if only != same {
+		t.Fatalf("range slope over the query point %v != single-cell slope %v", same, only)
 	}
 	if _, _, err := s.AxisRangeBounds(3, nil, q...); err == nil {
 		t.Fatal("out-of-range axis should error")
-	}
-}
-
-func TestSurfaceEvaluateMap(t *testing.T) {
-	e := surfTestEngine(t)
-	s, err := NewSurface(e, WithSurfaceGrid(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.EvaluateVec(3.7, 0.42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Evaluate(map[string]float64{"x": 3.7, "y": 0.42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Evaluate map = %v, EvaluateVec = %v", got, want)
-	}
-	if _, err := s.Evaluate(map[string]float64{"x": 1}); err == nil {
-		t.Fatal("missing input should error")
-	}
-	if _, err := s.Evaluate(map[string]float64{"x": 1, "y": 2, "zz": 3}); err == nil {
-		t.Fatal("unknown input should error")
-	}
-	if _, err := s.EvaluateVec(1); err == nil {
-		t.Fatal("wrong arity should error")
-	}
-	if _, _, err := s.EvaluateVecWithBound(1); err == nil {
-		t.Fatal("wrong arity should error")
 	}
 }
 
@@ -539,6 +510,12 @@ func TestSurfaceAccessors(t *testing.T) {
 	axes[0].nodes[0] = 99
 	if s.axes[0].nodes[0] != 0 {
 		t.Fatal("Axes leaked internal node storage")
+	}
+	if _, err := s.EvaluateVec(1); err == nil {
+		t.Fatal("wrong arity should error")
+	}
+	if _, _, err := s.EvaluateVecWithBound(1); err == nil {
+		t.Fatal("wrong arity should error")
 	}
 }
 

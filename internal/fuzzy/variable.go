@@ -117,16 +117,8 @@ func (v *Variable) Clamp(x float64) float64 {
 	}
 }
 
-// Fuzzify returns the membership degree of x (after clamping) in each term,
-// in declaration order.
-func (v *Variable) Fuzzify(x float64) []float64 {
-	out := make([]float64, len(v.terms))
-	v.FuzzifyInto(x, out)
-	return out
-}
-
-// FuzzifyInto is an allocation-free Fuzzify writing into dst, which must
-// have length NumTerms.
+// FuzzifyInto writes the membership degree of x (after clamping) in each
+// term into dst, in declaration order; dst must have length NumTerms.
 func (v *Variable) FuzzifyInto(x float64, dst []float64) {
 	x = v.Clamp(x)
 	for i, t := range v.terms {
@@ -190,18 +182,10 @@ func (v *Variable) HighestTermIndex(x float64) int {
 	return best
 }
 
-// TermCentroid returns the centroid of the named term's membership function
-// restricted to the variable's universe, computed by numeric integration at
-// the given resolution (at least 2 samples). It is used by the
-// weighted-average defuzzifier.
-func (v *Variable) TermCentroid(term string, resolution int) (float64, error) {
-	i, ok := v.index[term]
-	if !ok {
-		return 0, fmt.Errorf("fuzzy: variable %q has no term %q", v.name, term)
-	}
-	return v.termCentroidAt(i, resolution), nil
-}
-
+// termCentroidAt returns the centroid of the i-th term's membership
+// function restricted to the variable's universe, computed by numeric
+// integration at the given resolution (at least 2 samples). It is used by
+// the weighted-average defuzzifier.
 func (v *Variable) termCentroidAt(i, resolution int) float64 {
 	if resolution < 2 {
 		resolution = 2
@@ -216,7 +200,7 @@ func (v *Variable) termCentroidAt(i, resolution int) float64 {
 		den += m
 	}
 	if den == 0 {
-		// Degenerate term (e.g. a singleton falling between samples):
+		// Degenerate term (e.g. a zero-width triangle between samples):
 		// fall back to the kernel midpoint clamped to the universe.
 		lo, hi := mf.Kernel()
 		return v.Clamp((lo + hi) / 2)

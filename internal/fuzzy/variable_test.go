@@ -87,13 +87,11 @@ func TestVariableFuzzify(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := v.Fuzzify(tc.x)
-			if len(got) != len(tc.want) {
-				t.Fatalf("Fuzzify(%v) len = %d, want %d", tc.x, len(got), len(tc.want))
-			}
+			got := make([]float64, v.NumTerms())
+			v.FuzzifyInto(tc.x, got)
 			for i := range got {
 				if !almostEqual(got[i], tc.want[i], 1e-12) {
-					t.Fatalf("Fuzzify(%v)[%d] = %v, want %v", tc.x, i, got[i], tc.want[i])
+					t.Fatalf("FuzzifyInto(%v)[%d] = %v, want %v", tc.x, i, got[i], tc.want[i])
 				}
 			}
 		})
@@ -183,16 +181,18 @@ func (nanMF) Kernel() (lo, hi float64)   { return 0, 1 }
 
 func TestTermCentroid(t *testing.T) {
 	v := speedVariable(t)
-	c, err := v.TermCentroid("M", 100001)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Centroid of triangle with feet 15, 60 and apex 30 is (15+30+60)/3 = 35.
-	if !almostEqual(c, 35, 0.05) {
-		t.Fatalf("TermCentroid(M) = %v, want ~35", c)
+	if c := v.termCentroidAt(1, 100001); !almostEqual(c, 35, 0.05) {
+		t.Fatalf("centroid of M = %v, want ~35", c)
 	}
-	if _, err := v.TermCentroid("nope", 10); err == nil {
-		t.Fatal("TermCentroid(nope) should error")
+	// A zero-width triangle between the samples has no sampled area:
+	// its centroid falls back to the kernel midpoint.
+	dot := MustVariable("y", 0, 1,
+		Term{Name: "all", MF: MustTrapezoidal(0, 1, 0, 0)},
+		Term{Name: "dot", MF: MustTriangular(1.0/3, 0, 0)},
+	)
+	if c := dot.termCentroidAt(1, 11); c != 1.0/3 {
+		t.Fatalf("centroid of dot = %v, want 1/3", c)
 	}
 }
 
@@ -209,7 +209,8 @@ func TestFuzzifyBoundsProperty(t *testing.T) {
 	v := speedVariable(t)
 	prop := func(raw float64) bool {
 		x := clampFinite(raw, -1e6, 1e6)
-		degrees := v.Fuzzify(x)
+		degrees := make([]float64, v.NumTerms())
+		v.FuzzifyInto(x, degrees)
 		var any bool
 		for _, d := range degrees {
 			if d < 0 || d > 1 {
