@@ -391,25 +391,23 @@ func BenchmarkCompiledFACSEvaluateMixed(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledDecideBatch times the compiled decision path the
-// city-facs workload runs: DecideBatchInto on a seeded batch of 512 new
-// calls and handoffs (one in three) over a 19-cell network of 40 BU
-// stations at random occupancy. One op is the whole batch; the metrics
-// report the cost per decision and the share of decisions that fell
-// back to the exact engines.
-func BenchmarkCompiledDecideBatch(b *testing.B) {
+// compiledDecideBatch builds the seeded batch BenchmarkCompiledDecideBatch
+// times and TestCompiledDecideBatchSettlement pins: 512 new calls and
+// handoffs (one in three) over a 19-cell network of 40 BU stations at
+// random occupancy.
+func compiledDecideBatch(tb testing.TB) []facs.AdmissionRequest {
+	tb.Helper()
 	const batchSize = 512
-	cc := compiledBench(b)
 	net, err := facs.NewNetwork(facs.NetworkConfig{Rings: 2})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(15))
 	id := 1
 	for _, bs := range net.Stations() {
 		for target := rng.Intn(bs.Capacity() - 3); bs.Used() < target; id++ {
 			if err := bs.Admit(facs.Call{ID: id, Class: facs.Text, BU: 1}); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
@@ -439,8 +437,21 @@ func BenchmarkCompiledDecideBatch(b *testing.B) {
 		})
 		id++
 	}
+	return reqs
+}
+
+// BenchmarkCompiledDecideBatch times the compiled decision path the
+// city-facs workload runs: DecideBatchInto on the seeded batch of
+// compiledDecideBatch. One op is the whole batch; the metrics report
+// the cost per decision and, of the decisions the station can carry,
+// the share the cell check settled before any interpolation (cell%)
+// and the share that fell back to the exact engines (fallback%).
+func BenchmarkCompiledDecideBatch(b *testing.B) {
+	cc := compiledBench(b)
+	reqs := compiledDecideBatch(b)
 	out := make([]facs.Decision, len(reqs))
 	f0, e0 := cc.Stats()
+	c0 := cc.CellSettled()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -452,6 +463,7 @@ func BenchmarkCompiledDecideBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/decision")
 	f1, e1 := cc.Stats()
 	if total := (f1 - f0) + (e1 - e0); total > 0 {
+		b.ReportMetric(100*float64(cc.CellSettled()-c0)/float64(total), "cell%")
 		b.ReportMetric(100*float64(e1-e0)/float64(total), "fallback%")
 	}
 }

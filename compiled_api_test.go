@@ -65,3 +65,45 @@ func TestPublicRunSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledDecideBatchSettlement pins which step of the compiled
+// decision path settles each request of BenchmarkCompiledDecideBatch's
+// seeded batch. The cell check must settle all but at most 1 in 20 of
+// the requests that reach the controllers, and the exact engines must
+// see exactly the requests the point check alone would send them: a
+// cell verdict is only taken where the point verdict is the same. The
+// outcomes must be the exact System's.
+func TestCompiledDecideBatchSettlement(t *testing.T) {
+	// Before the cell check the point check settled 460 and 5 went exact.
+	const wantCell, wantPoint, wantExact = 459, 1, 5
+	cc, err := facs.DefaultCompiledSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := compiledDecideBatch(t)
+	want, err := facs.DecideAll(facs.MustSystem(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]facs.Decision, len(reqs))
+	f0, e0 := cc.Stats()
+	c0 := cc.CellSettled()
+	if err := cc.DecideBatchInto(reqs, got); err != nil {
+		t.Fatal(err)
+	}
+	f1, e1 := cc.Stats()
+	cell := cc.CellSettled() - c0
+	point, exact := f1-f0-cell, e1-e0
+	for i := range reqs {
+		if got[i] != want[i] {
+			t.Fatalf("request %d: compiled %v, exact %v", i, got[i], want[i])
+		}
+	}
+	if cell != wantCell || point != wantPoint || exact != wantExact {
+		t.Fatalf("settled (cell, point, exact) = (%d, %d, %d), want (%d, %d, %d)",
+			cell, point, exact, wantCell, wantPoint, wantExact)
+	}
+	if total := cell + point + exact; 20*(point+exact) > total {
+		t.Fatalf("%d of %d decisions reached the interpolation, more than 1 in 20", point+exact, total)
+	}
+}

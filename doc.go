@@ -41,12 +41,18 @@
 // golden-equivalence test suite in internal/facs), while accept/reject
 // outcomes and decision grades are always identical to the exact
 // System. An admission decision (Decide, DecideBatchInto) is
-// compare-only: one FLC1 lookup gives Cv and its error bound, and a
-// per-(handoff, R, Cs) table of Cv intervals on which FLC2 is certain
-// to accept or to reject settles the verdict; a request whose Cv range
-// is not inside one interval is re-run on the exact engines (about 1%
-// of a uniformly random workload, and 2% on the city-facs benchmark,
-// whose loaded cells sit near the threshold). Evaluate, which also
+// compare-only: a per-(handoff, R, Cs) table of Cv intervals on which
+// FLC2 is certain to accept or to reject settles any Cv range inside
+// one interval, and each request tries three steps in turn. The cell
+// check asks about the range FLC1 can take anywhere in the request's
+// FLC1 grid cell, a table read with no interpolation, and settles most
+// requests; the point check interpolates Cv and its error bound and
+// asks about that narrower range; a request whose point range is not
+// inside one interval is re-run on the exact engines (about 1% of a
+// uniformly random workload, and 2% on the city-facs benchmark, whose
+// loaded cells sit near the threshold). The point range lies inside
+// the cell range, so the cell check changes which step answers, never
+// the answer or which requests reach the exact engines. Evaluate, which also
 // reports the crisp values and the grade, guards the interpolated A/R
 // value against the threshold and the grade boundaries instead (about
 // 2% fallbacks on the same random workload). Use the exact System when

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"facs/internal/fuzzy"
 	"facs/internal/snap"
@@ -73,33 +74,73 @@ func cachePath(dir string, gridSize int) string {
 // config hash.
 const cacheKind = "facs-surfaces"
 
-// loadSurfaces reads and validates both compiled surfaces from path.
-func loadSurfaces(path string, wantHash uint64) (surf1, surf2 *fuzzy.Surface, err error) {
+// loadCompiled reads both compiled surfaces from path, validates them
+// against sys and assembles the controller. A checksum is not a secret
+// and a config hash does not say which blob is which, so each surface
+// must also be the one sys compiles at its place: the same output, the
+// same inputs in order, finite values (the engines' outputs always
+// are), an error map, and the same aligned axes (none for FLC1; R and
+// Cs for FLC2). Any mismatch is reported as snap.ErrSnapshotCorrupt.
+func loadCompiled(path string, wantHash uint64, sys *System) (*CompiledController, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	d, err := snap.NewDecoder(f, cacheKind, wantHash)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	blobs := [2][]byte{d.Blob(), d.Blob()}
 	if err := d.Close(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	engines := [2]*fuzzy.Engine{sys.FLC1(), sys.FLC2()}
+	aligned := [2][]string{nil, flc2AlignedAxes}
 	var surfs [2]*fuzzy.Surface
 	for i, b := range blobs {
 		s, err := fuzzy.DecodeSurface(bytes.NewReader(b), wantHash)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if !s.HasErrorMap() {
-			return nil, nil, fmt.Errorf("%w: cached surface %s has no error map", snap.ErrSnapshotCorrupt, s)
+		if err := matchSurface(s, engines[i], aligned[i]); err != nil {
+			return nil, fmt.Errorf("%w: cached surface %d: %v", snap.ErrSnapshotCorrupt, i+1, err)
 		}
 		surfs[i] = s
 	}
-	return surfs[0], surfs[1], nil
+	c, err := newCompiledFromSurfaces(sys, surfs[0], surfs[1])
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", snap.ErrSnapshotCorrupt, err)
+	}
+	return c, nil
+}
+
+// matchSurface checks that s was compiled from an engine shaped like e,
+// holds finite values, and has an error map with the given aligned
+// axes.
+func matchSurface(s *fuzzy.Surface, e *fuzzy.Engine, aligned []string) error {
+	if s.OutputName() != e.Output().Name() {
+		return fmt.Errorf("%s encodes %q, want %q", s, s.OutputName(), e.Output().Name())
+	}
+	axes, inputs := s.Axes(), e.Inputs()
+	if len(axes) != len(inputs) {
+		return fmt.Errorf("%s has %d inputs, want %d", s, len(axes), len(inputs))
+	}
+	for i, ax := range axes {
+		if ax.Name != inputs[i].Name() {
+			return fmt.Errorf("%s input %d is %q, want %q", s, i, ax.Name, inputs[i].Name())
+		}
+	}
+	if !s.FiniteValues() {
+		return fmt.Errorf("%s holds a non-finite value", s)
+	}
+	if !s.HasErrorMap() {
+		return fmt.Errorf("%s has no error map", s)
+	}
+	if got := s.AlignedAxes(); !slices.Equal(got, aligned) {
+		return fmt.Errorf("%s has aligned axes %v, want %v", s, got, aligned)
+	}
+	return nil
 }
 
 // writeSurfaces persists both compiled surfaces with
@@ -146,17 +187,17 @@ func CompileSystemCached(sys *System, gridSize int, dir string) (*CompiledContro
 	}
 	hash := surfaceConfigHash(sys, gridSize)
 	info := CacheInfo{Path: cachePath(dir, gridSize)}
-	surf1, surf2, err := loadSurfaces(info.Path, hash)
+	c, err := loadCompiled(info.Path, hash, sys)
 	if err == nil {
 		info.Hit = true
-		return newCompiledFromSurfaces(sys, surf1, surf2), info, nil
+		return c, info, nil
 	}
 	// Anything but "no entry yet" means an entry existed and failed
 	// validation; report it as stale so operators notice churn.
 	if !errors.Is(err, fs.ErrNotExist) {
 		info.Stale = true
 	}
-	c, err := CompileSystem(sys, gridSize)
+	c, err = CompileSystem(sys, gridSize)
 	if err != nil {
 		return nil, info, err
 	}

@@ -2,11 +2,16 @@ package facs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"facs/internal/fuzzy"
 	"facs/internal/gps"
 	"facs/internal/snap"
 )
@@ -269,8 +274,8 @@ func TestSurfaceCacheV1EntryRecompiled(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s1, s2, err := loadSurfaces(path, surfaceConfigHash(Must(), grid)); !errors.Is(err, snap.ErrSnapshotCorrupt) || s1 != nil || s2 != nil {
-		t.Fatalf("version 1 entry loads as (%v, %v, %v), want snap.ErrSnapshotCorrupt", s1, s2, err)
+	if c, err := loadCompiled(path, surfaceConfigHash(Must(), grid), Must()); !errors.Is(err, snap.ErrSnapshotCorrupt) || c != nil {
+		t.Fatalf("version 1 entry loads as (%v, %v), want snap.ErrSnapshotCorrupt", c, err)
 	}
 
 	before := CompileCount()
@@ -301,4 +306,162 @@ func TestSurfaceCacheV1EntryRecompiled(t *testing.T) {
 		t.Fatalf("rewritten entry should hit, got %+v", info)
 	}
 	assertSameAnswers(t, c, warm)
+}
+
+// rewriteCacheEntry re-encodes the cache entry at path, checksums
+// included, after edit has changed its two nested surface blobs: the
+// envelope stays valid, so only the content checks can refuse it.
+func rewriteCacheEntry(t *testing.T, path string, hash uint64, edit func(blobs [][]byte)) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := snap.NewDecoder(f, cacheKind, hash)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := [][]byte{d.Blob(), d.Blob()}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	edit(blobs)
+	var buf bytes.Buffer
+	e := snap.NewEncoder(&buf, cacheKind, hash)
+	for _, b := range blobs {
+		e.Blob(b)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertRecompiled requires CompileSystemCached to report the entry in
+// dir stale, compile once, and answer like a fresh compile.
+func assertRecompiled(t *testing.T, dir string) {
+	t.Helper()
+	before := CompileCount()
+	c, info, err := CompileSystemCached(Must(), cacheTestGrid, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Stale || info.Hit {
+		t.Fatalf("tampered entry should report stale, got %+v", info)
+	}
+	if got := CompileCount() - before; got != 1 {
+		t.Fatalf("tampered entry must recompile once, compiled %d times", got)
+	}
+	ref, err := CompileSystem(Must(), cacheTestGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, ref, c)
+}
+
+// TestSurfaceCacheBadContentRecompiled: an entry whose content is
+// edited behind valid checksums must be reported stale and recompiled.
+// With every error bound scaled by −50 the guard bands turn negative
+// and the compiled path would trust interpolated values near the
+// threshold and flip decisions; with NaN node values every decision
+// would silently take the exact fallback.
+func TestSurfaceCacheBadContentRecompiled(t *testing.T) {
+	ref, err := CompileSystem(Must(), cacheTestGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(b []byte, s *fuzzy.Surface){
+		"negative bounds": func(b []byte, s *fuzzy.Surface) {
+			// The error map is the last section of a surface payload,
+			// right before the 8-byte checksum.
+			scaleFloats(b, len(b)-8, errorMapLen(s), -50)
+		},
+		"NaN values": func(b []byte, s *fuzzy.Surface) {
+			// The values precede the error map's has-map flag, aligned
+			// mask and count.
+			scaleFloats(b, len(b)-8-8*errorMapLen(s)-4-4-1, s.NumNodes(), math.NaN())
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, info, err := CompileSystemCached(Must(), cacheTestGrid, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash := surfaceConfigHash(Must(), cacheTestGrid)
+			rewriteCacheEntry(t, info.Path, hash, func(blobs [][]byte) {
+				for i, s := range []*fuzzy.Surface{ref.surf1, ref.surf2} {
+					b := blobs[i]
+					edit(b, s)
+					h := fnv.New64a()
+					h.Write(b[:len(b)-8])
+					binary.LittleEndian.PutUint64(b[len(b)-8:], h.Sum64())
+				}
+			})
+			assertRecompiled(t, dir)
+		})
+	}
+}
+
+// scaleFloats multiplies the n float64s that end at byte end of b by k.
+func scaleFloats(b []byte, end, n int, k float64) {
+	for off := end - 8*n; off < end; off += 8 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(k*v))
+	}
+}
+
+// errorMapLen is the number of error bounds s carries: one per node
+// along its aligned axes and one per cell along the others.
+func errorMapLen(s *fuzzy.Surface) int {
+	aligned := s.AlignedAxes()
+	n := 1
+	for _, ax := range s.Axes() {
+		if slices.Contains(aligned, ax.Name) {
+			n *= ax.N()
+		} else {
+			n *= ax.N() - 1
+		}
+	}
+	return n
+}
+
+// TestSurfaceCacheSwappedSurfacesRecompiled: an entry with the FLC1 and
+// FLC2 blobs swapped carries valid checksums and the right config hash,
+// but would send every decision to the exact fallback (or fail to build
+// the FLC1 cell ranges). It must be reported stale and recompiled.
+func TestSurfaceCacheSwappedSurfacesRecompiled(t *testing.T) {
+	dir := t.TempDir()
+	_, info, err := CompileSystemCached(Must(), cacheTestGrid, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewriteCacheEntry(t, info.Path, surfaceConfigHash(Must(), cacheTestGrid), func(blobs [][]byte) {
+		blobs[0], blobs[1] = blobs[1], blobs[0]
+	})
+	assertRecompiled(t, dir)
+
+	// The shape check itself tells each surface from the other and from
+	// a wrong aligned-axis mask.
+	c, sys := goldenCompiled(t), Must()
+	for _, tc := range []struct {
+		s       *fuzzy.Surface
+		e       *fuzzy.Engine
+		aligned []string
+		ok      bool
+	}{
+		{c.surf1, sys.FLC1(), nil, true},
+		{c.surf2, sys.FLC2(), flc2AlignedAxes, true},
+		{c.surf2, sys.FLC1(), nil, false},
+		{c.surf1, sys.FLC2(), flc2AlignedAxes, false},
+		{c.surf1, sys.FLC1(), flc2AlignedAxes, false},
+		{c.surf2, sys.FLC2(), nil, false},
+	} {
+		if err := matchSurface(tc.s, tc.e, tc.aligned); (err == nil) != tc.ok {
+			t.Errorf("matchSurface(%s, %s, %v) = %v, want ok %v", tc.s, tc.e.Output().Name(), tc.aligned, err, tc.ok)
+		}
+	}
 }

@@ -32,18 +32,24 @@ const surfaceErrorSafety = 2
 // (FLC1: speed x angle x distance -> Cv; FLC2: Cv x R x Cs -> A/R) at
 // construction time.
 //
-// An admission decision (Decide, DecideBatchInto) is compare-only: one
-// FLC1 lookup gives the interpolated Cv and its error bound b1, and a
-// per-(handoff, R, Cs) table of certain Cv intervals, built from the
-// FLC2 surface's node values and node-aligned error bounds, settles
-// the verdict when [Cv−b1, Cv+b1] lies inside one of them. Any other
-// request re-runs the exact engines. Evaluate, which also reports the
-// crisp values and the grade, interpolates both surfaces and falls back
-// when the A/R value lands within the propagated bound of the accept
-// threshold or a grade boundary. Either way decisions and grades match
-// the exact System; the crisp Cv and A/R values themselves carry the
-// small interpolation tolerance documented in the golden-equivalence
-// test suite (internal/facs/compiled_test.go).
+// An admission decision (Decide, DecideBatchInto) is compare-only, in
+// three steps. A per-(handoff, R, Cs) accept table of certain Cv
+// intervals, built from the FLC2 surface's node values and node-aligned
+// error bounds, answers whether a Cv range has one verdict. First the
+// cell check asks it about the range FLC1's exact output can take
+// anywhere in the query's FLC1 grid cell (fuzzy.CellRanges): one read
+// per request, no interpolation. On a miss the point check interpolates
+// Cv and its error bound b1 and asks about [Cv−b1, Cv+b1], which lies
+// inside the cell range, so a cell verdict is as sound as a point
+// verdict and the requests that reach the third step, the exact
+// engines, are the ones the point check alone would send there.
+// Evaluate, which also reports the crisp values and the grade,
+// interpolates both surfaces and falls back when the A/R value lands
+// within the propagated bound of the accept threshold or a grade
+// boundary. Either way decisions and grades match the exact System;
+// the crisp Cv and A/R values themselves carry the small interpolation
+// tolerance documented in the golden-equivalence test suite
+// (internal/facs/compiled_test.go).
 //
 // A CompiledController is immutable after construction (the fallback
 // counters aside) and safe for concurrent use.
@@ -53,9 +59,11 @@ type CompiledController struct {
 	surf2      *fuzzy.Surface
 	boundaries []float64 // accept threshold + grade switch points, on the A/R axis
 	table      acceptTable
+	cells      *fuzzy.CellRanges // FLC1's range per grid cell
 
 	fast  atomic.Int64
 	exact atomic.Int64
+	cell  atomic.Int64 // the fast decisions the cell check settled
 }
 
 var (
@@ -130,7 +138,7 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 		return nil, fmt.Errorf("facs: compiling FLC2 surface: %w", err)
 	}
 	compileCount.Add(1)
-	return newCompiledFromSurfaces(sys, surf1, surf2), nil
+	return newCompiledFromSurfaces(sys, surf1, surf2)
 }
 
 // flc2AlignedAxes are the admission surface's inputs that every query
@@ -138,17 +146,24 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 var flc2AlignedAxes = []string{VarRequest, VarCounter}
 
 // newCompiledFromSurfaces assembles a controller from already compiled
-// (or cache-decoded) surfaces. The grade/threshold boundaries and the
-// accept table are re-derived from the system and the surfaces, which
-// is cheap; only the surface sampling itself is worth persisting.
-func newCompiledFromSurfaces(sys *System, surf1, surf2 *fuzzy.Surface) *CompiledController {
+// (or cache-decoded) surfaces. The grade/threshold boundaries, the
+// accept table and FLC1's cell ranges are re-derived from the system
+// and the surfaces, which is cheap; only the surface sampling itself is
+// worth persisting. Everything is built here, before the controller
+// serves, so no decision pays for a lazy build.
+func newCompiledFromSurfaces(sys *System, surf1, surf2 *fuzzy.Surface) (*CompiledController, error) {
+	cells, err := fuzzy.NewCellRanges(surf1)
+	if err != nil {
+		return nil, fmt.Errorf("facs: FLC1 cell ranges: %w", err)
+	}
 	return &CompiledController{
 		sys:        sys,
 		surf1:      surf1,
 		surf2:      surf2,
 		boundaries: append(gradeBoundaries(sys.flc2.Output()), sys.acceptThreshold),
 		table:      newAcceptTable(sys, surf2),
-	}
+		cells:      cells,
+	}, nil
 }
 
 // integerNodes lists 1, 2, ..., ceil(max)-1 (interior integers; the
@@ -241,6 +256,10 @@ func (c *CompiledController) Stats() (fast, exact int64) {
 	return c.fast.Load(), c.exact.Load()
 }
 
+// CellSettled reports how many of the fast decisions Stats counts were
+// settled by the cell check, before any interpolation.
+func (c *CompiledController) CellSettled() int64 { return c.cell.Load() }
+
 // Predict runs the compiled FLC1 surface, returning the correction
 // value for an observation. The result carries the documented
 // interpolation tolerance; use System().Predict for the exact value.
@@ -305,29 +324,37 @@ func (c *CompiledController) DecideBatch(reqs []cac.Request) ([]cac.Decision, er
 
 // DecideBatchInto implements cac.BatchIntoController: DecideBatch
 // semantics into a caller-provided buffer. Each request that its
-// station can carry costs one FLC1 lookup and an interval compare in
-// the accept table; only requests whose FLC1 uncertainty range is not
-// inside one certain interval run the exact engines. The station
-// occupancy is read once per run of requests aimed at the same station.
-// Nothing here allocates.
+// station can carry goes through the cell → point → exact steps of
+// CompiledController: the cell check (three guided locates and one
+// table read, then an interval compare in the accept table) settles
+// most of them; a miss interpolates FLC1 for the point check, and only
+// a request whose point range is not inside one certain interval runs
+// the exact engines. The station occupancy is read once per run of
+// requests aimed at the same station. Nothing here allocates.
 //
 //facs:hotpath
 func (c *CompiledController) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {
-	fast, exact, err := c.decideBatch(reqs, out)
-	c.fast.Add(fast)
-	c.exact.Add(exact)
+	n, err := c.decideBatch(reqs, out)
+	c.cell.Add(n.cell)
+	c.fast.Add(n.cell + n.point)
+	c.exact.Add(n.exact)
 	return err
 }
 
-// decideBatch is DecideBatchInto with the fallback counts returned
-// rather than published per request.
-func (c *CompiledController) decideBatch(reqs []cac.Request, out []cac.Decision) (fast, exact int64, err error) {
+// decideCounts tallies which step settled each decision of a batch.
+type decideCounts struct {
+	cell, point, exact int64
+}
+
+// decideBatch is DecideBatchInto with the step counts returned rather
+// than published per request.
+func (c *CompiledController) decideBatch(reqs []cac.Request, out []cac.Decision) (n decideCounts, err error) {
 	var station *cell.BaseStation
 	used, free := 0, 0
 	for i := range reqs {
 		req := &reqs[i]
 		if err := req.Validate(); err != nil {
-			return fast, exact, err
+			return n, err
 		}
 		// Decide must not mutate stations, so occupancy is stable for
 		// the whole batch and one read serves every consecutive request
@@ -341,20 +368,30 @@ func (c *CompiledController) decideBatch(reqs []cac.Request, out []cac.Decision)
 			out[i] = cac.Reject
 			continue
 		}
-		cv, b1, err := c.surf1.EvaluateVecWithBound(req.Obs.SpeedKmh, req.Obs.AngleDeg, req.Obs.DistanceKm)
+		obs := &req.Obs
+		lo, hi, err := c.cells.Range(obs.SpeedKmh, obs.AngleDeg, obs.DistanceKm)
 		if err != nil {
-			return fast, exact, err
+			return n, err
 		}
-		accepted, ok := c.table.decide(req.Handoff, req.Call.BU, used, cv-b1, cv+b1)
+		accepted, ok := c.table.decide(req.Handoff, req.Call.BU, used, lo, hi)
 		if ok {
-			fast++
+			n.cell++
 		} else {
-			exact++
-			ev, err := c.sys.Evaluate(req.Obs, req.Call.BU, used, req.Handoff)
+			cv, b1, err := c.surf1.EvaluateVecWithBound(obs.SpeedKmh, obs.AngleDeg, obs.DistanceKm)
 			if err != nil {
-				return fast, exact, err
+				return n, err
 			}
-			accepted = ev.Accepted
+			accepted, ok = c.table.decide(req.Handoff, req.Call.BU, used, cv-b1, cv+b1)
+			if ok {
+				n.point++
+			} else {
+				n.exact++
+				ev, err := c.sys.Evaluate(req.Obs, req.Call.BU, used, req.Handoff)
+				if err != nil {
+					return n, err
+				}
+				accepted = ev.Accepted
+			}
 		}
 		if accepted {
 			out[i] = cac.Accept
@@ -362,7 +399,7 @@ func (c *CompiledController) decideBatch(reqs []cac.Request, out []cac.Decision)
 			out[i] = cac.Reject
 		}
 	}
-	return fast, exact, nil
+	return n, nil
 }
 
 // Decide implements cac.Controller with the same semantics as

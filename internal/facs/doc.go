@@ -25,16 +25,31 @@
 // construction, an accept table: per (handoff, R, Cs), the Cv intervals
 // on which the surface minus its bound clears the threshold (certain
 // accept) or plus its bound stays below it (certain reject), by a
-// margin ε. One FLC1 lookup gives Cv and its error bound b1; when
-// [Cv−b1, Cv+b1] lies inside one interval its class is the verdict,
-// and otherwise the exact engines decide (about 2% of the decisions
-// on the city-facs benchmark, 1% of a uniformly random workload).
+// margin ε. A Cv range inside one interval takes its class as the
+// verdict. A decision then runs cell → point → exact:
+//
+//   - cell: the FLC1 cell ranges (fuzzy.CellRanges, built at
+//     construction) give the range FLC1's exact output can take anywhere
+//     in the query's grid cell, from three guided locates and one read,
+//     with no interpolation;
+//   - point: on a miss, one FLC1 interpolation gives Cv and its error
+//     bound b1, and [Cv−b1, Cv+b1] is asked instead. It lies inside the
+//     cell range, so the cell check never settles a request the point
+//     check would not settle the same way;
+//   - exact: anything else runs the exact engines (about 2% of the
+//     decisions on the city-facs benchmark, 1% of a uniformly random
+//     workload).
+//
+// On BenchmarkCompiledDecideBatch's batch the cell check settles 459
+// of the 465 decisions that reach the surfaces; CellSettled counts the
+// decisions it settles.
 // Evaluate, which reports the crisp values and the grade as well,
 // interpolates both surfaces and re-runs the exact engines when the
 // A/R value lands within the propagated bound of the accept threshold
 // or a grade boundary. compiled_test.go pins the contract end to end;
 // accept_test.go checks every interval of the table against the exact
-// engines.
+// engines, and cellrange_test.go every FLC1 cell range against its
+// corners and bound.
 //
 // # Surface persistence
 //

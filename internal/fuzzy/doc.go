@@ -56,6 +56,8 @@
 // snap.FormatVersion, checksummed and validated against a caller config
 // hash (snap.ErrSnapshotStale, snap.ErrSnapshotCorrupt), so processes
 // can load surfaces in milliseconds instead of recompiling for seconds.
+// The checksum is not a secret, so the decoder also refuses axis nodes
+// that are not finite and error bounds that are negative or NaN.
 //
 // # Error maps and aligned axes
 //
@@ -76,11 +78,29 @@
 // Profile returns a surface along one axis — node values and each
 // cell's bound — for callers that precompute decisions from it.
 //
+// # Locating a query and cell ranges
+//
+// Every lookup first locates each coordinate's cell. An axis keeps a
+// guide table of two uniform buckets per cell, each naming the last
+// node whose bucket is below it; the bucket of a coordinate never
+// decreases as it grows, so that node is at or below the query's cell,
+// and a short forward step finds the cell. It returns the (j, f) a
+// binary search would, clamping included. CellRanges summarises a
+// surface whose error map has no aligned axes cell by cell: [min
+// corner − b, max corner + b], padded past rounding and stored as an
+// outward-rounded float32 pair. The range a point lookup implies,
+// value ± bound, lies inside its cell's range, because the
+// interpolated value is a convex combination of the corners. A caller
+// that can settle a question from the cell range skips the
+// interpolation; internal/facs settles most admission decisions that
+// way before it interpolates FLC1.
+//
 // # Entry points
 //
 // NewVariable/NewTriangular/NewTrapezoidal (and the shoulder forms)
 // build the vocabulary; Rule literals write the rule table; NewEngine
 // (with WithDefuzzifier) assembles a controller; Engine.EvaluateVec runs
 // one inference, Infer stops before defuzzification and Explain reports
-// the fired rules; NewSurface compiles the lookup table.
+// the fired rules; NewSurface compiles the lookup table and
+// NewCellRanges its per-cell summary.
 package fuzzy

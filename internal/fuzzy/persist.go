@@ -3,6 +3,7 @@ package fuzzy
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"facs/internal/snap"
 )
@@ -67,8 +68,13 @@ func EncodeSurface(w io.Writer, s *Surface, configHash uint64) error {
 // DecodeSurface reads a surface previously written by EncodeSurface.
 // Every error wraps snap.ErrSnapshotStale (format version or the
 // caller's expected configHash differ) or snap.ErrSnapshotCorrupt
-// (bad magic, checksum or shape). The rebuilt surface answers every
-// query identically to the encoded one.
+// (bad magic, checksum, shape or content). The checksum is not a
+// secret, so content is checked too: axis nodes must be finite and
+// error bounds non-negative (+Inf allowed). Values are kept bit for bit
+// whatever they are, as an engine may produce non-finite outputs; a
+// NaN value propagates into every answer it touches, which guarded
+// callers treat as uncertain. The rebuilt surface answers every query
+// identically to the encoded one.
 func DecodeSurface(r io.Reader, wantConfigHash uint64) (*Surface, error) {
 	d, err := snap.NewDecoder(r, surfaceKind, wantConfigHash)
 	if err != nil {
@@ -101,11 +107,13 @@ func DecodeSurface(r io.Reader, wantConfigHash uint64) (*Surface, error) {
 			d.Fail("axis %q has %d nodes", name, n)
 		case total > maxEncodedTotalNodes/n:
 			d.Fail("declared grid exceeds %d nodes", maxEncodedTotalNodes)
+		case !(nodes[n-1]-nodes[0] < math.Inf(1)): // also catches NaN
+			d.Fail("axis %q spans [%v, %v], not a finite range", name, nodes[0], nodes[n-1])
 		}
 		if d.Err() != nil {
 			break
 		}
-		s.axes[i] = SurfaceAxis{Name: name, nodes: nodes}
+		s.axes[i] = newSurfaceAxis(name, nodes)
 		total *= n
 	}
 	// Row-major layout, identical to NewSurface.
@@ -125,6 +133,14 @@ func DecodeSurface(r io.Reader, wantConfigHash uint64) (*Surface, error) {
 		s.errs = d.F64s()
 		if n := s.initErrorMap(aligned); len(s.errs) != n {
 			d.Fail("%d error bounds, want %d", len(s.errs), n)
+		}
+		// A bound below zero (or NaN) would make a guarded caller trust
+		// a value it has no bound for; +Inf is a valid "never certain".
+		for k, b := range s.errs {
+			if !(b >= 0) {
+				d.Fail("error bound %d is %v", k, b)
+				break
+			}
 		}
 	}
 	if err := d.Close(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -91,6 +92,12 @@ func fuzzSurfaceSeeds() []fuzzSeed {
 		fixChecksum(mut)
 		seeds = append(seeds, fuzzSeed{"fixed_" + c.name, mut})
 	}
+	// The last error bound sits right before the checksum; setting its
+	// sign bit makes it negative.
+	neg := append([]byte(nil), valid...)
+	neg[len(neg)-9] |= 0x80
+	fixChecksum(neg)
+	seeds = append(seeds, fuzzSeed{"fixed_negative_bound", neg})
 	return seeds
 }
 
@@ -103,8 +110,9 @@ type fuzzSeed struct {
 // whatever bytes arrive — truncated, bit-flipped, adversarially
 // structured — DecodeSurface either returns a usable surface or one of
 // the two snap sentinel errors (ErrSnapshotStale, ErrSnapshotCorrupt).
-// It must never panic, never return an unclassified error, and never
-// hand back a surface alongside an error. It is the one fuzz target
+// It must never panic, never return an unclassified error, never hand
+// back a surface alongside an error, and never hand back a negative or
+// NaN error bound or an axis of infinite span. It is the one fuzz target
 // that reaches the surface shape checks behind the envelope. CI runs a
 // bounded smoke (-fuzz=FuzzDecodeSurface -fuzztime=10s); the checked-in
 // corpus under testdata/fuzz replays as part of the normal test suite.
@@ -126,6 +134,18 @@ func FuzzDecodeSurface(f *testing.F) {
 		}
 		if s == nil {
 			t.Fatal("nil surface without error")
+		}
+		// Every bound a guarded caller may act on is a real bound, and
+		// every axis spans a finite range.
+		for k, b := range s.errs {
+			if !(b >= 0) {
+				t.Fatalf("decoded error bound %d is %v", k, b)
+			}
+		}
+		for _, a := range s.axes {
+			if !(a.Max()-a.Min() < math.Inf(1)) {
+				t.Fatalf("decoded axis %q spans [%v, %v]", a.Name, a.Min(), a.Max())
+			}
 		}
 		// A blob that decodes must yield a usable interpolant: probing a
 		// grid corner exercises the rebuilt axes and value array.

@@ -321,3 +321,42 @@ func TestSurfacePersistNaNValues(t *testing.T) {
 		t.Fatalf("non-finite values not preserved: %v", got.values)
 	}
 }
+
+// TestSurfacePersistRejectsBadContent: a checksum-valid blob whose
+// error bounds are negative or NaN, or whose axis nodes are not finite,
+// is corrupt. A guarded caller would trust a value a negative bound
+// claims to bound, and a guided locate needs a finite axis span. An
+// infinite bound means "never certain" and is kept.
+func TestSurfacePersistRejectsBadContent(t *testing.T) {
+	craft := func(nodes []float64, errs ...float64) []byte {
+		return craftSurfaceBlob(t, 9, func(e *snap.Encoder) {
+			e.Str("z")
+			e.U32(1)
+			e.Str("x")
+			e.F64s(nodes)
+			e.F64s(make([]float64, len(nodes)))
+			e.Bool(true)
+			e.U32(0)
+			e.F64s(errs)
+		})
+	}
+	for name, blob := range map[string][]byte{
+		"negative bound":      craft([]float64{0, 1, 2}, 0.1, -0.1),
+		"tiny negative bound": craft([]float64{0, 1, 2}, -1e-300, 0),
+		"NaN bound":           craft([]float64{0, 1, 2}, math.NaN(), 0),
+		"infinite node":       craft([]float64{0, 1, math.Inf(1)}, 0, 0),
+		"-infinite node":      craft([]float64{math.Inf(-1), 1, 2}, 0, 0),
+		"overflowing span":    craft([]float64{-math.MaxFloat64, 0, math.MaxFloat64}, 0, 0),
+	} {
+		if s, err := DecodeSurface(bytes.NewReader(blob), 9); !errors.Is(err, snap.ErrSnapshotCorrupt) || s != nil {
+			t.Errorf("%s: got (%v, %v), want snap.ErrSnapshotCorrupt", name, s, err)
+		}
+	}
+	s, err := DecodeSurface(bytes.NewReader(craft([]float64{0, 1, 2}, math.Inf(1), 0)), 9)
+	if err != nil {
+		t.Fatalf("an infinite bound should decode: %v", err)
+	}
+	if _, b, _ := s.EvaluateVecWithBound(0.5); !math.IsInf(b, 1) {
+		t.Fatalf("bound in the first cell = %v, want +Inf", b)
+	}
+}

@@ -26,13 +26,57 @@ const maxSurfaceDims = 8
 // bounds) while a three-input table stays under 3 MB.
 const DefaultSurfaceGridSize = 65
 
+// guideBucketsPerCell is how many uniform guide buckets an axis keeps
+// per grid cell. Two per cell leave at most a node or two between a
+// bucket's start node and any query in it.
+const guideBucketsPerCell = 2
+
 // SurfaceAxis is one input dimension of a compiled surface: the
 // variable name plus the sorted, strictly increasing grid nodes along
-// its universe.
+// its universe, and a guide table that locate starts from.
 type SurfaceAxis struct {
 	Name  string
 	nodes []float64
+	// guide[b] is the last node whose bucket is below b (0 if none),
+	// where a coordinate's bucket is int((x-nodes[0])*scale).
+	guide []int32
+	scale float64
 }
+
+// newSurfaceAxis builds an axis over finite, strictly increasing nodes
+// (at least two) whose span is finite, with its guide table. NewVariable
+// refuses a universe whose span overflows, and DecodeSurface checks it.
+//
+// The bucket of a coordinate never decreases as the coordinate grows,
+// because a float subtraction and a multiplication by a positive
+// constant are monotone. So every node whose bucket is below a query's
+// bucket lies below the query, and guide[b] is never past the cell of
+// any query in bucket b: locate reaches that cell by stepping forward.
+func newSurfaceAxis(name string, nodes []float64) SurfaceAxis {
+	cells := len(nodes) - 1
+	nb := guideBucketsPerCell * cells
+	a := SurfaceAxis{
+		Name:  name,
+		nodes: nodes,
+		guide: make([]int32, nb+1),
+		scale: float64(nb) / (nodes[cells] - nodes[0]),
+	}
+	// A query below the last node has a bucket of at most nb, and its
+	// cell is at most cells-1.
+	j := 0
+	for b := range a.guide {
+		for j+1 < cells && a.bucket(nodes[j+1]) < b {
+			j++
+		}
+		a.guide[b] = int32(j)
+	}
+	return a
+}
+
+// bucket is the guide bucket of a coordinate inside the axis. locate
+// spells the same expression out, which keeps it within the inlining
+// budget; the guided-locate test compares the two paths.
+func (a *SurfaceAxis) bucket(x float64) int { return int((x - a.nodes[0]) * a.scale) }
 
 // Min returns the first grid node (the universe lower bound).
 func (a SurfaceAxis) Min() float64 { return a.nodes[0] }
@@ -48,32 +92,25 @@ func (a SurfaceAxis) Nodes() []float64 { return append([]float64(nil), a.nodes..
 
 // locate maps x to its lower grid node index and the fractional
 // position inside the cell, clamping to the universe exactly like
-// Variable.Clamp (NaN clamps low).
-func (a SurfaceAxis) locate(x float64) (int, float64) {
-	if !(x > a.nodes[0]) { // also catches NaN
+// Variable.Clamp (NaN clamps low). The guide table gives a node at or
+// below the cell, and a short forward step finds the cell:
+// nodes[j] <= x < nodes[j+1]. Then 0 <= x-nodes[j] <= nodes[j+1]-nodes[j]
+// holds after rounding too, since rounding is monotone, so f lies in
+// [0, 1] without a clamp.
+func (a *SurfaceAxis) locate(x float64) (int, float64) {
+	nodes := a.nodes
+	if !(x > nodes[0]) { // also catches NaN
 		return 0, 0
 	}
-	last := len(a.nodes) - 1
-	if x >= a.nodes[last] {
+	last := len(nodes) - 1
+	if x >= nodes[last] {
 		return last - 1, 1
 	}
-	// Binary search for the cell: nodes[j] <= x < nodes[j+1].
-	lo, hi := 0, last
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if a.nodes[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	j := int(a.guide[int((x-nodes[0])*a.scale)]) // a.bucket(x), spelled out to keep locate inlinable
+	for nodes[j+1] <= x {
+		j++
 	}
-	f := (x - a.nodes[lo]) / (a.nodes[lo+1] - a.nodes[lo])
-	if f < 0 {
-		f = 0
-	} else if f > 1 {
-		f = 1
-	}
-	return lo, f
+	return j, (x - nodes[j]) / (nodes[j+1] - nodes[j])
 }
 
 // Surface is a compiled lookup-table approximation of an Engine: the
@@ -296,7 +333,7 @@ func NewSurface(e *Engine, opts ...SurfaceOption) (*Surface, error) {
 		if c.grid[i] < 2 {
 			return nil, fmt.Errorf("fuzzy: grid size for axis %q must be >= 2, got %d", v.Name(), c.grid[i])
 		}
-		s.axes[i] = SurfaceAxis{Name: v.Name(), nodes: axisNodes(v, c.grid[i], c.extra[v.Name()])}
+		s.axes[i] = newSurfaceAxis(v.Name(), axisNodes(v, c.grid[i], c.extra[v.Name()]))
 		total *= s.axes[i].N()
 	}
 	// Row-major layout: the last axis varies fastest.
@@ -557,11 +594,36 @@ func (s *Surface) errIndex(i, j int, f float64) (k int, ok bool) {
 // HasErrorMap reports whether the surface carries local error bounds.
 func (s *Surface) HasErrorMap() bool { return s.errs != nil }
 
+// FiniteValues reports whether every node value is finite. A decoded
+// surface keeps whatever values it was given, so a caller whose engine
+// only produces finite outputs can check a loaded table with it.
+func (s *Surface) FiniteValues() bool {
+	for _, v := range s.values {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// AlignedAxes returns the names of the error map's aligned axes
+// (WithSurfaceAlignedAxes) in input order; nil when there are none.
+func (s *Surface) AlignedAxes() []string {
+	var out []string
+	for i, ax := range s.axes {
+		if s.aligned&(1<<i) != 0 {
+			out = append(out, ax.Name)
+		}
+	}
+	return out
+}
+
 // Axes returns the grid axes in input declaration order.
 func (s *Surface) Axes() []SurfaceAxis {
 	out := make([]SurfaceAxis, len(s.axes))
 	for i, ax := range s.axes {
-		out[i] = SurfaceAxis{Name: ax.Name, nodes: ax.Nodes()}
+		ax.nodes = ax.Nodes() // the guide is read-only and shared
+		out[i] = ax
 	}
 	return out
 }
