@@ -40,4 +40,17 @@
 // admit one request at a time through a Core in Commit mode and route
 // releases (Core.Depart), ticks and post-handoff state updates through
 // it, the same calls the served and sharded paths make.
+//
+// # Metropolis workload generation
+//
+// The metropolis driver draws each arrival's cell, class, estimate and
+// hold, and each handoff's target and estimate, from two counted RNG
+// streams. A cell draw reads a guide table that ensureCellCum rebuilds
+// with the wave's cumulative weights, then walks forward to the binary
+// search's index. A handoff reads its station's neighbour table (targets
+// in Hex.Neighbors order and their proximity gradients), built once per
+// run. A position takes its bearing from one math.Sincos. None of this
+// changes a bit or a draw: TestMetropolisDriverStreamPin freezes the
+// emitted request stream and both draw counts, and the two oracle tests
+// beside it check the tables against the lookups they replace.
 package experiments

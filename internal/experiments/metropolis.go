@@ -470,17 +470,22 @@ func metroWaveSec(wavesPerDay int) float64 { return 86400 / float64(wavesPerDay)
 type metroWorkload struct {
 	cfg      MetropolisConfig
 	stations []*cell.BaseStation
-	// stationIdx inverts the (Q, R) station order for handoff targets.
-	stationIdx map[geo.Hex]int
 	// prox is each cell's summed Gaussian proximity to the hotspots in
 	// [0, Hotspots].
 	prox []float64
+	// handoff holds each station's handoff candidates (see
+	// metroNeighbours), indexed like stations.
+	handoff []metroNeighbours
 	// arrivals is the scheduled arrival count per wave.
 	arrivals []int
-	// cellCum is the per-wave cumulative cell-choice distribution,
-	// rebuilt from the rush profile only when the profile actually
-	// moves (scratch buffer; see ensureCellCum).
+	// cellCum is the per-wave cumulative cell-choice distribution
+	// (scratch buffer; see ensureCellCum).
 	cellCum []float64
+	// cellGuide and cellScale index cellCum for sampleCell: guide[b] is
+	// the first j with int(cellCum[j]*cellScale) >= b, clamped to the
+	// last cell; cellScale maps [0, total] onto the guide's buckets.
+	cellGuide []int32
+	cellScale float64
 	// cellCumSkew is the hotspot skew cellCum was last built for;
 	// cellCumOK reports whether cellCum holds any build at all.
 	cellCumSkew float64
@@ -489,6 +494,15 @@ type metroWorkload struct {
 	mixCum [3]float64
 	// inradiusM bounds the position jitter inside a chosen cell.
 	inradiusM float64
+}
+
+// metroNeighbours is one station's in-network neighbours, in
+// Hex.Neighbors order, with the proximity gradient prox[target] -
+// prox[station] that the handoff steer scales.
+type metroNeighbours struct {
+	n      int
+	target [6]int32
+	dprox  [6]float64
 }
 
 // gauss is the unnormalized Gaussian bump exp(-(x-mu)^2 / (2 sigma^2)),
@@ -523,13 +537,9 @@ func rushDirection(hour float64) float64 {
 
 func newMetroWorkload(cfg MetropolisConfig, net *cell.Network) *metroWorkload {
 	w := &metroWorkload{
-		cfg:        cfg,
-		stations:   net.Stations(),
-		stationIdx: make(map[geo.Hex]int, net.NumCells()),
-		inradiusM:  cfg.CellRadiusM * math.Sqrt(3) / 2,
-	}
-	for i, bs := range w.stations {
-		w.stationIdx[bs.Hex()] = i
+		cfg:       cfg,
+		stations:  net.Stations(),
+		inradiusM: cfg.CellRadiusM * math.Sqrt(3) / 2,
 	}
 	// Hotspots: evenly spaced picks from the spiral order, skipping the
 	// exact centre so the downtown cluster sits off-origin.
@@ -545,6 +555,25 @@ func newMetroWorkload(cfg MetropolisConfig, net *cell.Network) *metroWorkload {
 			w.prox[i] += math.Exp(-d * d / sigma2)
 		}
 	}
+	// Handoff tables: the (Q, R) station order inverted once, so a
+	// handoff reads its candidates instead of looking each one up.
+	stationIdx := make(map[geo.Hex]int, len(w.stations))
+	for i, bs := range w.stations {
+		stationIdx[bs.Hex()] = i
+	}
+	w.handoff = make([]metroNeighbours, len(w.stations))
+	for si, bs := range w.stations {
+		nb := &w.handoff[si]
+		for _, nh := range bs.Hex().Neighbors() {
+			ti, ok := stationIdx[nh]
+			if !ok {
+				continue
+			}
+			nb.target[nb.n] = int32(ti)
+			nb.dprox[nb.n] = w.prox[ti] - w.prox[si]
+			nb.n++
+		}
+	}
 	// Arrival schedule: the population integrates arrivals over the mean
 	// hold, so arrivals-per-wave = diurnal x TargetCalls / meanHold puts
 	// the concurrent population at the diurnal curve times TargetCalls.
@@ -554,6 +583,7 @@ func newMetroWorkload(cfg MetropolisConfig, net *cell.Network) *metroWorkload {
 		w.arrivals[wave] = int(diurnal(w.hourOf(wave)) * float64(cfg.TargetCalls) / meanHold)
 	}
 	w.cellCum = make([]float64, len(w.stations))
+	w.cellGuide = make([]int32, 2*len(w.stations)+1)
 	total := metroMix.Text + metroMix.Voice + metroMix.Video
 	w.mixCum[0] = metroMix.Text / total
 	w.mixCum[1] = w.mixCum[0] + metroMix.Voice/total
@@ -582,11 +612,11 @@ func (w *metroWorkload) peakWave() int {
 	return best
 }
 
-// ensureCellCum makes the cumulative cell-choice weights current for a
-// wave: uniform base plus rush-scaled hotspot proximity. The weights
-// depend on the wave only through the hotspot skew, so the rebuild is
-// skipped whenever the skew repeats — every wave of a multi-day run
-// after the first day (the diurnal clock wraps).
+// ensureCellCum makes the cumulative cell-choice weights and their
+// guide current for a wave: uniform base plus rush-scaled hotspot
+// proximity. The weights depend on the wave only through the hotspot
+// skew, which moves with the diurnal clock, so in practice both are
+// rebuilt every wave; a repeated skew skips the rebuild.
 func (w *metroWorkload) ensureCellCum(wave int) {
 	skew := metroRushBias * rushFactor(w.hourOf(wave))
 	if w.cellCumOK && skew == w.cellCumSkew {
@@ -597,23 +627,39 @@ func (w *metroWorkload) ensureCellCum(wave int) {
 		cum += 1 + skew*w.prox[i]
 		w.cellCum[i] = cum
 	}
+	// Guide buckets: int(c*scale) is monotone in c, so one sweep finds
+	// each bucket's first cell.
+	last := len(w.cellCum) - 1
+	w.cellScale = float64(len(w.cellGuide)-1) / cum
+	j := 0
+	for b := range w.cellGuide {
+		for j < last && int(w.cellCum[j]*w.cellScale) < b {
+			j++
+		}
+		w.cellGuide[b] = int32(j)
+	}
 	w.cellCumSkew = skew
 	w.cellCumOK = true
 }
 
 // sampleCell draws a station index from the wave's distribution.
 func (w *metroWorkload) sampleCell(rng *rand.Rand) int {
-	x := rng.Float64() * w.cellCum[len(w.cellCum)-1]
-	lo, hi := 0, len(w.cellCum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cellCum[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	return w.cellAt(rng.Float64() * w.cellCum[len(w.cellCum)-1])
+}
+
+// cellAt returns the first cell whose cumulative weight exceeds x, or
+// the last cell when none does: a binary search's answer, found from
+// the guide. For that answer k, cellCum[k] > x gives
+// int(cellCum[k]*scale) >= int(x*scale), since rounding a product by a
+// positive constant is monotone, so the guide never starts past k and
+// the forward walk stops exactly on it.
+func (w *metroWorkload) cellAt(x float64) int {
+	cum, last := w.cellCum, len(w.cellCum)-1
+	k := int(w.cellGuide[int(x*w.cellScale)])
+	for k < last && cum[k] <= x {
+		k++
 	}
-	return lo
+	return k
 }
 
 // sampleClass draws a service class from the mix (allocation-free).
@@ -632,47 +678,45 @@ func (w *metroWorkload) sampleClass(rng *rand.Rand) traffic.Class {
 // sampleEstimate draws a user's kinematic state inside station si's cell.
 func (w *metroWorkload) sampleEstimate(rng *rand.Rand, si int, now float64) gps.Estimate {
 	r := 0.9 * w.inradiusM * math.Sqrt(rng.Float64())
-	theta := 2 * math.Pi * rng.Float64()
+	sin, cos := math.Sincos(2 * math.Pi * rng.Float64())
 	c := w.stations[si].Pos()
 	return gps.Estimate{
-		Pos:        geo.Point{X: c.X + r*math.Cos(theta), Y: c.Y + r*math.Sin(theta)},
+		Pos:        geo.Point{X: c.X + r*cos, Y: c.Y + r*sin},
 		HeadingDeg: sim.Uniform(rng, -180, 180),
 		SpeedKmh:   w.cfg.SpeedKmh.Sample(rng),
 		Time:       now,
 	}
 }
 
-// sampleHandoffTarget draws the neighbouring cell a moving call enters,
-// steered along the hotspot gradient during rush hours: toward hotspots
-// through the morning commute, away through the evening.
-func (w *metroWorkload) sampleHandoffTarget(rng *rand.Rand, si int, wave int) (int, bool) {
-	steer := metroRushBias * rushDirection(w.hourOf(wave))
-	var weights [6]float64
-	var targets [6]int
-	n, total := 0, 0.0
-	cur := w.prox[si]
-	for _, nh := range w.stations[si].Hex().Neighbors() {
-		ti, ok := w.stationIdx[nh]
-		if !ok {
-			continue
-		}
-		wt := math.Exp(steer * (w.prox[ti] - cur))
-		weights[n] = wt
-		targets[n] = ti
-		n++
-		total += wt
-	}
-	if n == 0 {
+// handoffSteer is a wave's handoff steering strength along the hotspot
+// gradient: toward hotspots through the morning commute, away through
+// the evening.
+func (w *metroWorkload) handoffSteer(wave int) float64 {
+	return metroRushBias * rushDirection(w.hourOf(wave))
+}
+
+// sampleHandoffTarget draws the neighbouring cell a moving call from
+// station si enters, each candidate weighted exp(steer * gradient).
+func (w *metroWorkload) sampleHandoffTarget(rng *rand.Rand, si int, steer float64) (int, bool) {
+	nb := &w.handoff[si]
+	if nb.n == 0 {
 		return 0, false
 	}
+	var weights [6]float64
+	total := 0.0
+	for i := 0; i < nb.n; i++ {
+		wt := math.Exp(steer * nb.dprox[i])
+		weights[i] = wt
+		total += wt
+	}
 	x := rng.Float64() * total
-	for i := 0; i < n; i++ {
+	for i := 0; i < nb.n; i++ {
 		x -= weights[i]
 		if x < 0 {
-			return targets[i], true
+			return int(nb.target[i]), true
 		}
 	}
-	return targets[n-1], true
+	return int(nb.target[nb.n-1]), true
 }
 
 // RunMetropolis executes the metropolis-scale scenario: one simulated
@@ -877,6 +921,7 @@ func (r *metroRun) runWave() error {
 	// Handoff round: a seeded subset of the survivors moves along the
 	// rush-hour gradient through the two-phase protocol.
 	if wave > 0 && wave%cfg.HandoffEveryWaves == 0 {
+		steer := workload.handoffSteer(wave)
 		keep = 0
 		for i := 0; i < r.ledger.len(); i++ {
 			if r.handoffRNG.Float64() >= metroHandoffFraction {
@@ -887,7 +932,7 @@ func (r *metroRun) runWave() error {
 				continue
 			}
 			si := int(r.ledger.station[i])
-			ti, ok := workload.sampleHandoffTarget(r.handoffRNG, si, wave)
+			ti, ok := workload.sampleHandoffTarget(r.handoffRNG, si, steer)
 			if !ok {
 				if keep != i {
 					r.ledger.set(keep, i)

@@ -5,6 +5,9 @@ import "math"
 // NormalizeDeg wraps an angle in degrees to the half-open interval
 // (-180, 180]. NaN is passed through unchanged.
 func NormalizeDeg(a float64) float64 {
+	if -180 < a && a <= 180 {
+		return a // math.Mod(a, 360) is a itself for |a| < 360, ±0 included
+	}
 	if math.IsNaN(a) || math.IsInf(a, 0) {
 		return a
 	}

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -95,5 +96,70 @@ func TestSpeedConversionRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// normalizeDegMod is NormalizeDeg without its in-range fast path: the
+// math.Mod reduction the fast path must reproduce bit for bit.
+func normalizeDegMod(a float64) float64 {
+	if math.IsNaN(a) || math.IsInf(a, 0) {
+		return a
+	}
+	a = math.Mod(a, 360)
+	switch {
+	case a > 180:
+		return a - 360
+	case a <= -180:
+		return a + 360
+	default:
+		return a
+	}
+}
+
+func TestNormalizeDegMatchesMod(t *testing.T) {
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	down := func(x float64) float64 { return math.Nextafter(x, math.Inf(-1)) }
+	probes := []float64{
+		0, math.Copysign(0, -1), 180, -180, up(180), down(180), up(-180), down(-180),
+		359.9, -359.9, 360, -360, down(360), up(-360), 540, -540,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		switch {
+		case i%64 == 0: // any bit pattern; huge ones make math.Mod slow
+			probes = append(probes, math.Float64frombits(rng.Uint64()))
+		case i%2 == 0:
+			probes = append(probes, 720*rng.Float64()-360)
+		default:
+			probes = append(probes, 4000*rng.NormFloat64())
+		}
+	}
+	for _, a := range probes {
+		got, want := NormalizeDeg(a), normalizeDegMod(a)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormalizeDeg(%v) = %v (%#x), want %v (%#x)",
+				a, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestSincosMatchesSinCos guards the one-call bearing draw of the
+// metropolis driver: math.Sincos must equal math.Sin and math.Cos bit
+// for bit over [0, 2π). Where Sin and Cos have assembly versions and
+// Sincos does not (s390x), this is the check that fails.
+func TestSincosMatchesSinCos(t *testing.T) {
+	thetas := []float64{0, math.Pi / 2, math.Pi, 3 * math.Pi / 2, math.Nextafter(2*math.Pi, 0)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		thetas = append(thetas, 2*math.Pi*rng.Float64())
+	}
+	for _, th := range thetas {
+		sin, cos := math.Sincos(th)
+		if math.Float64bits(sin) != math.Float64bits(math.Sin(th)) ||
+			math.Float64bits(cos) != math.Float64bits(math.Cos(th)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin/Cos = (%v, %v)", th, sin, cos, math.Sin(th), math.Cos(th))
+		}
 	}
 }
