@@ -62,9 +62,9 @@
 // # Batch admission and the SCC demand ledger
 //
 // Controllers that can amortise work across many admission questions
-// implement BatchController; DecideAll routes a request slice through
-// the native batch path when one exists and degrades to sequential
-// Decide calls otherwise, with identical outcomes either way:
+// carry a native batch path; DecideAll routes a request slice through
+// it when one exists and degrades to sequential Decide calls
+// otherwise, with identical outcomes either way:
 //
 //	decisions, err := facs.DecideAll(ctrl, reqs)
 //
@@ -88,19 +88,22 @@
 // suites in internal/scc and internal/experiments pin the contract.
 // internal/scc/DESIGN.md records the invariants.
 //
-// # Streaming admission service
+// # Streaming admission
 //
-// For online serving, NewAdmissionService wraps any controller behind
-// a concurrent micro-batching front end: submitters stream requests
-// from any number of goroutines, the service coalesces them into
-// batches (bounded by MaxBatch/MaxDelay), decides them through
-// DecideAll, and serializes ticks, releases and state updates with the
+// For online serving, NewShardedEngine with Shards: 1 puts any
+// controller behind one lock and a concurrent micro-batching intake:
+// submitters stream single requests from any number of goroutines
+// through SubmitAsync, the intake coalesces them into batches (bounded
+// by MaxBatch/MaxDelay), and ticks and releases are serialized with the
 // decisions so stateful controllers keep their invariants:
 //
-//	svc, err := facs.NewAdmissionService(facs.ServeConfig{Controller: ctrl, Commit: true})
-//	resp := svc.Submit(req)          // one decision, with latency
-//	responses, err := svc.SubmitAll(reqs) // a deterministic wave
-//	stats := svc.Stats()             // throughput / latency / accept rate
+//	eng, err := facs.NewShardedEngine(facs.ShardedEngineConfig{
+//		Network: netw, Shards: 1, Commit: true,
+//		NewController: func(facs.ShardView) (facs.Controller, error) { return ctrl, nil },
+//	})
+//	resp := <-eng.SubmitAsync(req)          // one decision, with latency
+//	err = eng.SubmitWaveTo(reqs, responses) // a deterministic wave into a reused buffer
+//	stats := eng.Stats()                    // throughput / latency / accept rate
 //
 // Micro-batching cannot change outcomes: without Commit a streamed run
 // is byte-identical to DecideAll over the same requests, and waves
@@ -120,13 +123,14 @@
 //		Network: netw, Shards: 8, Commit: true,
 //		NewController: func(facs.ShardView) (facs.Controller, error) { return ctrl, nil },
 //	})
-//	responses, err := eng.SubmitWave(reqs) // chunked in global order, barriers between chunks
+//	responses := make([]facs.ServeResponse, len(reqs))
+//	err = eng.SubmitWaveTo(reqs, responses) // chunked in global order, barriers between chunks
 //	res := eng.HandoffCall(facs.ShardHandoff{CallID: 7, From: src, To: dst, Est: est, Now: now})
 //
-// For cell-local controllers (CellLocalController: FACS exact and
-// compiled, the classical baselines) every outcome is byte-identical
-// for every shard count — pinned against the inline batch engine —
-// while throughput scales with cores. RunMetropolis with MetroSharded
+// For cell-local controllers (FACS exact and compiled, the classical
+// baselines; ShardedStats.CellLocal reports the regime) every outcome
+// is byte-identical for every shard count — pinned against the inline
+// batch engine — while throughput scales with cores. RunMetropolis with MetroSharded
 // drives the closed loop through the engine (facs-sim -metropolis
 // -metro-mode sharded -shards N), and facs-serve -shards N serves it
 // over NDJSON including the handoff wire op. ARCHITECTURE.md's "The sharded engine" section
@@ -135,14 +139,11 @@
 // # Surface persistence
 //
 // Compiling the default surfaces costs seconds, which a long-lived
-// service should pay once, not on every restart:
-//
-//	cc, info, err := facs.NewCompiledSystemCached(0, cacheDir)
-//
-// persists compiled surfaces as versioned, checksummed binary blobs
-// validated by a config+grid hash; a warm start decodes them in
-// milliseconds (info reports hit/stale/miss, and CompileCount exposes
-// the compilation counter). Stale or corrupt entries are recompiled
+// service should pay once, not on every restart. The -surface-cache
+// flag of facs-sim and facs-serve persists compiled surfaces as
+// versioned, checksummed binary blobs validated by a config+grid hash;
+// a warm start decodes them in milliseconds and logs whether the entry
+// was a hit, stale or a miss. Stale or corrupt entries are recompiled
 // and overwritten, never trusted.
 //
 // # Reproduction

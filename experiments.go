@@ -90,13 +90,10 @@ var (
 // runs; they live in the contestant catalogue
 // (internal/experiments/contestants.go) that facs-sim, facs-serve and
 // the figures build their controllers from. SCCFactory supplies the
-// incremental demand-ledger SCC; SCCRecomputeFactory the original
-// recompute-on-query oracle it is golden-tested against.
+// incremental demand-ledger SCC.
 var (
-	FACSFactory         = iexp.FACSFactory
-	CompiledFACSFactory = iexp.CompiledFACSFactory
-	SCCFactory          = iexp.SCCFactory
-	SCCRecomputeFactory = iexp.SCCRecomputeFactory
+	FACSFactory = iexp.FACSFactory
+	SCCFactory  = iexp.SCCFactory
 )
 
 // BatchAdmissionConfig parameterises the batch admission sweep: a

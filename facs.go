@@ -78,22 +78,13 @@ var (
 // implements Controller and is safe for concurrent use.
 type CompiledSystem = ifacs.CompiledController
 
-// DefaultSurfaceGridSize is the default per-axis lookup-table
-// resolution of NewCompiledSystem.
-const DefaultSurfaceGridSize = ifacs.DefaultSurfaceGridSize
-
 // NewCompiledSystem builds the exact System for the options and
 // compiles it into the lookup-table fast path (gridSize <= 0 selects
-// DefaultSurfaceGridSize). Compilation costs seconds; amortise it over
+// the default resolution). Compilation costs seconds; amortise it over
 // many decisions, or use DefaultCompiledSystem for the shared default
 // instance.
 func NewCompiledSystem(gridSize int, opts ...SystemOption) (*CompiledSystem, error) {
 	return ifacs.NewCompiled(gridSize, opts...)
-}
-
-// MustCompiledSystem is like NewCompiledSystem but panics on error.
-func MustCompiledSystem(gridSize int, opts ...SystemOption) *CompiledSystem {
-	return ifacs.MustCompiled(gridSize, opts...)
 }
 
 // DefaultCompiledSystem returns the process-wide shared compiled FACS
@@ -122,16 +113,10 @@ const (
 // baselines all implement it.
 type Controller = icac.Controller
 
-// BatchController is implemented by controllers with a native batch
-// decision path: DecideBatch decides many requests in one call with
-// identical outcomes to per-request Decide calls, amortising per-request
-// work. The FACS System, the compiled fast path, the SCC ledger and the
-// guard-channel / threshold baselines all implement it.
-type BatchController = icac.BatchController
-
 // DecideAll renders decisions for a batch of requests through the
 // controller's native batch path — the allocation-free DecideBatchInto
-// method every built-in BatchController also has — falling back to
+// method of the FACS System, the compiled fast path, the SCC ledger and
+// the guard-channel and threshold baselines — falling back to
 // sequential Decide calls otherwise.
 var DecideAll = icac.DecideAll
 
@@ -153,10 +138,6 @@ type NetworkConfig = icell.NetworkConfig
 
 // DefaultCapacityBU is the paper's base-station bandwidth: 40 BU.
 const DefaultCapacityBU = icell.DefaultCapacityBU
-
-// NewBaseStation constructs a standalone base station (see
-// internal/cell.NewBaseStation).
-var NewBaseStation = icell.NewBaseStation
 
 // NewNetwork builds a hexagonal network.
 var NewNetwork = icell.NewNetwork

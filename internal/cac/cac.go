@@ -233,8 +233,8 @@ type ExchangeResetter interface {
 // of silently diverging.
 //
 // Consistency is the caller's job: SnapshotTo and RestoreFrom must run
-// with no decision in flight — inside a serve.Service.Do call (which
-// holds the service's lock), inside the shard engine's tick barrier,
+// with no decision in flight — inside a shard.Engine.Do call (which
+// holds the shard's lock), inside the shard engine's tick barrier,
 // or before any traffic starts.
 // Restore contracts are exact: a component restored from a snapshot
 // continues byte-identically to the instance that was captured

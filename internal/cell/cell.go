@@ -183,19 +183,6 @@ func (b *BaseStation) Pos() geo.Point { return b.pos }
 // Capacity returns the total bandwidth in BU.
 func (b *BaseStation) Capacity() int { return b.capacity }
 
-// Reserve presizes the station's call table for up to n concurrent
-// calls, so admit/release churn below that population performs no
-// allocation. Every call occupies at least 1 BU, so Reserve(Capacity())
-// is the hard bound: after it the table never allocates again.
-// Reserving is purely a memory-layout decision — admission behaviour
-// and outcomes are unchanged. n values the table already holds are
-// no-ops.
-func (b *BaseStation) Reserve(n int) {
-	if size := poolSlots(n); n > 0 && size > len(b.pool.table) {
-		b.pool.resize(size)
-	}
-}
-
 // Used returns the occupied bandwidth in BU (RTC + NRTC).
 func (b *BaseStation) Used() int { return b.usedRT + b.usedNRT }
 

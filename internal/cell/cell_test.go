@@ -201,46 +201,3 @@ func TestLedgerConservationUnderChurn(t *testing.T) {
 		}
 	}
 }
-
-// TestReserve pins the presizing contract: reserving mid-churn keeps
-// every live call intact, and a reserved pool performs zero allocations
-// while the population stays at or below the reserved bound.
-func TestReserve(t *testing.T) {
-	bs := newBS(t, 40)
-	for id := 1; id <= 5; id++ {
-		if err := bs.Admit(Call{ID: id, Class: traffic.Voice, BU: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := bs.Release(3); err != nil {
-		t.Fatal(err)
-	}
-	bs.Reserve(bs.Capacity())
-	bs.Reserve(1) // no-op: below the materialized size
-	if bs.NumCalls() != 4 || bs.Used() != 8 {
-		t.Fatalf("reserve disturbed the ledger: %d calls, %d BU", bs.NumCalls(), bs.Used())
-	}
-	for _, id := range []int{1, 2, 4, 5} {
-		if _, ok := bs.Call(id); !ok {
-			t.Fatalf("call %d lost across Reserve", id)
-		}
-	}
-	// Churn admissions and releases across the reserved pool: allocation-free.
-	next := 100
-	avg := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 10; i++ {
-			if err := bs.Admit(Call{ID: next, Class: traffic.Text, BU: 1}); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-		for i := next - 10; i < next; i++ {
-			if _, err := bs.Release(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("reserved pool allocates: %.2f allocs per churn round", avg)
-	}
-}

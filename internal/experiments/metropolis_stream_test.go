@@ -3,6 +3,9 @@ package experiments
 import (
 	"runtime"
 	"testing"
+
+	"facs/internal/cell"
+	"facs/internal/traffic"
 )
 
 // TestMetropolisStreamingIdentity pins the streaming arrival path on
@@ -72,7 +75,7 @@ func TestMetropolisStreamingIdentitySCC(t *testing.T) {
 // few. On the 2-shard engine the only allocations allowed are the
 // fan-out goroutines of chunks spanning both shards (one closure each,
 // counted by shard.Stats.FanOuts); releases, handoffs and ticks allocate
-// nothing. Station pools are reserved to their capacity bound up front,
+// nothing. Station pools are grown to their capacity bound up front,
 // so the only allocator the loop otherwise retains (per-station
 // population high-water growth, bounded by CapacityBU) is paid before
 // measurement.
@@ -102,7 +105,7 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			}
 			defer r.engine.close()
 			for _, bs := range r.workload.stations {
-				bs.Reserve(bs.Capacity())
+				growPoolToCapacity(t, bs)
 			}
 			fanOuts := func() int64 {
 				if se, ok := r.engine.(*shardMetroEngine); ok {
@@ -155,5 +158,22 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 					allocs, measured, decisions, spawned)
 			}
 		})
+	}
+}
+
+// growPoolToCapacity grows an empty station's call table to its hard
+// bound by admitting, then releasing, one 1-BU call per BU of capacity:
+// every call holds at least 1 BU, so the table never resizes again.
+func growPoolToCapacity(t *testing.T, bs *cell.BaseStation) {
+	t.Helper()
+	for id := 1; id <= bs.Capacity(); id++ {
+		if err := bs.Admit(cell.Call{ID: -id, Class: traffic.Text, BU: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 1; id <= bs.Capacity(); id++ {
+		if _, err := bs.Release(-id); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -368,10 +368,47 @@ func MustSurface(e *Engine, opts ...SurfaceOption) *Surface {
 // complete slabs of the first axis across workers. Every worker writes
 // disjoint regions, so the result is independent of scheduling.
 func (s *Surface) compile(e *Engine, workers int) error {
-	outer := s.axes[0].N()
-	if workers > outer {
-		workers = outer
-	}
+	slab := s.strides[0]
+	return runSlabs(s.axes[0].N(), workers, func() func(i int) error {
+		vals := make([]float64, len(s.axes))
+		idx := make([]int, len(s.axes))
+		return func(i int) error {
+			vals[0] = s.axes[0].nodes[i]
+			for k := 1; k < len(idx); k++ {
+				idx[k] = 0
+				vals[k] = s.axes[k].nodes[0]
+			}
+			base := i * slab
+			for off := 0; off < slab; off++ {
+				y, err := e.EvaluateVec(vals...)
+				if err != nil {
+					return fmt.Errorf("fuzzy: compiling surface at %v: %w", append([]float64(nil), vals...), err)
+				}
+				s.values[base+off] = y
+				// Advance the odometer over axes 1..d-1.
+				for k := len(idx) - 1; k >= 1; k-- {
+					idx[k]++
+					if idx[k] < s.axes[k].N() {
+						vals[k] = s.axes[k].nodes[idx[k]]
+						break
+					}
+					idx[k] = 0
+					vals[k] = s.axes[k].nodes[0]
+				}
+			}
+			return nil
+		}
+	})
+}
+
+// runSlabs runs slabs 0..n-1 on min(workers, n) goroutines fed by one
+// channel. newSlab is called once per worker, on the caller, and
+// returns that worker's slab function with its own scratch. After a
+// slab fails the remaining slabs are skipped, and the error of the
+// lowest failing slab is returned, so concurrent failures report
+// stably.
+func runSlabs(n, workers int, newSlab func() func(i int) error) error {
+	workers = min(workers, n)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -379,55 +416,29 @@ func (s *Surface) compile(e *Engine, workers int) error {
 		errSlab  = -1
 		failed   atomic.Bool
 	)
-	slab := s.strides[0]
 	next := make(chan int)
 	go func() {
-		for i := 0; i < outer; i++ {
+		for i := 0; i < n; i++ {
 			next <- i
 		}
 		close(next)
 	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		slab := newSlab()
 		go func() {
 			defer wg.Done()
-			vals := make([]float64, len(s.axes))
-			idx := make([]int, len(s.axes))
 			for i := range next {
 				if failed.Load() {
 					continue // drain the channel so the feeder can finish
 				}
-				vals[0] = s.axes[0].nodes[i]
-				for k := 1; k < len(idx); k++ {
-					idx[k] = 0
-					vals[k] = s.axes[k].nodes[0]
-				}
-				base := i * slab
-				for off := 0; off < slab; off++ {
-					y, err := e.EvaluateVec(vals...)
-					if err != nil {
-						mu.Lock()
-						// Prefer the error from the lowest slab so
-						// concurrent failures report stably.
-						if firstErr == nil || i < errSlab {
-							firstErr = fmt.Errorf("fuzzy: compiling surface at %v: %w", append([]float64(nil), vals...), err)
-							errSlab = i
-						}
-						mu.Unlock()
-						failed.Store(true)
-						break
+				if err := slab(i); err != nil {
+					mu.Lock()
+					if firstErr == nil || i < errSlab {
+						firstErr, errSlab = err, i
 					}
-					s.values[base+off] = y
-					// Advance the odometer over axes 1..d-1.
-					for k := len(idx) - 1; k >= 1; k-- {
-						idx[k]++
-						if idx[k] < s.axes[k].N() {
-							vals[k] = s.axes[k].nodes[idx[k]]
-							break
-						}
-						idx[k] = 0
-						vals[k] = s.axes[k].nodes[0]
-					}
+					mu.Unlock()
+					failed.Store(true)
 				}
 			}
 		}()
@@ -466,79 +477,47 @@ func (s *Surface) initErrorMap(aligned uint32) int {
 func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64, aligned uint32) error {
 	d := len(s.axes)
 	s.errs = make([]float64, s.initErrorMap(aligned))
-	outer := s.errShape(0)
-	if workers > outer {
-		workers = outer
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		errSlab  = -1
-		failed   atomic.Bool
-	)
 	slab := s.errStrides[0]
-	next := make(chan int)
-	go func() {
-		for i := 0; i < outer; i++ {
-			next <- i
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			idx := make([]int, d)
-			probe := make([]float64, d)
-			for i := range next {
-				if failed.Load() {
-					continue // drain the channel so the feeder can finish
-				}
-				idx[0] = i
-				for k := 1; k < d; k++ {
-					idx[k] = 0
-				}
-				for off := 0; off < slab; off++ {
-					for k := 0; k < d; k++ {
-						nodes := s.axes[k].nodes
-						if aligned&(1<<k) != 0 {
-							probe[k] = nodes[idx[k]]
-						} else {
-							probe[k] = (nodes[idx[k]] + nodes[idx[k]+1]) / 2
-						}
+	err := runSlabs(s.errShape(0), workers, func() func(i int) error {
+		idx := make([]int, d)
+		probe := make([]float64, d)
+		return func(i int) error {
+			idx[0] = i
+			for k := 1; k < d; k++ {
+				idx[k] = 0
+			}
+			for off := 0; off < slab; off++ {
+				for k := 0; k < d; k++ {
+					nodes := s.axes[k].nodes
+					if aligned&(1<<k) != 0 {
+						probe[k] = nodes[idx[k]]
+					} else {
+						probe[k] = (nodes[idx[k]] + nodes[idx[k]+1]) / 2
 					}
-					exact, err := e.EvaluateVec(probe...)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil || i < errSlab {
-							firstErr = fmt.Errorf("fuzzy: probing surface error at %v: %w", append([]float64(nil), probe...), err)
-							errSlab = i
-						}
-						mu.Unlock()
-						failed.Store(true)
+				}
+				exact, err := e.EvaluateVec(probe...)
+				if err != nil {
+					return fmt.Errorf("fuzzy: probing surface error at %v: %w", append([]float64(nil), probe...), err)
+				}
+				approx, _ := s.EvaluateVec(probe...)
+				diff := exact - approx
+				if diff < 0 {
+					diff = -diff
+				}
+				s.errs[i*slab+off] = diff * safety
+				for k := d - 1; k >= 1; k-- {
+					idx[k]++
+					if idx[k] < s.errShape(k) {
 						break
 					}
-					approx, _ := s.EvaluateVec(probe...)
-					diff := exact - approx
-					if diff < 0 {
-						diff = -diff
-					}
-					s.errs[i*slab+off] = diff * safety
-					for k := d - 1; k >= 1; k-- {
-						idx[k]++
-						if idx[k] < s.errShape(k) {
-							break
-						}
-						idx[k] = 0
-					}
+					idx[k] = 0
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+			return nil
+		}
+	})
+	if err != nil {
+		return err
 	}
 	s.dilateErrorMap()
 	return nil

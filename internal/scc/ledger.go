@@ -328,8 +328,8 @@ func (s LedgerStats) String() string {
 }
 
 // Snapshot returns the current counter set. Call it from the decision
-// loop that owns the ledger (e.g. via serve.Service.Do or
-// shard.Engine.Do); the ledger itself is not concurrency-safe.
+// loop that owns the ledger (e.g. via shard.Engine.Do); the ledger
+// itself is not concurrency-safe.
 func (l *Ledger) Snapshot() LedgerStats {
 	return LedgerStats{
 		ActiveCalls:    len(l.tracks),

@@ -47,10 +47,11 @@ func BenchmarkStreamingServe(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer s.Close()
+		out := make([]Response, batch)
 		b.ResetTimer()
 		for done := 0; done < b.N; done += batch {
 			off := done % (len(reqs) - batch)
-			if _, err := s.SubmitAll(reqs[off : off+batch]); err != nil {
+			if err := s.SubmitAllInto(reqs[off:off+batch], out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -74,7 +75,7 @@ func BenchmarkStreamingServe(b *testing.B) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < b.N; i += clients {
-					if resp := s.Submit(reqs[i%len(reqs)]); resp.Err != nil {
+					if resp := <-s.SubmitAsync(reqs[i%len(reqs)]); resp.Err != nil {
 						b.Error(resp.Err)
 						return
 					}

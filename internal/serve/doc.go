@@ -19,11 +19,11 @@
 //
 // A Service is one Core behind a mutex, fronted by one Intake. The
 // intake goroutine decides each micro-batch under the mutex and fans
-// the responses back with their latency. Waves (SubmitAll,
-// SubmitAllInto) and control operations run on the calling goroutine:
+// the responses back with their latency. Waves (SubmitAllInto) and
+// control operations (Tick, Release) run on the calling goroutine:
 // each first drains the intake, so it is ordered after every single
 // already enqueued, then runs under the mutex and returns once applied.
-// Because decisions, commits, ticks and state updates all hold that one
+// Because decisions, commits, ticks and releases all hold that one
 // mutex, stateful controllers such as the SCC demand ledger keep their
 // invariants with no locking of their own.
 //
@@ -36,18 +36,22 @@
 // a streamed run is byte-identical to cac.DecideAll over the same
 // requests. With Commit the service allocates accepted calls between
 // batches; timing-dependent boundaries then matter, so closed-loop
-// drivers that need reproducibility submit waves (SubmitAll), which
+// drivers that need reproducibility submit waves (SubmitAllInto), which
 // are chunked at deterministic MaxBatch boundaries only. The
 // determinism suite in serve_test.go pins both contracts.
 //
 // # Entry points
 //
-// New starts a Service; Submit/SubmitAll stream requests; Tick,
-// Release and UpdateState forward controller lifecycle events; Do is
-// a serialized barrier and Flush waits for the singles already
-// submitted; Stats snapshots throughput, latency (avg/max plus p50/p99
-// from a mergeable power-of-two histogram), accept-rate and batching
-// counters; Close drains and stops.
+// New starts a Service; SubmitAsync streams single requests and
+// SubmitAllInto decides a wave; Tick and Release forward controller
+// lifecycle events; Flush waits for the singles already submitted;
+// Stats snapshots throughput, latency (avg/max plus p50/p99 from a
+// mergeable power-of-two histogram), accept-rate and batching counters;
+// Close drains and stops. Each operation has this one entry point:
+// waves always take a caller-owned buffer, and a blocking single is
+// <-SubmitAsync(req). The binaries and closed-loop drivers use the
+// sharded engine or a Core directly; the Service is the one-Core front
+// end that perfbench's serve rung measures.
 //
 // The internal/shard engine builds on the same pieces: it scales
 // admission horizontally with one Core per cell shard, executed on the

@@ -36,8 +36,8 @@ func ExampleService() {
 			Station: bs,
 		}
 	}
-	responses, err := svc.SubmitAll(reqs)
-	if err != nil {
+	responses := make([]serve.Response, len(reqs))
+	if err := svc.SubmitAllInto(reqs, responses); err != nil {
 		panic(err)
 	}
 	for i, r := range responses {

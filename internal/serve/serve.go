@@ -23,7 +23,7 @@ const (
 	DefaultMaxDelay = 200 * time.Microsecond
 )
 
-// ErrClosed is returned by Submit/SubmitAll/ops after Close.
+// ErrClosed is returned by submissions and ops after Close.
 var ErrClosed = errors.New("serve: service is closed")
 
 // Config parameterises a Service.
@@ -84,15 +84,13 @@ const LatencyBuckets = 64
 
 // Stats is a point-in-time snapshot of the service counters.
 type Stats struct {
-	// Submitted counts requests handed to the controller; Decided
-	// counts requests answered. Both are counted as a chunk finishes,
-	// so they are always equal.
-	Submitted, Decided int64
+	// Decided counts requests answered, counted as a chunk finishes.
+	Decided int64
 	// Accepted / Rejected split Decided by outcome; Committed counts
 	// accepted requests actually allocated (Commit mode).
 	Accepted, Rejected, Committed int64
 	// Batches counts decided chunks; MaxBatch is the largest batch
-	// realised; Waves counts SubmitAll calls.
+	// realised; Waves counts SubmitAllInto calls.
 	Batches, Waves int64
 	MaxBatch       int
 	// Ops counts applied control operations (ticks, releases, state
@@ -122,7 +120,6 @@ type Stats struct {
 // merged LatencyQuantile estimates hold engine-wide).
 func (s Stats) Merge(o Stats) Stats {
 	latSum := int64(s.AvgLatency)*s.Decided + int64(o.AvgLatency)*o.Decided
-	s.Submitted += o.Submitted
 	s.Decided += o.Decided
 	s.Accepted += o.Accepted
 	s.Rejected += o.Rejected
@@ -370,7 +367,6 @@ func (c *Core) finish(out []Response, enq time.Time) {
 		out[i].Latency = lat
 	}
 	n := int64(len(out))
-	c.st.Submitted += n
 	c.st.Decided += n
 	c.st.MaxLatency = max(c.st.MaxLatency, lat)
 	c.st.LatencyHist[LatencyBucket(lat)] += n
@@ -470,12 +466,12 @@ func (c *Core) Stats() Stats {
 
 // Service is a streaming admission front end over an admission
 // controller: one Core behind a mutex, fronted by an Intake. Concurrent
-// Submit/SubmitAsync singles are coalesced by the intake goroutine into
+// SubmitAsync singles are coalesced by the intake goroutine into
 // micro-batches (bounded by MaxBatch and MaxDelay), each decided as one
-// chunk with per-request latency. Waves (SubmitAll/SubmitAllInto) and
-// control operations — ticks, releases, kinematic updates, Do — run on
-// the calling goroutine after draining the intake, so each is ordered
-// after every single already enqueued and returns once applied.
+// chunk with per-request latency. Waves (SubmitAllInto) and control
+// operations — ticks and releases — run on the calling goroutine after
+// draining the intake, so each is ordered after every single already
+// enqueued and returns once applied.
 // Decisions, commits and operations all hold the same mutex, so
 // stateful controllers (e.g. the SCC demand ledger) keep their
 // invariants without any locking of their own.
@@ -525,19 +521,6 @@ func (s *Service) decideBatch(reqs []cac.Request, enq time.Time, out []Response)
 	s.mu.Unlock()
 }
 
-// Controller returns the wrapped controller. Reading mutable controller
-// state concurrently with traffic is racy; use Do for a serialized
-// view.
-func (s *Service) Controller() cac.Controller { return s.core.Controller() }
-
-// Submit enqueues one request and blocks until its decision. It is safe
-// for any number of concurrent callers; requests from one goroutine are
-// decided in submission order. The decision (or error) is carried in
-// the Response.
-func (s *Service) Submit(req cac.Request) Response {
-	return <-s.SubmitAsync(req)
-}
-
 // SubmitAsync enqueues one request and returns immediately with a
 // buffered channel that will carry exactly one Response. It lets a
 // single producer keep the intake queue full (and the micro-batcher
@@ -548,30 +531,16 @@ func (s *Service) SubmitAsync(req cac.Request) <-chan Response {
 	return s.in.SubmitAsync(req)
 }
 
-// SubmitAll decides a caller-defined batch (a "wave") and returns
-// responses in request order. A wave is decided as a unit: it never
-// coalesces with other traffic, and it is split only at MaxBatch
-// boundaries — deterministically, never by timing — so closed-loop
-// drivers that need reproducible outcomes stream waves. In Commit mode,
-// accepted calls of one chunk are allocated before the next chunk is
-// decided. A chunk's decision error rejects the rest of the wave; the
-// responses carry it.
-func (s *Service) SubmitAll(reqs []cac.Request) ([]Response, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	out := make([]Response, len(reqs))
-	if err := s.SubmitAllInto(reqs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SubmitAllInto is SubmitAll with a caller-owned response buffer: the
-// wave's responses are written into out[:len(reqs)] instead of a fresh
-// slice, so closed-loop drivers reuse one buffer across millions of
-// waves. out must hold at least len(reqs) entries; outcomes are
-// identical to SubmitAll in every respect.
+// SubmitAllInto decides a caller-defined batch (a "wave") into a
+// caller-owned response buffer: the responses land in out[:len(reqs)]
+// in request order, so closed-loop drivers reuse one buffer across
+// millions of waves; out must hold at least len(reqs) entries. A wave is
+// decided as a unit: it never coalesces with other traffic, and it is
+// split only at MaxBatch boundaries — deterministically, never by timing
+// — so closed-loop drivers that need reproducible outcomes stream waves.
+// In Commit mode, accepted calls of one chunk are allocated before the
+// next chunk is decided. A chunk's decision error rejects the rest of
+// the wave; the responses carry it.
 //
 //facs:hotpath
 func (s *Service) SubmitAllInto(reqs []cac.Request, out []Response) error {
@@ -595,21 +564,6 @@ func (s *Service) SubmitAllInto(reqs []cac.Request, out []Response) error {
 //facs:coldpath error constructor; called only on caller misuse
 func errShortBuffer(reqs, slots int) error {
 	return fmt.Errorf("serve: response buffer too short: %d requests, %d slots", reqs, slots)
-}
-
-// Do runs fn on the controller, after every previously submitted
-// request and op has completed, and returns once fn does. It is the
-// barrier primitive: a serialized, race-free view of the controller and
-// of any station state the service commits to. fn must not call back
-// into the service.
-func (s *Service) Do(fn func(ctrl cac.Controller)) error {
-	if err := s.in.Drain(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.core.Do(fn)
-	return nil
 }
 
 // Flush blocks until everything submitted before it has been decided.
@@ -645,19 +599,6 @@ func (s *Service) Release(callID int, station *cell.BaseStation, now float64) er
 	}
 	s.mu.Lock()
 	s.core.Release(callID, station, now)
-	s.mu.Unlock()
-	return nil
-}
-
-// UpdateState delivers a fresh kinematic estimate for a carried call to
-// mobility-tracking controllers (cac.StateUpdater), ordered after
-// everything already submitted.
-func (s *Service) UpdateState(callID int, est gps.Estimate, station *cell.BaseStation) error {
-	if err := s.in.Drain(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.core.UpdateState(callID, est, station)
 	s.mu.Unlock()
 	return nil
 }

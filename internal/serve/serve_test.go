@@ -72,6 +72,13 @@ func genRequests(t testing.TB, net *cell.Network, seed int64, n int) []cac.Reque
 	return out
 }
 
+// submitAll decides reqs as one wave through SubmitAllInto into a fresh
+// buffer.
+func submitAll(s *Service, reqs []cac.Request) ([]Response, error) {
+	out := make([]Response, len(reqs))
+	return out, s.SubmitAllInto(reqs, out)
+}
+
 // TestStreamedMatchesDecideAll is the determinism acceptance test: with
 // Commit off, decisions streamed through the service — concurrently,
 // with arbitrary timing-dependent micro-batch boundaries — must be
@@ -104,7 +111,7 @@ func TestStreamedMatchesDecideAll(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(reqs); i += 8 {
-					resp := s.Submit(reqs[i])
+					resp := <-s.SubmitAsync(reqs[i])
 					if resp.Err != nil {
 						t.Errorf("request %d failed: %v", i, resp.Err)
 						return
@@ -124,7 +131,7 @@ func TestStreamedMatchesDecideAll(t *testing.T) {
 			}
 		}
 		st := s.Stats()
-		if st.Decided != int64(len(reqs)) || st.Submitted != st.Decided {
+		if st.Decided != int64(len(reqs)) {
 			t.Fatalf("MaxBatch=%d: stats lost requests: %+v", cfg.MaxBatch, st)
 		}
 		if st.MaxBatch > cfg.MaxBatch && cfg.MaxBatch > 0 {
@@ -187,7 +194,7 @@ func TestCommitWavesMatchSequentialReplay(t *testing.T) {
 		var all []Response
 		reqs := genRequests(t, net, 23, 300)
 		for lo := 0; lo < len(reqs); lo += 100 { // three waves
-			resp, err := s.SubmitAll(reqs[lo : lo+100])
+			resp, err := submitAll(s, reqs[lo:lo+100])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,8 +266,8 @@ func (c *scriptController) OnStateUpdate(callID int, _ gps.Estimate, _ *cell.Bas
 	c.events = append(c.events, fmt.Sprintf("update:%d", callID))
 }
 
-// TestOpsSerializedWithDecisions pins the ordering contract: ticks,
-// releases and state updates issued between requests execute after
+// TestOpsSerializedWithDecisions pins the ordering contract: ticks and
+// releases issued between requests execute after
 // every earlier request and before every later one.
 func TestOpsSerializedWithDecisions(t *testing.T) {
 	bs, err := cell.NewBaseStation(geo.Hex{}, geo.Point{}, 40)
@@ -282,20 +289,17 @@ func TestOpsSerializedWithDecisions(t *testing.T) {
 	}
 
 	// Sequential submission from one goroutine fixes the order.
-	if r := s.Submit(mkReq(1)); r.Err != nil {
+	if r := <-s.SubmitAsync(mkReq(1)); r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if r := s.Submit(mkReq(2)); r.Err != nil {
+	if r := <-s.SubmitAsync(mkReq(2)); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	if err := s.Tick(100); err != nil {
 		t.Fatal(err)
 	}
-	if r := s.Submit(mkReq(4)); r.Err != nil {
+	if r := <-s.SubmitAsync(mkReq(4)); r.Err != nil {
 		t.Fatal(r.Err)
-	}
-	if err := s.UpdateState(4, gps.Estimate{}, bs); err != nil {
-		t.Fatal(err)
 	}
 	if err := s.Release(4, bs, 101); err != nil {
 		t.Fatal(err)
@@ -308,7 +312,6 @@ func TestOpsSerializedWithDecisions(t *testing.T) {
 		"decide:1", "decide:2", "admit:2",
 		"tick:100",
 		"decide:4", "admit:4",
-		"update:4",
 		"release:4",
 	}
 	if len(ctrl.events) != len(want) {
@@ -323,8 +326,25 @@ func TestOpsSerializedWithDecisions(t *testing.T) {
 		t.Fatalf("station carries %d calls, want 1", bs.NumCalls())
 	}
 	st := s.Stats()
-	if st.Ticks != 1 || st.Ops != 3 || st.Committed != 2 {
-		t.Fatalf("stats = %+v, want 1 tick, 3 ops, 2 committed", st)
+	if st.Ticks != 1 || st.Ops != 2 || st.Committed != 2 {
+		t.Fatalf("stats = %+v, want 1 tick, 2 ops, 2 committed", st)
+	}
+}
+
+// TestCoreUpdateState pins the state-update op the multi-cell simulator
+// drives through its Core: it reaches a mobility-tracking controller
+// and counts as one op, and any other controller makes it a no-op.
+func TestCoreUpdateState(t *testing.T) {
+	ctrl := &scriptController{}
+	c := NewCore(ctrl, true, 4)
+	c.UpdateState(4, gps.Estimate{}, nil)
+	if len(ctrl.events) != 1 || ctrl.events[0] != "update:4" || c.Stats().Ops != 1 {
+		t.Fatalf("events %v, ops %d; want [update:4] and 1 op", ctrl.events, c.Stats().Ops)
+	}
+	plain := NewCore(cac.CompleteSharing{}, true, 4)
+	plain.UpdateState(4, gps.Estimate{}, nil)
+	if ops := plain.Stats().Ops; ops != 0 {
+		t.Fatalf("an update to a controller without mobility tracking counted %d ops", ops)
 	}
 }
 
@@ -350,7 +370,7 @@ func TestMicroBatchCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			responses[i] = s.Submit(cac.Request{
+			responses[i] = <-s.SubmitAsync(cac.Request{
 				Call:    cell.Call{ID: 100 + i, Class: traffic.Text, BU: 1},
 				Station: bs,
 				Obs:     gps.Observation{SpeedKmh: 5, AngleDeg: 0, DistanceKm: 1},
@@ -394,11 +414,11 @@ func TestDecisionErrorFansOut(t *testing.T) {
 	defer s.Close()
 
 	req := cac.Request{Call: cell.Call{ID: 1, Class: traffic.Text, BU: 1}, Station: bs}
-	resp := s.Submit(req)
+	resp := <-s.SubmitAsync(req)
 	if resp.Err == nil || resp.Decision != cac.Reject {
 		t.Fatalf("expected failed reject, got %+v", resp)
 	}
-	waveResp, err := s.SubmitAll([]cac.Request{req, req})
+	waveResp, err := submitAll(s, []cac.Request{req, req})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +450,7 @@ func TestCommitOverflowWithinBatch(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = cac.Request{Call: cell.Call{ID: i + 1, Class: traffic.Video, BU: 10}, Station: bs}
 	}
-	resp, err := s.SubmitAll(reqs)
+	resp, err := submitAll(s, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +484,7 @@ func TestCloseSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := cac.Request{Call: cell.Call{ID: 1, Class: traffic.Text, BU: 1}, Station: bs}
-	if resp := s.Submit(req); resp.Err != nil {
+	if resp := <-s.SubmitAsync(req); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	if err := s.Close(); err != nil {
@@ -473,10 +493,10 @@ func TestCloseSemantics(t *testing.T) {
 	if err := s.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if resp := s.Submit(req); !errors.Is(resp.Err, ErrClosed) {
+	if resp := <-s.SubmitAsync(req); !errors.Is(resp.Err, ErrClosed) {
 		t.Fatalf("submit after close: %+v, want ErrClosed", resp)
 	}
-	if _, err := s.SubmitAll([]cac.Request{req}); !errors.Is(err, ErrClosed) {
+	if _, err := submitAll(s, []cac.Request{req}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("wave after close: %v, want ErrClosed", err)
 	}
 	if err := s.Flush(); !errors.Is(err, ErrClosed) {
@@ -507,15 +527,15 @@ func TestConcurrentMixedTrafficUnderRace(t *testing.T) {
 			for i := w; i < len(reqs); i += 6 {
 				switch rng.Intn(3) {
 				case 0:
-					if resp := s.Submit(reqs[i]); resp.Err != nil {
+					if resp := <-s.SubmitAsync(reqs[i]); resp.Err != nil {
 						t.Errorf("submit: %v", resp.Err)
 					}
 				case 1:
-					if _, err := s.SubmitAll(reqs[i : i+1]); err != nil {
+					if _, err := submitAll(s, reqs[i:i+1]); err != nil {
 						t.Errorf("wave: %v", err)
 					}
 				default:
-					if resp := s.Submit(reqs[i]); resp.Err != nil {
+					if resp := <-s.SubmitAsync(reqs[i]); resp.Err != nil {
 						t.Errorf("submit: %v", resp.Err)
 					}
 					if err := s.Tick(float64(i)); err != nil {
@@ -583,11 +603,11 @@ func TestLatencyQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := genRequests(t, net, 31, 200)
-	if _, err := s.SubmitAll(reqs[:120]); err != nil {
+	if _, err := submitAll(s, reqs[:120]); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reqs[120:] {
-		if resp := s.Submit(r); resp.Err != nil {
+		if resp := <-s.SubmitAsync(r); resp.Err != nil {
 			t.Fatal(resp.Err)
 		}
 	}
@@ -611,50 +631,53 @@ func TestLatencyQuantiles(t *testing.T) {
 	}
 }
 
-// TestSubmitAllIntoMatchesSubmitAll pins the buffer-reuse wave path:
-// SubmitAllInto fills a caller-provided response buffer with exactly
-// the responses SubmitAll would have allocated, rejects short buffers,
-// and leaves slots beyond len(reqs) untouched.
-func TestSubmitAllIntoMatchesSubmitAll(t *testing.T) {
+// TestSubmitAllIntoReusesBuffer pins the buffer-reuse wave path: a
+// response buffer reused across waves receives exactly the responses a
+// fresh buffer does on an identical service, slots beyond len(reqs)
+// stay untouched, and short buffers are rejected.
+func TestSubmitAllIntoReusesBuffer(t *testing.T) {
 	guard, err := cac.NewGuardChannel(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	netA := testNetwork(t, 5)
 	netB := testNetwork(t, 5)
-	a, err := New(Config{Controller: guard, MaxBatch: 16})
+	a, err := New(Config{Controller: guard, MaxBatch: 16, Commit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := New(Config{Controller: guard, MaxBatch: 16})
+	b, err := New(Config{Controller: guard, MaxBatch: 16, Commit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
-	reqsA := genRequests(t, netA, 77, 100)
-	reqsB := genRequests(t, netB, 77, 100)
-	want, err := a.SubmitAll(reqsA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]Response, len(reqsB)+8)
+	buf := make([]Response, 100+8)
 	sentinel := Response{Batch: -99}
-	buf[len(reqsB)] = sentinel
-	if err := b.SubmitAllInto(reqsB, buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i].Decision != buf[i].Decision || want[i].Committed != buf[i].Committed ||
-			want[i].Batch != buf[i].Batch {
-			t.Fatalf("response %d: SubmitAll %+v, SubmitAllInto %+v", i, want[i], buf[i])
+	buf[100] = sentinel
+	for wave := 0; wave < 3; wave++ {
+		reqsA := genRequests(t, netA, int64(77+wave), 100)
+		reqsB := genRequests(t, netB, int64(77+wave), 100)
+		want, err := submitAll(a, reqsA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SubmitAllInto(reqsB, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if want[i].Decision != buf[i].Decision || want[i].Committed != buf[i].Committed ||
+				want[i].Batch != buf[i].Batch || fmt.Sprint(want[i].Err) != fmt.Sprint(buf[i].Err) {
+				t.Fatalf("wave %d response %d: fresh buffer %+v, reused buffer %+v", wave, i, want[i], buf[i])
+			}
+		}
+		if buf[100] != sentinel {
+			t.Fatal("SubmitAllInto wrote past len(reqs)")
 		}
 	}
-	if buf[len(reqsB)] != sentinel {
-		t.Fatal("SubmitAllInto wrote past len(reqs)")
-	}
-	if err := b.SubmitAllInto(reqsB, make([]Response, len(reqsB)-1)); err == nil {
+	reqs := genRequests(t, netB, 80, 10)
+	if err := b.SubmitAllInto(reqs, make([]Response, len(reqs)-1)); err == nil {
 		t.Fatal("short response buffer should error")
 	}
 	if err := b.SubmitAllInto(nil, nil); err != nil {
@@ -671,9 +694,6 @@ func TestServiceWaveZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := testNetwork(t, 5)
-	for _, bs := range net.Stations() {
-		bs.Reserve(bs.Capacity())
-	}
 	s, err := New(Config{Controller: guard, MaxBatch: 16, Commit: true})
 	if err != nil {
 		t.Fatal(err)

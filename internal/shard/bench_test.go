@@ -26,12 +26,13 @@ func BenchmarkShardedServe(b *testing.B) {
 	sys := facs.Must()
 	reqs := genRequests(b, net, 42, 8192)
 
-	runWaves := func(b *testing.B, submit func([]cac.Request) ([]serve.Response, error)) {
+	runWaves := func(b *testing.B, submit func([]cac.Request, []serve.Response) error) {
 		b.Helper()
+		out := make([]serve.Response, wave)
 		b.ResetTimer()
 		for done := 0; done < b.N; done += wave {
 			off := done % (len(reqs) - wave)
-			if _, err := submit(reqs[off : off+wave]); err != nil {
+			if err := submit(reqs[off:off+wave], out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -43,7 +44,7 @@ func BenchmarkShardedServe(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer svc.Close()
-		runWaves(b, svc.SubmitAll)
+		runWaves(b, svc.SubmitAllInto)
 	})
 
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -58,7 +59,7 @@ func BenchmarkShardedServe(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer e.Close()
-			runWaves(b, e.SubmitWave)
+			runWaves(b, e.SubmitWaveTo)
 		})
 	}
 }
@@ -74,6 +75,7 @@ func BenchmarkShardedSCC(b *testing.B) {
 	const wave, maxBatch = 256, 256
 	net := testNetwork(b, 3) // 37 cells
 	reqs := genRequests(b, net, 43, 8192)
+	out := make([]serve.Response, wave)
 	ledgerFactory := func(v View) (cac.Controller, error) {
 		return scc.NewLedger(scc.Config{Network: net, Reservation: scc.ReservationFull})
 	}
@@ -87,7 +89,7 @@ func BenchmarkShardedSCC(b *testing.B) {
 		b.ResetTimer()
 		for done := 0; done < b.N; done += wave {
 			off := done % (len(reqs) - wave)
-			if _, err := svc.SubmitAll(reqs[off : off+wave]); err != nil {
+			if err := svc.SubmitAllInto(reqs[off:off+wave], out); err != nil {
 				b.Fatal(err)
 			}
 			if err := svc.Tick(float64(done)); err != nil {
@@ -109,13 +111,13 @@ func BenchmarkShardedSCC(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer e.Close()
-			if !e.Exchanging() {
+			if e.exchangers == nil {
 				b.Fatal("sharded SCC bench must run the ghost exchange")
 			}
 			b.ResetTimer()
 			for done := 0; done < b.N; done += wave {
 				off := done % (len(reqs) - wave)
-				if _, err := e.SubmitWave(reqs[off : off+wave]); err != nil {
+				if err := e.SubmitWaveTo(reqs[off:off+wave], out); err != nil {
 					b.Fatal(err)
 				}
 				if err := e.Tick(float64(done)); err != nil {
@@ -158,15 +160,15 @@ func BenchmarkShardHandoff(b *testing.B) {
 			if tc.cross {
 				to = stations[1] // shard 1
 			}
-			sf, _ := e.ShardOf(from.Hex())
-			st, _ := e.ShardOf(to.Hex())
+			sf, _ := shardOf(e, from.Hex())
+			st, _ := shardOf(e, to.Hex())
 			if (sf != st) != tc.cross {
 				b.Fatalf("stations %v and %v do not match the %s layout", from.Hex(), to.Hex(), tc.name)
 			}
 			req := genRequests(b, net, 1, 1)[0]
 			req.Station = from
 			req.Call.Class, req.Call.BU = traffic.Voice, traffic.Voice.BandwidthUnits()
-			if resp := e.Submit(req); !resp.Committed {
+			if resp := <-e.SubmitAsync(req); !resp.Committed {
 				b.Fatalf("seed call not committed: %+v", resp)
 			}
 			h := Handoff{CallID: req.Call.ID, From: from, To: to, Est: req.Est}

@@ -16,8 +16,8 @@ import (
 
 // TestConcurrentMixedTrafficOrdering drives a 4-shard engine with a
 // coalescing intake (MaxDelay > 0) from several goroutines at once,
-// each mixing SubmitAsync, Submit, SubmitWaveTo, Release of its own
-// committed calls, HandoffCall and Do. Stations are far larger than the
+// each mixing SubmitAsync (its reply read at once or later),
+// SubmitWaveTo, Release of its own committed calls, HandoffCall and Do. Stations are far larger than the
 // load, so under complete sharing every request commits and every
 // release must find its call. It pins the intake drain contract —
 // SubmitAsync(c) followed at once by Release(c), before the response is
@@ -152,7 +152,7 @@ func mixedWorker(e *Engine, stations []*cell.BaseStation, w, rounds int, live ma
 			}
 		case 1:
 			req := request(pick())
-			if err := committed(req, e.Submit(req)); err != nil {
+			if err := committed(req, <-e.SubmitAsync(req)); err != nil {
 				return err
 			}
 		case 2:
@@ -189,7 +189,7 @@ func mixedWorker(e *Engine, stations []*cell.BaseStation, w, rounds int, live ma
 			s := rng.Intn(e.Shards())
 			var bad error
 			if err := e.Do(s, func(cac.Controller) {
-				for _, bs := range e.View(s).Stations() {
+				for _, bs := range e.own.Load().views[s].Stations() {
 					sum := 0
 					for _, c := range bs.Calls() {
 						sum += c.BU

@@ -17,8 +17,8 @@ import (
 // provokes.
 var errConformDecide = errors.New("conform: decision failed")
 
-// conformEvent is one controller interaction; station is nil for ticks
-// and Do calls.
+// conformEvent is one controller interaction; station is nil for
+// ticks.
 type conformEvent struct {
 	station *cell.BaseStation
 	what    string
@@ -56,27 +56,20 @@ func (c *conformController) OnRelease(callID int, bs *cell.BaseStation, _ float6
 
 func (c *conformController) OnTick(now float64) { c.add(nil, "tick:%g", now) }
 
-func (c *conformController) OnStateUpdate(callID int, _ gps.Estimate, bs *cell.BaseStation) {
-	c.add(bs, "update:%d", callID)
-}
-
 // conformFront is the surface the conformance script drives, bound to
 // a serve.Service or a shard.Engine.
 type conformFront struct {
-	submit  func(cac.Request) serve.Response
-	wave    func([]cac.Request) ([]serve.Response, error)
+	submit  func(cac.Request) <-chan serve.Response
+	wave    func([]cac.Request, []serve.Response) error
 	tick    func(float64) error
-	update  func(int, gps.Estimate, *cell.BaseStation) error
 	release func(int, *cell.BaseStation, float64) error
-	do      func(func(cac.Controller)) error
 	flush   func() error
 }
 
 // runConformScript drives one op script against a fresh front end on
 // net: singles, a two-chunk wave whose first chunk overflows a
-// station's bandwidth, a decision error, a tick, a state update,
-// releases of a live and of an unknown call, Do and Flush, and a
-// single after them. It returns every response in script order.
+// station's bandwidth, a decision error, a tick, releases of a live
+// and of an unknown call, Flush, and a single after them. It returns every response in script order.
 func runConformScript(t *testing.T, net *cell.Network, f conformFront) []serve.Response {
 	t.Helper()
 	a, b := net.Stations()[0], net.Stations()[1]
@@ -89,7 +82,7 @@ func runConformScript(t *testing.T, net *cell.Network, f conformFront) []serve.R
 		}
 	}
 	var out []serve.Response
-	out = append(out, f.submit(req(1, a)), f.submit(req(2, b)))
+	out = append(out, <-f.submit(req(1, a)), <-f.submit(req(2, b)))
 	// MaxBatch is 8: the first chunk (10..17) lands on a, whose
 	// remaining bandwidth commits only some of its accepts; the second
 	// (18..21) spans both stations.
@@ -98,34 +91,32 @@ func runConformScript(t *testing.T, net *cell.Network, f conformFront) []serve.R
 		wave = append(wave, req(id, a))
 	}
 	wave = append(wave, req(18, a), req(19, b), req(20, a), req(21, b))
-	resp, err := f.wave(wave)
-	if err != nil {
+	resp := make([]serve.Response, len(wave))
+	if err := f.wave(wave, resp); err != nil {
 		t.Fatal(err)
 	}
 	out = append(out, resp...)
-	out = append(out, f.submit(req(7, b)))
+	out = append(out, <-f.submit(req(7, b)))
 	for _, step := range []error{
 		f.tick(100),
-		f.update(10, gps.Estimate{}, a),
 		f.release(10, a, 101),
 		f.release(999, b, 102),
-		f.do(func(ctrl cac.Controller) { ctrl.(*conformController).add(nil, "do") }),
 		f.flush(),
 	} {
 		if step != nil {
 			t.Fatal(step)
 		}
 	}
-	return append(out, f.submit(req(22, a)))
+	return append(out, <-f.submit(req(22, a)))
 }
 
 // TestServiceAndEngineConform runs one op script through serve.Service
 // and through shard.Engine at 1 and 2 shards and requires the same
 // responses, the same controller event order and the same counters.
 // Each shard controller must see exactly the service's events for the
-// stations it owns, plus every tick (a tick reaches every shard) and,
-// on shard 0, the Do call. For the same reason an n-shard engine counts
-// each tick n times, as a tick and as an op.
+// stations it owns, plus every tick (a tick reaches every shard). For
+// the same reason an n-shard engine counts each tick n times, as a tick
+// and as an op.
 func TestServiceAndEngineConform(t *testing.T) {
 	const maxBatch = 8
 	netS := testNetwork(t, 1)
@@ -135,8 +126,8 @@ func TestServiceAndEngineConform(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runConformScript(t, netS, conformFront{
-		submit: svc.Submit, wave: svc.SubmitAll, tick: svc.Tick, update: svc.UpdateState,
-		release: svc.Release, do: svc.Do, flush: svc.Flush,
+		submit: svc.SubmitAsync, wave: svc.SubmitAllInto, tick: svc.Tick,
+		release: svc.Release, flush: svc.Flush,
 	})
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
@@ -162,9 +153,8 @@ func TestServiceAndEngineConform(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := runConformScript(t, net, conformFront{
-				submit: eng.Submit, wave: eng.SubmitWave, tick: eng.Tick, update: eng.UpdateState,
+				submit: eng.SubmitAsync, wave: eng.SubmitWaveTo, tick: eng.Tick,
 				release: eng.Release, flush: eng.Flush,
-				do: func(fn func(cac.Controller)) error { return eng.Do(0, fn) },
 			})
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
@@ -185,9 +175,9 @@ func TestServiceAndEngineConform(t *testing.T) {
 			for s, c := range ctrls {
 				var proj []string
 				for _, ev := range ctrlS.events {
-					owned := ev.station == nil && (ev.what != "do" || s == 0)
+					owned := ev.station == nil
 					if ev.station != nil {
-						sh, _ := eng.ShardOf(ev.station.Hex())
+						sh, _ := shardOf(eng, ev.station.Hex())
 						owned = sh == s
 					}
 					if owned {

@@ -11,8 +11,7 @@
 // station i of the network's (Q, R) order to shard i mod N;
 // PartitionBlocks assigns contiguous runs), each shard holds its own
 // controller behind its own lock, and every station's traffic —
-// decisions, releases, state updates — is serialized by exactly one
-// shard. The cell-to-shard map is an immutable epoch value swapped
+// decisions and releases — is serialized by exactly one shard. The cell-to-shard map is an immutable epoch value swapped
 // whole at rebalances, so routing never observes a half-applied
 // layout.
 //
@@ -21,16 +20,16 @@
 // A shard is state, not a goroutine: one serve.Core — its controller,
 // decision scratch and counters — behind one mutex, and every operation runs on the
 // goroutine that calls it, under the locks of the shards it touches
-// (taken in shard order whenever several are held). SubmitWave routes
+// (taken in shard order whenever several are held). SubmitWaveTo routes
 // each chunk, decides the first owning shard's slice on the caller and
 // the other owning shards' slices on fan-out goroutines — the
 // cross-shard parallelism — and joins them before the next chunk.
-// Release, UpdateState, Do and Tick lock one shard at a time;
+// Release, Do and Tick lock one shard at a time;
 // rebalancing and snapshots hold every lock for the epoch or the cut.
 // Each chunk slice goes through the shard's Core.Decide, the
 // decide-commit-observe step a serve.Service uses, and is counted in
-// serve.Stats terms; releases, state updates, ticks, Do calls and both
-// handoff phases are Core methods too. Only Submit/SubmitAsync singles
+// serve.Stats terms; releases, ticks, Do calls and both handoff phases
+// are Core methods too. Only SubmitAsync singles
 // travel a queue: one intake goroutine per engine (serve.Intake)
 // coalesces them by MaxBatch and MaxDelay, as for a Service, and
 // decides each micro-batch as one chunk. Every other operation first drains that intake, so it is
@@ -43,7 +42,7 @@
 //
 //   - Ownership: one shard owns each station, so a station's requests
 //     are decided in submission order no matter how many shards exist.
-//   - Global chunking: SubmitWave splits waves at MaxBatch boundaries
+//   - Global chunking: SubmitWaveTo splits waves at MaxBatch boundaries
 //     in global request order BEFORE routing and barriers between
 //     chunks, so every request is decided against the same chunk-start
 //     station state regardless of how the chunk scattered across
@@ -56,7 +55,7 @@
 // complete sharing, guard channel, multi-priority threshold — this
 // makes every per-request outcome byte-identical to the 1-shard
 // engine and to the metropolis driver's inline batch engine (the
-// pinned oracle in internal/experiments). Engine.CellLocal reports
+// pinned oracle in internal/experiments). Stats.CellLocal reports
 // whether a configuration is in that regime.
 //
 // # Ghost-demand exchange
@@ -75,9 +74,8 @@
 // the last barrier), which vanishes entirely for tick-aligned waves:
 // the ghost suite pins sharded SCC decisions byte-identical at shard
 // counts 1/2/4/8 to the inline single-ledger run
-// (internal/experiments/ghost_test.go). Engine.Exchanging reports the
-// active regime, and Stats counts exchange rounds and fanned-out demand
-// rows.
+// (internal/experiments/ghost_test.go). Stats counts exchange rounds
+// and fanned-out demand rows.
 //
 // # Elastic rebalancing
 //
@@ -109,14 +107,18 @@
 //
 // # Entry points
 //
-// New starts the engine; SubmitWave / Submit / SubmitAsync decide
-// traffic; Tick is a cross-shard barrier (hosting the ghost exchange);
-// Release / UpdateState route to the owner shard; HandoffCall runs the
-// two-phase cross-shard handoff; ForceRebalance
-// applies an epoch on demand; Epoch, ShardOf and View read the current
-// ownership; Stats aggregates the per-shard counters as serve.Stats
-// (including merged latency percentiles) with handoff, fan-out,
-// exchange and rebalance counters.
+// Each operation has one exported entry point. New starts the engine;
+// SubmitWaveTo decides a wave into a caller-owned buffer and
+// SubmitAsync a single (<-SubmitAsync(req) blocks for it); Tick is a
+// cross-shard barrier (hosting the ghost exchange and the rebalance
+// epochs); Release routes to the owner shard; HandoffCall runs the
+// two-phase cross-shard handoff; Do runs a function on one shard's
+// controller under its lock; Flush waits for queued singles;
+// SnapshotTo and RestoreFrom save and restore the whole engine; Stats
+// aggregates the per-shard counters as serve.Stats (including merged
+// latency percentiles) with handoff, fan-out, exchange and rebalance
+// counters, the ownership epoch and the CellLocal and InterestScoped
+// regimes; Shards and Close complete the set.
 // experiments.RunMetropolis drives the closed loop; cmd/facs-serve and
 // cmd/facs-sim wire the engine behind -shards / -partition /
 // -rebalance-ticks.

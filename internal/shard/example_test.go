@@ -5,6 +5,7 @@ import (
 
 	"facs/internal/cac"
 	"facs/internal/cell"
+	"facs/internal/serve"
 	"facs/internal/shard"
 	"facs/internal/traffic"
 )
@@ -38,8 +39,8 @@ func ExampleEngine() {
 			Station: stations[i], // three cells, three owner shards
 		}
 	}
-	responses, err := eng.SubmitWave(reqs)
-	if err != nil {
+	responses := make([]serve.Response, len(reqs))
+	if err := eng.SubmitWaveTo(reqs, responses); err != nil {
 		panic(err)
 	}
 	for i, r := range responses {

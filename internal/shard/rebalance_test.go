@@ -78,15 +78,15 @@ func TestRebalanceConfigValidation(t *testing.T) {
 	if _, err := New(Config{Network: net, Shards: 2, NewController: opaqueFactory, RebalanceEveryTicks: 1}); err == nil {
 		t.Fatal("rebalancing an immovable controller should fail construction")
 	}
-	// Without the cadence the opaque controller is fine — but an
-	// explicit ForceRebalance must refuse.
+	// Without the cadence the opaque controller is fine — but a forced
+	// rebalance must refuse.
 	e, err := New(Config{Network: net, Shards: 2, NewController: opaqueFactory})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.ForceRebalance(); err == nil {
-		t.Fatal("ForceRebalance on an immovable controller should error")
+	if err := forceRebalance(e); err == nil {
+		t.Fatal("rebalancing an immovable controller should error")
 	}
 }
 
@@ -100,7 +100,7 @@ func TestPartitionBlocksIsContiguousAndComplete(t *testing.T) {
 		prev := 0
 		total := 0
 		for i, bs := range net.Stations() {
-			s, ok := e.ShardOf(bs.Hex())
+			s, ok := shardOf(e, bs.Hex())
 			if !ok {
 				t.Fatalf("station %v unrouted", bs.Hex())
 			}
@@ -113,7 +113,7 @@ func TestPartitionBlocksIsContiguousAndComplete(t *testing.T) {
 			prev = s
 		}
 		for s := 0; s < e.Shards(); s++ {
-			n := e.View(s).NumCells()
+			n := e.own.Load().views[s].NumCells()
 			if n == 0 {
 				t.Fatalf("shards=%d: shard %d owns no cells", shards, s)
 			}
@@ -135,12 +135,12 @@ func assertOwnershipPartition(t *testing.T, e *Engine, net *cell.Network) {
 	t.Helper()
 	seen := make(map[geo.Hex]int)
 	for s := 0; s < e.Shards(); s++ {
-		for _, bs := range e.View(s).Stations() {
+		for _, bs := range e.own.Load().views[s].Stations() {
 			if owner, dup := seen[bs.Hex()]; dup {
 				t.Fatalf("cell %v in views of shards %d and %d", bs.Hex(), owner, s)
 			}
 			seen[bs.Hex()] = s
-			if r, ok := e.ShardOf(bs.Hex()); !ok || r != s {
+			if r, ok := shardOf(e, bs.Hex()); !ok || r != s {
 				t.Fatalf("cell %v in view %d but routes to %d (ok=%v)", bs.Hex(), s, r, ok)
 			}
 		}
@@ -172,7 +172,7 @@ func TestForceRebalanceMigratesAndConserves(t *testing.T) {
 	for i := range reqs {
 		reqs[i].Station = stations[i%5]
 	}
-	resps, err := e.SubmitWave(reqs)
+	resps, err := submitWave(e, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +200,12 @@ func TestForceRebalanceMigratesAndConserves(t *testing.T) {
 		totalUsed += st.used
 	}
 
-	if err := e.ForceRebalance(); err != nil {
+	if err := forceRebalance(e); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if e.Epoch() != 1 || st.Rebalances != 1 {
-		t.Fatalf("expected one applied epoch, got epoch %d rebalances %d", e.Epoch(), st.Rebalances)
+	if st.Epoch != 1 || st.Rebalances != 1 {
+		t.Fatalf("expected one applied epoch, got epoch %d rebalances %d", st.Epoch, st.Rebalances)
 	}
 	if st.Migrations == 0 || st.MigratedCalls == 0 {
 		t.Fatalf("hotspot epoch moved nothing: %+v", st)
@@ -215,7 +215,7 @@ func TestForceRebalanceMigratesAndConserves(t *testing.T) {
 	// The hot shard must have shed at least one of its cells.
 	movedOff := false
 	for i := 0; i < 5; i++ {
-		if s, _ := e.ShardOf(stations[i].Hex()); s != 0 {
+		if s, _ := shardOf(e, stations[i].Hex()); s != 0 {
 			movedOff = true
 		}
 	}
@@ -321,7 +321,7 @@ func runRebalanceSoak(t *testing.T, seed int64, shards, rounds int, partition Pa
 			t.Fatalf("seed %d round %d: tick: %v", seed, round, err)
 		}
 		if round%7 == 3 {
-			if err := e.ForceRebalance(); err != nil {
+			if err := forceRebalance(e); err != nil {
 				t.Fatalf("seed %d round %d: forced rebalance: %v", seed, round, err)
 			}
 		}
@@ -366,7 +366,7 @@ func runRebalanceSoak(t *testing.T, seed int64, shards, rounds int, partition Pa
 			reqs[i].Now = now
 			nextID++
 		}
-		resps, err := e.SubmitWave(reqs)
+		resps, err := submitWave(e, reqs)
 		if err != nil {
 			t.Fatalf("seed %d round %d: wave: %v", seed, round, err)
 		}
@@ -387,7 +387,7 @@ func runRebalanceSoak(t *testing.T, seed int64, shards, rounds int, partition Pa
 	for _, bs := range stations {
 		res.used = append(res.used, bs.Used())
 	}
-	res.epoch = e.Epoch()
+	res.epoch = e.Stats().Epoch
 	return res
 }
 
@@ -479,7 +479,7 @@ func runScopedSCC(t *testing.T, shards int, maxSpeedKmh float64, declareBound bo
 	for w := 0; w < waves; w++ {
 		reqs := genScopedRequests(t, net, int64(1000+w), waveLen, maxSpeedKmh, id)
 		id += waveLen
-		resps, err := e.SubmitWave(reqs)
+		resps, err := submitWave(e, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,10 +557,10 @@ func TestRebalanceStatsAggregation(t *testing.T) {
 	for i := range reqs {
 		reqs[i].Station = stations[i%5] // hotspot on shard 0's block
 	}
-	if _, err := e.SubmitWave(reqs); err != nil {
+	if _, err := submitWave(e, reqs); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ForceRebalance(); err != nil {
+	if err := forceRebalance(e); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()

@@ -16,13 +16,13 @@ import (
 )
 
 // View is the slice of the network one shard owns: the stations whose
-// admission, release and state-update traffic this shard serializes. It is handed to Config.NewController so factories
-// can build per-shard controller instances (or return one shared,
-// concurrency-safe instance). Under elastic rebalancing the owned set
-// changes at epoch boundaries; Engine.View always reports the current
-// epoch's slice, while the view a factory received describes epoch 0
-// (factories that need per-station state should size it off
-// View.Network, which is epoch-invariant).
+// admission and release traffic this shard serializes. It is handed to
+// Config.NewController so factories can build per-shard controller
+// instances (or return one shared, concurrency-safe instance). Under
+// elastic rebalancing the owned set changes at epoch boundaries, so the
+// view a factory received describes epoch 0 (factories that need
+// per-station state should size it off View.Network, which is
+// epoch-invariant).
 type View struct {
 	index    int
 	network  *cell.Network
@@ -100,15 +100,15 @@ type Config struct {
 	// instance. Required.
 	NewController func(v View) (cac.Controller, error)
 
-	// MaxBatch is the engine's chunk size: SubmitWave splits a wave at
+	// MaxBatch is the engine's chunk size: SubmitWaveTo splits a wave at
 	// MaxBatch boundaries in global request order BEFORE routing, with
 	// a cross-shard barrier between chunks, so chunk boundaries — and
 	// therefore outcomes — are identical for every shard count
 	// (default serve.DefaultMaxBatch). It also caps the micro-batches
-	// the intake coalesces from Submit/SubmitAsync singles.
+	// the intake coalesces from SubmitAsync singles.
 	MaxBatch int
 
-	// MaxDelay bounds how long the intake waits for Submit/SubmitAsync
+	// MaxDelay bounds how long the intake waits for SubmitAsync
 	// singles to coalesce (default serve.DefaultMaxDelay; negative:
 	// never wait); it cannot change wave outcomes, only single-submit
 	// latency.
@@ -271,18 +271,18 @@ type Stats struct {
 	Total serve.Stats
 	// PerShard holds one counter snapshot per shard, in serve.Stats
 	// terms: every chunk slice (and handoff admission) a shard decides
-	// is one batch, and releases, state updates, ticks and Do calls are
+	// is one batch, and releases, ticks and Do calls are
 	// its ops. Waves are counted engine-wide (Waves below), not per
 	// shard.
 	PerShard []serve.Stats
-	// Waves counts engine-level SubmitWave calls.
+	// Waves counts engine-level SubmitWaveTo calls.
 	Waves int64
 	// Handoffs counts completed release-and-readmit protocols;
 	// CrossShard the subset spanning two shards; Drops the handoffs
 	// whose target did not commit; Errs the protocol failures (unknown
 	// call, unroutable station).
 	Handoffs, CrossShard, Drops, Errs int64
-	// FanOuts counts the goroutines SubmitWave started: one per owning
+	// FanOuts counts the goroutines SubmitWaveTo started: one per owning
 	// shard beyond the first in every chunk spanning several shards
 	// (the first slice is decided on the caller's goroutine).
 	FanOuts int64
@@ -339,14 +339,14 @@ type shardState struct {
 // every station to its owner shard. There is no goroutine per shard:
 // every operation runs directly on the goroutine that calls it, under
 // the lock of each shard it touches (several locks are always taken in
-// shard order). SubmitWave decides one owning shard's slice of each
+// shard order). SubmitWaveTo decides one owning shard's slice of each
 // chunk on the caller and fans the other owning shards' slices out to
-// goroutines; Submit and SubmitAsync singles coalesce through one
+// goroutines; SubmitAsync singles coalesce through one
 // intake goroutine (serve.Intake) into micro-batches decided the same
 // way.
 //
 // Determinism contract: a station's traffic is serialized by exactly
-// one shard in submission order, and SubmitWave chunks waves at
+// one shard in submission order, and SubmitWaveTo chunks waves at
 // MaxBatch boundaries in global request order before routing, with a
 // barrier between chunks. For controllers declaring cac.CellLocal
 // (whose decisions read only the request's own station), every
@@ -360,7 +360,7 @@ type shardState struct {
 // single-ledger replay and bounding free-running divergence to
 // intra-epoch admissions; see the package documentation.
 //
-// Ordering contract: Release, UpdateState, Do, Tick, Flush, SubmitWave
+// Ordering contract: Release, Do, Tick, Flush, SubmitWaveTo
 // and HandoffCall first drain the intake, so each is ordered after
 // every single already enqueued — in particular after the caller's own
 // earlier SubmitAsync calls. With nothing pending the drain is one
@@ -411,11 +411,11 @@ type Engine struct {
 	cellLoad []int64
 	loadBuf  []float64
 
-	// intake coalesces Submit/SubmitAsync singles into micro-batches on
+	// intake coalesces SubmitAsync singles into micro-batches on
 	// its own goroutine.
 	intake *serve.Intake
 
-	// waveMu serializes chunk decisions (SubmitWave and intake batches)
+	// waveMu serializes chunk decisions (SubmitWaveTo and intake batches)
 	// so the per-shard routing and response-scatter buffers below are
 	// reused across chunks instead of rebuilt per call. Waves from
 	// concurrent callers queue on the mutex — their relative order was
@@ -654,31 +654,6 @@ func (e *Engine) buildOwnership(owner []int32, epoch uint64) *ownership {
 // count).
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// CellLocal reports that every shard controller declared
-// cac.CellLocal, making outcomes shard-count-invariant.
-func (e *Engine) CellLocal() bool { return e.cellLocal }
-
-// Epoch returns the current ownership version: 0 until the first
-// applied rebalance, incremented once per applied migration plan.
-func (e *Engine) Epoch() uint64 { return e.own.Load().epoch }
-
-// InterestScoped reports that the ghost exchange routes rows by
-// interest sets instead of all-to-all.
-func (e *Engine) InterestScoped() bool { return e.interestRadius >= 0 }
-
-// ShardOf returns the shard owning cell h at the current epoch, or
-// false for a hex outside the deployment.
-func (e *Engine) ShardOf(h geo.Hex) (int, bool) {
-	ci, ok := e.cells.index(h)
-	if !ok {
-		return 0, false
-	}
-	return int(e.own.Load().owner[ci]), true
-}
-
-// View returns shard s's slice of the network at the current epoch.
-func (e *Engine) View(s int) View { return e.own.Load().views[s] }
-
 // errHandoffNeedsCommit rejects handoffs on an engine that does not own
 // station state.
 var errHandoffNeedsCommit = errors.New("shard: handoffs require Commit mode (the engine must own station state)")
@@ -717,17 +692,10 @@ func (e *Engine) unlockAll() {
 	}
 }
 
-// Submit routes one request to its station's shard through the intake
-// and blocks until the decision. Safe for any number of concurrent
-// callers.
-func (e *Engine) Submit(req cac.Request) serve.Response {
-	return <-e.SubmitAsync(req)
-}
-
 // SubmitAsync enqueues one request on the engine's intake and returns a
 // buffered channel carrying exactly one response. The intake goroutine
 // coalesces singles into micro-batches (MaxBatch, MaxDelay) and decides
-// each one as a chunk, exactly like one chunk of SubmitWave. An
+// each one as a chunk, exactly like one chunk of SubmitWaveTo. An
 // unroutable request is answered immediately with a rejection carrying
 // the error.
 func (e *Engine) SubmitAsync(req cac.Request) <-chan serve.Response {
@@ -757,31 +725,19 @@ func (e *Engine) decideBatch(reqs []cac.Request, enq time.Time, out []serve.Resp
 	}
 }
 
-// SubmitWave decides a caller-defined batch, returning responses in
-// request order. The wave is split at MaxBatch boundaries in global
-// request order first; each chunk's requests are then routed to their
-// owner shards and decided concurrently, with a barrier before the
-// next chunk. Chunk boundaries — and, for cell-local controllers, all
-// outcomes — are therefore independent of the shard count: the 1-shard
-// engine realises exactly serve.SubmitAll's deterministic wave
-// semantics.
-func (e *Engine) SubmitWave(reqs []cac.Request) ([]serve.Response, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	out := make([]serve.Response, len(reqs))
-	if err := e.SubmitWaveTo(reqs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SubmitWaveTo is SubmitWave into a caller-provided response buffer:
-// out[i] receives the response for reqs[i]. The routing and scatter
-// state lives on the engine and is reused across waves, so a steady
-// caller that also reuses out allocates nothing per wave beyond one
-// goroutine per extra owning shard of a chunk (Stats.FanOuts). out must
-// hold at least len(reqs) slots.
+// SubmitWaveTo decides a caller-defined batch (a wave) into a
+// caller-provided response buffer: out[i] receives the response for
+// reqs[i], and out must hold at least len(reqs) slots. The wave is split
+// at MaxBatch boundaries in global request order first; each chunk's
+// requests are then routed to their owner shards and decided
+// concurrently, with a barrier before the next chunk. Chunk boundaries —
+// and, for cell-local controllers, all outcomes — are therefore
+// independent of the shard count: the 1-shard engine realises exactly
+// serve.Service.SubmitAllInto's deterministic wave semantics. The
+// routing and scatter state lives on the engine and is reused across
+// waves, so a steady caller that also reuses out allocates nothing per
+// wave beyond one goroutine per extra owning shard of a chunk
+// (Stats.FanOuts).
 //
 //facs:hotpath
 func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
@@ -883,7 +839,8 @@ func (e *Engine) decideSlice(s int, out []serve.Response, enq time.Time) {
 // fires, and no request submitted after Tick returns can overtake it on
 // any shard.
 //
-// For demand-exchanging controllers (see Exchanging) the barrier also
+// For demand-exchanging controllers (every shard controller a distinct
+// cac.DemandExchanger instance) the barrier also
 // hosts the ghost-demand exchange: once every shard has applied the
 // tick (and, for the SCC ledger, re-aggregated its matrix), each
 // shard's demand delta is collected and fanned back out — to every
@@ -917,26 +874,6 @@ func (e *Engine) Tick(now float64) error {
 				return err
 			}
 		}
-	}
-	e.exchangeDemand()
-	return nil
-}
-
-// Exchanging reports that the engine runs the ghost-demand exchange at
-// tick barriers: every shard controller is a distinct
-// cac.DemandExchanger instance.
-func (e *Engine) Exchanging() bool { return e.exchangers != nil }
-
-// ForceRebalance runs one rebalance epoch immediately: plan, migrate,
-// publish, then a full exchange round. Like Tick it assumes quiesced
-// submissions. It returns an error when the controller set does not
-// support rebalancing (see Config.RebalanceEveryTicks).
-func (e *Engine) ForceRebalance() error {
-	if err := e.intake.Drain(); err != nil {
-		return err
-	}
-	if err := e.rebalance(); err != nil {
-		return err
 	}
 	e.exchangeDemand()
 	return nil
@@ -1073,11 +1010,15 @@ func (e *Engine) exchangeDemand() {
 func (e *Engine) Flush() error { return e.intake.Drain() }
 
 // Do runs fn on shard s's controller under the shard's lock, ordered
-// after everything already submitted, and returns once fn does. fn must
+// after everything already submitted, and returns once fn does. A shard
+// index outside [0, Shards()) is an error and fn never runs. fn must
 // not call back into the engine. A globally consistent multi-shard
 // view additionally requires the caller to quiesce submissions (as the
 // closed-loop drivers do between waves).
 func (e *Engine) Do(s int, fn func(ctrl cac.Controller)) error {
+	if s < 0 || s >= len(e.shards) {
+		return fmt.Errorf("shard: Do on shard %d, engine has %d", s, len(e.shards))
+	}
 	if err := e.intake.Drain(); err != nil {
 		return err
 	}
@@ -1105,24 +1046,6 @@ func (e *Engine) Release(callID int, station *cell.BaseStation, now float64) err
 	sh := e.shards[e.own.Load().owner[ci]]
 	sh.mu.Lock()
 	sh.core.Release(callID, station, now)
-	sh.mu.Unlock()
-	return nil
-}
-
-// UpdateState delivers a fresh kinematic estimate for a carried call to
-// its station's shard controller when it tracks mobility
-// (cac.StateUpdater), ordered after everything already submitted.
-func (e *Engine) UpdateState(callID int, est gps.Estimate, station *cell.BaseStation) error {
-	ci, ok := e.cells.index(station.Hex())
-	if !ok {
-		return errOutside(station.Hex())
-	}
-	if err := e.intake.Drain(); err != nil {
-		return err
-	}
-	sh := e.shards[e.own.Load().owner[ci]]
-	sh.mu.Lock()
-	sh.core.UpdateState(callID, est, station)
 	sh.mu.Unlock()
 	return nil
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,6 +66,34 @@ func sharedFACS(t testing.TB) func(View) (cac.Controller, error) {
 
 func guardFactory(View) (cac.Controller, error) { return cac.NewGuardChannel(8) }
 
+// submitWave decides reqs as one wave through SubmitWaveTo into a fresh
+// buffer.
+func submitWave(e *Engine, reqs []cac.Request) ([]serve.Response, error) {
+	out := make([]serve.Response, len(reqs))
+	return out, e.SubmitWaveTo(reqs, out)
+}
+
+// shardOf returns the shard owning cell h at the current epoch, or
+// false for a hex outside the deployment.
+func shardOf(e *Engine, h geo.Hex) (int, bool) {
+	ci, ok := e.cells.index(h)
+	if !ok {
+		return 0, false
+	}
+	return int(e.own.Load().owner[ci]), true
+}
+
+// forceRebalance runs one rebalance epoch now, as the Tick barrier of an
+// engine with RebalanceEveryTicks does: plan, migrate, publish, then a
+// full exchange round. Like Tick it assumes quiesced submissions.
+func forceRebalance(e *Engine) error {
+	if err := e.rebalance(); err != nil {
+		return err
+	}
+	e.exchangeDemand()
+	return nil
+}
+
 func TestPartitionDeterministicAndComplete(t *testing.T) {
 	net := testNetwork(t, 2) // 19 cells
 	for _, shards := range []int{1, 2, 4, 19, 64} {
@@ -83,7 +112,7 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 		// Every station owned exactly once, round-robin over (Q, R) order.
 		counts := make([]int, e.Shards())
 		for i, bs := range net.Stations() {
-			s, ok := e.ShardOf(bs.Hex())
+			s, ok := shardOf(e, bs.Hex())
 			if !ok {
 				t.Fatalf("station %v unrouted", bs.Hex())
 			}
@@ -94,18 +123,18 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 		}
 		total := 0
 		for s, c := range counts {
-			if c != e.View(s).NumCells() {
-				t.Fatalf("shard %d view has %d cells, router says %d", s, e.View(s).NumCells(), c)
+			if c != e.own.Load().views[s].NumCells() {
+				t.Fatalf("shard %d view has %d cells, router says %d", s, e.own.Load().views[s].NumCells(), c)
 			}
 			total += c
 		}
 		if total != net.NumCells() {
 			t.Fatalf("partition covers %d cells, want %d", total, net.NumCells())
 		}
-		if _, ok := e.ShardOf(geo.Hex{Q: 99, R: 99}); ok {
+		if _, ok := shardOf(e, geo.Hex{Q: 99, R: 99}); ok {
 			t.Fatal("foreign hex should not route")
 		}
-		if !e.CellLocal() {
+		if !e.Stats().CellLocal {
 			t.Fatal("guard-channel shards should report cell-local")
 		}
 	}
@@ -150,7 +179,7 @@ func TestWaveMatchesDecideAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.SubmitWave(reqs)
+		got, err := submitWave(e, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +267,7 @@ func TestCommittedWavesShardCountInvariant(t *testing.T) {
 		}
 		var got []outcome
 		for lo := 0; lo < total; lo += waveLen {
-			resps, err := e.SubmitWave(reqs[lo:min(lo+waveLen, total)])
+			resps, err := submitWave(e, reqs[lo:min(lo+waveLen, total)])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +313,7 @@ func TestHandoffProtocol(t *testing.T) {
 	reqs[0].Station = stations[0]
 	reqs[0].Call.Class = traffic.Voice
 	reqs[0].Call.BU = traffic.Voice.BandwidthUnits()
-	resps, err := e.SubmitWave(reqs)
+	resps, err := submitWave(e, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +324,9 @@ func TestHandoffProtocol(t *testing.T) {
 
 	// Move it to a station owned by a different shard.
 	var target *cell.BaseStation
-	src, _ := e.ShardOf(stations[0].Hex())
+	src, _ := shardOf(e, stations[0].Hex())
 	for _, bs := range stations[1:] {
-		if s, _ := e.ShardOf(bs.Hex()); s != src {
+		if s, _ := shardOf(e, bs.Hex()); s != src {
 			target = bs
 			break
 		}
@@ -367,7 +396,7 @@ func TestHandoffToSameStationRefused(t *testing.T) {
 	req := genRequests(t, net, 1, 1)[0]
 	req.Station = bs
 	req.Call.Class, req.Call.BU = traffic.Voice, traffic.Voice.BandwidthUnits()
-	if resp := e.Submit(req); !resp.Committed {
+	if resp := <-e.SubmitAsync(req); !resp.Committed {
 		t.Fatalf("seed call not committed: %+v", resp)
 	}
 	res := e.HandoffCall(Handoff{CallID: req.Call.ID, From: bs, To: bs, Est: req.Est, Now: 5})
@@ -436,7 +465,7 @@ func TestTickBarrierGhostExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if !e.Exchanging() {
+	if e.exchangers == nil {
 		t.Fatal("distinct exchanger instances should enable the exchange")
 	}
 	const ticks = 3
@@ -490,7 +519,7 @@ func TestExchangeRequiresDistinctInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.Exchanging() {
+	if e.exchangers != nil {
 		t.Fatal("a shared exchanger instance must not enable the exchange")
 	}
 	if err := e.Tick(1); err != nil {
@@ -550,7 +579,7 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := genRequests(t, net, 13, 200)
-	if _, err := e.SubmitWave(reqs); err != nil {
+	if _, err := submitWave(e, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err != nil {
@@ -597,10 +626,10 @@ func TestCloseIsIdempotentAndRejectsLateTraffic(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if resp := e.Submit(reqs[0]); resp.Err == nil {
+	if resp := <-e.SubmitAsync(reqs[0]); resp.Err == nil {
 		t.Fatal("submit after close should fail")
 	}
-	if _, err := e.SubmitWave(reqs); err == nil {
+	if _, err := submitWave(e, reqs); err == nil {
 		t.Fatal("wave after close should fail")
 	}
 	stations := net.Stations()
@@ -619,29 +648,49 @@ func TestUnroutableRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if resp := e.Submit(cac.Request{Call: cell.Call{ID: 1, Class: traffic.Voice, BU: 5}}); resp.Err == nil {
+	if resp := <-e.SubmitAsync(cac.Request{Call: cell.Call{ID: 1, Class: traffic.Voice, BU: 5}}); resp.Err == nil {
 		t.Fatal("stationless request should fail")
 	}
 	req := cac.Request{Call: cell.Call{ID: 2, Class: traffic.Voice, BU: 5}, Station: foreign}
-	if resp := e.Submit(req); resp.Err == nil {
+	if resp := <-e.SubmitAsync(req); resp.Err == nil {
 		t.Fatal("foreign station should fail routing")
 	}
-	if _, err := e.SubmitWave([]cac.Request{req}); err == nil {
+	if _, err := submitWave(e, []cac.Request{req}); err == nil {
 		t.Fatal("foreign station should fail wave routing")
 	}
 	if err := e.Release(1, foreign, 0); err == nil {
 		t.Fatal("foreign release should fail")
 	}
-	if err := e.UpdateState(1, gps.Estimate{}, foreign); err == nil {
-		t.Fatal("foreign update should fail")
+}
+
+// TestDoRejectsShardOutOfRange pins Do's index check: a shard outside
+// [0, Shards()) is an error, and fn never runs.
+func TestDoRejectsShardOutOfRange(t *testing.T) {
+	net := testNetwork(t, 1)
+	e, err := New(Config{Network: net, Shards: 3, NewController: guardFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, s := range []int{-1, e.Shards()} {
+		called := false
+		if err := e.Do(s, func(cac.Controller) { called = true }); err == nil {
+			t.Fatalf("Do(%d) on a %d-shard engine should error", s, e.Shards())
+		}
+		if called {
+			t.Fatalf("Do(%d) ran fn", s)
+		}
+	}
+	if err := e.Do(e.Shards()-1, func(cac.Controller) {}); err != nil {
+		t.Fatalf("Do on the last shard: %v", err)
 	}
 }
 
-// TestSubmitWaveToMatchesSubmitWave pins the zero-churn scatter path:
-// SubmitWaveTo fills a caller-provided buffer with exactly the
-// responses SubmitWave returns, reusing the engine's routing buffers
-// across waves, and rejects short buffers.
-func TestSubmitWaveToMatchesSubmitWave(t *testing.T) {
+// TestSubmitWaveToReusesBuffers pins the zero-churn scatter path: a
+// response buffer reused across waves, with the engine reusing its
+// routing buffers too, receives exactly the responses a fresh buffer
+// does on an identical engine; short buffers are rejected.
+func TestSubmitWaveToReusesBuffers(t *testing.T) {
 	netA := testNetwork(t, 2)
 	netB := testNetwork(t, 2)
 	sys := facs.Must()
@@ -661,7 +710,7 @@ func TestSubmitWaveToMatchesSubmitWave(t *testing.T) {
 	for wave := 0; wave < 3; wave++ {
 		reqsA := genRequests(t, netA, int64(40+wave), 300)
 		reqsB := genRequests(t, netB, int64(40+wave), 300)
-		want, err := a.SubmitWave(reqsA)
+		want, err := submitWave(a, reqsA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -670,7 +719,7 @@ func TestSubmitWaveToMatchesSubmitWave(t *testing.T) {
 		}
 		for i := range want {
 			if want[i].Decision != out[i].Decision || want[i].Committed != out[i].Committed {
-				t.Fatalf("wave %d response %d: SubmitWave %+v, SubmitWaveTo %+v",
+				t.Fatalf("wave %d response %d: fresh buffer %+v, reused buffer %+v",
 					wave, i, want[i], out[i])
 			}
 		}
@@ -680,5 +729,31 @@ func TestSubmitWaveToMatchesSubmitWave(t *testing.T) {
 	}
 	if err := b.SubmitWaveTo(nil, nil); err != nil {
 		t.Fatalf("empty wave: %v", err)
+	}
+}
+
+// TestExportedEntryPoints pins the exported method sets of the two
+// front ends: each operation keeps one entry point, so adding a copying
+// or blocking twin of a kept call is a deliberate edit of these lists.
+func TestExportedEntryPoints(t *testing.T) {
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(&Engine{}), []string{
+			"Close", "Do", "Flush", "HandoffCall", "Release", "RestoreFrom",
+			"Shards", "SnapshotTo", "Stats", "SubmitAsync", "SubmitWaveTo", "Tick",
+		}},
+		{reflect.TypeOf(&serve.Service{}), []string{
+			"Close", "Flush", "Release", "Stats", "SubmitAllInto", "SubmitAsync", "Tick",
+		}},
+	} {
+		var got []string
+		for i := 0; i < tc.typ.NumMethod(); i++ {
+			got = append(got, tc.typ.Method(i).Name)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v methods:\n\tgot  %q\n\twant %q", tc.typ, got, tc.want)
+		}
 	}
 }

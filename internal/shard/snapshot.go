@@ -32,8 +32,8 @@ func (e *Engine) snapshotHash() uint64 {
 // controller state (each a nested self-describing envelope), captured
 // with every shard lock held.
 //
-// The caller must quiesce submissions for the duration (no SubmitWave/
-// SubmitAsync/Handoff in flight), exactly as the closed-loop drivers
+// The caller must quiesce submissions for the duration (no SubmitWaveTo/
+// SubmitAsync/HandoffCall in flight), exactly as the closed-loop drivers
 // do between waves; Flush then guarantees the cut is wave-aligned.
 // Requests still undecided at a crash are lost by design — a client
 // that never saw a response retries, which is ordinary crash

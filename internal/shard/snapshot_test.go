@@ -33,7 +33,7 @@ func driveEngine(t *testing.T, e *Engine, reqs []cac.Request) string {
 		if end > len(reqs) {
 			end = len(reqs)
 		}
-		resps, err := e.SubmitWave(reqs[off:end])
+		resps, err := submitWave(e, reqs[off:end])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,10 +152,10 @@ func TestEngineSnapshotAfterRebalance(t *testing.T) {
 	a, netA := build()
 	defer a.Close()
 	driveEngine(t, a, genRequests(t, netA, 7, 256))
-	if err := a.ForceRebalance(); err != nil {
+	if err := forceRebalance(a); err != nil {
 		t.Fatal(err)
 	}
-	if a.Epoch() == 0 {
+	if a.Stats().Epoch == 0 {
 		t.Fatal("forced rebalance did not bump the epoch")
 	}
 	blob := engineSnapshotBlob(t, a)
@@ -165,8 +165,8 @@ func TestEngineSnapshotAfterRebalance(t *testing.T) {
 	if err := b.RestoreFrom(bytes.NewReader(blob)); err != nil {
 		t.Fatalf("RestoreFrom: %v", err)
 	}
-	if b.Epoch() != a.Epoch() {
-		t.Fatalf("restored epoch %d, want %d", b.Epoch(), a.Epoch())
+	if b.Stats().Epoch != a.Stats().Epoch {
+		t.Fatalf("restored epoch %d, want %d", b.Stats().Epoch, a.Stats().Epoch)
 	}
 	if got := engineSnapshotBlob(t, b); !bytes.Equal(got, blob) {
 		t.Fatal("restored engine re-snapshots to different bytes")

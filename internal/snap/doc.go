@@ -30,8 +30,8 @@
 // # Consistency and determinism
 //
 // The format carries state; consistency comes from where captures run.
-// Stateful controllers snapshot inside serve.Service.Do calls (under
-// the service's lock) and the shard.Engine tick barrier, so a snapshot is a consistent cut of
+// Stateful controllers snapshot inside shard.Engine.Do calls (under
+// the shard's lock) and the shard.Engine tick barrier, so a snapshot is a consistent cut of
 // controllers, stations and epoch ownership with no wave in flight.
 // Components restore their state verbatim — float64 bit patterns, RNG
 // draw positions, dirty-row bookkeeping — so restore-then-replay is

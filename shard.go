@@ -2,6 +2,7 @@ package facs
 
 import (
 	icac "facs/internal/cac"
+	iserve "facs/internal/serve"
 	ishard "facs/internal/shard"
 )
 
@@ -28,6 +29,11 @@ type ShardView = ishard.View
 // counters.
 type ShardedStats = ishard.Stats
 
+// ServeResponse is the outcome of one admission request decided by a
+// ShardedEngine — through SubmitAsync, SubmitWaveTo or a handoff —
+// including its service-side latency and batch size.
+type ServeResponse = iserve.Response
+
 // ShardHandoff describes one call transfer between cells;
 // ShardHandoffResult is its outcome (the call survives only when the
 // target committed).
@@ -38,20 +44,13 @@ type (
 
 // NewShardedEngine partitions the network, builds one controller per
 // shard and starts the engine's one intake goroutine, which coalesces
-// Submit/SubmitAsync singles; waves, releases, handoffs and ticks run
-// directly on their caller.
+// SubmitAsync singles; waves, releases, handoffs and ticks run directly
+// on their caller.
 func NewShardedEngine(cfg ShardedEngineConfig) (*ShardedEngine, error) { return ishard.New(cfg) }
 
 // SingleShardView returns the view a 1-shard engine hands its
 // controller factory: the whole network.
 var SingleShardView = ishard.SingleView
-
-// CellLocalController marks controllers whose decisions depend only on
-// the request and its own station's state, making sharded outcomes
-// shard-count-invariant. FACS (exact and compiled) and the classical
-// baselines implement it; the SCC family deliberately does not — its
-// ledgers implement DemandExchangingController instead.
-type CellLocalController = icac.CellLocal
 
 // DemandExchangingController marks controllers with cross-cell
 // projected demand (the SCC ledger) whose per-shard instances exchange
@@ -83,34 +82,6 @@ const (
 	PartitionBlocks     = ishard.PartitionBlocks
 )
 
-// ShardMigration is one planned ownership move emitted by the elastic
-// rebalancing planner; ShardPlannerConfig bounds the planner (moves per
+// ShardPlannerConfig bounds the elastic rebalancing planner (moves per
 // epoch, imbalance tolerance).
-type (
-	ShardMigration     = ishard.Migration
-	ShardPlannerConfig = ishard.PlannerConfig
-)
-
-// PlanShardRebalance is the deterministic greedy planner behind
-// elastic sharding — a pure function of the per-cell load snapshot and
-// ownership map, exposed for replay tooling and tests.
-var PlanShardRebalance = ishard.PlanRebalance
-
-// MigratableController marks controllers whose per-cell state can move
-// between shard instances at rebalance epochs through MigrateOut /
-// MigrateIn (the SCC ledger); MigratedCall is one carried call's
-// state in flight between instances.
-type (
-	MigratableController = icac.CellMigrator
-	MigratedCall         = icac.MigratedCall
-)
-
-// InterestScopedController marks demand exchangers that bound how far
-// from a call's home cell their exported demand rows can land, letting
-// the engine route ghost rows only to interested shards;
-// ExchangeResettingController marks exchangers whose ghost state can be
-// re-seeded after a rebalance epoch.
-type (
-	InterestScopedController    = icac.InterestScoped
-	ExchangeResettingController = icac.ExchangeResetter
-)
+type ShardPlannerConfig = ishard.PlannerConfig

@@ -30,16 +30,17 @@ func TestPublicShardedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if !eng.CellLocal() {
+	if !eng.Stats().CellLocal {
 		t.Fatal("complete-sharing shards should be cell-local")
 	}
 
 	stations := netw.Stations()
-	responses, err := eng.SubmitWave([]facs.AdmissionRequest{
+	reqs := []facs.AdmissionRequest{
 		{Call: facs.Call{ID: 1, Class: facs.Voice, BU: 5}, Station: stations[0]},
 		{Call: facs.Call{ID: 2, Class: facs.Video, BU: 10}, Station: stations[1]},
-	})
-	if err != nil {
+	}
+	responses := make([]facs.ServeResponse, len(reqs))
+	if err := eng.SubmitWaveTo(reqs, responses); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range responses {
