@@ -543,10 +543,12 @@ func sccScatter(b *testing.B, net *facs.Network, ctrl sccObserver, n int) {
 // ledger refactor is a >= 10x throughput advantage at 1,000 active
 // calls; the ledger's per-decision cost is flat in the number of
 // tracked calls, so the measured gap widens linearly with load.
-// The ledger-boundary cases time the ledger where every interval hits
-// the guard band (see sccBoundary), where the cost does grow with the
-// tracked calls: a decision alone, and a decision committed with
-// OnAdmit (which adopts the decision's footprint) and released again.
+// The ledger-boundary cases time the ledger where every interval lands
+// exactly on the survivability limit (see sccBoundary): a decision
+// alone, and a decision committed with OnAdmit (which adopts the
+// decision's footprint) and released again. Their aggregates are exact
+// whole-BU sums, so the guard band does not fire and the cost stays
+// flat in the tracked calls there too.
 func BenchmarkSCCDecide(b *testing.B) {
 	impls := []struct {
 		name  string
@@ -618,14 +620,15 @@ func BenchmarkSCCDecide(b *testing.B) {
 	}
 }
 
-// sccBoundary builds the guard band's worst case: a ReservationFull
-// ledger on a 127-cell network at the paper's 40 BU, whose centre cell
-// carries exactly 29 BU at every interval (stationary calls at the
-// centre), so a stationary voice request lands each interval's
-// aggregate exactly on the 34 BU survivability limit and every
-// interval takes the exact fallback. The other `active` calls are
-// scattered at least 8 km from the centre, out of its shadow, so they
-// leave the aggregate on the limit while the fallback still walks them.
+// sccBoundary builds the survivability limit's tie case: a
+// ReservationFull ledger on a 127-cell network at the paper's 40 BU,
+// whose centre cell carries exactly 29 BU at every interval (stationary
+// calls at the centre), so a stationary voice request lands each
+// interval's aggregate exactly on the 34 BU limit. The guard band once
+// re-summed every such tie from the footprints of all tracked calls;
+// whole-BU aggregates are exact, so it no longer fires. The other
+// `active` calls are scattered at least 8 km from the centre, out of
+// its shadow, so they leave the aggregate on the limit.
 func sccBoundary(b *testing.B, active int) (*facs.SCCLedger, facs.AdmissionRequest) {
 	b.Helper()
 	net, err := facs.NewNetwork(facs.NetworkConfig{Rings: 6})

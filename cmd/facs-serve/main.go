@@ -379,7 +379,7 @@ func ledgerStats(eng *ishard.Engine) (iscc.LedgerStats, bool) {
 
 // printEngineStats writes the end-of-stream summary: the engine's
 // counter line, extended with the ledger's observability counters for
-// SCC runs so served runs can verify the guard band actually fires.
+// SCC runs so served runs can see how often the guard band fires.
 func printEngineStats(stderr io.Writer, eng *ishard.Engine, ledger iscc.LedgerStats, hasLedger bool) {
 	if hasLedger {
 		fmt.Fprintf(stderr, "facs-serve: %s; %s\n", eng.Stats(), ledger)

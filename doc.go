@@ -84,8 +84,10 @@
 // BenchmarkSCCDecide). Decisions are byte-identical to the oracle's: a
 // guard band answers any aggregate landing within 1e-6 BU of the
 // survivability threshold with the oracle's exact sum, taken from the
-// cached footprints in the oracle's order, and the golden-equivalence
-// suites in internal/scc and internal/experiments pin the contract.
+// cached footprints in the oracle's order (full reservation, whose
+// whole-BU aggregates are exact, needs no band), and the
+// golden-equivalence suites in internal/scc and internal/experiments
+// pin the contract.
 // internal/scc/DESIGN.md records the invariants.
 //
 // # Streaming admission

@@ -147,7 +147,7 @@ func TestBatchAdmissionValidation(t *testing.T) {
 // multi-station request stream.
 func TestCompiledBatchAdmission(t *testing.T) {
 	res, err := RunBatchAdmission(BatchAdmissionConfig{
-		NewController: CompiledFACSFactory(),
+		NewController: func(*cell.Network) (cac.Controller, error) { return facs.DefaultCompiled() },
 		ActiveCalls:   40,
 		Requests:      150,
 		Seed:          5,

@@ -128,13 +128,6 @@ func FACSFactory() func(*cell.Network) (cac.Controller, error) {
 	return func(*cell.Network) (cac.Controller, error) { return facs.New() }
 }
 
-// CompiledFACSFactory supplies the shared lookup-table FACS fast path
-// for multi-cell runs. The controller is stateless and concurrency
-// safe, so one compiled instance serves every cell and replication.
-func CompiledFACSFactory() func(*cell.Network) (cac.Controller, error) {
-	return func(*cell.Network) (cac.Controller, error) { return facs.DefaultCompiled() }
-}
-
 // sccFig10Config is the Fig. 10 SCC parameterisation: full-bandwidth
 // reservation over the shadow cluster plus the cluster-coverage (path
 // survivability) requirement, per internal/scc/DESIGN.md.

@@ -32,8 +32,8 @@
 // neighbour handoffs — over a diurnal day. The contestant catalogue
 // (Contestant.Factory over ContestantNames, in contestants.go) turns a
 // controller name into a controller for both binaries, the figures and
-// the ablations; the same file holds FACSFactory, CompiledFACSFactory,
-// SCCFactory and the recompute oracle's SCCRecomputeFactory.
+// the ablations; the same file holds FACSFactory, SCCFactory and the
+// recompute oracle's SCCRecomputeFactory.
 //
 // The event-driven simulators and the metropolis driver share one
 // decide-commit-notify step, serve.Core: RunSingleCell and RunMultiCell

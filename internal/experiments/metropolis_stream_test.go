@@ -114,7 +114,12 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 				return 0
 			}
 			// Warm-up: one full day, reaching the ledger and scratch
-			// high-water marks.
+			// high-water marks. It runs on the one P the measurement
+			// uses, so the runtime's per-P caches (the sudogs a
+			// fan-out's WaitGroup.Wait parks on, the timer heap) are
+			// warm too: resizing to one P drops the other P's caches.
+			procs := runtime.GOMAXPROCS(1)
+			defer runtime.GOMAXPROCS(procs)
 			warm := cfg.WavesPerDay
 			for r.wave < warm {
 				if err := r.runWave(); err != nil {
@@ -124,15 +129,14 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			const measured = 12
 			decisionsBefore := r.result.Requested + r.result.Handoffs
 			spawnedBefore := fanOuts()
-			// Measured like testing.AllocsPerRun — on one P, and as a
-			// per-wave average floored to whole allocations, so a stray
-			// runtime allocation in the window is not charged to the
-			// loop — but with the fan-out goroutines counted over exactly
-			// the measured waves. On one P a fan-out goroutine exits onto
-			// the P that starts the next one, so the runtime reuses its g
-			// instead of allocating a fresh one while another P's free
-			// list fills.
-			procs := runtime.GOMAXPROCS(1)
+			// Measured on one P, like testing.AllocsPerRun, with the
+			// fan-out goroutines counted over exactly the measured waves.
+			// Every allocation beyond those fails the gate: a per-wave
+			// average floored to whole allocations would let up to
+			// measured-1 strays through. On one P a fan-out goroutine
+			// exits onto the P that starts the next one, so the runtime
+			// reuses its g instead of allocating a fresh one while
+			// another P's free list fills.
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			mallocs := ms.Mallocs
@@ -142,7 +146,6 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 				}
 			}
 			runtime.ReadMemStats(&ms)
-			runtime.GOMAXPROCS(procs)
 			allocs := ms.Mallocs - mallocs
 			spawned := fanOuts() - spawnedBefore
 			decisions := r.result.Requested + r.result.Handoffs - decisionsBefore
@@ -153,7 +156,7 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 				t.Fatal("2-shard waves never fanned out")
 			}
 			t.Logf("%d waves: %d decisions, %d allocs, %d fan-out goroutines", measured, decisions, allocs, spawned)
-			if excess := int64(allocs) - spawned; excess/measured > 0 {
+			if excess := int64(allocs) - spawned; excess > 0 {
 				t.Errorf("steady-state waves allocate: %d allocs over %d waves (%d decisions) beyond one per fan-out goroutine (%d)",
 					allocs, measured, decisions, spawned)
 			}

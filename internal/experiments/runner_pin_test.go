@@ -90,6 +90,7 @@ func TestSimulatorResultPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := facs.Must()
+	shared := func(*cell.Network) (cac.Controller, error) { return compiled, nil }
 	guard := func(*cell.Network) (cac.Controller, error) { return cac.NewGuardChannel(8) }
 	single := func(ctrl cac.Controller, queue bool) func(t *testing.T) uint64 {
 		return func(t *testing.T) uint64 {
@@ -162,7 +163,7 @@ func TestSimulatorResultPin(t *testing.T) {
 		{"single/cs", single(cac.CompleteSharing{}, false), 0x4a909553e95276f9},
 		{"single/guard", single(guardCtrl, false), 0xb06fca9af7b2a9ec},
 		{"single/threshold", single(threshold, false), 0xa7364bd4ed7d4b99},
-		{"multi-physical/compiled", multi(CompiledFACSFactory(), HandoffPhysical), 0xce7a4d47c141c0fa},
+		{"multi-physical/compiled", multi(shared, HandoffPhysical), 0xce7a4d47c141c0fa},
 		{"multi-physical/scc", multi(SCCFactory(), HandoffPhysical), 0x71a2fda4dc00537a},
 		{"multi-physical/scc-recompute", multi(SCCRecomputeFactory(), HandoffPhysical), 0x44365fbfbfa15347},
 		{"multi-physical/guard", multi(guard, HandoffPhysical), 0x6b091616f5f8b1ed},

@@ -225,16 +225,6 @@ func DefaultCompiled() (*CompiledController, error) {
 	return defaultCompiled.ctrl, defaultCompiled.err
 }
 
-// MustCompiled is like NewCompiled but panics on error; intended for
-// the default configuration, which is statically known to be valid.
-func MustCompiled(gridSize int, opts ...Option) *CompiledController {
-	c, err := NewCompiled(gridSize, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Name implements cac.Controller.
 func (c *CompiledController) Name() string { return "facs-compiled" }
 

@@ -336,12 +336,6 @@ func TestCompiledConstructionErrors(t *testing.T) {
 	if _, err := NewCompiled(0, WithAcceptThreshold(5)); err == nil {
 		t.Fatal("invalid option should propagate")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustCompiled should panic on error")
-		}
-	}()
-	MustCompiled(0, WithAcceptThreshold(5))
 }
 
 func TestCompiledAccessors(t *testing.T) {

@@ -23,16 +23,22 @@
 // admit/release/handoff — whose decisions are byte-identical at
 // O(horizon x cluster-cells) per decision: a 1e-6 BU guard band
 // answers near-threshold aggregates by summing the cached footprints in
-// the oracle's order, bit-identical to the oracle summation. An accepted
+// the oracle's order, bit-identical to the oracle summation (full
+// reservation's whole-BU aggregates are exact and skip it). An accepted
 // decision stashes the request's footprint, and the OnAdmit that commits
 // it adopts the stash instead of deriving the shadows again. The shadows
 // the ledger does derive skip every station whose Gaussian weight is
 // below half an ulp of the running normalising sum — found by a bound
 // pass without Hypot or Exp — so they cost an exp only for the stations
-// that can change the sum, and stay bit-identical to the oracle's.
-// DESIGN.md records the ledger invariants, the guard-band argument and
-// the absorption proof; ledger_test.go holds the golden-equivalence
-// suite and ledger_shadow_test.go pins the pruned shadow to the
+// that can change the sum, and stay bit-identical to the oracle's. Under
+// full reservation a cluster depends only on which stations reach
+// MinProb and InclusionProb; a hex-ring walk from the projected point
+// visits the nearby stations only and certifies those classes by
+// probability intervals, deriving the exact shadow when an interval
+// straddles a threshold. DESIGN.md records the ledger invariants, the
+// guard-band argument, the absorption proof and the class proof;
+// ledger_test.go holds the golden-equivalence suite and
+// ledger_shadow_test.go pins the pruned shadow and the classes to the
 // oracle's.
 //
 // # Sharding

@@ -82,12 +82,16 @@ func (h *handover) matches(id, bu int, pos geo.Point, headingDeg, speedMps float
 // number of active calls — against the recompute Controller's
 // O(active x horizon x stations) per decision.
 //
-// The one shadow a decision derives, the request's own, comes from a
-// pruned routine (shadow, in ledger_shadow.go): a bound pass over the
-// stations without Hypot or Exp finds those whose weight is below half
-// an ulp of the running normalising sum, and only the rest are evaluated.
-// Its entries are appendShadow's bit for bit, so footprints derived on a
-// commit miss, a handoff or a migration are the oracle's too.
+// The one shadow a decision derives, the request's own, comes from
+// cluster (ledger_shadow.go). Under ReservationWeighted it is a pruned
+// routine (shadow): a bound pass over the stations without Hypot or Exp
+// finds those whose weight is below half an ulp of the running
+// normalising sum, and only the rest are evaluated. Under
+// ReservationFull a hex-ring walk certifies each nearby station's class
+// (none, check-only, reserve) instead, and the pruned routine answers
+// only when a class is uncertain. Either way the cells and amounts are
+// appendShadow's bit for bit, so footprints derived on a commit miss, a
+// handoff or a migration are the oracle's too.
 //
 // Decisions are byte-identical to the recompute Controller's: the demand
 // matrix can differ from the from-scratch sum only by floating-point
@@ -95,6 +99,8 @@ func (h *handover) matches(id, bu int, pos geo.Point, headingDeg, speedMps float
 // survivability threshold falls back to summing the cached footprints in
 // ascending call-ID order — the amounts and order of the Controller's
 // own summation, so the fallback value is the oracle's bit for bit.
+// Under ReservationFull every amount is a whole number of BU, the
+// matrix is exact, and the fallback is skipped.
 // OnTick periodically re-aggregates the matrix from the cached
 // footprints, resetting accumulated drift to zero.
 //
@@ -117,7 +123,6 @@ func (h *handover) matches(id, bu int, pos geo.Point, headingDeg, speedMps float
 type Ledger struct {
 	cfg      Config
 	stations []*cell.BaseStation
-	idx      map[geo.Hex]int
 	limits   []float64 // Threshold x capacity, per dense cell index
 	// demand is the dense matrix: demand[c*(Horizon+1)+k] is the
 	// aggregated projected demand of cell c at interval k, over the calls
@@ -179,18 +184,41 @@ type Ledger struct {
 	margin       float64
 	anchorMargin float64
 
-	// Scratch buffers (single-threaded by contract): reqShadow holds the
-	// shadow under decision, trackShadow a tracked call's shadow in
-	// footprint and exactDemand; weights, bound and evaluated are the
-	// pruned shadow's per-station weights, bound exponents and evaluated
-	// indices, and collapse receives appendShadow's out-of-coverage
-	// collapse.
-	weights     []float64
-	bound       []float64
-	evaluated   []int32
-	reqShadow   []shadowCell
-	trackShadow []shadowCell
-	collapse    []CellProb
+	// Tables of the station lookup and of the full-reservation class
+	// shadow (ledger_shadow.go), built once. hexIdx maps axial
+	// coordinates (Q-hexQ0, R-hexR0) over the stations' bounding box,
+	// hexW wide and hexH high, to a dense station index (-1 for none);
+	// every hex lookup of the ledger goes through it (stationIndex),
+	// the coverage check and the class shadow's ring walk included.
+	// spiral lists the hex offsets out to span, the largest hex
+	// distance between two stations, ring by ring. classes enables the
+	// class shadow (ReservationFull with T = classNats below margin);
+	// classRel is the relative slack of its weight and sum bounds and
+	// classTail bounds e^-T from above.
+	layout                   geo.Layout
+	hexIdx                   []int32
+	hexQ0, hexR0, hexW, hexH int
+	spiral                   []geo.Hex
+	span                     int
+	classes                  bool
+	classNats                float64
+	classRel                 float64
+	classTail                float64
+	classStats               classStats
+
+	// Scratch buffers (single-threaded by contract): reqCluster holds
+	// the cluster under decision, trackCluster a tracked call's cluster
+	// in exactDemand, shadowBuf the exact shadow behind a cluster;
+	// weights, bound and evaluated are the shadows' per-station
+	// weights, bound exponents and evaluated (or visited) indices, and
+	// collapse receives appendShadow's out-of-coverage collapse.
+	weights      []float64
+	bound        []float64
+	evaluated    []int32
+	reqCluster   []footCell
+	trackCluster []footCell
+	shadowBuf    []shadowCell
+	collapse     []CellProb
 
 	// The Decide -> OnAdmit footprint hand-over: transient, reset by
 	// Decide, DecideBatchInto and RestoreFrom, never snapshotted. Each
@@ -231,7 +259,6 @@ func NewLedger(cfg Config) (*Ledger, error) {
 	l := &Ledger{
 		cfg:        cfg,
 		stations:   stations,
-		idx:        make(map[geo.Hex]int, len(stations)),
 		limits:     make([]float64, len(stations)),
 		demand:     make([]float64, len(stations)*(cfg.Horizon+1)),
 		ghost:      make([]float64, len(stations)*(cfg.Horizon+1)),
@@ -246,7 +273,6 @@ func NewLedger(cfg Config) (*Ledger, error) {
 	l.dirtyStamp = make([]uint64, len(l.demand))
 	l.dirtyEpoch = 1
 	for i, bs := range stations {
-		l.idx[bs.Hex()] = i
 		l.limits[i] = cfg.Threshold * float64(bs.Capacity())
 		p := bs.Pos()
 		l.stationPos[i] = p
@@ -258,7 +284,53 @@ func NewLedger(cfg Config) (*Ledger, error) {
 		l.surv[k] = survival(&l.cfg, k)
 	}
 	l.anchorMargin = l.margin + math.Log(float64(len(stations)+1)) + 2*shadowSlack
+	l.buildHexTables()
+	l.classNats = math.Max(shadowClassNats, math.Log(1/cfg.MinProb)+2)
+	l.classes = cfg.Reservation == ReservationFull && l.classNats < l.margin && !math.IsInf(l.margin, 1)
+	// Twice the widest e-vs-x slack below shadowCapNats, four exp
+	// errors, and four roundings per station plus a few: more than every
+	// rounding of the reference's sum and of the bounds' own arithmetic.
+	l.classRel = 2*shadowSlack*(shadowCapNats+2) + 4*shadowExpErr + 4*float64(len(stations)+4)*0x1p-53
+	l.classTail = math.Exp(-l.classNats) * (1 + 4*shadowExpErr)
 	return l, nil
+}
+
+// buildHexTables fills the dense hex-to-station table and the ring
+// spiral the class shadow walks.
+func (l *Ledger) buildHexTables() {
+	l.layout = l.cfg.Network.Layout()
+	h0 := l.stations[0].Hex()
+	qmin, qmax, rmin, rmax, smin, smax := h0.Q, h0.Q, h0.R, h0.R, h0.S(), h0.S()
+	for _, bs := range l.stations {
+		h := bs.Hex()
+		qmin, qmax = min(qmin, h.Q), max(qmax, h.Q)
+		rmin, rmax = min(rmin, h.R), max(rmax, h.R)
+		smin, smax = min(smin, h.S()), max(smax, h.S())
+	}
+	l.hexQ0, l.hexR0 = qmin, rmin
+	l.hexW, l.hexH = qmax-qmin+1, rmax-rmin+1
+	l.hexIdx = make([]int32, l.hexW*l.hexH)
+	for i := range l.hexIdx {
+		l.hexIdx[i] = -1
+	}
+	for i, bs := range l.stations {
+		h := bs.Hex()
+		l.hexIdx[(h.R-rmin)*l.hexW+h.Q-qmin] = int32(i)
+	}
+	// Hex distance is the largest axial-coordinate difference.
+	l.span = max(qmax-qmin, rmax-rmin, smax-smin)
+	l.spiral = geo.Hex{}.Spiral(l.span)
+}
+
+// stationIndex returns the dense index of the station at hex h and
+// whether there is one: the network's own station map, as a table.
+func (l *Ledger) stationIndex(h geo.Hex) (int32, bool) {
+	q, r := h.Q-l.hexQ0, h.R-l.hexR0
+	if uint(q) >= uint(l.hexW) || uint(r) >= uint(l.hexH) {
+		return -1, false
+	}
+	i := l.hexIdx[r*l.hexW+q]
+	return i, i >= 0
 }
 
 // Name implements cac.Controller.
@@ -352,14 +424,16 @@ func (l *Ledger) Snapshot() LedgerStats {
 func (l *Ledger) footprint(dst []footCell, tr track) []footCell {
 	unit := geo.UnitFromHeading(tr.headingDeg)
 	for k := 0; k <= l.cfg.Horizon; k++ {
-		l.trackShadow = l.shadow(l.trackShadow[:0], tr.pos, tr.headingDeg, unit, tr.speedMps, k)
-		for _, sc := range l.trackShadow {
-			amount := reserve(&l.cfg, float64(tr.bu), sc.prob, l.surv[k])
-			if amount == 0 {
-				continue
+		start := len(dst)
+		dst = l.cluster(dst, &tr, unit, k, l.surv[k])
+		kept := start
+		for _, fc := range dst[start:] {
+			if fc.amount != 0 {
+				dst[kept] = fc
+				kept++
 			}
-			dst = append(dst, footCell{cell: sc.ci, k: int32(k), amount: amount})
 		}
+		dst = dst[:kept]
 	}
 	return dst
 }
@@ -504,11 +578,11 @@ func (l *Ledger) ApplyGhost(shardID int, delta DemandDelta) {
 	l.ghostGens[shardID] = delta.Gen
 	h := l.cfg.Horizon + 1
 	for _, r := range delta.Rows {
-		ci, ok := l.idx[r.Cell]
+		ci, ok := l.stationIndex(r.Cell)
 		if !ok || r.K < 0 || r.K >= h {
 			continue
 		}
-		l.ghost[ci*h+r.K] += r.Amount
+		l.ghost[int(ci)*h+r.K] += r.Amount
 		l.ghostRows++
 	}
 	l.ghostApplies++
@@ -519,11 +593,11 @@ func (l *Ledger) ApplyGhost(shardID int, delta DemandDelta) {
 // for any cell/interval outside the matrix and on ledgers that never
 // received a ghost delta.
 func (l *Ledger) GhostDemand(j geo.Hex, k int) float64 {
-	ci, ok := l.idx[j]
+	ci, ok := l.stationIndex(j)
 	if !ok || k < 0 || k > l.cfg.Horizon {
 		return 0
 	}
-	return l.ghost[ci*(l.cfg.Horizon+1)+k]
+	return l.ghost[int(ci)*(l.cfg.Horizon+1)+k]
 }
 
 // MigrateOut implements cac.CellMigrator: it extracts every tracked
@@ -678,14 +752,14 @@ func (l *Ledger) ProjectedDemand(j geo.Hex, k int) float64 {
 	if k < 0 {
 		k = 0
 	}
-	ci, ok := l.idx[j]
+	ci, ok := l.stationIndex(j)
 	if !ok {
 		return 0
 	}
 	if k > l.cfg.Horizon {
-		return l.exactDemand(ci, k)
+		return l.exactDemand(int(ci), k)
 	}
-	mi := ci*(l.cfg.Horizon+1) + k
+	mi := int(ci)*(l.cfg.Horizon+1) + k
 	return l.demand[mi] + l.ghost[mi]
 }
 
@@ -698,11 +772,11 @@ func (l *Ledger) ProjectedDemand(j geo.Hex, k int) float64 {
 func (l *Ledger) exactDemand(ci, k int) float64 {
 	surv := survival(&l.cfg, k)
 	var sum float64
-	for _, tr := range l.tracks {
-		l.trackShadow = l.shadow(l.trackShadow[:0], tr.pos, tr.headingDeg, geo.UnitFromHeading(tr.headingDeg), tr.speedMps, k)
-		for _, sc := range l.trackShadow {
-			if int(sc.ci) == ci {
-				sum += reserve(&l.cfg, float64(tr.bu), sc.prob, surv)
+	for _, lt := range l.tracks {
+		l.trackCluster = l.cluster(l.trackCluster[:0], &lt.track, geo.UnitFromHeading(lt.headingDeg), k, surv)
+		for _, fc := range l.trackCluster {
+			if int(fc.cell) == ci {
+				sum += fc.amount
 				break
 			}
 		}
@@ -748,9 +822,11 @@ func footAmount(foot []footCell, cell, k int32) float64 {
 // semantics: admit when, for every projection interval and every cell of
 // the request's tentative shadow cluster, aggregated projected demand
 // plus the request's own reservation stays within Threshold of the cell
-// capacity. The request's shadow costs one O(stations) bound pass per
-// interval plus an exp per station that can change its normalising sum;
-// aggregated demand is read from the matrix in O(1); queries within
+// capacity. The request's cluster costs, per interval, a ring walk over
+// the nearby stations and an exp per candidate (ReservationFull) or one
+// O(stations) bound pass plus an exp per station that can change the
+// normalising sum (ReservationWeighted); aggregated demand is read from
+// the matrix in O(1); ReservationWeighted queries within
 // boundaryGuardBU of a threshold are answered from the cached footprints
 // in the oracle's summation order (footprintDemand). An accepted
 // request's footprint is stashed for the OnAdmit that commits it,
@@ -775,30 +851,34 @@ func (l *Ledger) decide(req cac.Request) (cac.Decision, error) {
 	// projection's point is geo.Move's bit for bit.
 	unit := geo.UnitFromHeading(req.Est.HeadingDeg)
 	if l.cfg.RequireClusterCoverage {
+		// The station table answers Network.StationAt's question
+		// without formatting its error.
 		for k := 1; k <= l.cfg.Horizon; k++ {
 			q, _ := projection(&l.cfg, pos, unit, speedMps, k)
-			if _, err := l.cfg.Network.StationAt(q); err != nil {
+			if _, ok := l.stationIndex(l.layout.HexAt(q)); !ok {
 				return cac.Reject, nil
 			}
 		}
 	}
 	h := l.cfg.Horizon + 1
+	tr := track{bu: req.Call.BU, pos: pos, headingDeg: req.Est.HeadingDeg, speedMps: speedMps}
 	// The request's footprint accumulates in handCells as it is read;
 	// a reject truncates it away again.
 	lo := len(l.handCells)
 	for k := 0; k <= l.cfg.Horizon; k++ {
-		surv := l.surv[k]
-		l.reqShadow = l.shadow(l.reqShadow[:0], pos, req.Est.HeadingDeg, unit, speedMps, k)
-		for _, sc := range l.reqShadow {
-			ci := int(sc.ci)
-			own := reserve(&l.cfg, float64(req.Call.BU), sc.prob, surv)
+		l.reqCluster = l.cluster(l.reqCluster[:0], &tr, unit, k, l.surv[k])
+		for _, fc := range l.reqCluster {
+			ci, own := int(fc.cell), fc.amount
 			if own != 0 {
-				l.handCells = append(l.handCells, footCell{cell: int32(ci), k: int32(k), amount: own})
+				l.handCells = append(l.handCells, fc)
 			}
 			mi := ci*h + k
 			projected := l.demand[mi] + l.ghost[mi] + own
 			limit := l.limits[ci]
-			if d := projected - limit; d <= boundaryGuardBU && d >= -boundaryGuardBU {
+			// In ReservationFull mode every local entry is a sum of
+			// whole BU, exact and equal to the footprint sum, so the
+			// band cannot change a decision there and is skipped.
+			if d := projected - limit; d <= boundaryGuardBU && d >= -boundaryGuardBU && l.cfg.Reservation != ReservationFull {
 				// Too close to the threshold for matrix drift to be
 				// provably irrelevant: take the LOCAL rows from the
 				// oracle-order footprint sum. Ghost rows are taken as-is

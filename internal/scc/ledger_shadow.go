@@ -26,7 +26,25 @@ const (
 	// the stations, and inv, below which every bound is finite:
 	// (2·(2e100)²)·1e100 < MaxFloat64.
 	shadowMaxCoord = 1e100
+	// shadowExpErr bounds math.Exp's relative error where its result is
+	// normal. Go documents less than one ulp (about 1.1e-16); the class
+	// shadow assumes no more than this generous 1e-12.
+	shadowExpErr = 1e-12
+	// shadowClassNats is the least truncation T, in nats, of the
+	// full-reservation class shadow: a station whose exponent exceeds
+	// the nearest one's by more than T is classed without evaluating its
+	// weight. T also covers ln(1/MinProb)+2 (see NewLedger).
+	shadowClassNats = 12
 )
+
+// classStats counts the work behind the Ledger's clusters: the
+// clusters the class shadow was asked for and those it handed to the
+// exact shadow, and the stations whose bound exponent was computed and
+// the exponentials evaluated over every cluster (the exact shadow's
+// included).
+type classStats struct {
+	shadows, exact, visited, exps int64
+}
 
 // shadowCell is one entry of a Ledger shadow: appendShadow's CellProb
 // with the station's dense index in place of its hex.
@@ -108,7 +126,8 @@ func (l *Ledger) shadow(dst []shadowCell, pos geo.Point, headingDeg float64, uni
 	if total == 0 {
 		l.collapse = appendShadow(&l.cfg, l.stations, l.weights, l.collapse[:0], pos, headingDeg, speedMps, k)
 		for _, cp := range l.collapse {
-			dst = append(dst, shadowCell{ci: int32(l.idx[cp.Hex]), prob: cp.Prob})
+			ci, _ := l.stationIndex(cp.Hex)
+			dst = append(dst, shadowCell{ci: ci, prob: cp.Prob})
 		}
 		return dst
 	}
@@ -118,4 +137,144 @@ func (l *Ledger) shadow(dst []shadowCell, pos geo.Point, headingDeg float64, uni
 		}
 	}
 	return dst
+}
+
+// cluster appends to dst a mobile's shadow cluster at projection
+// interval k for the call tr describes: one footCell per station
+// appendShadow emits, in station order, carrying the demand reserve()
+// derives from the station's probability and surv (zero included).
+// unit must be geo.UnitFromHeading(tr.headingDeg). In ReservationFull
+// mode the class shadow answers when it can certify every station's
+// class; otherwise, and in ReservationWeighted mode, the exact shadow
+// supplies the probabilities.
+func (l *Ledger) cluster(dst []footCell, tr *track, unit geo.Vector, k int, surv float64) []footCell {
+	if l.classes {
+		l.classStats.shadows++
+		out, ok := l.classShadow(dst, tr, unit, k)
+		if ok {
+			return out
+		}
+		l.classStats.exact++
+	}
+	l.shadowBuf = l.shadow(l.shadowBuf[:0], tr.pos, tr.headingDeg, unit, tr.speedMps, k)
+	l.classStats.visited += int64(len(l.stationPos))
+	l.classStats.exps += int64(len(l.evaluated))
+	bu := float64(tr.bu)
+	for _, sc := range l.shadowBuf {
+		dst = append(dst, footCell{cell: sc.ci, k: int32(k), amount: reserve(&l.cfg, bu, sc.prob, surv)})
+	}
+	return dst
+}
+
+// classShadow is cluster in ReservationFull mode without probabilities.
+// There a station's demand depends only on its class: none (p below
+// MinProb), check-only (emitted, p below InclusionProb, amount 0) or
+// reserve (amount bu). A ring walk from the projected point's hex
+// visits only the stations that can lie within T nats of the nearest
+// one; the rest are provably below MinProb. Each nearby weight is
+// evaluated once from its bound exponent, widened into an interval
+// holding appendShadow's weight, and the normalising sum is bracketed
+// likewise, with the unvisited stations' mass as a tail term. When a
+// station's probability interval straddles a threshold, or the walk's
+// preconditions fail, classShadow reports false and leaves dst as it
+// was. DESIGN.md ("Full-reservation shadow classes") carries the proof.
+func (l *Ledger) classShadow(dst []footCell, tr *track, unit geo.Vector, k int) ([]footCell, bool) {
+	q, inv := projection(&l.cfg, tr.pos, unit, tr.speedMps, k)
+	if !(math.Abs(q.X) <= shadowMaxCoord && math.Abs(q.Y) <= shadowMaxCoord && inv <= shadowMaxCoord) {
+		return dst, false
+	}
+	h := l.layout.HexAt(q)
+	c, ok := l.stationIndex(h)
+	if !ok {
+		return dst, false
+	}
+	pts, bound := l.stationPos, l.bound
+	dx, dy := q.X-pts[c].X, q.Y-pts[c].Y
+	d2 := dx*dx + dy*dy
+	e0 := d2 * inv
+	// cut bounds T nats past the ring-0 station's exact exponent; it
+	// must stay within shadowCapNats so every weight it is measured
+	// against is normal. The ring bound below needs q within one cell
+	// radius of its hex's station.
+	cut := e0*(1+shadowSlack) + shadowSlack + l.classNats
+	if d2 > l.layout.CellRadius*l.layout.CellRadius || !(cut <= shadowCapNats) {
+		return dst, false
+	}
+	vis := l.evaluated[:1]
+	vis[0] = c
+	bound[c] = e0
+	emin := e0
+	for j := 1; j <= l.span; j++ {
+		// A station j rings from h lies at least 1.5·j·r from h's
+		// centre, hence at least (1.5·j−1)·r from q; once that distance
+		// puts the ring past cut, so does every later ring.
+		dj := (1.5*float64(j) - 1) * l.layout.CellRadius * (1 - shadowSlack)
+		if dj*dj*inv*(1-2*shadowSlack)-shadowSlack > cut {
+			break
+		}
+		for _, off := range l.spiral[geo.SpiralLen(j-1):geo.SpiralLen(j)] {
+			i, ok := l.stationIndex(h.Add(off))
+			if !ok {
+				continue
+			}
+			dx, dy := q.X-pts[i].X, q.Y-pts[i].Y
+			e := (dx*dx + dy*dy) * inv
+			bound[i] = e
+			vis = append(vis, int32(i))
+			emin = min(emin, e)
+		}
+	}
+	l.classStats.visited += int64(len(vis))
+	// Candidates: the visited stations whose exponent can lie within T
+	// nats of the nearest one's. vis is compacted in place.
+	limit := emin*(1+shadowSlack) + shadowSlack + l.classNats
+	weights := l.weights
+	cands := vis[:0]
+	var sum, wmin float64
+	for _, i := range vis {
+		e := bound[i]
+		if e*(1-shadowSlack)-shadowSlack > limit {
+			continue
+		}
+		w := math.Exp(-e)
+		weights[i] = w
+		sum += w
+		if e == emin {
+			wmin = w
+		}
+		cands = append(cands, i)
+	}
+	l.evaluated = cands
+	l.classStats.exps += int64(len(cands))
+	// Every other station weighs at most wmin·e^-T (classTail), so the
+	// reference's normalising sum lies in [lo, hi].
+	rel := l.classRel
+	lo := sum * (1 - rel)
+	hi := (sum + float64(len(pts)-len(cands))*wmin*l.classTail) * (1 + rel)
+	bu := float64(tr.bu)
+	start := len(dst)
+	for _, i := range cands {
+		w := weights[i]
+		plo, phi := w*(1-rel)/hi, w*(1+rel)/lo
+		if phi < l.cfg.MinProb {
+			continue
+		}
+		amount := bu
+		switch {
+		case plo < l.cfg.MinProb:
+			return dst[:start], false
+		case phi < l.cfg.InclusionProb:
+			amount = 0
+		case plo < l.cfg.InclusionProb:
+			return dst[:start], false
+		}
+		// Insert in station order, the reference's emission order.
+		dst = append(dst, footCell{})
+		at := len(dst) - 1
+		for ; at > start && dst[at-1].cell > i; at-- {
+			dst[at] = dst[at-1]
+		}
+		dst[at] = footCell{cell: i, k: int32(k), amount: amount}
+	}
+	return dst, true
 }

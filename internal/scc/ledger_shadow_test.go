@@ -58,16 +58,13 @@ func randomShadowInput(rng *rand.Rand, net *cell.Network, extent float64, horizo
 	return in
 }
 
-// TestLedgerShadowMatchesReference pins the Ledger's pruned shadow to
-// appendShadow, the reference the recompute Controller uses: for
-// randomized kinematics over many geometries and configurations, both
-// must emit the same cells in the same order with bitwise-equal
-// probabilities. The configurations stretch sigma, SpreadAlpha and
-// MinProb (down to 1e-30, where only the derived margin keeps skipped
-// stations out of the emitted set); the inputs include standstill,
-// out-of-range k, points exactly on stations and points so far outside
-// coverage that every weight underflows (the nearest-station collapse).
-func TestLedgerShadowMatchesReference(t *testing.T) {
+// eachShadowInput runs check over the shadow equivalence grid: 0-18
+// rings, 100-2000 m cells and configurations that stretch sigma,
+// SpreadAlpha and MinProb (down to 1e-30, where only the derived margin
+// keeps skipped stations out of the emitted set), each in the given
+// reservation mode, with randomized kinematics per case plus one point
+// so far outside coverage that every weight underflows at sigma = 1 m.
+func eachShadowInput(t *testing.T, mode ReservationMode, check func(t *testing.T, l *Ledger, in shadowInput)) {
 	configs := []struct {
 		name   string
 		mutate func(*Config)
@@ -83,7 +80,6 @@ func TestLedgerShadowMatchesReference(t *testing.T) {
 	if testing.Short() {
 		samples = 100
 	}
-	var evaluated, weighed int
 	for _, rings := range []int{0, 1, 2, 6, 18} {
 		for _, radius := range []float64{100, 500, 2000} {
 			net := newSizedNet(t, rings, radius)
@@ -94,35 +90,47 @@ func TestLedgerShadowMatchesReference(t *testing.T) {
 					n = samples / 4
 				}
 				t.Run(fmt.Sprintf("rings=%d/r=%g/%s", rings, radius, cf.name), func(t *testing.T) {
-					l := newLedger(t, net, cf.mutate)
-					weights := make([]float64, len(l.stations))
+					l := newLedger(t, net, cf.mutate, func(c *Config) { c.Reservation = mode })
 					rng := rand.New(rand.NewSource(int64(rings*1000) + int64(radius)))
 					inputs := make([]shadowInput, 0, n+1)
 					for i := 0; i < n; i++ {
 						inputs = append(inputs, randomShadowInput(rng, net, extent, l.cfg.Horizon))
 					}
-					// Every weight underflows this far out at sigma = 1 m.
 					inputs = append(inputs, shadowInput{pos: geo.Point{X: 50 * extent, Y: -20 * extent}, heading: 90})
 					for _, in := range inputs {
-						want := appendShadow(&l.cfg, l.stations, weights, nil, in.pos, in.heading, in.speedMps, in.k)
-						got := l.shadow(nil, in.pos, in.heading, geo.UnitFromHeading(in.heading), in.speedMps, in.k)
-						evaluated += len(l.evaluated)
-						weighed += len(l.stations)
-						if len(got) != len(want) {
-							t.Fatalf("%+v: ledger shadow has %d entries, reference %d", in, len(got), len(want))
-						}
-						for i := range want {
-							if h := l.stations[got[i].ci].Hex(); h != want[i].Hex ||
-								math.Float64bits(got[i].prob) != math.Float64bits(want[i].Prob) {
-								t.Fatalf("%+v entry %d: ledger %v p=%v, reference %v p=%v",
-									in, i, h, got[i].prob, want[i].Hex, want[i].Prob)
-							}
-						}
+						check(t, l, in)
 					}
 				})
 			}
 		}
 	}
+}
+
+// TestLedgerShadowMatchesReference pins the Ledger's pruned shadow to
+// appendShadow, the reference the recompute Controller uses: for
+// randomized kinematics over many geometries and configurations, both
+// must emit the same cells in the same order with bitwise-equal
+// probabilities. The inputs include standstill, out-of-range k, points
+// exactly on stations and points so far outside coverage that every
+// weight underflows (the nearest-station collapse).
+func TestLedgerShadowMatchesReference(t *testing.T) {
+	var evaluated, weighed int
+	eachShadowInput(t, ReservationWeighted, func(t *testing.T, l *Ledger, in shadowInput) {
+		want := appendShadow(&l.cfg, l.stations, make([]float64, len(l.stations)), nil, in.pos, in.heading, in.speedMps, in.k)
+		got := l.shadow(nil, in.pos, in.heading, geo.UnitFromHeading(in.heading), in.speedMps, in.k)
+		evaluated += len(l.evaluated)
+		weighed += len(l.stations)
+		if len(got) != len(want) {
+			t.Fatalf("%+v: ledger shadow has %d entries, reference %d", in, len(got), len(want))
+		}
+		for i := range want {
+			if h := l.stations[got[i].ci].Hex(); h != want[i].Hex ||
+				math.Float64bits(got[i].prob) != math.Float64bits(want[i].Prob) {
+				t.Fatalf("%+v entry %d: ledger %v p=%v, reference %v p=%v",
+					in, i, h, got[i].prob, want[i].Hex, want[i].Prob)
+			}
+		}
+	})
 	// The pruning must actually prune, or the equality above is vacuous.
 	share := float64(evaluated) / float64(weighed)
 	t.Logf("evaluated %.1f%% of %d station weights", 100*share, weighed)
@@ -131,12 +139,119 @@ func TestLedgerShadowMatchesReference(t *testing.T) {
 	}
 }
 
+// classBU is the bandwidth the class tests reserve, so a reserve-class
+// cell reads classBU and a check-only cell 0.
+const classBU = 7
+
+// checkClasses asserts that cluster's ReservationFull answer for in is
+// appendShadow's thresholded one: the same cells in the same order,
+// each reserving classBU where the reference probability reaches
+// InclusionProb and 0 where it does not.
+func checkClasses(t *testing.T, l *Ledger, in shadowInput) {
+	t.Helper()
+	want := appendShadow(&l.cfg, l.stations, make([]float64, len(l.stations)), nil, in.pos, in.heading, in.speedMps, in.k)
+	tr := track{bu: classBU, pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
+	got := l.cluster(nil, &tr, geo.UnitFromHeading(in.heading), in.k, 1)
+	if len(got) != len(want) {
+		t.Fatalf("%+v: cluster has %d cells, reference shadow %d", in, len(got), len(want))
+	}
+	for i, cp := range want {
+		amount := 0.0
+		if cp.Prob >= l.cfg.InclusionProb {
+			amount = classBU
+		}
+		if h := l.stations[got[i].cell].Hex(); h != cp.Hex || got[i].amount != amount {
+			t.Fatalf("%+v cell %d: cluster %v reserves %v, reference %v p=%v reserves %v",
+				in, i, h, got[i].amount, cp.Hex, cp.Prob, amount)
+		}
+	}
+}
+
+// TestLedgerShadowClassesMatchReference pins the full-reservation class
+// shadow to the reference over the shadow equivalence grid: the cells
+// and reservations of every cluster must be appendShadow's thresholded
+// ones, whichever of the class shadow and its exact fallback answers.
+// It then places points whose reference probability lies within 1e-9
+// of MinProb or of InclusionProb, where no certified class exists, and
+// requires the exact fallback to answer them.
+func TestLedgerShadowClassesMatchReference(t *testing.T) {
+	var total classStats
+	eachShadowInput(t, ReservationFull, func(t *testing.T, l *Ledger, in shadowInput) {
+		before := l.classStats
+		checkClasses(t, l, in)
+		total.shadows += l.classStats.shadows - before.shadows
+		total.exact += l.classStats.exact - before.exact
+	})
+	// Projections off coverage and sigma = 1 m (exponents past
+	// shadowCapNats) go to the exact shadow by design; the class shadow
+	// must still answer a good share, or the equality is the exact
+	// shadow's alone.
+	answered := total.shadows - total.exact
+	t.Logf("class shadow answered %d of %d clusters", answered, total.shadows)
+	if answered*4 < total.shadows {
+		t.Fatalf("class shadow answered %d of %d clusters; want at least a quarter", answered, total.shadows)
+	}
+
+	net := newSizedNet(t, 2, 500)
+	l := newLedger(t, net, func(c *Config) { c.Reservation = ReservationFull })
+	if !l.classes {
+		t.Fatal("default full-reservation ledger has the class shadow off")
+	}
+	from, to := 0, 1
+	a, b := l.stationPos[from], l.stationPos[to]
+	// prob is the reference probability of station to, emitted or not:
+	// MinProb only filters appendShadow's output.
+	all := l.cfg
+	all.MinProb = math.SmallestNonzeroFloat64
+	prob := func(f float64) float64 {
+		p := geo.Point{X: a.X + f*(b.X-a.X), Y: a.Y + f*(b.Y-a.Y)}
+		for _, cp := range appendShadow(&all, l.stations, make([]float64, len(l.stations)), nil, p, 0, 0, 0) {
+			if cp.Hex == l.stations[to].Hex() {
+				return cp.Prob
+			}
+		}
+		return 0
+	}
+	for _, thr := range []float64{l.cfg.MinProb, l.cfg.InclusionProb} {
+		// Bisect along the segment between two stations for the point
+		// where the second one's probability crosses thr.
+		lo, hi := 0.0, 1.0
+		if !(prob(lo) < thr && prob(hi) >= thr) {
+			t.Fatalf("threshold %v not bracketed: p(0)=%v p(1)=%v", thr, prob(lo), prob(hi))
+		}
+		for i := 0; i < 200 && lo < hi; i++ {
+			mid := (lo + hi) / 2
+			if mid == lo || mid == hi {
+				break
+			}
+			if prob(mid) < thr {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		for _, f := range []float64{lo, hi} {
+			if p := prob(f); math.Abs(p-thr) > 1e-9 {
+				t.Fatalf("bisection for %v stopped at p=%v", thr, p)
+			}
+			in := shadowInput{pos: geo.Point{X: a.X + f*(b.X-a.X), Y: a.Y + f*(b.Y-a.Y)}}
+			exact := l.classStats.exact
+			checkClasses(t, l, in)
+			if l.classStats.exact != exact+1 {
+				t.Fatalf("p=%v within 1e-9 of %v did not take the exact fallback", prob(f), thr)
+			}
+		}
+	}
+}
+
 // BenchmarkLedgerShadow times one shadow — the reference appendShadow
-// against the Ledger's pruned shadow — at k = 0 and k = Horizon, on the
-// 127-cell district and the 1027-cell city geometry (500 m cells, the
-// Fig. 10 configuration), over kinematics inside coverage. The
-// evaluated-share metric is the fraction of station weights whose exp
-// the routine computes (1 for the reference).
+// against the Ledger's pruned shadow and its full-reservation class
+// shadow (cluster) — at k = 0 and k = Horizon, on the 127-cell district
+// and the 1027-cell city geometry (500 m cells, the Fig. 10
+// configuration), over kinematics inside coverage. The evaluated-share
+// metric is the fraction of station weights whose exp the routine
+// computes (1 for the reference); the class case reports exp calls,
+// visited stations and exact-shadow fallbacks per shadow instead.
 func BenchmarkLedgerShadow(b *testing.B) {
 	for _, geom := range []struct {
 		name  string
@@ -177,6 +292,19 @@ func BenchmarkLedgerShadow(b *testing.B) {
 					evaluated += len(l.evaluated)
 				}
 				b.ReportMetric(float64(evaluated)/float64(b.N*len(l.stations)), "evaluated-share")
+			})
+			b.Run(fmt.Sprintf("%s/classes/k=%d", geom.name, k), func(b *testing.B) {
+				var dst []footCell
+				before := l.classStats
+				for i := 0; i < b.N; i++ {
+					in := &inputs[i%len(inputs)]
+					tr := track{bu: 1, pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
+					dst = l.cluster(dst[:0], &tr, geo.UnitFromHeading(in.heading), k, 1)
+				}
+				n := float64(b.N)
+				b.ReportMetric(float64(l.classStats.exps-before.exps)/n, "exp/op")
+				b.ReportMetric(float64(l.classStats.visited-before.visited)/n, "visited/op")
+				b.ReportMetric(float64(l.classStats.exact-before.exact)/n, "exact/op")
 			})
 		}
 	}

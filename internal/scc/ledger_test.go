@@ -376,57 +376,76 @@ func TestLedgerDemandMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestLedgerGuardBandFallback crafts a demand sitting exactly on the
+// TestLedgerGuardBandFallback crafts demand sitting exactly on the
 // survivability threshold, where a naive incremental comparison could
-// flip on drift: the ledger must route it through the exact summation
-// and still agree with the oracle.
+// flip on drift, and checks the ledger against the oracle there. In
+// ReservationWeighted mode the tie must go through the exact footprint
+// summation; in ReservationFull mode every aggregate is a whole number
+// of BU, exact in the matrix, so the band must never fire.
 func TestLedgerGuardBandFallback(t *testing.T) {
 	net := newNet(t, 0) // single 40 BU cell
-	mutate := func(c *Config) {
-		c.Threshold = 0.5 // 20 BU budget
-		c.Reservation = ReservationFull
+	decide := func(t *testing.T, oracle *Controller, ledger *Ledger, req cac.Request) cac.Decision {
+		t.Helper()
+		want, err := oracle.Decide(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ledger.Decide(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("boundary decision for call %d: ledger %v, oracle %v", req.Call.ID, got, want)
+		}
+		return got
 	}
-	oracle := newSCC(t, net, mutate)
-	ledger := newLedger(t, net, mutate)
-	// Two stationary video calls reserve exactly 20 BU at every interval.
-	for id := 0; id < 2; id++ {
-		req := sccRequest(t, net, id, traffic.Video, geo.Point{}, 0, 0)
+	t.Run("full", func(t *testing.T) {
+		mutate := func(c *Config) {
+			c.Threshold = 0.5 // 20 BU budget
+			c.Reservation = ReservationFull
+		}
+		oracle := newSCC(t, net, mutate)
+		ledger := newLedger(t, net, mutate)
+		// Two stationary video calls reserve exactly 20 BU at every
+		// interval.
+		for id := 0; id < 2; id++ {
+			req := sccRequest(t, net, id, traffic.Video, geo.Point{}, 0, 0)
+			oracle.OnAdmit(req)
+			ledger.OnAdmit(req)
+		}
+		// A stationary video request projects 20 + 10 > 20: reject.
+		decide(t, oracle, ledger, sccRequest(t, net, 50, traffic.Video, geo.Point{}, 0, 0))
+		// The release of one video (20 -> 10) re-opens the cell: the
+		// next video lands exactly on the limit, 10 + 10 = 20.
+		ledger.OnRelease(0, nil, 0)
+		oracle.OnRelease(0, nil, 0)
+		if got := decide(t, oracle, ledger, sccRequest(t, net, 51, traffic.Video, geo.Point{}, 0, 0)); got != cac.Accept {
+			t.Fatalf("post-release decision %v, want accept", got)
+		}
+		if fallbacks, _ := ledger.Stats(); fallbacks != 0 {
+			t.Fatalf("guard band fired %d times on whole-BU aggregates", fallbacks)
+		}
+	})
+	t.Run("weighted", func(t *testing.T) {
+		mutate := func(c *Config) {
+			c.Threshold = 0.5
+			c.Reservation = ReservationWeighted
+		}
+		oracle := newSCC(t, net, mutate)
+		ledger := newLedger(t, net, mutate)
+		// On the single cell p = 1, and at k = 0 survival is 1, so one
+		// tracked video and a video request meet the 20 BU limit
+		// exactly at k = 0; later intervals decay below it.
+		req := sccRequest(t, net, 0, traffic.Video, geo.Point{}, 0, 0)
 		oracle.OnAdmit(req)
 		ledger.OnAdmit(req)
-	}
-	// A stationary video request projects 20 + 10 > 20: reject. A
-	// zero-BU margin sits inside the guard band on the way there.
-	req := sccRequest(t, net, 50, traffic.Video, geo.Point{}, 0, 0)
-	want, err := oracle.Decide(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ledger.Decide(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("boundary decision: ledger %v, oracle %v", got, want)
-	}
-	// A text request lands at exactly 20 + 1 = 21 > 20: reject, and the
-	// release of one video (20 -> 10) must re-open the cell.
-	ledger.OnRelease(0, nil, 0)
-	oracle.OnRelease(0, nil, 0)
-	req = sccRequest(t, net, 51, traffic.Video, geo.Point{}, 0, 0)
-	want, err = oracle.Decide(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = ledger.Decide(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want || got != cac.Accept {
-		t.Fatalf("post-release decision: ledger %v, oracle %v, want accept", got, want)
-	}
-	if fallbacks, _ := ledger.Stats(); fallbacks == 0 {
-		t.Fatal("exact fallback should have triggered on the threshold boundary")
-	}
+		if got := decide(t, oracle, ledger, sccRequest(t, net, 50, traffic.Video, geo.Point{}, 0, 0)); got != cac.Accept {
+			t.Fatalf("tie decision %v, want accept", got)
+		}
+		if fallbacks, _ := ledger.Stats(); fallbacks == 0 {
+			t.Fatal("exact fallback should have triggered on the threshold boundary")
+		}
+	})
 }
 
 // TestLedgerDecideBatch asserts the native batch path returns exactly
@@ -463,6 +482,55 @@ func TestLedgerDecideBatch(t *testing.T) {
 	bad := append(append([]cac.Request(nil), reqs[:3]...), cac.Request{})
 	if _, err := ledger.DecideBatch(bad); err == nil {
 		t.Fatal("invalid request should abort the batch")
+	}
+}
+
+// TestLedgerDecideZeroAllocs is the allocation gate on the ledger's
+// decision path: once warmed, DecideBatchInto allocates nothing in
+// either reservation mode, on a batch where some requests' projections
+// leave coverage, so the cluster-coverage check rejects them. That
+// check must answer from the ledger's station table; the network's
+// StationAt formats an error for every point off coverage.
+func TestLedgerDecideZeroAllocs(t *testing.T) {
+	for _, mode := range []ReservationMode{ReservationWeighted, ReservationFull} {
+		t.Run(mode.String(), func(t *testing.T) {
+			net := newSizedNet(t, 2, 500)
+			l := newLedger(t, net, func(c *Config) {
+				c.Reservation = mode
+				c.RequireClusterCoverage = true
+			})
+			rng := rand.New(rand.NewSource(9))
+			const radius = 500 * 4
+			for id := 0; id < 20; id++ {
+				l.OnAdmit(randomRequest(t, rng, net, id, radius))
+			}
+			reqs := make([]cac.Request, 64)
+			leaving := 0
+			for i := range reqs {
+				reqs[i] = randomRequest(t, rng, net, 100+i, radius)
+				est := reqs[i].Est
+				for k := 1; k <= l.cfg.Horizon; k++ {
+					q := geo.Move(est.Pos, est.HeadingDeg, geo.KmhToMps(est.SpeedKmh)*float64(k)*l.cfg.DeltaT)
+					if _, err := net.StationAt(q); err != nil {
+						leaving++
+						break
+					}
+				}
+			}
+			if leaving == 0 || leaving == len(reqs) {
+				t.Fatalf("%d of %d requests leave coverage; want some, not all", leaving, len(reqs))
+			}
+			out := make([]cac.Decision, len(reqs))
+			decide := func() {
+				if err := l.DecideBatchInto(reqs, out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			decide() // warm the scratch buffers
+			if allocs := testing.AllocsPerRun(20, decide); allocs != 0 {
+				t.Fatalf("DecideBatchInto allocates %v times per batch of %d (%d leave coverage)", allocs, len(reqs), leaving)
+			}
+		})
 	}
 }
 

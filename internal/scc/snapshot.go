@@ -2,6 +2,7 @@ package scc
 
 import (
 	"io"
+	"math"
 	"sort"
 
 	"facs/internal/cac"
@@ -140,7 +141,7 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 		if tracks[i].bu <= 0 {
 			d.Fail("track %d has non-positive bandwidth %d", ids[i], tracks[i].bu)
 		}
-		if _, ok := l.idx[tracks[i].home]; !ok {
+		if _, ok := l.stationIndex(tracks[i].home); !ok {
 			d.Fail("track %d homes at unknown cell %v", ids[i], tracks[i].home)
 		}
 	}
@@ -163,6 +164,18 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 		}
 		if exported != nil && len(exported) != len(l.demand) {
 			d.Fail("exported matrix has %d entries, want %d", len(exported), len(l.demand))
+		}
+	}
+	if d.Err() == nil && l.cfg.Reservation == ReservationFull {
+		// Decide skips the guard band in this mode because every local
+		// aggregate is an exact sum of whole BU, equal to the footprint
+		// sum the band would take; a restored matrix must keep that
+		// true. Ghost rows are read as-is either way.
+		for i, v := range demand {
+			if v != math.Trunc(v) || math.Abs(v) >= 1<<53 {
+				d.Fail("full-reservation demand entry %d is %v, not a whole number below 2^53", i, v)
+				break
+			}
 		}
 	}
 	exportGen := d.U64()

@@ -3,6 +3,7 @@ package scc
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -212,5 +213,43 @@ func TestLedgerSnapshotCorrupt(t *testing.T) {
 	}
 	if got := ledgerSnapshotBlob(t, b); !bytes.Equal(got, blob) {
 		t.Fatal("round trip after corrupt attempts not byte-identical")
+	}
+}
+
+// TestLedgerSnapshotFullWholeBU pins the restore side of the
+// ReservationFull guard-band skip: Decide trusts every local
+// full-reservation aggregate to be an exact sum of whole BU, so a
+// snapshot whose demand entry is fractional, non-finite or at least
+// 2^53 is refused as corrupt, and the untouched snapshot still
+// restores. (Ghost rows are read as-is in every mode, so a fractional
+// ghost delta restores; TestLedgerSnapshotRoundTrip applies some.)
+func TestLedgerSnapshotFullWholeBU(t *testing.T) {
+	net := newNet(t, 1)
+	full := func(c *Config) { c.Reservation = ReservationFull }
+	src := newLedger(t, net, full)
+	rng := rand.New(rand.NewSource(3))
+	for id := 0; id < 8; id++ {
+		src.OnAdmit(randomRequest(t, rng, net, id, 2.0*2000*1.5))
+	}
+	dst := newLedger(t, net, full)
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"fraction", 0.5},
+		{"nan", math.NaN()},
+		{"2^53", 1 << 53},
+		{"-inf", math.Inf(-1)},
+	} {
+		old := src.demand[3]
+		src.demand[3] = tc.v
+		blob := ledgerSnapshotBlob(t, src)
+		src.demand[3] = old
+		if err := dst.RestoreFrom(bytes.NewReader(blob)); !errors.Is(err, snap.ErrSnapshotCorrupt) {
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", tc.name, err)
+		}
+	}
+	if err := dst.RestoreFrom(bytes.NewReader(ledgerSnapshotBlob(t, src))); err != nil {
+		t.Fatalf("whole-BU snapshot: %v", err)
 	}
 }

@@ -251,8 +251,11 @@ func (s Stats) String() string {
 type Core struct {
 	ctrl   cac.Controller
 	commit bool
-	// observer, ticker and updater are ctrl's optional interfaces,
-	// resolved once (nil when not implemented).
+	// into, observer, ticker and updater are ctrl's optional
+	// interfaces, resolved once (nil when not implemented). A per-chunk
+	// type assertion would call into the runtime until its per-site
+	// cache fills, which happens at random and allocates.
+	into     cac.BatchIntoController
 	observer cac.Observer
 	ticker   cac.Ticker
 	updater  cac.StateUpdater
@@ -270,6 +273,7 @@ type Core struct {
 // maxBatch requests; commit selects Config.Commit's semantics.
 func NewCore(ctrl cac.Controller, commit bool, maxBatch int) *Core {
 	c := &Core{ctrl: ctrl, commit: commit, dec: make([]cac.Decision, maxBatch)}
+	c.into, _ = ctrl.(cac.BatchIntoController)
 	c.observer, _ = ctrl.(cac.Observer)
 	c.ticker, _ = ctrl.(cac.Ticker)
 	c.updater, _ = ctrl.(cac.StateUpdater)
@@ -279,8 +283,9 @@ func NewCore(ctrl cac.Controller, commit bool, maxBatch int) *Core {
 // Controller returns the controller the Core decides with.
 func (c *Core) Controller() cac.Controller { return c.ctrl }
 
-// Decide decides one chunk of at most MaxBatch requests through
-// cac.DecideAllInto — every request against the chunk-start station
+// Decide decides one chunk of at most MaxBatch requests through the
+// controller's DecideBatchInto, or cac.DecideAllInto's sequential
+// fallback when it has none — every request against the chunk-start station
 // state — and finishes them into out[:len(reqs)] in request order. In
 // Commit mode an accepted call is allocated on its station (cell.Admit)
 // and then reported to an observer controller before the next request
@@ -295,7 +300,13 @@ func (c *Core) Decide(reqs []cac.Request, out []Response, enq time.Time) error {
 	out = out[:len(reqs)]
 	c.st.Batches++
 	c.st.MaxBatch = max(c.st.MaxBatch, len(reqs))
-	if err := cac.DecideAllInto(c.ctrl, reqs, c.dec[:len(reqs)]); err != nil {
+	var err error
+	if dec := c.dec[:len(reqs)]; c.into != nil {
+		err = c.into.DecideBatchInto(reqs, dec)
+	} else {
+		err = cac.DecideAllInto(c.ctrl, reqs, dec)
+	}
+	if err != nil {
 		c.reject(out, err, enq)
 		return err
 	}
