@@ -53,4 +53,18 @@
 // changes a bit or a draw: TestMetropolisDriverStreamPin freezes the
 // emitted request stream and both draw counts, and the two oracle tests
 // beside it check the tables against the lookups they replace.
+//
+// Arrivals are drawn on a producer goroutine that runs ahead of the
+// wave loop. runWave starts it at its first call, after any restore.
+// From then on it alone touches the call stream (callRNG, callSrc) and
+// the cell-choice tables. It fills a fixed ring of metroRingChunks
+// MaxBatch-sized chunks (requests, holds, cells and the call stream's
+// draw count after each chunk), chunked and numbered exactly as the
+// loop consumes them, and runs on into the next wave while the loop
+// does releases, ticks and handoffs. The loop keeps everything that
+// depends on outcomes: the handoff stream, decisions, hashing and the
+// ledger. A snapshot records the call stream's draw count at the end of
+// the last consumed wave, so the format and every restore are
+// unchanged. finish and close stop and join the producer; RunMetropolis
+// closes on every return.
 package experiments

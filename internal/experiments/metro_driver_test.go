@@ -33,14 +33,13 @@ func (s *streamRecorder) Decide(req cac.Request) (cac.Decision, error) {
 }
 
 // DecideBatchInto sees each chunk exactly as the driver submitted it.
-// An arrival chunk's holds sit in the run's hold scratch, filled before
-// the chunk is submitted; a handoff is a one-request chunk with no hold.
+// An arrival chunk's holds sit in the producer's chunk the run is
+// deciding; a handoff is a one-request chunk with no hold.
 func (s *streamRecorder) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {
-	holds := s.run.holds[:len(reqs)]
 	for i := range reqs {
 		hold := -1
 		if !reqs[i].Handoff {
-			hold = holds[i]
+			hold = s.run.chunk.holds[i]
 		}
 		s.record(&reqs[i], hold)
 		d, err := s.inner.Decide(reqs[i])

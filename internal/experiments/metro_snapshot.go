@@ -62,8 +62,10 @@ func (r *metroRun) snapshotConfigHash() uint64 {
 // snapshotTo captures the run's complete replay state at a wave
 // boundary: the wave cursor, the active-call ledger, the decision
 // digest, both RNG streams' positions (as draw counts — see
-// sim.CountedSource) and the engine's state. Restoring the blob into a
-// fresh identically-configured run and replaying the remaining waves
+// sim.CountedSource; the call stream's is callDraws, its position at
+// the wave boundary, however far the arrival producer has drawn ahead)
+// and the engine's state. Restoring the blob into a fresh
+// identically-configured run and replaying the remaining waves
 // reproduces the uninterrupted run's outcomes byte for byte.
 func (r *metroRun) snapshotTo(w io.Writer) error {
 	e := snap.NewEncoder(w, "metro-run", r.snapshotConfigHash())
@@ -91,7 +93,7 @@ func (r *metroRun) snapshotTo(w io.Writer) error {
 		e.Int(int(r.ledger.release[i]))
 	}
 
-	e.U64(r.callSrc.Draws())
+	e.U64(r.callDraws)
 	e.U64(r.handoffSrc.Draws())
 
 	switch eng := r.engine.(type) {
@@ -129,11 +131,15 @@ func (r *metroRun) snapshotTo(w io.Writer) error {
 }
 
 // restoreFrom installs a snapshot written by snapshotTo into a freshly
-// constructed run (wave 0, untouched RNG streams). The envelope is
-// fully decoded and validated before any state changes; the RNG streams
-// fast-forward to their recorded positions, so every subsequent draw
-// matches the draw the captured run would have made.
+// constructed run (wave 0, untouched RNG streams, producer not yet
+// started). The envelope is fully decoded and validated before any
+// state changes; the RNG streams fast-forward to their recorded
+// positions, so every subsequent draw matches the draw the captured run
+// would have made.
 func (r *metroRun) restoreFrom(rd io.Reader) error {
+	if r.done != nil {
+		return fmt.Errorf("experiments: restore into a run whose arrival producer already started")
+	}
 	d, err := snap.NewDecoder(rd, "metro-run", r.snapshotConfigHash())
 	if err != nil {
 		return err
@@ -272,6 +278,7 @@ func (r *metroRun) restoreFrom(rd io.Reader) error {
 		return fmt.Errorf("experiments: restore into a run whose RNG streams already advanced past the snapshot")
 	}
 	r.callSrc.Skip(callDraws - r.callSrc.Draws())
+	r.callDraws = callDraws
 	r.handoffSrc.Skip(handoffDraws - r.handoffSrc.Draws())
 	return nil
 }

@@ -30,7 +30,7 @@ func runInterrupted(t *testing.T, cfg MetropolisConfig) MetropolisResult {
 	if err := r1.snapshotTo(&buf); err != nil {
 		t.Fatalf("snapshotTo: %v", err)
 	}
-	if err := r1.engine.close(); err != nil {
+	if err := r1.close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,7 +209,7 @@ func TestMetropolisSnapshotStaleAndCorrupt(t *testing.T) {
 	if err := r.snapshotTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.engine.close(); err != nil {
+	if err := r.close(); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
@@ -220,7 +220,7 @@ func TestMetropolisSnapshotStaleAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r2.engine.close()
+	defer r2.close()
 	if err := r2.restoreFrom(bytes.NewReader(blob)); !errors.Is(err, snap.ErrSnapshotStale) {
 		t.Errorf("seed mismatch: err = %v, want ErrSnapshotStale", err)
 	}
@@ -229,7 +229,7 @@ func TestMetropolisSnapshotStaleAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r3.engine.close()
+	defer r3.close()
 	for _, i := range []int{10, len(blob) / 2, len(blob) - 3} {
 		mut := append([]byte(nil), blob...)
 		mut[i] ^= 0x40
@@ -281,7 +281,7 @@ func TestMetropolisRestoresCommittedSnapshots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.engine.close()
+			defer r.close()
 			if err := r.restoreFromFile(filepath.Join("testdata", tc.file)); err != nil {
 				t.Fatal(err)
 			}

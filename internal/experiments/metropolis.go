@@ -733,7 +733,7 @@ func RunMetropolis(cfg MetropolisConfig) (MetropolisResult, error) {
 	if err != nil {
 		return MetropolisResult{}, err
 	}
-	defer r.engine.close()
+	defer r.close()
 	if r.cfg.Restore != "" {
 		if err := r.restoreFromFile(r.cfg.Restore); err != nil {
 			return MetropolisResult{}, err
@@ -770,9 +770,28 @@ func RunMetropolis(cfg MetropolisConfig) (MetropolisResult, error) {
 	return r.finish()
 }
 
+// metroRingChunks is the number of MaxBatch-sized arrival chunks the
+// producer may draw ahead of the wave loop. At the default MaxBatch it
+// holds about one peak wave of the default city, enough to keep
+// drawing across a wave boundary while the loop runs releases, ticks
+// and the handoff round.
+const metroRingChunks = 16
+
+// arrivalChunk is one MaxBatch-sized piece of a wave's arrivals, as the
+// producer drew it: the requests, each call's hold in waves and station
+// index, and the call stream's draw count once the chunk was drawn.
+type arrivalChunk struct {
+	reqs  []cac.Request
+	holds []int
+	cells []int
+	draws uint64
+}
+
 // metroRun is the wave loop's live state, split out of RunMetropolis so
 // tests can step individual waves (warm the scratch buffers through the
-// population ramp, then gate steady-state allocations per wave).
+// population ramp, then gate steady-state allocations per wave). A run
+// that a test steps must end with finish or close, which stop the
+// arrival producer.
 type metroRun struct {
 	cfg        MetropolisConfig
 	engine     metroEngine
@@ -788,12 +807,25 @@ type metroRun struct {
 	result     MetropolisResult
 	hash       fnv1a
 	ledger     metroLedger
-	// Wave scratch, reused across waves: arrivals stream through it one
-	// MaxBatch chunk at a time.
-	reqs  []cac.Request
-	outs  []serve.Response
-	holds []int
-	cells []int
+	// outs receives one chunk's outcomes.
+	outs []serve.Response
+
+	// The arrival producer (see produce). Once runWave starts it, it
+	// alone touches callRNG, callSrc and the workload's cell-choice
+	// tables. chunks is the ring it fills; ready carries filled chunk
+	// indices to the wave loop in stream order and free carries them
+	// back once their outcomes are consumed. quit stops the producer and
+	// done closes when it has exited; done is nil until it starts, quit
+	// nil again once it is stopped, and a stopped run runs no more
+	// waves. chunk is the chunk being decided.
+	chunks      []arrivalChunk
+	ready, free chan int
+	quit, done  chan struct{}
+	chunk       *arrivalChunk
+	// callDraws is callSrc's draw count at the end of the last wave the
+	// loop consumed: the call stream's position a snapshot records,
+	// however far the producer has drawn ahead.
+	callDraws uint64
 
 	nextID   int
 	wave     int
@@ -868,12 +900,21 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 		return nil, err
 	}
 
-	// Size the wave scratch once: a run never holds more than one
-	// MaxBatch chunk of arrivals.
-	r.reqs = make([]cac.Request, 0, cfg.MaxBatch)
+	// Size the ring and the outcome buffer once: the producer never
+	// holds more than metroRingChunks chunks of arrivals, the loop
+	// decides one at a time.
 	r.outs = make([]serve.Response, cfg.MaxBatch)
-	r.holds = make([]int, 0, cfg.MaxBatch)
-	r.cells = make([]int, 0, cfg.MaxBatch)
+	r.chunks = make([]arrivalChunk, metroRingChunks)
+	r.ready = make(chan int, metroRingChunks)
+	r.free = make(chan int, metroRingChunks)
+	for k := range r.chunks {
+		r.chunks[k] = arrivalChunk{
+			reqs:  make([]cac.Request, 0, cfg.MaxBatch),
+			holds: make([]int, 0, cfg.MaxBatch),
+			cells: make([]int, 0, cfg.MaxBatch),
+		}
+		r.free <- k
+	}
 
 	if cfg.MeasureMem {
 		r.peakWave = r.workload.peakWave()
@@ -885,11 +926,83 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 	return r, nil
 }
 
+// startProducer starts the arrival producer at the run's wave cursor
+// and next call ID.
+//
+//facs:coldpath runs once per run, before the first wave
+func (r *metroRun) startProducer() {
+	r.quit = make(chan struct{})
+	r.done = make(chan struct{})
+	go r.produce(r.wave, r.nextID)
+}
+
+// produce draws the arrivals of every wave from wave to the run's end,
+// in the order and chunking the wave loop consumes them, and passes
+// each filled chunk on ready. It takes a chunk buffer from free before
+// drawing into it, so it runs at most the ring ahead of the loop, and
+// returns early when quit closes. Nothing the loop decides feeds back
+// into these draws, so drawing ahead changes no bit of the stream.
+//
+//facs:hotpath
+func (r *metroRun) produce(wave, nextID int) {
+	defer close(r.done)
+	cfg, workload := r.cfg, r.workload
+	for ; wave < cfg.Waves; wave++ {
+		now := float64(wave) * metroWaveSec(cfg.WavesPerDay)
+		n := workload.arrivals[wave]
+		workload.ensureCellCum(wave)
+		for lo := 0; lo < n; lo += cfg.MaxBatch {
+			var k int
+			select {
+			case k = <-r.free:
+			case <-r.quit:
+				return
+			}
+			c := &r.chunks[k]
+			reqs, holds, cells := c.reqs[:0], c.holds[:0], c.cells[:0]
+			for i := lo; i < n && i < lo+cfg.MaxBatch; i++ {
+				si := workload.sampleCell(r.callRNG)
+				class := workload.sampleClass(r.callRNG)
+				est := workload.sampleEstimate(r.callRNG, si, now)
+				bs := workload.stations[si]
+				reqs = append(reqs, cac.Request{
+					Call:    cell.Call{ID: nextID, Class: class, BU: class.BandwidthUnits()},
+					Station: bs,
+					Obs:     gps.Observe(est, bs.Pos()),
+					Est:     est,
+					Now:     now,
+				})
+				holds = append(holds, metroHoldWavesMin+r.callRNG.Intn(metroHoldWavesMax-metroHoldWavesMin+1))
+				cells = append(cells, si)
+				nextID++
+			}
+			c.reqs, c.holds, c.cells = reqs, holds, cells
+			c.draws = r.callSrc.Draws()
+			r.ready <- k
+		}
+	}
+}
+
+// close stops the arrival producer, if it runs, waits for it to exit
+// and closes the engine. It may run more than once.
+func (r *metroRun) close() error {
+	if r.quit != nil {
+		close(r.quit)
+		<-r.done
+		r.quit = nil
+	}
+	return r.engine.close()
+}
+
 // runWave advances the scenario by one wave: releases, the tick
-// barrier, the handoff round, then the wave's arrivals.
+// barrier, the handoff round, then the wave's arrivals. The first call
+// starts the arrival producer.
 //
 //facs:hotpath
 func (r *metroRun) runWave() error {
+	if r.done == nil {
+		r.startProducer()
+	}
 	cfg, workload, engine := r.cfg, r.workload, r.engine
 	wave := r.wave
 	now := float64(wave) * metroWaveSec(cfg.WavesPerDay)
@@ -964,52 +1077,35 @@ func (r *metroRun) runWave() error {
 		r.ledger.truncate(keep)
 	}
 
-	// Arrivals: the wave's scheduled draw from the diurnal curve,
-	// streamed through the engine seam one MaxBatch chunk at a time, so
-	// a wave's footprint is O(MaxBatch) rather than O(arrivals).
-	n := workload.arrivals[wave]
-	workload.ensureCellCum(wave)
-	for lo := 0; lo < n; lo += cfg.MaxBatch {
-		m := cfg.MaxBatch
-		if lo+m > n {
-			m = n - lo
-		}
-		reqs, holds, cells := r.reqs[:0], r.holds[:0], r.cells[:0]
-		for i := 0; i < m; i++ {
-			si := workload.sampleCell(r.callRNG)
-			class := workload.sampleClass(r.callRNG)
-			est := workload.sampleEstimate(r.callRNG, si, now)
-			bs := workload.stations[si]
-			reqs = append(reqs, cac.Request{
-				Call:    cell.Call{ID: r.nextID, Class: class, BU: class.BandwidthUnits()},
-				Station: bs,
-				Obs:     gps.Observe(est, bs.Pos()),
-				Est:     est,
-				Now:     now,
-			})
-			holds = append(holds, metroHoldWavesMin+r.callRNG.Intn(metroHoldWavesMax-metroHoldWavesMin+1))
-			cells = append(cells, si)
-			r.nextID++
-		}
-		if err := engine.submitWave(reqs, r.outs[:m]); err != nil {
+	// Arrivals: the wave's scheduled draw from the diurnal curve, taken
+	// from the producer one MaxBatch chunk at a time, so a wave's
+	// footprint is the ring rather than O(arrivals).
+	for lo := 0; lo < workload.arrivals[wave]; lo += cfg.MaxBatch {
+		k := <-r.ready
+		c := &r.chunks[k]
+		r.chunk = c
+		if err := engine.submitWave(c.reqs, r.outs[:len(c.reqs)]); err != nil {
 			return err
 		}
-		for i := range reqs {
+		for i := range c.reqs {
 			o := &r.outs[i]
 			if o.Err != nil && !o.Decision.Accepted() {
 				return o.Err // a decision error
 			}
-			r.hash.writeOutcome('A', reqs[i].Call.ID, *o)
+			call := &c.reqs[i].Call
+			r.hash.writeOutcome('A', call.ID, *o)
 			r.result.Requested++
 			if o.Decision.Accepted() {
 				r.result.Accepted++
 			}
 			if o.Committed {
 				r.result.Committed++
-				r.ledger.push(reqs[i].Call.ID, reqs[i].Call.Class, reqs[i].Call.BU,
-					cells[i], wave+holds[i])
+				r.ledger.push(call.ID, call.Class, call.BU, c.cells[i], wave+c.holds[i])
 			}
 		}
+		r.nextID += len(c.reqs)
+		r.callDraws = c.draws
+		r.free <- k
 	}
 	r.result.Waves++
 	if r.ledger.len() > r.result.PeakConcurrent {
@@ -1027,8 +1123,8 @@ func (r *metroRun) runWave() error {
 	return nil
 }
 
-// finish closes the engine, checks call conservation and returns the
-// accumulated result.
+// finish stops the arrival producer, closes the engine, checks call
+// conservation and returns the accumulated result.
 func (r *metroRun) finish() (MetropolisResult, error) {
 	r.result.FinalActive = r.ledger.len()
 	r.result.DecisionHash = uint64(r.hash)
@@ -1042,7 +1138,7 @@ func (r *metroRun) finish() (MetropolisResult, error) {
 		r.result.GhostRowsAllToAll = st.GhostRowsAllToAll
 		r.result.InterestScoped = st.InterestScoped
 	}
-	if err := r.engine.close(); err != nil {
+	if err := r.close(); err != nil {
 		return MetropolisResult{}, err
 	}
 	if err := r.conserved(); err != nil {

@@ -103,7 +103,7 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.engine.close()
+			defer r.close()
 			for _, bs := range r.workload.stations {
 				growPoolToCapacity(t, bs)
 			}
@@ -116,8 +116,10 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			// Warm-up: one full day, reaching the ledger and scratch
 			// high-water marks. It runs on the one P the measurement
 			// uses, so the runtime's per-P caches (the sudogs a
-			// fan-out's WaitGroup.Wait parks on, the timer heap) are
-			// warm too: resizing to one P drops the other P's caches.
+			// fan-out's WaitGroup.Wait and the arrival producer's
+			// channel waits park on, the timer heap) are warm too:
+			// resizing to one P drops the other P's caches. The first
+			// wave starts the producer here, before measurement.
 			procs := runtime.GOMAXPROCS(1)
 			defer runtime.GOMAXPROCS(procs)
 			warm := cfg.WavesPerDay

@@ -35,7 +35,9 @@ func goldenBiasedCompiled(t *testing.T) *CompiledController {
 // accept-table row against the exact engines: for each (handoff, R, Cs)
 // row it takes 8 evenly spaced Cv points, ends included, in every Cv
 // cell each interval overlaps, and requires the exact FLC2 verdict there
-// (System.Evaluate's second stage) to be the interval's class.
+// (System.Evaluate's second stage) to be the interval's class, and a
+// point lookup of the table at that Cv, as the compiled controller's
+// exact fallback makes, to return it.
 //
 // R runs up to RequestMax+2 and Cs up to CapacityBU+3, downwards, so the
 // clamped last rows are first read, and checked, through inputs outside
@@ -98,6 +100,10 @@ func TestDecisionTableMatchesExact(t *testing.T) {
 								if ev.Accepted != iv.accept {
 									t.Fatalf("row (handoff %v, R %d, Cs %d), interval [%v, %v] accept=%v: exact A/R at Cv %v is %v",
 										handoff, r, u, iv.lo, iv.hi, iv.accept, cv, ev.AR)
+								}
+								if got, ok := cc.table.decide(handoff, r, u, cv, cv); !ok || got != iv.accept {
+									t.Fatalf("row (handoff %v, R %d, Cs %d), interval [%v, %v] accept=%v: point lookup at Cv %v = (%v, %v)",
+										handoff, r, u, iv.lo, iv.hi, iv.accept, cv, got, ok)
 								}
 								points[class]++
 							}

@@ -42,7 +42,9 @@ const surfaceErrorSafety = 2
 // Cv and its error bound b1 and asks about [Cv−b1, Cv+b1], which lies
 // inside the cell range, so a cell verdict is as sound as a point
 // verdict and the requests that reach the third step, the exact
-// engines, are the ones the point check alone would send there.
+// engines, are the ones the point check alone would send there. That
+// step runs exact FLC1 and asks the table about the exact Cv itself;
+// only where no certain interval holds it does exact FLC2 run.
 // Evaluate, which also reports the crisp values and the grade,
 // interpolates both surfaces and falls back when the A/R value lands
 // within the propagated bound of the accept threshold or a grade
@@ -319,7 +321,8 @@ func (c *CompiledController) DecideBatch(reqs []cac.Request) ([]cac.Decision, er
 // table read, then an interval compare in the accept table) settles
 // most of them; a miss interpolates FLC1 for the point check, and only
 // a request whose point range is not inside one certain interval runs
-// the exact engines. The station occupancy is read once per run of
+// the exact engines (exact FLC1, the table at the exact Cv, exact FLC2
+// on a miss). The station occupancy is read once per run of
 // requests aimed at the same station. Nothing here allocates.
 //
 //facs:hotpath
@@ -376,11 +379,19 @@ func (c *CompiledController) decideBatch(reqs []cac.Request, out []cac.Decision)
 				n.point++
 			} else {
 				n.exact++
-				ev, err := c.sys.Evaluate(req.Obs, req.Call.BU, used, req.Handoff)
-				if err != nil {
+				// The table certifies every Cv inside its intervals, so
+				// it settles the exact Cv wherever that point lies in
+				// one; only the rest run exact FLC2.
+				if cv, err = c.sys.Predict(req.Obs); err != nil {
 					return n, err
 				}
-				accepted = ev.Accepted
+				if accepted, ok = c.table.decide(req.Handoff, req.Call.BU, used, cv, cv); !ok {
+					ev, err := c.sys.evaluateCv(cv, req.Call.BU, used, req.Handoff)
+					if err != nil {
+						return n, err
+					}
+					accepted = ev.Accepted
+				}
 			}
 		}
 		if accepted {

@@ -176,7 +176,9 @@ func TestCompiledExactAtNodes(t *testing.T) {
 // cac.Controller interface against a real base station, covering the
 // capacity short-circuit, handoffs with and without a handoff bias, and
 // stations above the 40 BU counter universe (whose occupancy FLC2
-// clamps to its last row).
+// clamps to its last row). At every request's exact Cv it also checks
+// the accept table's point lookup, the exact fallback's first step,
+// against exact FLC2.
 func TestCompiledDecideMatchesSystem(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -201,7 +203,7 @@ func compiledDecideMatchesSystem(t *testing.T, cc *CompiledController, capacity 
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(23))
-	id, peak := 0, 0
+	id, peak, points := 0, 0, 0
 	for trial := 0; trial < 2000; trial++ {
 		// Random occupancy between trials: FACS itself stops admitting
 		// well below 40 BU, so filler calls take the station anywhere
@@ -247,6 +249,23 @@ func compiledDecideMatchesSystem(t *testing.T, cc *CompiledController, capacity 
 			t.Fatalf("Decide mismatch at %+v used=%d handoff=%v: exact %v, compiled %v",
 				req.Obs, bs.Used(), req.Handoff, want, got)
 		}
+		// The exact fallback's point lookup: wherever the table holds
+		// the exact Cv, its verdict is exact FLC2's.
+		cv, err := sys.Predict(req.Obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept, ok := cc.table.decide(req.Handoff, req.Call.BU, bs.Used(), cv, cv); ok {
+			ev, err := sys.evaluateCv(cv, req.Call.BU, bs.Used(), req.Handoff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if accept != ev.Accepted {
+				t.Fatalf("point lookup at exact Cv %v (%+v used=%d handoff=%v): table %v, exact FLC2 %v",
+					cv, req.Obs, bs.Used(), req.Handoff, accept, ev.Accepted)
+			}
+			points++
+		}
 		if want.Accepted() {
 			if err := bs.Admit(req.Call); err != nil {
 				t.Fatal(err)
@@ -255,6 +274,9 @@ func compiledDecideMatchesSystem(t *testing.T, cc *CompiledController, capacity 
 	}
 	if capacity > cell.DefaultCapacityBU && peak <= cell.DefaultCapacityBU {
 		t.Fatalf("occupancy peaked at %d BU, never above the %d BU counter universe", peak, cell.DefaultCapacityBU)
+	}
+	if points == 0 {
+		t.Fatal("no point lookup at an exact Cv hit the table")
 	}
 }
 

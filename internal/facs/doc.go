@@ -36,9 +36,11 @@
 //     bound b1, and [Cv−b1, Cv+b1] is asked instead. It lies inside the
 //     cell range, so the cell check never settles a request the point
 //     check would not settle the same way;
-//   - exact: anything else runs the exact engines (about 2% of the
-//     decisions on the city-facs benchmark, 1% of a uniformly random
-//     workload).
+//   - exact: anything else runs exact FLC1 (about 2% of the decisions
+//     on the city-facs benchmark, 1% of a uniformly random workload)
+//     and asks the table about the exact Cv, a point range; only on a
+//     miss does exact FLC2 run (about a fifth of these on the city-facs
+//     benchmark's seed-1 day).
 //
 // On BenchmarkCompiledDecideBatch's batch the cell check settles 459
 // of the 465 decisions that reach the surfaces; CellSettled counts the
