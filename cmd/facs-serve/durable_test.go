@@ -180,6 +180,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"facs_ticks_total",
 		`facs_shed_total{class="text"}`,
 		"facs_ledger_active_calls",
+		"facs_ledger_class_shadows_total",
+		"facs_ledger_exact_shadows_total",
+		"facs_ledger_visited_stations_total",
+		"facs_ledger_weights_total",
 		"facs_snapshots_total 1",
 		"facs_snapshot_age_seconds",
 		"facs_snapshot_size_bytes",

@@ -137,9 +137,9 @@ func (l Layout) HexAt(p Point) Hex {
 // cubeRound converts fractional axial coordinates to the nearest hex.
 func cubeRound(qf, rf float64) Hex {
 	sf := -qf - rf
-	q := math.Round(qf)
-	r := math.Round(rf)
-	s := math.Round(sf)
+	q := round(qf)
+	r := round(rf)
+	s := round(sf)
 	dq := math.Abs(q - qf)
 	dr := math.Abs(r - rf)
 	ds := math.Abs(s - sf)
@@ -150,6 +150,18 @@ func cubeRound(qf, rf float64) Hex {
 		r = -q - s
 	}
 	return Hex{int(q), int(r)}
+}
+
+// round is math.Round, bit for bit on every finite or infinite x and
+// on quiet NaNs, without its branches: it adds the largest float below
+// one half, with x's sign, and truncates. For |x| ≥ 2^52 the add leaves
+// x as it is. Below that, a fraction under one half is at least an ulp
+// under it, so the sum stays under the next integer; a fraction of one
+// half or more reaches it, rounded up at worst (x = ±0.5 sums to
+// 1 − 2^-54, a tie that rounds to even, 1). The sign survives on −0 and
+// on results that truncate to zero.
+func round(x float64) float64 {
+	return math.Trunc(x + math.Copysign(0.49999999999999994, x))
 }
 
 func abs(v int) int {

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -183,5 +184,43 @@ func TestHexDistanceMetricProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRoundMatchesMathRound pins cubeRound's round to math.Round bit for
+// bit: on the edge values (halves, the 2^52 boundary where every float is
+// an integer, signed zeros, infinities, a quiet NaN), on the floats one
+// ulp either side of every half up to 2^53, and on random values.
+func TestRoundMatchesMathRound(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		if got, want := round(x), math.Round(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("round(%v) = %v (%#x), math.Round = %v (%#x)",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	edges := []float64{
+		0, math.Copysign(0, -1), 0.5, -0.5, 1.5, -1.5, 2.5, -2.5,
+		0.49999999999999994, -0.49999999999999994,
+		1 << 52, -(1 << 52), 1<<52 - 0.5, -(1<<52 - 0.5), 1<<51 + 0.5, -(1<<51 + 0.5),
+		1 << 53, -(1 << 53), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for _, x := range edges {
+		check(x)
+	}
+	for e := 0; e <= 53; e++ {
+		for _, n := range []float64{0, 1, 2, 3} {
+			half := math.Ldexp(1, e) + n + 0.5
+			for _, x := range []float64{half, math.Nextafter(half, 0), math.Nextafter(half, math.Inf(1))} {
+				check(x)
+				check(-x)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100000; i++ {
+		check((2*rng.Float64() - 1) * math.Ldexp(1, rng.Intn(60)-4))
 	}
 }

@@ -33,9 +33,11 @@
 // that can change the sum, and stay bit-identical to the oracle's. Under
 // full reservation a cluster depends only on which stations reach
 // MinProb and InclusionProb; a hex-ring walk from the projected point
-// visits the nearby stations only and certifies those classes by
-// probability intervals, deriving the exact shadow when an interval
-// straddles a threshold. DESIGN.md records the ledger invariants, the
+// visits the nearby stations only, weighs them relative to the nearest
+// through a table exp with a proven error, and certifies those classes
+// by probability intervals, deriving the exact shadow when an interval
+// straddles a threshold. A decision projects each interval once and
+// every reader of that interval shares the projection. DESIGN.md records the ledger invariants, the
 // guard-band argument, the absorption proof and the class proof;
 // ledger_test.go holds the golden-equivalence suite and
 // ledger_shadow_test.go pins the pruned shadow and the classes to the

@@ -3,7 +3,7 @@ package scc
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"facs/internal/cac"
 	"facs/internal/cell"
@@ -146,16 +146,12 @@ type Ledger struct {
 	exportGen uint64
 	ghostGens map[int]uint64
 
-	// Dirty-index tracking makes ExportDemand scale with the entries
-	// touched since the last export rather than the matrix size. Every
-	// demand write (apply, or a value Rebuild shifted while cancelling
-	// drift) marks its dense index: dirtyStamp[i] == dirtyEpoch means i
-	// is already queued in dirtyIdx for the next export. ExportDemand
-	// drains the queue in ascending index order (== cell-major row
-	// order) and bumps the epoch, which clears every stamp at once.
-	dirtyStamp []uint64
-	dirtyIdx   []int
-	dirtyEpoch uint64
+	// dirty makes ExportDemand scale with the entries touched since the
+	// last export rather than the matrix size: every demand write (apply,
+	// or a value Rebuild shifted while cancelling drift) sets the bit of
+	// its dense index, and ExportDemand walks the set bits in ascending
+	// index order (== cell-major row order), clearing them as it goes.
+	dirty []uint64
 	// rowsBuf backs the exported DemandDelta.Rows; see ExportDemand for
 	// the aliasing contract.
 	rowsBuf []DemandRow
@@ -186,35 +182,45 @@ type Ledger struct {
 
 	// Tables of the station lookup and of the full-reservation class
 	// shadow (ledger_shadow.go), built once. hexIdx maps axial
-	// coordinates (Q-hexQ0, R-hexR0) over the stations' bounding box,
-	// hexW wide and hexH high, to a dense station index (-1 for none);
-	// every hex lookup of the ledger goes through it (stationIndex),
-	// the coverage check and the class shadow's ring walk included.
-	// spiral lists the hex offsets out to span, the largest hex
-	// distance between two stations, ring by ring. classes enables the
-	// class shadow (ReservationFull with T = classNats below margin);
-	// classRel is the relative slack of its weight and sum bounds and
-	// classTail bounds e^-T from above.
+	// coordinates (Q-hexQ0, R-hexR0) over the stations' bounding box
+	// padded by span, hexW wide and hexH high, to a dense station index
+	// (-1 for none); every hex lookup of the ledger goes through it
+	// (stationIndex), the coverage check and the class shadow's ring
+	// walk included. spiralStep lists the hex offsets out to span, the
+	// largest hex distance between two stations, ring by ring, as steps
+	// in hexIdx, and ringD2[j] is the least squared distance, shrunk by
+	// the slack, from a point within one cell radius of a station to the
+	// stations j rings away. classes enables the class shadow (ReservationFull with
+	// T = classNats below margin); exp is its table exp, classRel the
+	// relative slack of its weight and sum bounds and classTail bounds
+	// e^-T from above. needHex says whether projections carry their hex
+	// (the coverage check or the class shadow reads it).
 	layout                   geo.Layout
 	hexIdx                   []int32
 	hexQ0, hexR0, hexW, hexH int
-	spiral                   []geo.Hex
+	spiralStep               []int
+	ringD2                   []float64
 	span                     int
 	classes                  bool
+	needHex                  bool
 	classNats                float64
 	classRel                 float64
 	classTail                float64
+	exp                      classExp
 	classStats               classStats
 
-	// Scratch buffers (single-threaded by contract): reqCluster holds
-	// the cluster under decision, trackCluster a tracked call's cluster
-	// in exactDemand, shadowBuf the exact shadow behind a cluster;
-	// weights, bound and evaluated are the shadows' per-station
-	// weights, bound exponents and evaluated (or visited) indices, and
-	// collapse receives appendShadow's out-of-coverage collapse.
+	// Scratch buffers (single-threaded by contract): plan holds the
+	// intervals of the request under decision, reqCluster its cluster,
+	// trackCluster a tracked call's cluster in exactDemand, shadowBuf the
+	// exact shadow behind a cluster; weights, bound and evaluated hold
+	// the exact shadow's per-station weights and bound exponents and its
+	// evaluated indices, and the class shadow's visited stations and
+	// candidates with their exponents and weights side by side; collapse
+	// receives appendShadow's out-of-coverage collapse.
 	weights      []float64
 	bound        []float64
 	evaluated    []int32
+	plan         []interval
 	reqCluster   []footCell
 	trackCluster []footCell
 	shadowBuf    []shadowCell
@@ -268,10 +274,10 @@ func NewLedger(cfg Config) (*Ledger, error) {
 		weights:    make([]float64, len(stations)),
 		bound:      make([]float64, len(stations)),
 		evaluated:  make([]int32, len(stations)),
+		plan:       make([]interval, cfg.Horizon+1),
 		margin:     math.Max(shadowMinMargin, math.Log(1/cfg.MinProb)+2),
 	}
-	l.dirtyStamp = make([]uint64, len(l.demand))
-	l.dirtyEpoch = 1
+	l.dirty = make([]uint64, (len(l.demand)+63)/64)
 	for i, bs := range stations {
 		l.limits[i] = cfg.Threshold * float64(bs.Capacity())
 		p := bs.Pos()
@@ -287,16 +293,22 @@ func NewLedger(cfg Config) (*Ledger, error) {
 	l.buildHexTables()
 	l.classNats = math.Max(shadowClassNats, math.Log(1/cfg.MinProb)+2)
 	l.classes = cfg.Reservation == ReservationFull && l.classNats < l.margin && !math.IsInf(l.margin, 1)
-	// Twice the widest e-vs-x slack below shadowCapNats, four exp
-	// errors, and four roundings per station plus a few: more than every
-	// rounding of the reference's sum and of the bounds' own arithmetic.
-	l.classRel = 2*shadowSlack*(shadowCapNats+2) + 4*shadowExpErr + 4*float64(len(stations)+4)*0x1p-53
+	l.needHex = l.classes || cfg.RequireClusterCoverage
+	// Twice the widest e-vs-x slack below shadowCapNats, twice the
+	// reference's and the table's exp errors, and four roundings per
+	// station plus a few: more than every rounding of the reference's
+	// sum and of the bounds' own arithmetic.
+	l.classRel = 2*shadowSlack*(shadowCapNats+2) + 2*shadowExpErr + 2*tableExpErr + 4*float64(len(stations)+4)*0x1p-53
 	l.classTail = math.Exp(-l.classNats) * (1 + 4*shadowExpErr)
+	// A candidate's relative exponent is under classNats plus 2e-6.
+	l.exp = newClassExp(l.classNats + 1)
 	return l, nil
 }
 
 // buildHexTables fills the dense hex-to-station table and the ring
-// spiral the class shadow walks.
+// spiral the class shadow walks. The table pads the stations' bounding
+// box by span on every side, so a walk from a station reaches only
+// entries inside it, each offset a fixed step in the flat table.
 func (l *Ledger) buildHexTables() {
 	l.layout = l.cfg.Network.Layout()
 	h0 := l.stations[0].Hex()
@@ -307,19 +319,27 @@ func (l *Ledger) buildHexTables() {
 		rmin, rmax = min(rmin, h.R), max(rmax, h.R)
 		smin, smax = min(smin, h.S()), max(smax, h.S())
 	}
-	l.hexQ0, l.hexR0 = qmin, rmin
-	l.hexW, l.hexH = qmax-qmin+1, rmax-rmin+1
+	// Hex distance is the largest axial-coordinate difference.
+	l.span = max(qmax-qmin, rmax-rmin, smax-smin)
+	l.hexQ0, l.hexR0 = qmin-l.span, rmin-l.span
+	l.hexW, l.hexH = qmax-qmin+1+2*l.span, rmax-rmin+1+2*l.span
 	l.hexIdx = make([]int32, l.hexW*l.hexH)
 	for i := range l.hexIdx {
 		l.hexIdx[i] = -1
 	}
 	for i, bs := range l.stations {
-		h := bs.Hex()
-		l.hexIdx[(h.R-rmin)*l.hexW+h.Q-qmin] = int32(i)
+		l.hexIdx[l.hexSlot(bs.Hex())] = int32(i)
 	}
-	// Hex distance is the largest axial-coordinate difference.
-	l.span = max(qmax-qmin, rmax-rmin, smax-smin)
-	l.spiral = geo.Hex{}.Spiral(l.span)
+	spiral := geo.Hex{}.Spiral(l.span)
+	l.spiralStep = make([]int, len(spiral))
+	for i, off := range spiral {
+		l.spiralStep[i] = off.R*l.hexW + off.Q
+	}
+	l.ringD2 = make([]float64, l.span+1)
+	for j := range l.ringD2 {
+		dj := (1.5*float64(j) - 1) * l.layout.CellRadius * (1 - shadowSlack)
+		l.ringD2[j] = dj * dj
+	}
 }
 
 // stationIndex returns the dense index of the station at hex h and
@@ -331,6 +351,11 @@ func (l *Ledger) stationIndex(h geo.Hex) (int32, bool) {
 	}
 	i := l.hexIdx[r*l.hexW+q]
 	return i, i >= 0
+}
+
+// hexSlot returns the hexIdx position of a hex inside the table.
+func (l *Ledger) hexSlot(h geo.Hex) int {
+	return (h.R-l.hexR0)*l.hexW + h.Q - l.hexQ0
 }
 
 // Name implements cac.Controller.
@@ -360,8 +385,10 @@ type LedgerStats struct {
 	// exact oracle-order footprint sum instead of the incrementally
 	// maintained matrix — the guard band actually firing.
 	ExactFallbacks int64
-	// Rebuilds counts full matrix re-aggregations (tick rolls and ops
-	// budget exhaustion).
+	// Rebuilds counts full matrix re-aggregations: tick rolls and ops
+	// budget exhaustion under ReservationWeighted, explicit Rebuild
+	// calls in either mode. Under ReservationFull the matrix is exact, so
+	// ticks and the budget never rebuild it.
 	Rebuilds int64
 	// Exports counts ExportDemand calls; Generation is the current
 	// export generation (equal to Exports on a live ledger).
@@ -373,6 +400,14 @@ type LedgerStats struct {
 	// MigratedOut / MigratedIn count tracked calls handed to / received
 	// from sibling ledgers through the elastic-sharding migration seam.
 	MigratedOut, MigratedIn int64
+	// ClassShadows counts the clusters the full-reservation class shadow
+	// was asked for, ExactShadows the clusters the exact shadow derived
+	// (the class shadow's fallbacks, and every cluster under
+	// ReservationWeighted). Visited counts the stations whose bound
+	// exponent those clusters computed, Exps the station weights they
+	// evaluated: by the table exp in class shadows, by math.Exp in
+	// exact ones.
+	ClassShadows, ExactShadows, Visited, Exps int64
 }
 
 // Add returns the field-wise aggregation of two snapshots (counters and
@@ -387,6 +422,10 @@ func (s LedgerStats) Add(o LedgerStats) LedgerStats {
 	s.GhostRows += o.GhostRows
 	s.MigratedOut += o.MigratedOut
 	s.MigratedIn += o.MigratedIn
+	s.ClassShadows += o.ClassShadows
+	s.ExactShadows += o.ExactShadows
+	s.Visited += o.Visited
+	s.Exps += o.Exps
 	if o.Generation > s.Generation {
 		s.Generation = o.Generation
 	}
@@ -395,8 +434,9 @@ func (s LedgerStats) Add(o LedgerStats) LedgerStats {
 
 // String renders a one-line operator summary.
 func (s LedgerStats) String() string {
-	return fmt.Sprintf("scc-ledger: %d active, %d guard-band fallbacks, %d rebuilds, %d exports, %d ghost applies (%d rows), %d migrated out, %d migrated in",
-		s.ActiveCalls, s.ExactFallbacks, s.Rebuilds, s.Exports, s.GhostApplies, s.GhostRows, s.MigratedOut, s.MigratedIn)
+	return fmt.Sprintf("scc-ledger: %d active, %d guard-band fallbacks, %d rebuilds, %d exports, %d ghost applies (%d rows), %d migrated out, %d migrated in, %d class shadows, %d exact shadows, %d stations visited, %d weights evaluated",
+		s.ActiveCalls, s.ExactFallbacks, s.Rebuilds, s.Exports, s.GhostApplies, s.GhostRows, s.MigratedOut, s.MigratedIn,
+		s.ClassShadows, s.ExactShadows, s.Visited, s.Exps)
 }
 
 // Snapshot returns the current counter set. Call it from the decision
@@ -413,6 +453,10 @@ func (l *Ledger) Snapshot() LedgerStats {
 		GhostRows:      l.ghostRows,
 		MigratedOut:    l.migratedOut,
 		MigratedIn:     l.migratedIn,
+		ClassShadows:   l.classStats.shadows,
+		ExactShadows:   l.classStats.pruned,
+		Visited:        l.classStats.visited,
+		Exps:           l.classStats.exps,
 	}
 }
 
@@ -453,22 +497,27 @@ func (l *Ledger) apply(foot []footCell, sign float64) {
 	l.ops += len(foot)
 }
 
-// markDirty queues dense matrix index mi for the next ExportDemand
-// scan; already-queued indices (stamp == current epoch) are skipped, so
-// the queue holds each touched entry once.
+// markDirty marks dense matrix index mi for the next ExportDemand scan.
 func (l *Ledger) markDirty(mi int) {
-	if l.dirtyStamp[mi] != l.dirtyEpoch {
-		l.dirtyStamp[mi] = l.dirtyEpoch
-		l.dirtyIdx = append(l.dirtyIdx, mi)
-	}
+	l.dirty[mi>>6] |= 1 << (mi & 63)
 }
 
 // maybeRebuild resets floating-point drift once the incremental ops
 // budget is spent. Only call it with active/ids/footprints consistent.
+// Under ReservationFull the matrix carries no drift (see driftFree).
 func (l *Ledger) maybeRebuild() {
-	if l.ops >= rebuildOpsBudget {
+	if l.ops >= rebuildOpsBudget && !l.driftFree() {
 		l.Rebuild()
 	}
+}
+
+// driftFree reports whether every local matrix entry is exactly the sum
+// its footprints make in the oracle's order, so Rebuild would rewrite
+// each entry with itself. Under ReservationFull every amount is a whole
+// number of BU, and every incremental add, remove and rebuild of such
+// sums is exact (see DESIGN.md, "No band in ReservationFull mode").
+func (l *Ledger) driftFree() bool {
+	return l.cfg.Reservation == ReservationFull
 }
 
 // Rebuild re-aggregates the demand matrix from the cached footprints in
@@ -507,10 +556,11 @@ func (l *Ledger) Rebuild() {
 // accumulate. (Projections themselves are anchored to each call's last
 // observed kinematics, exactly like the recompute Controller's, so a
 // tick changes no decision — only the matrix's error term.) Ticks with
-// no incremental updates since the last rebuild are free: the matrix
+// no incremental updates since the last rebuild are free, and so is
+// every tick under ReservationFull (driftFree): either way the matrix
 // is already bitwise equal to the footprint sum.
 func (l *Ledger) OnTick(now float64) {
-	if l.ops == 0 {
+	if l.ops == 0 || l.driftFree() {
 		return
 	}
 	l.Rebuild()
@@ -523,8 +573,9 @@ func (l *Ledger) OnTick(now float64) {
 // order, and advances the generation counter.
 //
 // The sharded engine calls it inside the Tick barrier, after OnTick has
-// re-aggregated the matrix from the cached footprints, so exported
-// aggregates carry no incremental floating-point drift. Receivers
+// re-aggregated a weighted matrix from the cached footprints (a
+// full-reservation matrix is exact already), so exported aggregates
+// carry no incremental floating-point drift. Receivers
 // accumulate the deltas; because consecutive exports telescope
 // (each row is the exact difference of two matrix states), a receiver's
 // accumulated ghost tracks this ledger's matrix up to the rounding of
@@ -533,9 +584,9 @@ func (l *Ledger) OnTick(now float64) {
 // of whole bandwidth units.
 //
 // The scan is sparse: only entries touched since the previous export
-// (tracked by apply and Rebuild) are visited, so an export costs
-// O(touched rows), not O(stations x horizon). The returned Rows slice
-// aliases a buffer the ledger reuses — it is valid until the next
+// (marked by apply and Rebuild in a bitset) are visited, so an export
+// costs O(touched rows) plus one word test per 64 entries, and needs no
+// sort. The returned Rows slice aliases a buffer the ledger reuses — it is valid until the next
 // ExportDemand call, matching the exchange barrier's lifecycle (every
 // receiver applies the delta before the next tick's export).
 //
@@ -547,19 +598,23 @@ func (l *Ledger) ExportDemand() DemandDelta {
 	h := l.cfg.Horizon + 1
 	// Ascending dense index == cell-major (cell, interval) order, the
 	// same deterministic row order a full-matrix scan produced.
-	sort.Ints(l.dirtyIdx)
 	rows := l.rowsBuf[:0]
-	for _, mi := range l.dirtyIdx {
-		cur := l.demand[mi]
-		if cur == l.exported[mi] {
+	for w, word := range l.dirty {
+		if word == 0 {
 			continue
 		}
-		rows = append(rows, DemandRow{Cell: l.stations[mi/h].Hex(), K: mi % h, Amount: cur - l.exported[mi]})
-		l.exported[mi] = cur
+		l.dirty[w] = 0
+		for ; word != 0; word &= word - 1 {
+			mi := w<<6 + bits.TrailingZeros64(word)
+			cur := l.demand[mi]
+			if cur == l.exported[mi] {
+				continue
+			}
+			rows = append(rows, DemandRow{Cell: l.stations[mi/h].Hex(), K: mi % h, Amount: cur - l.exported[mi]})
+			l.exported[mi] = cur
+		}
 	}
 	l.rowsBuf = rows
-	l.dirtyIdx = l.dirtyIdx[:0]
-	l.dirtyEpoch++
 	l.exportGen++
 	l.exports++
 	return DemandDelta{Gen: l.exportGen, Rows: rows}
@@ -822,8 +877,9 @@ func footAmount(foot []footCell, cell, k int32) float64 {
 // semantics: admit when, for every projection interval and every cell of
 // the request's tentative shadow cluster, aggregated projected demand
 // plus the request's own reservation stays within Threshold of the cell
-// capacity. The request's cluster costs, per interval, a ring walk over
-// the nearby stations and an exp per candidate (ReservationFull) or one
+// capacity. Each interval is projected once, with one HexAt; the
+// request's cluster costs, per interval, a ring walk over the nearby
+// stations and a table exp per candidate (ReservationFull) or one
 // O(stations) bound pass plus an exp per station that can change the
 // normalising sum (ReservationWeighted); aggregated demand is read from
 // the matrix in O(1); ReservationWeighted queries within
@@ -847,26 +903,34 @@ func (l *Ledger) decide(req cac.Request) (cac.Decision, error) {
 	}
 	pos := req.Est.Pos
 	speedMps := geo.KmhToMps(req.Est.SpeedKmh)
-	// One heading unit vector serves every projection of the decision;
-	// projection's point is geo.Move's bit for bit.
+	tr := track{bu: req.Call.BU, pos: pos, headingDeg: req.Est.HeadingDeg, speedMps: speedMps}
+	// One heading unit vector serves every projection of the decision,
+	// and each interval is projected once: the coverage check, the
+	// clusters and the stashed footprint all read the plan. projection's
+	// point is geo.Move's bit for bit.
 	unit := geo.UnitFromHeading(req.Est.HeadingDeg)
+	plan := l.plan
+	for k := range plan {
+		l.project(&plan[k], &tr, unit, k)
+	}
+	if l.needHex {
+		l.classStats.decideHexes += int64(len(plan))
+	}
 	if l.cfg.RequireClusterCoverage {
 		// The station table answers Network.StationAt's question
 		// without formatting its error.
-		for k := 1; k <= l.cfg.Horizon; k++ {
-			q, _ := projection(&l.cfg, pos, unit, speedMps, k)
-			if _, ok := l.stationIndex(l.layout.HexAt(q)); !ok {
+		for k := 1; k < len(plan); k++ {
+			if _, ok := l.stationIndex(plan[k].hex); !ok {
 				return cac.Reject, nil
 			}
 		}
 	}
 	h := l.cfg.Horizon + 1
-	tr := track{bu: req.Call.BU, pos: pos, headingDeg: req.Est.HeadingDeg, speedMps: speedMps}
 	// The request's footprint accumulates in handCells as it is read;
 	// a reject truncates it away again.
 	lo := len(l.handCells)
-	for k := 0; k <= l.cfg.Horizon; k++ {
-		l.reqCluster = l.cluster(l.reqCluster[:0], &tr, unit, k, l.surv[k])
+	for k := range plan {
+		l.reqCluster = l.clusterAt(l.reqCluster[:0], &tr, &plan[k], k, l.surv[k])
 		for _, fc := range l.reqCluster {
 			ci, own := int(fc.cell), fc.amount
 			if own != 0 {
@@ -878,7 +942,7 @@ func (l *Ledger) decide(req cac.Request) (cac.Decision, error) {
 			// In ReservationFull mode every local entry is a sum of
 			// whole BU, exact and equal to the footprint sum, so the
 			// band cannot change a decision there and is skipped.
-			if d := projected - limit; d <= boundaryGuardBU && d >= -boundaryGuardBU && l.cfg.Reservation != ReservationFull {
+			if d := projected - limit; d <= boundaryGuardBU && d >= -boundaryGuardBU && !l.driftFree() {
 				// Too close to the threshold for matrix drift to be
 				// provably irrelevant: take the LOCAL rows from the
 				// oracle-order footprint sum. Ghost rows are taken as-is

@@ -117,7 +117,10 @@ func TestLedgerShadowMatchesReference(t *testing.T) {
 	var evaluated, weighed int
 	eachShadowInput(t, ReservationWeighted, func(t *testing.T, l *Ledger, in shadowInput) {
 		want := appendShadow(&l.cfg, l.stations, make([]float64, len(l.stations)), nil, in.pos, in.heading, in.speedMps, in.k)
-		got := l.shadow(nil, in.pos, in.heading, geo.UnitFromHeading(in.heading), in.speedMps, in.k)
+		tr := track{pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
+		var iv interval
+		l.project(&iv, &tr, geo.UnitFromHeading(in.heading), in.k)
+		got := l.shadow(nil, &tr, &iv, in.k)
 		evaluated += len(l.evaluated)
 		weighed += len(l.stations)
 		if len(got) != len(want) {
@@ -288,7 +291,10 @@ func BenchmarkLedgerShadow(b *testing.B) {
 				evaluated := 0
 				for i := 0; i < b.N; i++ {
 					in := &inputs[i%len(inputs)]
-					dst = l.shadow(dst[:0], in.pos, in.heading, geo.UnitFromHeading(in.heading), in.speedMps, k)
+					tr := track{pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
+					var iv interval
+					l.project(&iv, &tr, geo.UnitFromHeading(in.heading), k)
+					dst = l.shadow(dst[:0], &tr, &iv, k)
 					evaluated += len(l.evaluated)
 				}
 				b.ReportMetric(float64(evaluated)/float64(b.N*len(l.stations)), "evaluated-share")
@@ -306,6 +312,54 @@ func BenchmarkLedgerShadow(b *testing.B) {
 				b.ReportMetric(float64(l.classStats.visited-before.visited)/n, "visited/op")
 				b.ReportMetric(float64(l.classStats.exact-before.exact)/n, "exact/op")
 			})
+		}
+	}
+}
+
+// TestClassExpWithinBound pins the class shadow's table exp, as
+// NewLedger builds it, to its stated relative error, tableExpErr,
+// against math.Exp (itself within an ulp, far below the bound's
+// margin): at every knot, one ulp either side of every knot, at the
+// table end and at 1e5 random points, for the default truncation and
+// for one near the widest a class shadow runs with. The table must
+// reach a nat past the truncation (a candidate's relative exponent
+// stays within 2e-6 of it), and the nearest station's relative weight,
+// exp(0), must be exactly 1.
+func TestClassExpWithinBound(t *testing.T) {
+	net := newSizedNet(t, 1, 500)
+	for _, minProb := range []float64{0, 1e-16} {
+		l := newLedger(t, net, func(c *Config) { c.Reservation, c.MinProb = ReservationFull, minProb })
+		if !l.classes {
+			t.Fatalf("MinProb %g: class shadow off", l.cfg.MinProb)
+		}
+		nats, tab := l.classNats, l.exp
+		end := math.Nextafter(float64(len(tab))/64, 0)
+		check := func(x float64) {
+			t.Helper()
+			want := math.Exp(-x)
+			if got := tab.at(x); math.Abs(got-want) > tableExpErr*want {
+				t.Fatalf("T=%g: exp(-%v) = %v, math.Exp %v: relative error %.3g over %g",
+					nats, x, got, want, math.Abs(got-want)/want, tableExpErr)
+			}
+		}
+		if got := tab.at(0); got != 1 {
+			t.Fatalf("T=%g: exp(-0) = %v, want exactly 1", nats, got)
+		}
+		if end < nats+1 {
+			t.Fatalf("T=%g: table ends at %v, below T+1", nats, end)
+		}
+		for j := range tab {
+			x := float64(j) / 64
+			check(x)
+			check(math.Nextafter(x, math.Inf(1)))
+			if j > 0 {
+				check(math.Nextafter(x, 0))
+			}
+		}
+		check(end)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 100000; i++ {
+			check(rng.Float64() * end)
 		}
 	}
 }

@@ -625,3 +625,177 @@ func TestLedgerTickSkipsCleanMatrix(t *testing.T) {
 		t.Fatalf("dirty tick should rebuild: %d -> %d", after, got)
 	}
 }
+
+// TestDecideStashMatchesFootprint pins the projection plan decide
+// shares between its coverage check, its clusters and the footprint it
+// stashes: for 1e4 random requests, many placed on hex corners and on
+// the coverage edge (a hair inside, on and outside it), the footprint an
+// accepted decision stashes is exactly the one footprint derives from
+// the call's track alone, in both reservation modes.
+func TestDecideStashMatchesFootprint(t *testing.T) {
+	for _, mode := range []ReservationMode{ReservationWeighted, ReservationFull} {
+		t.Run(mode.String(), func(t *testing.T) {
+			net := newSizedNet(t, 3, 500)
+			l := newLedger(t, net, func(c *Config) {
+				c.Reservation = mode
+				c.RequireClusterCoverage = true
+			})
+			stations := net.Stations()
+			radius := net.Layout().CellRadius
+			rng := rand.New(rand.NewSource(31))
+			classes := []traffic.Class{traffic.Text, traffic.Voice, traffic.Video}
+			n := 10000
+			if testing.Short() {
+				n = 2000
+			}
+			accepted := 0
+			var live []int
+			for id := 0; id < n; id++ {
+				bs := stations[rng.Intn(len(stations))]
+				c := bs.Pos()
+				// Pointy-top corners sit at 30° + k·60°; f scales the
+				// corner distance a hair in, onto or out of the hex.
+				a := math.Pi/6 + math.Pi/3*float64(rng.Intn(6))
+				f := []float64{1 - 1e-12, 1, 1 + 1e-12, 1.01, rng.Float64()}[rng.Intn(5)]
+				if rng.Intn(4) == 0 {
+					a = rng.Float64() * 2 * math.Pi
+				}
+				pos := geo.Point{X: c.X + f*radius*math.Cos(a), Y: c.Y + f*radius*math.Sin(a)}
+				heading := rng.Float64()*360 - 180
+				speed := []float64{0, rng.Float64() * 120, rng.Float64() * 300}[rng.Intn(3)]
+				class := classes[rng.Intn(len(classes))]
+				req := cac.Request{
+					Call:    cell.Call{ID: id, Class: class, BU: class.BandwidthUnits()},
+					Station: bs,
+					Est:     gpsEstimate(pos, heading, speed),
+				}
+				d, err := l.Decide(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d != cac.Accept {
+					continue
+				}
+				accepted++
+				if len(l.hand) != 1 {
+					t.Fatalf("request %d: accepted with %d stashed footprints", id, len(l.hand))
+				}
+				got := l.handCells[l.hand[0].lo:l.hand[0].hi]
+				want := l.footprint(nil, track{bu: req.Call.BU, pos: pos, headingDeg: heading, speedMps: geo.KmhToMps(speed)})
+				if len(got) != len(want) {
+					t.Fatalf("request %d at %v: stashed %d cells, footprint %d", id, pos, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("request %d at %v cell %d: stashed %+v, footprint %+v", id, pos, i, got[i], want[i])
+					}
+				}
+				// Keep a few calls tracked, so some requests are refused.
+				if rng.Intn(8) == 0 {
+					l.OnAdmit(req)
+					live = append(live, id)
+					if len(live) > 12 {
+						l.OnRelease(live[0], nil, 0)
+						live = live[1:]
+					}
+				}
+			}
+			t.Logf("%d of %d requests accepted", accepted, n)
+			if accepted < n/4 || accepted == n {
+				t.Fatalf("%d of %d requests accepted; want a mix", accepted, n)
+			}
+		})
+	}
+}
+
+// TestFullRebuildLeavesMatrixUnchanged pins why ReservationFull skips
+// the tick and ops-budget rebuilds: after random admits, releases,
+// kinematic updates, decisions and migrations, a Rebuild rewrites every
+// matrix entry with its own bits, and OnTick never runs one.
+func TestFullRebuildLeavesMatrixUnchanged(t *testing.T) {
+	net := newNet(t, 2)
+	l := newLedger(t, net, func(c *Config) { c.Reservation = ReservationFull })
+	rng := rand.New(rand.NewSource(5))
+	var live []int
+	nextID := 0
+	var migrated []cac.MigratedCall
+	for step := 0; step < 600; step++ {
+		driveLedgerStep(t, l, rng, net, &live, &nextID, step)
+		if step%40 != 39 {
+			continue
+		}
+		// Move one cell's calls out and back in, as a rebalance does.
+		migrated = l.MigrateOut(net.Stations()[rng.Intn(net.NumCells())].Hex(), migrated[:0])
+		l.MigrateIn(migrated)
+		l.OnTick(float64(step))
+		if _, rebuilds := l.Stats(); rebuilds != 0 {
+			t.Fatalf("step %d: a full-reservation tick rebuilt the matrix (%d rebuilds)", step, rebuilds)
+		}
+		before := append([]float64(nil), l.demand...)
+		l.Rebuild()
+		for i := range before {
+			if math.Float64bits(l.demand[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("step %d: Rebuild moved entry %d from %v to %v", step, i, before[i], l.demand[i])
+			}
+		}
+		if _, rebuilds := l.Stats(); rebuilds != 1 {
+			t.Fatalf("explicit Rebuild counted %d rebuilds, want 1", rebuilds)
+		}
+		l.rebuilds = 0
+	}
+	if len(live) == 0 {
+		t.Fatal("churn left no live calls; the matrix under test is empty")
+	}
+}
+
+// BenchmarkLedgerDecideDistrict times the full-reservation decision
+// kernel on the district geometry (127 cells of 500 m, 40 BU, the
+// coverage requirement): DecideBatchInto over 256 random requests inside
+// coverage, against a ledger tracking 400 calls. The metrics report the
+// shadows' visited stations and evaluated weights per decision.
+func BenchmarkLedgerDecideDistrict(b *testing.B) {
+	net, err := cell.NewNetwork(cell.NetworkConfig{Rings: 6, CellRadiusM: 500, CapacityBU: 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := NewLedger(Config{Network: net, Reservation: ReservationFull, RequireClusterCoverage: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	classes := []traffic.Class{traffic.Text, traffic.Voice, traffic.Video}
+	request := func(id int) cac.Request {
+		for {
+			p := geo.Point{X: (2*rng.Float64() - 1) * 5000, Y: (2*rng.Float64() - 1) * 5000}
+			bs, err := net.StationAt(p)
+			if err != nil {
+				continue
+			}
+			class := classes[rng.Intn(len(classes))]
+			return cac.Request{
+				Call:    cell.Call{ID: id, Class: class, BU: class.BandwidthUnits()},
+				Station: bs,
+				Est:     gpsEstimate(p, rng.Float64()*360-180, rng.Float64()*120),
+			}
+		}
+	}
+	for id := 0; id < 400; id++ {
+		l.OnAdmit(request(id))
+	}
+	reqs := make([]cac.Request, 256)
+	for i := range reqs {
+		reqs[i] = request(1000 + i)
+	}
+	out := make([]cac.Decision, len(reqs))
+	before := l.classStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.DecideBatchInto(reqs, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N * len(reqs))
+	b.ReportMetric(b.Elapsed().Seconds()*1e9/n, "ns/decision")
+	b.ReportMetric(float64(l.classStats.visited-before.visited)/n, "visited/decision")
+	b.ReportMetric(float64(l.classStats.exps-before.exps)/n, "weights/decision")
+}

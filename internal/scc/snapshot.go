@@ -3,6 +3,7 @@ package scc
 import (
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 
 	"facs/internal/cac"
@@ -40,8 +41,9 @@ func (l *Ledger) snapshotHash() uint64 {
 
 // SnapshotTo implements cac.Snapshotter: it captures the ledger's full
 // replay state — tracked calls, the demand/ghost/exported matrices
-// verbatim (bit patterns, not re-derived sums), the dirty-row export
-// queue, exchange generations and observability counters.
+// verbatim (bit patterns, not re-derived sums), the dirty rows of the
+// next export in ascending order, exchange generations and
+// observability counters.
 //
 // The matrices are stored verbatim rather than rebuilt on restore
 // deliberately: incremental float accumulation drifts in the low bits
@@ -84,10 +86,18 @@ func (l *Ledger) SnapshotTo(w io.Writer) error {
 	}
 
 	e.Int(l.ops)
-	e.U64(l.dirtyEpoch)
-	e.U32(uint32(len(l.dirtyIdx)))
-	for _, i := range l.dirtyIdx {
-		e.Int(i)
+	// The slot of a retired dirty-queue epoch, kept so snapshots of
+	// either layout restore: always 1, and any value >= 1 is read.
+	e.U64(1)
+	dirty := 0
+	for _, word := range l.dirty {
+		dirty += bits.OnesCount64(word)
+	}
+	e.U32(uint32(dirty))
+	for w, word := range l.dirty {
+		for ; word != 0; word &= word - 1 {
+			e.Int(w<<6 + bits.TrailingZeros64(word))
+		}
 	}
 
 	e.I64(l.fallbacks)
@@ -97,6 +107,12 @@ func (l *Ledger) SnapshotTo(w io.Writer) error {
 	e.I64(l.ghostRows)
 	e.I64(l.migratedOut)
 	e.I64(l.migratedIn)
+	// The shadow work counters close the payload; snapshots written
+	// before they existed end just above and restore them as zero.
+	e.I64(l.classStats.shadows)
+	e.I64(l.classStats.pruned)
+	e.I64(l.classStats.visited)
+	e.I64(l.classStats.exps)
 
 	return e.Close()
 }
@@ -198,8 +214,7 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 	}
 
 	ops := d.Int()
-	dirtyEpoch := d.U64()
-	if d.Err() == nil && dirtyEpoch == 0 {
+	if dirtyEpoch := d.U64(); d.Err() == nil && dirtyEpoch == 0 {
 		d.Fail("dirty epoch must be >= 1")
 	}
 	nDirty := int(d.U32())
@@ -224,6 +239,10 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 	ghostRows := d.I64()
 	migratedOut := d.I64()
 	migratedIn := d.I64()
+	var work classStats
+	if d.Err() == nil && d.Len() > 0 {
+		work.shadows, work.pruned, work.visited, work.exps = d.I64(), d.I64(), d.I64(), d.I64()
+	}
 
 	if err := d.Close(); err != nil {
 		return err
@@ -253,16 +272,9 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 		l.ghostGens[s] = genVals[i]
 	}
 	l.ops = ops
-	l.dirtyEpoch = dirtyEpoch
-	l.dirtyIdx = append(l.dirtyIdx[:0], dirtyIdx...)
-	if l.dirtyStamp == nil {
-		l.dirtyStamp = make([]uint64, len(l.demand))
-	}
-	for i := range l.dirtyStamp {
-		l.dirtyStamp[i] = 0
-	}
+	clear(l.dirty)
 	for _, i := range dirtyIdx {
-		l.dirtyStamp[i] = dirtyEpoch
+		l.markDirty(i)
 	}
 	l.fallbacks = fallbacks
 	l.rebuilds = rebuilds
@@ -271,5 +283,8 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 	l.ghostRows = ghostRows
 	l.migratedOut = migratedOut
 	l.migratedIn = migratedIn
+	// Deriving the footprints above is not the captured instance's work.
+	l.classStats.shadows, l.classStats.pruned = work.shadows, work.pruned
+	l.classStats.visited, l.classStats.exps = work.visited, work.exps
 	return nil
 }
