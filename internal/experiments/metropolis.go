@@ -777,6 +777,10 @@ func RunMetropolis(cfg MetropolisConfig) (MetropolisResult, error) {
 // and the handoff round.
 const metroRingChunks = 16
 
+// metroReadyYields bounds how often the wave loop yields to a producer
+// that is behind before it parks on the ready channel (nextChunk).
+const metroReadyYields = 256
+
 // arrivalChunk is one MaxBatch-sized piece of a wave's arrivals, as the
 // producer drew it: the requests, each call's hold in waves and station
 // index, and the call stream's draw count once the chunk was drawn.
@@ -813,8 +817,8 @@ type metroRun struct {
 	// The arrival producer (see produce). Once runWave starts it, it
 	// alone touches callRNG, callSrc and the workload's cell-choice
 	// tables. chunks is the ring it fills; ready carries filled chunk
-	// indices to the wave loop in stream order and free carries them
-	// back once their outcomes are consumed. quit stops the producer and
+	// indices to the wave loop in stream order (nextChunk) and free
+	// carries them back once their outcomes are consumed. quit stops the producer and
 	// done closes when it has exited; done is nil until it starts, quit
 	// nil again once it is stopped, and a stopped run runs no more
 	// waves. chunk is the chunk being decided.
@@ -1081,7 +1085,7 @@ func (r *metroRun) runWave() error {
 	// from the producer one MaxBatch chunk at a time, so a wave's
 	// footprint is the ring rather than O(arrivals).
 	for lo := 0; lo < workload.arrivals[wave]; lo += cfg.MaxBatch {
-		k := <-r.ready
+		k := r.nextChunk()
 		c := &r.chunks[k]
 		r.chunk = c
 		if err := engine.submitWave(c.reqs, r.outs[:len(c.reqs)]); err != nil {
@@ -1121,6 +1125,21 @@ func (r *metroRun) runWave() error {
 	}
 	r.wave++
 	return nil
+}
+
+// nextChunk returns the index of the next filled arrival chunk. When
+// none is queued the producer is behind: the loop yields its processor,
+// which runs the producer when no other processor is free, and parks
+// on ready only once metroReadyYields yields have not produced a chunk.
+// A park takes a sudog from the runtime's per-P cache, which can run
+// dry and allocate; a yield allocates nothing.
+//
+//facs:hotpath
+func (r *metroRun) nextChunk() int {
+	for i := 0; len(r.ready) == 0 && i < metroReadyYields; i++ {
+		runtime.Gosched()
+	}
+	return <-r.ready
 }
 
 // finish stops the arrival producer, closes the engine, checks call

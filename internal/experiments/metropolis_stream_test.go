@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"facs/internal/cell"
@@ -70,15 +71,15 @@ func TestMetropolisStreamingIdentitySCC(t *testing.T) {
 // TestMetropolisSteadyStateAllocs is the allocation gate on the
 // streaming wave loop: once the run has warmed through a full diurnal
 // day (population high-water reached, every scratch buffer at final
-// size), additional waves on the inline paths and on the 1-shard engine
-// must allocate nothing — zero allocations per decision, not merely
-// few. On the 2-shard engine the only allocations allowed are the
-// fan-out goroutines of chunks spanning both shards (one closure each,
-// counted by shard.Stats.FanOuts); releases, handoffs and ticks allocate
-// nothing. Station pools are grown to their capacity bound up front,
-// so the only allocator the loop otherwise retains (per-station
-// population high-water growth, bounded by CapacityBU) is paid before
-// measurement.
+// size), additional waves must allocate nothing — zero allocations per
+// decision, not merely few — on the inline paths and on the 1-shard
+// and 2-shard engines alike. The 2-shard engine hands its second slices
+// to a persistent shard worker through a preallocated slot, so a chunk
+// spanning both shards starts no goroutine; the gate checks that both
+// shards decided requests during the measured waves. Station pools are
+// grown to their capacity bound up front, so the only allocator the
+// loop otherwise retains (per-station population high-water growth,
+// bounded by CapacityBU) is paid before measurement.
 func TestMetropolisSteadyStateAllocs(t *testing.T) {
 	variants := []struct {
 		name     string
@@ -107,19 +108,24 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			for _, bs := range r.workload.stations {
 				growPoolToCapacity(t, bs)
 			}
-			fanOuts := func() int64 {
-				if se, ok := r.engine.(*shardMetroEngine); ok {
-					return se.engine.Stats().FanOuts
+			perShard := func() []int64 {
+				se, ok := r.engine.(*shardMetroEngine)
+				if !ok {
+					return nil
 				}
-				return 0
+				var decided []int64
+				for _, st := range se.engine.Stats().PerShard {
+					decided = append(decided, st.Decided)
+				}
+				return decided
 			}
 			// Warm-up: one full day, reaching the ledger and scratch
 			// high-water marks. It runs on the one P the measurement
-			// uses, so the runtime's per-P caches (the sudogs a
-			// fan-out's WaitGroup.Wait and the arrival producer's
-			// channel waits park on, the timer heap) are warm too:
-			// resizing to one P drops the other P's caches. The first
-			// wave starts the producer here, before measurement.
+			// uses, so the runtime's per-P caches (the sudogs the shard
+			// workers and the arrival producer park on, the timer heap)
+			// are warm too: resizing to one P drops the other P's
+			// caches. The first wave starts the producer here, before
+			// measurement.
 			procs := runtime.GOMAXPROCS(1)
 			defer runtime.GOMAXPROCS(procs)
 			warm := cfg.WavesPerDay
@@ -130,15 +136,18 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			}
 			const measured = 12
 			decisionsBefore := r.result.Requested + r.result.Handoffs
-			spawnedBefore := fanOuts()
-			// Measured on one P, like testing.AllocsPerRun, with the
-			// fan-out goroutines counted over exactly the measured waves.
-			// Every allocation beyond those fails the gate: a per-wave
-			// average floored to whole allocations would let up to
-			// measured-1 strays through. On one P a fan-out goroutine
-			// exits onto the P that starts the next one, so the runtime
-			// reuses its g instead of allocating a fresh one while
-			// another P's free list fills.
+			shardBefore := perShard()
+			// Measured on one P, like testing.AllocsPerRun. Every
+			// allocation fails the gate: a per-wave average floored to
+			// whole allocations would let up to measured-1 strays
+			// through. The collector is off over the measured waves
+			// (SetGCPercent(-1) returns once any cycle in progress has
+			// finished): waves that allocate nothing never need a cycle,
+			// and a cycle ending among them lets the runtime's own
+			// bookkeeping allocate on the measured P (the scavenger's
+			// timer-heap growth). Every allocation the waves make still
+			// counts.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			mallocs := ms.Mallocs
@@ -149,18 +158,19 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			}
 			runtime.ReadMemStats(&ms)
 			allocs := ms.Mallocs - mallocs
-			spawned := fanOuts() - spawnedBefore
 			decisions := r.result.Requested + r.result.Handoffs - decisionsBefore
 			if decisions == 0 {
 				t.Fatal("steady-state waves rendered no decisions")
 			}
-			if v.shards == 2 && spawned == 0 {
-				t.Fatal("2-shard waves never fanned out")
+			for s, n := range perShard() {
+				if n == shardBefore[s] {
+					t.Fatalf("shard %d decided nothing during the measured waves", s)
+				}
 			}
-			t.Logf("%d waves: %d decisions, %d allocs, %d fan-out goroutines", measured, decisions, allocs, spawned)
-			if excess := int64(allocs) - spawned; excess > 0 {
-				t.Errorf("steady-state waves allocate: %d allocs over %d waves (%d decisions) beyond one per fan-out goroutine (%d)",
-					allocs, measured, decisions, spawned)
+			t.Logf("%d waves: %d decisions, %d allocs", measured, decisions, allocs)
+			if allocs > 0 {
+				t.Errorf("steady-state waves allocate: %d allocs over %d waves (%d decisions)",
+					allocs, measured, decisions)
 			}
 		})
 	}

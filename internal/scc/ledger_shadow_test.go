@@ -176,7 +176,9 @@ func checkClasses(t *testing.T, l *Ledger, in shadowInput) {
 // ones, whichever of the class shadow and its exact fallback answers.
 // It then places points whose reference probability lies within 1e-9
 // of MinProb or of InclusionProb, where no certified class exists, and
-// requires the exact fallback to answer them.
+// requires the exact fallback to answer them. The tail-free case
+// measures the width of that fallback band against the class shadow's
+// error budget.
 func TestLedgerShadowClassesMatchReference(t *testing.T) {
 	var total classStats
 	eachShadowInput(t, ReservationFull, func(t *testing.T, l *Ledger, in shadowInput) {
@@ -200,50 +202,142 @@ func TestLedgerShadowClassesMatchReference(t *testing.T) {
 	if !l.classes {
 		t.Fatal("default full-reservation ledger has the class shadow off")
 	}
-	from, to := 0, 1
-	a, b := l.stationPos[from], l.stationPos[to]
-	// prob is the reference probability of station to, emitted or not:
-	// MinProb only filters appendShadow's output.
+	prob := segmentProb(l, l.stationPos[0], l.stationPos[1])
+	for _, thr := range []float64{l.cfg.MinProb, l.cfg.InclusionProb} {
+		// Bisect along the segment between two stations for the point
+		// where the second one's probability crosses thr.
+		for _, f := range bisectProb(t, prob, thr) {
+			if p := prob(f); math.Abs(p-thr) > 1e-9 {
+				t.Fatalf("bisection for %v stopped at p=%v", thr, p)
+			}
+			checkFallback(t, l, segmentInput(l.stationPos[0], l.stationPos[1], f), true)
+		}
+	}
+
+	t.Run("tail-free", func(t *testing.T) { checkTailFreeBand(t) })
+}
+
+// checkTailFreeBand places points around MinProb and InclusionProb in a
+// geometry where the class shadow visits every station and every one is
+// a candidate, so its normalising sum carries no tail term and the
+// fallback band around each threshold is the error budget alone: a
+// probability is certified on one side of thr only when it lies beyond
+// thr·(1±γ)/(1∓γ), γ the relative slack of weights and sum. The budget
+// is restated here from its parts: the e-vs-x exponent slack below
+// shadowCapNats, the reference's math.Exp error, the table exp's error
+// and four roundings per station plus a few (DESIGN.md, "Full-reservation
+// shadow classes"). Points just inside the band, 2e-11 relative from its
+// edge, must take the exact fallback: that margin exceeds what the
+// table exp, whose truncation error stays under 7.9e-12, can move a
+// probability, but is less than what dropping a part of γ as small as
+// 2·tableExpErr takes off the band. Points at ten times the band's
+// half-width must be answered by the class shadow itself, and every
+// answer must be the reference's.
+func checkTailFreeBand(t *testing.T) {
+	// One ring of 500 m cells with sigma = 360 m: along the diameter
+	// through the centre station every exponent lies within 12·r²·inv
+	// = 11.6 nats of the nearest one, inside T = 12.
+	net := newSizedNet(t, 1, 500)
+	l := newLedger(t, net, func(c *Config) { c.Reservation = ReservationFull; c.SigmaPosM = 360 })
+	if !l.classes {
+		t.Fatal("tail-free ledger has the class shadow off")
+	}
+	var b, opp geo.Point
+	for _, p := range l.stationPos {
+		if p.X > b.X+1 || (math.Abs(p.X-b.X) <= 1 && p.Y > b.Y) {
+			b = p
+		}
+	}
+	opp = geo.Point{X: -b.X, Y: -b.Y}
+	n := len(l.stationPos)
+	prob := segmentProb(l, opp, b)
+	gamma := 2*shadowSlack*(shadowCapNats+2) + 2*shadowExpErr + 2*tableExpErr + 4*float64(n+4)*0x1p-53
+	const eta = 2e-11
+	for _, thr := range []float64{l.cfg.MinProb, l.cfg.InclusionProb} {
+		lower := thr * (1 - gamma) / (1 + gamma)
+		upper := thr * (1 + gamma) / (1 - gamma)
+		for _, pt := range []struct {
+			target   float64
+			fallback bool
+		}{
+			{thr, true},
+			{lower * (1 + eta), true},
+			{upper * (1 - eta), true},
+			{thr * (1 - 20*gamma), false},
+			{thr * (1 + 20*gamma), false},
+		} {
+			for _, f := range bisectProb(t, prob, pt.target) {
+				if p := prob(f); math.Abs(p/pt.target-1) > 1e-14 {
+					t.Fatalf("bisection for %v stopped at p=%v", pt.target, p)
+				}
+				in := segmentInput(opp, b, f)
+				exps := l.classStats.exps
+				checkFallback(t, l, in, pt.fallback)
+				if pt.fallback {
+					continue
+				}
+				if got := l.classStats.exps - exps; got != int64(n) {
+					t.Fatalf("p=%v: class shadow weighed %d of %d stations; the case is not tail-free", prob(f), got, n)
+				}
+			}
+		}
+	}
+}
+
+// segmentProb returns the reference probability of station b for a
+// mobile at rest at a + f·(b − a), emitted or not: MinProb only filters
+// appendShadow's output.
+func segmentProb(l *Ledger, a, b geo.Point) func(f float64) float64 {
 	all := l.cfg
 	all.MinProb = math.SmallestNonzeroFloat64
-	prob := func(f float64) float64 {
+	weights := make([]float64, len(l.stations))
+	return func(f float64) float64 {
 		p := geo.Point{X: a.X + f*(b.X-a.X), Y: a.Y + f*(b.Y-a.Y)}
-		for _, cp := range appendShadow(&all, l.stations, make([]float64, len(l.stations)), nil, p, 0, 0, 0) {
-			if cp.Hex == l.stations[to].Hex() {
+		for _, cp := range appendShadow(&all, l.stations, weights, nil, p, 0, 0, 0) {
+			if cp.Hex == l.layout.HexAt(b) {
 				return cp.Prob
 			}
 		}
 		return 0
 	}
-	for _, thr := range []float64{l.cfg.MinProb, l.cfg.InclusionProb} {
-		// Bisect along the segment between two stations for the point
-		// where the second one's probability crosses thr.
-		lo, hi := 0.0, 1.0
-		if !(prob(lo) < thr && prob(hi) >= thr) {
-			t.Fatalf("threshold %v not bracketed: p(0)=%v p(1)=%v", thr, prob(lo), prob(hi))
+}
+
+// segmentInput is a mobile at rest at a + f·(b − a).
+func segmentInput(a, b geo.Point, f float64) shadowInput {
+	return shadowInput{pos: geo.Point{X: a.X + f*(b.X-a.X), Y: a.Y + f*(b.Y-a.Y)}}
+}
+
+// bisectProb bisects f in [0, 1] for the point where prob, rising along
+// the segment, crosses target, and returns the two closest points that
+// bracket it.
+func bisectProb(t *testing.T, prob func(float64) float64, target float64) [2]float64 {
+	t.Helper()
+	lo, hi := 0.0, 1.0
+	if !(prob(lo) < target && prob(hi) >= target) {
+		t.Fatalf("target %v not bracketed: p(0)=%v p(1)=%v", target, prob(lo), prob(hi))
+	}
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
 		}
-		for i := 0; i < 200 && lo < hi; i++ {
-			mid := (lo + hi) / 2
-			if mid == lo || mid == hi {
-				break
-			}
-			if prob(mid) < thr {
-				lo = mid
-			} else {
-				hi = mid
-			}
+		if prob(mid) < target {
+			lo = mid
+		} else {
+			hi = mid
 		}
-		for _, f := range []float64{lo, hi} {
-			if p := prob(f); math.Abs(p-thr) > 1e-9 {
-				t.Fatalf("bisection for %v stopped at p=%v", thr, p)
-			}
-			in := shadowInput{pos: geo.Point{X: a.X + f*(b.X-a.X), Y: a.Y + f*(b.Y-a.Y)}}
-			exact := l.classStats.exact
-			checkClasses(t, l, in)
-			if l.classStats.exact != exact+1 {
-				t.Fatalf("p=%v within 1e-9 of %v did not take the exact fallback", prob(f), thr)
-			}
-		}
+	}
+	return [2]float64{lo, hi}
+}
+
+// checkFallback runs checkClasses on in and requires the exact fallback
+// to have answered it, or the class shadow, as fallback says.
+func checkFallback(t *testing.T, l *Ledger, in shadowInput, fallback bool) {
+	t.Helper()
+	exact := l.classStats.exact
+	checkClasses(t, l, in)
+	if took := l.classStats.exact != exact; took != fallback {
+		t.Fatalf("%+v: exact fallback taken %v, want %v", in, took, fallback)
 	}
 }
 

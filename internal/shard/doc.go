@@ -17,14 +17,27 @@
 //
 // # Execution
 //
-// A shard is state, not a goroutine: one serve.Core — its controller,
-// decision scratch and counters — behind one mutex, and every operation runs on the
+// A shard is state: one serve.Core — its controller, decision scratch
+// and counters — behind one mutex. Every operation runs on the
 // goroutine that calls it, under the locks of the shards it touches
-// (taken in shard order whenever several are held). SubmitWaveTo routes
-// each chunk, decides the first owning shard's slice on the caller and
-// the other owning shards' slices on fan-out goroutines — the
-// cross-shard parallelism — and joins them before the next chunk.
-// Release, Do and Tick lock one shard at a time;
+// (taken in shard order whenever several are held), with one
+// exception: SubmitWaveTo routes each chunk, decides the first owning
+// shard's slice on the caller and posts every other owning shard's
+// slice to that shard's persistent worker — the cross-shard
+// parallelism. New starts one worker per shard beyond shard 0 (a chunk
+// that routes to shard 0 at all starts there, so its slice is never
+// posted); Close stops and joins them. A slice travels through a
+// preallocated slot, so a chunk starts no goroutine and allocates
+// nothing. The caller takes back, by a CAS on the slot, any slice no
+// worker has claimed once its own slice is done, and waits only for
+// slices a worker is running, before the next chunk. A worker that ran
+// a slice longer than a wake stays awake, yielding, for about as long
+// as the slice took, then parks; the caller wakes a parked worker only
+// when the slice's estimated cost exceeds the measured wake latency,
+// and otherwise runs the slice itself (Stats.FanOuts counts each way).
+// Every slice runs under its shard's lock against the chunk-start
+// state, whichever goroutine runs it. Release, Do and Tick lock one
+// shard at a time;
 // rebalancing and snapshots hold every lock for the epoch or the cut.
 // Each chunk slice goes through the shard's Core.Decide, the
 // decide-commit-observe step a serve.Service uses, and is counted in
@@ -118,7 +131,8 @@
 // aggregates the per-shard counters as serve.Stats (including merged
 // latency percentiles) with handoff, fan-out, exchange and rebalance
 // counters, the ownership epoch and the CellLocal and InterestScoped
-// regimes; Shards and Close complete the set.
+// regimes; Shards and Close (which joins the intake and the workers)
+// complete the set.
 // experiments.RunMetropolis drives the closed loop; cmd/facs-serve and
 // cmd/facs-sim wire the engine behind -shards / -partition /
 // -rebalance-ticks.

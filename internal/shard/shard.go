@@ -282,10 +282,10 @@ type Stats struct {
 	// whose target did not commit; Errs the protocol failures (unknown
 	// call, unroutable station).
 	Handoffs, CrossShard, Drops, Errs int64
-	// FanOuts counts the goroutines SubmitWaveTo started: one per owning
-	// shard beyond the first in every chunk spanning several shards
-	// (the first slice is decided on the caller's goroutine).
-	FanOuts int64
+	// FanOuts counts how the slices of chunks spanning several shards
+	// ran, one count per owning shard beyond the first in every such
+	// chunk (the first owning shard's slice always runs on the caller).
+	FanOuts FanOuts
 	// Exchanges counts tick-barrier ghost-demand exchange rounds;
 	// GhostRows the (cell, interval) demand rows actually applied on
 	// sibling shards across them. GhostRowsAllToAll is what an
@@ -303,6 +303,21 @@ type Stats struct {
 	// carried calls that moved with them.
 	Epoch                                 uint64
 	Rebalances, Migrations, MigratedCalls int64
+}
+
+// FanOuts counts where the non-first slices of multi-shard chunks ran.
+// Each such slice is handed to its shard's persistent worker unless the
+// worker is parked and the slice would not outlast a wake; the caller
+// takes back any handed slice no worker has claimed by the time its own
+// slices are done.
+type FanOuts struct {
+	// Awake counts slices claimed by a worker still awake from an
+	// earlier slice; Woken those claimed by a worker the caller woke.
+	Awake, Woken int64
+	// Inline counts slices the caller ran because the worker was parked
+	// and the slice was shorter than a wake; TakenBack those it handed
+	// to a worker and took back unclaimed.
+	Inline, TakenBack int64
 }
 
 // String renders a one-line operator summary.
@@ -327,7 +342,8 @@ func (s Stats) String() string {
 // scratch and counters — guarded by mu. Whatever touches the shard's
 // controller or the stations it owns — deciding and committing a chunk
 // slice, releasing, ticking, exchanging, migrating — runs under mu on
-// the goroutine that asked for it.
+// the goroutine that asked for it, or, for a posted chunk slice, on the
+// shard's worker.
 type shardState struct {
 	mu   sync.Mutex
 	core *serve.Core
@@ -416,14 +432,25 @@ type Engine struct {
 	intake *serve.Intake
 
 	// waveMu serializes chunk decisions (SubmitWaveTo and intake batches)
-	// so the per-shard routing and response-scatter buffers below are
-	// reused across chunks instead of rebuilt per call. Waves from
-	// concurrent callers queue on the mutex — their relative order was
-	// already scheduling-dependent, so serializing them changes no
-	// determinism contract. fanWG joins a chunk's fan-out goroutines.
+	// so the per-shard routing and response-scatter buffers below, and
+	// the workers' hand-off slots, are reused across chunks instead of
+	// rebuilt per call. Waves from concurrent callers queue on the
+	// mutex — their relative order was already scheduling-dependent, so
+	// serializing them changes no determinism contract.
 	waveMu     sync.Mutex
 	waveRoutes []waveRoute
-	fanWG      sync.WaitGroup
+
+	// workers[s] is shard s's persistent slice worker (nil for shard
+	// 0), started by New and joined by Close; see worker.go. wakeNs
+	// estimates how long a parked worker takes from the caller's wake
+	// signal to running, on the clock now reads from clock0. force is
+	// a test hook (pathAdaptive outside tests).
+	workers  []*worker
+	workerWG sync.WaitGroup
+	stopped  atomic.Bool
+	wakeNs   atomic.Int64
+	clock0   time.Time
+	force    slicePath
 
 	// handoffMu serializes handoffs, each run to completion.
 	handoffMu sync.Mutex
@@ -439,7 +466,10 @@ type Engine struct {
 	scoped []cac.DemandRow
 
 	waves         atomic.Int64
-	fanOuts       atomic.Int64
+	fanAwake      atomic.Int64
+	fanWoken      atomic.Int64
+	fanInline     atomic.Int64
+	fanTakenBack  atomic.Int64
 	handoffCount  atomic.Int64
 	crossShard    atomic.Int64
 	drops         atomic.Int64
@@ -454,8 +484,8 @@ type Engine struct {
 }
 
 // New validates the configuration, partitions the network, builds one
-// controller per shard, starts the intake goroutine, and returns the
-// live engine.
+// controller per shard, starts the intake goroutine and one slice
+// worker per shard beyond the first, and returns the live engine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("shard: config needs a network")
@@ -553,6 +583,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	e.intake = intake
+	e.startWorkers()
 	return e, nil
 }
 
@@ -730,14 +761,16 @@ func (e *Engine) decideBatch(reqs []cac.Request, enq time.Time, out []serve.Resp
 // reqs[i], and out must hold at least len(reqs) slots. The wave is split
 // at MaxBatch boundaries in global request order first; each chunk's
 // requests are then routed to their owner shards and decided
-// concurrently, with a barrier before the next chunk. Chunk boundaries —
+// concurrently, the first owning shard's slice on the caller and the
+// others on their shard workers or, when no worker claims them, on the
+// caller too, with a barrier before the next chunk. Chunk boundaries —
 // and, for cell-local controllers, all outcomes — are therefore
 // independent of the shard count: the 1-shard engine realises exactly
 // serve.Service.SubmitAllInto's deterministic wave semantics. The
-// routing and scatter state lives on the engine and is reused across
-// waves, so a steady caller that also reuses out allocates nothing per
-// wave beyond one goroutine per extra owning shard of a chunk
-// (Stats.FanOuts).
+// routing and scatter state and the workers' hand-off slots live on
+// the engine and are reused across waves, so a steady caller that also
+// reuses out allocates nothing per wave. Stats.FanOuts counts where
+// each non-first slice ran.
 //
 //facs:hotpath
 func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
@@ -766,8 +799,9 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 // decideChunk routes one chunk (at most MaxBatch requests) to its owner
 // shards and decides every owning shard's slice against the
 // chunk-start state: the first owning shard's slice on the calling
-// goroutine, every other one on a fan-out goroutine, all joined before
-// it returns. out[i] receives reqs[i]'s response. The caller holds
+// goroutine, every other one on that shard's worker or, when no worker
+// claims it, on the caller too (hand, collect); all are done before it
+// returns. out[i] receives reqs[i]'s response. The caller holds
 // waveMu.
 func (e *Engine) decideChunk(reqs []cac.Request, out []serve.Response, enq time.Time) error {
 	own := e.own.Load()
@@ -802,19 +836,11 @@ func (e *Engine) decideChunk(reqs []cac.Request, out []serve.Response, enq time.
 			first = s
 			continue
 		}
-		e.fanWG.Add(1)
-		e.fanOuts.Add(1)
-		go e.fanOut(s, out, enq)
+		e.hand(s, out, enq)
 	}
 	e.decideSlice(first, out, enq)
-	e.fanWG.Wait()
+	e.collect(out, enq)
 	return nil
-}
-
-// fanOut is one fan-out goroutine of decideChunk.
-func (e *Engine) fanOut(s int, out []serve.Response, enq time.Time) {
-	defer e.fanWG.Done()
-	e.decideSlice(s, out, enq)
 }
 
 // decideSlice decides shard s's gathered slice of the current chunk
@@ -1121,15 +1147,20 @@ func (e *Engine) HandoffCall(h Handoff) HandoffResult {
 // engine totals. After Flush (or Close) the snapshot is exact.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Shards:            len(e.shards),
-		CellLocal:         e.cellLocal,
-		PerShard:          make([]serve.Stats, len(e.shards)),
-		Waves:             e.waves.Load(),
-		Handoffs:          e.handoffCount.Load(),
-		CrossShard:        e.crossShard.Load(),
-		Drops:             e.drops.Load(),
-		Errs:              e.handoffErrs.Load(),
-		FanOuts:           e.fanOuts.Load(),
+		Shards:     len(e.shards),
+		CellLocal:  e.cellLocal,
+		PerShard:   make([]serve.Stats, len(e.shards)),
+		Waves:      e.waves.Load(),
+		Handoffs:   e.handoffCount.Load(),
+		CrossShard: e.crossShard.Load(),
+		Drops:      e.drops.Load(),
+		Errs:       e.handoffErrs.Load(),
+		FanOuts: FanOuts{
+			Awake:     e.fanAwake.Load(),
+			Woken:     e.fanWoken.Load(),
+			Inline:    e.fanInline.Load(),
+			TakenBack: e.fanTakenBack.Load(),
+		},
 		Exchanges:         e.exchanges.Load(),
 		GhostRows:         e.ghostRows.Load(),
 		GhostRowsAllToAll: e.ghostRowsAll.Load(),
@@ -1149,11 +1180,14 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Close decides every single still queued on the intake and stops the
-// intake goroutine; afterwards every operation reports serve.ErrClosed.
+// Close decides every single still queued on the intake, stops the
+// intake goroutine and the shard workers and waits until all have
+// exited; afterwards every operation reports serve.ErrClosed.
 // Idempotent; submissions racing with Close either complete normally
-// or report serve.ErrClosed.
+// (a slice no worker claims runs on its caller) or report
+// serve.ErrClosed.
 func (e *Engine) Close() error {
 	e.intake.Close()
+	e.stopWorkers()
 	return nil
 }

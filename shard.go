@@ -9,7 +9,8 @@ import (
 // ShardedEngine is the horizontally sharded admission engine: the
 // network's cells are partitioned across N shards by a deterministic
 // router, each shard holds its own controller behind its own lock and
-// runs its work on the calling goroutine, waves chunk in global
+// runs its work on the calling goroutine (a wave chunk's other shards'
+// slices on persistent shard workers), waves chunk in global
 // request order with cross-shard barriers, and handoffs run a
 // serialized two-phase protocol (release on the source shard, admit on
 // the target shard). For cell-local controllers
@@ -43,9 +44,9 @@ type (
 )
 
 // NewShardedEngine partitions the network, builds one controller per
-// shard and starts the engine's one intake goroutine, which coalesces
-// SubmitAsync singles; waves, releases, handoffs and ticks run directly
-// on their caller.
+// shard and starts the engine's intake goroutine, which coalesces
+// SubmitAsync singles, and one slice worker per shard beyond the
+// first; releases, handoffs and ticks run directly on their caller.
 func NewShardedEngine(cfg ShardedEngineConfig) (*ShardedEngine, error) { return ishard.New(cfg) }
 
 // SingleShardView returns the view a 1-shard engine hands its
