@@ -469,10 +469,11 @@ func BenchmarkCompiledDecideBatch(b *testing.B) {
 }
 
 // BenchmarkCompiledSurfaceBuild times the one-off compilation of both
-// decision surfaces (the cost the fast path amortises).
+// decision surfaces at the default grid, the one every binary and
+// perfbench compile (the cost the fast path amortises).
 func BenchmarkCompiledSurfaceBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := facs.NewCompiledSystem(33); err != nil {
+		if _, err := facs.NewCompiledSystem(0); err != nil {
 			b.Fatal(err)
 		}
 	}

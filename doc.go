@@ -32,7 +32,8 @@
 //	ev, err := cc.Evaluate(obs, 5, 12, false)
 //
 // NewCompiledSystem samples both controllers over dense grids at
-// construction time (a one-off cost of about half a second) and
+// construction time (a one-off cost, well under a second, that
+// BenchmarkCompiledSurfaceBuild times) and
 // answers queries by trilinear interpolation, roughly 8x faster than
 // the exact engines at the paper's operating points (each exact
 // inference is itself a tabulated, allocation-free centroid). The
@@ -140,8 +141,8 @@
 //
 // # Surface persistence
 //
-// Compiling the default surfaces costs seconds, which a long-lived
-// service should pay once, not on every restart. The -surface-cache
+// Compiling the default surfaces is CPU work that a long-lived service
+// should pay once, not on every restart. The -surface-cache
 // flag of facs-sim and facs-serve persists compiled surfaces as
 // versioned, checksummed binary blobs validated by a config+grid hash;
 // a warm start decodes them in milliseconds and logs whether the entry

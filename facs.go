@@ -80,9 +80,9 @@ type CompiledSystem = ifacs.CompiledController
 
 // NewCompiledSystem builds the exact System for the options and
 // compiles it into the lookup-table fast path (gridSize <= 0 selects
-// the default resolution). Compilation costs seconds; amortise it over
-// many decisions, or use DefaultCompiledSystem for the shared default
-// instance.
+// the default resolution). Compilation is a one-off cost of many exact
+// inferences; amortise it over many decisions, or use
+// DefaultCompiledSystem for the shared default instance.
 func NewCompiledSystem(gridSize int, opts ...SystemOption) (*CompiledSystem, error) {
 	return ifacs.NewCompiled(gridSize, opts...)
 }

@@ -44,7 +44,7 @@ type Contestant struct {
 
 // Factory returns the constructor of c's controller. FACS is built
 // here once and shared by every network: it is stateless and safe for
-// concurrent use, and a compiled build costs seconds. SCC builds a
+// concurrent use, and a compiled build is a one-off compile. SCC builds a
 // fresh demand ledger per network. Every contestant but SCC ignores
 // the network, so single-cell callers pass nil.
 func (c Contestant) Factory() (func(*cell.Network) (cac.Controller, error), error) {

@@ -217,9 +217,10 @@ var defaultCompiled struct {
 
 // DefaultCompiled returns a process-wide shared CompiledController for
 // the default configuration, compiling it on first use. Surface
-// compilation costs seconds, so callers that repeatedly need the
-// default compiled FACS (experiment replications, benchmarks, tests)
-// should share this instance; it is safe for concurrent use.
+// compilation is a one-off cost (see the package documentation) that
+// callers repeatedly needing the default compiled FACS (experiment
+// replications, benchmarks, tests) should not pay twice, so they share
+// this instance; it is safe for concurrent use.
 func DefaultCompiled() (*CompiledController, error) {
 	defaultCompiled.once.Do(func() {
 		defaultCompiled.ctrl, defaultCompiled.err = NewCompiled(0)

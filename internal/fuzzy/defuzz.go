@@ -35,16 +35,15 @@ func (Centroid) Defuzzify(agg *AggregatedOutput, resolution int) (float64, error
 	if agg.Empty() {
 		return 0, ErrNoRuleFired
 	}
-	s := agg.sampling(resolution)
+	var buf [engineResolution]float64
+	s := agg.sampling(resolution, &buf)
 	var num, den float64
-	for i := s.lo; i <= s.hi; i++ {
-		y := s.y(i)
-		m := s.m(i)
-		num += y * m
+	for i, m := range s.ms[s.lo : s.hi+1] {
+		num += s.y(s.lo+i) * m
 		den += m
 	}
 	if den == 0 {
-		return 0, fmt.Errorf("fuzzy: centroid is undefined: aggregated area is zero at resolution %d", s.n) //facs:alloc reject/error path; formats nothing on the steady-state wave
+		return 0, fmt.Errorf("fuzzy: centroid is undefined: aggregated area is zero at resolution %d", len(s.ms)) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	return num / den, nil
 }
@@ -63,23 +62,25 @@ func (Bisector) Defuzzify(agg *AggregatedOutput, resolution int) (float64, error
 	if agg.Empty() {
 		return 0, ErrNoRuleFired
 	}
-	s := agg.sampling(resolution)
+	var buf [engineResolution]float64
+	s := agg.sampling(resolution, &buf)
 	var total float64
-	for i := s.lo; i <= s.hi; i++ {
-		total += s.m(i)
+	for _, m := range s.ms[s.lo : s.hi+1] {
+		total += m
 	}
 	if total == 0 {
-		return 0, fmt.Errorf("fuzzy: bisector is undefined: aggregated area is zero at resolution %d", s.n) //facs:alloc reject/error path; formats nothing on the steady-state wave
+		return 0, fmt.Errorf("fuzzy: bisector is undefined: aggregated area is zero at resolution %d", len(s.ms)) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	// The walk starts at sample 0, not lo: total/2 may round to zero.
 	var acc float64
-	for i := 0; i < s.n; i++ {
-		acc += s.m(i)
+	for i, m := range s.ms {
+		acc += m
 		if acc >= total/2 {
 			return s.y(i), nil
 		}
 	}
-	return s.max, nil
+	_, max := agg.out.Universe()
+	return max, nil
 }
 
 // MeanOfMaxima defuzzifies to the mean of the sample points at which the
@@ -96,23 +97,22 @@ func (MeanOfMaxima) Defuzzify(agg *AggregatedOutput, resolution int) (float64, e
 	if agg.Empty() {
 		return 0, ErrNoRuleFired
 	}
-	s := agg.sampling(resolution)
+	var buf [engineResolution]float64
+	s := agg.sampling(resolution, &buf)
 	const eps = 1e-12
 	var best, sum float64
 	var count int
-	for i := s.lo; i <= s.hi; i++ {
-		y := s.y(i)
-		m := s.m(i)
+	for i, m := range s.ms[s.lo : s.hi+1] {
 		switch {
 		case m > best+eps:
-			best, sum, count = m, y, 1
+			best, sum, count = m, s.y(s.lo+i), 1
 		case m >= best-eps && m > 0:
-			sum += y
+			sum += s.y(s.lo + i)
 			count++
 		}
 	}
 	if count == 0 {
-		return 0, fmt.Errorf("fuzzy: mean-of-maxima is undefined: aggregated set is empty at resolution %d", s.n) //facs:alloc reject/error path; formats nothing on the steady-state wave
+		return 0, fmt.Errorf("fuzzy: mean-of-maxima is undefined: aggregated set is empty at resolution %d", len(s.ms)) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
 	return sum / float64(count), nil
 }

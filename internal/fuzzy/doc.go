@@ -19,21 +19,27 @@
 // the aggregated output at y_i = min + float64(i)*step; an engine
 // always uses 201 samples. NewEngine tabulates the output terms'
 // memberships at those points once, with the same Membership calls
-// that AggregatedOutput.At makes, keeping only the non-zero (term,
-// membership) pairs of each sample in term order and each term's first
-// and last non-zero sample. A sample's aggregate is then the running
-// max of the clip min(w, m) over its pairs whose term fired, and the
-// sums run only over the hull of the fired terms' non-zero samples.
-// Both shortcuts are exact, so the table gives the same bits as
-// sampling through At:
+// that AggregatedOutput.At makes: per term, one dense slice from its
+// first to its last non-zero sample. A defuzzifier builds the 201
+// aggregate samples in a stack buffer of +0s, term by term in term
+// order: each fired term (w > 0) raises every sample of its slice to
+// the clip min(w, m) where that is strictly greater. The sums then run
+// in sample order over the hull of the fired terms' slices. Both steps
+// are exact, so the table gives the same bits as sampling through At:
 //
-//   - A fired term (w > 0) with membership 0 clips to 0, and best
-//     starts at +0 and only grows on a strict >, so skipping that term
-//     cannot change best.
-//   - Outside the hull every sample's aggregate is +0, so it adds y*0
-//     = ±0 to num and +0 to den. In round-to-nearest, x + ±0 = x for
-//     every x except -0, and a running sum that starts at +0 is never
-//     -0 (an exact cancellation rounds to +0), so skipping those
+//   - Term order: At visits a sample's terms in term order, starting
+//     from best = +0 and replacing it only on a strict >. The term-major
+//     loop makes the same comparisons on each sample in the same
+//     order, so each sample ends with the same value.
+//   - ±0: a term At would see with membership 0 at a sample (outside
+//     its slice, or a zero inside it) clips to ±0, which is never
+//     strictly greater than a best that starts at +0, so skipping it or
+//     visiting it changes nothing. A NaN membership is kept and clips
+//     to w, as in At.
+//   - Hull: outside the hull every sample's aggregate is +0, so it adds
+//     y*0 = ±0 to num and +0 to den. In round-to-nearest, x + ±0 = x
+//     for every x except -0, and a running sum that starts at +0 is
+//     never -0 (an exact cancellation rounds to +0), so skipping those
 //     samples leaves every sum unchanged. MeanOfMaxima ignores a zero
 //     sample outright, since best >= 0. Bisector's second walk still
 //     starts at sample 0, because total/2 may round to zero.
@@ -55,9 +61,32 @@
 // "fuzzy-surface" kind of the internal/snap envelope, versioned by
 // snap.FormatVersion, checksummed and validated against a caller config
 // hash (snap.ErrSnapshotStale, snap.ErrSnapshotCorrupt), so processes
-// can load surfaces in milliseconds instead of recompiling for seconds.
+// can load surfaces in milliseconds instead of recompiling them.
 // The checksum is not a secret, so the decoder also refuses axis nodes
 // that are not finite and error bounds that are negative or NaN.
+//
+// # Compilation
+//
+// NewSurface fills a grid in row-major order, so consecutive nodes
+// mostly differ in the last axis only. Each compile worker evaluates
+// through its own grid evaluator, which re-fuzzifies only the axes
+// from the first one whose input bits changed, and keeps for every
+// rule its running min before its first clause on each axis (in the
+// rule's own clause order, so rules that omit inputs or list them out
+// of order are replayed exactly) together with the rules not yet
+// broken off at each axis. It then memoises the defuzzified value in a
+// direct-mapped cache of 4096 slots keyed by the full bit pattern of
+// the strength vector; a slot answers only on a full key match, and
+// errors are never stored. The memo serves Centroid, Bisector and
+// MeanOfMaxima only: their output is a pure function of those bits and
+// costs a sampled aggregate, where WeightedAverage's mean costs no more
+// than the memo's hash.
+// Every node gets the bits Engine.EvaluateVec returns, error included;
+// Engine.fire stays the one reference firing loop, and
+// TestSurfaceExactAtNodes holds the evaluator and the compiled tables
+// to it and to an At-based oracle. On the paper's FLC1 at the default
+// grid, 34,540 distinct strength vectors cover 274,625 nodes, and a
+// worker's memo answers about three lookups in four.
 //
 // # Error maps and aligned axes
 //

@@ -90,7 +90,7 @@ func NewEngine(inputs []*Variable, output *Variable, rules []Rule, opts ...Optio
 	if err := output.CheckCoverage(engineResolution); err != nil {
 		return nil, err
 	}
-	e.table = newSampleTable(output, engineResolution)
+	e.table = newSampleTable(output)
 	e.rules = make([]compiledRule, 0, len(rules))
 	for i, r := range rules {
 		cr, err := e.compileRule(r)

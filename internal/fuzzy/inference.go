@@ -49,135 +49,117 @@ func (a *AggregatedOutput) Empty() bool {
 	return true
 }
 
-// sampleTable holds an output variable's term memberships at the sample
-// points of one defuzzifier resolution, computed once by the same
-// Membership calls that At makes. Only non-zero memberships are kept,
-// so a sample costs one step per term whose support covers it. It is
-// immutable after construction.
+// sampleTable holds an output variable's term memberships at the
+// engine's engineResolution sample points y_i = min + float64(i)*step,
+// computed once by the same Membership calls that At makes. Each term
+// keeps one dense slice, its memberships from its first to its last
+// non-zero sample, so an aggregate is built term by term over
+// contiguous samples. It is immutable after construction.
 type sampleTable struct {
-	resolution int
-	ys         []float64        // sample points, min + float64(i)*step
-	start      []int            // sample i's memberships are pairs[start[i]:start[i+1]]
-	pairs      []termMembership // in term order within a sample
-	first      []int            // per term: first sample with non-zero membership
-	last       []int            // per term: last such sample (< first when none)
+	mem   [][]float64 // per term: memberships at samples first..last
+	first []int       // per term: first sample with non-zero membership
+	last  []int       // per term: last such sample (< first when none)
 }
 
-type termMembership struct {
-	term int
-	m    float64
-}
-
-func newSampleTable(out *Variable, resolution int) *sampleTable {
-	min, max := out.Universe()
-	step := (max - min) / float64(resolution-1)
+func newSampleTable(out *Variable) *sampleTable {
+	lo, hi := out.Universe()
+	step := (hi - lo) / float64(engineResolution-1)
 	t := &sampleTable{
-		resolution: resolution,
-		ys:         make([]float64, resolution),
-		start:      make([]int, resolution+1),
-		first:      make([]int, out.NumTerms()),
-		last:       make([]int, out.NumTerms()),
+		mem:   make([][]float64, out.NumTerms()),
+		first: make([]int, out.NumTerms()),
+		last:  make([]int, out.NumTerms()),
 	}
-	for k := range t.first {
-		t.first[k], t.last[k] = resolution, -1
-	}
-	for i := range t.ys {
-		y := min + float64(i)*step
-		t.ys[i] = y
-		for k, term := range out.terms {
-			if m := term.MF.Membership(y); m != 0 {
-				t.pairs = append(t.pairs, termMembership{term: k, m: m})
-				if t.first[k] > i {
-					t.first[k] = i
-				}
-				t.last[k] = i
+	for k, term := range out.terms {
+		row := make([]float64, engineResolution)
+		first, last := engineResolution, -1
+		for i := range row {
+			if row[i] = term.MF.Membership(lo + float64(i)*step); row[i] != 0 {
+				first, last = min(first, i), i
 			}
 		}
-		t.start[i+1] = len(t.pairs)
+		t.first[k], t.last[k] = first, last
+		if first <= last {
+			t.mem[k] = row[first : last+1]
+		}
 	}
 	return t
 }
 
 // hull returns the smallest sample range [lo, hi] that holds every
-// non-zero membership of the fired terms (lo > hi when there is none).
+// non-zero membership of the fired terms ([0, -1] when there is none).
 func (t *sampleTable) hull(strengths []float64) (lo, hi int) {
-	lo, hi = t.resolution, -1
+	lo, hi = engineResolution, -1
 	for k, w := range strengths {
 		if w != 0 {
 			lo, hi = min(lo, t.first[k]), max(hi, t.last[k])
 		}
 	}
+	if lo > hi {
+		return 0, -1
+	}
 	return lo, hi
 }
 
-// at is At(ys[i]) read from the table. A term with zero membership at
-// the sample is absent, which is exact: it would shape to 0 and never
-// raise best above its starting 0.
-func (t *sampleTable) at(i int, strengths []float64) float64 {
-	var best float64
-	for _, p := range t.pairs[t.start[i]:t.start[i+1]] {
-		w := strengths[p.term]
+// aggregate writes At(y_i) into agg[i] for every sample, term by term
+// in term order; agg must be all +0 on entry. Each sample sees the same
+// sequence of clips as At, so it ends with the same bits (see the
+// package documentation).
+func (t *sampleTable) aggregate(strengths []float64, agg *[engineResolution]float64) {
+	for k, w := range strengths {
 		if w == 0 {
 			continue
 		}
-		if p.m < w {
-			w = p.m
-		}
-		if w > best {
-			best = w
+		mem := t.mem[k]
+		dst := agg[t.first[k]:][:len(mem)]
+		for i, m := range mem {
+			c := w
+			if m < c {
+				c = m
+			}
+			if c > dst[i] {
+				dst[i] = c
+			}
 		}
 	}
-	return best
 }
 
 // sampling is a defuzzifier's view of an aggregated output at one
-// resolution: sample i sits at y(i) with membership m(i), and every
-// sample outside [lo, hi] has membership exactly +0. When the output
-// comes from an engine whose table matches the resolution, samples are
-// read from the table and [lo, hi] is the hull of the fired terms'
-// supports; otherwise they are evaluated through At over the whole
-// universe. Both give the same bits (see the package documentation).
+// resolution: sample i sits at y(i) = min + float64(i)*step with
+// membership ms[i], and every sample outside [lo, hi] has membership
+// exactly +0. When the output comes from an engine and the resolution
+// is engineResolution, the samples are aggregated from the table and
+// [lo, hi] is the hull of the fired terms' supports; otherwise every
+// sample is evaluated through At. Both give the same bits (see the
+// package documentation).
 type sampling struct {
-	agg      *AggregatedOutput
-	tab      *sampleTable
-	min, max float64
-	step     float64
-	n        int
-	lo, hi   int
+	ms        []float64
+	min, step float64
+	lo, hi    int
 }
 
-func (a *AggregatedOutput) sampling(resolution int) sampling {
-	if resolution < 2 {
-		resolution = 2
-	}
+// sampling fills ms in buf, which must be all +0; a resolution above
+// engineResolution outside the table samples into a heap slice.
+func (a *AggregatedOutput) sampling(resolution int, buf *[engineResolution]float64) sampling {
+	resolution = max(resolution, 2)
 	min, max := a.out.Universe()
-	s := sampling{
-		agg:  a,
-		min:  min,
-		max:  max,
-		step: (max - min) / float64(resolution-1),
-		n:    resolution,
-		hi:   resolution - 1,
-	}
-	if t := a.table; t != nil && t.resolution == resolution {
-		s.tab = t
+	s := sampling{min: min, step: (max - min) / float64(resolution-1), hi: resolution - 1}
+	if t := a.table; t != nil && resolution == engineResolution {
+		s.ms = buf[:]
 		s.lo, s.hi = t.hull(a.strengths)
+		t.aggregate(a.strengths, buf)
+		return s
+	}
+	if resolution <= engineResolution {
+		s.ms = buf[:resolution]
+	} else {
+		s.ms = make([]float64, resolution) //facs:alloc Defuzzify above the engine resolution only; engines sample through the table
+	}
+	for i := range s.ms {
+		s.ms[i] = a.At(s.y(i))
 	}
 	return s
 }
 
-// y returns the i-th sample point.
-func (s *sampling) y(i int) float64 {
-	if s.tab != nil {
-		return s.tab.ys[i]
-	}
-	return s.min + float64(i)*s.step
-}
-
-// m returns the aggregated membership at the i-th sample point.
-func (s *sampling) m(i int) float64 {
-	if s.tab != nil {
-		return s.tab.at(i, s.agg.strengths)
-	}
-	return s.agg.At(s.y(i))
-}
+// y returns the i-th sample point, by the expression the table was
+// sampled with.
+func (s *sampling) y(i int) float64 { return s.min + float64(i)*s.step }

@@ -196,7 +196,8 @@ func WithSurfaceWorkers(n int) SurfaceOption {
 // then dilated so every cell also carries the worst bound of its
 // neighbours — a query near a cell boundary (or an upstream error that
 // pushes the true input into the next cell) stays covered. The error
-// map roughly doubles compilation cost and adds one float per cell.
+// map adds one float per cell; for the paper's FLC1 at the default
+// grid it makes compilation about 2.4 times as costly as without it.
 // WithSurfaceAlignedAxes changes the layout along axes whose queries
 // sit on grid nodes.
 func WithSurfaceErrorMap(safety float64) SurfaceOption {
@@ -267,9 +268,10 @@ func axisNodes(v *Variable, n int, extra []float64) []float64 {
 
 // NewSurface compiles a lookup-table surface from an engine by
 // evaluating it at every node of a dense input grid. Compilation cost
-// is the product of the per-axis node counts times one exact
-// inference; it is sharded across workers. The engine is only read,
-// never retained.
+// is the product of the per-axis node counts times at most one exact
+// inference, less where consecutive nodes share axes and strength
+// vectors (see the package documentation); it is sharded across
+// workers. The engine is only read, never retained.
 func NewSurface(e *Engine, opts ...SurfaceOption) (*Surface, error) {
 	if e == nil {
 		return nil, fmt.Errorf("fuzzy: surface needs an engine")
@@ -366,10 +368,13 @@ func MustSurface(e *Engine, opts ...SurfaceOption) *Surface {
 
 // compile fills the value table by sampling the engine, sharding
 // complete slabs of the first axis across workers. Every worker writes
-// disjoint regions, so the result is independent of scheduling.
+// disjoint regions, so the result is independent of scheduling. Each
+// worker evaluates through its own gridEval, which returns the bits of
+// Engine.EvaluateVec.
 func (s *Surface) compile(e *Engine, workers int) error {
 	slab := s.strides[0]
 	return runSlabs(s.axes[0].N(), workers, func() func(i int) error {
+		g := newGridEval(e)
 		vals := make([]float64, len(s.axes))
 		idx := make([]int, len(s.axes))
 		return func(i int) error {
@@ -380,7 +385,7 @@ func (s *Surface) compile(e *Engine, workers int) error {
 			}
 			base := i * slab
 			for off := 0; off < slab; off++ {
-				y, err := e.EvaluateVec(vals...)
+				y, err := g.eval(vals)
 				if err != nil {
 					return fmt.Errorf("fuzzy: compiling surface at %v: %w", append([]float64(nil), vals...), err)
 				}
@@ -401,44 +406,40 @@ func (s *Surface) compile(e *Engine, workers int) error {
 	})
 }
 
-// runSlabs runs slabs 0..n-1 on min(workers, n) goroutines fed by one
-// channel. newSlab is called once per worker, on the caller, and
-// returns that worker's slab function with its own scratch. After a
-// slab fails the remaining slabs are skipped, and the error of the
-// lowest failing slab is returned, so concurrent failures report
-// stably.
+// runSlabs runs slabs 0..n-1 on min(workers, n) goroutines that claim
+// them in increasing order from one counter. newSlab is called once
+// per worker, on the caller, and returns that worker's slab function
+// with its own scratch. A slab above the lowest failing one so far is
+// skipped, and every slab below it runs, so the error returned is
+// always that of the lowest failing slab, whatever the scheduling.
 func runSlabs(n, workers int, newSlab func() func(i int) error) error {
 	workers = min(workers, n)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
+		next     atomic.Int64
+		errSlab  atomic.Int64 // lowest failing slab so far, n when none
 		firstErr error
-		errSlab  = -1
-		failed   atomic.Bool
 	)
-	next := make(chan int)
-	go func() {
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-	}()
+	errSlab.Store(int64(n))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		slab := newSlab()
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if failed.Load() {
-					continue // drain the channel so the feeder can finish
+			for {
+				i := next.Add(1) - 1
+				if i >= errSlab.Load() {
+					return // claims only grow, so every later one is skipped too
 				}
-				if err := slab(i); err != nil {
+				if err := slab(int(i)); err != nil {
 					mu.Lock()
-					if firstErr == nil || i < errSlab {
-						firstErr, errSlab = err, i
+					if i < errSlab.Load() {
+						firstErr = err
+						errSlab.Store(i)
 					}
 					mu.Unlock()
-					failed.Store(true)
+					return
 				}
 			}
 		}()
@@ -479,6 +480,7 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64, aligne
 	s.errs = make([]float64, s.initErrorMap(aligned))
 	slab := s.errStrides[0]
 	err := runSlabs(s.errShape(0), workers, func() func(i int) error {
+		g := newGridEval(e)
 		idx := make([]int, d)
 		probe := make([]float64, d)
 		return func(i int) error {
@@ -495,7 +497,7 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64, aligne
 						probe[k] = (nodes[idx[k]] + nodes[idx[k]+1]) / 2
 					}
 				}
-				exact, err := e.EvaluateVec(probe...)
+				exact, err := g.eval(probe)
 				if err != nil {
 					return fmt.Errorf("fuzzy: probing surface error at %v: %w", append([]float64(nil), probe...), err)
 				}

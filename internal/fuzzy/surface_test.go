@@ -9,7 +9,7 @@ import (
 
 // surfTestEngine builds a small two-input Mamdani controller used by
 // the surface tests: x in [0, 10], y in [0, 1], output z in [0, 1].
-func surfTestEngine(t *testing.T) *Engine {
+func surfTestEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
 	x := MustVariable("x", 0, 10,
 		Term{Name: "lo", MF: MustTriangular(0, 0, 6)},
@@ -29,31 +29,7 @@ func surfTestEngine(t *testing.T) *Engine {
 		{If: []Clause{{Var: "x", Term: "hi"}, {Var: "y", Term: "off"}}, Then: Clause{Var: "z", Term: "large"}},
 		{If: []Clause{{Var: "x", Term: "hi"}, {Var: "y", Term: "on"}}, Then: Clause{Var: "z", Term: "small"}},
 	}
-	return MustEngine([]*Variable{x, y}, z, rules)
-}
-
-func TestSurfaceExactAtNodes(t *testing.T) {
-	e := surfTestEngine(t)
-	s, err := NewSurface(e, WithSurfaceGrid(9, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	axes := s.Axes()
-	for _, xv := range axes[0].Nodes() {
-		for _, yv := range axes[1].Nodes() {
-			want, err := e.EvaluateVec(xv, yv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.EvaluateVec(xv, yv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("surface(%v, %v) = %v, engine = %v", xv, yv, got, want)
-			}
-		}
-	}
+	return mustTestEngine(t, []*Variable{x, y}, z, rules, opts...)
 }
 
 func TestSurfaceInterpolatesBetweenNodes(t *testing.T) {
