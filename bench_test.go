@@ -156,7 +156,6 @@ func BenchmarkAblationSCC(b *testing.B) {
 				return facs.NewSCC(facs.SCCConfig{
 					Network:                net,
 					Horizon:                horizon,
-					Reservation:            facs.SCCReservationFull,
 					RequireClusterCoverage: true,
 				})
 			}
@@ -548,8 +547,8 @@ func sccScatter(b *testing.B, net *facs.Network, ctrl sccObserver, n int) {
 // exactly on the survivability limit (see sccBoundary): a decision
 // alone, and a decision committed with OnAdmit (which adopts the
 // decision's footprint) and released again. Their aggregates are exact
-// whole-BU sums, so the guard band does not fire and the cost stays
-// flat in the tracked calls there too.
+// whole-BU sums compared with an integer limit, so the cost stays flat
+// in the tracked calls there too.
 func BenchmarkSCCDecide(b *testing.B) {
 	impls := []struct {
 		name  string
@@ -600,7 +599,6 @@ func BenchmarkSCCDecide(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportFallbacks(b, ledger)
 		})
 		b.Run(fmt.Sprintf("ledger-boundary-commit/active=%d", active), func(b *testing.B) {
 			ledger, req := sccBoundary(b, active)
@@ -616,27 +614,24 @@ func BenchmarkSCCDecide(b *testing.B) {
 				ledger.OnAdmit(req)
 				ledger.OnRelease(req.Call.ID, req.Station, 0)
 			}
-			reportFallbacks(b, ledger)
 		})
 	}
 }
 
-// sccBoundary builds the survivability limit's tie case: a
-// ReservationFull ledger on a 127-cell network at the paper's 40 BU,
-// whose centre cell carries exactly 29 BU at every interval (stationary
-// calls at the centre), so a stationary voice request lands each
-// interval's aggregate exactly on the 34 BU limit. The guard band once
-// re-summed every such tie from the footprints of all tracked calls;
-// whole-BU aggregates are exact, so it no longer fires. The other
-// `active` calls are scattered at least 8 km from the centre, out of
-// its shadow, so they leave the aggregate on the limit.
+// sccBoundary builds the survivability limit's tie case: a ledger on a
+// 127-cell network at the paper's 40 BU, whose centre cell carries
+// exactly 29 BU at every interval (stationary calls at the centre), so
+// a stationary voice request lands each interval's aggregate exactly on
+// the 34 BU limit. The other `active` calls are scattered at least
+// 8 km from the centre, out of its shadow, so they leave the aggregate
+// on the limit.
 func sccBoundary(b *testing.B, active int) (*facs.SCCLedger, facs.AdmissionRequest) {
 	b.Helper()
 	net, err := facs.NewNetwork(facs.NetworkConfig{Rings: 6})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ledger, err := facs.NewSCCLedger(facs.SCCConfig{Network: net, Reservation: facs.SCCReservationFull})
+	ledger, err := facs.NewSCCLedger(facs.SCCConfig{Network: net})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -684,13 +679,6 @@ func sccBoundary(b *testing.B, active int) (*facs.SCCLedger, facs.AdmissionReque
 		Station: centre,
 	}
 	return ledger, req
-}
-
-// reportFallbacks reports the guard-band fallbacks per operation, so a
-// boundary bench that stopped reaching the band shows as 0.
-func reportFallbacks(b *testing.B, ledger *facs.SCCLedger) {
-	fallbacks, _ := ledger.Stats()
-	b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/op")
 }
 
 // envInt reads an integer env override for bench scaling.

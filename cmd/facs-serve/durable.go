@@ -206,12 +206,10 @@ func writeMetrics(w io.Writer, eng *ishard.Engine, in *intake, snaps *snapState)
 
 	if ledger, ok := ledgerStats(eng); ok {
 		m.Gauge("facs_ledger_active_calls", "Calls tracked by the demand ledgers.", float64(ledger.ActiveCalls))
-		m.Counter("facs_ledger_fallbacks_total", "Guard-band exact-oracle fallbacks.", float64(ledger.ExactFallbacks))
-		m.Counter("facs_ledger_rebuilds_total", "Full demand-matrix rebuilds.", float64(ledger.Rebuilds))
 		m.Counter("facs_ledger_ghost_rows_total", "Ghost rows applied by the ledgers.", float64(ledger.GhostRows))
-		m.Counter("facs_ledger_class_shadows_total", "Clusters asked of the full-reservation class shadow.", float64(ledger.ClassShadows))
-		m.Counter("facs_ledger_exact_shadows_total", "Clusters derived by the exact shadow.", float64(ledger.ExactShadows))
-		m.Counter("facs_ledger_visited_stations_total", "Stations whose shadow exponent was bounded.", float64(ledger.Visited))
+		m.Counter("facs_ledger_class_shadows_total", "Clusters asked of the class shadow.", float64(ledger.ClassShadows))
+		m.Counter("facs_ledger_exact_shadows_total", "Clusters derived by the reference shadow.", float64(ledger.ExactShadows))
+		m.Counter("facs_ledger_visited_stations_total", "Stations whose distance the shadows computed.", float64(ledger.Visited))
 		m.Counter("facs_ledger_weights_total", "Station weights evaluated by the shadows.", float64(ledger.Exps))
 	}
 

@@ -65,7 +65,7 @@
 // responses before retrying. On stream end (or Ctrl-D) the engine
 // drains and a stats summary (including latency p50/p99) is printed to
 // stderr; for -controller scc it appends the aggregated demand-ledger
-// counters (guard-band fallbacks, rebuilds, ghost-exchange activity).
+// counters (ghost-exchange activity, migrations, shadow work).
 //
 // Durability: -snapshot-dir names a directory for checksummed engine
 // snapshots (written atomically as engine.snap), cut every N tick
@@ -379,7 +379,7 @@ func ledgerStats(eng *ishard.Engine) (iscc.LedgerStats, bool) {
 
 // printEngineStats writes the end-of-stream summary: the engine's
 // counter line, extended with the ledger's observability counters for
-// SCC runs so served runs can see how often the guard band fires.
+// SCC runs so served runs can see the ghost exchange and shadow work.
 func printEngineStats(stderr io.Writer, eng *ishard.Engine, ledger iscc.LedgerStats, hasLedger bool) {
 	if hasLedger {
 		fmt.Fprintf(stderr, "facs-serve: %s; %s\n", eng.Stats(), ledger)

@@ -234,7 +234,7 @@ func (b *lockedBuffer) String() string {
 
 // TestSCCServeReportsLedgerStats pins the observability satellite: an
 // SCC stream run's end-of-stream line carries the ledger counter
-// summary (guard-band fallbacks, ghost exchange activity) that is
+// summary (ghost exchange activity, shadow work) that is
 // otherwise unreachable behind the engine's shard locks.
 func TestSCCServeReportsLedgerStats(t *testing.T) {
 	in := strings.Join([]string{
@@ -248,7 +248,7 @@ func TestSCCServeReportsLedgerStats(t *testing.T) {
 		strings.NewReader(in), &out, &errw); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"scc-ledger:", "guard-band fallbacks", "ghost applies"} {
+	for _, want := range []string{"scc-ledger:", "ghost applies", "class shadows"} {
 		if !strings.Contains(errw.String(), want) {
 			t.Fatalf("end-of-stream line missing %q: %q", want, errw.String())
 		}

@@ -82,13 +82,11 @@
 // O(footprint) on admit/release/handoff, making each decision
 // O(horizon x cluster-cells) independent of the number of active calls
 // (three-plus orders of magnitude at 1,000 tracked calls; see
-// BenchmarkSCCDecide). Decisions are byte-identical to the oracle's: a
-// guard band answers any aggregate landing within 1e-6 BU of the
-// survivability threshold with the oracle's exact sum, taken from the
-// cached footprints in the oracle's order (full reservation, whose
-// whole-BU aggregates are exact, needs no band), and the
-// golden-equivalence suites in internal/scc and internal/experiments
-// pin the contract.
+// BenchmarkSCCDecide). Decisions are byte-identical to the oracle's:
+// SCC reserves a call's whole bandwidth or nothing in each cell, so the
+// ledger holds exact whole-BU sums and compares them with each cell's
+// integer limit, and the golden-equivalence suites in internal/scc and
+// internal/experiments pin the contract.
 // internal/scc/DESIGN.md records the invariants.
 //
 // # Streaming admission

@@ -38,8 +38,7 @@ var rootExports = []string{
 	"Pin", "Point", "Reject", "RunBatchAdmission", "RunMetropolis",
 	"RunMultiCell", "RunMultiCellSeeds", "RunSingleCell",
 	"RunSingleCellSeeds", "SCC", "SCCConfig", "SCCFactory", "SCCLedger",
-	"SCCLedgerStats", "SCCReservationFull", "SCCReservationMode",
-	"SCCReservationWeighted", "Series", "ServeResponse", "ShardHandoff",
+	"SCCLedgerStats", "Series", "ServeResponse", "ShardHandoff",
 	"ShardHandoffResult", "ShardPartition", "ShardPlannerConfig",
 	"ShardView", "ShardedEngine", "ShardedEngineConfig", "ShardedStats",
 	"SingleCellConfig", "SingleCellResult", "SingleShardView", "Span",

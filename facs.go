@@ -163,17 +163,10 @@ func DefaultTrafficMix() TrafficMix { return itraffic.DefaultMix() }
 // SCC is the Shadow Cluster Concept baseline controller.
 type SCC = iscc.Controller
 
-// SCCConfig parameterises the SCC baseline.
+// SCCConfig parameterises the SCC baseline. SCC reserves in full: a
+// tracked call reserves its whole bandwidth in every cell its shadow
+// reaches with InclusionProb.
 type SCCConfig = iscc.Config
-
-// SCCReservationMode selects SCC's demand-accumulation semantics.
-type SCCReservationMode = iscc.ReservationMode
-
-// SCC reservation modes.
-const (
-	SCCReservationWeighted = iscc.ReservationWeighted
-	SCCReservationFull     = iscc.ReservationFull
-)
 
 // NewSCC constructs a shadow-cluster controller.
 func NewSCC(cfg SCCConfig) (*SCC, error) { return iscc.New(cfg) }
@@ -191,8 +184,8 @@ type SCCLedger = iscc.Ledger
 func NewSCCLedger(cfg SCCConfig) (*SCCLedger, error) { return iscc.NewLedger(cfg) }
 
 // SCCLedgerStats is a point-in-time snapshot of an SCCLedger's internal
-// counters — guard-band fallbacks, rebuilds and ghost-exchange activity
-// — taken via SCCLedger.Snapshot under the lock that serializes the
+// counters — ghost-exchange activity, migrations and shadow work —
+// taken via SCCLedger.Snapshot under the lock that serializes the
 // ledger (e.g. a ShardedEngine.Do barrier). Snapshots aggregate with
 // Add; facs-serve prints the per-shard total at end of stream.
 type SCCLedgerStats = iscc.LedgerStats

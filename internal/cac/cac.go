@@ -97,8 +97,9 @@ type CellLocal interface {
 }
 
 // DemandRow is one (cell, projection-interval) slice of projected
-// bandwidth demand, in BU. A positive Amount adds demand, a negative
-// one retracts demand a previous row added (e.g. after a release).
+// bandwidth demand, in whole BU. A positive Amount adds demand, a
+// negative one retracts demand a previous row added (e.g. after a
+// release).
 type DemandRow struct {
 	// Cell identifies the deployment cell the demand is projected into.
 	Cell geo.Hex
@@ -106,7 +107,7 @@ type DemandRow struct {
 	K int
 	// Amount is the demand change in bandwidth units since the exporter's
 	// previous export.
-	Amount float64
+	Amount int
 }
 
 // DemandDelta is one controller's projected-demand change since its

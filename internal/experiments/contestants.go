@@ -128,13 +128,13 @@ func FACSFactory() func(*cell.Network) (cac.Controller, error) {
 	return func(*cell.Network) (cac.Controller, error) { return facs.New() }
 }
 
-// sccFig10Config is the Fig. 10 SCC parameterisation: full-bandwidth
-// reservation over the shadow cluster plus the cluster-coverage (path
-// survivability) requirement, per internal/scc/DESIGN.md.
+// sccFig10Config is the Fig. 10 SCC parameterisation: SCC's
+// full-bandwidth reservation over the shadow cluster plus the
+// cluster-coverage (path survivability) requirement, per
+// internal/scc/DESIGN.md.
 func sccFig10Config(net *cell.Network) scc.Config {
 	return scc.Config{
 		Network:                net,
-		Reservation:            scc.ReservationFull,
 		RequireClusterCoverage: true,
 	}
 }

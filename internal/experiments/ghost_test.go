@@ -8,13 +8,11 @@ import (
 	"facs/internal/shard"
 )
 
-// ghostLedgerFactory builds a fresh SCC demand ledger per shard in the
-// given reservation mode. The ledgers are demand exchangers, so the
-// engine runs the ghost exchange at every tick barrier.
-func ghostLedgerFactory(mode scc.ReservationMode) func(shard.View) (cac.Controller, error) {
-	return func(v shard.View) (cac.Controller, error) {
-		return scc.NewLedger(scc.Config{Network: v.Network(), Reservation: mode})
-	}
+// ghostLedger builds a fresh SCC demand ledger per shard. The ledgers
+// are demand exchangers, so the engine runs the ghost exchange at every
+// tick barrier.
+func ghostLedger(v shard.View) (cac.Controller, error) {
+	return scc.NewLedger(scc.Config{Network: v.Network()})
 }
 
 // tickAlignedConfig is the golden SCC workload: every wave fits one
@@ -25,8 +23,8 @@ func ghostLedgerFactory(mode scc.ReservationMode) func(shard.View) (cac.Controll
 // every admission any shard performs is visible to every other shard
 // before the next decision is rendered, exactly like the single
 // sequential ledger.
-func tickAlignedConfig(mode scc.ReservationMode) MetropolisConfig {
-	cfg := contestedConfig(ghostLedgerFactory(mode))
+func tickAlignedConfig() MetropolisConfig {
+	cfg := contestedConfig(ghostLedger)
 	cfg.TickEveryWaves = 1
 	cfg.HandoffEveryWaves = 1 << 30
 	cfg.MaxBatch = 128
@@ -36,29 +34,24 @@ func tickAlignedConfig(mode scc.ReservationMode) MetropolisConfig {
 // TestShardedSCCGhostExchangeByteIdentity pins the ghost exchange:
 // with tick-aligned waves it restores the Shadow Cluster baseline's
 // GLOBAL demand visibility, so sharded SCC decisions are byte-identical
-// at shard counts 1/2/4/8 to the inline single-ledger run.
-// ReservationFull aggregates are sums of whole bandwidth units, making
-// the identity exact by construction; the weighted mode is pinned at
-// the same seed (summation-order noise is orders of magnitude below
-// the ledger's guard band).
+// at shard counts 1/2/4/8 to the inline single-ledger run. Under full
+// reservation, which names the subtest, aggregates are sums of whole
+// bandwidth units, making the identity exact by construction.
 func TestShardedSCCGhostExchangeByteIdentity(t *testing.T) {
-	for _, mode := range []scc.ReservationMode{scc.ReservationFull, scc.ReservationWeighted} {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := tickAlignedConfig(mode)
-			oracle, results := sweepShards(t, mode.String(), cfg)
-			if oracle.Accepted == 0 || oracle.Accepted == oracle.Requested || oracle.Released == 0 {
-				// Without both accepts and demand-driven rejects the
-				// identity would hold vacuously.
-				t.Fatalf("uncontested workload: %+v", oracle)
+	t.Run("full", func(t *testing.T) {
+		oracle, results := sweepShards(t, "scc", tickAlignedConfig())
+		if oracle.Accepted == 0 || oracle.Accepted == oracle.Requested || oracle.Released == 0 {
+			// Without both accepts and demand-driven rejects the identity
+			// would hold vacuously.
+			t.Fatalf("uncontested workload: %+v", oracle)
+		}
+		for _, res := range results {
+			if res.Shards > 1 && res.GhostRows == 0 {
+				t.Fatalf("shards-%d: exchange fanned out no demand rows", res.Shards)
 			}
-			for _, res := range results {
-				if res.Shards > 1 && res.GhostRows == 0 {
-					t.Fatalf("shards-%d: exchange fanned out no demand rows", res.Shards)
-				}
-				if res.Shards == 1 && res.GhostRows != 0 {
-					t.Fatalf("shards-1: a 1-shard engine has no siblings to fan %d rows to", res.GhostRows)
-				}
+			if res.Shards == 1 && res.GhostRows != 0 {
+				t.Fatalf("shards-1: a 1-shard engine has no siblings to fan %d rows to", res.GhostRows)
 			}
-		})
-	}
+		}
+	})
 }

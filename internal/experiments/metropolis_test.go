@@ -139,7 +139,7 @@ func TestMetropolisFACSModeIdentity(t *testing.T) {
 // contract, pinned by TestMetropolisModeIdentity.
 func TestMetropolisSCCReproducible(t *testing.T) {
 	factory := func(v shard.View) (cac.Controller, error) {
-		return scc.NewLedger(scc.Config{Network: v.Network(), Reservation: scc.ReservationFull})
+		return scc.NewLedger(scc.Config{Network: v.Network()})
 	}
 	base := metroTestConfig(factory)
 	base.Mode = MetroSharded

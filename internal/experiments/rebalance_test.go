@@ -69,7 +69,7 @@ func TestShardedRebalanceByteIdentity(t *testing.T) {
 // demand view — tick-aligned decisions stay byte-identical at shard
 // counts 1/2/4/8 to the single inline ledger, epochs and all.
 func TestShardedSCCRebalanceByteIdentity(t *testing.T) {
-	cfg := tickAlignedConfig(scc.ReservationFull)
+	cfg := tickAlignedConfig()
 	cfg.Partition = shard.PartitionBlocks
 	cfg.RebalanceEveryTicks = 1
 	cfg.Rebalance = shard.PlannerConfig{MaxMoves: 4, Tolerance: 0.01}
@@ -138,7 +138,6 @@ func TestMetropolisInterestScopedReduction(t *testing.T) {
 		return func(v shard.View) (cac.Controller, error) {
 			return scc.NewLedger(scc.Config{
 				Network:     v.Network(),
-				Reservation: scc.ReservationFull,
 				MaxSpeedKmh: maxSpeedKmh,
 			})
 		}

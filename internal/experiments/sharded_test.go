@@ -26,10 +26,7 @@ func shardFACSFactory(shard.View) (cac.Controller, error) {
 // shardLedgerFactory builds a fresh SCC demand ledger per shard — NOT
 // cell-local: determinism holds per fixed shard count only.
 func shardLedgerFactory(v shard.View) (cac.Controller, error) {
-	return scc.NewLedger(scc.Config{
-		Network:     v.Network(),
-		Reservation: scc.ReservationFull,
-	})
+	return scc.NewLedger(scc.Config{Network: v.Network()})
 }
 
 // contestedConfig is the small-ring closed loop the sharded identity

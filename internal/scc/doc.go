@@ -5,7 +5,11 @@
 // stations aggregate these shadows into per-interval expected demand
 // and admit a new call only if, over the whole projection horizon,
 // demand stays below a survivability threshold of capacity in every
-// cell the new call's own tentative shadow cluster touches.
+// cell the new call's own tentative shadow cluster touches. A tracked
+// call reserves in full: its whole bandwidth in every cell its shadow
+// reaches with InclusionProb, nothing elsewhere — the conservative
+// "deny access to protect active mobiles" form the paper's Fig. 10
+// compares against.
 //
 // Differences from the original paper are deliberate simplifications
 // and are documented in DESIGN.md: probabilities come from a
@@ -18,30 +22,25 @@
 //
 // Controller is the original recompute-on-query form, kept as the
 // reference oracle. Ledger is the incrementally maintained demand
-// ledger — a dense [cell][interval] matrix of projected demand plus
-// cached per-call footprints, updated in O(footprint) on
+// ledger — a dense [cell][interval] matrix of projected demand in whole
+// BU plus cached per-call footprints, updated in O(footprint) on
 // admit/release/handoff — whose decisions are byte-identical at
-// O(horizon x cluster-cells) per decision: a 1e-6 BU guard band
-// answers near-threshold aggregates by summing the cached footprints in
-// the oracle's order, bit-identical to the oracle summation (full
-// reservation's whole-BU aggregates are exact and skip it). An accepted
-// decision stashes the request's footprint, and the OnAdmit that commits
-// it adopts the stash instead of deriving the shadows again. The shadows
-// the ledger does derive skip every station whose Gaussian weight is
-// below half an ulp of the running normalising sum — found by a bound
-// pass without Hypot or Exp — so they cost an exp only for the stations
-// that can change the sum, and stay bit-identical to the oracle's. Under
-// full reservation a cluster depends only on which stations reach
-// MinProb and InclusionProb; a hex-ring walk from the projected point
-// visits the nearby stations only, weighs them relative to the nearest
-// through a table exp with a proven error, and certifies those classes
-// by probability intervals, deriving the exact shadow when an interval
+// O(horizon x cluster-cells) per decision: its integer sums equal the
+// oracle's float sums of the same whole-BU terms, and an integer
+// exceeds the oracle's float limit exactly when it exceeds that
+// limit's floor, which the ledger compares against. An accepted
+// decision stashes the request's footprint, and the OnAdmit that
+// commits it adopts the stash instead of deriving the shadows again. A
+// cluster depends only on which stations reach MinProb and
+// InclusionProb; a hex-ring walk from the projected point visits the
+// nearby stations only, weighs them relative to the nearest through a
+// table exp with a proven error, and certifies those classes by
+// probability intervals, calling the reference shadow when an interval
 // straddles a threshold. A decision projects each interval once and
-// every reader of that interval shares the projection. DESIGN.md records the ledger invariants, the
-// guard-band argument, the absorption proof and the class proof;
-// ledger_test.go holds the golden-equivalence suite and
-// ledger_shadow_test.go pins the pruned shadow and the classes to the
-// oracle's.
+// every reader of that interval shares the projection. DESIGN.md
+// records the ledger invariants, the whole-BU argument and the class
+// proof; ledger_test.go holds the golden-equivalence suite and
+// ledger_shadow_test.go pins the clusters to the oracle's.
 //
 // # Sharding
 //
@@ -66,11 +65,9 @@
 // — and with tick-aligned waves (every wave followed by a barrier
 // tick, waves no larger than one chunk) sharded decisions are
 // byte-identical to the inline single-ledger run for every shard count
-// (pinned at 1/2/4/8 in internal/experiments/ghost_test.go). Guard-band
-// fallbacks sum LOCAL rows only; ghost rows are taken as-is, whose
-// residual is receiver-side accumulation rounding (exactly zero in
-// ReservationFull mode, where every aggregate is a whole-BU sum —
-// see ExportDemand and DESIGN.md).
+// (pinned at 1/2/4/8 in internal/experiments/ghost_test.go). Exchanged
+// rows are whole BU, so a receiver's ghost equals the senders' matrices
+// exactly (see ExportDemand and DESIGN.md).
 //
 // The recompute Controller does not exchange; it remains the
 // single-instance oracle.
@@ -101,9 +98,9 @@
 // # Entry points
 //
 // New builds the oracle, NewLedger the fast path, both from the same
-// Config (Network, ReservationMode, thresholds, horizon). Both
-// implement cac.Controller, cac.BatchController, cac.Observer,
-// cac.Ticker and cac.StateUpdater; the Ledger additionally implements
+// Config (Network, thresholds, horizon). The oracle implements
+// cac.Controller, cac.Observer and cac.StateUpdater; the Ledger
+// additionally implements cac.BatchController, cac.Ticker (a no-op),
 // cac.DemandExchanger, cac.CellMigrator, cac.InterestScoped and
 // cac.ExchangeResetter, and exposes its counters (including migration
 // totals) via Snapshot (LedgerStats) for Do-op observability behind

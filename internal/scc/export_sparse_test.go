@@ -9,7 +9,7 @@ import (
 // every (cell, interval) whose demand moved since snapshot, in
 // cell-major order, and advances the snapshot. It is the oracle the
 // sparse dirty-index export must match row for row.
-func exportReference(l *Ledger, snapshot []float64) []DemandRow {
+func exportReference(l *Ledger, snapshot []int) []DemandRow {
 	h := l.cfg.Horizon + 1
 	var rows []DemandRow
 	for ci, bs := range l.stations {
@@ -27,14 +27,14 @@ func exportReference(l *Ledger, snapshot []float64) []DemandRow {
 }
 
 // TestExportDemandSparseMatchesFullScan churns a ledger through admits,
-// releases, ticks (rebuilds) and repeated exports, checking after every
+// releases, kinematic updates and repeated exports, checking after every
 // export that the sparse dirty-index scan produced exactly the rows a
 // full-matrix diff would have — same cells, intervals, amounts, order.
 func TestExportDemandSparseMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	net := newNet(t, 2)
 	l := newLedger(t, net)
-	snapshot := make([]float64, len(l.demand))
+	snapshot := make([]int, len(l.demand))
 	const radius = 2.0 * 2000 * 2
 
 	checkExport := func(round int) {
@@ -54,8 +54,8 @@ func TestExportDemandSparseMatchesFullScan(t *testing.T) {
 	id := 1
 	live := []int{}
 	for round := 0; round < 8; round++ {
-		// Admit a few, release a few, sometimes force a rebuild — the
-		// three paths that may move matrix entries.
+		// Admit a few, release a few, sometimes move one — the three
+		// paths that may move matrix entries.
 		for i := 0; i < 5+rng.Intn(10); i++ {
 			req := randomRequest(t, rng, net, id, radius)
 			l.OnAdmit(req)
@@ -70,7 +70,12 @@ func TestExportDemandSparseMatchesFullScan(t *testing.T) {
 			l.OnRelease(victim, net.Stations()[0], float64(round))
 		}
 		if round%3 == 2 {
-			l.Rebuild()
+			pos := randomCoveredPoint(t, rng, net, radius)
+			bs, err := net.StationAt(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.UpdateState(live[0], pos, rng.Float64()*360-180, rng.Float64()*120, bs.Hex())
 		}
 		checkExport(round)
 		// An immediate second export must be empty: nothing moved.

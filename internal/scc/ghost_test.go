@@ -1,7 +1,7 @@
 package scc
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,76 +22,66 @@ func admitN(t *testing.T, rng *rand.Rand, net *cell.Network, l *Ledger, firstID,
 	return firstID + n
 }
 
-// demandMismatch scans every (cell, interval) and returns the largest
-// |got-want| between two ledgers' ProjectedDemand surfaces.
-func demandMismatch(a, b *Ledger, net *cell.Network) float64 {
-	var worst float64
+// demandMismatch returns the first (cell, interval) where two ledgers'
+// ProjectedDemand surfaces differ, as a message, or "" when they agree.
+func demandMismatch(a, b *Ledger, net *cell.Network) string {
 	for _, bs := range net.Stations() {
 		for k := 0; k <= a.cfg.Horizon; k++ {
-			if d := math.Abs(a.ProjectedDemand(bs.Hex(), k) - b.ProjectedDemand(bs.Hex(), k)); d > worst {
-				worst = d
+			if x, y := a.ProjectedDemand(bs.Hex(), k), b.ProjectedDemand(bs.Hex(), k); x != y {
+				return fmt.Sprintf("%v k=%d: %d vs %d BU", bs.Hex(), k, x, y)
 			}
 		}
 	}
-	return worst
+	return ""
 }
 
 // TestGhostExchangeMirrorsRemoteLedger pins the core exchange identity:
 // after applying a ledger's exported delta, the receiver's ghost matrix
-// reproduces the exporter's demand surface — byte-identical on the
-// first export (the delta IS the matrix) and, across telescoping
-// releases and re-exports, exactly in ReservationFull mode (whole-BU
-// sums) / within accumulation rounding in weighted mode.
+// reproduces the exporter's demand surface exactly — on the first
+// export (the delta IS the matrix) and across telescoping releases and
+// re-exports, every aggregate being a whole-BU sum under full
+// reservation, which names the subtest.
 func TestGhostExchangeMirrorsRemoteLedger(t *testing.T) {
-	for _, sc := range []struct {
-		name   string
-		mutate func(*Config)
-		tol    float64 // 0 = byte-identical
-	}{
-		{"full", func(c *Config) { c.Reservation = ReservationFull }, 0},
-		{"weighted", func(*Config) {}, 1e-9},
-	} {
-		t.Run(sc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			net := newNet(t, 2)
-			const radius = 2.0 * 2000 * 2
-			remote := newLedger(t, net, sc.mutate)
-			local := newLedger(t, net, sc.mutate)
+	t.Run("full", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		net := newNet(t, 2)
+		const radius = 2.0 * 2000 * 2
+		remote := newLedger(t, net)
+		local := newLedger(t, net)
 
-			admitN(t, rng, net, remote, 1, 40, radius)
-			delta := remote.ExportDemand()
-			if delta.Gen != 1 || len(delta.Rows) == 0 {
-				t.Fatalf("first export: gen %d with %d rows", delta.Gen, len(delta.Rows))
-			}
-			local.ApplyGhost(0, delta)
-			// First export: ghost is a verbatim copy of the remote matrix.
-			if worst := demandMismatch(local, remote, net); worst != 0 {
-				t.Fatalf("first exchange: demand surfaces differ by %g", worst)
-			}
+		admitN(t, rng, net, remote, 1, 40, radius)
+		delta := remote.ExportDemand()
+		if delta.Gen != 1 || len(delta.Rows) == 0 {
+			t.Fatalf("first export: gen %d with %d rows", delta.Gen, len(delta.Rows))
+		}
+		local.ApplyGhost(0, delta)
+		// First export: ghost is a verbatim copy of the remote matrix.
+		if diff := demandMismatch(local, remote, net); diff != "" {
+			t.Fatalf("first exchange: demand surfaces differ at %s", diff)
+		}
 
-			// Release half remotely, admit a few more, re-export: the
-			// telescoped deltas must keep tracking the remote surface.
-			for id := 1; id <= 20; id++ {
-				remote.OnRelease(id, nil, 0)
-			}
-			admitN(t, rng, net, remote, 41, 10, radius)
-			delta = remote.ExportDemand()
-			if delta.Gen != 2 {
-				t.Fatalf("second export: gen %d, want 2", delta.Gen)
-			}
-			local.ApplyGhost(0, delta)
-			if worst := demandMismatch(local, remote, net); worst > sc.tol {
-				t.Fatalf("second exchange: demand surfaces differ by %g (tolerance %g)", worst, sc.tol)
-			}
+		// Release half remotely, admit a few more, re-export: the
+		// telescoped deltas must keep tracking the remote surface.
+		for id := 1; id <= 20; id++ {
+			remote.OnRelease(id, nil, 0)
+		}
+		admitN(t, rng, net, remote, 41, 10, radius)
+		delta = remote.ExportDemand()
+		if delta.Gen != 2 {
+			t.Fatalf("second export: gen %d, want 2", delta.Gen)
+		}
+		local.ApplyGhost(0, delta)
+		if diff := demandMismatch(local, remote, net); diff != "" {
+			t.Fatalf("second exchange: demand surfaces differ at %s", diff)
+		}
 
-			// An unchanged ledger exports an empty delta (generation still
-			// advances so receivers can tell silence from loss).
-			delta = remote.ExportDemand()
-			if delta.Gen != 3 || len(delta.Rows) != 0 {
-				t.Fatalf("idle export: gen %d with %d rows, want gen 3 with none", delta.Gen, len(delta.Rows))
-			}
-		})
-	}
+		// An unchanged ledger exports an empty delta (generation still
+		// advances so receivers can tell silence from loss).
+		delta = remote.ExportDemand()
+		if delta.Gen != 3 || len(delta.Rows) != 0 {
+			t.Fatalf("idle export: gen %d with %d rows, want gen 3 with none", delta.Gen, len(delta.Rows))
+		}
+	})
 }
 
 // TestGhostDecideSeesRemoteDemand shows the model change the exchange
@@ -99,9 +89,8 @@ func TestGhostExchangeMirrorsRemoteLedger(t *testing.T) {
 // is invisible until a delta arrives, and binding afterwards.
 func TestGhostDecideSeesRemoteDemand(t *testing.T) {
 	net := newNet(t, 1)
-	mutate := func(c *Config) { c.Reservation = ReservationFull }
-	remote := newLedger(t, net, mutate)
-	local := newLedger(t, net, mutate)
+	remote := newLedger(t, net)
+	local := newLedger(t, net)
 	bs := net.Stations()[0]
 
 	// Four stationary video calls at the cell centre saturate the
@@ -130,10 +119,10 @@ func TestGhostDecideSeesRemoteDemand(t *testing.T) {
 		t.Fatalf("after the exchange the local ledger should reject: %v, %v", d, err)
 	}
 	if g := local.GhostDemand(bs.Hex(), 0); g != 40 {
-		t.Fatalf("ghost demand at the saturated cell is %g, want 40", g)
+		t.Fatalf("ghost demand at the saturated cell is %d, want 40", g)
 	}
 	if g := local.GhostDemand(geo.Hex{Q: 99, R: 99}, 0); g != 0 {
-		t.Fatalf("foreign hex should carry no ghost demand, got %g", g)
+		t.Fatalf("foreign hex should carry no ghost demand, got %d", g)
 	}
 }
 
@@ -155,7 +144,7 @@ func TestGhostGenerationGuards(t *testing.T) {
 	local.ApplyGhost(0, delta) // replay: ignored
 	local.ApplyGhost(0, cac.DemandDelta{Gen: 0, Rows: delta.Rows})
 	if got := local.ProjectedDemand(net.Stations()[0].Hex(), 0); got != want {
-		t.Fatalf("replayed delta changed demand: %g, want %g", got, want)
+		t.Fatalf("replayed delta changed demand: %d, want %d", got, want)
 	}
 	after := local.Snapshot()
 	if after.GhostApplies != before.GhostApplies || after.GhostRows != before.GhostRows {
@@ -170,28 +159,26 @@ func TestGhostGenerationGuards(t *testing.T) {
 
 // TestLedgerSnapshotCounters covers the Do-op observability surface:
 // Snapshot mirrors the internal counters, Add aggregates field-wise,
-// String carries the guard-band fallback count.
+// String carries the exchange and shadow counts.
 func TestLedgerSnapshotCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	net := newNet(t, 1)
 	l := newLedger(t, net)
 	admitN(t, rng, net, l, 1, 5, 2000)
 	l.OnAdmit(randomRequest(t, rng, net, 6, 2000))
-	l.Rebuild()
 	l.ExportDemand()
 	st := l.Snapshot()
-	if st.ActiveCalls != 6 || st.Rebuilds == 0 || st.Exports != 1 || st.Generation != 1 {
+	if st.ActiveCalls != 6 || st.Exports != 1 || st.Generation != 1 || st.ClassShadows == 0 || st.ExactFallbacks != 0 {
 		t.Fatalf("snapshot: %+v", st)
 	}
-	fallbacks, rebuilds := l.Stats()
-	if st.ExactFallbacks != fallbacks || st.Rebuilds != rebuilds {
-		t.Fatalf("snapshot disagrees with Stats(): %+v vs (%d, %d)", st, fallbacks, rebuilds)
+	if st.ClassShadows != l.classStats.shadows || st.ExactShadows != l.classStats.exact {
+		t.Fatalf("snapshot disagrees with the shadow counters: %+v vs %+v", st, l.classStats)
 	}
-	sum := st.Add(LedgerStats{ActiveCalls: 1, ExactFallbacks: 2, Generation: 7, GhostRows: 3})
-	if sum.ActiveCalls != 7 || sum.ExactFallbacks != fallbacks+2 || sum.Generation != 7 || sum.GhostRows != 3 {
+	sum := st.Add(LedgerStats{ActiveCalls: 1, ClassShadows: 2, Generation: 7, GhostRows: 3})
+	if sum.ActiveCalls != 7 || sum.ClassShadows != st.ClassShadows+2 || sum.Generation != 7 || sum.GhostRows != 3 {
 		t.Fatalf("add: %+v", sum)
 	}
-	if s := sum.String(); !strings.Contains(s, "guard-band fallbacks") || !strings.Contains(s, "ghost applies") {
+	if s := sum.String(); !strings.Contains(s, "class shadows") || !strings.Contains(s, "ghost applies") {
 		t.Fatalf("summary: %s", s)
 	}
 }

@@ -11,36 +11,15 @@ import (
 	"facs/internal/gps"
 )
 
-// boundaryGuardBU is the absolute demand margin (in BU) within which the
-// ledger distrusts its incrementally maintained matrix and sums the
-// exact aggregated demand for the one (cell, interval) under test from
-// the cached footprints. The matrix drifts from the from-scratch sum
-// only by floating-point cancellation of add/remove pairs — well below
-// 1e-9 BU between rebuilds (see DESIGN.md) — so any query landing
-// outside this band provably sits on the same side of the survivability
-// threshold as the oracle's, and any query inside it is answered with
-// the oracle's own sum (footprintDemand). The golden-equivalence suite
-// pins the result: ledger decisions are byte-identical to the recompute
-// Controller's.
-const boundaryGuardBU = 1e-6
-
-// rebuildOpsBudget bounds how many incremental footprint applications may
-// accumulate before the ledger re-aggregates its matrix from the cached
-// footprints, resetting floating-point drift to zero. Rebuild costs
-// O(active x footprint); the budget keeps its amortised cost negligible
-// while keeping worst-case drift orders of magnitude below
-// boundaryGuardBU.
-const rebuildOpsBudget = 1 << 20
-
-// footCell is one cached shadow-cluster contribution of a tracked call:
-// `amount` BU of projected demand in dense cell `cell` at interval `k`.
-// A footprint lists its cells in ascending (k, cell) order — intervals
-// outermost, shadows in station order — which footAmount's binary search
-// relies on.
+// footCell is one shadow-cluster contribution of a call: `amount` whole
+// BU of projected demand in dense cell `cell` at interval `k` (the
+// call's bandwidth, or 0 for a cell the cluster only checks). A
+// footprint lists its cells in ascending (k, cell) order: intervals
+// outermost, shadows in station order.
 type footCell struct {
 	cell   int32
 	k      int32
-	amount float64
+	amount int
 }
 
 // ledgerTrack is the per-call state of the ledger: the projection source
@@ -82,27 +61,20 @@ func (h *handover) matches(id, bu int, pos geo.Point, headingDeg, speedMps float
 // number of active calls — against the recompute Controller's
 // O(active x horizon x stations) per decision.
 //
-// The one shadow a decision derives, the request's own, comes from
-// cluster (ledger_shadow.go). Under ReservationWeighted it is a pruned
-// routine (shadow): a bound pass over the stations without Hypot or Exp
-// finds those whose weight is below half an ulp of the running
-// normalising sum, and only the rest are evaluated. Under
-// ReservationFull a hex-ring walk certifies each nearby station's class
-// (none, check-only, reserve) instead, and the pruned routine answers
-// only when a class is uncertain. Either way the cells and amounts are
-// appendShadow's bit for bit, so footprints derived on a commit miss, a
-// handoff or a migration are the oracle's too.
+// Every shadow the ledger derives comes from cluster (ledger_shadow.go):
+// a hex-ring walk certifies each nearby station's class (none,
+// check-only, reserve), and the reference appendShadow answers only
+// when a class is uncertain. Either way the cells and amounts are the
+// oracle's, so footprints derived on a commit miss, a handoff or a
+// migration are the oracle's too.
 //
-// Decisions are byte-identical to the recompute Controller's: the demand
-// matrix can differ from the from-scratch sum only by floating-point
-// cancellation noise, and any query within boundaryGuardBU of the
-// survivability threshold falls back to summing the cached footprints in
-// ascending call-ID order — the amounts and order of the Controller's
-// own summation, so the fallback value is the oracle's bit for bit.
-// Under ReservationFull every amount is a whole number of BU, the
-// matrix is exact, and the fallback is skipped.
-// OnTick periodically re-aggregates the matrix from the cached
-// footprints, resetting accumulated drift to zero.
+// Decisions are byte-identical to the recompute Controller's. Every
+// footprint amount is a whole number of BU, so the matrix holds integer
+// sums that every admit, release and update keeps exact, equal to the
+// oracle's float sum of the same terms. Decide compares them against
+// the integer limit floor(Threshold x capacity): for an integer x,
+// x > t exactly when x > floor(t), so it answers as the oracle's float
+// comparison does.
 //
 // An accepted decision already holds the request's footprint; Decide
 // stashes it and OnAdmit adopts it when the committed request carries
@@ -116,72 +88,54 @@ func (h *handover) matches(id, bu int, pos geo.Point, headingDeg, speedMps float
 // remove. See the package documentation's Sharding section.
 //
 // A Ledger implements cac.Controller, cac.BatchController, cac.Observer,
-// cac.StateUpdater, cac.Ticker and cac.DemandExchanger. It is not safe
-// for concurrent use; the simulation kernel is single-threaded, and a
+// cac.StateUpdater, cac.Ticker (as a no-op) and cac.DemandExchanger. It
+// is not safe for concurrent use; the simulation kernel is single-threaded, and a
 // serve.Core owning the ledger is serialized by its owner (a Service's
 // or a shard's lock).
 type Ledger struct {
 	cfg      Config
 	stations []*cell.BaseStation
-	limits   []float64 // Threshold x capacity, per dense cell index
+	limits   []int // floor(Threshold x capacity), per dense cell index
 	// demand is the dense matrix: demand[c*(Horizon+1)+k] is the
-	// aggregated projected demand of cell c at interval k, over the calls
-	// THIS instance tracks.
-	demand []float64
+	// aggregated projected demand in BU of cell c at interval k, over the
+	// calls THIS instance tracks.
+	demand []int
 	// ghost mirrors demand for remote instances: ghost[c*(Horizon+1)+k]
 	// accumulates the deltas sibling shards exported via ApplyGhost.
-	// Decide reads demand+ghost; rebuilds and the guard-band fallback
-	// sum local rows only — ghost rows are taken as-is (the remote
-	// exporter rebuilt them before exporting, see ExportDemand).
-	ghost []float64
+	// Decide reads demand+ghost.
+	ghost []int
 	// tracks holds every tracked call in ascending call-ID order — the
 	// oracle's summation order — and is searched by ID (findTrack).
 	tracks []*ledgerTrack
-	ops    int // incremental applications since the last rebuild
 
 	// exported snapshots demand at the last ExportDemand (allocated on
 	// first export); exportGen counts exports, ghostGens the last applied
 	// generation per source shard.
-	exported  []float64
+	exported  []int
 	exportGen uint64
 	ghostGens map[int]uint64
 
 	// dirty makes ExportDemand scale with the entries touched since the
-	// last export rather than the matrix size: every demand write (apply,
-	// or a value Rebuild shifted while cancelling drift) sets the bit of
-	// its dense index, and ExportDemand walks the set bits in ascending
-	// index order (== cell-major row order), clearing them as it goes.
+	// last export rather than the matrix size: every demand write sets the
+	// bit of its dense index, and ExportDemand walks the set bits in
+	// ascending index order (== cell-major row order), clearing them as
+	// it goes.
 	dirty []uint64
 	// rowsBuf backs the exported DemandDelta.Rows; see ExportDemand for
 	// the aliasing contract.
 	rowsBuf []DemandRow
-	// rebuildOld snapshots the matrix across a Rebuild so shifted
-	// entries can be diff-marked dirty.
-	rebuildOld []float64
 
-	fallbacks    int64
-	rebuilds     int64
 	exports      int64
 	ghostApplies int64
 	ghostRows    int64
 	migratedOut  int64
 	migratedIn   int64
 
-	// Per-network tables of the pruned shadow (ledger_shadow.go), built
-	// once: station positions in dense index order, survival(k) for
-	// k <= Horizon, the margin M and the anchor margin M + ln(n+1) plus
-	// slack. A weight e^-M below an evaluated one is absorbed by the
-	// normalising sum, and M ≥ ln(1/MinProb)+2 keeps its probability
-	// under MinProb, so appendShadow would not emit it either. A station
-	// beyond shadowMaxCoord leaves the bounds unproven; the margins are
-	// then infinite and nothing is skipped.
-	stationPos   []geo.Point
-	surv         []float64
-	margin       float64
-	anchorMargin float64
+	// stationPos holds the station positions in dense index order.
+	stationPos []geo.Point
 
-	// Tables of the station lookup and of the full-reservation class
-	// shadow (ledger_shadow.go), built once. hexIdx maps axial
+	// Tables of the station lookup and of the class shadow
+	// (ledger_shadow.go), built once. hexIdx maps axial
 	// coordinates (Q-hexQ0, R-hexR0) over the stations' bounding box
 	// padded by span, hexW wide and hexH high, to a dense station index
 	// (-1 for none); every hex lookup of the ledger goes through it
@@ -190,11 +144,12 @@ type Ledger struct {
 	// largest hex distance between two stations, ring by ring, as steps
 	// in hexIdx, and ringD2[j] is the least squared distance, shrunk by
 	// the slack, from a point within one cell radius of a station to the
-	// stations j rings away. classes enables the class shadow (ReservationFull with
-	// T = classNats below margin); exp is its table exp, classRel the
-	// relative slack of its weight and sum bounds and classTail bounds
-	// e^-T from above. needHex says whether projections carry their hex
-	// (the coverage check or the class shadow reads it).
+	// stations j rings away. classes enables the class shadow (every
+	// station within shadowMaxCoord and T = classNats below
+	// shadowCapNats); exp is its table exp, classRel the relative slack
+	// of its weight and sum bounds and classTail bounds e^-T from above.
+	// needHex says whether projections carry their hex (the coverage
+	// check or the class shadow reads it).
 	layout                   geo.Layout
 	hexIdx                   []int32
 	hexQ0, hexR0, hexW, hexH int
@@ -211,20 +166,19 @@ type Ledger struct {
 
 	// Scratch buffers (single-threaded by contract): plan holds the
 	// intervals of the request under decision, reqCluster its cluster,
-	// trackCluster a tracked call's cluster in exactDemand, shadowBuf the
-	// exact shadow behind a cluster; weights, bound and evaluated hold
-	// the exact shadow's per-station weights and bound exponents and its
-	// evaluated indices, and the class shadow's visited stations and
-	// candidates with their exponents and weights side by side; collapse
-	// receives appendShadow's out-of-coverage collapse.
+	// trackCluster a tracked call's cluster in exactDemand and shadowBuf
+	// the reference shadow behind a cluster the class shadow could not
+	// certify. bound and evaluated hold the class shadow's visited
+	// stations and candidates with their exponents side by side, and
+	// weights the candidates' weights (and appendShadow's per-station
+	// weights).
 	weights      []float64
 	bound        []float64
 	evaluated    []int32
 	plan         []interval
 	reqCluster   []footCell
 	trackCluster []footCell
-	shadowBuf    []shadowCell
-	collapse     []CellProb
+	shadowBuf    []CellProb
 
 	// The Decide -> OnAdmit footprint hand-over: transient, reset by
 	// Decide, DecideBatchInto and RestoreFrom, never snapshotted. Each
@@ -265,34 +219,30 @@ func NewLedger(cfg Config) (*Ledger, error) {
 	l := &Ledger{
 		cfg:        cfg,
 		stations:   stations,
-		limits:     make([]float64, len(stations)),
-		demand:     make([]float64, len(stations)*(cfg.Horizon+1)),
-		ghost:      make([]float64, len(stations)*(cfg.Horizon+1)),
+		limits:     make([]int, len(stations)),
+		demand:     make([]int, len(stations)*(cfg.Horizon+1)),
+		ghost:      make([]int, len(stations)*(cfg.Horizon+1)),
 		ghostGens:  make(map[int]uint64),
 		stationPos: make([]geo.Point, len(stations)),
-		surv:       make([]float64, cfg.Horizon+1),
 		weights:    make([]float64, len(stations)),
 		bound:      make([]float64, len(stations)),
 		evaluated:  make([]int32, len(stations)),
 		plan:       make([]interval, cfg.Horizon+1),
-		margin:     math.Max(shadowMinMargin, math.Log(1/cfg.MinProb)+2),
 	}
 	l.dirty = make([]uint64, (len(l.demand)+63)/64)
+	l.classNats = math.Max(shadowClassNats, math.Log(1/cfg.MinProb)+2)
+	l.classes = l.classNats < shadowCapNats
 	for i, bs := range stations {
-		l.limits[i] = cfg.Threshold * float64(bs.Capacity())
+		// The oracle's test is a float comparison against this product;
+		// a whole-BU sum exceeds it exactly when it exceeds its floor.
+		l.limits[i] = int(math.Floor(cfg.Threshold * float64(bs.Capacity())))
 		p := bs.Pos()
 		l.stationPos[i] = p
 		if !(math.Abs(p.X) <= shadowMaxCoord && math.Abs(p.Y) <= shadowMaxCoord) {
-			l.margin = math.Inf(1)
+			l.classes = false
 		}
 	}
-	for k := range l.surv {
-		l.surv[k] = survival(&l.cfg, k)
-	}
-	l.anchorMargin = l.margin + math.Log(float64(len(stations)+1)) + 2*shadowSlack
 	l.buildHexTables()
-	l.classNats = math.Max(shadowClassNats, math.Log(1/cfg.MinProb)+2)
-	l.classes = cfg.Reservation == ReservationFull && l.classNats < l.margin && !math.IsInf(l.margin, 1)
 	l.needHex = l.classes || cfg.RequireClusterCoverage
 	// Twice the widest e-vs-x slack below shadowCapNats, twice the
 	// reference's and the table's exp errors, and four roundings per
@@ -300,8 +250,10 @@ func NewLedger(cfg Config) (*Ledger, error) {
 	// sum and of the bounds' own arithmetic.
 	l.classRel = 2*shadowSlack*(shadowCapNats+2) + 2*shadowExpErr + 2*tableExpErr + 4*float64(len(stations)+4)*0x1p-53
 	l.classTail = math.Exp(-l.classNats) * (1 + 4*shadowExpErr)
-	// A candidate's relative exponent is under classNats plus 2e-6.
-	l.exp = newClassExp(l.classNats + 1)
+	if l.classes {
+		// A candidate's relative exponent is under classNats plus 2e-6.
+		l.exp = newClassExp(l.classNats + 1)
+	}
 	return l, nil
 }
 
@@ -367,13 +319,6 @@ func (l *Ledger) Config() Config { return l.cfg }
 // ActiveCalls returns the number of calls currently projecting shadows.
 func (l *Ledger) ActiveCalls() int { return len(l.tracks) }
 
-// Stats reports how many near-threshold queries fell back to the exact
-// oracle-order footprint sum and how many full matrix rebuilds have run;
-// see Snapshot for the full counter set.
-func (l *Ledger) Stats() (exactFallbacks, rebuilds int64) {
-	return l.fallbacks, l.rebuilds
-}
-
 // LedgerStats is a point-in-time snapshot of one ledger's internal
 // counters — the observability surface for ledgers running behind a
 // serve.Service or a shard.Engine shard lock, where the instance
@@ -381,15 +326,10 @@ func (l *Ledger) Stats() (exactFallbacks, rebuilds int64) {
 type LedgerStats struct {
 	// ActiveCalls is the number of calls currently projecting shadows.
 	ActiveCalls int
-	// ExactFallbacks counts near-threshold queries answered by the
-	// exact oracle-order footprint sum instead of the incrementally
-	// maintained matrix — the guard band actually firing.
+	// ExactFallbacks is always 0: whole-BU aggregates are exact, so no
+	// decision falls back to a re-summed aggregate. The field remains
+	// for readers that still name it (perfbench's scc.fallback_ratio).
 	ExactFallbacks int64
-	// Rebuilds counts full matrix re-aggregations: tick rolls and ops
-	// budget exhaustion under ReservationWeighted, explicit Rebuild
-	// calls in either mode. Under ReservationFull the matrix is exact, so
-	// ticks and the budget never rebuild it.
-	Rebuilds int64
 	// Exports counts ExportDemand calls; Generation is the current
 	// export generation (equal to Exports on a live ledger).
 	Exports    int64
@@ -400,13 +340,12 @@ type LedgerStats struct {
 	// MigratedOut / MigratedIn count tracked calls handed to / received
 	// from sibling ledgers through the elastic-sharding migration seam.
 	MigratedOut, MigratedIn int64
-	// ClassShadows counts the clusters the full-reservation class shadow
-	// was asked for, ExactShadows the clusters the exact shadow derived
-	// (the class shadow's fallbacks, and every cluster under
-	// ReservationWeighted). Visited counts the stations whose bound
-	// exponent those clusters computed, Exps the station weights they
-	// evaluated: by the table exp in class shadows, by math.Exp in
-	// exact ones.
+	// ClassShadows counts the clusters the class shadow was asked for,
+	// ExactShadows those it could not certify, which the reference
+	// appendShadow derived instead. Visited counts the stations whose
+	// distance those clusters computed, Exps the station weights they
+	// evaluated: by the table exp in class shadows, by math.Exp (every
+	// station) in exact ones.
 	ClassShadows, ExactShadows, Visited, Exps int64
 }
 
@@ -415,8 +354,6 @@ type LedgerStats struct {
 // per-shard ledgers of a sharded engine into one summary.
 func (s LedgerStats) Add(o LedgerStats) LedgerStats {
 	s.ActiveCalls += o.ActiveCalls
-	s.ExactFallbacks += o.ExactFallbacks
-	s.Rebuilds += o.Rebuilds
 	s.Exports += o.Exports
 	s.GhostApplies += o.GhostApplies
 	s.GhostRows += o.GhostRows
@@ -434,8 +371,8 @@ func (s LedgerStats) Add(o LedgerStats) LedgerStats {
 
 // String renders a one-line operator summary.
 func (s LedgerStats) String() string {
-	return fmt.Sprintf("scc-ledger: %d active, %d guard-band fallbacks, %d rebuilds, %d exports, %d ghost applies (%d rows), %d migrated out, %d migrated in, %d class shadows, %d exact shadows, %d stations visited, %d weights evaluated",
-		s.ActiveCalls, s.ExactFallbacks, s.Rebuilds, s.Exports, s.GhostApplies, s.GhostRows, s.MigratedOut, s.MigratedIn,
+	return fmt.Sprintf("scc-ledger: %d active, %d exports, %d ghost applies (%d rows), %d migrated out, %d migrated in, %d class shadows, %d exact shadows, %d stations visited, %d weights evaluated",
+		s.ActiveCalls, s.Exports, s.GhostApplies, s.GhostRows, s.MigratedOut, s.MigratedIn,
 		s.ClassShadows, s.ExactShadows, s.Visited, s.Exps)
 }
 
@@ -444,32 +381,29 @@ func (s LedgerStats) String() string {
 // itself is not concurrency-safe.
 func (l *Ledger) Snapshot() LedgerStats {
 	return LedgerStats{
-		ActiveCalls:    len(l.tracks),
-		ExactFallbacks: l.fallbacks,
-		Rebuilds:       l.rebuilds,
-		Exports:        l.exports,
-		Generation:     l.exportGen,
-		GhostApplies:   l.ghostApplies,
-		GhostRows:      l.ghostRows,
-		MigratedOut:    l.migratedOut,
-		MigratedIn:     l.migratedIn,
-		ClassShadows:   l.classStats.shadows,
-		ExactShadows:   l.classStats.pruned,
-		Visited:        l.classStats.visited,
-		Exps:           l.classStats.exps,
+		ActiveCalls:  len(l.tracks),
+		Exports:      l.exports,
+		Generation:   l.exportGen,
+		GhostApplies: l.ghostApplies,
+		GhostRows:    l.ghostRows,
+		MigratedOut:  l.migratedOut,
+		MigratedIn:   l.migratedIn,
+		ClassShadows: l.classStats.shadows,
+		ExactShadows: l.classStats.exact,
+		Visited:      l.classStats.visited,
+		Exps:         l.classStats.exps,
 	}
 }
 
 // footprint computes the shadow-cluster footprint of one track: its
 // reserved demand per (cell, interval) over the projection horizon,
-// appended to dst. Zero reservations are skipped — adding 0 to a matrix
-// entry is an exact no-op, so the applied matrix stays bitwise equal to
-// the sum over non-zero contributions.
+// appended to dst. Zero reservations are skipped: adding 0 to a matrix
+// entry changes nothing.
 func (l *Ledger) footprint(dst []footCell, tr track) []footCell {
 	unit := geo.UnitFromHeading(tr.headingDeg)
 	for k := 0; k <= l.cfg.Horizon; k++ {
 		start := len(dst)
-		dst = l.cluster(dst, &tr, unit, k, l.surv[k])
+		dst = l.cluster(dst, &tr, unit, k)
 		kept := start
 		for _, fc := range dst[start:] {
 			if fc.amount != 0 {
@@ -483,18 +417,13 @@ func (l *Ledger) footprint(dst []footCell, tr track) []footCell {
 }
 
 // apply adds (sign=+1) or removes (sign=-1) a footprint to the matrix.
-// It must never rebuild: callers invoke it while the track set is
-// mid-mutation (a removal's footprint still registered in active), and
-// a rebuild from that state would resurrect the footprint being
-// removed. Mutators call maybeRebuild once their state is consistent.
-func (l *Ledger) apply(foot []footCell, sign float64) {
+func (l *Ledger) apply(foot []footCell, sign int) {
 	h := l.cfg.Horizon + 1
 	for _, fc := range foot {
 		mi := int(fc.cell)*h + int(fc.k)
 		l.demand[mi] += sign * fc.amount
 		l.markDirty(mi)
 	}
-	l.ops += len(foot)
 }
 
 // markDirty marks dense matrix index mi for the next ExportDemand scan.
@@ -502,69 +431,12 @@ func (l *Ledger) markDirty(mi int) {
 	l.dirty[mi>>6] |= 1 << (mi & 63)
 }
 
-// maybeRebuild resets floating-point drift once the incremental ops
-// budget is spent. Only call it with active/ids/footprints consistent.
-// Under ReservationFull the matrix carries no drift (see driftFree).
-func (l *Ledger) maybeRebuild() {
-	if l.ops >= rebuildOpsBudget && !l.driftFree() {
-		l.Rebuild()
-	}
-}
-
-// driftFree reports whether every local matrix entry is exactly the sum
-// its footprints make in the oracle's order, so Rebuild would rewrite
-// each entry with itself. Under ReservationFull every amount is a whole
-// number of BU, and every incremental add, remove and rebuild of such
-// sums is exact (see DESIGN.md, "No band in ReservationFull mode").
-func (l *Ledger) driftFree() bool {
-	return l.cfg.Reservation == ReservationFull
-}
-
-// Rebuild re-aggregates the demand matrix from the cached footprints in
-// ascending call-ID order — the same summation order the recompute
-// Controller uses — resetting accumulated floating-point drift to zero.
-func (l *Ledger) Rebuild() {
-	if cap(l.rebuildOld) < len(l.demand) {
-		l.rebuildOld = make([]float64, len(l.demand))
-	}
-	old := l.rebuildOld[:len(l.demand)]
-	copy(old, l.demand)
-	for i := range l.demand {
-		l.demand[i] = 0
-	}
-	h := l.cfg.Horizon + 1
-	for _, lt := range l.tracks {
-		for _, fc := range lt.foot {
-			l.demand[int(fc.cell)*h+int(fc.k)] += fc.amount
-		}
-	}
-	// Drift cancellation can shift entries whose footprints never went
-	// through apply since the last export; diff-mark those so the sparse
-	// export still sees every change.
-	for i := range l.demand {
-		if l.demand[i] != old[i] {
-			l.markDirty(i)
-		}
-	}
-	l.ops = 0
-	l.rebuilds++
-}
-
-// OnTick implements cac.Ticker: the periodic time advance rolls the
-// ledger forward by re-aggregating the matrix from the cached
-// footprints, cancelling the floating-point drift incremental updates
-// accumulate. (Projections themselves are anchored to each call's last
-// observed kinematics, exactly like the recompute Controller's, so a
-// tick changes no decision — only the matrix's error term.) Ticks with
-// no incremental updates since the last rebuild are free, and so is
-// every tick under ReservationFull (driftFree): either way the matrix
-// is already bitwise equal to the footprint sum.
-func (l *Ledger) OnTick(now float64) {
-	if l.ops == 0 || l.driftFree() {
-		return
-	}
-	l.Rebuild()
-}
+// OnTick implements cac.Ticker as a no-op. Every matrix entry is an
+// exact whole-BU sum, so time has nothing to reset; projections are
+// anchored to each call's last observed kinematics, exactly like the
+// recompute Controller's. The method remains because perfbench's traced
+// ledger requires the capability.
+func (l *Ledger) OnTick(now float64) {}
 
 // ExportDemand implements cac.DemandExchanger: it returns the change of
 // this ledger's OWN demand matrix (local tracks only — never the ghost
@@ -572,28 +444,22 @@ func (l *Ledger) OnTick(now float64) {
 // previous export, as (cell, interval) rows in deterministic cell-major
 // order, and advances the generation counter.
 //
-// The sharded engine calls it inside the Tick barrier, after OnTick has
-// re-aggregated a weighted matrix from the cached footprints (a
-// full-reservation matrix is exact already), so exported aggregates
-// carry no incremental floating-point drift. Receivers
-// accumulate the deltas; because consecutive exports telescope
-// (each row is the exact difference of two matrix states), a receiver's
-// accumulated ghost tracks this ledger's matrix up to the rounding of
-// its own additions — orders of magnitude below boundaryGuardBU, and
-// exactly zero in ReservationFull mode where every aggregate is a sum
-// of whole bandwidth units.
+// The sharded engine calls it inside the Tick barrier. Receivers
+// accumulate the deltas; consecutive exports telescope (each row is the
+// exact whole-BU difference of two matrix states), so a receiver's
+// accumulated ghost equals this ledger's matrix exactly.
 //
-// The scan is sparse: only entries touched since the previous export
-// (marked by apply and Rebuild in a bitset) are visited, so an export
-// costs O(touched rows) plus one word test per 64 entries, and needs no
-// sort. The returned Rows slice aliases a buffer the ledger reuses — it is valid until the next
+// The scan is sparse: only entries apply marked in a bitset since the
+// previous export are visited, so an export costs O(touched rows) plus
+// one word test per 64 entries, and needs no sort. The returned Rows
+// slice aliases a buffer the ledger reuses — it is valid until the next
 // ExportDemand call, matching the exchange barrier's lifecycle (every
 // receiver applies the delta before the next tick's export).
 //
 //facs:hotpath
 func (l *Ledger) ExportDemand() DemandDelta {
 	if l.exported == nil {
-		l.exported = make([]float64, len(l.demand)) //facs:alloc one-time lazy init; amortized to zero at steady state
+		l.exported = make([]int, len(l.demand)) //facs:alloc one-time lazy init; amortized to zero at steady state
 	}
 	h := l.cfg.Horizon + 1
 	// Ascending dense index == cell-major (cell, interval) order, the
@@ -647,7 +513,7 @@ func (l *Ledger) ApplyGhost(shardID int, delta DemandDelta) {
 // cell j at interval k — the ghost matrix ApplyGhost maintains. It is 0
 // for any cell/interval outside the matrix and on ledgers that never
 // received a ghost delta.
-func (l *Ledger) GhostDemand(j geo.Hex, k int) float64 {
+func (l *Ledger) GhostDemand(j geo.Hex, k int) int {
 	ci, ok := l.stationIndex(j)
 	if !ok || k < 0 || k > l.cfg.Horizon {
 		return 0
@@ -681,7 +547,6 @@ func (l *Ledger) MigrateOut(h geo.Hex, dst []cac.MigratedCall) []cac.MigratedCal
 	}
 	clear(l.tracks[len(kept):])
 	l.tracks = kept
-	l.maybeRebuild()
 	return dst
 }
 
@@ -705,7 +570,6 @@ func (l *Ledger) MigrateIn(rows []cac.MigratedCall) {
 		l.apply(lt.foot, +1)
 		l.migratedIn++
 	}
-	l.maybeRebuild()
 }
 
 // findTrack returns the position of call id in the ID-ordered track
@@ -801,9 +665,8 @@ func (l *Ledger) InterestRadiusCells() int {
 // from the incrementally maintained matrices for k <= Horizon and
 // recomputed from scratch beyond it (ghost deltas never extend past the
 // horizon, so the recompute path stays local-only). On a ledger without
-// ghost input it mirrors the recompute Controller's ExpectedDemand up
-// to floating-point drift (bitwise equal right after a rebuild).
-func (l *Ledger) ProjectedDemand(j geo.Hex, k int) float64 {
+// ghost input it equals the recompute Controller's ExpectedDemand.
+func (l *Ledger) ProjectedDemand(j geo.Hex, k int) int {
 	if k < 0 {
 		k = 0
 	}
@@ -819,16 +682,13 @@ func (l *Ledger) ProjectedDemand(j geo.Hex, k int) float64 {
 }
 
 // exactDemand is the oracle summation: aggregated demand for dense cell
-// ci at interval k recomputed from every tracked call in ascending call-ID
-// order, bit-identical to Controller.ExpectedDemand over the same
-// tracks (the pruned shadow is appendShadow's bit for bit). Only
-// ProjectedDemand beyond the horizon needs it; within the horizon
-// footprintDemand reads the same amounts from the cache.
-func (l *Ledger) exactDemand(ci, k int) float64 {
-	surv := survival(&l.cfg, k)
-	var sum float64
+// ci at interval k recomputed from every tracked call's cluster, equal
+// to Controller.ExpectedDemand over the same tracks. Only
+// ProjectedDemand beyond the horizon needs it.
+func (l *Ledger) exactDemand(ci, k int) int {
+	var sum int
 	for _, lt := range l.tracks {
-		l.trackCluster = l.cluster(l.trackCluster[:0], &lt.track, geo.UnitFromHeading(lt.headingDeg), k, surv)
+		l.trackCluster = l.cluster(l.trackCluster[:0], &lt.track, geo.UnitFromHeading(lt.headingDeg), k)
 		for _, fc := range l.trackCluster {
 			if int(fc.cell) == ci {
 				sum += fc.amount
@@ -839,54 +699,17 @@ func (l *Ledger) exactDemand(ci, k int) float64 {
 	return sum
 }
 
-// footprintDemand is the guard-band fallback: the aggregated local
-// demand of dense cell ci at interval k, summed from the cached
-// footprints in ascending call-ID order. Each cached amount is the
-// reserve() value exactDemand derives for that track and (cell, k)
-// (DESIGN.md invariant 2), a track without an entry contributes an
-// exact zero, and the order is the oracle's — so the sum is
-// exactDemand's bit for bit, at O(active x log footprint) instead of
-// O(active x stations) exponentials.
-func (l *Ledger) footprintDemand(ci, k int) float64 {
-	var sum float64
-	for _, lt := range l.tracks {
-		sum += footAmount(lt.foot, int32(ci), int32(k))
-	}
-	return sum
-}
-
-// footAmount binary-searches a (k, cell)-ordered footprint for the
-// amount it reserves in cell at interval k, 0 if none.
-func footAmount(foot []footCell, cell, k int32) float64 {
-	lo, hi := 0, len(foot)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if fc := foot[m]; fc.k < k || (fc.k == k && fc.cell < cell) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo < len(foot) && foot[lo].k == k && foot[lo].cell == cell {
-		return foot[lo].amount
-	}
-	return 0
-}
-
 // Decide implements cac.Controller with the recompute Controller's exact
 // semantics: admit when, for every projection interval and every cell of
 // the request's tentative shadow cluster, aggregated projected demand
 // plus the request's own reservation stays within Threshold of the cell
 // capacity. Each interval is projected once, with one HexAt; the
 // request's cluster costs, per interval, a ring walk over the nearby
-// stations and a table exp per candidate (ReservationFull) or one
-// O(stations) bound pass plus an exp per station that can change the
-// normalising sum (ReservationWeighted); aggregated demand is read from
-// the matrix in O(1); ReservationWeighted queries within
-// boundaryGuardBU of a threshold are answered from the cached footprints
-// in the oracle's summation order (footprintDemand). An accepted
-// request's footprint is stashed for the OnAdmit that commits it,
-// replacing any stash an earlier Decide or DecideBatchInto left.
+// stations and a table exp per candidate; aggregated demand is read
+// from the matrix in O(1) and compared with the cell's integer limit.
+// An accepted request's footprint is stashed for the OnAdmit that
+// commits it, replacing any stash an earlier Decide or DecideBatchInto
+// left.
 func (l *Ledger) Decide(req cac.Request) (cac.Decision, error) {
 	l.resetHandover()
 	return l.decide(req)
@@ -930,30 +753,14 @@ func (l *Ledger) decide(req cac.Request) (cac.Decision, error) {
 	// a reject truncates it away again.
 	lo := len(l.handCells)
 	for k := range plan {
-		l.reqCluster = l.clusterAt(l.reqCluster[:0], &tr, &plan[k], k, l.surv[k])
+		l.reqCluster = l.clusterAt(l.reqCluster[:0], &tr, &plan[k], k)
 		for _, fc := range l.reqCluster {
 			ci, own := int(fc.cell), fc.amount
 			if own != 0 {
 				l.handCells = append(l.handCells, fc)
 			}
 			mi := ci*h + k
-			projected := l.demand[mi] + l.ghost[mi] + own
-			limit := l.limits[ci]
-			// In ReservationFull mode every local entry is a sum of
-			// whole BU, exact and equal to the footprint sum, so the
-			// band cannot change a decision there and is skipped.
-			if d := projected - limit; d <= boundaryGuardBU && d >= -boundaryGuardBU && !l.driftFree() {
-				// Too close to the threshold for matrix drift to be
-				// provably irrelevant: take the LOCAL rows from the
-				// oracle-order footprint sum. Ghost rows are taken as-is
-				// — remote aggregates were rebuilt by their exporter
-				// before the exchange, so the only residual is the
-				// receiver-side accumulation rounding documented on
-				// ExportDemand.
-				projected = l.footprintDemand(ci, k) + l.ghost[mi] + own
-				l.fallbacks++
-			}
-			if projected > limit {
+			if l.demand[mi]+l.ghost[mi]+own > l.limits[ci] {
 				l.handCells = l.handCells[:lo]
 				return cac.Reject, nil
 			}
@@ -1045,7 +852,6 @@ func (l *Ledger) OnAdmit(req cac.Request) {
 		lt.foot = l.footprint(lt.foot[:0], lt.track)
 	}
 	l.apply(lt.foot, +1)
-	l.maybeRebuild()
 }
 
 // OnRelease implements cac.Observer: remove the call's footprint from
@@ -1059,7 +865,6 @@ func (l *Ledger) OnRelease(callID int, _ *cell.BaseStation, _ float64) {
 	copy(l.tracks[i:], l.tracks[i+1:])
 	l.tracks[len(l.tracks)-1] = nil
 	l.tracks = l.tracks[:len(l.tracks)-1]
-	l.maybeRebuild()
 }
 
 // OnStateUpdate implements cac.StateUpdater.
@@ -1083,5 +888,4 @@ func (l *Ledger) UpdateState(callID int, pos geo.Point, headingDeg, speedKmh flo
 	lt.home = home
 	lt.foot = l.footprint(lt.foot[:0], lt.track)
 	l.apply(lt.foot, +1)
-	l.maybeRebuild()
 }

@@ -6,8 +6,8 @@ import (
 	"facs/internal/geo"
 )
 
-// Constants of the Ledger's pruned shadow. DESIGN.md ("The request's own
-// shadow") carries the proof they serve.
+// Constants of the Ledger's class shadow. DESIGN.md ("Shadow classes")
+// carries the proof they serve.
 const (
 	// shadowSlack brackets a station's exact exponent x = d·d·inv (d from
 	// math.Hypot, as appendShadow computes it) by its bound exponent
@@ -15,11 +15,8 @@ const (
 	// The two differ by a few ulps plus the underflow of tiny squares, so
 	// 1e-9 is generous.
 	shadowSlack = 1e-9
-	// shadowMinMargin is the least margin M, in nats, by which a skipped
-	// station's exponent exceeds an evaluated one's: e^-40 < 2^-57.
-	shadowMinMargin = 40
-	// shadowCapNats caps the exponent up to which stations are skipped,
-	// so every weight a skip is measured against is at least e^-660 —
+	// shadowCapNats caps the exponents the class shadow measures
+	// against, so every reference weight it bounds is at least e^-700,
 	// a normal float next to which any subnormal weight is negligible.
 	shadowCapNats = 700
 	// shadowMaxCoord bounds the coordinates of the projected point and
@@ -44,13 +41,12 @@ const (
 
 // classStats counts the work behind the Ledger's clusters: the
 // clusters the class shadow was asked for and those it handed to the
-// exact shadow, the clusters the exact shadow derived (those fallbacks,
-// or every cluster without the class shadow), the stations whose bound
-// exponent was computed and the weights evaluated over every cluster
-// (by classExp in the class shadow, by math.Exp in the exact one), and
-// the HexAt calls decide made.
+// reference appendShadow, the stations whose distance was computed and
+// the weights evaluated over every cluster (by classExp in the class
+// shadow, by math.Exp at every station in the reference), and the HexAt
+// calls decide made.
 type classStats struct {
-	shadows, exact, pruned, visited, exps, decideHexes int64
+	shadows, exact, visited, exps, decideHexes int64
 }
 
 // interval is one projection interval of a mobile: the dead-reckoned
@@ -98,136 +94,39 @@ func (t classExp) at(x float64) float64 {
 	return t[j] * (1 - f*(1-f*(0.5-f*(1.0/6-f*(1.0/24)))))
 }
 
-// shadowCell is one entry of a Ledger shadow: appendShadow's CellProb
-// with the station's dense index in place of its hex.
-type shadowCell struct {
-	ci   int32
-	prob float64
-}
-
-// shadow appends to dst the shadow of the call tr describes at its
-// projected interval iv, number k: the entries appendShadow emits for
-// the same kinematics, in the same station order and with bitwise the
-// same probabilities, each carrying its dense station index.
-//
-// Unlike appendShadow it evaluates math.Exp only for stations whose
-// weight can change the normalising sum. A bound pass computes every
-// station's exponent without Hypot or Exp. The stations ahead of the
-// anchor — the last station whose bound lies at least M + ln(n+1) nats
-// below every earlier station's — weigh less in total than half an ulp
-// of the anchor's weight, so the reference sum equals that weight once
-// the anchor is added. From the anchor on, a station whose bound exceeds
-// the smallest exact exponent evaluated so far by more than M weighs less
-// than half an ulp of the running sum, which adding it leaves unchanged.
-// Every other station is evaluated exactly as appendShadow does it.
-// When every weight underflows (total == 0) appendShadow itself supplies
-// the nearest-station collapse.
-func (l *Ledger) shadow(dst []shadowCell, tr *track, iv *interval, k int) []shadowCell {
-	q, inv := iv.q, iv.inv
-	pts := l.stationPos
-	bound := l.bound[:len(pts)]
-	// With the projected point, the stations and inv all within
-	// shadowMaxCoord, every bound is finite; otherwise (or on NaN)
-	// nothing is skipped.
-	prune := math.Abs(q.X) <= shadowMaxCoord && math.Abs(q.Y) <= shadowMaxCoord && inv <= shadowMaxCoord
-	// Bound pass. anchorCap is the minimum of shadowCapNats and every
-	// earlier station's lower bound; only a new minimum can fit under it.
-	anchor := 0
-	emin, anchorCap := math.Inf(1), float64(shadowCapNats)
-	for i, p := range pts {
-		dx, dy := q.X-p.X, q.Y-p.Y
-		e := (dx*dx + dy*dy) * inv
-		bound[i] = e
-		if e < emin {
-			if e*(1+shadowSlack)+l.anchorMargin <= anchorCap {
-				anchor = i
-			}
-			emin = e
-			anchorCap = min(anchorCap, e*(1-shadowSlack))
-		}
-	}
-	if !prune {
-		anchor = 0
-	}
-
-	weights := l.weights
-	evaluated := l.evaluated[:len(pts)]
-	n := 0
-	var total float64
-	xmin, skipAbove := math.Inf(1), math.Inf(1)
-	for i := anchor; i < len(pts); i++ {
-		if bound[i]*(1-shadowSlack) > skipAbove {
-			continue
-		}
-		d := q.DistanceTo(pts[i])
-		nx := -d * d * inv
-		w := math.Exp(nx)
-		weights[i] = w
-		total += w
-		evaluated[n] = int32(i)
-		n++
-		if x := -nx; x < xmin {
-			xmin = x
-			if t := x + l.margin + shadowSlack; prune && t <= shadowCapNats {
-				skipAbove = t
-			}
-		}
-	}
-	evaluated = evaluated[:n]
-	l.evaluated = evaluated
-	if total == 0 {
-		l.collapse = appendShadow(&l.cfg, l.stations, l.weights, l.collapse[:0], tr.pos, tr.headingDeg, tr.speedMps, k)
-		for _, cp := range l.collapse {
-			ci, _ := l.stationIndex(cp.Hex)
-			dst = append(dst, shadowCell{ci: ci, prob: cp.Prob})
-		}
-		return dst
-	}
-	for _, i := range evaluated {
-		if p := weights[i] / total; p >= l.cfg.MinProb {
-			dst = append(dst, shadowCell{ci: i, prob: p})
-		}
-	}
-	return dst
-}
-
 // cluster appends to dst a mobile's shadow cluster at projection
 // interval k for the call tr describes: one footCell per station
-// appendShadow emits, in station order, carrying the demand reserve()
-// derives from the station's probability and surv (zero included).
-// unit must be geo.UnitFromHeading(tr.headingDeg).
-func (l *Ledger) cluster(dst []footCell, tr *track, unit geo.Vector, k int, surv float64) []footCell {
+// appendShadow emits, in station order, carrying the amount reserve()
+// derives from the station's probability (zero included). unit must be
+// geo.UnitFromHeading(tr.headingDeg).
+func (l *Ledger) cluster(dst []footCell, tr *track, unit geo.Vector, k int) []footCell {
 	var iv interval
 	l.project(&iv, tr, unit, k)
-	return l.clusterAt(dst, tr, &iv, k, surv)
+	return l.clusterAt(dst, tr, &iv, k)
 }
 
-// clusterAt is cluster at the projected interval iv. In ReservationFull
-// mode the class shadow answers when it can certify every station's
-// class; otherwise, and in ReservationWeighted mode, the exact shadow
-// supplies the probabilities.
-func (l *Ledger) clusterAt(dst []footCell, tr *track, iv *interval, k int, surv float64) []footCell {
-	if l.classes {
-		l.classStats.shadows++
-		out, ok := l.classShadow(dst, tr.bu, iv, k)
-		if ok {
-			return out
-		}
-		l.classStats.exact++
+// clusterAt is cluster at the projected interval iv. The class shadow
+// answers when it can certify every station's class; otherwise the
+// reference appendShadow supplies the probabilities, visiting and
+// weighing every station.
+func (l *Ledger) clusterAt(dst []footCell, tr *track, iv *interval, k int) []footCell {
+	l.classStats.shadows++
+	if out, ok := l.classShadow(dst, tr.bu, iv, k); ok {
+		return out
 	}
-	l.shadowBuf = l.shadow(l.shadowBuf[:0], tr, iv, k)
-	l.classStats.pruned++
-	l.classStats.visited += int64(len(l.stationPos))
-	l.classStats.exps += int64(len(l.evaluated))
-	bu := float64(tr.bu)
-	for _, sc := range l.shadowBuf {
-		dst = append(dst, footCell{cell: sc.ci, k: int32(k), amount: reserve(&l.cfg, bu, sc.prob, surv)})
+	l.classStats.exact++
+	l.classStats.visited += int64(len(l.stations))
+	l.classStats.exps += int64(len(l.stations))
+	l.shadowBuf = appendShadow(&l.cfg, l.stations, l.weights, l.shadowBuf[:0], tr.pos, tr.headingDeg, tr.speedMps, k)
+	for _, cp := range l.shadowBuf {
+		ci, _ := l.stationIndex(cp.Hex)
+		dst = append(dst, footCell{cell: ci, k: int32(k), amount: reserve(&l.cfg, tr.bu, cp.Prob)})
 	}
 	return dst
 }
 
-// classShadow is clusterAt in ReservationFull mode without
-// probabilities. There a station's demand depends only on its class:
+// classShadow is clusterAt without probabilities. A station's demand
+// depends only on its class:
 // none (p below MinProb), check-only (emitted, p below InclusionProb,
 // amount 0) or reserve (amount bu). A ring walk from the projected
 // point's hex visits only the stations that can lie within T nats of
@@ -238,11 +137,10 @@ func (l *Ledger) clusterAt(dst []footCell, tr *track, iv *interval, k int, surv 
 // bracketed likewise, with the unvisited stations' mass as a tail term.
 // When a station's probability interval straddles a threshold, or the
 // walk's preconditions fail, classShadow reports false and leaves dst as
-// it was. DESIGN.md ("Full-reservation shadow classes") carries the
-// proof.
+// it was. DESIGN.md ("Shadow classes") carries the proof.
 func (l *Ledger) classShadow(dst []footCell, bu int, iv *interval, k int) ([]footCell, bool) {
 	q, inv := iv.q, iv.inv
-	if !(math.Abs(q.X) <= shadowMaxCoord && math.Abs(q.Y) <= shadowMaxCoord && inv <= shadowMaxCoord) {
+	if !l.classes || !(math.Abs(q.X) <= shadowMaxCoord && math.Abs(q.Y) <= shadowMaxCoord && inv <= shadowMaxCoord) {
 		return dst, false
 	}
 	c, ok := l.stationIndex(iv.hex)
@@ -318,7 +216,6 @@ func (l *Ledger) classShadow(dst []footCell, bu int, iv *interval, k int) ([]foo
 	hi := (sum + float64(len(pts)-len(cands))*l.classTail) * (1 + rel)
 	fhi, flo := (1-rel)/hi, (1+rel)/lo
 	minProb, inclusion := l.cfg.MinProb, l.cfg.InclusionProb
-	amountBU := float64(bu)
 	start := len(dst)
 	for n, i := range cands {
 		r := weights[n]
@@ -326,7 +223,7 @@ func (l *Ledger) classShadow(dst []footCell, bu int, iv *interval, k int) ([]foo
 		if phi < minProb {
 			continue
 		}
-		amount := amountBU
+		amount := bu
 		switch {
 		case plo < minProb:
 			return dst[:start], false

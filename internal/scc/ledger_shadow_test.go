@@ -60,11 +60,10 @@ func randomShadowInput(rng *rand.Rand, net *cell.Network, extent float64, horizo
 
 // eachShadowInput runs check over the shadow equivalence grid: 0-18
 // rings, 100-2000 m cells and configurations that stretch sigma,
-// SpreadAlpha and MinProb (down to 1e-30, where only the derived margin
-// keeps skipped stations out of the emitted set), each in the given
-// reservation mode, with randomized kinematics per case plus one point
-// so far outside coverage that every weight underflows at sigma = 1 m.
-func eachShadowInput(t *testing.T, mode ReservationMode, check func(t *testing.T, l *Ledger, in shadowInput)) {
+// SpreadAlpha and MinProb (down to 1e-30, where the truncation T grows
+// past 70 nats), with randomized kinematics per case plus one point so
+// far outside coverage that every weight underflows at sigma = 1 m.
+func eachShadowInput(t *testing.T, check func(t *testing.T, l *Ledger, in shadowInput)) {
 	configs := []struct {
 		name   string
 		mutate func(*Config)
@@ -90,7 +89,7 @@ func eachShadowInput(t *testing.T, mode ReservationMode, check func(t *testing.T
 					n = samples / 4
 				}
 				t.Run(fmt.Sprintf("rings=%d/r=%g/%s", rings, radius, cf.name), func(t *testing.T) {
-					l := newLedger(t, net, cf.mutate, func(c *Config) { c.Reservation = mode })
+					l := newLedger(t, net, cf.mutate)
 					rng := rand.New(rand.NewSource(int64(rings*1000) + int64(radius)))
 					inputs := make([]shadowInput, 0, n+1)
 					for i := 0; i < n; i++ {
@@ -106,39 +105,26 @@ func eachShadowInput(t *testing.T, mode ReservationMode, check func(t *testing.T
 	}
 }
 
-// TestLedgerShadowMatchesReference pins the Ledger's pruned shadow to
-// appendShadow, the reference the recompute Controller uses: for
-// randomized kinematics over many geometries and configurations, both
-// must emit the same cells in the same order with bitwise-equal
-// probabilities. The inputs include standstill, out-of-range k, points
-// exactly on stations and points so far outside coverage that every
-// weight underflows (the nearest-station collapse).
+// TestLedgerShadowMatchesReference pins every shadow the Ledger derives
+// to appendShadow, the reference the recompute Controller uses: for
+// randomized kinematics over many geometries and configurations,
+// cluster (the class shadow, or the reference itself where a class is
+// uncertain) must emit the reference's cells in its order with the
+// reservations its probabilities imply. The inputs include standstill,
+// out-of-range k, points exactly on stations and points so far outside
+// coverage that every weight underflows (the nearest-station collapse).
+// Both routes must answer some clusters.
 func TestLedgerShadowMatchesReference(t *testing.T) {
-	var evaluated, weighed int
-	eachShadowInput(t, ReservationWeighted, func(t *testing.T, l *Ledger, in shadowInput) {
-		want := appendShadow(&l.cfg, l.stations, make([]float64, len(l.stations)), nil, in.pos, in.heading, in.speedMps, in.k)
-		tr := track{pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
-		var iv interval
-		l.project(&iv, &tr, geo.UnitFromHeading(in.heading), in.k)
-		got := l.shadow(nil, &tr, &iv, in.k)
-		evaluated += len(l.evaluated)
-		weighed += len(l.stations)
-		if len(got) != len(want) {
-			t.Fatalf("%+v: ledger shadow has %d entries, reference %d", in, len(got), len(want))
-		}
-		for i := range want {
-			if h := l.stations[got[i].ci].Hex(); h != want[i].Hex ||
-				math.Float64bits(got[i].prob) != math.Float64bits(want[i].Prob) {
-				t.Fatalf("%+v entry %d: ledger %v p=%v, reference %v p=%v",
-					in, i, h, got[i].prob, want[i].Hex, want[i].Prob)
-			}
-		}
+	var total classStats
+	eachShadowInput(t, func(t *testing.T, l *Ledger, in shadowInput) {
+		before := l.classStats
+		checkClasses(t, l, in)
+		total.shadows += l.classStats.shadows - before.shadows
+		total.exact += l.classStats.exact - before.exact
 	})
-	// The pruning must actually prune, or the equality above is vacuous.
-	share := float64(evaluated) / float64(weighed)
-	t.Logf("evaluated %.1f%% of %d station weights", 100*share, weighed)
-	if share >= 0.9 {
-		t.Fatalf("pruned shadow evaluated %.1f%% of station weights; want well below 100%%", 100*share)
+	t.Logf("reference shadow answered %d of %d clusters", total.exact, total.shadows)
+	if total.exact == 0 || total.exact == total.shadows {
+		t.Fatalf("reference shadow answered %d of %d clusters; want both routes", total.exact, total.shadows)
 	}
 }
 
@@ -146,20 +132,28 @@ func TestLedgerShadowMatchesReference(t *testing.T) {
 // cell reads classBU and a check-only cell 0.
 const classBU = 7
 
-// checkClasses asserts that cluster's ReservationFull answer for in is
-// appendShadow's thresholded one: the same cells in the same order,
+// checkClasses asserts that cluster's answer for in is appendShadow's
+// thresholded one: the same cells in the same order,
 // each reserving classBU where the reference probability reaches
 // InclusionProb and 0 where it does not.
 func checkClasses(t *testing.T, l *Ledger, in shadowInput) {
 	t.Helper()
 	want := appendShadow(&l.cfg, l.stations, make([]float64, len(l.stations)), nil, in.pos, in.heading, in.speedMps, in.k)
 	tr := track{bu: classBU, pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
-	got := l.cluster(nil, &tr, geo.UnitFromHeading(in.heading), in.k, 1)
+	got := l.cluster(nil, &tr, geo.UnitFromHeading(in.heading), in.k)
+	checkAgainst(t, l, in, got, want)
+}
+
+// checkAgainst asserts that the cluster got lists want's cells in
+// order, each reserving classBU where the reference probability reaches
+// InclusionProb and 0 where it does not.
+func checkAgainst(t *testing.T, l *Ledger, in shadowInput, got []footCell, want []CellProb) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%+v: cluster has %d cells, reference shadow %d", in, len(got), len(want))
 	}
 	for i, cp := range want {
-		amount := 0.0
+		amount := 0
 		if cp.Prob >= l.cfg.InclusionProb {
 			amount = classBU
 		}
@@ -170,37 +164,41 @@ func checkClasses(t *testing.T, l *Ledger, in shadowInput) {
 	}
 }
 
-// TestLedgerShadowClassesMatchReference pins the full-reservation class
-// shadow to the reference over the shadow equivalence grid: the cells
-// and reservations of every cluster must be appendShadow's thresholded
-// ones, whichever of the class shadow and its exact fallback answers.
-// It then places points whose reference probability lies within 1e-9
-// of MinProb or of InclusionProb, where no certified class exists, and
-// requires the exact fallback to answer them. The tail-free case
-// measures the width of that fallback band against the class shadow's
-// error budget.
+// TestLedgerShadowClassesMatchReference pins the class shadow alone to
+// the reference over the shadow equivalence grid: every cluster
+// classShadow certifies must list appendShadow's cells with their
+// thresholded reservations. It then places points whose reference
+// probability lies within 1e-9 of MinProb or of InclusionProb, where
+// no certified class exists, and requires the reference fallback to
+// answer them. The tail-free case measures the width of that fallback
+// band against the class shadow's error budget.
 func TestLedgerShadowClassesMatchReference(t *testing.T) {
-	var total classStats
-	eachShadowInput(t, ReservationFull, func(t *testing.T, l *Ledger, in shadowInput) {
-		before := l.classStats
-		checkClasses(t, l, in)
-		total.shadows += l.classStats.shadows - before.shadows
-		total.exact += l.classStats.exact - before.exact
+	var asked, answered int
+	eachShadowInput(t, func(t *testing.T, l *Ledger, in shadowInput) {
+		tr := track{bu: classBU, pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
+		var iv interval
+		l.project(&iv, &tr, geo.UnitFromHeading(in.heading), in.k)
+		asked++
+		got, ok := l.classShadow(nil, classBU, &iv, in.k)
+		if !ok {
+			return
+		}
+		answered++
+		want := appendShadow(&l.cfg, l.stations, make([]float64, len(l.stations)), nil, in.pos, in.heading, in.speedMps, in.k)
+		checkAgainst(t, l, in, got, want)
 	})
 	// Projections off coverage and sigma = 1 m (exponents past
-	// shadowCapNats) go to the exact shadow by design; the class shadow
-	// must still answer a good share, or the equality is the exact
-	// shadow's alone.
-	answered := total.shadows - total.exact
-	t.Logf("class shadow answered %d of %d clusters", answered, total.shadows)
-	if answered*4 < total.shadows {
-		t.Fatalf("class shadow answered %d of %d clusters; want at least a quarter", answered, total.shadows)
+	// shadowCapNats) go to the reference by design; the class shadow
+	// must still answer a good share, or the equality is vacuous.
+	t.Logf("class shadow answered %d of %d clusters", answered, asked)
+	if answered*4 < asked {
+		t.Fatalf("class shadow answered %d of %d clusters; want at least a quarter", answered, asked)
 	}
 
 	net := newSizedNet(t, 2, 500)
-	l := newLedger(t, net, func(c *Config) { c.Reservation = ReservationFull })
+	l := newLedger(t, net)
 	if !l.classes {
-		t.Fatal("default full-reservation ledger has the class shadow off")
+		t.Fatal("default ledger has the class shadow off")
 	}
 	prob := segmentProb(l, l.stationPos[0], l.stationPos[1])
 	for _, thr := range []float64{l.cfg.MinProb, l.cfg.InclusionProb} {
@@ -225,8 +223,8 @@ func TestLedgerShadowClassesMatchReference(t *testing.T) {
 // thr·(1±γ)/(1∓γ), γ the relative slack of weights and sum. The budget
 // is restated here from its parts: the e-vs-x exponent slack below
 // shadowCapNats, the reference's math.Exp error, the table exp's error
-// and four roundings per station plus a few (DESIGN.md, "Full-reservation
-// shadow classes"). Points just inside the band, 2e-11 relative from its
+// and four roundings per station plus a few (DESIGN.md, "Shadow
+// classes"). Points just inside the band, 2e-11 relative from its
 // edge, must take the exact fallback: that margin exceeds what the
 // table exp, whose truncation error stays under 7.9e-12, can move a
 // probability, but is less than what dropping a part of γ as small as
@@ -238,7 +236,7 @@ func checkTailFreeBand(t *testing.T) {
 	// through the centre station every exponent lies within 12·r²·inv
 	// = 11.6 nats of the nearest one, inside T = 12.
 	net := newSizedNet(t, 1, 500)
-	l := newLedger(t, net, func(c *Config) { c.Reservation = ReservationFull; c.SigmaPosM = 360 })
+	l := newLedger(t, net, func(c *Config) { c.SigmaPosM = 360 })
 	if !l.classes {
 		t.Fatal("tail-free ledger has the class shadow off")
 	}
@@ -330,8 +328,8 @@ func bisectProb(t *testing.T, prob func(float64) float64, target float64) [2]flo
 	return [2]float64{lo, hi}
 }
 
-// checkFallback runs checkClasses on in and requires the exact fallback
-// to have answered it, or the class shadow, as fallback says.
+// checkFallback runs checkClasses on in and requires the reference
+// fallback to have answered it, or the class shadow, as fallback says.
 func checkFallback(t *testing.T, l *Ledger, in shadowInput, fallback bool) {
 	t.Helper()
 	exact := l.classStats.exact
@@ -342,20 +340,18 @@ func checkFallback(t *testing.T, l *Ledger, in shadowInput, fallback bool) {
 }
 
 // BenchmarkLedgerShadow times one shadow — the reference appendShadow
-// against the Ledger's pruned shadow and its full-reservation class
-// shadow (cluster) — at k = 0 and k = Horizon, on the 127-cell district
-// and the 1027-cell city geometry (500 m cells, the Fig. 10
-// configuration), over kinematics inside coverage. The evaluated-share
-// metric is the fraction of station weights whose exp the routine
-// computes (1 for the reference); the class case reports exp calls,
-// visited stations and exact-shadow fallbacks per shadow instead.
+// against the Ledger's class shadow (cluster) — at k = 0 and
+// k = Horizon, on the 127-cell district and the 1027-cell city geometry
+// (500 m cells, the Fig. 10 configuration), over kinematics inside
+// coverage. The class case reports exp calls, visited stations and
+// reference fallbacks per shadow.
 func BenchmarkLedgerShadow(b *testing.B) {
 	for _, geom := range []struct {
 		name  string
 		rings int
 	}{{"district", 6}, {"city", 18}} {
 		net := newSizedNet(b, geom.rings, 500)
-		l, err := NewLedger(Config{Network: net, Reservation: ReservationFull, RequireClusterCoverage: true})
+		l, err := NewLedger(Config{Network: net, RequireClusterCoverage: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -378,20 +374,6 @@ func BenchmarkLedgerShadow(b *testing.B) {
 					in := &inputs[i%len(inputs)]
 					dst = appendShadow(&l.cfg, l.stations, l.weights, dst[:0], in.pos, in.heading, in.speedMps, k)
 				}
-				b.ReportMetric(1, "evaluated-share")
-			})
-			b.Run(fmt.Sprintf("%s/ledger/k=%d", geom.name, k), func(b *testing.B) {
-				var dst []shadowCell
-				evaluated := 0
-				for i := 0; i < b.N; i++ {
-					in := &inputs[i%len(inputs)]
-					tr := track{pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
-					var iv interval
-					l.project(&iv, &tr, geo.UnitFromHeading(in.heading), k)
-					dst = l.shadow(dst[:0], &tr, &iv, k)
-					evaluated += len(l.evaluated)
-				}
-				b.ReportMetric(float64(evaluated)/float64(b.N*len(l.stations)), "evaluated-share")
 			})
 			b.Run(fmt.Sprintf("%s/classes/k=%d", geom.name, k), func(b *testing.B) {
 				var dst []footCell
@@ -399,7 +381,7 @@ func BenchmarkLedgerShadow(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					in := &inputs[i%len(inputs)]
 					tr := track{bu: 1, pos: in.pos, headingDeg: in.heading, speedMps: in.speedMps}
-					dst = l.cluster(dst[:0], &tr, geo.UnitFromHeading(in.heading), k, 1)
+					dst = l.cluster(dst[:0], &tr, geo.UnitFromHeading(in.heading), k)
 				}
 				n := float64(b.N)
 				b.ReportMetric(float64(l.classStats.exps-before.exps)/n, "exp/op")
@@ -415,14 +397,14 @@ func BenchmarkLedgerShadow(b *testing.B) {
 // against math.Exp (itself within an ulp, far below the bound's
 // margin): at every knot, one ulp either side of every knot, at the
 // table end and at 1e5 random points, for the default truncation and
-// for one near the widest a class shadow runs with. The table must
+// for a wider one. The table must
 // reach a nat past the truncation (a candidate's relative exponent
 // stays within 2e-6 of it), and the nearest station's relative weight,
 // exp(0), must be exactly 1.
 func TestClassExpWithinBound(t *testing.T) {
 	net := newSizedNet(t, 1, 500)
 	for _, minProb := range []float64{0, 1e-16} {
-		l := newLedger(t, net, func(c *Config) { c.Reservation, c.MinProb = ReservationFull, minProb })
+		l := newLedger(t, net, func(c *Config) { c.MinProb = minProb })
 		if !l.classes {
 			t.Fatalf("MinProb %g: class shadow off", l.cfg.MinProb)
 		}

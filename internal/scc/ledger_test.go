@@ -2,6 +2,7 @@ package scc
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,27 +66,26 @@ func randomRequest(t *testing.T, rng *rand.Rand, net *cell.Network, id int, radi
 
 // TestLedgerMatchesOracleRandomized drives the recompute Controller and
 // the Ledger through identical randomized admit / release / update /
-// decide sequences and asserts byte-identical decisions throughout, for
-// both reservation modes and with the cluster-coverage requirement on
-// and off. Decide-then-commit steps exercise the Decide -> OnAdmit
-// footprint hand-over: a twin ledger receives the same mutations through
-// OnAdmit alone, and its demand matrix must stay bitwise equal to the
-// ledger's after every step.
+// decide sequences and asserts byte-identical decisions throughout, with
+// the cluster-coverage requirement on and off. Decide-then-commit steps
+// exercise the Decide -> OnAdmit footprint hand-over: a twin ledger
+// receives the same mutations through OnAdmit alone, and its demand
+// matrix must stay equal to the ledger's after every step. Each
+// scenario must send some clusters to the reference shadow, so the
+// class shadow's fallback is exercised too.
 func TestLedgerMatchesOracleRandomized(t *testing.T) {
 	scenarios := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		{"weighted", func(*Config) {}},
-		{"full-coverage", func(c *Config) {
-			c.Reservation = ReservationFull
-			c.RequireClusterCoverage = true
-		}},
+		{"defaults", func(*Config) {}},
+		{"full-coverage", func(c *Config) { c.RequireClusterCoverage = true }},
 		{"tight-threshold", func(c *Config) { c.Threshold = 0.4 }},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			var adopted int
+			var exact int64
 			for seed := int64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				net := newNet(t, 2)
@@ -146,8 +146,8 @@ func TestLedgerMatchesOracleRandomized(t *testing.T) {
 						t.Fatalf("active mismatch: oracle %d, ledger %d", oracle.ActiveCalls(), ledger.ActiveCalls())
 					}
 					for i := range ledger.demand {
-						if math.Float64bits(ledger.demand[i]) != math.Float64bits(twin.demand[i]) {
-							t.Fatalf("seed %d step %d: demand[%d] = %v, OnAdmit-only twin has %v",
+						if ledger.demand[i] != twin.demand[i] {
+							t.Fatalf("seed %d step %d: demand[%d] = %d, OnAdmit-only twin has %d",
 								seed, step, i, ledger.demand[i], twin.demand[i])
 						}
 					}
@@ -155,9 +155,13 @@ func TestLedgerMatchesOracleRandomized(t *testing.T) {
 				if decisions == 0 {
 					t.Fatal("randomized run rendered no decisions")
 				}
+				exact += ledger.Snapshot().ExactShadows
 			}
 			if adopted == 0 {
 				t.Fatal("no commit adopted a stashed footprint; the hand-over is not exercised")
+			}
+			if exact == 0 {
+				t.Fatal("no cluster took the reference shadow; the class shadow's fallback is not exercised")
 			}
 		})
 	}
@@ -242,75 +246,119 @@ func decideThenCommit(t *testing.T, rng *rand.Rand, net *cell.Network, oracle *C
 	return adopted
 }
 
-// TestLedgerFootprintFallbackIsOracleSum pins the guard band's proof
-// obligation: through randomized admit / release / update / migrate
-// sequences in both reservation modes, the cached-footprint sum the
-// fallback answers with equals the oracle summation exactDemand
-// bit for bit, for every (cell, interval), after every operation — on
-// both ledgers a migration moves tracks between.
+// TestLedgerFootprintFallbackIsOracleSum pins the ledger's conservation
+// invariant under full reservation, which names the subtest: through
+// randomized admit / release / update / migrate / restore sequences on
+// two ledgers a migration moves tracks between, every demand entry
+// equals, after every operation, both the sum of the cached footprints
+// and the recompute oracle's ExpectedDemand over the same calls. Each
+// ledger has its own oracle, fed the same operations.
 func TestLedgerFootprintFallbackIsOracleSum(t *testing.T) {
-	for _, mode := range []ReservationMode{ReservationWeighted, ReservationFull} {
-		t.Run(mode.String(), func(t *testing.T) {
-			mutate := func(c *Config) { c.Reservation = mode }
-			net := newNet(t, 1)
-			radius := 2.0 * 2000 * 1.5
-			steps := 200
-			if testing.Short() {
-				steps = 60
-			}
-			for seed := int64(1); seed <= 3; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				ledgers := []*Ledger{newLedger(t, net, mutate), newLedger(t, net, mutate)}
-				nextID := 0
-				for step := 0; step < steps; step++ {
-					l := ledgers[rng.Intn(2)]
-					live := l.tracks
-					switch op := rng.Float64(); {
-					case op < 0.45: // admit
-						l.OnAdmit(randomRequest(t, rng, net, nextID, radius))
-						nextID++
-					case op < 0.65 && len(live) > 0: // release
-						l.OnRelease(live[rng.Intn(len(live))].id, nil, 0)
-					case op < 0.85 && len(live) > 0: // kinematic update
-						id := live[rng.Intn(len(live))].id
-						pos := randomCoveredPoint(t, rng, net, radius)
-						bs, err := net.StationAt(pos)
-						if err != nil {
-							t.Fatal(err)
-						}
-						l.UpdateState(id, pos, rng.Float64()*360-180, rng.Float64()*120, bs.Hex())
-					default: // migrate one cell's tracks to the sibling
-						other := ledgers[0]
-						if other == l {
-							other = ledgers[1]
-						}
-						home := net.Stations()[rng.Intn(net.NumCells())].Hex()
-						other.MigrateIn(l.MigrateOut(home, nil))
+	t.Run("full", func(t *testing.T) {
+		net := newNet(t, 1)
+		radius := 2.0 * 2000 * 1.5
+		steps := 200
+		if testing.Short() {
+			steps = 60
+		}
+		var migrated, restored int
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ledgers := []*Ledger{newLedger(t, net), newLedger(t, net)}
+			oracles := []*Controller{newSCC(t, net), newSCC(t, net)}
+			nextID := 0
+			for step := 0; step < steps; step++ {
+				i := rng.Intn(2)
+				l, o := ledgers[i], oracles[i]
+				live := l.tracks
+				switch op := rng.Float64(); {
+				case op < 0.45: // admit
+					req := randomRequest(t, rng, net, nextID, radius)
+					nextID++
+					l.OnAdmit(req)
+					o.OnAdmit(req)
+				case op < 0.65 && len(live) > 0: // release
+					id := live[rng.Intn(len(live))].id
+					l.OnRelease(id, nil, 0)
+					o.OnRelease(id, nil, 0)
+				case op < 0.8 && len(live) > 0: // kinematic update
+					id := live[rng.Intn(len(live))].id
+					pos := randomCoveredPoint(t, rng, net, radius)
+					bs, err := net.StationAt(pos)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for li, l := range ledgers {
-						for ci, bs := range l.stations {
-							for k := 0; k <= l.cfg.Horizon; k++ {
-								got, want := l.footprintDemand(ci, k), l.exactDemand(ci, k)
-								if math.Float64bits(got) != math.Float64bits(want) {
-									t.Fatalf("seed %d step %d ledger %d: footprint sum for %v k=%d is %v, oracle sum %v",
-										seed, step, li, bs.Hex(), k, got, want)
-								}
-							}
-						}
+					heading, speed := rng.Float64()*360-180, rng.Float64()*120
+					l.UpdateState(id, pos, heading, speed, bs.Hex())
+					o.UpdateState(id, pos, heading, speed, bs.Hex())
+				case op < 0.92: // migrate one cell's tracks to the sibling
+					home := net.Stations()[rng.Intn(net.NumCells())].Hex()
+					rows := l.MigrateOut(home, nil)
+					ledgers[1-i].MigrateIn(rows)
+					for _, r := range rows {
+						o.OnRelease(r.ID, nil, 0)
+						oracleMigrateIn(oracles[1-i], r)
 					}
+					migrated += len(rows)
+				default: // restore a snapshot into a fresh twin
+					twin := newLedger(t, net)
+					if err := twin.RestoreFrom(bytes.NewReader(ledgerSnapshotBlob(t, l))); err != nil {
+						t.Fatal(err)
+					}
+					ledgers[i] = twin
+					restored++
 				}
-				if ledgers[0].ActiveCalls() == 0 && ledgers[1].ActiveCalls() == 0 {
-					t.Fatal("randomized run left no tracks to sum")
+				for li, l := range ledgers {
+					checkFootprintSum(t, l, oracles[li], fmt.Sprintf("seed %d step %d ledger %d", seed, step, li))
 				}
 			}
-		})
+			if ledgers[0].ActiveCalls() == 0 && ledgers[1].ActiveCalls() == 0 {
+				t.Fatal("randomized run left no tracks to sum")
+			}
+		}
+		if migrated == 0 || restored == 0 {
+			t.Fatalf("%d calls migrated, %d restores; want both", migrated, restored)
+		}
+	})
+}
+
+// oracleMigrateIn tracks a migrated call on the recompute oracle, as
+// MigrateIn does on a ledger.
+func oracleMigrateIn(c *Controller, r cac.MigratedCall) {
+	c.ids = insertID(c.ids, r.ID)
+	c.active[r.ID] = track{bu: r.BU, pos: r.Pos, headingDeg: r.HeadingDeg, speedMps: r.SpeedMps, home: r.Home}
+}
+
+// checkFootprintSum requires every demand entry of l to equal the sum
+// of its cached footprints and oracle's ExpectedDemand there.
+func checkFootprintSum(t *testing.T, l *Ledger, oracle *Controller, where string) {
+	t.Helper()
+	if l.ActiveCalls() != oracle.ActiveCalls() {
+		t.Fatalf("%s: ledger tracks %d calls, oracle %d", where, l.ActiveCalls(), oracle.ActiveCalls())
+	}
+	h := l.cfg.Horizon + 1
+	sums := make([]int, len(l.demand))
+	for _, lt := range l.tracks {
+		for _, fc := range lt.foot {
+			sums[int(fc.cell)*h+int(fc.k)] += fc.amount
+		}
+	}
+	for ci, bs := range l.stations {
+		for k := 0; k < h; k++ {
+			got := l.demand[ci*h+k]
+			if got != sums[ci*h+k] {
+				t.Fatalf("%s: demand at %v k=%d is %d, footprints sum to %d", where, bs.Hex(), k, got, sums[ci*h+k])
+			}
+			if want := oracle.ExpectedDemand(bs.Hex(), k); float64(got) != want {
+				t.Fatalf("%s: demand at %v k=%d is %d, oracle %v", where, bs.Hex(), k, got, want)
+			}
+		}
 	}
 }
 
 // TestLedgerDemandMatchesRecompute is the ledger-invariant property test:
 // after a randomized admit/release/update sequence the matrix equals a
-// from-scratch recomputation within floating-point drift, and bitwise
-// after a rebuild (OnTick).
+// from-scratch recomputation, within the horizon and beyond it.
 func TestLedgerDemandMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := newNet(t, 1)
@@ -342,33 +390,21 @@ func TestLedgerDemandMatchesRecompute(t *testing.T) {
 			oracle.UpdateState(id, pos, 45, 60, bs.Hex())
 		}
 	}
-	for _, bs := range net.Stations() {
-		for k := 0; k <= ledger.Config().Horizon; k++ {
-			want := oracle.ExpectedDemand(bs.Hex(), k)
-			got := ledger.ProjectedDemand(bs.Hex(), k)
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("drifted demand at %v k=%d: ledger %v, recompute %v", bs.Hex(), k, got, want)
-			}
-		}
-	}
-	ledger.OnTick(0)
 	// Beyond the horizon ProjectedDemand re-derives every track's shadow
 	// (exactDemand), which must be the oracle's too.
 	for _, bs := range net.Stations() {
 		for k := 0; k <= ledger.Config().Horizon+2; k++ {
 			want := oracle.ExpectedDemand(bs.Hex(), k)
 			got := ledger.ProjectedDemand(bs.Hex(), k)
-			if got != want {
-				t.Fatalf("rebuild not bitwise exact at %v k=%d: ledger %v, recompute %v", bs.Hex(), k, got, want)
+			if float64(got) != want {
+				t.Fatalf("demand at %v k=%d: ledger %d, recompute %v", bs.Hex(), k, got, want)
 			}
 		}
 	}
-	// Releasing everything and rebuilding must return the matrix to
-	// exactly zero.
+	// Releasing everything must return the matrix to exactly zero.
 	for _, id := range append([]int(nil), live...) {
 		ledger.OnRelease(id, nil, 0)
 	}
-	ledger.OnTick(0)
 	for _, bs := range net.Stations() {
 		if got := ledger.ProjectedDemand(bs.Hex(), 0); got != 0 {
 			t.Fatalf("empty ledger demand at %v = %v, want exactly 0", bs.Hex(), got)
@@ -376,76 +412,64 @@ func TestLedgerDemandMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestLedgerGuardBandFallback crafts demand sitting exactly on the
-// survivability threshold, where a naive incremental comparison could
-// flip on drift, and checks the ledger against the oracle there. In
-// ReservationWeighted mode the tie must go through the exact footprint
-// summation; in ReservationFull mode every aggregate is a whole number
-// of BU, exact in the matrix, so the band must never fire.
-func TestLedgerGuardBandFallback(t *testing.T) {
-	net := newNet(t, 0) // single 40 BU cell
-	decide := func(t *testing.T, oracle *Controller, ledger *Ledger, req cac.Request) cac.Decision {
-		t.Helper()
-		want, err := oracle.Decide(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ledger.Decide(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("boundary decision for call %d: ledger %v, oracle %v", req.Call.ID, got, want)
-		}
-		return got
-	}
-	t.Run("full", func(t *testing.T) {
-		mutate := func(c *Config) {
-			c.Threshold = 0.5 // 20 BU budget
-			c.Reservation = ReservationFull
-		}
+// TestLedgerIntegerLimitMatchesOracle pins the integer limit against
+// the oracle's float comparison at ties: on a single 40 BU cell whose
+// stationary calls reserve whole BU at every interval, demand landing
+// exactly on a whole limit (Threshold 0.5: 20 BU) is accepted and one
+// BU past it rejected, and under a fractional product (Threshold 0.51:
+// 20.4 BU, floor 20) demand of 20 is accepted and 21 rejected.
+func TestLedgerIntegerLimitMatchesOracle(t *testing.T) {
+	net := newNet(t, 0)
+	for _, tc := range []struct {
+		threshold float64
+		limit     int
+	}{{0.5, 20}, {0.51, 20}} {
+		mutate := func(c *Config) { c.Threshold = tc.threshold }
 		oracle := newSCC(t, net, mutate)
 		ledger := newLedger(t, net, mutate)
-		// Two stationary video calls reserve exactly 20 BU at every
-		// interval.
-		for id := 0; id < 2; id++ {
-			req := sccRequest(t, net, id, traffic.Video, geo.Point{}, 0, 0)
+		if got := ledger.limits[0]; got != tc.limit {
+			t.Fatalf("threshold %v: limit %d BU, want %d", tc.threshold, got, tc.limit)
+		}
+		// A video (10 BU) and five texts (1 BU each) reserve 15 BU.
+		calls := []traffic.Class{traffic.Video, traffic.Text, traffic.Text, traffic.Text, traffic.Text, traffic.Text}
+		for id, class := range calls {
+			req := sccRequest(t, net, id, class, geo.Point{}, 0, 0)
 			oracle.OnAdmit(req)
 			ledger.OnAdmit(req)
 		}
-		// A stationary video request projects 20 + 10 > 20: reject.
-		decide(t, oracle, ledger, sccRequest(t, net, 50, traffic.Video, geo.Point{}, 0, 0))
-		// The release of one video (20 -> 10) re-opens the cell: the
-		// next video lands exactly on the limit, 10 + 10 = 20.
-		ledger.OnRelease(0, nil, 0)
-		oracle.OnRelease(0, nil, 0)
-		if got := decide(t, oracle, ledger, sccRequest(t, net, 51, traffic.Video, geo.Point{}, 0, 0)); got != cac.Accept {
-			t.Fatalf("post-release decision %v, want accept", got)
+		for _, probe := range []struct {
+			class traffic.Class
+			want  cac.Decision
+		}{
+			{traffic.Voice, cac.Accept}, // 15 + 5 = 20, on the limit
+			{traffic.Video, cac.Reject}, // 15 + 10 = 25
+		} {
+			req := sccRequest(t, net, 50, probe.class, geo.Point{}, 0, 0)
+			want, err := oracle.Decide(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ledger.Decide(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || got != probe.want {
+				t.Fatalf("threshold %v, %v request: ledger %v, oracle %v, want %v", tc.threshold, probe.class, got, want, probe.want)
+			}
 		}
-		if fallbacks, _ := ledger.Stats(); fallbacks != 0 {
-			t.Fatalf("guard band fired %d times on whole-BU aggregates", fallbacks)
-		}
-	})
-	t.Run("weighted", func(t *testing.T) {
-		mutate := func(c *Config) {
-			c.Threshold = 0.5
-			c.Reservation = ReservationWeighted
-		}
-		oracle := newSCC(t, net, mutate)
-		ledger := newLedger(t, net, mutate)
-		// On the single cell p = 1, and at k = 0 survival is 1, so one
-		// tracked video and a video request meet the 20 BU limit
-		// exactly at k = 0; later intervals decay below it.
-		req := sccRequest(t, net, 0, traffic.Video, geo.Point{}, 0, 0)
+		// One more text puts a voice request one BU past the limit.
+		req := sccRequest(t, net, 60, traffic.Text, geo.Point{}, 0, 0)
 		oracle.OnAdmit(req)
 		ledger.OnAdmit(req)
-		if got := decide(t, oracle, ledger, sccRequest(t, net, 50, traffic.Video, geo.Point{}, 0, 0)); got != cac.Accept {
-			t.Fatalf("tie decision %v, want accept", got)
+		probe := sccRequest(t, net, 61, traffic.Voice, geo.Point{}, 0, 0)
+		want, err := oracle.Decide(probe)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fallbacks, _ := ledger.Stats(); fallbacks == 0 {
-			t.Fatal("exact fallback should have triggered on the threshold boundary")
+		if got, err := ledger.Decide(probe); err != nil || got != want || got != cac.Reject {
+			t.Fatalf("threshold %v, 21 BU: ledger %v (%v), oracle %v, want reject", tc.threshold, got, err, want)
 		}
-	})
+	}
 }
 
 // TestLedgerDecideBatch asserts the native batch path returns exactly
@@ -486,52 +510,47 @@ func TestLedgerDecideBatch(t *testing.T) {
 }
 
 // TestLedgerDecideZeroAllocs is the allocation gate on the ledger's
-// decision path: once warmed, DecideBatchInto allocates nothing in
-// either reservation mode, on a batch where some requests' projections
-// leave coverage, so the cluster-coverage check rejects them. That
-// check must answer from the ledger's station table; the network's
-// StationAt formats an error for every point off coverage.
+// decision path: once warmed, DecideBatchInto allocates nothing (the
+// subtest names full reservation), on a batch where some requests' projections leave coverage, so the
+// cluster-coverage check rejects them. That check must answer from the
+// ledger's station table; the network's StationAt formats an error for
+// every point off coverage.
 func TestLedgerDecideZeroAllocs(t *testing.T) {
-	for _, mode := range []ReservationMode{ReservationWeighted, ReservationFull} {
-		t.Run(mode.String(), func(t *testing.T) {
-			net := newSizedNet(t, 2, 500)
-			l := newLedger(t, net, func(c *Config) {
-				c.Reservation = mode
-				c.RequireClusterCoverage = true
-			})
-			rng := rand.New(rand.NewSource(9))
-			const radius = 500 * 4
-			for id := 0; id < 20; id++ {
-				l.OnAdmit(randomRequest(t, rng, net, id, radius))
-			}
-			reqs := make([]cac.Request, 64)
-			leaving := 0
-			for i := range reqs {
-				reqs[i] = randomRequest(t, rng, net, 100+i, radius)
-				est := reqs[i].Est
-				for k := 1; k <= l.cfg.Horizon; k++ {
-					q := geo.Move(est.Pos, est.HeadingDeg, geo.KmhToMps(est.SpeedKmh)*float64(k)*l.cfg.DeltaT)
-					if _, err := net.StationAt(q); err != nil {
-						leaving++
-						break
-					}
+	t.Run("full", func(t *testing.T) {
+		net := newSizedNet(t, 2, 500)
+		l := newLedger(t, net, func(c *Config) { c.RequireClusterCoverage = true })
+		rng := rand.New(rand.NewSource(9))
+		const radius = 500 * 4
+		for id := 0; id < 20; id++ {
+			l.OnAdmit(randomRequest(t, rng, net, id, radius))
+		}
+		reqs := make([]cac.Request, 64)
+		leaving := 0
+		for i := range reqs {
+			reqs[i] = randomRequest(t, rng, net, 100+i, radius)
+			est := reqs[i].Est
+			for k := 1; k <= l.cfg.Horizon; k++ {
+				q := geo.Move(est.Pos, est.HeadingDeg, geo.KmhToMps(est.SpeedKmh)*float64(k)*l.cfg.DeltaT)
+				if _, err := net.StationAt(q); err != nil {
+					leaving++
+					break
 				}
 			}
-			if leaving == 0 || leaving == len(reqs) {
-				t.Fatalf("%d of %d requests leave coverage; want some, not all", leaving, len(reqs))
+		}
+		if leaving == 0 || leaving == len(reqs) {
+			t.Fatalf("%d of %d requests leave coverage; want some, not all", leaving, len(reqs))
+		}
+		out := make([]cac.Decision, len(reqs))
+		decide := func() {
+			if err := l.DecideBatchInto(reqs, out); err != nil {
+				t.Fatal(err)
 			}
-			out := make([]cac.Decision, len(reqs))
-			decide := func() {
-				if err := l.DecideBatchInto(reqs, out); err != nil {
-					t.Fatal(err)
-				}
-			}
-			decide() // warm the scratch buffers
-			if allocs := testing.AllocsPerRun(20, decide); allocs != 0 {
-				t.Fatalf("DecideBatchInto allocates %v times per batch of %d (%d leave coverage)", allocs, len(reqs), leaving)
-			}
-		})
-	}
+		}
+		decide() // warm the scratch buffers
+		if allocs := testing.AllocsPerRun(20, decide); allocs != 0 {
+			t.Fatalf("DecideBatchInto allocates %v times per batch of %d (%d leave coverage)", allocs, len(reqs), leaving)
+		}
+	})
 }
 
 // TestLedgerLifecycle covers the remaining Observer/StateUpdater edges:
@@ -565,64 +584,11 @@ func TestLedgerLifecycle(t *testing.T) {
 	oracle := newSCC(t, net)
 	oracle.OnAdmit(req2)
 	deep := ledger.Config().Horizon + 3
-	if got, want := ledger.ProjectedDemand(east, deep), oracle.ExpectedDemand(east, deep); got != want {
+	if got, want := ledger.ProjectedDemand(east, deep), oracle.ExpectedDemand(east, deep); float64(got) != want {
 		t.Fatalf("beyond-horizon demand = %v, want %v", got, want)
 	}
 	if got := ledger.ProjectedDemand(geo.Hex{Q: 40, R: 40}, 0); got != 0 {
 		t.Fatalf("demand outside the deployment = %v, want 0", got)
-	}
-}
-
-// TestLedgerRebuildDuringChurn pins a regression: the ops-budget
-// rebuild used to fire from inside apply(-1), while the footprint
-// being removed was still registered in the track set, resurrecting it
-// wholesale. Churning enough admit/release pairs to trip the budget
-// mid-removal must leave the matrix exactly on the from-scratch sum.
-func TestLedgerRebuildDuringChurn(t *testing.T) {
-	net := newNet(t, 0) // single cell: footprints are small and cheap
-	ledger := newLedger(t, net)
-	// One persistent stationary video call...
-	keeper := sccRequest(t, net, 1, traffic.Video, geo.Point{}, 0, 0)
-	ledger.OnAdmit(keeper)
-	// ...plus enough admit/release churn of a second call to spend the
-	// rebuild ops budget several times over, so rebuilds land at every
-	// phase of the mutation cycle.
-	churn := sccRequest(t, net, 2, traffic.Voice, geo.Point{}, 0, 0)
-	for i := 0; i < 90_000; i++ {
-		ledger.OnAdmit(churn)
-		ledger.OnRelease(2, nil, 0)
-	}
-	if _, rebuilds := ledger.Stats(); rebuilds == 0 {
-		t.Fatal("churn did not trip the ops-budget rebuild; the regression is not exercised")
-	}
-	oracle := newSCC(t, net)
-	oracle.OnAdmit(keeper)
-	for k := 0; k <= ledger.Config().Horizon; k++ {
-		want := oracle.ExpectedDemand(geo.Hex{}, k)
-		if got := ledger.ProjectedDemand(geo.Hex{}, k); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("k=%d: matrix %v, from-scratch %v (released footprint resurrected?)", k, got, want)
-		}
-	}
-}
-
-// TestLedgerTickSkipsCleanMatrix asserts OnTick is free when nothing
-// changed since the last rebuild.
-func TestLedgerTickSkipsCleanMatrix(t *testing.T) {
-	net := newNet(t, 0)
-	ledger := newLedger(t, net)
-	ledger.OnAdmit(sccRequest(t, net, 1, traffic.Voice, geo.Point{}, 0, 0))
-	ledger.OnTick(10)
-	_, after := ledger.Stats()
-	ledger.OnTick(20)
-	ledger.OnTick(30)
-	if _, got := ledger.Stats(); got != after {
-		t.Fatalf("clean-matrix ticks rebuilt anyway: %d -> %d rebuilds", after, got)
-	}
-	// New churn re-arms the rebuild.
-	ledger.OnRelease(1, nil, 0)
-	ledger.OnTick(40)
-	if _, got := ledger.Stats(); got != after+1 {
-		t.Fatalf("dirty tick should rebuild: %d -> %d", after, got)
 	}
 }
 
@@ -631,125 +597,79 @@ func TestLedgerTickSkipsCleanMatrix(t *testing.T) {
 // stashes: for 1e4 random requests, many placed on hex corners and on
 // the coverage edge (a hair inside, on and outside it), the footprint an
 // accepted decision stashes is exactly the one footprint derives from
-// the call's track alone, in both reservation modes.
+// the call's track alone (the subtest names full reservation).
 func TestDecideStashMatchesFootprint(t *testing.T) {
-	for _, mode := range []ReservationMode{ReservationWeighted, ReservationFull} {
-		t.Run(mode.String(), func(t *testing.T) {
-			net := newSizedNet(t, 3, 500)
-			l := newLedger(t, net, func(c *Config) {
-				c.Reservation = mode
-				c.RequireClusterCoverage = true
-			})
-			stations := net.Stations()
-			radius := net.Layout().CellRadius
-			rng := rand.New(rand.NewSource(31))
-			classes := []traffic.Class{traffic.Text, traffic.Voice, traffic.Video}
-			n := 10000
-			if testing.Short() {
-				n = 2000
+	t.Run("full", func(t *testing.T) {
+		net := newSizedNet(t, 3, 500)
+		l := newLedger(t, net, func(c *Config) { c.RequireClusterCoverage = true })
+		stations := net.Stations()
+		radius := net.Layout().CellRadius
+		rng := rand.New(rand.NewSource(31))
+		classes := []traffic.Class{traffic.Text, traffic.Voice, traffic.Video}
+		n := 10000
+		if testing.Short() {
+			n = 2000
+		}
+		accepted := 0
+		var live []int
+		for id := 0; id < n; id++ {
+			bs := stations[rng.Intn(len(stations))]
+			c := bs.Pos()
+			// Pointy-top corners sit at 30° + k·60°; f scales the
+			// corner distance a hair in, onto or out of the hex.
+			a := math.Pi/6 + math.Pi/3*float64(rng.Intn(6))
+			f := []float64{1 - 1e-12, 1, 1 + 1e-12, 1.01, rng.Float64()}[rng.Intn(5)]
+			if rng.Intn(4) == 0 {
+				a = rng.Float64() * 2 * math.Pi
 			}
-			accepted := 0
-			var live []int
-			for id := 0; id < n; id++ {
-				bs := stations[rng.Intn(len(stations))]
-				c := bs.Pos()
-				// Pointy-top corners sit at 30° + k·60°; f scales the
-				// corner distance a hair in, onto or out of the hex.
-				a := math.Pi/6 + math.Pi/3*float64(rng.Intn(6))
-				f := []float64{1 - 1e-12, 1, 1 + 1e-12, 1.01, rng.Float64()}[rng.Intn(5)]
-				if rng.Intn(4) == 0 {
-					a = rng.Float64() * 2 * math.Pi
-				}
-				pos := geo.Point{X: c.X + f*radius*math.Cos(a), Y: c.Y + f*radius*math.Sin(a)}
-				heading := rng.Float64()*360 - 180
-				speed := []float64{0, rng.Float64() * 120, rng.Float64() * 300}[rng.Intn(3)]
-				class := classes[rng.Intn(len(classes))]
-				req := cac.Request{
-					Call:    cell.Call{ID: id, Class: class, BU: class.BandwidthUnits()},
-					Station: bs,
-					Est:     gpsEstimate(pos, heading, speed),
-				}
-				d, err := l.Decide(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d != cac.Accept {
-					continue
-				}
-				accepted++
-				if len(l.hand) != 1 {
-					t.Fatalf("request %d: accepted with %d stashed footprints", id, len(l.hand))
-				}
-				got := l.handCells[l.hand[0].lo:l.hand[0].hi]
-				want := l.footprint(nil, track{bu: req.Call.BU, pos: pos, headingDeg: heading, speedMps: geo.KmhToMps(speed)})
-				if len(got) != len(want) {
-					t.Fatalf("request %d at %v: stashed %d cells, footprint %d", id, pos, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("request %d at %v cell %d: stashed %+v, footprint %+v", id, pos, i, got[i], want[i])
-					}
-				}
-				// Keep a few calls tracked, so some requests are refused.
-				if rng.Intn(8) == 0 {
-					l.OnAdmit(req)
-					live = append(live, id)
-					if len(live) > 12 {
-						l.OnRelease(live[0], nil, 0)
-						live = live[1:]
-					}
+			pos := geo.Point{X: c.X + f*radius*math.Cos(a), Y: c.Y + f*radius*math.Sin(a)}
+			heading := rng.Float64()*360 - 180
+			speed := []float64{0, rng.Float64() * 120, rng.Float64() * 300}[rng.Intn(3)]
+			class := classes[rng.Intn(len(classes))]
+			req := cac.Request{
+				Call:    cell.Call{ID: id, Class: class, BU: class.BandwidthUnits()},
+				Station: bs,
+				Est:     gpsEstimate(pos, heading, speed),
+			}
+			d, err := l.Decide(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d != cac.Accept {
+				continue
+			}
+			accepted++
+			if len(l.hand) != 1 {
+				t.Fatalf("request %d: accepted with %d stashed footprints", id, len(l.hand))
+			}
+			got := l.handCells[l.hand[0].lo:l.hand[0].hi]
+			want := l.footprint(nil, track{bu: req.Call.BU, pos: pos, headingDeg: heading, speedMps: geo.KmhToMps(speed)})
+			if len(got) != len(want) {
+				t.Fatalf("request %d at %v: stashed %d cells, footprint %d", id, pos, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("request %d at %v cell %d: stashed %+v, footprint %+v", id, pos, i, got[i], want[i])
 				}
 			}
-			t.Logf("%d of %d requests accepted", accepted, n)
-			if accepted < n/4 || accepted == n {
-				t.Fatalf("%d of %d requests accepted; want a mix", accepted, n)
+			// Keep a few calls tracked, so some requests are refused.
+			if rng.Intn(8) == 0 {
+				l.OnAdmit(req)
+				live = append(live, id)
+				if len(live) > 12 {
+					l.OnRelease(live[0], nil, 0)
+					live = live[1:]
+				}
 			}
-		})
-	}
+		}
+		t.Logf("%d of %d requests accepted", accepted, n)
+		if accepted < n/4 || accepted == n {
+			t.Fatalf("%d of %d requests accepted; want a mix", accepted, n)
+		}
+	})
 }
 
-// TestFullRebuildLeavesMatrixUnchanged pins why ReservationFull skips
-// the tick and ops-budget rebuilds: after random admits, releases,
-// kinematic updates, decisions and migrations, a Rebuild rewrites every
-// matrix entry with its own bits, and OnTick never runs one.
-func TestFullRebuildLeavesMatrixUnchanged(t *testing.T) {
-	net := newNet(t, 2)
-	l := newLedger(t, net, func(c *Config) { c.Reservation = ReservationFull })
-	rng := rand.New(rand.NewSource(5))
-	var live []int
-	nextID := 0
-	var migrated []cac.MigratedCall
-	for step := 0; step < 600; step++ {
-		driveLedgerStep(t, l, rng, net, &live, &nextID, step)
-		if step%40 != 39 {
-			continue
-		}
-		// Move one cell's calls out and back in, as a rebalance does.
-		migrated = l.MigrateOut(net.Stations()[rng.Intn(net.NumCells())].Hex(), migrated[:0])
-		l.MigrateIn(migrated)
-		l.OnTick(float64(step))
-		if _, rebuilds := l.Stats(); rebuilds != 0 {
-			t.Fatalf("step %d: a full-reservation tick rebuilt the matrix (%d rebuilds)", step, rebuilds)
-		}
-		before := append([]float64(nil), l.demand...)
-		l.Rebuild()
-		for i := range before {
-			if math.Float64bits(l.demand[i]) != math.Float64bits(before[i]) {
-				t.Fatalf("step %d: Rebuild moved entry %d from %v to %v", step, i, before[i], l.demand[i])
-			}
-		}
-		if _, rebuilds := l.Stats(); rebuilds != 1 {
-			t.Fatalf("explicit Rebuild counted %d rebuilds, want 1", rebuilds)
-		}
-		l.rebuilds = 0
-	}
-	if len(live) == 0 {
-		t.Fatal("churn left no live calls; the matrix under test is empty")
-	}
-}
-
-// BenchmarkLedgerDecideDistrict times the full-reservation decision
-// kernel on the district geometry (127 cells of 500 m, 40 BU, the
+// BenchmarkLedgerDecideDistrict times the decision kernel on the district geometry (127 cells of 500 m, 40 BU, the
 // coverage requirement): DecideBatchInto over 256 random requests inside
 // coverage, against a ledger tracking 400 calls. The metrics report the
 // shadows' visited stations and evaluated weights per decision.
@@ -758,7 +678,7 @@ func BenchmarkLedgerDecideDistrict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := NewLedger(Config{Network: net, Reservation: ReservationFull, RequireClusterCoverage: true})
+	l, err := NewLedger(Config{Network: net, RequireClusterCoverage: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 
 // demandMass sums the local demand matrix (no ghost) over every cell
 // and interval.
-func demandMass(l *Ledger) float64 {
-	var total float64
+func demandMass(l *Ledger) int {
+	var total int
 	for _, v := range l.demand {
 		total += v
 	}
@@ -88,11 +88,11 @@ func TestLedgerMigrateConservesDemand(t *testing.T) {
 	if dst.ActiveCalls() != active {
 		t.Fatalf("destination tracks %d calls, want %d", dst.ActiveCalls(), active)
 	}
-	if got := demandMass(src); math.Abs(got) > 1e-9 {
-		t.Fatalf("source demand mass %g after full migration, want 0", got)
+	if got := demandMass(src); got != 0 {
+		t.Fatalf("source demand mass %d after full migration, want 0", got)
 	}
-	if got := demandMass(dst); math.Abs(got-before) > 1e-9*before {
-		t.Fatalf("destination demand mass %g, want %g", got, before)
+	if got := demandMass(dst); got != before {
+		t.Fatalf("destination demand mass %d, want %d", got, before)
 	}
 	// Per-entry equality against an oracle that admitted directly.
 	h := dst.cfg.Horizon + 1
@@ -102,8 +102,8 @@ func TestLedgerMigrateConservesDemand(t *testing.T) {
 		oracle.OnAdmit(randomRequest(t, rng2, net, i, 4000))
 	}
 	for i := range dst.demand {
-		if math.Abs(dst.demand[i]-oracle.demand[i]) > 1e-9 {
-			t.Fatalf("demand[%d] = %g after migration, oracle has %g (cell %v k %d)",
+		if dst.demand[i] != oracle.demand[i] {
+			t.Fatalf("demand[%d] = %d after migration, oracle has %d (cell %v k %d)",
 				i, dst.demand[i], oracle.demand[i], dst.stations[i/h].Hex(), i%h)
 		}
 	}
@@ -155,20 +155,20 @@ func TestLedgerResetExchangeRepublishesAbsolute(t *testing.T) {
 	if delta.Gen <= genBefore {
 		t.Fatalf("export generation rewound: %d after reset, %d before", delta.Gen, genBefore)
 	}
-	var exported float64
+	var exported int
 	for _, r := range delta.Rows {
 		exported += r.Amount
 	}
-	if mass := demandMass(exp); math.Abs(exported-mass) > 1e-9*math.Abs(mass) {
-		t.Fatalf("post-reset export carries %g BU, exporter demand mass is %g (not absolute)", exported, mass)
+	if mass := demandMass(exp); exported != mass {
+		t.Fatalf("post-reset export carries %d BU, exporter demand mass is %d (not absolute)", exported, mass)
 	}
 	recv.ApplyGhost(0, delta)
 	for _, bs := range net.Stations() {
 		for k := 0; k <= exp.cfg.Horizon; k++ {
 			want := exp.ProjectedDemand(bs.Hex(), k)
 			got := recv.GhostDemand(bs.Hex(), k)
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("receiver ghost for %v k=%d is %g, exporter demand %g", bs.Hex(), k, got, want)
+			if got != want {
+				t.Fatalf("receiver ghost for %v k=%d is %d, exporter demand %d", bs.Hex(), k, got, want)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package scc
 
 import (
-	"strings"
 	"testing"
 
 	"facs/internal/cac"
@@ -10,19 +9,13 @@ import (
 	"facs/internal/traffic"
 )
 
-func TestReservationModeStringer(t *testing.T) {
-	if ReservationWeighted.String() != "weighted" || ReservationFull.String() != "full" {
-		t.Fatal("stringer mismatch")
-	}
-	if !strings.Contains(ReservationMode(9).String(), "9") {
-		t.Fatal("unknown mode should include its value")
-	}
-}
-
 func TestReservationModeValidation(t *testing.T) {
 	net := newNet(t, 0)
-	if _, err := New(Config{Network: net, Reservation: ReservationMode(42)}); err == nil {
-		t.Fatal("unknown reservation mode should error")
+	// 1 is the number of the retired weighted mode.
+	for _, mode := range []ReservationMode{1, 42} {
+		if _, err := New(Config{Network: net, Reservation: mode}); err == nil {
+			t.Fatalf("reservation mode %d should error", mode)
+		}
 	}
 	if _, err := New(Config{Network: net, InclusionProb: 1.5}); err == nil {
 		t.Fatal("inclusion probability above 1 should error")
@@ -31,43 +24,14 @@ func TestReservationModeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Config().Reservation != ReservationWeighted || c.Config().InclusionProb != 0.15 {
+	if c.Config().Reservation != ReservationFull || c.Config().InclusionProb != 0.15 {
 		t.Fatalf("defaults not applied: %+v", c.Config())
-	}
-}
-
-func TestFullReservationDemandExceedsWeighted(t *testing.T) {
-	net := newNet(t, 1)
-	weighted := newSCC(t, net)
-	full := newSCC(t, net, func(cfg *Config) { cfg.Reservation = ReservationFull })
-	// A fast mobile whose shadow spreads across several cells.
-	req := sccRequest(t, net, 1, traffic.Video, geo.Point{}, 0, 120)
-	weighted.OnAdmit(req)
-	full.OnAdmit(req)
-	home := geo.Hex{Q: 0, R: 0}
-	var weightedTotal, fullTotal float64
-	for _, bs := range net.Stations() {
-		for k := 0; k <= 6; k++ {
-			weightedTotal += weighted.ExpectedDemand(bs.Hex(), k)
-			fullTotal += full.ExpectedDemand(bs.Hex(), k)
-		}
-	}
-	if fullTotal <= weightedTotal {
-		t.Fatalf("full reservation (%v) should exceed weighted (%v)", fullTotal, weightedTotal)
-	}
-	// Weighted demand at k=0 is ~10 (one video call); full is exactly 10
-	// in the home cell (prob ~1 >= inclusion).
-	if got := full.ExpectedDemand(home, 0); got != 10 {
-		t.Fatalf("full home demand = %v, want exactly 10", got)
 	}
 }
 
 func TestFullReservationIgnoresLowProbabilityCells(t *testing.T) {
 	net := newNet(t, 1)
-	full := newSCC(t, net, func(cfg *Config) {
-		cfg.Reservation = ReservationFull
-		cfg.InclusionProb = 0.45
-	})
+	full := newSCC(t, net, func(cfg *Config) { cfg.InclusionProb = 0.45 })
 	req := sccRequest(t, net, 1, traffic.Video, geo.Point{}, 0, 0)
 	full.OnAdmit(req)
 	// A stationary call's mass sits ~entirely at home: every neighbour

@@ -28,17 +28,16 @@ type Config struct {
 	// travel, widening the shadow for fast or distant projections.
 	// Default 0.3.
 	SpreadAlpha float64
-	// MeanHoldingSec is the expected call holding time used for the
-	// survival probability of projected demand. Default 120.
-	MeanHoldingSec float64
 	// MinProb is the probability mass below which a cell is excluded
 	// from a shadow cluster. Default 0.02.
 	MinProb float64
-	// Reservation selects the demand-accumulation semantics. Default
-	// ReservationWeighted.
+	// Reservation names the demand-accumulation semantics. Full
+	// reservation is the only one: zero means ReservationFull, and
+	// Validate refuses any other value. The field remains so that
+	// configurations naming ReservationFull still build.
 	Reservation ReservationMode
-	// InclusionProb is the probability mass above which ReservationFull
-	// reserves a call's full bandwidth in a cell. Default 0.15.
+	// InclusionProb is the probability mass from which a tracked call
+	// reserves its full bandwidth in a cell. Default 0.15.
 	InclusionProb float64
 	// MaxSpeedKmh declares a workload bound the caller promises to
 	// respect: every admission request's (and every tracked call's)
@@ -61,35 +60,15 @@ type Config struct {
 	RequireClusterCoverage bool
 }
 
-// ReservationMode selects how a tracked call's shadow turns into
+// ReservationMode names how a tracked call's shadow turns into
 // projected demand.
 type ReservationMode int
 
-// Reservation modes.
-const (
-	// ReservationWeighted accumulates bandwidth x presence probability x
-	// survival probability: the expectation of the demand (our default
-	// reading of the shadow-cluster papers).
-	ReservationWeighted ReservationMode = iota + 1
-	// ReservationFull reserves the full bandwidth, undecayed, in every
-	// cell where the presence probability exceeds InclusionProb. This is
-	// the conservative "deny network access to protect active mobiles"
-	// behaviour the paper ascribes to SCC, and is what the Fig. 10
-	// comparison uses.
-	ReservationFull
-)
-
-// String implements fmt.Stringer.
-func (m ReservationMode) String() string {
-	switch m {
-	case ReservationWeighted:
-		return "weighted"
-	case ReservationFull:
-		return "full"
-	default:
-		return fmt.Sprintf("ReservationMode(%d)", int(m))
-	}
-}
+// ReservationFull reserves the full bandwidth, undecayed, in every cell
+// where the presence probability reaches InclusionProb. This is the
+// conservative "deny network access to protect active mobiles"
+// behaviour the paper ascribes to SCC and compares against in Fig. 10.
+const ReservationFull ReservationMode = 2
 
 func (c Config) withDefaults() Config {
 	if c.DeltaT == 0 {
@@ -107,14 +86,11 @@ func (c Config) withDefaults() Config {
 	if c.SpreadAlpha == 0 {
 		c.SpreadAlpha = 0.3
 	}
-	if c.MeanHoldingSec == 0 {
-		c.MeanHoldingSec = 120
-	}
 	if c.MinProb == 0 {
 		c.MinProb = 0.02
 	}
 	if c.Reservation == 0 {
-		c.Reservation = ReservationWeighted
+		c.Reservation = ReservationFull
 	}
 	if c.InclusionProb == 0 {
 		c.InclusionProb = 0.15
@@ -137,12 +113,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scc: sigma must be > 0, got %v", c.SigmaPosM)
 	case math.IsNaN(c.SpreadAlpha) || c.SpreadAlpha < 0:
 		return fmt.Errorf("scc: spread alpha must be >= 0, got %v", c.SpreadAlpha)
-	case math.IsNaN(c.MeanHoldingSec) || c.MeanHoldingSec <= 0:
-		return fmt.Errorf("scc: mean holding must be > 0, got %v", c.MeanHoldingSec)
 	case math.IsNaN(c.MinProb) || c.MinProb <= 0 || c.MinProb >= 1:
 		return fmt.Errorf("scc: min probability must be in (0, 1), got %v", c.MinProb)
-	case c.Reservation != ReservationWeighted && c.Reservation != ReservationFull:
-		return fmt.Errorf("scc: unknown reservation mode %v", c.Reservation)
+	case c.Reservation != 0 && c.Reservation != ReservationFull:
+		return fmt.Errorf("scc: unknown reservation mode %d", int(c.Reservation))
 	case math.IsNaN(c.InclusionProb) || c.InclusionProb <= 0 || c.InclusionProb >= 1:
 		return fmt.Errorf("scc: inclusion probability must be in (0, 1), got %v", c.InclusionProb)
 	case math.IsNaN(c.MaxSpeedKmh) || c.MaxSpeedKmh < 0:
@@ -228,8 +202,7 @@ type CellProb struct {
 // reusing weights (which must have len(stations) capacity) as scratch.
 // Entries are appended in station (Q, R) order, unsorted by probability.
 // It is the reference shadow: the recompute Controller calls it, and the
-// Ledger's pruned shadow (Ledger.shadow) is bit-identical to it and
-// hands it the out-of-coverage collapse.
+// Ledger calls it whenever its class shadow cannot certify a cluster.
 func appendShadow(cfg *Config, stations []*cell.BaseStation, weights []float64, dst []CellProb, pos geo.Point, headingDeg, speedMps float64, k int) []CellProb {
 	q, inv := projection(cfg, pos, geo.UnitFromHeading(headingDeg), speedMps, k)
 	weights = weights[:len(stations)]
@@ -267,7 +240,7 @@ func appendShadow(cfg *Config, stations []*cell.BaseStation, weights []float64, 
 // vector at speedMps, is dead-reckoned to at projection interval k
 // (negative k clamps to 0), and the scale inv = 1/(2σ²) of its Gaussian
 // shadow there, so a station at distance d weighs exp(-d·d·inv). It is
-// the one copy of this arithmetic: appendShadow and the Ledger's pruned
+// the one copy of this arithmetic: appendShadow and the Ledger's class
 // shadow both call it, so a fused multiply-add (which the compiler may
 // form on some architectures) applies to both alike and they cannot
 // drift apart. q equals geo.Move(pos, heading, travel) bit for bit.
@@ -298,32 +271,18 @@ func (c *Controller) Shadow(pos geo.Point, headingDeg, speedMps float64, k int) 
 	return out
 }
 
-// survival returns the probability that a call admitted with the
-// configured mean holding time is still active after k intervals.
-func (c *Controller) survival(k int) float64 {
-	return survival(&c.cfg, k)
-}
-
-// survival is the shared decay term: the probability that a call with the
-// configured mean holding time is still active after k intervals.
-func survival(cfg *Config, k int) float64 {
-	return math.Exp(-float64(k) * cfg.DeltaT / cfg.MeanHoldingSec)
-}
-
 // ExpectedDemand returns the aggregated projected demand E[j, k] in BU for
-// cell j at interval k over all tracked calls, under the configured
-// reservation mode. Contributions are summed in ascending call-ID order
-// for floating-point determinism; the Ledger's exact fallback and rebuild
-// replicate exactly this order.
+// cell j at interval k over all tracked calls: the float sum, in
+// ascending call-ID order, of each call's reservation there (its
+// bandwidth or 0). It is the Ledger's independent check.
 func (c *Controller) ExpectedDemand(j geo.Hex, k int) float64 {
-	surv := c.survival(k)
 	var sum float64
 	for _, id := range c.ids {
 		tr := c.active[id]
 		c.trackShadow = appendShadow(&c.cfg, c.stations, c.weights, c.trackShadow[:0], tr.pos, tr.headingDeg, tr.speedMps, k)
 		for _, cp := range c.trackShadow {
 			if cp.Hex == j {
-				sum += reserve(&c.cfg, float64(tr.bu), cp.Prob, surv)
+				sum += float64(reserve(&c.cfg, tr.bu, cp.Prob))
 				break
 			}
 		}
@@ -331,21 +290,14 @@ func (c *Controller) ExpectedDemand(j geo.Hex, k int) float64 {
 	return sum
 }
 
-// reserve converts one shadow entry into reserved bandwidth.
-func (c *Controller) reserve(bu, prob, surv float64) float64 {
-	return reserve(&c.cfg, bu, prob, surv)
-}
-
-// reserve is the shared reservation rule turning one shadow entry into
-// reserved bandwidth under the configured mode.
-func reserve(cfg *Config, bu, prob, surv float64) float64 {
-	if cfg.Reservation == ReservationFull {
-		if prob >= cfg.InclusionProb {
-			return bu
-		}
-		return 0
+// reserve is the reservation rule: a shadow entry of probability prob
+// reserves a call's full bandwidth bu when prob reaches InclusionProb,
+// and nothing otherwise.
+func reserve(cfg *Config, bu int, prob float64) int {
+	if prob >= cfg.InclusionProb {
+		return bu
 	}
-	return bu * prob * surv
+	return 0
 }
 
 // Decide implements cac.Controller: the request is admitted when, for
@@ -370,14 +322,13 @@ func (c *Controller) Decide(req cac.Request) (cac.Decision, error) {
 		}
 	}
 	for k := 0; k <= c.cfg.Horizon; k++ {
-		surv := c.survival(k)
 		c.reqShadow = appendShadow(&c.cfg, c.stations, c.weights, c.reqShadow[:0], pos, req.Est.HeadingDeg, speedMps, k)
 		for _, cp := range c.reqShadow {
 			bs, ok := c.cfg.Network.At(cp.Hex)
 			if !ok {
 				continue
 			}
-			projected := c.ExpectedDemand(cp.Hex, k) + c.reserve(float64(req.Call.BU), cp.Prob, surv)
+			projected := c.ExpectedDemand(cp.Hex, k) + float64(reserve(&c.cfg, req.Call.BU, cp.Prob))
 			if projected > c.cfg.Threshold*float64(bs.Capacity()) {
 				return cac.Reject, nil
 			}

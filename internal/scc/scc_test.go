@@ -1,7 +1,6 @@
 package scc
 
 import (
-	"math"
 	"testing"
 
 	"facs/internal/cac"
@@ -62,7 +61,6 @@ func TestConfigValidate(t *testing.T) {
 		{"threshold above one", func(c *Config) { c.Threshold = 1.5 }, true},
 		{"bad sigma", func(c *Config) { c.SigmaPosM = -3 }, true},
 		{"bad spread", func(c *Config) { c.SpreadAlpha = -0.1 }, true},
-		{"bad holding", func(c *Config) { c.MeanHoldingSec = -1 }, true},
 		{"bad min prob", func(c *Config) { c.MinProb = 2 }, true},
 	}
 	for _, tc := range tests {
@@ -179,15 +177,12 @@ func TestExpectedDemandTracksAdmissions(t *testing.T) {
 	if c.ActiveCalls() != 1 {
 		t.Fatal("OnAdmit did not track the call")
 	}
-	now := c.ExpectedDemand(home, 0)
-	if now < 9 || now > 10 {
-		t.Fatalf("demand at k=0 = %v, want ~10 (stationary video call)", now)
-	}
-	// Demand decays with the survival probability over the horizon.
-	later := c.ExpectedDemand(home, 6)
-	wantDecay := math.Exp(-60.0 / 120)
-	if later > now*wantDecay+1e-6 {
-		t.Fatalf("demand at k=6 = %v, want <= %v", later, now*wantDecay)
+	// A stationary video call reserves its full 10 BU at home over the
+	// whole horizon: full reservation does not decay.
+	for k := 0; k <= c.Config().Horizon; k++ {
+		if got := c.ExpectedDemand(home, k); got != 10 {
+			t.Fatalf("demand at k=%d = %v, want exactly 10 (stationary video call)", k, got)
+		}
 	}
 	c.OnRelease(1, nil, 0)
 	if c.ActiveCalls() != 0 || c.ExpectedDemand(home, 0) != 0 {
@@ -250,9 +245,7 @@ func TestDecideReservesForInboundMobiles(t *testing.T) {
 	// can be rejected: this is SCC denying access to protect expected
 	// handoffs.
 	net := newNet(t, 1)
-	c := newSCC(t, net, func(cfg *Config) {
-		cfg.MeanHoldingSec = 1e9 // suppress survival decay for the test
-	})
+	c := newSCC(t, net)
 	layout := net.Layout()
 	east := geo.Hex{Q: 1, R: 0}
 	eastPos := layout.Center(east)
@@ -343,17 +336,5 @@ func TestUpdateState(t *testing.T) {
 	c.UpdateState(99, geo.Point{}, 0, 0, home)
 	if c.ActiveCalls() != 1 {
 		t.Fatal("UpdateState must not create tracks")
-	}
-}
-
-func TestSurvivalMonotone(t *testing.T) {
-	c := newSCC(t, newNet(t, 0))
-	prev := 1.1
-	for k := 0; k <= 10; k++ {
-		s := c.survival(k)
-		if s <= 0 || s > 1 || s >= prev {
-			t.Fatalf("survival(%d) = %v not strictly decreasing in (0,1]", k, s)
-		}
-		prev = s
 	}
 }

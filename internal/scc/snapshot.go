@@ -17,7 +17,10 @@ var _ cac.Snapshotter = (*Ledger)(nil)
 // depends on: every Config parameter that shapes footprints, limits or
 // reservations, plus the network's cell layout and capacities. Two
 // ledgers with equal hashes project identical demand for identical
-// calls, so a snapshot restores only onto such a twin.
+// calls, so a snapshot restores only onto such a twin. Two retired
+// parameters keep their slots as the constants full-reservation
+// ledgers always hashed there (a mean holding time of 120 s and the
+// mode number 2), so committed snapshots still restore.
 func (l *Ledger) snapshotHash() uint64 {
 	h := snap.NewHasher().
 		Str("scc-ledger").
@@ -26,9 +29,9 @@ func (l *Ledger) snapshotHash() uint64 {
 		F64(l.cfg.Threshold).
 		F64(l.cfg.SigmaPosM).
 		F64(l.cfg.SpreadAlpha).
-		F64(l.cfg.MeanHoldingSec).
+		F64(120).
 		F64(l.cfg.MinProb).
-		Int(int(l.cfg.Reservation)).
+		Int(2).
 		F64(l.cfg.InclusionProb).
 		F64(l.cfg.MaxSpeedKmh).
 		Bool(l.cfg.RequireClusterCoverage).
@@ -40,18 +43,29 @@ func (l *Ledger) snapshotHash() uint64 {
 }
 
 // SnapshotTo implements cac.Snapshotter: it captures the ledger's full
-// replay state — tracked calls, the demand/ghost/exported matrices
-// verbatim (bit patterns, not re-derived sums), the dirty rows of the
-// next export in ascending order, exchange generations and
-// observability counters.
-//
-// The matrices are stored verbatim rather than rebuilt on restore
-// deliberately: incremental float accumulation drifts in the low bits
-// between rebuilds, and the restored instance must continue with
-// exactly the drifted values the captured instance held — a restore-
-// side Rebuild would produce exact sums and break the byte-identity of
-// subsequent exports and guard-band comparisons.
+// replay state — tracked calls, the demand/ghost/exported matrices (as
+// float64 whole numbers, the payload's layout since the matrices were
+// float), the dirty rows of the next export in ascending order,
+// exchange generations and observability counters.
 func (l *Ledger) SnapshotTo(w io.Writer) error {
+	return l.writeSnapshot(w, wholeBU(l.demand), wholeBU(l.ghost), wholeBU(l.exported))
+}
+
+// wholeBU converts a matrix to the payload's float64 entries; nil stays
+// nil.
+func wholeBU(m []int) []float64 {
+	if m == nil {
+		return nil
+	}
+	out := make([]float64, len(m))
+	for i, v := range m {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// writeSnapshot encodes the ledger with the given matrix payloads.
+func (l *Ledger) writeSnapshot(w io.Writer, demand, ghost, exported []float64) error {
 	e := snap.NewEncoder(w, "scc-ledger", l.snapshotHash())
 
 	e.U32(uint32(len(l.tracks)))
@@ -66,11 +80,11 @@ func (l *Ledger) SnapshotTo(w io.Writer) error {
 		e.Int(lt.home.R)
 	}
 
-	e.F64s(l.demand)
-	e.F64s(l.ghost)
-	e.Bool(l.exported != nil)
-	if l.exported != nil {
-		e.F64s(l.exported)
+	e.F64s(demand)
+	e.F64s(ghost)
+	e.Bool(exported != nil)
+	if exported != nil {
+		e.F64s(exported)
 	}
 	e.U64(l.exportGen)
 
@@ -85,7 +99,8 @@ func (l *Ledger) SnapshotTo(w io.Writer) error {
 		e.U64(l.ghostGens[s])
 	}
 
-	e.Int(l.ops)
+	// The slot of a retired ops counter: always 0, and read unchecked.
+	e.Int(0)
 	// The slot of a retired dirty-queue epoch, kept so snapshots of
 	// either layout restore: always 1, and any value >= 1 is read.
 	e.U64(1)
@@ -100,8 +115,10 @@ func (l *Ledger) SnapshotTo(w io.Writer) error {
 		}
 	}
 
-	e.I64(l.fallbacks)
-	e.I64(l.rebuilds)
+	// The slots of the retired fallback and rebuild counters: always 0,
+	// and read unchecked.
+	e.I64(0)
+	e.I64(0)
 	e.I64(l.exports)
 	e.I64(l.ghostApplies)
 	e.I64(l.ghostRows)
@@ -110,7 +127,7 @@ func (l *Ledger) SnapshotTo(w io.Writer) error {
 	// The shadow work counters close the payload; snapshots written
 	// before they existed end just above and restore them as zero.
 	e.I64(l.classStats.shadows)
-	e.I64(l.classStats.pruned)
+	e.I64(l.classStats.exact)
 	e.I64(l.classStats.visited)
 	e.I64(l.classStats.exps)
 
@@ -162,37 +179,11 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 		}
 	}
 
-	demand := d.F64s()
-	ghost := d.F64s()
-	var exported []float64
+	demand := matrix(d, "demand", d.F64s(), len(l.demand))
+	ghost := matrix(d, "ghost", d.F64s(), len(l.ghost))
+	var exported []int
 	if d.Bool() {
-		exported = d.F64s()
-		if d.Err() == nil && exported == nil {
-			exported = []float64{}
-		}
-	}
-	if d.Err() == nil {
-		if len(demand) != len(l.demand) {
-			d.Fail("demand matrix has %d entries, want %d", len(demand), len(l.demand))
-		}
-		if len(ghost) != len(l.ghost) {
-			d.Fail("ghost matrix has %d entries, want %d", len(ghost), len(l.ghost))
-		}
-		if exported != nil && len(exported) != len(l.demand) {
-			d.Fail("exported matrix has %d entries, want %d", len(exported), len(l.demand))
-		}
-	}
-	if d.Err() == nil && l.cfg.Reservation == ReservationFull {
-		// Decide skips the guard band in this mode because every local
-		// aggregate is an exact sum of whole BU, equal to the footprint
-		// sum the band would take; a restored matrix must keep that
-		// true. Ghost rows are read as-is either way.
-		for i, v := range demand {
-			if v != math.Trunc(v) || math.Abs(v) >= 1<<53 {
-				d.Fail("full-reservation demand entry %d is %v, not a whole number below 2^53", i, v)
-				break
-			}
-		}
+		exported = matrix(d, "exported", d.F64s(), len(l.demand))
 	}
 	exportGen := d.U64()
 
@@ -213,7 +204,7 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 		}
 	}
 
-	ops := d.Int()
+	d.Int() // retired ops counter
 	if dirtyEpoch := d.U64(); d.Err() == nil && dirtyEpoch == 0 {
 		d.Fail("dirty epoch must be >= 1")
 	}
@@ -232,8 +223,8 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 		}
 	}
 
-	fallbacks := d.I64()
-	rebuilds := d.I64()
+	d.I64() // retired fallback counter
+	d.I64() // retired rebuild counter
 	exports := d.I64()
 	ghostApplies := d.I64()
 	ghostRows := d.I64()
@@ -241,7 +232,7 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 	migratedIn := d.I64()
 	var work classStats
 	if d.Err() == nil && d.Len() > 0 {
-		work.shadows, work.pruned, work.visited, work.exps = d.I64(), d.I64(), d.I64(), d.I64()
+		work.shadows, work.exact, work.visited, work.exps = d.I64(), d.I64(), d.I64(), d.I64()
 	}
 
 	if err := d.Close(); err != nil {
@@ -258,33 +249,46 @@ func (l *Ledger) RestoreFrom(r io.Reader) error {
 	}
 	copy(l.demand, demand)
 	copy(l.ghost, ghost)
-	if exported == nil {
-		l.exported = nil
-	} else {
-		if l.exported == nil {
-			l.exported = make([]float64, len(l.demand))
-		}
-		copy(l.exported, exported)
-	}
+	l.exported = exported
 	l.exportGen = exportGen
 	l.ghostGens = make(map[int]uint64, nGens)
 	for i, s := range genShards {
 		l.ghostGens[s] = genVals[i]
 	}
-	l.ops = ops
 	clear(l.dirty)
 	for _, i := range dirtyIdx {
 		l.markDirty(i)
 	}
-	l.fallbacks = fallbacks
-	l.rebuilds = rebuilds
 	l.exports = exports
 	l.ghostApplies = ghostApplies
 	l.ghostRows = ghostRows
 	l.migratedOut = migratedOut
 	l.migratedIn = migratedIn
 	// Deriving the footprints above is not the captured instance's work.
-	l.classStats.shadows, l.classStats.pruned = work.shadows, work.pruned
+	l.classStats.shadows, l.classStats.exact = work.shadows, work.exact
 	l.classStats.visited, l.classStats.exps = work.visited, work.exps
 	return nil
+}
+
+// matrix checks one decoded matrix payload and converts it to whole BU:
+// it must hold want entries, each a whole number of magnitude below
+// 2^53, where float64 holds every integer and the conversion to int and
+// back is exact. A failure marks d corrupt and returns nil.
+func matrix(d *snap.Decoder, name string, vals []float64, want int) []int {
+	if d.Err() != nil {
+		return nil
+	}
+	if len(vals) != want {
+		d.Fail("%s matrix has %d entries, want %d", name, len(vals), want)
+		return nil
+	}
+	out := make([]int, want)
+	for i, v := range vals {
+		if v != math.Trunc(v) || math.Abs(v) >= 1<<53 {
+			d.Fail("%s entry %d is %v, not a whole number of BU below 2^53", name, i, v)
+			return nil
+		}
+		out[i] = int(v)
+	}
+	return out
 }

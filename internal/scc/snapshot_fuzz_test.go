@@ -33,10 +33,10 @@ func fuzzSnapshotLedger() *Ledger {
 	return l
 }
 
-// fuzzSnapshotBlob encodes one valid non-trivial ledger snapshot — the
-// happy-path seed every mutation starts from. It must be fully
-// deterministic so the checked-in corpus stays replayable.
-func fuzzSnapshotBlob() []byte {
+// fuzzSnapshotSource builds the non-trivial ledger the seeds encode. It
+// must be fully deterministic so the checked-in corpus stays
+// replayable.
+func fuzzSnapshotSource() *Ledger {
 	l := fuzzSnapshotLedger()
 	stations := fuzzSnapshotNet().Stations()
 	rng := rand.New(rand.NewSource(42))
@@ -51,10 +51,19 @@ func fuzzSnapshotBlob() []byte {
 	l.OnRelease(3, nil, 0)
 	l.ExportDemand()
 	l.ApplyGhost(1, cac.DemandDelta{Gen: 1, Rows: []cac.DemandRow{
-		{Cell: geo.Hex{Q: 0, R: 0}, K: 0, Amount: 2.5},
+		{Cell: geo.Hex{Q: 0, R: 0}, K: 0, Amount: 3},
 	}})
+	return l
+}
+
+// fuzzSnapshotPayload encodes the source ledger with its matrices as
+// given, after mutate has changed them.
+func fuzzSnapshotPayload(mutate func(demand, ghost, exported []float64)) []byte {
+	l := fuzzSnapshotSource()
+	demand, ghost, exported := wholeBU(l.demand), wholeBU(l.ghost), wholeBU(l.exported)
+	mutate(demand, ghost, exported)
 	var buf bytes.Buffer
-	if err := l.SnapshotTo(&buf); err != nil {
+	if err := l.writeSnapshot(&buf, demand, ghost, exported); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -63,9 +72,10 @@ func fuzzSnapshotBlob() []byte {
 // fuzzSnapshotSeeds enumerates the seed corpus: the valid blob plus
 // the interesting manual corruptions (empty, magic-only, truncations
 // at section boundaries, bit flips across header/payload/checksum,
-// trailing garbage).
+// trailing garbage) and two well-formed blobs whose matrices are not
+// whole BU (a ghost entry of 0.5, a demand entry of 2^63).
 func fuzzSnapshotSeeds() [][]byte {
-	valid := fuzzSnapshotBlob()
+	valid := fuzzSnapshotPayload(func(_, _, _ []float64) {})
 	seeds := [][]byte{valid, {}, []byte("FSNP")}
 	for _, n := range []int{1, 4, 8, 16, len(valid) / 2, len(valid) - 9, len(valid) - 1} {
 		if n > 0 && n < len(valid) {
@@ -78,6 +88,9 @@ func fuzzSnapshotSeeds() [][]byte {
 		seeds = append(seeds, mut)
 	}
 	seeds = append(seeds, append(append([]byte(nil), valid...), 0xff))
+	seeds = append(seeds,
+		fuzzSnapshotPayload(func(_, ghost, _ []float64) { ghost[0] = 0.5 }),
+		fuzzSnapshotPayload(func(demand, _, _ []float64) { demand[0] = 1 << 63 }))
 	return seeds
 }
 

@@ -49,7 +49,7 @@ func driveLedgerStep(t *testing.T, l *Ledger, rng *rand.Rand, net *cell.Network,
 			t.Fatal(err)
 		}
 		l.UpdateState(id, pos, rng.Float64()*360-180, rng.Float64()*120, bs.Hex())
-	case op < 0.72: // tick (rebuild)
+	case op < 0.72: // tick (a no-op for the ledger)
 		l.OnTick(float64(step))
 	default: // decide
 		req := randomRequest(t, rng, net, 1_000_000+step, radius)
@@ -75,11 +75,8 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"weighted", func(*Config) {}},
-		{"full-coverage", func(c *Config) {
-			c.Reservation = ReservationFull
-			c.RequireClusterCoverage = true
-		}},
+		{"defaults", func(*Config) {}},
+		{"full-coverage", func(c *Config) { c.RequireClusterCoverage = true }},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -100,8 +97,8 @@ func TestLedgerSnapshotRoundTrip(t *testing.T) {
 			st := netA.Stations()
 			for gen := uint64(1); gen <= 2; gen++ {
 				a.ApplyGhost(7, cac.DemandDelta{Gen: gen, Rows: []cac.DemandRow{
-					{Cell: st[0].Hex(), K: 0, Amount: 1.25 * float64(gen)},
-					{Cell: st[len(st)-1].Hex(), K: 2, Amount: 0.5},
+					{Cell: st[0].Hex(), K: 0, Amount: 3 * int(gen)},
+					{Cell: st[len(st)-1].Hex(), K: 2, Amount: -2},
 				}})
 			}
 			a.ApplyGhost(3, cac.DemandDelta{Gen: 5, Rows: []cac.DemandRow{
@@ -216,40 +213,42 @@ func TestLedgerSnapshotCorrupt(t *testing.T) {
 	}
 }
 
-// TestLedgerSnapshotFullWholeBU pins the restore side of the
-// ReservationFull guard-band skip: Decide trusts every local
-// full-reservation aggregate to be an exact sum of whole BU, so a
-// snapshot whose demand entry is fractional, non-finite or at least
-// 2^53 is refused as corrupt, and the untouched snapshot still
-// restores. (Ghost rows are read as-is in every mode, so a fractional
-// ghost delta restores; TestLedgerSnapshotRoundTrip applies some.)
+// TestLedgerSnapshotFullWholeBU pins the restore side of the whole-BU
+// matrices: a hand-made blob whose demand, ghost or exported matrix
+// holds an entry that is fractional, non-finite or at least 2^53 (past
+// the integers float64 holds exactly) is refused as corrupt, and the
+// untouched payload still restores.
 func TestLedgerSnapshotFullWholeBU(t *testing.T) {
 	net := newNet(t, 1)
-	full := func(c *Config) { c.Reservation = ReservationFull }
-	src := newLedger(t, net, full)
+	src := newLedger(t, net)
 	rng := rand.New(rand.NewSource(3))
 	for id := 0; id < 8; id++ {
 		src.OnAdmit(randomRequest(t, rng, net, id, 2.0*2000*1.5))
 	}
-	dst := newLedger(t, net, full)
-	for _, tc := range []struct {
-		name string
-		v    float64
-	}{
-		{"fraction", 0.5},
-		{"nan", math.NaN()},
-		{"2^53", 1 << 53},
-		{"-inf", math.Inf(-1)},
-	} {
-		old := src.demand[3]
-		src.demand[3] = tc.v
-		blob := ledgerSnapshotBlob(t, src)
-		src.demand[3] = old
-		if err := dst.RestoreFrom(bytes.NewReader(blob)); !errors.Is(err, snap.ErrSnapshotCorrupt) {
-			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", tc.name, err)
+	src.ExportDemand()
+	dst := newLedger(t, net)
+	blob := func(demand, ghost, exported []float64) []byte {
+		var buf bytes.Buffer
+		if err := src.writeSnapshot(&buf, demand, ghost, exported); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for m, name := range []string{"demand", "ghost", "exported"} {
+		for _, v := range []float64{0.5, math.NaN(), 1 << 53, -(1 << 63), math.Inf(-1)} {
+			mats := [][]float64{wholeBU(src.demand), wholeBU(src.ghost), wholeBU(src.exported)}
+			mats[m][3] = v
+			err := dst.RestoreFrom(bytes.NewReader(blob(mats[0], mats[1], mats[2])))
+			if !errors.Is(err, snap.ErrSnapshotCorrupt) {
+				t.Errorf("%s entry %v: err = %v, want ErrSnapshotCorrupt", name, v, err)
+			}
 		}
 	}
-	if err := dst.RestoreFrom(bytes.NewReader(ledgerSnapshotBlob(t, src))); err != nil {
+	good := blob(wholeBU(src.demand), wholeBU(src.ghost), wholeBU(src.exported))
+	if !bytes.Equal(good, ledgerSnapshotBlob(t, src)) {
+		t.Fatal("writeSnapshot of the ledger's own matrices differs from SnapshotTo")
+	}
+	if err := dst.RestoreFrom(bytes.NewReader(good)); err != nil {
 		t.Fatalf("whole-BU snapshot: %v", err)
 	}
 }

@@ -17,6 +17,11 @@ import (
 // decision outcome, the ledgers' class and exact shadows, visited
 // stations and evaluated weights, and the HexAt calls their decisions
 // made. Every count is exact; a change that moves one must say why.
+// The evaluated weights rose from 557,358 to 561,040 (+3,682) when the
+// pruned all-station shadow went: each of the 46 clusters the class
+// shadow cannot certify now takes the reference appendShadow, which
+// evaluates all 127 station weights (5,842 in all) where the pruned
+// shadow evaluated 2,160.
 func TestDistrictWorkCountersPin(t *testing.T) {
 	var mu sync.Mutex
 	var ledgers []*scc.Ledger
@@ -62,13 +67,13 @@ func TestDistrictWorkCountersPin(t *testing.T) {
 		hexes += scc.DecideHexLookups(l)
 	}
 	decisions := int64(r.Decisions())
-	t.Logf("%d ledgers, %d decisions: %d class shadows, %d exact, %.2f visited and %.2f weights per shadow, %.3f HexAt per decision, %d rebuilds",
+	t.Logf("%d ledgers, %d decisions: %d class shadows, %d exact, %.2f visited and %.2f weights per shadow, %.3f HexAt per decision",
 		len(ledgers), decisions, st.ClassShadows, st.ExactShadows,
 		float64(st.Visited)/float64(st.ClassShadows), float64(st.Exps)/float64(st.ClassShadows),
-		float64(hexes)/float64(decisions), st.Rebuilds)
-	want := struct{ ledgers, class, exact, visited, exps, hexes, rebuilds int64 }{2, 96762, 46, 1206492, 557358, 112770, 0}
-	got := struct{ ledgers, class, exact, visited, exps, hexes, rebuilds int64 }{
-		int64(len(ledgers)), st.ClassShadows, st.ExactShadows, st.Visited, st.Exps, hexes, st.Rebuilds}
+		float64(hexes)/float64(decisions))
+	want := struct{ ledgers, class, exact, visited, exps, hexes int64 }{2, 96762, 46, 1206492, 561040, 112770}
+	got := struct{ ledgers, class, exact, visited, exps, hexes int64 }{
+		int64(len(ledgers)), st.ClassShadows, st.ExactShadows, st.Visited, st.Exps, hexes}
 	if got != want {
 		t.Fatalf("work counters %+v, want %+v", got, want)
 	}

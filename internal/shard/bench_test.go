@@ -77,7 +77,7 @@ func BenchmarkShardedSCC(b *testing.B) {
 	reqs := genRequests(b, net, 43, 8192)
 	out := make([]serve.Response, wave)
 	ledgerFactory := func(v View) (cac.Controller, error) {
-		return scc.NewLedger(scc.Config{Network: net, Reservation: scc.ReservationFull})
+		return scc.NewLedger(scc.Config{Network: net})
 	}
 
 	b.Run("single-ledger", func(b *testing.B) {

@@ -71,10 +71,7 @@ func TestPublicGhostExchange(t *testing.T) {
 	var _ facs.DemandExchangingController = (*facs.SCCLedger)(nil)
 	res, err := facs.RunMetropolis(facs.MetropolisConfig{
 		NewController: func(v facs.ShardView) (facs.Controller, error) {
-			return facs.NewSCCLedger(facs.SCCConfig{
-				Network:     v.Network(),
-				Reservation: facs.SCCReservationFull,
-			})
+			return facs.NewSCCLedger(facs.SCCConfig{Network: v.Network()})
 		},
 		Mode:           facs.MetroSharded,
 		Shards:         4,
