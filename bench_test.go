@@ -336,60 +336,6 @@ func BenchmarkCompiledFLC2Evaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledFACSEvaluate times the full two-stage decision on
-// the compiled fast path at the same operating point as
-// BenchmarkFACSEvaluate. The acceptance bar for the fast path is a
-// >= 5x throughput advantage over the exact engine; measured runs sit
-// around 8x.
-func BenchmarkCompiledFACSEvaluate(b *testing.B) {
-	cc := compiledBench(b)
-	obs := facs.Observation{SpeedKmh: 45, AngleDeg: 20, DistanceKm: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cc.Evaluate(obs, 5, 20, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompiledFACSEvaluateMixed sweeps a fixed pseudo-random
-// workload across the whole input space, so the measured mean per-op
-// cost includes the guard-band fallbacks to the exact engine; the
-// fallback percentage is reported as a metric.
-func BenchmarkCompiledFACSEvaluateMixed(b *testing.B) {
-	cc := compiledBench(b)
-	rng := rand.New(rand.NewSource(42))
-	type query struct {
-		obs  facs.Observation
-		r, u int
-	}
-	queries := make([]query, 4096)
-	for i := range queries {
-		queries[i] = query{
-			obs: facs.Observation{
-				SpeedKmh:   rng.Float64() * 120,
-				AngleDeg:   rng.Float64()*360 - 180,
-				DistanceKm: rng.Float64() * 10,
-			},
-			r: []int{1, 5, 10}[rng.Intn(3)],
-			u: rng.Intn(41),
-		}
-	}
-	f0, e0 := cc.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		if _, err := cc.Evaluate(q.obs, q.r, q.u, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	f1, e1 := cc.Stats()
-	if total := (f1 - f0) + (e1 - e0); total > 0 {
-		b.ReportMetric(100*float64(e1-e0)/float64(total), "fallback%")
-	}
-}
-
 // compiledDecideBatch builds the seeded batch BenchmarkCompiledDecideBatch
 // times and TestCompiledDecideBatchSettlement pins: 512 new calls and
 // handoffs (one in three) over a 19-cell network of 40 BU stations at

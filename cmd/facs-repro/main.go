@@ -6,7 +6,7 @@
 //
 //	facs-repro [-artifact all|fig7|fig8|fig9|fig10|table1|table2|mf|ablations|<ablation-id>]
 //	           [-points 10,20,...] [-seeds 5] [-csv DIR] [-quick]
-//	           [-workers N] [-compiled]
+//	           [-workers N]
 //
 // Output is an aligned table plus an ASCII chart per artifact; -csv also
 // writes one CSV file per artifact into DIR.
@@ -40,12 +40,11 @@ func run(args []string) error {
 	csvDir := fs.String("csv", "", "directory to write per-artifact CSV files")
 	quick := fs.Bool("quick", false, "coarse run: points 20,60,100 and 2 seeds")
 	workers := fs.Int("workers", 0, "worker pool size for replications (0 = one per CPU; results are worker-count invariant)")
-	compiled := fs.Bool("compiled", false, "run FACS curves on the lookup-table fast path (decisions match the exact engine)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	fc := facs.FigureConfig{Workers: *workers, Compiled: *compiled}
+	fc := facs.FigureConfig{Workers: *workers}
 	if *quick {
 		fc.LoadPoints = []int{20, 60, 100}
 		fc.Seeds = []int64{1, 2}

@@ -119,11 +119,8 @@ func TestRunQuickFlagAndPoints(t *testing.T) {
 	}
 }
 
-func TestRunWorkersAndCompiledFlags(t *testing.T) {
+func TestRunWorkersFlag(t *testing.T) {
 	if err := run([]string{"-artifact", "fig7", "-points", "15", "-seeds", "2", "-workers", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-artifact", "fig7", "-points", "15", "-seeds", "1", "-compiled"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -190,7 +190,7 @@ func writeMetrics(w io.Writer, eng *ishard.Engine, in *intake, snaps *snapState)
 
 	m.Gauge("facs_shards", "Decision loops sharding the network.", float64(st.Shards))
 	m.Counter("facs_waves_total", "Decision waves completed across shards.", float64(st.Waves))
-	m.Counter("facs_ticks_total", "Tick barriers delivered.", float64(total.Ticks))
+	m.Counter("facs_ticks_total", "Tick barriers delivered.", float64(st.Ticks))
 	m.Counter("facs_handoffs_total", "Two-phase handoffs completed.", float64(st.Handoffs))
 	m.Counter("facs_handoff_drops_total", "Handoffs whose target shard did not commit.", float64(st.Drops))
 	m.Counter("facs_cross_shard_handoffs_total", "Handoffs spanning two shards.", float64(st.CrossShard))

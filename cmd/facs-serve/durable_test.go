@@ -177,7 +177,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"facs_decision_latency_seconds_bucket",
 		"facs_decision_latency_seconds_count 2",
 		"facs_shards 2",
-		"facs_ticks_total",
+		"facs_ticks_total 1",
 		`facs_shed_total{class="text"}`,
 		"facs_ledger_active_calls",
 		"facs_ledger_class_shadows_total",

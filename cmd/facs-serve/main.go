@@ -126,7 +126,6 @@ type serveOptions struct {
 	controller   string
 	compiled     bool
 	surfaceCache string
-	grid         int
 	shards       int
 	partition    string
 	rebalTicks   int
@@ -155,7 +154,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.StringVar(&o.controller, "controller", "facs", "admission controller: facs, scc, cs, guard, threshold")
 	fs.BoolVar(&o.compiled, "compiled", false, "use the lookup-table FACS fast path (controller facs only)")
 	fs.StringVar(&o.surfaceCache, "surface-cache", "", "directory for persisted compiled surfaces (implies -compiled)")
-	fs.IntVar(&o.grid, "grid", 0, "per-axis surface resolution for -compiled (0 = default)")
 	fs.IntVar(&o.shards, "shards", 1, "shards to partition the network's cells across (at most the cell count)")
 	fs.StringVar(&o.partition, "partition", "roundrobin", "initial shard layout: roundrobin, blocks")
 	fs.IntVar(&o.rebalTicks, "rebalance-ticks", 0, "rebalance shard ownership every N tick barriers (0 = static)")
@@ -211,7 +209,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		GuardBU:         o.guard,
 		AcceptThreshold: facs.DefaultAcceptThreshold,
 		Compiled:        o.compiled,
-		Grid:            o.grid,
 		SurfaceCache:    o.surfaceCache,
 		Log:             func(line string) { fmt.Fprintln(stderr, "facs-serve:", line) },
 	}.Factory()

@@ -138,9 +138,6 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-batch", "0"}, strings.NewReader(""), &out, &errw); err == nil {
 		t.Fatal("zero batch should fail")
 	}
-	if err := run([]string{"-grid", "8"}, strings.NewReader(""), &out, &errw); err == nil {
-		t.Fatal("-grid without -compiled should fail")
-	}
 	if err := run([]string{"-shards", "0"}, strings.NewReader(""), &out, &errw); err == nil {
 		t.Fatal("zero shards should fail")
 	}

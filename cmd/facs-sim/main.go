@@ -54,7 +54,6 @@ type simOptions struct {
 	multicell    bool
 	compiled     bool
 	surfaceCache string
-	grid         int
 	batch        bool
 	active       int
 	guard        int
@@ -96,7 +95,6 @@ func run(args []string) error {
 	fs.IntVar(&o.active, "active", 0, "calls pre-admitted into the -batch snapshot")
 	fs.BoolVar(&o.compiled, "compiled", false, "use the lookup-table FACS fast path (controller facs only)")
 	fs.StringVar(&o.surfaceCache, "surface-cache", "", "directory for persisted compiled surfaces (implies -compiled): load-or-compile instead of always compiling")
-	fs.IntVar(&o.grid, "grid", 0, "per-axis surface resolution for -compiled (0 = default)")
 	fs.IntVar(&o.guard, "guard", 8, "guard bandwidth for -controller guard")
 	fs.Float64Var(&o.threshold, "accept-threshold", facs.DefaultAcceptThreshold, "FACS accept threshold")
 	fs.IntVar(&o.reps, "reps", 1, "independent replications with seeds seed..seed+reps-1")
@@ -190,7 +188,6 @@ func (o simOptions) contestant() (func(*facs.Network) (facs.Controller, error), 
 		GuardBU:         o.guard,
 		AcceptThreshold: o.threshold,
 		Compiled:        o.compiled,
-		Grid:            o.grid,
 		SurfaceCache:    o.surfaceCache,
 		Log:             func(line string) { fmt.Fprintln(os.Stderr, "facs-sim:", line) },
 	}.Factory()

@@ -104,20 +104,17 @@ func TestRunCompiledAndReplications(t *testing.T) {
 
 func TestRunSurfaceCacheCLI(t *testing.T) {
 	dir := t.TempDir()
-	// Cold start compiles and writes the entry (small -grid keeps the
-	// test fast); the warm start must load it without compiling.
-	if err := run([]string{"-n", "10", "-surface-cache", dir, "-grid", "8", "-seed", "3"}); err != nil {
+	// Cold start compiles and writes the entry; the warm start must
+	// load it without compiling.
+	if err := run([]string{"-n", "10", "-surface-cache", dir, "-seed", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	before := ifacs.CompileCount()
-	if err := run([]string{"-n", "10", "-surface-cache", dir, "-grid", "8", "-seed", "3"}); err != nil {
+	if err := run([]string{"-n", "10", "-surface-cache", dir, "-seed", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ifacs.CompileCount() - before; got != 0 {
 		t.Fatalf("warm cache start compiled %d times, want 0", got)
-	}
-	if err := run([]string{"-n", "10", "-grid", "8"}); err == nil {
-		t.Fatal("-grid without -compiled should fail")
 	}
 }
 

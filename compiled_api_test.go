@@ -15,22 +15,44 @@ func TestPublicCompiledSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	net, err := facs.NewNetwork(facs.NetworkConfig{Rings: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := net.Stations()[0]
+	for id := 1; bs.Used() < 12; id++ {
+		if err := bs.Admit(facs.Call{ID: id, Class: facs.Text, BU: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, obs := range []facs.Observation{
 		{SpeedKmh: 60, AngleDeg: 0, DistanceKm: 2},
 		{SpeedKmh: 4, AngleDeg: 90, DistanceKm: 9},
 		{SpeedKmh: 30, AngleDeg: -50, DistanceKm: 5.5},
 	} {
-		want, err := exact.Evaluate(obs, 5, 12, false)
+		req := facs.AdmissionRequest{Call: facs.Call{ID: 100, Class: facs.Voice, BU: 5}, Station: bs, Obs: obs}
+		want, err := exact.Decide(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cc.Evaluate(obs, 5, 12, false)
+		got, err := cc.Decide(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Accepted != want.Accepted || got.Grade != want.Grade {
-			t.Fatalf("decision mismatch at %+v: exact (%v, %v), compiled (%v, %v)",
-				obs, want.Grade, want.Accepted, got.Grade, got.Accepted)
+		if got != want {
+			t.Fatalf("decision mismatch at %+v: exact %v, compiled %v", obs, want, got)
+		}
+		// Evaluate is the exact System's.
+		wantEv, err := exact.Evaluate(obs, 5, 12, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotEv, err := cc.Evaluate(obs, 5, 12, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotEv != wantEv {
+			t.Fatalf("Evaluate at %+v: compiled %+v, exact %+v", obs, gotEv, wantEv)
 		}
 	}
 	if cc.Name() != "facs-compiled" {

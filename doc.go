@@ -26,39 +26,32 @@
 // # Compiled fast path
 //
 // For hot admission loops the two Mamdani inferences can be replaced by
-// a compiled lookup table:
+// a compiled lookup table that answers accept/reject only:
 //
 //	cc, err := facs.DefaultCompiledSystem() // compiled once, shared
-//	ev, err := cc.Evaluate(obs, 5, 12, false)
+//	d, err := cc.Decide(req)                // or facs.DecideAll(cc, reqs)
 //
 // NewCompiledSystem samples both controllers over dense grids at
 // construction time (a one-off cost, well under a second, that
-// BenchmarkCompiledSurfaceBuild times) and
-// answers queries by trilinear interpolation, roughly 8x faster than
-// the exact engines at the paper's operating points (each exact
-// inference is itself a tabulated, allocation-free centroid). The
-// trade-off is explicit and guarded: the crisp Cv and A/R values carry
-// a small interpolation tolerance (documented and enforced by the
-// golden-equivalence test suite in internal/facs), while accept/reject
-// outcomes and decision grades are always identical to the exact
-// System. An admission decision (Decide, DecideBatchInto) is
-// compare-only: a per-(handoff, R, Cs) table of Cv intervals on which
-// FLC2 is certain to accept or to reject settles any Cv range inside
-// one interval, and each request tries three steps in turn. The cell
-// check asks about the range FLC1 can take anywhere in the request's
-// FLC1 grid cell, a table read with no interpolation, and settles most
-// requests; the point check interpolates Cv and its error bound and
-// asks about that narrower range; a request whose point range is not
-// inside one interval is re-run on the exact engines (about 1% of a
-// uniformly random workload, and 2% on the city-facs benchmark, whose
-// loaded cells sit near the threshold). The point range lies inside
-// the cell range, so the cell check changes which step answers, never
-// the answer or which requests reach the exact engines. Evaluate, which also
-// reports the crisp values and the grade, guards the interpolated A/R
-// value against the threshold and the grade boundaries instead (about
-// 2% fallbacks on the same random workload). Use the exact System when
-// the crisp values themselves must be reference-grade; use the compiled
-// path when decision throughput matters.
+// BenchmarkCompiledSurfaceBuild times). An admission decision (Decide,
+// DecideBatchInto) is compare-only: a per-(handoff, R, Cs) table of Cv
+// intervals on which FLC2 is certain to accept or to reject settles
+// any Cv range inside one interval, and each request tries three steps
+// in turn. The cell check asks about the range FLC1 can take anywhere
+// in the request's FLC1 grid cell, a table read with no interpolation,
+// and settles most requests; the point check interpolates Cv and its
+// error bound and asks about that narrower range; a request whose
+// point range is not inside one interval is re-run on the exact
+// engines (about 1% of a uniformly random workload, and 2% on the
+// city-facs benchmark, whose loaded cells sit near the threshold). The
+// point range lies inside the cell range, so the cell check changes
+// which step answers, never the answer or which requests reach the
+// exact engines. Decisions are meant to equal the exact System's and
+// the golden-equivalence suite in internal/facs finds no flip, but the
+// error bounds beneath them are probed, not proven (ARCHITECTURE.md).
+// Evaluate on the compiled system is the exact System.Evaluate: use
+// the exact System for crisp values and grades, and the compiled path
+// when decision throughput matters.
 //
 // # Batch admission and the SCC demand ledger
 //
@@ -158,6 +151,6 @@
 // are independent simulations and run on a worker pool
 // (FigureConfig.Workers, default one per CPU); results are identical
 // for every worker count because each replication derives all of its
-// randomness from its own seed. FigureConfig.Compiled switches the
-// FACS curves to the compiled fast path without changing any curve.
+// randomness from its own seed. Figures and ablations run the exact
+// FACS: at their sizes the compile costs more than it saves.
 package facs

@@ -70,11 +70,10 @@ var (
 
 // CompiledSystem is the lookup-table fast path of the FACS: both fuzzy
 // controllers sampled into dense interpolation surfaces at construction
-// time, so a full decision costs two trilinear interpolations instead
-// of two Mamdani inferences. Accept/reject outcomes and grades are
-// guaranteed to match the exact System via a guard band that re-runs
-// the exact engines for the rare request whose interpolated A/R value
-// lands within the local error bound of a decision boundary. It
+// time, so most decisions cost a table read instead of two Mamdani
+// inferences. It answers accept/reject only (Decide, DecideBatchInto),
+// re-running the exact engines for the rare request its error bounds
+// cannot settle; its Evaluate is the exact System.Evaluate. It
 // implements Controller and is safe for concurrent use.
 type CompiledSystem = ifacs.CompiledController
 

@@ -136,7 +136,7 @@ func AblationBaselines(fc FigureConfig) (Figure, error) {
 		{"threshold(video<=10)", "threshold"},
 	}
 	for _, sc := range schemes {
-		factory, err := fc.contestant(sc.name)
+		factory, err := contestant(sc.name)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -223,7 +223,7 @@ func AblationHandoffPriority(fc FigureConfig) (Figure, error) {
 		XLabel: "number of requesting connections",
 		YLabel: "percentage of accepted calls",
 	}
-	guard, err := fc.contestant("guard")
+	guard, err := contestant("guard")
 	if err != nil {
 		return Figure{}, err
 	}
@@ -282,7 +282,7 @@ func AblationQueueing(fc FigureConfig) (Figure, error) {
 		{"queue 15s", true, 15},
 		{"queue 60s", true, 60},
 	}
-	newFACS, err := fc.contestant("facs")
+	newFACS, err := contestant("facs")
 	if err != nil {
 		return Figure{}, err
 	}

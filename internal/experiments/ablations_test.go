@@ -176,24 +176,20 @@ func TestAllFiguresAndAblations(t *testing.T) {
 		seen[fig.ID] = true
 	}
 
-	// Byte-identity pin: every figure and ablation, exact and compiled,
-	// renders to the same CSV and notes as when the digests were
-	// captured. Compiled FACS decides exactly like the exact engine, so
-	// one table serves both modes.
-	for _, compiled := range []bool{false, true} {
-		fc := FigureConfig{LoadPoints: []int{30, 90}, Seeds: []int64{1, 2}, Compiled: compiled}
-		figs, err := AllFigures(fc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		abls, err := AllAblations(fc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fig := range append(figs, abls...) {
-			if got, want := figureDigest(fig), figureDigests[fig.ID]; got != want {
-				t.Errorf("compiled=%v: %s digest %#016x, want %#016x", compiled, fig.ID, got, want)
-			}
+	// Byte-identity pin: every figure and ablation renders to the same
+	// CSV and notes as when the digests were captured.
+	fc = FigureConfig{LoadPoints: []int{30, 90}, Seeds: []int64{1, 2}}
+	figs, err = AllFigures(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abls, err = AllAblations(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range append(figs, abls...) {
+		if got, want := figureDigest(fig), figureDigests[fig.ID]; got != want {
+			t.Errorf("%s digest %#016x, want %#016x", fig.ID, got, want)
 		}
 	}
 }

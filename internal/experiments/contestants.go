@@ -20,8 +20,8 @@ import (
 var ContestantNames = []string{"facs", "scc", "cs", "guard", "threshold"}
 
 // Contestant selects one catalogue controller. Its fields carry the
-// binaries' -controller, -guard, -accept-threshold, -compiled, -grid
-// and -surface-cache values.
+// binaries' -controller, -guard, -accept-threshold, -compiled and
+// -surface-cache values.
 type Contestant struct {
 	// Name is one of ContestantNames.
 	Name string
@@ -29,13 +29,12 @@ type Contestant struct {
 	GuardBU int
 	// AcceptThreshold is the FACS crisp accept threshold.
 	AcceptThreshold float64
-	// Compiled selects the lookup-table FACS fast path at Grid points
-	// per axis (0 = default); SurfaceCache, which implies Compiled,
-	// loads persisted surfaces from that directory instead of
-	// compiling. Factory refuses them for other names, and a Grid
-	// without a compiled build; its errors name the binaries' flags.
+	// Compiled selects the lookup-table FACS fast path at the default
+	// grid; SurfaceCache, which implies Compiled, loads persisted
+	// surfaces from that directory instead of compiling. Factory
+	// refuses them for other names; its errors name the binaries'
+	// flags.
 	Compiled     bool
-	Grid         int
 	SurfaceCache string
 	// Log, when set, receives the compiled build's progress and timing
 	// lines.
@@ -51,9 +50,6 @@ func (c Contestant) Factory() (func(*cell.Network) (cac.Controller, error), erro
 	compiled := c.Compiled || c.SurfaceCache != ""
 	if compiled && c.Name != "facs" {
 		return nil, fmt.Errorf("-compiled applies to -controller facs, got %q", c.Name)
-	}
-	if c.Grid != 0 && !compiled {
-		return nil, fmt.Errorf("-grid applies to -compiled runs")
 	}
 	switch c.Name {
 	case "facs":
@@ -79,7 +75,7 @@ func (c Contestant) Factory() (func(*cell.Network) (cac.Controller, error), erro
 // buildFACS builds the exact FACS, or with Compiled or SurfaceCache the
 // compiled fast path: loaded from (or compiled into) the cache
 // directory, the process-wide facs.DefaultCompiled for the default
-// threshold and grid, or a dedicated compile otherwise.
+// threshold, or a dedicated compile otherwise.
 func (c Contestant) buildFACS() (cac.Controller, error) {
 	opt := facs.WithAcceptThreshold(c.AcceptThreshold)
 	if !c.Compiled && c.SurfaceCache == "" {
@@ -93,7 +89,7 @@ func (c Contestant) buildFACS() (cac.Controller, error) {
 	start := time.Now()                                                                  //facs:wallclock build timing for the log only
 	elapsed := func() time.Duration { return time.Since(start).Round(time.Millisecond) } //facs:wallclock build timing for the log only
 	if c.SurfaceCache != "" {
-		ctrl, info, err := facs.NewCompiledCached(c.Grid, c.SurfaceCache, opt)
+		ctrl, info, err := facs.NewCompiledCached(0, c.SurfaceCache, opt)
 		if err != nil {
 			// A compiled controller alongside the error means only the
 			// cache write failed (e.g. read-only directory): degrade to
@@ -111,10 +107,10 @@ func (c Contestant) buildFACS() (cac.Controller, error) {
 		ctrl *facs.CompiledController
 		err  error
 	)
-	if c.AcceptThreshold == facs.DefaultAcceptThreshold && c.Grid == 0 {
+	if c.AcceptThreshold == facs.DefaultAcceptThreshold {
 		ctrl, err = facs.DefaultCompiled()
 	} else {
-		ctrl, err = facs.NewCompiled(c.Grid, opt)
+		ctrl, err = facs.NewCompiled(0, opt)
 	}
 	if err != nil {
 		return nil, err

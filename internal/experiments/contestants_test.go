@@ -59,7 +59,6 @@ func TestContestantCatalogue(t *testing.T) {
 	for _, bad := range []Contestant{
 		{Name: "cs", Compiled: true},
 		{Name: "guard", SurfaceCache: t.TempDir()},
-		{Name: "facs", Grid: 8},
 	} {
 		if _, err := bad.Factory(); err == nil {
 			t.Fatalf("%+v should be refused", bad)

@@ -9,15 +9,14 @@ import (
 )
 
 // dispatchSpy records every controller callback the multi-cell runner
-// dispatches: decisions, admissions, releases, kinematic updates and
-// ticks. It admits whenever the call fits, so the run exercises
+// dispatches: decisions, admissions, releases and kinematic updates. It
+// admits whenever the call fits, so the run exercises
 // handoffs and completions.
 type dispatchSpy struct {
-	decides   int
-	admits    []int
-	releases  []int
-	updates   []int
-	tickTimes []float64
+	decides  int
+	admits   []int
+	releases []int
+	updates  []int
 }
 
 func (s *dispatchSpy) Name() string { return "dispatch-spy" }
@@ -36,21 +35,17 @@ func (s *dispatchSpy) OnStateUpdate(id int, est gps.Estimate, bs *cell.BaseStati
 	s.updates = append(s.updates, id)
 }
 
-func (s *dispatchSpy) OnTick(now float64) { s.tickTimes = append(s.tickTimes, now) }
-
 // TestMultiCellDispatch pins the runner's controller-callback contract:
-// handoffs refresh kinematics through cac.StateUpdater, completions and
-// drops release through cac.Observer, and cac.Ticker receives periodic
-// ticks that stop once the run drains.
+// handoffs refresh kinematics through cac.StateUpdater, and completions
+// and drops release through cac.Observer.
 func TestMultiCellDispatch(t *testing.T) {
 	spy := &dispatchSpy{}
 	res, err := RunMultiCell(MultiCellConfig{
 		NewController: func(*cell.Network) (cac.Controller, error) {
 			return spy, nil
 		},
-		NumRequests:     60,
-		TickIntervalSec: 7,
-		Seed:            1,
+		NumRequests: 60,
+		Seed:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,35 +67,8 @@ func TestMultiCellDispatch(t *testing.T) {
 	if len(spy.updates) != wantUpdates {
 		t.Fatalf("OnStateUpdate %d times, want %d successful handoffs", len(spy.updates), wantUpdates)
 	}
-	if len(spy.tickTimes) == 0 {
-		t.Fatal("Ticker controller received no ticks")
-	}
-	for i, at := range spy.tickTimes {
-		want := 7 * float64(i+1)
-		if at != want {
-			t.Fatalf("tick %d fired at %v, want %v", i, at, want)
-		}
-	}
 	if spy.decides == 0 {
 		t.Fatal("no decisions dispatched")
-	}
-}
-
-// TestMultiCellTickerOptional asserts non-Ticker controllers run
-// exactly as before (no tick events scheduled).
-func TestMultiCellTickerOptional(t *testing.T) {
-	res, err := RunMultiCell(MultiCellConfig{
-		NewController: func(*cell.Network) (cac.Controller, error) {
-			return cac.CompleteSharing{}, nil
-		},
-		NumRequests: 20,
-		Seed:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requested == 0 {
-		t.Fatal("run did nothing")
 	}
 }
 

@@ -24,7 +24,7 @@
 // # Entry points
 //
 // Figure7..Figure10 and AllFigures regenerate the paper artifacts under
-// a FigureConfig (load points, seeds, workers, compiled fast path);
+// a FigureConfig (load points, seeds, workers) on the exact FACS;
 // AllAblations runs the sensitivity studies; RunSingleCell/RunMultiCell
 // execute one scenario; RunBatchAdmission sweeps a request batch
 // against a loaded network snapshot; RunMetropolis runs the closed

@@ -38,12 +38,6 @@ type FigureConfig struct {
 	// DefaultWorkers (one per CPU); results are identical for every
 	// worker count.
 	Workers int
-	// Compiled switches the FACS controller under test to the
-	// lookup-table fast path (facs.CompiledController). Admission
-	// decisions and grades are guaranteed to match the exact engine,
-	// so curves are unchanged; only the runtime drops. Ablations that
-	// probe non-default engine configurations ignore the flag.
-	Compiled bool
 }
 
 func (c FigureConfig) withDefaults() FigureConfig {
@@ -60,14 +54,13 @@ func (c FigureConfig) withDefaults() FigureConfig {
 }
 
 // contestant returns the catalogue factory a figure runs under name:
-// FACS at the default threshold, compiled when c.Compiled is set, and
-// the guard channel reserving 8 BU.
-func (c FigureConfig) contestant(name string) (func(*cell.Network) (cac.Controller, error), error) {
+// the exact FACS at the default threshold, and the guard channel
+// reserving 8 BU.
+func contestant(name string) (func(*cell.Network) (cac.Controller, error), error) {
 	return Contestant{
 		Name:            name,
 		GuardBU:         8,
 		AcceptThreshold: facs.DefaultAcceptThreshold,
-		Compiled:        c.Compiled && name == "facs",
 	}.Factory()
 }
 
@@ -86,7 +79,7 @@ func (c FigureConfig) Validate() error {
 // controller is built once and shared by every replication; mutate may
 // override it per configuration.
 func singleCellCurve(fc FigureConfig, label string, mutate func(*SingleCellConfig)) (metrics.Series, error) {
-	newFACS, err := fc.contestant("facs")
+	newFACS, err := contestant("facs")
 	if err != nil {
 		return metrics.Series{}, err
 	}
@@ -251,7 +244,7 @@ func Figure10(fc FigureConfig) (Figure, error) {
 		YLabel: "percentage of accepted calls",
 	}
 	for _, sc := range []struct{ label, name string }{{"FACS", "facs"}, {"SCC", "scc"}} {
-		factory, err := fc.contestant(sc.name)
+		factory, err := contestant(sc.name)
 		if err != nil {
 			return Figure{}, err
 		}

@@ -51,11 +51,6 @@ type MultiCellConfig struct {
 	GPSNoiseM float64
 	// ObserveSteps is the GPS warm-up before admission (default 10).
 	ObserveSteps int
-	// TickIntervalSec is how often controllers with time-driven state
-	// (cac.Ticker, e.g. the incremental SCC ledger) receive OnTick while
-	// arrivals remain or calls are active. Default 10 s (the SCC
-	// projection quantum); controllers that are not Tickers get none.
-	TickIntervalSec float64
 	// HandoffPolicy selects how handoffs are admitted at the target
 	// cell. Default HandoffPhysical.
 	HandoffPolicy HandoffPolicy
@@ -126,9 +121,6 @@ func (c MultiCellConfig) withDefaults() MultiCellConfig {
 	if c.ObserveSteps == 0 {
 		c.ObserveSteps = 10
 	}
-	if c.TickIntervalSec == 0 {
-		c.TickIntervalSec = 10
-	}
 	if c.HandoffPolicy == 0 {
 		c.HandoffPolicy = HandoffPhysical
 	}
@@ -143,7 +135,7 @@ func (c MultiCellConfig) Validate() error {
 	if c.NumRequests <= 0 {
 		return fmt.Errorf("experiments: NumRequests must be > 0, got %d", c.NumRequests)
 	}
-	if !(c.WindowSec > 0) || !(c.MeanHoldingSec > 0) || !(c.TickIntervalSec > 0) {
+	if !(c.WindowSec > 0) || !(c.MeanHoldingSec > 0) {
 		return fmt.Errorf("experiments: time parameters must be > 0")
 	}
 	if c.ObserveSteps < 2 {
@@ -287,15 +279,9 @@ func RunMultiCell(cfg MultiCellConfig) (MultiCellResult, error) {
 	sched := sim.NewScheduler()
 	for _, req := range gen.Take(cfg.NumRequests) {
 		req := req
-		run.pendingArrivals++
 		if _, err := sched.At(req.ArrivalTime, func(s *sim.Scheduler) {
 			run.arrive(s, req)
 		}); err != nil {
-			return MultiCellResult{}, err
-		}
-	}
-	if _, ok := controller.(cac.Ticker); ok {
-		if _, err := sched.After(cfg.TickIntervalSec, run.tick); err != nil {
 			return MultiCellResult{}, err
 		}
 	}
@@ -314,27 +300,8 @@ type multiCellRun struct {
 	gpsRNG  *rand.Rand
 	result  *MultiCellResult
 	err     error
-	// pendingArrivals and liveCalls gate the tick chain: ticks re-arm
-	// only while the run still has work, so the scheduler drains.
-	pendingArrivals int
-	liveCalls       int
 	// arena recycles activeCall records across the call population.
 	arena callArena
-}
-
-// tick delivers the periodic time advance to the controller and re-arms
-// itself while the run still has pending arrivals or active calls.
-func (r *multiCellRun) tick(s *sim.Scheduler) {
-	if r.err != nil {
-		return
-	}
-	r.step.core.Tick(s.Now())
-	if r.pendingArrivals == 0 && r.liveCalls == 0 {
-		return
-	}
-	if _, err := s.After(r.cfg.TickIntervalSec, r.tick); err != nil {
-		r.err = err
-	}
 }
 
 // spawn places a new user uniformly inside network coverage with a random
@@ -375,7 +342,6 @@ func placeInCoverage(rng *rand.Rand, net *cell.Network, cellRadiusM float64, rin
 
 // arrive handles one new connection request.
 func (r *multiCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
-	r.pendingArrivals--
 	if r.err != nil {
 		return
 	}
@@ -417,7 +383,6 @@ func (r *multiCellRun) arrive(s *sim.Scheduler, req traffic.Request) {
 		return
 	}
 	r.result.Accepted++
-	r.liveCalls++
 	call := r.arena.alloc()
 	call.id = req.ID
 	call.bu = req.BU
@@ -453,7 +418,6 @@ func (r *multiCellRun) complete(s *sim.Scheduler, call *activeCall) {
 		return
 	}
 	r.result.Completed++
-	r.liveCalls--
 	// Both events are now fired or cancelled, so the record can recycle.
 	r.arena.release(call)
 }
@@ -474,7 +438,6 @@ func (r *multiCellRun) dropCall(s *sim.Scheduler, call *activeCall) {
 		r.err = err
 		return
 	}
-	r.liveCalls--
 	// endEv is cancelled and moveEv is the currently-firing event: no
 	// pending handler references the record any more.
 	r.arena.release(call)

@@ -155,24 +155,36 @@ func TestSeedsErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestCompiledFigureMatchesExact is the system-level golden test: the
-// lookup-table fast path produces byte-identical figure curves,
-// because every admission decision and grade matches the exact
-// engine and the simulation consumes nothing else from the controller.
+// TestCompiledFigureMatchesExact is the system-level golden test: on
+// every Fig. 7 scenario the lookup-table fast path produces
+// byte-identical single-cell results, because every admission decision
+// matches the exact engine and the simulation consumes nothing else
+// from the controller.
 func TestCompiledFigureMatchesExact(t *testing.T) {
-	fc := FigureConfig{LoadPoints: []int{30, 60}, Seeds: []int64{1, 2}}
-	exact, err := Figure7(fc)
+	compiled, err := facs.DefaultCompiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.Compiled = true
-	compiled, err := Figure7(fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(exact, compiled) {
-		t.Fatalf("compiled Figure 7 differs from exact:\nexact:    %+v\ncompiled: %+v",
-			exact.Series, compiled.Series)
+	for _, speed := range []float64{4, 10, 30, 60} {
+		for _, n := range []int{30, 60} {
+			for _, seed := range []int64{1, 2} {
+				cfg := SingleCellConfig{NumRequests: n, Seed: seed, SpeedKmh: Pin(speed)}
+				cfg.Controller = facs.Must()
+				exact, err := RunSingleCell(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Controller = compiled
+				fast, err := RunSingleCell(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(exact, fast) {
+					t.Fatalf("speed %v, n %d, seed %d: compiled run differs from exact:\nexact:    %+v\ncompiled: %+v",
+						speed, n, seed, exact, fast)
+				}
+			}
+		}
 	}
 }
 

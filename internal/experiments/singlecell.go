@@ -258,8 +258,8 @@ func RunSingleCell(cfg SingleCellConfig) (SingleCellResult, error) {
 }
 
 // grader is the optional controller capability the queueing extension
-// needs: access to the soft decision grade (FACS exposes it through
-// Evaluate).
+// needs: access to the soft decision grade. Both FACS forms expose it
+// through Evaluate, which runs the exact System.
 type grader interface {
 	Evaluate(obs gps.Observation, requestBU, usedBU int, handoff bool) (ifacs.Evaluation, error)
 }

@@ -40,17 +40,35 @@ var cacheProbes = []struct {
 
 func assertSameAnswers(t *testing.T, want, got *CompiledController) {
 	t.Helper()
+	st := newGoldenStation(t)
 	for _, p := range cacheProbes {
-		a, err := want.Evaluate(p.obs, p.request, p.used, p.handoff)
+		// Both surfaces, value and bound, then the decision.
+		var answers [2][4]float64
+		for i, c := range []*CompiledController{want, got} {
+			cv, b1, err := c.surf1.EvaluateVecWithBound(p.obs.SpeedKmh, p.obs.AngleDeg, p.obs.DistanceKm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ar, b2, err := c.surf2.EvaluateVecWithBound(cv, float64(p.request), float64(p.used))
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = [4]float64{cv, b1, ar, b2}
+		}
+		if answers[0] != answers[1] {
+			t.Fatalf("cached surfaces answer (Cv, b1, A/R, b2) = %v at %+v, want %v", answers[1], p, answers[0])
+		}
+		req := st.request(t, p.obs, p.request, p.used, p.handoff)
+		a, err := want.Decide(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := got.Evaluate(p.obs, p.request, p.used, p.handoff)
+		b, err := got.Decide(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a != b {
-			t.Fatalf("cached controller answers %+v at %+v, want %+v", b, p, a)
+			t.Fatalf("cached controller decides %v at %+v, want %v", b, p, a)
 		}
 	}
 	// The whole golden lattice must agree, not just the probes: FLC1's
@@ -239,7 +257,8 @@ func TestSurfaceCacheUnwritableDirDegradesToCompilation(t *testing.T) {
 	if info.Hit {
 		t.Fatalf("unreadable entry cannot be a hit: %+v", info)
 	}
-	if _, err := c.Evaluate(cacheProbes[0].obs, cacheProbes[0].request, cacheProbes[0].used, cacheProbes[0].handoff); err != nil {
+	p := cacheProbes[0]
+	if _, err := c.Decide(newGoldenStation(t).request(t, p.obs, p.request, p.used, p.handoff)); err != nil {
 		t.Fatalf("returned controller is not usable: %v", err)
 	}
 }

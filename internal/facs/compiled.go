@@ -2,7 +2,6 @@ package facs
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -21,16 +20,17 @@ const DefaultSurfaceGridSize = fuzzy.DefaultSurfaceGridSize
 // surfaceErrorSafety scales the sampled interpolation error bounds
 // (fuzzy.WithSurfaceErrorMap). A single centre probe can under-read
 // the peak error of a cell crossed asymmetrically by a t-norm crease;
-// doubling it gives the guard band and the accept table their margin.
-// The golden-equivalence suite and TestDecisionTableMatchesExact verify
-// empirically that the resulting guards are sound (zero decision or
-// grade flips).
+// doubling it gives the cell ranges and the accept table their margin.
+// The golden-equivalence suite and TestDecisionTableMatchesExact check
+// empirically that the resulting verdicts match the exact engines; the
+// bounds are estimates, not proofs (see ARCHITECTURE.md).
 const surfaceErrorSafety = 2
 
 // CompiledController is the lookup-table fast path of the FACS: both
 // controllers compiled into dense interpolation surfaces
 // (FLC1: speed x angle x distance -> Cv; FLC2: Cv x R x Cs -> A/R) at
-// construction time.
+// construction time. It answers accept/reject only; the crisp values
+// and the grade come from the exact System (Evaluate).
 //
 // An admission decision (Decide, DecideBatchInto) is compare-only, in
 // three steps. A per-(handoff, R, Cs) accept table of certain Cv
@@ -45,23 +45,19 @@ const surfaceErrorSafety = 2
 // engines, are the ones the point check alone would send there. That
 // step runs exact FLC1 and asks the table about the exact Cv itself;
 // only where no certain interval holds it does exact FLC2 run.
-// Evaluate, which also reports the crisp values and the grade,
-// interpolates both surfaces and falls back when the A/R value lands
-// within the propagated bound of the accept threshold or a grade
-// boundary. Either way decisions and grades match the exact System;
-// the crisp Cv and A/R values themselves carry the small interpolation
-// tolerance documented in the golden-equivalence test suite
-// (internal/facs/compiled_test.go).
+// Decisions are meant to match the exact System's, and the
+// golden-equivalence suite (internal/facs/compiled_test.go) finds no
+// flip; they are only as sound as the probed error bounds beneath the
+// cell ranges and the table.
 //
 // A CompiledController is immutable after construction (the fallback
 // counters aside) and safe for concurrent use.
 type CompiledController struct {
-	sys        *System
-	surf1      *fuzzy.Surface
-	surf2      *fuzzy.Surface
-	boundaries []float64 // accept threshold + grade switch points, on the A/R axis
-	table      acceptTable
-	cells      *fuzzy.CellRanges // FLC1's range per grid cell
+	sys   *System
+	surf1 *fuzzy.Surface
+	surf2 *fuzzy.Surface
+	table acceptTable
+	cells *fuzzy.CellRanges // FLC1's range per grid cell
 
 	fast  atomic.Int64
 	exact atomic.Int64
@@ -148,23 +144,22 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 var flc2AlignedAxes = []string{VarRequest, VarCounter}
 
 // newCompiledFromSurfaces assembles a controller from already compiled
-// (or cache-decoded) surfaces. The grade/threshold boundaries, the
-// accept table and FLC1's cell ranges are re-derived from the system
-// and the surfaces, which is cheap; only the surface sampling itself is
-// worth persisting. Everything is built here, before the controller
-// serves, so no decision pays for a lazy build.
+// (or cache-decoded) surfaces. The accept table and FLC1's cell ranges
+// are re-derived from the system and the surfaces, which is cheap; only
+// the surface sampling itself is worth persisting. Everything is built
+// here, before the controller serves, so no decision pays for a lazy
+// build.
 func newCompiledFromSurfaces(sys *System, surf1, surf2 *fuzzy.Surface) (*CompiledController, error) {
 	cells, err := fuzzy.NewCellRanges(surf1)
 	if err != nil {
 		return nil, fmt.Errorf("facs: FLC1 cell ranges: %w", err)
 	}
 	return &CompiledController{
-		sys:        sys,
-		surf1:      surf1,
-		surf2:      surf2,
-		boundaries: append(gradeBoundaries(sys.flc2.Output()), sys.acceptThreshold),
-		table:      newAcceptTable(sys, surf2),
-		cells:      cells,
+		sys:   sys,
+		surf1: surf1,
+		surf2: surf2,
+		table: newAcceptTable(sys, surf2),
+		cells: cells,
 	}, nil
 }
 
@@ -174,37 +169,6 @@ func integerNodes(max float64) []float64 {
 	var out []float64
 	for x := 1.0; x < max; x++ {
 		out = append(out, x)
-	}
-	return out
-}
-
-// gradeBoundaries locates the points of the A/R universe at which the
-// highest-membership output term — the decision grade — switches, by
-// scanning the variable at fine resolution and bisecting each switch
-// interval down to floating-point noise.
-func gradeBoundaries(ar *fuzzy.Variable) []float64 {
-	const scan = 4096
-	min, max := ar.Universe()
-	step := (max - min) / scan
-	var out []float64
-	prev := ar.HighestTermIndex(min)
-	for i := 1; i <= scan; i++ {
-		x := min + float64(i)*step
-		cur := ar.HighestTermIndex(x)
-		if cur == prev {
-			continue
-		}
-		lo, hi := x-step, x
-		for hi-lo > 1e-12 {
-			mid := (lo + hi) / 2
-			if ar.HighestTermIndex(mid) == prev {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		out = append(out, hi)
-		prev = cur
 	}
 	return out
 }
@@ -243,8 +207,9 @@ func (c *CompiledController) FLC2Surface() *fuzzy.Surface { return c.surf2 }
 // AcceptThreshold returns the crisp decision boundary.
 func (c *CompiledController) AcceptThreshold() float64 { return c.sys.AcceptThreshold() }
 
-// Stats reports how many decisions and evaluations were answered from
-// the surfaces versus by the exact engines since construction.
+// Stats reports how many decisions the surfaces settled (fast) and how
+// many decisions and Evaluate calls ran the exact engines (exact) since
+// construction.
 func (c *CompiledController) Stats() (fast, exact int64) {
 	return c.fast.Load(), c.exact.Load()
 }
@@ -253,56 +218,12 @@ func (c *CompiledController) Stats() (fast, exact int64) {
 // settled by the cell check, before any interpolation.
 func (c *CompiledController) CellSettled() int64 { return c.cell.Load() }
 
-// Predict runs the compiled FLC1 surface, returning the correction
-// value for an observation. The result carries the documented
-// interpolation tolerance; use System().Predict for the exact value.
-func (c *CompiledController) Predict(obs gps.Observation) (float64, error) {
-	return c.surf1.EvaluateVec(obs.SpeedKmh, obs.AngleDeg, obs.DistanceKm)
-}
-
-// Evaluate runs the full two-stage inference on the compiled surfaces,
-// mirroring System.Evaluate. If the interpolated A/R value lands
-// within the propagated error bound of the accept threshold or of a
-// grade boundary, the exact engines decide instead, so the returned
-// Grade and Accepted always match the exact System.
+// Evaluate is System.Evaluate, counted as one exact evaluation in
+// Stats: the compiled surfaces only decide, so the crisp values and the
+// grade come from the exact engines.
 func (c *CompiledController) Evaluate(obs gps.Observation, requestBU, usedBU int, handoff bool) (Evaluation, error) {
-	cv, b1, err := c.surf1.EvaluateVecWithBound(obs.SpeedKmh, obs.AngleDeg, obs.DistanceKm)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	ar, _, err := c.surf2.EvaluateVecWithBound(cv, float64(requestBU), float64(usedBU))
-	if err != nil {
-		return Evaluation{}, err
-	}
-	// The exact Cv may lie anywhere in [cv-b1, cv+b1], possibly in a
-	// neighbouring cell of the admission surface, so bound the slope
-	// and the interpolation error over every Cv-axis cell that
-	// interval touches before propagating the upstream error.
-	cvSpan := [2]float64{cv - b1, cv + b1}
-	slope, b2, err := c.surf2.AxisRangeBounds(0, cvSpan[:], cv, float64(requestBU), float64(usedBU))
-	if err != nil {
-		return Evaluation{}, err
-	}
-	guard := slope*b1 + b2
-	if handoff {
-		ar += c.sys.handoffBias
-		if ar > 1 {
-			ar = 1
-		}
-	}
-	for _, b := range c.boundaries {
-		if math.Abs(ar-b) <= guard {
-			c.exact.Add(1)
-			return c.sys.Evaluate(obs, requestBU, usedBU, handoff)
-		}
-	}
-	c.fast.Add(1)
-	return Evaluation{
-		Cv:       cv,
-		AR:       ar,
-		Grade:    c.sys.grade(ar),
-		Accepted: ar >= c.sys.acceptThreshold,
-	}, nil
+	c.exact.Add(1)
+	return c.sys.Evaluate(obs, requestBU, usedBU, handoff)
 }
 
 // DecideBatch implements cac.BatchController with the same semantics as

@@ -13,27 +13,11 @@ import (
 	"facs/internal/traffic"
 )
 
-// Golden-equivalence suite: the compiled lookup-table fast path against
-// the exact Mamdani engines.
-//
-// Two guarantees are pinned here, with the tolerances the package
-// documents:
-//
-//   - Admission decisions (Accepted) and soft grades (Grade) NEVER
-//     differ from the exact System — the guard band re-runs the exact
-//     engines whenever the interpolated A/R value is too close to a
-//     decision boundary to be certain, so the suite asserts zero flips
-//     across the paper's operating lattice and across randomized
-//     inputs.
-//   - The crisp Cv and A/R values carry a bounded interpolation error:
-//     at the default grid the paper operating lattice stays within
-//     latticeTol, and arbitrary in-universe inputs within globalTol
-//     (the worst case sits on the diagonal creases of the min t-norm,
-//     between grid nodes).
-const (
-	latticeTol = 0.012
-	globalTol  = 0.07
-)
+// Golden-equivalence suite: the compiled decision path against the
+// exact Mamdani engines. Admission decisions must never differ: the
+// suite asserts zero flips of cc.Decide against System.Decide across the
+// paper's operating lattice and across randomized inputs, each request
+// asked of a 40 BU station holding the sampled occupancy.
 
 // goldenCompiled returns the shared compiled default system, so the
 // multi-second surface compilation is paid once per test binary.
@@ -67,47 +51,86 @@ func paperLattice(visit func(obs gps.Observation, requestBU, usedBU int)) {
 	}
 }
 
+// goldenStation is a 40 BU base station whose occupancy the golden
+// sets move between requests with 1 BU filler calls.
+type goldenStation struct {
+	bs  *cell.BaseStation
+	ids []int
+}
+
+func newGoldenStation(t *testing.T) *goldenStation {
+	t.Helper()
+	bs, err := cell.NewBaseStation(geo.Hex{}, geo.Point{}, cell.DefaultCapacityBU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &goldenStation{bs: bs}
+}
+
+// request returns a request for requestBU on the station, first
+// admitting or releasing filler calls until it holds usedBU.
+func (g *goldenStation) request(t *testing.T, obs gps.Observation, requestBU, usedBU int, handoff bool) cac.Request {
+	t.Helper()
+	for len(g.ids) < usedBU {
+		id := len(g.ids) + 1
+		if err := g.bs.Admit(cell.Call{ID: id, Class: traffic.Text, BU: 1}); err != nil {
+			t.Fatal(err)
+		}
+		g.ids = append(g.ids, id)
+	}
+	for len(g.ids) > usedBU {
+		if _, err := g.bs.Release(g.ids[len(g.ids)-1]); err != nil {
+			t.Fatal(err)
+		}
+		g.ids = g.ids[:len(g.ids)-1]
+	}
+	class := map[int]traffic.Class{1: traffic.Text, 5: traffic.Voice, 10: traffic.Video}[requestBU]
+	return cac.Request{
+		Call:    cell.Call{ID: 1 << 20, Class: class, BU: requestBU},
+		Station: g.bs,
+		Obs:     obs,
+		Handoff: handoff,
+	}
+}
+
+// decideBoth returns the exact and the compiled decision on req.
+func decideBoth(t *testing.T, sys *System, cc *CompiledController, req cac.Request) (exact, fast cac.Decision) {
+	t.Helper()
+	exact, err := sys.Decide(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err = cc.Decide(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exact, fast
+}
+
 func TestCompiledGoldenLattice(t *testing.T) {
 	sys := Must()
 	cc := goldenCompiled(t)
-	var n, flips, gradeFlips int
-	var maxCv, maxAR float64
+	st := newGoldenStation(t)
+	var n, flips int
 	paperLattice(func(obs gps.Observation, r, used int) {
-		exact, err := sys.Evaluate(obs, r, used, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := cc.Evaluate(obs, r, used, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact, fast := decideBoth(t, sys, cc, st.request(t, obs, r, used, false))
 		n++
-		if exact.Accepted != fast.Accepted {
+		if exact != fast {
 			flips++
 		}
-		if exact.Grade != fast.Grade {
-			gradeFlips++
-		}
-		maxCv = math.Max(maxCv, math.Abs(exact.Cv-fast.Cv))
-		maxAR = math.Max(maxAR, math.Abs(exact.AR-fast.AR))
 	})
-	if flips != 0 || gradeFlips != 0 {
-		t.Fatalf("paper lattice (%d points): %d accept flips, %d grade flips; want zero",
-			n, flips, gradeFlips)
+	if flips != 0 {
+		t.Fatalf("paper lattice (%d points): %d decision flips; want zero", n, flips)
 	}
-	if maxCv > latticeTol || maxAR > latticeTol {
-		t.Fatalf("paper lattice: max |dCv| = %v, max |dAR| = %v exceed documented %v",
-			maxCv, maxAR, latticeTol)
-	}
-	t.Logf("lattice: %d points, zero flips, max |dCv| = %.5f, max |dAR| = %.5f", n, maxCv, maxAR)
+	t.Logf("lattice: %d points, zero flips", n)
 }
 
 func TestCompiledGoldenRandom(t *testing.T) {
 	sys := Must()
 	cc := goldenCompiled(t)
+	st := newGoldenStation(t)
 	rng := rand.New(rand.NewSource(1907))
 	const samples = 30000
-	var maxCv, maxAR float64
 	for i := 0; i < samples; i++ {
 		obs := gps.Observation{
 			SpeedKmh:   rng.Float64() * 120,
@@ -117,56 +140,47 @@ func TestCompiledGoldenRandom(t *testing.T) {
 		r := []int{1, 5, 10}[rng.Intn(3)]
 		used := rng.Intn(41)
 		handoff := rng.Intn(8) == 0
-		exact, err := sys.Evaluate(obs, r, used, handoff)
-		if err != nil {
-			t.Fatal(err)
+		if exact, fast := decideBoth(t, sys, cc, st.request(t, obs, r, used, handoff)); exact != fast {
+			t.Fatalf("decision flip at %+v r=%d used=%d handoff=%v: exact %v, compiled %v",
+				obs, r, used, handoff, exact, fast)
 		}
-		fast, err := cc.Evaluate(obs, r, used, handoff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact.Accepted != fast.Accepted {
-			t.Fatalf("decision flip at %+v r=%d used=%d: exact AR %v, fast AR %v",
-				obs, r, used, exact.AR, fast.AR)
-		}
-		if exact.Grade != fast.Grade {
-			t.Fatalf("grade flip at %+v r=%d used=%d: exact %v, fast %v",
-				obs, r, used, exact.Grade, fast.Grade)
-		}
-		maxCv = math.Max(maxCv, math.Abs(exact.Cv-fast.Cv))
-		maxAR = math.Max(maxAR, math.Abs(exact.AR-fast.AR))
 	}
-	if maxCv > globalTol || maxAR > globalTol {
-		t.Fatalf("random sweep: max |dCv| = %v, max |dAR| = %v exceed documented %v",
-			maxCv, maxAR, globalTol)
-	}
-	t.Logf("random: %d samples, zero flips, max |dCv| = %.5f, max |dAR| = %.5f", samples, maxCv, maxAR)
+	t.Logf("random: %d samples, zero flips", samples)
 }
 
-// TestCompiledExactAtNodes: on the grid nodes of the prediction
-// surface the fast path reproduces the exact engine bit-for-bit (up to
-// float summation noise).
-func TestCompiledExactAtNodes(t *testing.T) {
-	sys := Must()
-	cc := goldenCompiled(t)
-	axes := cc.FLC1Surface().Axes()
-	sNodes, aNodes, dNodes := axes[0].Nodes(), axes[1].Nodes(), axes[2].Nodes()
-	for i := 0; i < len(sNodes); i += 8 {
-		for j := 0; j < len(aNodes); j += 8 {
-			for k := 0; k < len(dNodes); k += 8 {
-				obs := gps.Observation{SpeedKmh: sNodes[i], AngleDeg: aNodes[j], DistanceKm: dNodes[k]}
-				want, err := sys.Predict(obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := cc.Predict(obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(got-want) > 1e-12 {
-					t.Fatalf("node (%v, %v, %v): compiled %v, exact %v",
-						obs.SpeedKmh, obs.AngleDeg, obs.DistanceKm, got, want)
-				}
+// TestCompiledEvaluateIsExact: Evaluate returns System.Evaluate's
+// Evaluation bit for bit, with and without a handoff bias, and counts
+// exactly one exact evaluation.
+func TestCompiledEvaluateIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, cc := range []*CompiledController{goldenCompiled(t), goldenBiasedCompiled(t)} {
+		sys := cc.System()
+		for i := 0; i < 200; i++ {
+			obs := gps.Observation{
+				SpeedKmh:   rng.Float64() * 120,
+				AngleDeg:   rng.Float64()*360 - 180,
+				DistanceKm: rng.Float64() * 10,
+			}
+			r := []int{1, 5, 10}[rng.Intn(3)]
+			used := rng.Intn(41)
+			handoff := i%2 == 0
+			want, err := sys.Evaluate(obs, r, used, handoff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f0, e0 := cc.Stats()
+			got, err := cc.Evaluate(obs, r, used, handoff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f1, e1 := cc.Stats(); f1 != f0 || e1 != e0+1 {
+				t.Fatalf("Evaluate moved stats (%d, %d) -> (%d, %d), want one exact", f0, e0, f1, e1)
+			}
+			if math.Float64bits(got.Cv) != math.Float64bits(want.Cv) ||
+				math.Float64bits(got.AR) != math.Float64bits(want.AR) ||
+				got.Grade != want.Grade || got.Accepted != want.Accepted {
+				t.Fatalf("Evaluate at %+v r=%d used=%d handoff=%v: compiled %+v, exact %+v",
+					obs, r, used, handoff, got, want)
 			}
 		}
 	}
@@ -281,8 +295,8 @@ func compiledDecideMatchesSystem(t *testing.T, cc *CompiledController, capacity 
 }
 
 // TestCompiledHandoffBias: a coarse 17-node grid with a handoff bias
-// still never flips a decision or grade — the guard band absorbs the
-// larger interpolation error by falling back more often.
+// still never flips a decision — the looser error bounds send more
+// requests to the exact engines instead.
 func TestCompiledHandoffBias(t *testing.T) {
 	sys, err := New(WithHandoffBias(0.5))
 	if err != nil {
@@ -292,6 +306,7 @@ func TestCompiledHandoffBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := newGoldenStation(t)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 4000; i++ {
 		obs := gps.Observation{
@@ -302,28 +317,21 @@ func TestCompiledHandoffBias(t *testing.T) {
 		r := []int{1, 5, 10}[rng.Intn(3)]
 		used := rng.Intn(41)
 		handoff := i%2 == 0
-		exact, err := sys.Evaluate(obs, r, used, handoff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := cc.Evaluate(obs, r, used, handoff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact.Accepted != fast.Accepted || exact.Grade != fast.Grade {
-			t.Fatalf("flip with bias at %+v r=%d used=%d handoff=%v: exact (%v, %v), fast (%v, %v)",
-				obs, r, used, handoff, exact.Grade, exact.Accepted, fast.Grade, fast.Accepted)
+		if exact, fast := decideBoth(t, sys, cc, st.request(t, obs, r, used, handoff)); exact != fast {
+			t.Fatalf("flip with bias at %+v r=%d used=%d handoff=%v: exact %v, compiled %v",
+				obs, r, used, handoff, exact, fast)
 		}
 	}
 	fast, exact := cc.Stats()
 	if fast == 0 || exact == 0 {
 		t.Fatalf("coarse grid should exercise both paths, got fast=%d exact=%d", fast, exact)
 	}
+	t.Logf("bias: fast=%d exact=%d", fast, exact)
 }
 
-// TestCompiledStats: the knife-edge plateau of the admission surface
-// (exact A/R within 1e-3 of the accept threshold) must route through
-// the exact fallback, and ordinary points through the fast path.
+// TestCompiledStats: a knife-edge request (exact A/R within 1e-3 of the
+// accept threshold) must fall back to the exact engines, and an
+// ordinary one settle on the surfaces.
 func TestCompiledStats(t *testing.T) {
 	cc, err := NewCompiled(0)
 	if err != nil {
@@ -333,21 +341,22 @@ func TestCompiledStats(t *testing.T) {
 	if f0 != 0 || e0 != 0 {
 		t.Fatalf("fresh controller stats = (%d, %d)", f0, e0)
 	}
-	// Knife edge: exact AR = 0.24999... (measured), guard must trigger.
+	st := newGoldenStation(t)
+	// Knife edge: exact AR = 0.24999... (measured).
 	knife := gps.Observation{SpeedKmh: 60, AngleDeg: 50, DistanceKm: 7}
-	if _, err := cc.Evaluate(knife, 1, 15, false); err != nil {
+	if _, err := cc.Decide(st.request(t, knife, 1, 15, false)); err != nil {
 		t.Fatal(err)
 	}
-	if _, e := cc.Stats(); e != 1 {
-		t.Fatalf("knife-edge evaluation did not take the exact fallback: stats %v", e)
+	if f, e := cc.Stats(); f != 0 || e != 1 {
+		t.Fatalf("knife-edge decision did not take the exact fallback: stats (%d, %d)", f, e)
 	}
 	// Comfortable margin: deep reject.
 	easy := gps.Observation{SpeedKmh: 110, AngleDeg: 180, DistanceKm: 9.5}
-	if _, err := cc.Evaluate(easy, 10, 38, false); err != nil {
+	if _, err := cc.Decide(st.request(t, easy, 10, 28, false)); err != nil {
 		t.Fatal(err)
 	}
-	if f, _ := cc.Stats(); f != 1 {
-		t.Fatalf("easy evaluation did not take the fast path: stats %v", f)
+	if f, e := cc.Stats(); f != 1 || e != 1 {
+		t.Fatalf("easy decision did not settle on the surfaces: stats (%d, %d)", f, e)
 	}
 }
 
@@ -402,22 +411,5 @@ func TestDefaultCompiledShared(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("DefaultCompiled should return the shared instance")
-	}
-}
-
-// TestGradeBoundaries: the scanned grade switch points of the default
-// A/R variable sit at the membership crossings: shoulder/triangle
-// pairs cross at +-0.625, the symmetric inner triangles at +-0.25.
-func TestGradeBoundaries(t *testing.T) {
-	sys := Must()
-	got := gradeBoundaries(sys.FLC2().Output())
-	want := []float64{-0.625, -0.25, 0.25, 0.625}
-	if len(got) != len(want) {
-		t.Fatalf("boundaries = %v, want %v", got, want)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("boundary %d = %v, want %v", i, got[i], want[i])
-		}
 	}
 }

@@ -10,12 +10,15 @@
 //
 // # Exact and compiled paths
 //
-// System is the exact two-stage inference; CompiledController answers
-// the same queries from dense interpolation surfaces
-// (fuzzy.Surface) at ~8x the throughput. The contract between
-// them is asymmetric on purpose: crisp Cv and A/R values carry a small
-// documented interpolation tolerance, but accept/reject outcomes and
-// decision grades NEVER differ.
+// System is the exact two-stage inference and the reference: it
+// computes the crisp Cv and A/R values, the grade and the accept/reject
+// outcome. CompiledController answers only accept/reject, from dense
+// interpolation surfaces (fuzzy.Surface); its Evaluate is System.Evaluate.
+// Its decisions are meant to equal the exact System's. They rest on
+// interpolation error bounds that are probed at cell centres, not
+// proven, so the equality is checked (zero flips across the golden sets
+// of compiled_test.go and every accept-table interval), not certified;
+// ARCHITECTURE.md records a request on which the two disagree.
 //
 // A compiled decision (Decide, DecideBatchInto) is compare-only. The
 // FLC2 surface pins a node at every integral R and Cs, and its error
@@ -44,14 +47,10 @@
 //
 // On BenchmarkCompiledDecideBatch's batch the cell check settles 459
 // of the 465 decisions that reach the surfaces; CellSettled counts the
-// decisions it settles.
-// Evaluate, which reports the crisp values and the grade as well,
-// interpolates both surfaces and re-runs the exact engines when the
-// A/R value lands within the propagated bound of the accept threshold
-// or a grade boundary. compiled_test.go pins the contract end to end;
-// accept_test.go checks every interval of the table against the exact
-// engines, and cellrange_test.go every FLC1 cell range against its
-// corners and bound.
+// decisions it settles. compiled_test.go pins decisions end to end
+// against System.Decide; accept_test.go checks every interval of the
+// table against the exact engines, and cellrange_test.go every FLC1
+// cell range against its corners and bound.
 //
 // # Surface persistence
 //

@@ -80,8 +80,8 @@ func TestExactEvaluateZeroAllocs(t *testing.T) {
 // decisionPathBatch draws randomized requests and keeps the first n
 // that the compiled decision path answers through the exact engines
 // (fallback) or from the accept table alone (!fallback), as its own
-// counters report. Evaluate's counts would not do: it also falls back
-// near grade boundaries, which a decision never reads.
+// counters report. Evaluate's counts would not do: every Evaluate
+// counts as exact.
 func decisionPathBatch(t *testing.T, cc *CompiledController, n int, fallback bool) []cac.Request {
 	t.Helper()
 	var out []cac.Request

@@ -3,33 +3,53 @@ package facs_test
 import (
 	"fmt"
 
+	"facs/internal/cac"
+	"facs/internal/cell"
 	"facs/internal/facs"
+	"facs/internal/geo"
 	"facs/internal/gps"
+	"facs/internal/traffic"
 )
 
-// ExampleCompiledController evaluates one admission question on the
-// lookup-table fast path. The crisp Cv and A/R values carry a small
-// interpolation tolerance, but the guard band makes the grade and the
-// accept/reject outcome always identical to the exact System.
+// ExampleCompiledController decides one admission request on the
+// lookup-table fast path, which answers accept/reject only, then asks
+// Evaluate for the grade, which the exact System computes.
 func ExampleCompiledController() {
 	cc, err := facs.DefaultCompiled() // compiled once, shared process-wide
 	if err != nil {
 		panic(err)
 	}
-	obs := gps.Observation{SpeedKmh: 60, AngleDeg: 0, DistanceKm: 2}
-	ev, err := cc.Evaluate(obs, 5 /* requested BU */, 12 /* occupied BU */, false)
+	bs, err := cell.NewBaseStation(geo.Hex{}, geo.Point{}, cell.DefaultCapacityBU)
 	if err != nil {
 		panic(err)
 	}
-	exact, err := cc.System().Evaluate(obs, 5, 12, false)
+	for id := 1; bs.Used() < 12; id++ { // 12 BU occupied
+		if err := bs.Admit(cell.Call{ID: id, Class: traffic.Text, BU: 1}); err != nil {
+			panic(err)
+		}
+	}
+	req := cac.Request{
+		Call:    cell.Call{ID: 100, Class: traffic.Voice, BU: traffic.Voice.BandwidthUnits()},
+		Station: bs,
+		Obs:     gps.Observation{SpeedKmh: 60, AngleDeg: 0, DistanceKm: 2},
+	}
+	d, err := cc.Decide(req)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("accepted:", ev.Accepted)
+	exact, err := cc.System().Decide(req)
+	if err != nil {
+		panic(err)
+	}
+	ev, err := cc.Evaluate(req.Obs, req.Call.BU, bs.Used(), req.Handoff)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("decision:", d)
+	fmt.Println("matches exact system:", d == exact)
 	fmt.Println("grade:", ev.Grade)
-	fmt.Println("matches exact system:", ev.Accepted == exact.Accepted && ev.Grade == exact.Grade)
 	// Output:
-	// accepted: true
-	// grade: weak-accept
+	// decision: accept
 	// matches exact system: true
+	// grade: weak-accept
 }

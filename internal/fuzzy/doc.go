@@ -105,7 +105,11 @@
 // off its nodes after clamping, so a guarded caller falls back to the
 // exact engine rather than trust a bound that was never probed.
 // Profile returns a surface along one axis — node values and each
-// cell's bound — for callers that precompute decisions from it.
+// cell's bound — for callers that precompute decisions from it, as
+// internal/facs builds its accept table. The probes interpolate from
+// the cell and fraction locate gives each probe coordinate, computed
+// once per coordinate, so the map has the bits a per-probe EvaluateVec
+// would give.
 //
 // # Locating a query and cell ranges
 //

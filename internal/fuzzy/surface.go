@@ -474,10 +474,30 @@ func (s *Surface) initErrorMap(aligned uint32) int {
 // compileErrorMap fills the error table by probing the engine at every
 // cell centre — at the node itself along aligned axes. Workers shard
 // slabs of the first axis exactly like compile, so the map is
-// scheduling-independent too.
+// scheduling-independent too. Each probe's interpolated value comes
+// from the cell and fraction locate gives its coordinates, found once
+// per axis coordinate rather than once per probe.
 func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64, aligned uint32) error {
 	d := len(s.axes)
 	s.errs = make([]float64, s.initErrorMap(aligned))
+	// probes[k][i] is the probe coordinate at error index i of axis k,
+	// offs[k][i] its cell's offset in the value table and fracs[k][i]
+	// its fraction across that cell.
+	probes := make([][]float64, d)
+	offs := make([][]int, d)
+	fracs := make([][]float64, d)
+	for k := range s.axes {
+		n, nodes := s.errShape(k), s.axes[k].nodes
+		probes[k], offs[k], fracs[k] = make([]float64, n), make([]int, n), make([]float64, n)
+		for i := range n {
+			x := nodes[i]
+			if aligned&(1<<k) == 0 {
+				x = (nodes[i] + nodes[i+1]) / 2
+			}
+			j, f := s.axes[k].locate(x)
+			probes[k][i], offs[k][i], fracs[k][i] = x, j*s.strides[k], f
+		}
+	}
 	slab := s.errStrides[0]
 	err := runSlabs(s.errShape(0), workers, func() func(i int) error {
 		g := newGridEval(e)
@@ -489,20 +509,18 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64, aligne
 				idx[k] = 0
 			}
 			for off := 0; off < slab; off++ {
+				var frac [maxSurfaceDims]float64
+				base := 0
 				for k := 0; k < d; k++ {
-					nodes := s.axes[k].nodes
-					if aligned&(1<<k) != 0 {
-						probe[k] = nodes[idx[k]]
-					} else {
-						probe[k] = (nodes[idx[k]] + nodes[idx[k]+1]) / 2
-					}
+					probe[k] = probes[k][idx[k]]
+					base += offs[k][idx[k]]
+					frac[k] = fracs[k][idx[k]]
 				}
 				exact, err := g.eval(probe)
 				if err != nil {
 					return fmt.Errorf("fuzzy: probing surface error at %v: %w", append([]float64(nil), probe...), err)
 				}
-				approx, _ := s.EvaluateVec(probe...)
-				diff := exact - approx
+				diff := exact - s.interpolate(base, &frac)
 				if diff < 0 {
 					diff = -diff
 				}
@@ -718,10 +736,11 @@ func (s *Surface) EvaluateVecWithBound(vals ...float64) (value, bound float64, e
 // an aligned coordinate is off its nodes, and when the range runs
 // along an aligned axis.
 //
-// Callers composing surfaces use it to propagate an upstream error
-// bound soundly: when the true input may lie anywhere in
-// [x-bound, x+bound], the slope and error of every cell that interval
-// touches matter, not just the cell the interpolated value fell in.
+// A caller composing surfaces can use it to propagate an upstream error
+// bound: when the true input may lie anywhere in [x-bound, x+bound],
+// the slope and error of every cell that interval touches matter, not
+// just the cell the interpolated value fell in. No decision path calls
+// it; perfbench's surface rung (perfbench/ladder.go) does.
 func (s *Surface) AxisRangeBounds(axis int, extra []float64, vals ...float64) (slope, errBound float64, err error) {
 	if len(vals) != len(s.axes) {
 		return 0, 0, fmt.Errorf("fuzzy: got %d input values, want %d", len(vals), len(s.axes)) //facs:alloc reject/error path; formats nothing on the steady-state wave

@@ -277,6 +277,9 @@ type Stats struct {
 	PerShard []serve.Stats
 	// Waves counts engine-level SubmitWaveTo calls.
 	Waves int64
+	// Ticks counts Tick barriers, once each however many shards the
+	// barrier reached (Total.Ticks counts per-shard OnTick deliveries).
+	Ticks int64
 	// Handoffs counts completed release-and-readmit protocols;
 	// CrossShard the subset spanning two shards; Drops the handoffs
 	// whose target did not commit; Errs the protocol failures (unknown
@@ -894,11 +897,10 @@ func (e *Engine) Tick(now float64) error {
 		sh.core.Tick(now)
 		sh.mu.Unlock()
 	}
-	if n := e.cfg.RebalanceEveryTicks; n > 0 {
-		if t := e.ticks.Add(1); t%int64(n) == 0 {
-			if err := e.rebalance(); err != nil {
-				return err
-			}
+	t := e.ticks.Add(1)
+	if n := e.cfg.RebalanceEveryTicks; n > 0 && t%int64(n) == 0 {
+		if err := e.rebalance(); err != nil {
+			return err
 		}
 	}
 	e.exchangeDemand()
@@ -1151,6 +1153,7 @@ func (e *Engine) Stats() Stats {
 		CellLocal:  e.cellLocal,
 		PerShard:   make([]serve.Stats, len(e.shards)),
 		Waves:      e.waves.Load(),
+		Ticks:      e.ticks.Load(),
 		Handoffs:   e.handoffCount.Load(),
 		CrossShard: e.crossShard.Load(),
 		Drops:      e.drops.Load(),

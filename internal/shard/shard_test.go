@@ -572,6 +572,37 @@ func TestTickBarrierReachesEveryShard(t *testing.T) {
 	}
 }
 
+// TestStatsCountsTickBarriers: Stats.Ticks counts barriers, once each,
+// whether the shard controllers take ticks (the SCC ledger, one
+// delivery per shard in Total.Ticks) or not (the guard channel, none).
+func TestStatsCountsTickBarriers(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		factory    func(View) (cac.Controller, error)
+		deliveries int64
+	}{
+		{"guard", guardFactory, 0},
+		{"scc", sccFactory(0), 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(Config{Network: testNetwork(t, 1), Shards: 2, NewController: tc.factory})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for i := 1; i <= 3; i++ {
+				if err := e.Tick(float64(10 * i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := e.Stats(); st.Ticks != 3 || st.Total.Ticks != tc.deliveries {
+				t.Fatalf("Ticks = %d, Total.Ticks = %d; want 3 barriers, %d deliveries",
+					st.Ticks, st.Total.Ticks, tc.deliveries)
+			}
+		})
+	}
+}
+
 func TestStatsAggregation(t *testing.T) {
 	net := testNetwork(t, 2)
 	e, err := New(Config{Network: net, Shards: 4, MaxBatch: 16, Commit: true, NewController: guardFactory})
