@@ -389,7 +389,7 @@ func compiledDecideBatch(tb testing.TB) []facs.AdmissionRequest {
 // city-facs workload runs: DecideBatchInto on the seeded batch of
 // compiledDecideBatch. One op is the whole batch; the metrics report
 // the cost per decision and, of the decisions the station can carry,
-// the share the cell check settled before any interpolation (cell%)
+// the share their whole FLC1 cell settled (cell%)
 // and the share that fell back to the exact engines (fallback%).
 func BenchmarkCompiledDecideBatch(b *testing.B) {
 	cc := compiledBench(b)
@@ -413,9 +413,10 @@ func BenchmarkCompiledDecideBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledSurfaceBuild times the one-off compilation of both
-// decision surfaces at the default grid, the one every binary and
-// perfbench compile (the cost the fast path amortises).
+// BenchmarkCompiledSurfaceBuild times the construction of the default
+// compiled FACS, the one every binary and perfbench build: the FLC2
+// surface and accept table and FLC1's empty cell table (FLC1 cells are
+// enclosed later, by the decisions that touch them).
 func BenchmarkCompiledSurfaceBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := facs.NewCompiledSystem(0); err != nil {

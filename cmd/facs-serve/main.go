@@ -11,7 +11,7 @@
 // Examples:
 //
 //	echo '{"id":1,"class":"voice","station":0,"speed":40,"angle":0,"distance":2}' | facs-serve
-//	facs-serve -compiled -surface-cache /tmp/facs-cache      # warm restarts
+//	facs-serve -compiled                                     # compiled FACS fast path
 //	facs-serve -listen 127.0.0.1:4747 -controller scc
 //	facs-serve -shards 4 -rings 3                            # sharded engine
 //	facs-serve -snapshot-dir /var/lib/facs -snapshot-every-ticks 8 -metrics :9090
@@ -125,7 +125,6 @@ type serveOptions struct {
 	listen       string
 	controller   string
 	compiled     bool
-	surfaceCache string
 	shards       int
 	partition    string
 	rebalTicks   int
@@ -153,7 +152,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.StringVar(&o.listen, "listen", "", "TCP address to serve NDJSON on (empty = stdin/stdout)")
 	fs.StringVar(&o.controller, "controller", "facs", "admission controller: facs, scc, cs, guard, threshold")
 	fs.BoolVar(&o.compiled, "compiled", false, "use the lookup-table FACS fast path (controller facs only)")
-	fs.StringVar(&o.surfaceCache, "surface-cache", "", "directory for persisted compiled surfaces (implies -compiled)")
 	fs.IntVar(&o.shards, "shards", 1, "shards to partition the network's cells across (at most the cell count)")
 	fs.StringVar(&o.partition, "partition", "roundrobin", "initial shard layout: roundrobin, blocks")
 	fs.IntVar(&o.rebalTicks, "rebalance-ticks", 0, "rebalance shard ownership every N tick barriers (0 = static)")
@@ -209,7 +207,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		GuardBU:         o.guard,
 		AcceptThreshold: facs.DefaultAcceptThreshold,
 		Compiled:        o.compiled,
-		SurfaceCache:    o.surfaceCache,
 		Log:             func(line string) { fmt.Fprintln(stderr, "facs-serve:", line) },
 	}.Factory()
 	if err != nil {

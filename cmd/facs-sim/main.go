@@ -9,7 +9,6 @@
 //	facs-sim -n 100 -multicell -controller scc
 //	facs-sim -n 100 -controller guard -guard 8
 //	facs-sim -n 100 -compiled                # lookup-table FACS fast path
-//	facs-sim -compiled -surface-cache ~/.cache/facs  # warm restarts skip compiling
 //	facs-sim -n 100 -reps 8 -workers 4       # 8 replications on 4 workers
 //	facs-sim -batch -n 10000 -active 500     # one-shot batch admission sweep
 //	facs-sim -metropolis -controller guard   # city-scale diurnal day, batch path
@@ -53,7 +52,6 @@ type simOptions struct {
 	seed         int64
 	multicell    bool
 	compiled     bool
-	surfaceCache string
 	batch        bool
 	active       int
 	guard        int
@@ -94,7 +92,6 @@ func run(args []string) error {
 	fs.BoolVar(&o.batch, "batch", false, "decide -n requests in one batch against a network snapshot")
 	fs.IntVar(&o.active, "active", 0, "calls pre-admitted into the -batch snapshot")
 	fs.BoolVar(&o.compiled, "compiled", false, "use the lookup-table FACS fast path (controller facs only)")
-	fs.StringVar(&o.surfaceCache, "surface-cache", "", "directory for persisted compiled surfaces (implies -compiled): load-or-compile instead of always compiling")
 	fs.IntVar(&o.guard, "guard", 8, "guard bandwidth for -controller guard")
 	fs.Float64Var(&o.threshold, "accept-threshold", facs.DefaultAcceptThreshold, "FACS accept threshold")
 	fs.IntVar(&o.reps, "reps", 1, "independent replications with seeds seed..seed+reps-1")
@@ -181,14 +178,13 @@ func (o simOptions) seeds() []int64 {
 }
 
 // contestant returns the catalogue's constructor for the -controller
-// flags. A compiled FACS reports its compile or cache timing on stderr.
+// flags. A compiled FACS reports its build timing on stderr.
 func (o simOptions) contestant() (func(*facs.Network) (facs.Controller, error), error) {
 	return iexp.Contestant{
 		Name:            o.controller,
 		GuardBU:         o.guard,
 		AcceptThreshold: o.threshold,
 		Compiled:        o.compiled,
-		SurfaceCache:    o.surfaceCache,
 		Log:             func(line string) { fmt.Fprintln(os.Stderr, "facs-sim:", line) },
 	}.Factory()
 }

@@ -8,7 +8,6 @@ import (
 
 	"facs"
 	iexp "facs/internal/experiments"
-	ifacs "facs/internal/facs"
 )
 
 // TestBuildController holds facs-sim to the contestant catalogue:
@@ -99,22 +98,6 @@ func TestRunCompiledAndReplications(t *testing.T) {
 	}
 	if err := run([]string{"-multicell", "-n", "15", "-compiled", "-reps", "2"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunSurfaceCacheCLI(t *testing.T) {
-	dir := t.TempDir()
-	// Cold start compiles and writes the entry; the warm start must
-	// load it without compiling.
-	if err := run([]string{"-n", "10", "-surface-cache", dir, "-seed", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	before := ifacs.CompileCount()
-	if err := run([]string{"-n", "10", "-surface-cache", dir, "-seed", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ifacs.CompileCount() - before; got != 0 {
-		t.Fatalf("warm cache start compiled %d times, want 0", got)
 	}
 }
 

@@ -90,14 +90,14 @@ func TestPublicRunSeeds(t *testing.T) {
 
 // TestCompiledDecideBatchSettlement pins which step of the compiled
 // decision path settles each request of BenchmarkCompiledDecideBatch's
-// seeded batch. The cell check must settle all but at most 1 in 20 of
-// the requests that reach the controllers, and the exact engines must
-// see exactly the requests the point check alone would send them: a
-// cell verdict is only taken where the point verdict is the same. The
-// outcomes must be the exact System's.
+// seeded batch: a whole FLC1 cell's enclosure, a sub-cell's, or the
+// exact engines. The cell step must settle all but at most 1 in 20 of
+// the requests that reach the controllers, and the outcomes must be the
+// exact System's.
 func TestCompiledDecideBatchSettlement(t *testing.T) {
-	// Before the cell check the point check settled 460 and 5 went exact.
-	const wantCell, wantPoint, wantExact = 459, 1, 5
+	// With probed cell ranges and a point check instead of enclosures,
+	// the cell check settled 459, the point check 1 and 5 went exact.
+	const wantCell, wantSub, wantExact = 459, 4, 2
 	cc, err := facs.DefaultCompiledSystem()
 	if err != nil {
 		t.Fatal(err)
@@ -115,17 +115,17 @@ func TestCompiledDecideBatchSettlement(t *testing.T) {
 	}
 	f1, e1 := cc.Stats()
 	cell := cc.CellSettled() - c0
-	point, exact := f1-f0-cell, e1-e0
+	sub, exact := f1-f0-cell, e1-e0
 	for i := range reqs {
 		if got[i] != want[i] {
 			t.Fatalf("request %d: compiled %v, exact %v", i, got[i], want[i])
 		}
 	}
-	if cell != wantCell || point != wantPoint || exact != wantExact {
-		t.Fatalf("settled (cell, point, exact) = (%d, %d, %d), want (%d, %d, %d)",
-			cell, point, exact, wantCell, wantPoint, wantExact)
+	if cell != wantCell || sub != wantSub || exact != wantExact {
+		t.Fatalf("settled (cell, sub-cell, exact) = (%d, %d, %d), want (%d, %d, %d)",
+			cell, sub, exact, wantCell, wantSub, wantExact)
 	}
-	if total := cell + point + exact; 20*(point+exact) > total {
-		t.Fatalf("%d of %d decisions reached the interpolation, more than 1 in 20", point+exact, total)
+	if total := cell + sub + exact; 20*(sub+exact) > total {
+		t.Fatalf("%d of %d decisions reached a sub-cell, more than 1 in 20", sub+exact, total)
 	}
 }

@@ -31,24 +31,19 @@
 //	cc, err := facs.DefaultCompiledSystem() // compiled once, shared
 //	d, err := cc.Decide(req)                // or facs.DecideAll(cc, reqs)
 //
-// NewCompiledSystem samples both controllers over dense grids at
-// construction time (a one-off cost, well under a second, that
-// BenchmarkCompiledSurfaceBuild times). An admission decision (Decide,
-// DecideBatchInto) is compare-only: a per-(handoff, R, Cs) table of Cv
-// intervals on which FLC2 is certain to accept or to reject settles
-// any Cv range inside one interval, and each request tries three steps
-// in turn. The cell check asks about the range FLC1 can take anywhere
-// in the request's FLC1 grid cell, a table read with no interpolation,
-// and settles most requests; the point check interpolates Cv and its
-// error bound and asks about that narrower range; a request whose
-// point range is not inside one interval is re-run on the exact
-// engines (about 1% of a uniformly random workload, and 2% on the
-// city-facs benchmark, whose loaded cells sit near the threshold). The
-// point range lies inside the cell range, so the cell check changes
-// which step answers, never the answer or which requests reach the
-// exact engines. Decisions are meant to equal the exact System's and
-// the golden-equivalence suite in internal/facs finds no flip, but the
-// error bounds beneath them are probed, not proven (ARCHITECTURE.md).
+// NewCompiledSystem samples FLC2 over a dense grid at construction
+// time (tens of milliseconds, which BenchmarkCompiledSurfaceBuild
+// times) and encloses FLC1 grid cell by grid cell the first time a
+// decision touches one. An admission decision (Decide, DecideBatchInto)
+// is compare-only: a per-(handoff, R, Cs) table of Cv intervals on
+// which FLC2 is certain to accept or to reject settles any Cv range
+// inside one interval. Each request asks it about a proven range of
+// FLC1 over its grid cell, then, where that range straddles a verdict,
+// over smaller sub-cells; the rest (about 1% on the city-facs
+// benchmark) are re-run on the exact engines. The FLC1 ranges are
+// certified, so FLC1 cannot flip a decision; the accept table rests
+// on FLC2 error bounds that are probed, not proven (ARCHITECTURE.md),
+// and the golden-equivalence suite in internal/facs finds no flip.
 // Evaluate on the compiled system is the exact System.Evaluate: use
 // the exact System for crisp values and grades, and the compiled path
 // when decision throughput matters.
@@ -129,16 +124,6 @@
 // -metro-mode sharded -shards N), and facs-serve -shards N serves it
 // over NDJSON including the handoff wire op. ARCHITECTURE.md's "The sharded engine" section
 // records the router, the protocol and the determinism argument.
-//
-// # Surface persistence
-//
-// Compiling the default surfaces is CPU work that a long-lived service
-// should pay once, not on every restart. The -surface-cache
-// flag of facs-sim and facs-serve persists compiled surfaces as
-// versioned, checksummed binary blobs validated by a config+grid hash;
-// a warm start decodes them in milliseconds and logs whether the entry
-// was a hit, stale or a miss. Stale or corrupt entries are recompiled
-// and overwritten, never trusted.
 //
 // # Reproduction
 //

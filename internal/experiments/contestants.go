@@ -20,8 +20,8 @@ import (
 var ContestantNames = []string{"facs", "scc", "cs", "guard", "threshold"}
 
 // Contestant selects one catalogue controller. Its fields carry the
-// binaries' -controller, -guard, -accept-threshold, -compiled and
-// -surface-cache values.
+// binaries' -controller, -guard, -accept-threshold and -compiled
+// values.
 type Contestant struct {
 	// Name is one of ContestantNames.
 	Name string
@@ -29,26 +29,22 @@ type Contestant struct {
 	GuardBU int
 	// AcceptThreshold is the FACS crisp accept threshold.
 	AcceptThreshold float64
-	// Compiled selects the lookup-table FACS fast path at the default
-	// grid; SurfaceCache, which implies Compiled, loads persisted
-	// surfaces from that directory instead of compiling. Factory
-	// refuses them for other names; its errors name the binaries'
+	// Compiled selects the compiled FACS fast path at the default grid.
+	// Factory refuses it for other names; its errors name the binaries'
 	// flags.
-	Compiled     bool
-	SurfaceCache string
+	Compiled bool
 	// Log, when set, receives the compiled build's progress and timing
 	// lines.
 	Log func(string)
 }
 
 // Factory returns the constructor of c's controller. FACS is built
-// here once and shared by every network: it is stateless and safe for
-// concurrent use, and a compiled build is a one-off compile. SCC builds a
+// here once and shared by every network: it is safe for concurrent use,
+// and a compiled build shares the FLC1 cells its decisions enclose. SCC builds a
 // fresh demand ledger per network. Every contestant but SCC ignores
 // the network, so single-cell callers pass nil.
 func (c Contestant) Factory() (func(*cell.Network) (cac.Controller, error), error) {
-	compiled := c.Compiled || c.SurfaceCache != ""
-	if compiled && c.Name != "facs" {
+	if c.Compiled && c.Name != "facs" {
 		return nil, fmt.Errorf("-compiled applies to -controller facs, got %q", c.Name)
 	}
 	switch c.Name {
@@ -72,13 +68,12 @@ func (c Contestant) Factory() (func(*cell.Network) (cac.Controller, error), erro
 	return nil, fmt.Errorf("unknown controller %q (valid: %s)", c.Name, strings.Join(ContestantNames, ", "))
 }
 
-// buildFACS builds the exact FACS, or with Compiled or SurfaceCache the
-// compiled fast path: loaded from (or compiled into) the cache
-// directory, the process-wide facs.DefaultCompiled for the default
+// buildFACS builds the exact FACS, or with Compiled the compiled fast
+// path: the process-wide facs.DefaultCompiled for the default
 // threshold, or a dedicated compile otherwise.
 func (c Contestant) buildFACS() (cac.Controller, error) {
 	opt := facs.WithAcceptThreshold(c.AcceptThreshold)
-	if !c.Compiled && c.SurfaceCache == "" {
+	if !c.Compiled {
 		return facs.New(opt)
 	}
 	logf := func(format string, args ...any) {
@@ -86,23 +81,8 @@ func (c Contestant) buildFACS() (cac.Controller, error) {
 			c.Log(fmt.Sprintf(format, args...))
 		}
 	}
-	start := time.Now()                                                                  //facs:wallclock build timing for the log only
-	elapsed := func() time.Duration { return time.Since(start).Round(time.Millisecond) } //facs:wallclock build timing for the log only
-	if c.SurfaceCache != "" {
-		ctrl, info, err := facs.NewCompiledCached(0, c.SurfaceCache, opt)
-		if err != nil {
-			// A compiled controller alongside the error means only the
-			// cache write failed (e.g. read-only directory): degrade to
-			// plain compilation instead of discarding the work.
-			if ctrl == nil {
-				return nil, err
-			}
-			logf("warning: %v", err)
-		}
-		logf("surface cache %s in %v", info, elapsed())
-		return ctrl, nil
-	}
-	logf("compiling FACS surfaces (no cache)...")
+	start := time.Now() //facs:wallclock build timing for the log only
+	logf("compiling FACS surfaces...")
 	var (
 		ctrl *facs.CompiledController
 		err  error
@@ -115,7 +95,7 @@ func (c Contestant) buildFACS() (cac.Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	logf("compiled in %v", elapsed())
+	logf("compiled in %v", time.Since(start).Round(time.Millisecond)) //facs:wallclock build timing for the log only
 	return ctrl, nil
 }
 

@@ -58,7 +58,7 @@ func TestContestantCatalogue(t *testing.T) {
 	}
 	for _, bad := range []Contestant{
 		{Name: "cs", Compiled: true},
-		{Name: "guard", SurfaceCache: t.TempDir()},
+		{Name: "guard", Compiled: true},
 	} {
 		if _, err := bad.Factory(); err == nil {
 			t.Fatalf("%+v should be refused", bad)
@@ -66,8 +66,8 @@ func TestContestantCatalogue(t *testing.T) {
 	}
 }
 
-// TestContestantCompiledDefaultIsShared: a default-config compile with
-// no cache reuses facs.DefaultCompiled and logs the compile lines.
+// TestContestantCompiledDefaultIsShared: a default-config compile
+// reuses facs.DefaultCompiled and logs the compile lines.
 func TestContestantCompiledDefaultIsShared(t *testing.T) {
 	var log []string
 	factory, err := Contestant{

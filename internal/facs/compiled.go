@@ -11,8 +11,9 @@ import (
 	"facs/internal/gps"
 )
 
-// DefaultSurfaceGridSize is the per-axis lookup-table resolution used by
-// NewCompiled when none is given. See fuzzy.DefaultSurfaceGridSize for
+// DefaultSurfaceGridSize is the per-axis grid resolution used by
+// NewCompiled when none is given: the FLC1 cells that decisions enclose
+// and the FLC2 surface's Cv axis. See fuzzy.DefaultSurfaceGridSize for
 // the accuracy rationale; the golden-equivalence tests pin the realised
 // error at this size.
 const DefaultSurfaceGridSize = fuzzy.DefaultSurfaceGridSize
@@ -20,48 +21,48 @@ const DefaultSurfaceGridSize = fuzzy.DefaultSurfaceGridSize
 // surfaceErrorSafety scales the sampled interpolation error bounds
 // (fuzzy.WithSurfaceErrorMap). A single centre probe can under-read
 // the peak error of a cell crossed asymmetrically by a t-norm crease;
-// doubling it gives the cell ranges and the accept table their margin.
+// doubling it gives the accept table its margin.
 // The golden-equivalence suite and TestDecisionTableMatchesExact check
 // empirically that the resulting verdicts match the exact engines; the
 // bounds are estimates, not proofs (see ARCHITECTURE.md).
 const surfaceErrorSafety = 2
 
-// CompiledController is the lookup-table fast path of the FACS: both
-// controllers compiled into dense interpolation surfaces
-// (FLC1: speed x angle x distance -> Cv; FLC2: Cv x R x Cs -> A/R) at
-// construction time. It answers accept/reject only; the crisp values
-// and the grade come from the exact System (Evaluate).
+// CompiledController is the fast path of the FACS. FLC2 (Cv x R x Cs
+// -> A/R) is compiled at construction into a dense interpolation
+// surface and, from it, an accept table; FLC1 (speed x angle x distance
+// -> Cv) is enclosed grid cell by grid cell on first touch. It answers
+// accept/reject only; the crisp values and the grade come from the
+// exact System (Evaluate).
 //
-// An admission decision (Decide, DecideBatchInto) is compare-only, in
-// three steps. A per-(handoff, R, Cs) accept table of certain Cv
-// intervals, built from the FLC2 surface's node values and node-aligned
-// error bounds, answers whether a Cv range has one verdict. First the
-// cell check asks it about the range FLC1's exact output can take
-// anywhere in the query's FLC1 grid cell (fuzzy.CellRanges): one read
-// per request, no interpolation. On a miss the point check interpolates
-// Cv and its error bound b1 and asks about [Cv−b1, Cv+b1], which lies
-// inside the cell range, so a cell verdict is as sound as a point
-// verdict and the requests that reach the third step, the exact
-// engines, are the ones the point check alone would send there. That
-// step runs exact FLC1 and asks the table about the exact Cv itself;
-// only where no certain interval holds it does exact FLC2 run.
-// Decisions are meant to match the exact System's, and the
-// golden-equivalence suite (internal/facs/compiled_test.go) finds no
-// flip; they are only as sound as the probed error bounds beneath the
-// cell ranges and the table.
+// An admission decision (Decide, DecideBatchInto) is compare-only. A
+// per-(handoff, R, Cs) accept table of certain Cv intervals, built from
+// the FLC2 surface's node values and node-aligned error bounds, answers
+// whether a Cv range has one verdict. The range asked first is a
+// certified enclosure of exact FLC1 over the query's FLC1 grid cell
+// (fuzzy.Enclosure): one table read once the cell is enclosed. Where
+// that range straddles a verdict, the query's 2³ sub-cell is enclosed
+// and asked, then its 4³ sub-cell. Only a request none of them settles
+// runs exact FLC1 and asks the table about the exact Cv itself; only
+// where no certain interval holds that does exact FLC2 run. Every FLC1
+// range is a proven bound, so the FLC1 stage cannot flip a decision;
+// the accept table still rests on FLC2's probed error bounds (see
+// ARCHITECTURE.md).
 //
-// A CompiledController is immutable after construction (the fallback
-// counters aside) and safe for concurrent use.
+// The cell table and the sub-cell store are a memo of a pure function:
+// an enclosure depends on its cell alone, so shards that race to fill
+// one store the same bits. Both are allocated at construction, and
+// filling them takes no lock and allocates nothing. A CompiledController
+// is safe for concurrent use.
 type CompiledController struct {
 	sys   *System
-	surf1 *fuzzy.Surface
+	flc1  *flc1Cells
+	surf1 func() *fuzzy.Surface
 	surf2 *fuzzy.Surface
 	table acceptTable
-	cells *fuzzy.CellRanges // FLC1's range per grid cell
 
 	fast  atomic.Int64
 	exact atomic.Int64
-	cell  atomic.Int64 // the fast decisions the cell check settled
+	cell  atomic.Int64 // the fast decisions a whole cell settled
 }
 
 var (
@@ -71,17 +72,15 @@ var (
 )
 
 // CellLocal implements cac.CellLocal: like the exact System, a decision
-// reads only the request and its station's occupancy against immutable
-// surfaces, and the controller is safe for concurrent use — one
-// instance may be shared across the shards of a sharded engine.
+// reads only the request and its station's occupancy, against tables
+// that are immutable or a memo of a pure function, and the controller
+// is safe for concurrent use — one instance may be shared across the
+// shards of a sharded engine.
 func (c *CompiledController) CellLocal() {}
 
-// NewCompiled constructs the exact System for the given options, then
-// compiles both controllers into surfaces with gridSize uniform nodes
-// per axis (gridSize <= 0 selects DefaultSurfaceGridSize). Compilation
-// evaluates the exact engines over the whole grid and is sharded
-// across CPUs; it is a one-time cost paid to make every subsequent
-// decision cheap.
+// NewCompiled constructs the exact System for the given options and
+// compiles it (CompileSystem) with gridSize uniform nodes per axis
+// (gridSize <= 0 selects DefaultSurfaceGridSize).
 func NewCompiled(gridSize int, opts ...Option) (*CompiledController, error) {
 	sys, err := New(opts...)
 	if err != nil {
@@ -90,19 +89,11 @@ func NewCompiled(gridSize int, opts ...Option) (*CompiledController, error) {
 	return CompileSystem(sys, gridSize)
 }
 
-// compileCount counts completed surface compilations process-wide (one
-// per compiled System, i.e. per FLC1+FLC2 surface pair). Cached loads
-// (CompileSystemCached) do not increment it, which is exactly what the
-// cache tests assert: a warm start leaves the counter unchanged.
-var compileCount atomic.Int64
-
-// CompileCount returns the number of surface compilations performed by
-// this process so far. It is a diagnostic for the load-or-compile
-// cache: a service that starts from a warm cache reports zero.
-func CompileCount() int64 { return compileCount.Load() }
-
 // CompileSystem compiles an already constructed System into a
-// CompiledController without rebuilding it.
+// CompiledController without rebuilding it: the FLC2 surface and its
+// accept table, and FLC1's grid with an empty cell table. It refuses a
+// System whose FLC1 cannot be enclosed (fuzzy.NewEnclosure), such as
+// one with a defuzzifier other than Centroid.
 func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("facs: compile needs a system")
@@ -110,12 +101,9 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 	if gridSize <= 0 {
 		gridSize = DefaultSurfaceGridSize
 	}
-	surf1, err := fuzzy.NewSurface(sys.FLC1(),
-		fuzzy.WithSurfaceGrid(gridSize),
-		fuzzy.WithSurfaceErrorMap(surfaceErrorSafety),
-	)
+	flc1, err := newFLC1Cells(sys.FLC1(), gridSize)
 	if err != nil {
-		return nil, fmt.Errorf("facs: compiling FLC1 surface: %w", err)
+		return nil, fmt.Errorf("facs: FLC1 cells: %w", err)
 	}
 	// Request and counter-state inputs are integral bandwidth units in
 	// every admission query, so instead of a dense uniform subdivision
@@ -135,33 +123,23 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 	if err != nil {
 		return nil, fmt.Errorf("facs: compiling FLC2 surface: %w", err)
 	}
-	compileCount.Add(1)
-	return newCompiledFromSurfaces(sys, surf1, surf2)
+	return &CompiledController{
+		sys:  sys,
+		flc1: flc1,
+		surf1: sync.OnceValue(func() *fuzzy.Surface {
+			return fuzzy.MustSurface(sys.FLC1(),
+				fuzzy.WithSurfaceGrid(gridSize),
+				fuzzy.WithSurfaceErrorMap(surfaceErrorSafety),
+			)
+		}),
+		surf2: surf2,
+		table: newAcceptTable(sys, surf2),
+	}, nil
 }
 
 // flc2AlignedAxes are the admission surface's inputs that every query
 // supplies as an integral number of bandwidth units.
 var flc2AlignedAxes = []string{VarRequest, VarCounter}
-
-// newCompiledFromSurfaces assembles a controller from already compiled
-// (or cache-decoded) surfaces. The accept table and FLC1's cell ranges
-// are re-derived from the system and the surfaces, which is cheap; only
-// the surface sampling itself is worth persisting. Everything is built
-// here, before the controller serves, so no decision pays for a lazy
-// build.
-func newCompiledFromSurfaces(sys *System, surf1, surf2 *fuzzy.Surface) (*CompiledController, error) {
-	cells, err := fuzzy.NewCellRanges(surf1)
-	if err != nil {
-		return nil, fmt.Errorf("facs: FLC1 cell ranges: %w", err)
-	}
-	return &CompiledController{
-		sys:   sys,
-		surf1: surf1,
-		surf2: surf2,
-		table: newAcceptTable(sys, surf2),
-		cells: cells,
-	}, nil
-}
 
 // integerNodes lists 1, 2, ..., ceil(max)-1 (interior integers; the
 // universe endpoints are always grid nodes already).
@@ -180,11 +158,10 @@ var defaultCompiled struct {
 }
 
 // DefaultCompiled returns a process-wide shared CompiledController for
-// the default configuration, compiling it on first use. Surface
-// compilation is a one-off cost (see the package documentation) that
-// callers repeatedly needing the default compiled FACS (experiment
-// replications, benchmarks, tests) should not pay twice, so they share
-// this instance; it is safe for concurrent use.
+// the default configuration, built on first use. Callers repeatedly
+// needing the default compiled FACS (experiment replications,
+// benchmarks, tests) share this instance, and with it the FLC1 cells
+// already enclosed; it is safe for concurrent use.
 func DefaultCompiled() (*CompiledController, error) {
 	defaultCompiled.once.Do(func() {
 		defaultCompiled.ctrl, defaultCompiled.err = NewCompiled(0)
@@ -195,11 +172,15 @@ func DefaultCompiled() (*CompiledController, error) {
 // Name implements cac.Controller.
 func (c *CompiledController) Name() string { return "facs-compiled" }
 
-// System returns the exact system the surfaces were compiled from.
+// System returns the exact system the controller was compiled from.
 func (c *CompiledController) System() *System { return c.sys }
 
-// FLC1Surface returns the compiled prediction surface.
-func (c *CompiledController) FLC1Surface() *fuzzy.Surface { return c.surf1 }
+// FLC1Surface returns FLC1 compiled into an interpolation surface with
+// its probed error map, on the same grid as the cells decisions
+// enclose. No decision reads it: it is compiled on the first call, and
+// panics if the engine fails at a grid node, which the paper's FLC1
+// (a complete rule base over covering partitions) never does.
+func (c *CompiledController) FLC1Surface() *fuzzy.Surface { return c.surf1() }
 
 // FLC2Surface returns the compiled admission surface.
 func (c *CompiledController) FLC2Surface() *fuzzy.Surface { return c.surf2 }
@@ -207,20 +188,30 @@ func (c *CompiledController) FLC2Surface() *fuzzy.Surface { return c.surf2 }
 // AcceptThreshold returns the crisp decision boundary.
 func (c *CompiledController) AcceptThreshold() float64 { return c.sys.AcceptThreshold() }
 
-// Stats reports how many decisions the surfaces settled (fast) and how
-// many decisions and Evaluate calls ran the exact engines (exact) since
-// construction.
+// Stats reports how many decisions the FLC1 enclosures settled (fast)
+// and how many decisions and Evaluate calls ran the exact engines
+// (exact) since construction.
 func (c *CompiledController) Stats() (fast, exact int64) {
 	return c.fast.Load(), c.exact.Load()
 }
 
 // CellSettled reports how many of the fast decisions Stats counts were
-// settled by the cell check, before any interpolation.
+// settled by their whole FLC1 cell; the rest were settled by a
+// sub-cell.
 func (c *CompiledController) CellSettled() int64 { return c.cell.Load() }
 
+// Enclosed reports how many FLC1 cells and sub-cells decisions have
+// enclosed since construction. Only the store that publishes an
+// enclosure counts it, so a cell that racing shards enclose together
+// counts once, and at a fixed request stream both counts repeat
+// exactly.
+func (c *CompiledController) Enclosed() (cells, subCells int64) {
+	return c.flc1.cellsEnclosed.Load(), c.flc1.subsEnclosed.Load()
+}
+
 // Evaluate is System.Evaluate, counted as one exact evaluation in
-// Stats: the compiled surfaces only decide, so the crisp values and the
-// grade come from the exact engines.
+// Stats: the compiled controller only decides, so the crisp values and
+// the grade come from the exact engines.
 func (c *CompiledController) Evaluate(obs gps.Observation, requestBU, usedBU int, handoff bool) (Evaluation, error) {
 	c.exact.Add(1)
 	return c.sys.Evaluate(obs, requestBU, usedBU, handoff)
@@ -238,27 +229,28 @@ func (c *CompiledController) DecideBatch(reqs []cac.Request) ([]cac.Decision, er
 
 // DecideBatchInto implements cac.BatchIntoController: DecideBatch
 // semantics into a caller-provided buffer. Each request that its
-// station can carry goes through the cell → point → exact steps of
-// CompiledController: the cell check (three guided locates and one
-// table read, then an interval compare in the accept table) settles
-// most of them; a miss interpolates FLC1 for the point check, and only
-// a request whose point range is not inside one certain interval runs
-// the exact engines (exact FLC1, the table at the exact Cv, exact FLC2
-// on a miss). The station occupancy is read once per run of
-// requests aimed at the same station. Nothing here allocates.
+// station can carry goes through the cell → sub-cell → exact steps of
+// CompiledController: its FLC1 cell's enclosure (three guided locates
+// and one table read, plus one enclosure the first time the cell is
+// touched) and an interval compare in the accept table settle most of
+// them; a straddling cell asks its 2³ and then its 4³ sub-cell, and only
+// a request that neither settles runs the exact engines (exact FLC1,
+// the table at the exact Cv, exact FLC2 on a miss). The station
+// occupancy is read once per run of requests aimed at the same station.
+// Nothing here allocates.
 //
 //facs:hotpath
 func (c *CompiledController) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {
 	n, err := c.decideBatch(reqs, out)
 	c.cell.Add(n.cell)
-	c.fast.Add(n.cell + n.point)
+	c.fast.Add(n.cell + n.sub)
 	c.exact.Add(n.exact)
 	return err
 }
 
 // decideCounts tallies which step settled each decision of a batch.
 type decideCounts struct {
-	cell, point, exact int64
+	cell, sub, exact int64
 }
 
 // decideBatch is DecideBatchInto with the step counts returned rather
@@ -283,37 +275,37 @@ func (c *CompiledController) decideBatch(reqs []cac.Request, out []cac.Decision)
 			out[i] = cac.Reject
 			continue
 		}
-		obs := &req.Obs
-		lo, hi, err := c.cells.Range(obs.SpeedKmh, obs.AngleDeg, obs.DistanceKm)
-		if err != nil {
-			return n, err
-		}
+		q := flc1Query{vals: [3]float64{req.Obs.SpeedKmh, req.Obs.AngleDeg, req.Obs.DistanceKm}}
+		c.flc1.locate(&q)
+		lo, hi := c.flc1.cellRange(&q)
 		accepted, ok := c.table.decide(req.Handoff, req.Call.BU, used, lo, hi)
 		if ok {
 			n.cell++
-		} else {
-			cv, b1, err := c.surf1.EvaluateVecWithBound(obs.SpeedKmh, obs.AngleDeg, obs.DistanceKm)
+		}
+		for level := 1; !ok && level <= subCellLevels; level++ {
+			if lo, hi, ok = c.flc1.subCellRange(&q, level); !ok {
+				break // the sub-cell store is full
+			}
+			accepted, ok = c.table.decide(req.Handoff, req.Call.BU, used, lo, hi)
+			if ok {
+				n.sub++
+			}
+		}
+		if !ok {
+			n.exact++
+			// The table certifies every Cv inside its intervals, so it
+			// settles the exact Cv wherever that point lies in one; only
+			// the rest run exact FLC2.
+			cv, err := c.sys.Predict(req.Obs)
 			if err != nil {
 				return n, err
 			}
-			accepted, ok = c.table.decide(req.Handoff, req.Call.BU, used, cv-b1, cv+b1)
-			if ok {
-				n.point++
-			} else {
-				n.exact++
-				// The table certifies every Cv inside its intervals, so
-				// it settles the exact Cv wherever that point lies in
-				// one; only the rest run exact FLC2.
-				if cv, err = c.sys.Predict(req.Obs); err != nil {
+			if accepted, ok = c.table.decide(req.Handoff, req.Call.BU, used, cv, cv); !ok {
+				ev, err := c.sys.evaluateCv(cv, req.Call.BU, used, req.Handoff)
+				if err != nil {
 					return n, err
 				}
-				if accepted, ok = c.table.decide(req.Handoff, req.Call.BU, used, cv, cv); !ok {
-					ev, err := c.sys.evaluateCv(cv, req.Call.BU, used, req.Handoff)
-					if err != nil {
-						return n, err
-					}
-					accepted = ev.Accepted
-				}
+				accepted = ev.Accepted
 			}
 		}
 		if accepted {

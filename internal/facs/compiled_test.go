@@ -8,6 +8,7 @@ import (
 
 	"facs/internal/cac"
 	"facs/internal/cell"
+	"facs/internal/fuzzy"
 	"facs/internal/geo"
 	"facs/internal/gps"
 	"facs/internal/traffic"
@@ -367,6 +368,10 @@ func TestCompiledConstructionErrors(t *testing.T) {
 	if _, err := NewCompiled(0, WithAcceptThreshold(5)); err == nil {
 		t.Fatal("invalid option should propagate")
 	}
+	// FLC1 is enclosed, which needs the centroid defuzzifier.
+	if _, err := NewCompiled(0, WithDefuzzifier(func() fuzzy.Defuzzifier { return fuzzy.Bisector{} })); err == nil {
+		t.Fatal("a bisector FACS should not compile")
+	}
 }
 
 func TestCompiledAccessors(t *testing.T) {
@@ -411,5 +416,22 @@ func TestDefaultCompiledShared(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("DefaultCompiled should return the shared instance")
+	}
+}
+
+// TestCompiledDecideProbedFlip: on this request the probed FLC1 error
+// bounds once let the compiled controller reject a 10 BU video call
+// that the exact System accepts (exact Cv 0.7668160, interpolated
+// 0.7657204), as a new call and as a handoff, on a 40 BU station
+// holding 22 BU. A certified FLC1 range cannot flip it.
+func TestCompiledDecideProbedFlip(t *testing.T) {
+	obs := gps.Observation{SpeedKmh: 39.1700128105024, AngleDeg: 31.326128660410824, DistanceKm: 1.1196475942708606}
+	sys, cc := Must(), goldenCompiled(t)
+	st := newGoldenStation(t)
+	for _, handoff := range []bool{false, true} {
+		exact, fast := decideBoth(t, sys, cc, st.request(t, obs, 10, 22, handoff))
+		if exact != cac.Accept || fast != exact {
+			t.Errorf("handoff=%v: exact %v, compiled %v; want both to accept", handoff, exact, fast)
+		}
 	}
 }

@@ -57,13 +57,13 @@
 // between them, with optional local error bounds
 // (WithSurfaceErrorMap) that let callers guard decisions near
 // thresholds. A Surface is immutable and safe for concurrent use.
+// GridAxes builds the same grid without sampling the engine.
 // EncodeSurface/DecodeSurface persist a compiled surface as the
 // "fuzzy-surface" kind of the internal/snap envelope, versioned by
 // snap.FormatVersion, checksummed and validated against a caller config
-// hash (snap.ErrSnapshotStale, snap.ErrSnapshotCorrupt), so processes
-// can load surfaces in milliseconds instead of recompiling them.
-// The checksum is not a secret, so the decoder also refuses axis nodes
-// that are not finite and error bounds that are negative or NaN.
+// hash (snap.ErrSnapshotStale, snap.ErrSnapshotCorrupt). The checksum
+// is not a secret, so the decoder also refuses axis nodes that are not
+// finite and error bounds that are negative or NaN.
 //
 // # Compilation
 //
@@ -111,22 +111,79 @@
 // once per coordinate, so the map has the bits a per-probe EvaluateVec
 // would give.
 //
-// # Locating a query and cell ranges
+// # Locating a query
 //
 // Every lookup first locates each coordinate's cell. An axis keeps a
 // guide table of two uniform buckets per cell, each naming the last
 // node whose bucket is below it; the bucket of a coordinate never
 // decreases as it grows, so that node is at or below the query's cell,
-// and a short forward step finds the cell. It returns the (j, f) a
-// binary search would, clamping included. CellRanges summarises a
-// surface whose error map has no aligned axes cell by cell: [min
-// corner − b, max corner + b], padded past rounding and stored as an
-// outward-rounded float32 pair. The range a point lookup implies,
-// value ± bound, lies inside its cell's range, because the
-// interpolated value is a convex combination of the corners. A caller
-// that can settle a question from the cell range skips the
-// interpolation; internal/facs settles most admission decisions that
-// way before it interpolates FLC1.
+// and a short forward step finds the cell. SurfaceAxis.Locate returns
+// the (j, f) a binary search would, clamping included.
+//
+// # Enclosures
+//
+// Enclosure.Enclose bounds a Centroid engine over an input box: it
+// returns [lo, hi] holding the bits EvaluateVec returns anywhere in the
+// box. internal/facs encloses FLC1's grid cells this way, on first
+// touch, instead of trusting interpolation error bounds that are only
+// probed. Four steps carry the box to the output, each exact or
+// monotone, so none of them rounds the bound:
+//
+//   - Degrees. A triangular or trapezoidal Membership computes
+//     clamp01((x−c)/w+1) on its rising side and clamp01((c−x)/w+1) on
+//     its falling side, changing form only at its support and kernel
+//     ends. Subtraction, division by a positive width and addition
+//     round monotonically, so the computed degree is monotone between
+//     consecutive breakpoints, and over [a, b] its extremes are the
+//     computed degrees at a, at b, or at a breakpoint inside. Calling
+//     Membership there gives [d_lo, d_hi], holding every degree the
+//     engine computes in the box. The box is clamped to the universes
+//     first, as EvaluateVec clamps its inputs.
+//   - Rules and terms. A rule's strength is min(weight, its clause
+//     degrees) and a term's the max over its rules, from +0. min and
+//     max are exact and monotone, so the same operations on the lows
+//     and on the highs bound every strength.
+//   - Samples. The aggregate at sample i is max over the fired terms
+//     of min(s_k, m_ki), built by the engine's own sample table; it is
+//     monotone in every s_k, so the table gives m_lo_i ≤ m_i ≤ m_hi_i
+//     exactly.
+//   - Centroid. Over every m with m_lo ≤ m ≤ m_hi, the real centroid
+//     c(m) = Σ y_i·m_i / Σ m_i is largest at a switch point: m_lo at
+//     and below it and m_hi above (Karnik & Mendel, Information
+//     Sciences 132, 2001). Raising each sample at y ≥ c(m) to m_hi and
+//     lowering the others to m_lo moves weight above the mean, so it
+//     never lowers the centroid and keeps its denominator positive.
+//     Enclose evaluates all n+1 switch points from prefix sums (forward)
+//     and suffix sums (backward) and takes the largest; the smallest
+//     mirrors it. A switch point with no mass defines no centroid and
+//     is skipped; when none has mass no rule can fire in the box, and
+//     both ends are NaN.
+//
+// The rounding pad. Both the engine's centroid and each switch point's
+// are rounded sums, so the computed ends are widened by a pad. Let
+// u = 2^-53, n = 201 samples, Y = max(|min|, |max|) of the output
+// universe, D = Σ m_i, and γ_k = k·u/(1−k·u) (Higham, Accuracy and
+// Stability of Numerical Algorithms, §3.1). The engine sums at most n
+// rounded products y_i·m_i in order, so its numerator is within
+// γ_{n+1}·Σ|y_i|·m_i ≤ γ_{n+1}·Y·D of the real one, its denominator
+// within γ_n·D, and the division adds one rounding: its centroid is
+// within (2n+4)·u·Y of c(m). A switch point adds its prefix and suffix
+// sums, one more rounding on each of them: within (2n+6)·u·Y. The pad
+// covers both, in opposite directions, plus the rounding of lo − pad
+// and hi + pad: (4n+11)·u·Y, which enclosurePadUlps doubles to
+// 8(n+2)·u·Y, 1.8e-13 for the paper's Cv on [0, 1]. Storing the ends
+// as float32 (internal/facs) rounds them outward on top.
+//
+// TestEnclosureContainsEngine checks EvaluateVec at corners, edges,
+// breakpoints and random points of random boxes, and at point boxes,
+// on the paper's FLC1 and on an engine with weighted rules, omitted
+// inputs and out-of-order clauses. Dropping the pad, replacing one
+// switch-point side by its all-low or all-high endpoint, or ignoring
+// the breakpoints inside a box each fails it. NewEnclosure refuses
+// engines outside the argument: a defuzzifier other than Centroid, or
+// an input term that is neither Triangular nor Trapezoidal; output
+// terms may have any shape, since they enter only through the sample
+// table.
 //
 // # Entry points
 //
@@ -134,6 +191,6 @@
 // build the vocabulary; Rule literals write the rule table; NewEngine
 // (with WithDefuzzifier) assembles a controller; Engine.EvaluateVec runs
 // one inference, Infer stops before defuzzification and Explain reports
-// the fired rules; NewSurface compiles the lookup table and
-// NewCellRanges its per-cell summary.
+// the fired rules; NewSurface compiles the lookup table, GridAxes its
+// grid alone, and NewEnclosure bounds the engine over input boxes.
 package fuzzy

@@ -33,7 +33,7 @@ const guideBucketsPerCell = 2
 
 // SurfaceAxis is one input dimension of a compiled surface: the
 // variable name plus the sorted, strictly increasing grid nodes along
-// its universe, and a guide table that locate starts from.
+// its universe, and a guide table that Locate starts from.
 type SurfaceAxis struct {
 	Name  string
 	nodes []float64
@@ -45,13 +45,13 @@ type SurfaceAxis struct {
 
 // newSurfaceAxis builds an axis over finite, strictly increasing nodes
 // (at least two) whose span is finite, with its guide table. NewVariable
-// refuses a universe whose span overflows, and DecodeSurface checks it.
+// refuses a universe whose span overflows.
 //
 // The bucket of a coordinate never decreases as the coordinate grows,
 // because a float subtraction and a multiplication by a positive
 // constant are monotone. So every node whose bucket is below a query's
 // bucket lies below the query, and guide[b] is never past the cell of
-// any query in bucket b: locate reaches that cell by stepping forward.
+// any query in bucket b: Locate reaches that cell by stepping forward.
 func newSurfaceAxis(name string, nodes []float64) SurfaceAxis {
 	cells := len(nodes) - 1
 	nb := guideBucketsPerCell * cells
@@ -73,7 +73,7 @@ func newSurfaceAxis(name string, nodes []float64) SurfaceAxis {
 	return a
 }
 
-// bucket is the guide bucket of a coordinate inside the axis. locate
+// bucket is the guide bucket of a coordinate inside the axis. Locate
 // spells the same expression out, which keeps it within the inlining
 // budget; the guided-locate test compares the two paths.
 func (a *SurfaceAxis) bucket(x float64) int { return int((x - a.nodes[0]) * a.scale) }
@@ -90,14 +90,14 @@ func (a SurfaceAxis) N() int { return len(a.nodes) }
 // Nodes returns a copy of the grid nodes.
 func (a SurfaceAxis) Nodes() []float64 { return append([]float64(nil), a.nodes...) }
 
-// locate maps x to its lower grid node index and the fractional
+// Locate maps x to its lower grid node index and the fractional
 // position inside the cell, clamping to the universe exactly like
 // Variable.Clamp (NaN clamps low). The guide table gives a node at or
 // below the cell, and a short forward step finds the cell:
 // nodes[j] <= x < nodes[j+1]. Then 0 <= x-nodes[j] <= nodes[j+1]-nodes[j]
 // holds after rounding too, since rounding is monotone, so f lies in
 // [0, 1] without a clamp.
-func (a *SurfaceAxis) locate(x float64) (int, float64) {
+func (a *SurfaceAxis) Locate(x float64) (int, float64) {
 	nodes := a.nodes
 	if !(x > nodes[0]) { // also catches NaN
 		return 0, 0
@@ -106,7 +106,7 @@ func (a *SurfaceAxis) locate(x float64) (int, float64) {
 	if x >= nodes[last] {
 		return last - 1, 1
 	}
-	j := int(a.guide[int((x-nodes[0])*a.scale)]) // a.bucket(x), spelled out to keep locate inlinable
+	j := int(a.guide[int((x-nodes[0])*a.scale)]) // a.bucket(x), spelled out to keep Locate inlinable
 	for nodes[j+1] <= x {
 		j++
 	}
@@ -273,14 +273,60 @@ func axisNodes(v *Variable, n int, extra []float64) []float64 {
 // vectors (see the package documentation); it is sharded across
 // workers. The engine is only read, never retained.
 func NewSurface(e *Engine, opts ...SurfaceOption) (*Surface, error) {
-	if e == nil {
-		return nil, fmt.Errorf("fuzzy: surface needs an engine")
+	c, axes, err := surfaceGrid(e, opts)
+	if err != nil {
+		return nil, err
 	}
-	inputs := e.Inputs()
-	if len(inputs) > maxSurfaceDims {
-		return nil, fmt.Errorf("fuzzy: surface supports at most %d inputs, engine has %d", maxSurfaceDims, len(inputs))
+	var aligned uint32
+	for _, name := range c.aligned {
+		i := axisIndex(axes, name)
+		if i < 0 {
+			return nil, fmt.Errorf("fuzzy: unknown aligned axis %q", name)
+		}
+		aligned |= 1 << i
 	}
+	s := &Surface{
+		axes:    axes,
+		strides: make([]int, len(axes)),
+		name:    e.Output().Name(),
+	}
+	// Row-major layout: the last axis varies fastest.
+	stride := 1
+	for i := len(s.axes) - 1; i >= 0; i-- {
+		s.strides[i] = stride
+		stride *= s.axes[i].N()
+	}
+	s.values = make([]float64, stride)
+	if err := s.compile(e, c.workers); err != nil {
+		return nil, err
+	}
+	if c.errMap {
+		if err := s.compileErrorMap(e, c.workers, c.safety, aligned); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// GridAxes returns the axes NewSurface would build for the engine and
+// options, without sampling the engine: only the grid sizes and pinned
+// nodes shape them. A caller that evaluates the engine cell by cell
+// (see Enclosure) locates its queries on these axes.
+func GridAxes(e *Engine, opts ...SurfaceOption) ([]SurfaceAxis, error) {
+	_, axes, err := surfaceGrid(e, opts)
+	return axes, err
+}
+
+// surfaceGrid applies the options and builds the grid axes of e.
+func surfaceGrid(e *Engine, opts []SurfaceOption) (surfaceCompiler, []SurfaceAxis, error) {
 	c := surfaceCompiler{workers: runtime.NumCPU()}
+	if e == nil {
+		return c, nil, fmt.Errorf("fuzzy: surface needs an engine")
+	}
+	inputs := e.inputs
+	if len(inputs) > maxSurfaceDims {
+		return c, nil, fmt.Errorf("fuzzy: surface supports at most %d inputs, engine has %d", maxSurfaceDims, len(inputs))
+	}
 	for _, opt := range opts {
 		opt(&c)
 	}
@@ -299,61 +345,34 @@ func NewSurface(e *Engine, opts ...SurfaceOption) (*Surface, error) {
 	case len(inputs):
 		// one count per axis
 	default:
-		return nil, fmt.Errorf("fuzzy: got %d grid sizes for %d inputs", len(c.grid), len(inputs))
+		return c, nil, fmt.Errorf("fuzzy: got %d grid sizes for %d inputs", len(c.grid), len(inputs))
 	}
 	if c.workers < 1 {
 		c.workers = 1
 	}
-	axisIndex := func(name string) int {
-		for i, v := range inputs {
-			if v.Name() == name {
-				return i
-			}
-		}
-		return -1
-	}
-	for name := range c.extra {
-		if axisIndex(name) < 0 {
-			return nil, fmt.Errorf("fuzzy: surface nodes pinned for unknown axis %q", name)
-		}
-	}
-	var aligned uint32
-	for _, name := range c.aligned {
-		i := axisIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("fuzzy: unknown aligned axis %q", name)
-		}
-		aligned |= 1 << i
-	}
-	s := &Surface{
-		axes:    make([]SurfaceAxis, len(inputs)),
-		strides: make([]int, len(inputs)),
-		name:    e.Output().Name(),
-	}
-	total := 1
+	axes := make([]SurfaceAxis, len(inputs))
 	for i, v := range inputs {
 		if c.grid[i] < 2 {
-			return nil, fmt.Errorf("fuzzy: grid size for axis %q must be >= 2, got %d", v.Name(), c.grid[i])
+			return c, nil, fmt.Errorf("fuzzy: grid size for axis %q must be >= 2, got %d", v.Name(), c.grid[i])
 		}
-		s.axes[i] = newSurfaceAxis(v.Name(), axisNodes(v, c.grid[i], c.extra[v.Name()]))
-		total *= s.axes[i].N()
+		axes[i] = newSurfaceAxis(v.Name(), axisNodes(v, c.grid[i], c.extra[v.Name()]))
 	}
-	// Row-major layout: the last axis varies fastest.
-	stride := 1
-	for i := len(s.axes) - 1; i >= 0; i-- {
-		s.strides[i] = stride
-		stride *= s.axes[i].N()
-	}
-	s.values = make([]float64, total)
-	if err := s.compile(e, c.workers); err != nil {
-		return nil, err
-	}
-	if c.errMap {
-		if err := s.compileErrorMap(e, c.workers, c.safety, aligned); err != nil {
-			return nil, err
+	for name := range c.extra {
+		if axisIndex(axes, name) < 0 {
+			return c, nil, fmt.Errorf("fuzzy: surface nodes pinned for unknown axis %q", name)
 		}
 	}
-	return s, nil
+	return c, axes, nil
+}
+
+// axisIndex is the position of the named axis, or -1.
+func axisIndex(axes []SurfaceAxis, name string) int {
+	for i := range axes {
+		if axes[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // MustSurface is like NewSurface but panics on error. It is intended
@@ -475,7 +494,7 @@ func (s *Surface) initErrorMap(aligned uint32) int {
 // cell centre — at the node itself along aligned axes. Workers shard
 // slabs of the first axis exactly like compile, so the map is
 // scheduling-independent too. Each probe's interpolated value comes
-// from the cell and fraction locate gives its coordinates, found once
+// from the cell and fraction Locate gives its coordinates, found once
 // per axis coordinate rather than once per probe.
 func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64, aligned uint32) error {
 	d := len(s.axes)
@@ -494,7 +513,7 @@ func (s *Surface) compileErrorMap(e *Engine, workers int, safety float64, aligne
 			if aligned&(1<<k) == 0 {
 				x = (nodes[i] + nodes[i+1]) / 2
 			}
-			j, f := s.axes[k].locate(x)
+			j, f := s.axes[k].Locate(x)
 			probes[k][i], offs[k][i], fracs[k][i] = x, j*s.strides[k], f
 		}
 	}
@@ -593,18 +612,6 @@ func (s *Surface) errIndex(i, j int, f float64) (k int, ok bool) {
 // HasErrorMap reports whether the surface carries local error bounds.
 func (s *Surface) HasErrorMap() bool { return s.errs != nil }
 
-// FiniteValues reports whether every node value is finite. A decoded
-// surface keeps whatever values it was given, so a caller whose engine
-// only produces finite outputs can check a loaded table with it.
-func (s *Surface) FiniteValues() bool {
-	for _, v := range s.values {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // AlignedAxes returns the names of the error map's aligned axes
 // (WithSurfaceAlignedAxes) in input order; nil when there are none.
 func (s *Surface) AlignedAxes() []string {
@@ -643,7 +650,7 @@ func (s *Surface) EvaluateVec(vals ...float64) (float64, error) {
 	var frac [maxSurfaceDims]float64
 	base := 0
 	for i := range s.axes {
-		j, f := s.axes[i].locate(vals[i])
+		j, f := s.axes[i].Locate(vals[i])
 		frac[i] = f
 		base += j * s.strides[i]
 	}
@@ -689,7 +696,7 @@ func (s *Surface) EvaluateVecWithBound(vals ...float64) (value, bound float64, e
 	base, ei := 0, 0
 	onNodes := true
 	for i := range s.axes {
-		j, f := s.axes[i].locate(vals[i])
+		j, f := s.axes[i].Locate(vals[i])
 		frac[i] = f
 		base += j * s.strides[i]
 		if s.errs != nil {
@@ -752,7 +759,7 @@ func (s *Surface) AxisRangeBounds(axis int, extra []float64, vals ...float64) (s
 	onNodes := true
 	var lo [maxSurfaceDims]int
 	for i := range s.axes {
-		j, f := s.axes[i].locate(vals[i])
+		j, f := s.axes[i].Locate(vals[i])
 		lo[i] = j
 		base += j * s.strides[i]
 		if s.errs != nil && i != axis {
@@ -763,7 +770,7 @@ func (s *Surface) AxisRangeBounds(axis int, extra []float64, vals ...float64) (s
 	}
 	jLo, jHi := lo[axis], lo[axis]
 	for _, x := range extra {
-		j, _ := s.axes[axis].locate(x)
+		j, _ := s.axes[axis].Locate(x)
 		if j < jLo {
 			jLo = j
 		}
@@ -834,7 +841,7 @@ func (s *Surface) Profile(axis int, vals ...float64) (nodes, values, bounds []fl
 		if i == axis {
 			continue
 		}
-		j, f := s.axes[i].locate(vals[i])
+		j, f := s.axes[i].Locate(vals[i])
 		frac[i] = f
 		base += j * s.strides[i]
 		if s.errs != nil {

@@ -1,8 +1,7 @@
 // Package snap is the repository's one persistence format: a
 // versioned, checksummed binary envelope for controller and station
-// state and for compiled surfaces, which are the "fuzzy-surface" kind
-// (fuzzy.EncodeSurface) nested in the surface cache's "facs-surfaces"
-// entries.
+// state and for compiled surfaces, the "fuzzy-surface" kind
+// (fuzzy.EncodeSurface).
 //
 // # Envelope
 //
