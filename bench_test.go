@@ -302,7 +302,7 @@ func BenchmarkFACSEvaluate(b *testing.B) {
 // --- compiled fast-path benchmarks ---
 
 // compiledBench returns the shared compiled default FACS, so the
-// one-time surface compilation is not charged to per-op timings.
+// first-touch enclosures are mostly paid before per-op timings.
 func compiledBench(b *testing.B) *facs.CompiledSystem {
 	b.Helper()
 	cc, err := facs.DefaultCompiledSystem()
@@ -413,15 +413,20 @@ func BenchmarkCompiledDecideBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledSurfaceBuild times the construction of the default
-// compiled FACS, the one every binary and perfbench build: the FLC2
-// surface and accept table and FLC1's empty cell table (FLC1 cells are
-// enclosed later, by the decisions that touch them).
+// BenchmarkCompiledSurfaceBuild times the two interpolation surfaces a
+// default compiled FACS compiles on request, FLC1Surface and then
+// FLC2Surface, on a fresh controller each time. No decision reads
+// them; constructing the controller (untimed) compiles neither.
 func BenchmarkCompiledSurfaceBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := facs.NewCompiledSystem(0); err != nil {
+		b.StopTimer()
+		cc, err := facs.NewCompiledSystem(0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
+		cc.FLC1Surface()
+		cc.FLC2Surface()
 	}
 }
 

@@ -97,6 +97,8 @@ func TestPublicRunSeeds(t *testing.T) {
 func TestCompiledDecideBatchSettlement(t *testing.T) {
 	// With probed cell ranges and a point check instead of enclosures,
 	// the cell check settled 459, the point check 1 and 5 went exact.
+	// Certifying the accept table with FLC2 enclosures instead of the
+	// FLC2 surface's probed bounds left all three counts as they were.
 	const wantCell, wantSub, wantExact = 459, 4, 2
 	cc, err := facs.DefaultCompiledSystem()
 	if err != nil {

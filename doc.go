@@ -31,19 +31,18 @@
 //	cc, err := facs.DefaultCompiledSystem() // compiled once, shared
 //	d, err := cc.Decide(req)                // or facs.DecideAll(cc, reqs)
 //
-// NewCompiledSystem samples FLC2 over a dense grid at construction
-// time (tens of milliseconds, which BenchmarkCompiledSurfaceBuild
-// times) and encloses FLC1 grid cell by grid cell the first time a
-// decision touches one. An admission decision (Decide, DecideBatchInto)
-// is compare-only: a per-(handoff, R, Cs) table of Cv intervals on
-// which FLC2 is certain to accept or to reject settles any Cv range
-// inside one interval. Each request asks it about a proven range of
-// FLC1 over its grid cell, then, where that range straddles a verdict,
-// over smaller sub-cells; the rest (about 1% on the city-facs
-// benchmark) are re-run on the exact engines. The FLC1 ranges are
-// certified, so FLC1 cannot flip a decision; the accept table rests
-// on FLC2 error bounds that are probed, not proven (ARCHITECTURE.md),
-// and the golden-equivalence suite in internal/facs finds no flip.
+// NewCompiledSystem compiles no surface: it lays out empty tables, and
+// decisions fill them the first time they touch an entry, enclosing
+// FLC1 grid cell by grid cell and FLC2 one accept-table row at a time.
+// An admission decision (Decide, DecideBatchInto) is compare-only: a
+// per-(handoff, R, Cs) row of Cv intervals on which an enclosure proves
+// FLC2's verdict settles any Cv range inside one interval. Each request
+// asks it about a proven range of FLC1 over its grid cell, then, where
+// that range straddles a verdict, over smaller sub-cells; the rest
+// (about 1% on the city-facs benchmark) are re-run on the exact
+// engines. Every range and interval is certified, so no step can flip
+// a decision, and the golden-equivalence suite in internal/facs finds
+// none.
 // Evaluate on the compiled system is the exact System.Evaluate: use
 // the exact System for crisp values and grades, and the compiled path
 // when decision throughput matters.

@@ -68,20 +68,21 @@ var (
 	WithHandoffBias = ifacs.WithHandoffBias
 )
 
-// CompiledSystem is the lookup-table fast path of the FACS: both fuzzy
-// controllers sampled into dense interpolation surfaces at construction
-// time, so most decisions cost a table read instead of two Mamdani
-// inferences. It answers accept/reject only (Decide, DecideBatchInto),
-// re-running the exact engines for the rare request its error bounds
-// cannot settle; its Evaluate is the exact System.Evaluate. It
-// implements Controller and is safe for concurrent use.
+// CompiledSystem is the fast path of the FACS: both fuzzy controllers
+// enclosed into tables on first touch, FLC1 per grid cell and FLC2 per
+// accept-table row, so most decisions cost a table read instead of two
+// Mamdani inferences. It answers accept/reject only (Decide,
+// DecideBatchInto), re-running the exact engines for the rare request
+// its proven ranges cannot settle; its Evaluate is the exact
+// System.Evaluate. It implements Controller and is safe for concurrent
+// use.
 type CompiledSystem = ifacs.CompiledController
 
 // NewCompiledSystem builds the exact System for the options and
-// compiles it into the lookup-table fast path (gridSize <= 0 selects
-// the default resolution). Compilation is a one-off cost of many exact
-// inferences; amortise it over many decisions, or use
-// DefaultCompiledSystem for the shared default instance.
+// compiles it into the fast path (gridSize <= 0 selects the default
+// FLC1 grid). Construction only lays out empty tables; decisions fill
+// them on first touch, so a controller shared across many decisions,
+// such as DefaultCompiledSystem's, pays for each entry once.
 func NewCompiledSystem(gridSize int, opts ...SystemOption) (*CompiledSystem, error) {
 	return ifacs.NewCompiled(gridSize, opts...)
 }

@@ -82,7 +82,7 @@ func (c Contestant) buildFACS() (cac.Controller, error) {
 		}
 	}
 	start := time.Now() //facs:wallclock build timing for the log only
-	logf("compiling FACS surfaces...")
+	logf("building the compiled FACS...")
 	var (
 		ctrl *facs.CompiledController
 		err  error

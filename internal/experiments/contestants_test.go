@@ -90,7 +90,7 @@ func TestContestantCompiledDefaultIsShared(t *testing.T) {
 	if got != shared {
 		t.Fatal("default compiled build should reuse facs.DefaultCompiled")
 	}
-	if len(log) != 2 || !strings.HasPrefix(log[0], "compiling FACS surfaces") || !strings.HasPrefix(log[1], "compiled in") {
+	if len(log) != 2 || !strings.HasPrefix(log[0], "building the compiled FACS") || !strings.HasPrefix(log[1], "compiled in") {
 		t.Fatalf("log = %q", log)
 	}
 }

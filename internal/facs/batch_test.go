@@ -16,9 +16,25 @@ import (
 // batch paths' occupancy caching is exercised across cache hits and
 // switches.
 func batchWorkload(t *testing.T, rng *rand.Rand, n int) []cac.Request {
+	return batchWorkloadAt(t, rng, n, []int{0, 12, 33, 40})
+}
+
+// occupancyLadder is a station at every occupancy a request can fit,
+// so that a workload over them reads most accept-table rows.
+var occupancyLadder = func() []int {
+	var out []int
+	for used := range cell.DefaultCapacityBU {
+		out = append(out, used)
+	}
+	return out
+}()
+
+// batchWorkloadAt is batchWorkload over one station per occupancy in
+// useds.
+func batchWorkloadAt(t *testing.T, rng *rand.Rand, n int, useds []int) []cac.Request {
 	t.Helper()
 	var stations []*cell.BaseStation
-	for i, used := range []int{0, 12, 33, 40} {
+	for i, used := range useds {
 		bs, err := cell.NewBaseStation(geo.Hex{Q: i}, geo.Point{}, cell.DefaultCapacityBU)
 		if err != nil {
 			t.Fatal(err)

@@ -12,53 +12,50 @@ import (
 )
 
 // DefaultSurfaceGridSize is the per-axis grid resolution used by
-// NewCompiled when none is given: the FLC1 cells that decisions enclose
-// and the FLC2 surface's Cv axis. See fuzzy.DefaultSurfaceGridSize for
-// the accuracy rationale; the golden-equivalence tests pin the realised
-// error at this size.
+// NewCompiled when none is given: the FLC1 cells that decisions enclose,
+// and the node counts of the surfaces FLC1Surface and FLC2Surface
+// compile. See fuzzy.DefaultSurfaceGridSize for the rationale.
 const DefaultSurfaceGridSize = fuzzy.DefaultSurfaceGridSize
 
 // surfaceErrorSafety scales the sampled interpolation error bounds
-// (fuzzy.WithSurfaceErrorMap). A single centre probe can under-read
-// the peak error of a cell crossed asymmetrically by a t-norm crease;
-// doubling it gives the accept table its margin.
-// The golden-equivalence suite and TestDecisionTableMatchesExact check
-// empirically that the resulting verdicts match the exact engines; the
-// bounds are estimates, not proofs (see ARCHITECTURE.md).
+// (fuzzy.WithSurfaceErrorMap) of the two surfaces FLC1Surface and
+// FLC2Surface compile on request. A single centre probe can under-read
+// the peak error of a cell crossed asymmetrically by a t-norm crease,
+// so the probed bound is doubled. The bounds are estimates, not proofs;
+// no decision reads them.
 const surfaceErrorSafety = 2
 
-// CompiledController is the fast path of the FACS. FLC2 (Cv x R x Cs
-// -> A/R) is compiled at construction into a dense interpolation
-// surface and, from it, an accept table; FLC1 (speed x angle x distance
-// -> Cv) is enclosed grid cell by grid cell on first touch. It answers
+// CompiledController is the fast path of the FACS. Both stages are
+// enclosed (fuzzy.Enclosure) on first touch: FLC1 (speed x angle x
+// distance -> Cv) grid cell by grid cell, and FLC2 (Cv x R x Cs -> A/R)
+// one accept-table row per (handoff, R, Cs) at a time. It answers
 // accept/reject only; the crisp values and the grade come from the
 // exact System (Evaluate).
 //
-// An admission decision (Decide, DecideBatchInto) is compare-only. A
-// per-(handoff, R, Cs) accept table of certain Cv intervals, built from
-// the FLC2 surface's node values and node-aligned error bounds, answers
-// whether a Cv range has one verdict. The range asked first is a
-// certified enclosure of exact FLC1 over the query's FLC1 grid cell
-// (fuzzy.Enclosure): one table read once the cell is enclosed. Where
-// that range straddles a verdict, the query's 2³ sub-cell is enclosed
-// and asked, then its 4³ sub-cell. Only a request none of them settles
-// runs exact FLC1 and asks the table about the exact Cv itself; only
-// where no certain interval holds that does exact FLC2 run. Every FLC1
-// range is a proven bound, so the FLC1 stage cannot flip a decision;
-// the accept table still rests on FLC2's probed error bounds (see
-// ARCHITECTURE.md).
+// An admission decision (Decide, DecideBatchInto) is compare-only. The
+// accept table's row holds the Cv intervals on which an enclosure of
+// exact FLC2 proves one verdict, and answers whether a Cv range has
+// one. The range asked first is a certified enclosure of exact FLC1
+// over the query's FLC1 grid cell: one table read once the cell and the
+// row are filled. Where that range straddles a verdict, the query's 2³
+// sub-cell is enclosed and asked, then its 4³ sub-cell. Only a request
+// none of them settles runs exact FLC1 and asks the table about the
+// exact Cv itself; only where no certain interval holds that does exact
+// FLC2 run. Every range and every interval is a proven bound, so no
+// step can flip a decision.
 //
-// The cell table and the sub-cell store are a memo of a pure function:
-// an enclosure depends on its cell alone, so shards that race to fill
-// one store the same bits. Both are allocated at construction, and
-// filling them takes no lock and allocates nothing. A CompiledController
-// is safe for concurrent use.
+// The cell table, the sub-cell store and the accept table are a memo
+// of pure functions: an enclosure depends on its cell alone, and a row
+// on its index alone, so shards that race to fill one store the same
+// bits. All three are allocated at construction, and filling them takes
+// no lock and allocates nothing. A CompiledController is safe for
+// concurrent use.
 type CompiledController struct {
 	sys   *System
 	flc1  *flc1Cells
-	surf1 func() *fuzzy.Surface
-	surf2 *fuzzy.Surface
 	table acceptTable
+	surf1 func() *fuzzy.Surface
+	surf2 func() *fuzzy.Surface
 
 	fast  atomic.Int64
 	exact atomic.Int64
@@ -90,10 +87,11 @@ func NewCompiled(gridSize int, opts ...Option) (*CompiledController, error) {
 }
 
 // CompileSystem compiles an already constructed System into a
-// CompiledController without rebuilding it: the FLC2 surface and its
-// accept table, and FLC1's grid with an empty cell table. It refuses a
-// System whose FLC1 cannot be enclosed (fuzzy.NewEnclosure), such as
-// one with a defuzzifier other than Centroid.
+// CompiledController without rebuilding it: FLC1's grid with an empty
+// cell table and sub-cell store, and an accept table with no row
+// filled. It compiles no surface. It refuses a System whose engines
+// cannot be enclosed (fuzzy.NewEnclosure), such as one with a
+// defuzzifier other than Centroid.
 func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("facs: compile needs a system")
@@ -105,25 +103,7 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 	if err != nil {
 		return nil, fmt.Errorf("facs: FLC1 cells: %w", err)
 	}
-	// Request and counter-state inputs are integral bandwidth units in
-	// every admission query, so instead of a dense uniform subdivision
-	// those two axes carry exactly one node per integer (plus membership
-	// corners): every realistic query hits their nodes and reproduces
-	// the exact engine with zero error on those axes, confining
-	// interpolation to the genuinely continuous Cv axis — and shrinking
-	// the table and its compile time by an order of magnitude. The error
-	// map is aligned to those nodes, so it bounds only the Cv-axis error.
-	surf2, err := fuzzy.NewSurface(sys.FLC2(),
-		fuzzy.WithSurfaceGrid(gridSize, 2, 2),
-		fuzzy.WithSurfaceNodes(VarRequest, integerNodes(sys.params.RequestMax)...),
-		fuzzy.WithSurfaceNodes(VarCounter, integerNodes(sys.params.CapacityBU)...),
-		fuzzy.WithSurfaceErrorMap(surfaceErrorSafety),
-		fuzzy.WithSurfaceAlignedAxes(flc2AlignedAxes...),
-	)
-	if err != nil {
-		return nil, fmt.Errorf("facs: compiling FLC2 surface: %w", err)
-	}
-	return &CompiledController{
+	c := &CompiledController{
 		sys:  sys,
 		flc1: flc1,
 		surf1: sync.OnceValue(func() *fuzzy.Surface {
@@ -132,9 +112,27 @@ func CompileSystem(sys *System, gridSize int) (*CompiledController, error) {
 				fuzzy.WithSurfaceErrorMap(surfaceErrorSafety),
 			)
 		}),
-		surf2: surf2,
-		table: newAcceptTable(sys, surf2),
-	}, nil
+		// Request and counter-state inputs are integral bandwidth units
+		// in every admission query, so instead of a dense uniform
+		// subdivision those two axes carry exactly one node per integer
+		// (plus membership corners): a query on their nodes reproduces
+		// the exact engine with zero error on those axes, confining
+		// interpolation to the continuous Cv axis. The error map is
+		// aligned to those nodes, so it bounds only the Cv-axis error.
+		surf2: sync.OnceValue(func() *fuzzy.Surface {
+			return fuzzy.MustSurface(sys.FLC2(),
+				fuzzy.WithSurfaceGrid(gridSize, 2, 2),
+				fuzzy.WithSurfaceNodes(VarRequest, integerNodes(sys.params.RequestMax)...),
+				fuzzy.WithSurfaceNodes(VarCounter, integerNodes(sys.params.CapacityBU)...),
+				fuzzy.WithSurfaceErrorMap(surfaceErrorSafety),
+				fuzzy.WithSurfaceAlignedAxes(flc2AlignedAxes...),
+			)
+		}),
+	}
+	if err := c.table.init(sys); err != nil {
+		return nil, fmt.Errorf("facs: accept table: %w", err)
+	}
+	return c, nil
 }
 
 // flc2AlignedAxes are the admission surface's inputs that every query
@@ -182,8 +180,12 @@ func (c *CompiledController) System() *System { return c.sys }
 // (a complete rule base over covering partitions) never does.
 func (c *CompiledController) FLC1Surface() *fuzzy.Surface { return c.surf1() }
 
-// FLC2Surface returns the compiled admission surface.
-func (c *CompiledController) FLC2Surface() *fuzzy.Surface { return c.surf2 }
+// FLC2Surface returns FLC2 compiled into an interpolation surface with
+// its probed, node-aligned error map: a dense Cv axis on the FLC1 grid's
+// node count and one node per integral R and Cs. No decision reads it:
+// it is compiled on the first call, and panics if the engine fails at
+// a grid node, which the paper's FLC2 never does.
+func (c *CompiledController) FLC2Surface() *fuzzy.Surface { return c.surf2() }
 
 // AcceptThreshold returns the crisp decision boundary.
 func (c *CompiledController) AcceptThreshold() float64 { return c.sys.AcceptThreshold() }
@@ -209,6 +211,14 @@ func (c *CompiledController) Enclosed() (cells, subCells int64) {
 	return c.flc1.cellsEnclosed.Load(), c.flc1.subsEnclosed.Load()
 }
 
+// RowsFilled reports how many accept-table rows decisions have filled
+// since construction, and how many FLC2 enclosures filling them took.
+// As with Enclosed, only the fill that publishes a row counts, so both
+// counts repeat exactly at a fixed request stream.
+func (c *CompiledController) RowsFilled() (rows, enclosures int64) {
+	return c.table.rowsFilled.Load(), c.table.enclosures.Load()
+}
+
 // Evaluate is System.Evaluate, counted as one exact evaluation in
 // Stats: the compiled controller only decides, so the crisp values and
 // the grade come from the exact engines.
@@ -232,8 +242,9 @@ func (c *CompiledController) DecideBatch(reqs []cac.Request) ([]cac.Decision, er
 // station can carry goes through the cell → sub-cell → exact steps of
 // CompiledController: its FLC1 cell's enclosure (three guided locates
 // and one table read, plus one enclosure the first time the cell is
-// touched) and an interval compare in the accept table settle most of
-// them; a straddling cell asks its 2³ and then its 4³ sub-cell, and only
+// touched) and an interval compare in the accept table (plus one row
+// fill the first time the row is read) settle most of them; a
+// straddling cell asks its 2³ and then its 4³ sub-cell, and only
 // a request that neither settles runs the exact engines (exact FLC1,
 // the table at the exact Cv, exact FLC2 on a miss). The station
 // occupancy is read once per run of requests aimed at the same station.

@@ -21,7 +21,7 @@ import (
 // asked of a 40 BU station holding the sampled occupancy.
 
 // goldenCompiled returns the shared compiled default system, so the
-// multi-second surface compilation is paid once per test binary.
+// cells and rows it encloses are paid for once per test binary.
 func goldenCompiled(t *testing.T) *CompiledController {
 	t.Helper()
 	cc, err := DefaultCompiled()
@@ -295,9 +295,9 @@ func compiledDecideMatchesSystem(t *testing.T, cc *CompiledController, capacity 
 	}
 }
 
-// TestCompiledHandoffBias: a coarse 17-node grid with a handoff bias
-// still never flips a decision — the looser error bounds send more
-// requests to the exact engines instead.
+// TestCompiledHandoffBias: a coarse 17-node FLC1 grid with a handoff
+// bias still never flips a decision — the wider cells' ranges send more
+// requests to the sub-cells and the exact engines instead.
 func TestCompiledHandoffBias(t *testing.T) {
 	sys, err := New(WithHandoffBias(0.5))
 	if err != nil {
@@ -332,7 +332,7 @@ func TestCompiledHandoffBias(t *testing.T) {
 
 // TestCompiledStats: a knife-edge request (exact A/R within 1e-3 of the
 // accept threshold) must fall back to the exact engines, and an
-// ordinary one settle on the surfaces.
+// ordinary one settle on the tables.
 func TestCompiledStats(t *testing.T) {
 	cc, err := NewCompiled(0)
 	if err != nil {
@@ -357,7 +357,7 @@ func TestCompiledStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f, e := cc.Stats(); f != 1 || e != 1 {
-		t.Fatalf("easy decision did not settle on the surfaces: stats (%d, %d)", f, e)
+		t.Fatalf("easy decision did not settle on the tables: stats (%d, %d)", f, e)
 	}
 }
 

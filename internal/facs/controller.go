@@ -207,19 +207,27 @@ func (s *System) evaluateCv(cv float64, requestBU, usedBU int, handoff bool) (Ev
 	if err != nil {
 		return Evaluation{}, fmt.Errorf("facs: FLC2: %w", err) //facs:alloc reject/error path; formats nothing on the steady-state wave
 	}
-	if handoff {
-		ar += s.handoffBias
-		if ar > 1 {
-			ar = 1
-		}
-	}
+	ar, accepted := s.verdict(ar, handoff)
 	ev := Evaluation{
 		Cv:       cv,
 		AR:       ar,
 		Grade:    s.grade(ar),
-		Accepted: ar >= s.acceptThreshold,
+		Accepted: accepted,
 	}
 	return ev, nil
+}
+
+// verdict applies the decision boundary to FLC2's crisp output ar: a
+// handoff gains the handoff bias, capped at 1, and the request is
+// accepted when the result reaches the accept threshold. It returns the
+// biased value too. The verdict never goes from accept to reject as ar
+// grows, which is what lets the compiled accept table certify a Cv
+// range from the ends of an FLC2 enclosure alone.
+func (s *System) verdict(ar float64, handoff bool) (biased float64, accept bool) {
+	if handoff {
+		ar = min(ar+s.handoffBias, 1)
+	}
+	return ar, ar >= s.acceptThreshold
 }
 
 // grade is the decision grade at a crisp A/R value: the Grade of the

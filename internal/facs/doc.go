@@ -13,22 +13,19 @@
 // System is the exact two-stage inference and the reference: it
 // computes the crisp Cv and A/R values, the grade and the accept/reject
 // outcome. CompiledController answers only accept/reject; its Evaluate
-// is System.Evaluate. Its decisions are meant to equal the exact
-// System's. The FLC1 stage is certified (fuzzy.Enclosure proves its Cv
-// ranges), and the FLC2 stage rests on interpolation error bounds that
-// are probed at cell centres, not proven, so the equality is checked
-// there (every accept-table interval against the exact engines, and the
-// golden sets of compiled_test.go), not certified.
+// is System.Evaluate. Its decisions equal the exact System's, and both
+// stages are certified: fuzzy.Enclosure proves FLC1's Cv ranges and
+// FLC2's verdict over Cv intervals. compiled_test.go's golden sets and
+// accept_test.go check the equality against the exact engines too.
 //
-// A compiled decision (Decide, DecideBatchInto) is compare-only. The
-// FLC2 surface pins a node at every integral R and Cs, and its error
-// map is aligned to those nodes (fuzzy.WithSurfaceAlignedAxes), so at
-// each (R, Cs) it is a piecewise-linear function of Cv with one error
-// bound per Cv cell. From those alone the controller builds, at
-// construction, an accept table: per (handoff, R, Cs), the Cv intervals
-// on which the surface minus its bound clears the threshold (certain
-// accept) or plus its bound stays below it (certain reject), by a
-// margin ε. A Cv range inside one interval takes its class as the
+// A compiled decision (Decide, DecideBatchInto) is compare-only. An
+// accept table holds, per (handoff, R, Cs) row, the Cv intervals on
+// which an enclosure of exact FLC2 over (Cv piece, R, Cs) lies wholly
+// on one side of the verdict that System applies (handoff bias, cap at
+// 1, accept threshold). That verdict never decreases in the A/R value,
+// so a piece whose enclosure's low end is accepted is accepted
+// throughout, and one whose high end is rejected is rejected
+// throughout. A Cv range inside one interval takes its class as the
 // verdict. A decision then runs cell → sub-cell → exact:
 //
 //   - cell: the enclosure of exact FLC1 over the query's grid cell, from
@@ -44,31 +41,44 @@
 // fast and exact ones. compiled_test.go pins decisions end to end
 // against System.Decide, including a request on which the probed FLC1
 // bounds that the enclosures replaced once flipped the verdict;
-// accept_test.go checks every interval of the table against the exact
-// engines; flc1cells_test.go checks racing fills against a sequential
-// one, and that a cold decision allocates nothing.
+// accept_test.go forces every row of the table and checks each interval
+// against the exact engines; flc1cells_test.go checks racing fills
+// against a sequential one, and that a cold decision allocates nothing.
 //
-// # Lazy FLC1 enclosures
+// # Lazy enclosures
 //
-// Construction compiles only FLC2 (its surface and accept table) and
-// lays out FLC1's grid: one atomic word per grid cell (64³ cells, 2 MB
-// at the default grid, two float32 ends rounded outward, 0 until
-// enclosed) and a 512 KB store of sub-cell enclosures, both allocated
-// up front. A decision that touches a cell no decision has touched
-// encloses it, about 3 µs (BenchmarkFLC1Enclose), and publishes it with
-// one compare-and-swap; an enclosure is a pure function of its cell, so
-// racing shards store the same bits and need no lock. The store probes
-// at most 16 slots per sub-cell, and a request whose sub-cell finds no
-// slot goes exact. Enclosed counts the cells and sub-cells enclosed,
-// counting only the store that publishes. On the seed-1 city-facs day
-// (TestCityFACSWorkCountersPin) 124,377 requests fit their station;
-// 97.17% settle on their cell, 1.78% on a sub-cell and 1.06% go exact,
-// and the day encloses 7,296 cells (2.8% of the grid) and 4,468
-// sub-cells. Construction takes 20–30 ms on two CPUs of an Intel
-// Xeon, most of it the FLC2 surface (BenchmarkCompiledSurfaceBuild).
-// FLC1Surface compiles FLC1's interpolation surface (275k nodes and a
-// probed error map, about 0.15 s) on its first call, for callers that
-// interpolate FLC1; no decision reads it.
+// Construction compiles no surface. It lays out FLC1's grid: one atomic
+// word per grid cell (64³ cells, 2 MB at the default grid, two float32
+// ends rounded outward, 0 until enclosed) and a 512 KB store of
+// sub-cell enclosures. It also lays out the accept table: one row of 15
+// words per (R, Cs), 451 rows and 54 KB at the paper's 10 BU requests
+// and 40 BU cells, twice that under a handoff bias, when handoffs have
+// rows of their own. All of it is allocated up front, and nothing is
+// filled.
+//
+// A decision that touches a cell no decision has touched encloses it,
+// about 3 µs (BenchmarkFLC1Enclose). A decision that reads a row no
+// decision has read fills it: it encloses FLC2 over the whole Cv
+// universe and bisects only the pieces whose enclosure straddles the
+// verdict, down to 2^-11 of the universe, then merges the certain
+// pieces into at most 7 intervals. An FLC2 enclosure costs about 2.5
+// µs, and a row about 19 of them on average (BenchmarkAcceptRowFill).
+// Every store is a pure function of its index, so racing shards store
+// the same bits and publish with one compare-and-swap, with no lock and
+// no allocation. The sub-cell store probes at most 16 slots per
+// sub-cell, and a request whose sub-cell finds no slot goes exact.
+// Enclosed counts the cells and sub-cells enclosed and RowsFilled the
+// rows and their FLC2 enclosures, counting only the store that
+// publishes.
+//
+// On the seed-1 city-facs day (TestCityFACSWorkCountersPin) 124,377
+// requests fit their station; 97.21% settle on their cell, 1.77% on a
+// sub-cell and 1.01% go exact. The day encloses 7,296 cells (2.8% of
+// the grid) and 4,341 sub-cells, and fills 104 of the 451 rows with
+// 3,704 FLC2 enclosures. FLC1Surface and FLC2Surface compile the
+// interpolation surfaces (with probed error maps; about 0.15 s and
+// 0.02 s, BenchmarkCompiledSurfaceBuild) on their first call, for
+// callers that interpolate; no decision reads them.
 //
 // # Entry points
 //

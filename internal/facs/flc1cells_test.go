@@ -22,12 +22,13 @@ func subCellWords(f *flc1Cells) map[uint64]uint64 {
 
 // TestCompiledRacingFillsMatchSequential: four goroutines decide
 // overlapping halves of a request stream on one fresh controller, so
-// they race to enclose the same cells and sub-cells. Every verdict must
-// be the exact System's, and the filled cell table and sub-cell store
-// must equal a sequential fill's word for word, with the same enclosure
+// they race to enclose the same cells and sub-cells and to fill the
+// same accept-table rows. Every verdict must be the exact System's, and
+// the filled cell table, sub-cell store and accept table must equal a
+// sequential fill's word for word, with the same enclosure and row
 // counts.
 func TestCompiledRacingFillsMatchSequential(t *testing.T) {
-	reqs := batchWorkload(t, rand.New(rand.NewSource(31)), 6000)
+	reqs := batchWorkloadAt(t, rand.New(rand.NewSource(31)), 6000, occupancyLadder)
 	sys := Must()
 	want := make([]cac.Decision, len(reqs))
 	if err := sys.DecideBatchInto(reqs, want); err != nil {
@@ -93,19 +94,32 @@ func TestCompiledRacingFillsMatchSequential(t *testing.T) {
 			t.Fatalf("sub-cell %#x: sequential fill %#x, racing fill %#x", k, w, racySubs[k])
 		}
 	}
+	for k := range seq.table.rows {
+		for i := range seq.table.rows[k] {
+			if s, r := seq.table.rows[k][i].Load(), racy.table.rows[k][i].Load(); s != r {
+				t.Fatalf("accept-table row %d, word %d: sequential fill %#x, racing fill %#x", k, i, s, r)
+			}
+		}
+	}
 	sc, ss := seq.Enclosed()
 	rc, rs := racy.Enclosed()
 	if sc != rc || ss != rs || ss == 0 {
 		t.Fatalf("enclosed (cells, sub-cells): sequential (%d, %d), racing (%d, %d)", sc, ss, rc, rs)
 	}
-	t.Logf("%d cells and %d sub-cells enclosed", sc, ss)
+	sr, se := seq.RowsFilled()
+	rr, re := racy.RowsFilled()
+	if sr != rr || se != re || sr == 0 {
+		t.Fatalf("rows filled (rows, enclosures): sequential (%d, %d), racing (%d, %d)", sr, se, rr, re)
+	}
+	t.Logf("%d cells and %d sub-cells enclosed, %d rows filled with %d FLC2 enclosures", sc, ss, sr, se)
 }
 
 // TestCompiledColdDecideZeroAllocs: deciding requests whose FLC1 cells
 // no decision has enclosed yet, some of them straddling a verdict so
-// that their sub-cells are enclosed too, allocates nothing. Each of
-// AllocsPerRun's runs gets a batch of its own on cells no other batch
-// touches, so every run is cold.
+// that their sub-cells are enclosed too, and whose accept-table rows
+// no decision has filled, allocates nothing. Each of AllocsPerRun's
+// runs gets a batch of its own on cells no other batch touches, with at
+// least one row no earlier batch read, so every run is cold.
 func TestCompiledColdDecideZeroAllocs(t *testing.T) {
 	const runs, perBatch = 20, 4
 	probe, err := NewCompiled(0)
@@ -116,7 +130,7 @@ func TestCompiledColdDecideZeroAllocs(t *testing.T) {
 	// fresh controller enclosed a sub-cell.
 	seen := map[int]bool{}
 	var straddling, settled []cac.Request
-	for _, req := range batchWorkload(t, rand.New(rand.NewSource(41)), 50000) {
+	for _, req := range batchWorkloadAt(t, rand.New(rand.NewSource(41)), 50000, occupancyLadder) {
 		q := flc1Query{vals: [3]float64{req.Obs.SpeedKmh, req.Obs.AngleDeg, req.Obs.DistanceKm}}
 		probe.flc1.locate(&q)
 		if !req.Station.Fits(req.Call.BU) || seen[q.cell] {
@@ -133,32 +147,48 @@ func TestCompiledColdDecideZeroAllocs(t *testing.T) {
 			settled = append(settled, req)
 		}
 	}
-	if len(straddling) <= runs || len(settled) < (runs+1)*(perBatch-1) {
-		t.Fatalf("found %d straddling and %d settled requests on distinct cells", len(straddling), len(settled))
-	}
-	// One straddler and perBatch-1 others per batch.
+	// One straddler on a row no earlier batch reads, and perBatch-1
+	// others, per batch. Without a handoff bias, a handoff reads the
+	// new-call row.
+	type rowKey struct{ bu, used int }
+	key := func(req cac.Request) rowKey { return rowKey{req.Call.BU, req.Station.Used()} }
+	read := map[rowKey]bool{}
 	batches := make([][]cac.Request, runs+1)
 	for b := range batches {
-		batches[b] = append([]cac.Request{straddling[b]}, settled[b*(perBatch-1):(b+1)*(perBatch-1)]...)
+		for len(straddling) > 0 && read[key(straddling[0])] {
+			straddling = straddling[1:]
+		}
+		if len(straddling) == 0 || len(settled) < perBatch-1 {
+			t.Fatalf("batch %d: out of straddling requests on unread rows or of settled requests", b)
+		}
+		batches[b] = append([]cac.Request{straddling[0]}, settled[:perBatch-1]...)
+		straddling, settled = straddling[1:], settled[perBatch-1:]
+		for _, req := range batches[b] {
+			read[key(req)] = true
+		}
 	}
 	cc, err := NewCompiled(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]cac.Decision, perBatch)
-	next := 0
+	next, filling := 0, 0
 	if n := testing.AllocsPerRun(runs, func() {
+		rows0, _ := cc.RowsFilled()
 		if err := cc.DecideBatchInto(batches[next], out); err != nil {
 			t.Fatal(err)
 		}
+		if rows1, _ := cc.RowsFilled(); rows1 > rows0 {
+			filling++
+		}
 		next++
 	}); n != 0 {
-		t.Fatalf("DecideBatchInto on cold cells made %v allocs/op, want 0", n)
+		t.Fatalf("DecideBatchInto on cold cells and rows made %v allocs/op, want 0", n)
 	}
 	cells, subs := cc.Enclosed()
-	if cells != (runs+1)*perBatch || subs < runs+1 {
-		t.Fatalf("enclosed %d cells and %d sub-cells over %d cold batches, want %d cells and at least %d sub-cells",
-			cells, subs, runs+1, (runs+1)*perBatch, runs+1)
+	if cells != (runs+1)*perBatch || subs < runs+1 || filling != runs+1 {
+		t.Fatalf("%d cold batches enclosed %d cells and %d sub-cells, and %d of them filled a row; want %d cells, at least %d sub-cells and a row filled by every batch",
+			runs+1, cells, subs, filling, (runs+1)*perBatch, runs+1)
 	}
 }
 

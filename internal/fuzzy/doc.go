@@ -104,12 +104,11 @@
 // AxisRangeBounds report +Inf for a query whose aligned coordinate is
 // off its nodes after clamping, so a guarded caller falls back to the
 // exact engine rather than trust a bound that was never probed.
-// Profile returns a surface along one axis — node values and each
-// cell's bound — for callers that precompute decisions from it, as
-// internal/facs builds its accept table. The probes interpolate from
-// the cell and fraction locate gives each probe coordinate, computed
-// once per coordinate, so the map has the bits a per-probe EvaluateVec
-// would give.
+// The probes interpolate from the cell and fraction locate gives each
+// probe coordinate, computed once per coordinate, so the map has the
+// bits a per-probe EvaluateVec would give. No decision path reads an
+// error map: internal/facs encloses both of its engines instead (see
+// Enclosures), and compiles its surfaces only on request.
 //
 // # Locating a query
 //
@@ -124,9 +123,10 @@
 //
 // Enclosure.Enclose bounds a Centroid engine over an input box: it
 // returns [lo, hi] holding the bits EvaluateVec returns anywhere in the
-// box. internal/facs encloses FLC1's grid cells this way, on first
+// box. internal/facs encloses both of its engines this way, on first
 // touch, instead of trusting interpolation error bounds that are only
-// probed. Four steps carry the box to the output, each exact or
+// probed: FLC1 over its grid cells, and FLC2 over (Cv piece, R, Cs)
+// boxes whose R and Cs are single points. Four steps carry the box to the output, each exact or
 // monotone, so none of them rounds the bound:
 //
 //   - Degrees. A triangular or trapezoidal Membership computes
@@ -171,13 +171,27 @@
 // sums, one more rounding on each of them: within (2n+6)·u·Y. The pad
 // covers both, in opposite directions, plus the rounding of lo − pad
 // and hi + pad: (4n+11)·u·Y, which enclosurePadUlps doubles to
-// 8(n+2)·u·Y, 1.8e-13 for the paper's Cv on [0, 1]. Storing the ends
-// as float32 (internal/facs) rounds them outward on top.
+// 8(n+2)·u·Y, 1.8e-13 for the paper's Cv on [0, 1] and for its A/R on
+// [−1, 1]. Storing FLC1's ends as float32 (internal/facs) rounds them
+// outward on top.
+//
+// Certificates from a monotone verdict. A caller that turns the output
+// into a yes/no verdict can certify a whole box from its enclosure's
+// two ends, provided the verdict never goes from yes to no as the
+// output grows. internal/facs's verdict adds a handoff bias, caps the
+// result at 1 and compares it with the accept threshold: each step is
+// monotone, rounding included. Every output v the engine computes in
+// the box has lo ≤ v ≤ hi, so if lo is accepted, v is accepted too, and
+// if hi is rejected, v is rejected too. A box whose ends disagree
+// proves nothing, and is split or left to the exact engine. No probe,
+// margin or safety factor enters: the certificate is as sound as the
+// enclosure.
 //
 // TestEnclosureContainsEngine checks EvaluateVec at corners, edges,
 // breakpoints and random points of random boxes, and at point boxes,
-// on the paper's FLC1 and on an engine with weighted rules, omitted
-// inputs and out-of-order clauses. Dropping the pad, replacing one
+// on the paper's FLC1, on the paper's FLC2 (point R and Cs, Cv boxes
+// with ends on a dyadic grid, as internal/facs encloses it) and on an
+// engine with weighted rules, omitted inputs and out-of-order clauses. Dropping the pad, replacing one
 // switch-point side by its all-low or all-high endpoint, or ignoring
 // the breakpoints inside a box each fails it. NewEnclosure refuses
 // engines outside the argument: a defuzzifier other than Centroid, or

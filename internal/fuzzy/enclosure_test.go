@@ -6,17 +6,43 @@ import (
 	"testing"
 )
 
-// enclosureEngines are the engines the enclosure property runs on: the
-// paper's FLC1, and an engine with weighted rules, rules that omit
-// inputs and clauses out of axis order.
-func enclosureEngines(t *testing.T) []struct {
+// enclosureCase is an engine the enclosure property runs on and the
+// boxes it draws for it.
+type enclosureCase struct {
 	name string
 	e    *Engine
-} {
-	return []struct {
-		name string
-		e    *Engine
-	}{{"flc1", paperFLC1(t)}, {"mixed", mixedEngine(t)}}
+	box  func(rng *rand.Rand, e *Engine, axes []SurfaceAxis) (lo, hi []float64)
+}
+
+// enclosureEngines are the engines the enclosure property runs on: the
+// paper's FLC1, an engine with weighted rules, rules that omit inputs
+// and clauses out of axis order, and the paper's FLC2 on the boxes the
+// compiled FACS's accept table encloses.
+func enclosureEngines(t *testing.T) []enclosureCase {
+	return []enclosureCase{
+		{"flc1", paperFLC1(t), randomBox},
+		{"mixed", mixedEngine(t), randomBox},
+		{"flc2", paperFLC2(t), dyadicRowBox},
+	}
+}
+
+// dyadicRowBox draws a box of the paper's FLC2 as an accept-table row
+// fill encloses it: a point on the request and counter-state axes, at
+// an integer up to a few units past the universe, and on the Cv axis a
+// piece of the universe split into 2^d equal parts, d from 0 to 12.
+func dyadicRowBox(rng *rand.Rand, e *Engine, _ []SurfaceAxis) (lo, hi []float64) {
+	lo, hi = make([]float64, 3), make([]float64, 3)
+	cmin, cmax := e.inputs[0].Universe()
+	parts := 1 << rng.Intn(13)
+	k := rng.Intn(parts)
+	w := (cmax - cmin) / float64(parts)
+	lo[0], hi[0] = cmin+w*float64(k), cmin+w*float64(k+1)
+	for i := 1; i < 3; i++ {
+		_, umax := e.inputs[i].Universe()
+		x := float64(rng.Intn(int(umax) + 4))
+		lo[i], hi[i] = x, x
+	}
+	return lo, hi
 }
 
 // randomBox draws a box of the engine's inputs: per axis a width from a
@@ -121,7 +147,7 @@ func TestEnclosureContainsEngine(t *testing.T) {
 		}
 		points := 0
 		for range 3000 {
-			lo, hi := randomBox(rng, e, axes)
+			lo, hi := tc.box(rng, e, axes)
 			elo, ehi := x.Enclose(lo, hi)
 			for _, p := range boxPoints(rng, x, lo, hi) {
 				v, err := e.EvaluateVec(p...)

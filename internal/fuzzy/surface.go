@@ -818,61 +818,6 @@ func (s *Surface) AxisRangeBounds(axis int, extra []float64, vals ...float64) (s
 	return slope, errBound, nil
 }
 
-// Profile returns the surface along one axis with every other input
-// held at vals: the axis nodes, the surface value at each node, and
-// the error bound EvaluateVecWithBound reports inside each cell between
-// consecutive nodes (len(nodes)-1 of them; +Inf throughout when the
-// axis itself is aligned or another aligned coordinate is off its
-// nodes). Between two nodes the surface is the straight line joining
-// their values, so the profile describes the surface along the axis
-// exactly; each node value is bit for bit what EvaluateVec returns
-// there. The axis coordinate of vals is ignored.
-func (s *Surface) Profile(axis int, vals ...float64) (nodes, values, bounds []float64, err error) {
-	if len(vals) != len(s.axes) {
-		return nil, nil, nil, fmt.Errorf("fuzzy: got %d input values, want %d", len(vals), len(s.axes))
-	}
-	if axis < 0 || axis >= len(s.axes) {
-		return nil, nil, nil, fmt.Errorf("fuzzy: axis %d out of range (surface has %d)", axis, len(s.axes))
-	}
-	var frac [maxSurfaceDims]float64
-	base, ei := 0, 0
-	onNodes := s.aligned&(1<<axis) == 0
-	for i := range s.axes {
-		if i == axis {
-			continue
-		}
-		j, f := s.axes[i].Locate(vals[i])
-		frac[i] = f
-		base += j * s.strides[i]
-		if s.errs != nil {
-			k, ok := s.errIndex(i, j, f)
-			ei += k * s.errStrides[i]
-			onNodes = onNodes && ok
-		}
-	}
-	nodes = s.axes[axis].Nodes()
-	last := len(nodes) - 1
-	values = make([]float64, len(nodes))
-	bounds = make([]float64, last)
-	for k := range nodes {
-		// Locate each node exactly as EvaluateVec does: the last node
-		// is the far end of the last cell.
-		j := min(k, last-1)
-		frac[axis] = float64(k - j)
-		values[k] = s.interpolate(base+j*s.strides[axis], &frac)
-	}
-	for j := range bounds {
-		switch {
-		case s.errs == nil:
-		case !onNodes:
-			bounds[j] = math.Inf(1)
-		default:
-			bounds[j] = s.errs[ei+j*s.errStrides[axis]]
-		}
-	}
-	return nodes, values, bounds, nil
-}
-
 // String returns a compact description such as "Cv[67x71x67]".
 func (s *Surface) String() string {
 	dims := make([]string, len(s.axes))

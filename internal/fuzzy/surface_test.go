@@ -281,51 +281,6 @@ func TestSurfaceAlignedErrorMap(t *testing.T) {
 	}
 }
 
-// TestSurfaceProfile: a profile is the surface along one axis — its
-// node values are the surface's, the surface is the straight line
-// between them, and each cell's bound is the one a query inside it
-// reads.
-func TestSurfaceProfile(t *testing.T) {
-	_, s := alignedTestSurface(t, 2)
-	nodes, values, bounds, err := s.Profile(0, 99, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(nodes, s.Axes()[0].Nodes()) || len(values) != len(nodes) || len(bounds) != len(nodes)-1 {
-		t.Fatalf("profile shape: %d nodes, %d values, %d bounds", len(nodes), len(values), len(bounds))
-	}
-	for k, x := range nodes {
-		if v, _ := s.EvaluateVec(x, 0.3); v != values[k] {
-			t.Fatalf("node %v: profile %v, surface %v", x, values[k], v)
-		}
-		if k == len(bounds) {
-			break
-		}
-		for _, f := range []float64{0.1, 0.5, 0.9} {
-			xq := x + f*(nodes[k+1]-x)
-			v, b, _ := s.EvaluateVecWithBound(xq, 0.3)
-			line := values[k] + (xq-x)/(nodes[k+1]-x)*(values[k+1]-values[k])
-			if math.Abs(v-line) > 1e-12 || b != bounds[k] {
-				t.Fatalf("x %v: surface (%v, %v), profile (%v, %v)", xq, v, b, line, bounds[k])
-			}
-		}
-	}
-	// Off-node aligned coordinates and the aligned axis itself carry no
-	// bound.
-	if _, _, bounds, _ := s.Profile(0, 0, 0.35); !math.IsInf(bounds[0], 1) {
-		t.Fatalf("off-node profile bound = %v, want +Inf", bounds[0])
-	}
-	if _, _, bounds, _ := s.Profile(1, 4.2, 0); !math.IsInf(bounds[0], 1) {
-		t.Fatalf("aligned-axis profile bound = %v, want +Inf", bounds[0])
-	}
-	if _, _, _, err := s.Profile(2, 1, 1); err == nil {
-		t.Fatal("axis out of range should error")
-	}
-	if _, _, _, err := s.Profile(0, 1); err == nil {
-		t.Fatal("wrong arity should error")
-	}
-}
-
 // TestSurfaceAxisSlopeBound: with no extra points AxisRangeBounds
 // reports the steepest edge of the query's own cell along the axis.
 func TestSurfaceAxisSlopeBound(t *testing.T) {
