@@ -381,6 +381,10 @@ func runMetropolis(o simOptions) error {
 	if res.InterestScoped {
 		fmt.Printf("ghost rows    %d fanned of %d all-to-all\n", res.GhostRows, res.GhostRowsAllToAll)
 	}
+	if res.Mode == facs.MetroSharded {
+		f := res.FanOuts
+		fmt.Printf("fan-outs      %d awake, %d woken, %d inline, %d taken back\n", f.Awake, f.Woken, f.Inline, f.TakenBack)
+	}
 	if res.Snapshots > 0 {
 		fmt.Printf("snapshots     %d written to %s\n", res.Snapshots, o.snapshotDir)
 	}

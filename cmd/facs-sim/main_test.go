@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,6 +136,51 @@ func TestRunMetropolisCLI(t *testing.T) {
 	if err := run(append(small, "-controller", "guard", "-capacity", "40")); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRunMetropolisFanOutLine checks that the report prints where the
+// sharded engine ran its slices, and only for sharded runs.
+func TestRunMetropolisFanOutLine(t *testing.T) {
+	small := []string{"-metropolis", "-rings", "2", "-target", "300", "-waves", "12", "-controller", "guard"}
+	for _, tc := range []struct {
+		mode string
+		want bool
+	}{{"sharded", true}, {"batch", false}} {
+		args := append(append([]string{}, small...), "-metro-mode", tc.mode)
+		if tc.mode == "sharded" {
+			args = append(args, "-shards", "2")
+		}
+		out := captureStdout(t, func() error { return run(args) })
+		if got := strings.Contains(out, "\nfan-outs "); got != tc.want {
+			t.Errorf("%s: fan-outs line printed %v, want %v:\n%s", tc.mode, got, tc.want, out)
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func TestRunMetropolisBadFlags(t *testing.T) {

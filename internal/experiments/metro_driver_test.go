@@ -33,13 +33,15 @@ func (s *streamRecorder) Decide(req cac.Request) (cac.Decision, error) {
 }
 
 // DecideBatchInto sees each chunk exactly as the driver submitted it.
-// An arrival chunk's holds sit in the producer's chunk the run is
-// deciding; a handoff is a one-request chunk with no hold.
+// An arrival chunk's holds sit in the ring chunk the run is deciding,
+// the one the loop has not handed back yet; a handoff is a one-request
+// chunk with no hold.
 func (s *streamRecorder) DecideBatchInto(reqs []cac.Request, out []cac.Decision) error {
+	r := s.run
 	for i := range reqs {
 		hold := -1
 		if !reqs[i].Handoff {
-			hold = s.run.chunk.holds[i]
+			hold = r.chunks[r.used.Load()%int64(len(r.chunks))].holds[i]
 		}
 		s.record(&reqs[i], hold)
 		d, err := s.inner.Decide(reqs[i])

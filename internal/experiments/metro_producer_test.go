@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
@@ -13,20 +14,24 @@ import (
 	"facs/internal/shard"
 )
 
-// waitProducerAhead blocks until r's arrival producer has filled its
-// whole ring or drawn the run's last arrival, so the call stream sits
-// past the wave the loop has reached.
+// waitProducerAhead blocks until r's drawer has filled its whole ring
+// or drawn the run's last arrival, so the call stream sits past the
+// wave the loop has reached. When the loop is the drawer (GOMAXPROCS 1)
+// it draws ahead itself.
 func waitProducerAhead(t *testing.T, r *metroRun) {
 	t.Helper()
+	var total int64
+	for _, n := range r.workload.arrivals {
+		total += int64((n + r.cfg.MaxBatch - 1) / r.cfg.MaxBatch)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for len(r.ready) < cap(r.ready) {
-		select {
-		case <-r.done:
-			return
-		default:
+	for r.drawn.Load()-r.used.Load() < int64(len(r.chunks)) && r.drawn.Load() < total {
+		if r.wake == nil {
+			r.draw()
+			continue
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("producer holds %d of %d chunks after 10 s", len(r.ready), cap(r.ready))
+			t.Fatalf("drawer holds %d of %d chunks after 10 s", r.drawn.Load()-r.used.Load(), len(r.chunks))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -76,8 +81,8 @@ func TestMetropolisSnapshotAheadOfProducer(t *testing.T) {
 				}
 			}
 			waitProducerAhead(t, r1)
-			if len(r1.ready) == 0 {
-				t.Fatal("producer drew nothing past the half-way wave")
+			if r1.drawn.Load() == r1.used.Load() {
+				t.Fatal("the drawer drew nothing past the half-way wave")
 			}
 			var buf bytes.Buffer
 			if err := r1.snapshotTo(&buf); err != nil {
@@ -211,4 +216,107 @@ func TestMetropolisControllerErrorStopsProducer(t *testing.T) {
 			waitGoroutines(t, base)
 		})
 	}
+}
+
+// TestMetropolisHelperLifecycle pins the sharded run's goroutines: the
+// engine's helpers draw the arrivals, so a run adds only the intake and
+// one helper per spare CPU, and every one of them is gone once
+// RunMetropolis returns, whether the day ran out, Stop fired, a
+// controller failed or the run resumed from a snapshot. A restore
+// comes before any drawing. With GOMAXPROCS 1 the loop runs every slice
+// and draws every arrival itself, deciding exactly as two CPUs do.
+func TestMetropolisHelperLifecycle(t *testing.T) {
+	errTrip := errors.New("tripped")
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sharded := func(cfg MetropolisConfig) MetropolisConfig {
+				cfg.Mode, cfg.Shards = MetroSharded, shards
+				return cfg
+			}
+			base := runtime.NumGoroutine()
+			r, err := newMetroRun(sharded(districtSCCConfig()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r.wave < r.cfg.Waves/2 {
+				if err := r.runWave(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			helpers := min(runtime.GOMAXPROCS(0)-1, shards-1)
+			if got := runtime.NumGoroutine(); got > base+1+helpers {
+				t.Errorf("%d goroutines mid-run, want at most %d: intake and %d helpers", got, base+1+helpers, helpers)
+			}
+			if r.room != nil {
+				t.Error("a producer goroutine draws beside the engine's helper")
+			}
+			var buf bytes.Buffer
+			if err := r.snapshotTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.close(); err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, base)
+
+			full, err := RunMetropolis(sharded(districtSCCConfig()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, base)
+
+			resumed, err := newMetroRun(sharded(districtSCCConfig()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.started || resumed.callSrc.Draws() != 0 {
+				t.Fatal("a fresh run drew arrivals before its restore")
+			}
+			if err := resumed.restoreFrom(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			for resumed.wave < resumed.cfg.Waves {
+				if err := resumed.runWave(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := resumed.finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMetroOutcome(t, "restored", full, got)
+			waitGoroutines(t, base)
+
+			stop := make(chan struct{})
+			stopped := sharded(metroTestConfig(tripFactory(int64(full.Decisions()/30), func() error { close(stop); return nil })))
+			stopped.Stop = stop
+			if res, err := RunMetropolis(stopped); err != nil || !res.Stopped {
+				t.Fatalf("stop mid-run: Stopped %v, err %v", res.Stopped, err)
+			}
+			waitGoroutines(t, base)
+
+			failing := sharded(metroTestConfig(tripFactory(500, func() error { return errTrip })))
+			if _, err := RunMetropolis(failing); !errors.Is(err, errTrip) {
+				t.Fatalf("err = %v, want the controller's error", err)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+	t.Run("gomaxprocs=1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		base := runtime.NumGoroutine()
+		cfg := districtSCCConfig()
+		cfg.Mode, cfg.Shards = MetroSharded, 2
+		res, err := RunMetropolis(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DecisionHash != 0x66f6e7200590c510 {
+			t.Errorf("hash %#x, want the 2-shard pin %#x", res.DecisionHash, uint64(0x66f6e7200590c510))
+		}
+		if f := res.FanOuts; f.Inline == 0 || f.Awake+f.Woken+f.TakenBack != 0 {
+			t.Errorf("FanOuts %+v, want every slice inline", f)
+		}
+		waitGoroutines(t, base)
+	})
 }

@@ -63,7 +63,7 @@ func (r *metroRun) snapshotConfigHash() uint64 {
 // boundary: the wave cursor, the active-call ledger, the decision
 // digest, both RNG streams' positions (as draw counts — see
 // sim.CountedSource; the call stream's is callDraws, its position at
-// the wave boundary, however far the arrival producer has drawn ahead)
+// the wave boundary, however far the drawer has drawn ahead)
 // and the engine's state. Restoring the blob into a fresh
 // identically-configured run and replaying the remaining waves
 // reproduces the uninterrupted run's outcomes byte for byte.
@@ -131,14 +131,14 @@ func (r *metroRun) snapshotTo(w io.Writer) error {
 }
 
 // restoreFrom installs a snapshot written by snapshotTo into a freshly
-// constructed run (wave 0, untouched RNG streams, producer not yet
-// started). The envelope is fully decoded and validated before any
+// constructed run (wave 0, untouched RNG streams, no arrival drawn
+// yet). The envelope is fully decoded and validated before any
 // state changes; the RNG streams fast-forward to their recorded
 // positions, so every subsequent draw matches the draw the captured run
 // would have made.
 func (r *metroRun) restoreFrom(rd io.Reader) error {
-	if r.done != nil {
-		return fmt.Errorf("experiments: restore into a run whose arrival producer already started")
+	if r.started {
+		return fmt.Errorf("experiments: restore into a run that already started drawing arrivals")
 	}
 	d, err := snap.NewDecoder(rd, "metro-run", r.snapshotConfigHash())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"facs/internal/cac"
@@ -268,6 +269,8 @@ type MetropolisResult struct {
 	// InterestScoped whether the exchange was scoped.
 	GhostRows, GhostRowsAllToAll int64
 	InterestScoped               bool
+	// FanOuts counts where sharded chunk slices ran (zero for MetroBatch).
+	FanOuts shard.FanOuts
 	// BytesPerCall is live heap bytes per concurrent call measured at
 	// the predicted population peak (0 unless MeasureMem).
 	BytesPerCall float64
@@ -756,11 +759,13 @@ func RunMetropolis(cfg MetropolisConfig) (MetropolisResult, error) {
 		// between waves, outside the allocation-gated hot path.
 		if r.cfg.SnapshotDir != "" && r.cfg.SnapshotEveryTicks > 0 &&
 			r.wave%(r.cfg.TickEveryWaves*r.cfg.SnapshotEveryTicks) == 0 {
+			r.live.Store(false) // a helper with a full ring may park
 			if err := r.writeSnapshot(); err != nil {
 				return MetropolisResult{}, err
 			}
 		}
 	}
+	r.live.Store(false)
 	if r.result.Stopped && r.cfg.SnapshotDir != "" {
 		if err := r.writeSnapshot(); err != nil {
 			return MetropolisResult{}, err
@@ -771,18 +776,18 @@ func RunMetropolis(cfg MetropolisConfig) (MetropolisResult, error) {
 }
 
 // metroRingChunks is the number of MaxBatch-sized arrival chunks the
-// producer may draw ahead of the wave loop. At the default MaxBatch it
+// drawer may draw ahead of the wave loop. At the default MaxBatch it
 // holds about one peak wave of the default city, enough to keep
 // drawing across a wave boundary while the loop runs releases, ticks
 // and the handoff round.
 const metroRingChunks = 16
 
-// metroReadyYields bounds how often the wave loop yields to a producer
-// that is behind before it parks on the ready channel (nextChunk).
-const metroReadyYields = 256
+// metroDrawGroup bounds the arrivals one draw call draws: the sharded
+// engine's helper looks for a posted slice between calls.
+const metroDrawGroup = 16
 
-// arrivalChunk is one MaxBatch-sized piece of a wave's arrivals, as the
-// producer drew it: the requests, each call's hold in waves and station
+// arrivalChunk is one MaxBatch-sized piece of a wave's arrivals, as it
+// was drawn: the requests, each call's hold in waves and station
 // index, and the call stream's draw count once the chunk was drawn.
 type arrivalChunk struct {
 	reqs  []cac.Request
@@ -795,7 +800,7 @@ type arrivalChunk struct {
 // tests can step individual waves (warm the scratch buffers through the
 // population ramp, then gate steady-state allocations per wave). A run
 // that a test steps must end with finish or close, which stop the
-// arrival producer.
+// drawing.
 type metroRun struct {
 	cfg        MetropolisConfig
 	engine     metroEngine
@@ -814,27 +819,31 @@ type metroRun struct {
 	// outs receives one chunk's outcomes.
 	outs []serve.Response
 
-	// The arrival producer (see produce). Once runWave starts it, it
-	// alone touches callRNG, callSrc and the workload's cell-choice
-	// tables. chunks is the ring it fills; ready carries filled chunk
-	// indices to the wave loop in stream order (nextChunk) and free
-	// carries them back once their outcomes are consumed. quit stops the producer and
-	// done closes when it has exited; done is nil until it starts, quit
-	// nil again once it is stopped, and a stopped run runs no more
-	// waves. chunk is the chunk being decided.
+	// The arrivals (see startDrawing): one goroutine alone draws, using
+	// callRNG, callSrc, cursor and the workload's cell-choice tables,
+	// into a one-writer, one-reader ring of chunks counted drawn and
+	// used. live is set while the loop runs waves; wake ends the
+	// drawer's park (nil when the loop draws); a producer goroutine
+	// parks on room, stops when it closes and then closes done.
 	chunks      []arrivalChunk
-	ready, free chan int
-	quit, done  chan struct{}
-	chunk       *arrivalChunk
+	drawn, used atomic.Int64
+	started     bool
+	live        atomic.Bool
+	wake        func()
+	room, done  chan struct{}
 	// callDraws is callSrc's draw count at the end of the last wave the
 	// loop consumed: the call stream's position a snapshot records,
-	// however far the producer has drawn ahead.
+	// however far the drawer has drawn ahead.
 	callDraws uint64
 
 	nextID   int
 	wave     int
 	baseHeap uint64
 	peakWave int
+
+	// cursor is the drawer's position, last so that its writes stay off
+	// the lines the wave loop reads per request.
+	cursor struct{ wave, i, nextID int }
 }
 
 func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
@@ -904,20 +913,17 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 		return nil, err
 	}
 
-	// Size the ring and the outcome buffer once: the producer never
-	// holds more than metroRingChunks chunks of arrivals, the loop
-	// decides one at a time.
+	// Size the ring and the outcome buffer once: the drawer never holds
+	// more than metroRingChunks chunks of arrivals, the loop decides one
+	// at a time.
 	r.outs = make([]serve.Response, cfg.MaxBatch)
 	r.chunks = make([]arrivalChunk, metroRingChunks)
-	r.ready = make(chan int, metroRingChunks)
-	r.free = make(chan int, metroRingChunks)
 	for k := range r.chunks {
 		r.chunks[k] = arrivalChunk{
 			reqs:  make([]cac.Request, 0, cfg.MaxBatch),
 			holds: make([]int, 0, cfg.MaxBatch),
 			cells: make([]int, 0, cfg.MaxBatch),
 		}
-		r.free <- k
 	}
 
 	if cfg.MeasureMem {
@@ -930,82 +936,117 @@ func newMetroRun(cfg MetropolisConfig) (*metroRun, error) {
 	return r, nil
 }
 
-// startProducer starts the arrival producer at the run's wave cursor
-// and next call ID.
+// startDrawing starts drawing at the run's wave and call ID on the
+// sharded engine's helper, which stays awake while the loop runs waves;
+// else on a producer goroutine, given a second CPU; else on the loop.
 //
 //facs:coldpath runs once per run, before the first wave
-func (r *metroRun) startProducer() {
-	r.quit = make(chan struct{})
-	r.done = make(chan struct{})
-	go r.produce(r.wave, r.nextID)
+func (r *metroRun) startDrawing() {
+	r.cursor.wave, r.cursor.nextID = r.wave, r.nextID
+	r.started = true
+	if sme, ok := r.engine.(*shardMetroEngine); ok {
+		r.wake = sme.engine.Background(func() bool { return r.draw() || r.live.Load() })
+	}
+	if r.wake == nil && runtime.GOMAXPROCS(0) > 1 {
+		r.room, r.done = make(chan struct{}, 1), make(chan struct{})
+		r.wake = func() {
+			select {
+			case r.room <- struct{}{}:
+			default:
+			}
+		}
+		go r.produce()
+	}
 }
 
-// produce draws the arrivals of every wave from wave to the run's end,
-// in the order and chunking the wave loop consumes them, and passes
-// each filled chunk on ready. It takes a chunk buffer from free before
-// drawing into it, so it runs at most the ring ahead of the loop, and
-// returns early when quit closes. Nothing the loop decides feeds back
-// into these draws, so drawing ahead changes no bit of the stream.
-//
-//facs:hotpath
-func (r *metroRun) produce(wave, nextID int) {
+// produce draws every remaining arrival, parking while the ring is
+// full, and returns early once room closes.
+func (r *metroRun) produce() {
 	defer close(r.done)
-	cfg, workload := r.cfg, r.workload
-	for ; wave < cfg.Waves; wave++ {
-		now := float64(wave) * metroWaveSec(cfg.WavesPerDay)
-		n := workload.arrivals[wave]
-		workload.ensureCellCum(wave)
-		for lo := 0; lo < n; lo += cfg.MaxBatch {
-			var k int
-			select {
-			case k = <-r.free:
-			case <-r.quit:
+	for r.draw() || r.cursor.wave < r.cfg.Waves {
+		if r.drawn.Load()-r.used.Load() == int64(len(r.chunks)) {
+			if _, ok := <-r.room; !ok {
 				return
 			}
-			c := &r.chunks[k]
-			reqs, holds, cells := c.reqs[:0], c.holds[:0], c.cells[:0]
-			for i := lo; i < n && i < lo+cfg.MaxBatch; i++ {
-				si := workload.sampleCell(r.callRNG)
-				class := workload.sampleClass(r.callRNG)
-				est := workload.sampleEstimate(r.callRNG, si, now)
-				bs := workload.stations[si]
-				reqs = append(reqs, cac.Request{
-					Call:    cell.Call{ID: nextID, Class: class, BU: class.BandwidthUnits()},
-					Station: bs,
-					Obs:     gps.Observe(est, bs.Pos()),
-					Est:     est,
-					Now:     now,
-				})
-				holds = append(holds, metroHoldWavesMin+r.callRNG.Intn(metroHoldWavesMax-metroHoldWavesMin+1))
-				cells = append(cells, si)
-				nextID++
-			}
-			c.reqs, c.holds, c.cells = reqs, holds, cells
-			c.draws = r.callSrc.Draws()
-			r.ready <- k
 		}
 	}
 }
 
-// close stops the arrival producer, if it runs, waits for it to exit
-// and closes the engine. It may run more than once.
+// draw draws up to metroDrawGroup arrivals into the ring's next chunk,
+// chunked as the loop consumes them, and reports whether it drew any.
+// Nothing the loop decides feeds back into these draws, so drawing
+// ahead changes no bit of the stream.
+//
+//facs:hotpath
+func (r *metroRun) draw() bool {
+	cfg, workload, cur := r.cfg, r.workload, &r.cursor
+	for cur.wave < cfg.Waves && cur.i == workload.arrivals[cur.wave] {
+		cur.wave, cur.i = cur.wave+1, 0
+	}
+	seq := r.drawn.Load()
+	if cur.wave == cfg.Waves || seq-r.used.Load() == int64(len(r.chunks)) {
+		return false
+	}
+	// Draw into locals: the chunk headers share lines the loop reads.
+	c := &r.chunks[seq%int64(len(r.chunks))]
+	i, id := cur.i, cur.nextID
+	reqs, holds, cells := c.reqs, c.holds, c.cells
+	if i%cfg.MaxBatch == 0 {
+		if i == 0 {
+			workload.ensureCellCum(cur.wave)
+		}
+		reqs, holds, cells = reqs[:0], holds[:0], cells[:0]
+	}
+	n := workload.arrivals[cur.wave]
+	end := min(n, i+metroDrawGroup, i-i%cfg.MaxBatch+cfg.MaxBatch)
+	now := float64(cur.wave) * metroWaveSec(cfg.WavesPerDay)
+	for ; i < end; i++ {
+		si := workload.sampleCell(r.callRNG)
+		class := workload.sampleClass(r.callRNG)
+		est := workload.sampleEstimate(r.callRNG, si, now)
+		bs := workload.stations[si]
+		reqs = append(reqs, cac.Request{
+			Call:    cell.Call{ID: id, Class: class, BU: class.BandwidthUnits()},
+			Station: bs,
+			Obs:     gps.Observe(est, bs.Pos()),
+			Est:     est,
+			Now:     now,
+		})
+		holds = append(holds, metroHoldWavesMin+r.callRNG.Intn(metroHoldWavesMax-metroHoldWavesMin+1))
+		cells = append(cells, si)
+		id++
+	}
+	c.reqs, c.holds, c.cells = reqs, holds, cells
+	cur.i, cur.nextID = i, id
+	if i == n || i%cfg.MaxBatch == 0 {
+		c.draws = r.callSrc.Draws()
+		r.drawn.Add(1)
+	}
+	return true
+}
+
+// close stops the drawing and closes the engine. It may run more than
+// once.
 func (r *metroRun) close() error {
-	if r.quit != nil {
-		close(r.quit)
+	if r.room != nil {
+		close(r.room)
 		<-r.done
-		r.quit = nil
+		r.room = nil
 	}
 	return r.engine.close()
 }
 
 // runWave advances the scenario by one wave: releases, the tick
 // barrier, the handoff round, then the wave's arrivals. The first call
-// starts the arrival producer.
+// starts the drawing; a wave after a pause wakes the drawer.
 //
 //facs:hotpath
 func (r *metroRun) runWave() error {
-	if r.done == nil {
-		r.startProducer()
+	if !r.started {
+		r.startDrawing()
+	}
+	if !r.live.Swap(true) && r.wake != nil {
+		r.wake()
 	}
 	cfg, workload, engine := r.cfg, r.workload, r.engine
 	wave := r.wave
@@ -1082,21 +1123,20 @@ func (r *metroRun) runWave() error {
 	}
 
 	// Arrivals: the wave's scheduled draw from the diurnal curve, taken
-	// from the producer one MaxBatch chunk at a time, so a wave's
-	// footprint is the ring rather than O(arrivals).
+	// from the ring one MaxBatch chunk at a time, so a wave's footprint
+	// is the ring rather than O(arrivals).
 	for lo := 0; lo < workload.arrivals[wave]; lo += cfg.MaxBatch {
-		k := r.nextChunk()
-		c := &r.chunks[k]
-		r.chunk = c
-		if err := engine.submitWave(c.reqs, r.outs[:len(c.reqs)]); err != nil {
+		c := r.nextChunk()
+		reqs, holds, cells := c.reqs, c.holds, c.cells
+		if err := engine.submitWave(reqs, r.outs[:len(reqs)]); err != nil {
 			return err
 		}
-		for i := range c.reqs {
+		for i := range reqs {
 			o := &r.outs[i]
 			if o.Err != nil && !o.Decision.Accepted() {
 				return o.Err // a decision error
 			}
-			call := &c.reqs[i].Call
+			call := &reqs[i].Call
 			r.hash.writeOutcome('A', call.ID, *o)
 			r.result.Requested++
 			if o.Decision.Accepted() {
@@ -1104,12 +1144,15 @@ func (r *metroRun) runWave() error {
 			}
 			if o.Committed {
 				r.result.Committed++
-				r.ledger.push(call.ID, call.Class, call.BU, c.cells[i], wave+c.holds[i])
+				r.ledger.push(call.ID, call.Class, call.BU, cells[i], wave+holds[i])
 			}
 		}
-		r.nextID += len(c.reqs)
+		r.nextID += len(reqs)
 		r.callDraws = c.draws
-		r.free <- k
+		r.used.Add(1)
+		if r.wake != nil {
+			r.wake()
+		}
 	}
 	r.result.Waves++
 	if r.ledger.len() > r.result.PeakConcurrent {
@@ -1127,22 +1170,24 @@ func (r *metroRun) runWave() error {
 	return nil
 }
 
-// nextChunk returns the index of the next filled arrival chunk. When
-// none is queued the producer is behind: the loop yields its processor,
-// which runs the producer when no other processor is free, and parks
-// on ready only once metroReadyYields yields have not produced a chunk.
-// A park takes a sudog from the runtime's per-P cache, which can run
-// dry and allocate; a yield allocates nothing.
+// nextChunk returns the next drawn arrival chunk. While none is ready
+// the loop draws itself when it is the drawer, and otherwise yields its
+// processor to the drawer, which is awake: it parks only on a full
+// ring or between waves.
 //
 //facs:hotpath
-func (r *metroRun) nextChunk() int {
-	for i := 0; len(r.ready) == 0 && i < metroReadyYields; i++ {
-		runtime.Gosched()
+func (r *metroRun) nextChunk() *arrivalChunk {
+	for r.drawn.Load() == r.used.Load() {
+		if r.wake == nil {
+			r.draw()
+		} else {
+			runtime.Gosched()
+		}
 	}
-	return <-r.ready
+	return &r.chunks[r.used.Load()%int64(len(r.chunks))]
 }
 
-// finish stops the arrival producer, closes the engine, checks call
+// finish stops the drawing, closes the engine, checks call
 // conservation and returns the accumulated result.
 func (r *metroRun) finish() (MetropolisResult, error) {
 	r.result.FinalActive = r.ledger.len()
@@ -1156,6 +1201,7 @@ func (r *metroRun) finish() (MetropolisResult, error) {
 		r.result.GhostRows = st.GhostRows
 		r.result.GhostRowsAllToAll = st.GhostRowsAllToAll
 		r.result.InterestScoped = st.InterestScoped
+		r.result.FanOuts = st.FanOuts
 	}
 	if err := r.close(); err != nil {
 		return MetropolisResult{}, err

@@ -122,9 +122,9 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			// Warm-up: one full day, reaching the ledger and scratch
 			// high-water marks. It runs on the one P the measurement
 			// uses, so the runtime's per-P caches (the sudogs the shard
-			// workers and the arrival producer park on, the timer heap)
+			// helpers and a producer goroutine park on, the timer heap)
 			// are warm too: resizing to one P drops the other P's
-			// caches. The first wave starts the producer here, before
+			// caches. The first wave starts the drawing here, before
 			// measurement.
 			procs := runtime.GOMAXPROCS(1)
 			defer runtime.GOMAXPROCS(procs)

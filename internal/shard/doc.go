@@ -23,18 +23,18 @@
 // (taken in shard order whenever several are held), with one
 // exception: SubmitWaveTo routes each chunk, decides the first owning
 // shard's slice on the caller and posts every other owning shard's
-// slice to that shard's persistent worker — the cross-shard
-// parallelism. New starts one worker per shard beyond shard 0 (a chunk
-// that routes to shard 0 at all starts there, so its slice is never
-// posted); Close stops and joins them. A slice travels through a
-// preallocated slot, so a chunk starts no goroutine and allocates
-// nothing. The caller takes back, by a CAS on the slot, any slice no
-// worker has claimed once its own slice is done, and waits only for
-// slices a worker is running, before the next chunk. A worker that ran
-// a slice longer than a wake stays awake, yielding, for about as long
-// as the slice took, then parks; the caller wakes a parked worker only
-// when the slice's estimated cost exceeds the measured wake latency,
-// and otherwise runs the slice itself (Stats.FanOuts counts each way).
+// slice for the helpers — the cross-shard parallelism. New starts one
+// helper goroutine per spare CPU, at most one per shard beyond shard 0
+// (a chunk that routes to shard 0 at all starts there); Close stops and
+// joins them. A slice travels through a preallocated slot, so a chunk
+// starts no goroutine and allocates nothing. The caller takes back, by
+// a CAS on the slot, any slice no helper has claimed once its own is
+// done, and waits only for slices a helper is running. A helper
+// yield-polls while a multi-chunk SubmitWaveTo runs (which wakes it)
+// and while the step a driver handed it through Background (the
+// metropolis driver's arrival drawing) keeps it busy; otherwise it
+// parks, and its slices run on the caller (Stats.FanOuts counts each
+// way; with GOMAXPROCS 1 there is no helper).
 // Every slice runs under its shard's lock against the chunk-start
 // state, whichever goroutine runs it. Release, Do and Tick lock one
 // shard at a time;
@@ -81,13 +81,14 @@
 // shard has applied the tick, each shard's demand delta is collected
 // (under that shard's lock) and the union fanned back out to
 // every other shard, all before Tick returns. Exchange cadence equals
-// tick cadence — deterministic and race-free by construction. Global
-// demand visibility is thus restored at tick granularity; what remains
-// is bounded intra-epoch divergence (admissions on another shard since
-// the last barrier), which vanishes entirely for tick-aligned waves:
-// the ghost suite pins sharded SCC decisions byte-identical at shard
-// counts 1/2/4/8 to the inline single-ledger run
-// (internal/experiments/ghost_test.go). Stats counts exchange rounds
+// tick cadence — deterministic and race-free by construction. For
+// tick-aligned waves the ghost suite pins sharded SCC decisions
+// byte-identical at shard counts 1/2/4/8 to the inline single-ledger
+// run (internal/experiments/ghost_test.go). Between barriers a shard
+// sees only its own admissions, so free-running SCC decides
+// differently per shard count, with no claimed bound:
+// TestShardedSCCShardCountPin (internal/experiments) pins a district
+// day's 10,131 / 9,885 / 9,348 accepted calls at 1 / 2 / 4 shards. Stats counts exchange rounds
 // and fanned-out demand rows.
 //
 // # Elastic rebalancing
@@ -131,8 +132,8 @@
 // aggregates the per-shard counters as serve.Stats (including merged
 // latency percentiles) with handoff, fan-out, exchange and rebalance
 // counters, the ownership epoch and the CellLocal and InterestScoped
-// regimes; Shards and Close (which joins the intake and the workers)
-// complete the set.
+// regimes; Background, Shards and Close (which joins the intake and
+// the helpers) complete the set.
 // experiments.RunMetropolis drives the closed loop; cmd/facs-serve and
 // cmd/facs-sim wire the engine behind -shards / -partition /
 // -rebalance-ticks.

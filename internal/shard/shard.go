@@ -309,17 +309,14 @@ type Stats struct {
 }
 
 // FanOuts counts where the non-first slices of multi-shard chunks ran.
-// Each such slice is handed to its shard's persistent worker unless the
-// worker is parked and the slice would not outlast a wake; the caller
-// takes back any handed slice no worker has claimed by the time its own
-// slices are done.
+// Each such slice is posted for the engine's helpers; the caller takes
+// back any posted slice no helper has claimed once its own is done.
 type FanOuts struct {
-	// Awake counts slices claimed by a worker still awake from an
-	// earlier slice; Woken those claimed by a worker the caller woke.
+	// Awake counts slices claimed by a helper that had not parked since
+	// its previous slice; Woken those claimed after a park.
 	Awake, Woken int64
-	// Inline counts slices the caller ran because the worker was parked
-	// and the slice was shorter than a wake; TakenBack those it handed
-	// to a worker and took back unclaimed.
+	// Inline counts slices the caller ran because the engine has no
+	// helper; TakenBack those it posted and took back unclaimed.
 	Inline, TakenBack int64
 }
 
@@ -346,7 +343,7 @@ func (s Stats) String() string {
 // controller or the stations it owns — deciding and committing a chunk
 // slice, releasing, ticking, exchanging, migrating — runs under mu on
 // the goroutine that asked for it, or, for a posted chunk slice, on the
-// shard's worker.
+// helper that claimed it.
 type shardState struct {
 	mu   sync.Mutex
 	core *serve.Core
@@ -359,8 +356,8 @@ type shardState struct {
 // every operation runs directly on the goroutine that calls it, under
 // the lock of each shard it touches (several locks are always taken in
 // shard order). SubmitWaveTo decides one owning shard's slice of each
-// chunk on the caller and fans the other owning shards' slices out to
-// goroutines; SubmitAsync singles coalesce through one
+// chunk on the caller and posts the other owning shards' slices for
+// helper goroutines; SubmitAsync singles coalesce through one
 // intake goroutine (serve.Intake) into micro-batches decided the same
 // way.
 //
@@ -376,8 +373,8 @@ type shardState struct {
 // cac.DemandExchanger instead: the engine restores their global demand
 // visibility through the ghost-demand exchange hosted by the Tick
 // barrier, making tick-aligned runs byte-identical to a sequential
-// single-ledger replay and bounding free-running divergence to
-// intra-epoch admissions; see the package documentation.
+// single-ledger replay; free-running SCC decides differently at each
+// shard count, with no claimed bound. See the package documentation.
 //
 // Ordering contract: Release, Do, Tick, Flush, SubmitWaveTo
 // and HandoffCall first drain the intake, so each is ordered after
@@ -436,24 +433,22 @@ type Engine struct {
 
 	// waveMu serializes chunk decisions (SubmitWaveTo and intake batches)
 	// so the per-shard routing and response-scatter buffers below, and
-	// the workers' hand-off slots, are reused across chunks instead of
+	// the hand-off slots, are reused across chunks instead of
 	// rebuilt per call. Waves from concurrent callers queue on the
 	// mutex — their relative order was already scheduling-dependent, so
 	// serializing them changes no determinism contract.
 	waveMu     sync.Mutex
 	waveRoutes []waveRoute
 
-	// workers[s] is shard s's persistent slice worker (nil for shard
-	// 0), started by New and joined by Close; see worker.go. wakeNs
-	// estimates how long a parked worker takes from the caller's wake
-	// signal to running, on the clock now reads from clock0. force is
-	// a test hook (pathAdaptive outside tests).
-	workers  []*worker
-	workerWG sync.WaitGroup
-	stopped  atomic.Bool
-	wakeNs   atomic.Int64
-	clock0   time.Time
-	force    slicePath
+	// Slice hand-off, see worker.go. deciding is set while SubmitWaveTo
+	// decides a multi-chunk wave; noTakeBack is a test hook (the caller
+	// waits for every posted slice).
+	slots      []*slot
+	helpers    []*helper
+	helperWG   sync.WaitGroup
+	stopped    atomic.Bool
+	deciding   atomic.Bool
+	noTakeBack atomic.Bool
 
 	// handoffMu serializes handoffs, each run to completion.
 	handoffMu sync.Mutex
@@ -487,8 +482,8 @@ type Engine struct {
 }
 
 // New validates the configuration, partitions the network, builds one
-// controller per shard, starts the intake goroutine and one slice
-// worker per shard beyond the first, and returns the live engine.
+// controller per shard, starts the intake goroutine and the slice
+// helpers, and returns the live engine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("shard: config needs a network")
@@ -586,7 +581,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	e.intake = intake
-	e.startWorkers()
+	e.startHelpers()
 	return e, nil
 }
 
@@ -765,15 +760,15 @@ func (e *Engine) decideBatch(reqs []cac.Request, enq time.Time, out []serve.Resp
 // at MaxBatch boundaries in global request order first; each chunk's
 // requests are then routed to their owner shards and decided
 // concurrently, the first owning shard's slice on the caller and the
-// others on their shard workers or, when no worker claims them, on the
-// caller too, with a barrier before the next chunk. Chunk boundaries —
+// others on the helpers or, when no helper claims them, on the caller
+// too, with a barrier before the next chunk. Chunk boundaries —
 // and, for cell-local controllers, all outcomes — are therefore
 // independent of the shard count: the 1-shard engine realises exactly
 // serve.Service.SubmitAllInto's deterministic wave semantics. The
-// routing and scatter state and the workers' hand-off slots live on
-// the engine and are reused across waves, so a steady caller that also
-// reuses out allocates nothing per wave. Stats.FanOuts counts where
-// each non-first slice ran.
+// routing and scatter state and the hand-off slots live on the engine
+// and are reused across waves, so a steady caller that also reuses out
+// allocates nothing per wave. Stats.FanOuts counts where each non-first
+// slice ran.
 //
 //facs:hotpath
 func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
@@ -789,6 +784,14 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 	enq := time.Now() //facs:wallclock latency stamp; feeds the latency gauges only
 	e.waveMu.Lock()
 	defer e.waveMu.Unlock()
+	if len(reqs) > e.cfg.MaxBatch {
+		// Keep the helpers awake from the first chunk to the last.
+		e.deciding.Store(true)
+		defer e.deciding.Store(false)
+		for _, h := range e.helpers {
+			h.nudge()
+		}
+	}
 	for lo := 0; lo < len(reqs); lo += e.cfg.MaxBatch {
 		hi := min(lo+e.cfg.MaxBatch, len(reqs))
 		if err := e.decideChunk(reqs[lo:hi], out[lo:hi], enq); err != nil {
@@ -802,10 +805,9 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 // decideChunk routes one chunk (at most MaxBatch requests) to its owner
 // shards and decides every owning shard's slice against the
 // chunk-start state: the first owning shard's slice on the calling
-// goroutine, every other one on that shard's worker or, when no worker
-// claims it, on the caller too (hand, collect); all are done before it
-// returns. out[i] receives reqs[i]'s response. The caller holds
-// waveMu.
+// goroutine, every other one on a helper or, when no helper claims it,
+// on the caller too (post, collect); all are done before it returns.
+// out[i] receives reqs[i]'s response. The caller holds waveMu.
 func (e *Engine) decideChunk(reqs []cac.Request, out []serve.Response, enq time.Time) error {
 	own := e.own.Load()
 	routes := e.waveRoutes
@@ -839,10 +841,10 @@ func (e *Engine) decideChunk(reqs []cac.Request, out []serve.Response, enq time.
 			first = s
 			continue
 		}
-		e.hand(s, out, enq)
+		e.post(s, out, enq)
 	}
 	e.decideSlice(first, out, enq)
-	e.collect(out, enq)
+	e.collect(first, out, enq)
 	return nil
 }
 
@@ -1184,13 +1186,13 @@ func (e *Engine) Stats() Stats {
 }
 
 // Close decides every single still queued on the intake, stops the
-// intake goroutine and the shard workers and waits until all have
-// exited; afterwards every operation reports serve.ErrClosed.
-// Idempotent; submissions racing with Close either complete normally
-// (a slice no worker claims runs on its caller) or report
+// intake goroutine and the helpers and waits until all have exited;
+// afterwards every operation reports serve.ErrClosed. Idempotent;
+// submissions racing with Close either complete normally (a slice no
+// helper claims runs on its caller) or report
 // serve.ErrClosed.
 func (e *Engine) Close() error {
 	e.intake.Close()
-	e.stopWorkers()
+	e.stopHelpers()
 	return nil
 }

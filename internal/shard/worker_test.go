@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,10 +17,10 @@ import (
 )
 
 // TestCloseJoinsWorkers pins the engine's goroutine lifecycle: New
-// starts the intake and one worker per shard beyond the first, Close
-// stops and joins them all, so the goroutine count returns to its
-// baseline; a second Close is a no-op, and every operation afterwards
-// reports serve.ErrClosed.
+// starts the intake and one helper per spare CPU (at most one per shard
+// beyond the first), Close stops and joins them all, so the goroutine
+// count returns to its baseline; a second Close is a no-op, and every
+// operation afterwards reports serve.ErrClosed.
 func TestCloseJoinsWorkers(t *testing.T) {
 	net := testNetwork(t, 2)
 	baseline := runtime.NumGoroutine()
@@ -27,8 +28,12 @@ func TestCloseJoinsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runtime.NumGoroutine(); got < baseline+4 {
-		t.Fatalf("%d goroutines after New, want at least %d (intake and three workers)", got, baseline+4)
+	helpers := min(runtime.GOMAXPROCS(0)-1, 3)
+	if len(e.helpers) != helpers {
+		t.Fatalf("%d helpers at GOMAXPROCS %d, want %d", len(e.helpers), runtime.GOMAXPROCS(0), helpers)
+	}
+	if got := runtime.NumGoroutine(); got < baseline+1+helpers {
+		t.Fatalf("%d goroutines after New, want at least %d (intake and %d helpers)", got, baseline+1+helpers, helpers)
 	}
 	reqs := genRequests(t, net, 5, 200)
 	if _, err := submitWave(e, reqs); err != nil {
@@ -73,15 +78,65 @@ func TestCloseJoinsWorkers(t *testing.T) {
 	}
 }
 
+// TestBackgroundStep checks the seam through which a driver hands the
+// engine its own work: the first helper calls the step while it asks to
+// stay awake, parks once it does not, calls it again after the wake
+// Background returned, and still claims posted slices; a 1-shard engine
+// has no helper and refuses the step.
+func TestBackgroundStep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	net := testNetwork(t, 2)
+	one, err := New(Config{Network: net, Shards: 1, NewController: guardFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Background(func() bool { return true }) != nil {
+		t.Error("a 1-shard engine accepted a background step")
+	}
+	one.Close()
+
+	e, err := New(Config{Network: net, Shards: 2, Commit: true, NewController: guardFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var calls atomic.Int64
+	var busy atomic.Bool
+	busy.Store(true)
+	wake := e.Background(func() bool { calls.Add(1); return busy.Load() })
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("after 10 s: %s", what)
+			}
+		}
+	}
+	waitUntil("the step never ran", func() bool { return calls.Load() > 100 })
+	if _, err := submitWave(e, genRequests(t, net, 3, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if f := e.Stats().FanOuts; f.Awake+f.TakenBack == 0 || f.Inline != 0 {
+		t.Errorf("slices beside a busy step: %+v", f)
+	}
+	busy.Store(false)
+	waitUntil("the helper never parked", e.helpers[0].parked.Load)
+	parkedAt := calls.Load()
+	busy.Store(true)
+	wake()
+	waitUntil("wake did not restart the step", func() bool { return calls.Load() > parkedAt+100 })
+}
+
 // TestSlicePathsRaceStress drives 2- and 4-shard engines from several
 // goroutines at once, each mixing waves, blocking singles, releases,
 // handoffs and ticks on its own contested stations, with each way a
-// non-first slice can run: the engine's adaptive policy, every slice on
-// a woken worker (pathWorker) and every slice taken back by the caller
-// (pathCaller). Guard channel decisions read only their own station and
-// each goroutine's stations are disjoint, so every goroutine's outcomes
-// must equal a sequential replay on the 1-shard engine. Run it under
-// -race.
+// posted slice can run: claimed by a helper or taken back by the
+// caller, whichever comes first ("adaptive"), always on a helper
+// ("worker": the caller never takes one back) and always taken back
+// ("caller": the helpers are stopped). Guard channel decisions read
+// only their own station and each goroutine's stations are disjoint, so
+// every goroutine's outcomes must equal a sequential replay on the
+// 1-shard engine. Run it under -race.
 func TestSlicePathsRaceStress(t *testing.T) {
 	const groups = 3
 	rounds := 60
@@ -118,18 +173,24 @@ func TestSlicePathsRaceStress(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{2, 4} {
-		for _, path := range []struct {
-			name  string
-			force slicePath
-		}{{"adaptive", pathAdaptive}, {"worker", pathWorker}, {"caller", pathCaller}} {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, path.name), func(t *testing.T) {
+		for _, path := range []string{"adaptive", "worker", "caller"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, path), func(t *testing.T) {
 				net := stressNetwork(t)
 				e, err := New(Config{Network: net, Shards: shards, MaxBatch: 8, Commit: true, NewController: guardFactory})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer e.Close()
-				e.force = path.force
+				helpers := len(e.helpers)
+				switch path {
+				case "worker":
+					// A step that keeps the first helper awake runs
+					// every slice the caller no longer takes back.
+					e.noTakeBack.Store(true)
+					e.Background(func() bool { return true })
+				case "caller":
+					e.stopHelpers()
+				}
 				got := make([][]stressOutcome, groups)
 				errs := make([]error, groups)
 				var wg sync.WaitGroup
@@ -156,16 +217,21 @@ func TestSlicePathsRaceStress(t *testing.T) {
 				}
 				f := e.Stats().FanOuts
 				t.Logf("slice paths: %+v", f)
-				switch path.force {
-				case pathAdaptive:
+				switch {
+				case helpers == 0:
+					// GOMAXPROCS 1: nothing is posted.
+					if f.Inline == 0 || f.Awake+f.Woken+f.TakenBack != 0 {
+						t.Fatalf("no helper: %+v", f)
+					}
+				case path == "adaptive":
 					if f == (FanOuts{}) {
-						t.Fatal("no slice was handed off")
+						t.Fatal("no slice was posted")
 					}
-				case pathWorker:
+				case path == "worker":
 					if f.Awake+f.Woken == 0 || f.Inline+f.TakenBack != 0 {
-						t.Fatalf("forced worker path: %+v", f)
+						t.Fatalf("forced helper path: %+v", f)
 					}
-				case pathCaller:
+				case path == "caller":
 					if f.TakenBack == 0 || f.Awake+f.Woken+f.Inline != 0 {
 						t.Fatalf("forced caller path: %+v", f)
 					}
