@@ -759,7 +759,7 @@ func RunMetropolis(cfg MetropolisConfig) (MetropolisResult, error) {
 		// between waves, outside the allocation-gated hot path.
 		if r.cfg.SnapshotDir != "" && r.cfg.SnapshotEveryTicks > 0 &&
 			r.wave%(r.cfg.TickEveryWaves*r.cfg.SnapshotEveryTicks) == 0 {
-			r.live.Store(false) // a helper with a full ring may park
+			r.live.Store(false) // the helper may park once the ring is full
 			if err := r.writeSnapshot(); err != nil {
 				return MetropolisResult{}, err
 			}

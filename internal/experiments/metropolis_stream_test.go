@@ -122,7 +122,7 @@ func TestMetropolisSteadyStateAllocs(t *testing.T) {
 			// Warm-up: one full day, reaching the ledger and scratch
 			// high-water marks. It runs on the one P the measurement
 			// uses, so the runtime's per-P caches (the sudogs the shard
-			// helpers and a producer goroutine park on, the timer heap)
+			// helper and a producer goroutine park on, the timer heap)
 			// are warm too: resizing to one P drops the other P's
 			// caches. The first wave starts the drawing here, before
 			// measurement.

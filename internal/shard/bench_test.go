@@ -184,3 +184,47 @@ func BenchmarkShardHandoff(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardedIntake measures the SubmitAsync path facs-serve
+// drives: one goroutine submits singles with up to 512 in flight and
+// another waits for each response, so the intake decides them as
+// micro-batches, each one chunk. It reports the share of non-first
+// slices the helper ran (Stats.FanOuts) beside ns/op. Commit stays off,
+// as in BenchmarkShardedServe.
+func BenchmarkShardedIntake(b *testing.B) {
+	net := testNetwork(b, 3) // 37 cells
+	reqs := genRequests(b, net, 42, 8192)
+	for _, c := range []struct {
+		name    string
+		factory func(View) (cac.Controller, error)
+	}{{"guard", guardFactory}, {"facs", sharedFACS(b)}, {"scc", sccFactory(0)}} {
+		for _, shards := range []int{2, 4} {
+			b.Run(fmt.Sprintf("%s/shards-%d", c.name, shards), func(b *testing.B) {
+				e, err := New(Config{Network: net, Shards: shards, NewController: c.factory})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer e.Close()
+				inflight := make(chan (<-chan serve.Response), 512)
+				done := make(chan struct{})
+				go func() {
+					for ch := range inflight {
+						<-ch
+					}
+					close(done)
+				}()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					inflight <- e.SubmitAsync(reqs[i%len(reqs)])
+				}
+				close(inflight)
+				<-done
+				b.StopTimer()
+				f := e.Stats().FanOuts
+				if posted := f.Awake + f.Woken + f.Inline + f.TakenBack; posted > 0 {
+					b.ReportMetric(float64(f.Awake+f.Woken)/float64(posted), "helper-share")
+				}
+			})
+		}
+	}
+}

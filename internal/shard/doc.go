@@ -23,18 +23,19 @@
 // (taken in shard order whenever several are held), with one
 // exception: SubmitWaveTo routes each chunk, decides the first owning
 // shard's slice on the caller and posts every other owning shard's
-// slice for the helpers — the cross-shard parallelism. New starts one
-// helper goroutine per spare CPU, at most one per shard beyond shard 0
-// (a chunk that routes to shard 0 at all starts there); Close stops and
-// joins them. A slice travels through a preallocated slot, so a chunk
-// starts no goroutine and allocates nothing. The caller takes back, by
-// a CAS on the slot, any slice no helper has claimed once its own is
-// done, and waits only for slices a helper is running. A helper
-// yield-polls while a multi-chunk SubmitWaveTo runs (which wakes it)
-// and while the step a driver handed it through Background (the
-// metropolis driver's arrival drawing) keeps it busy; otherwise it
-// parks, and its slices run on the caller (Stats.FanOuts counts each
-// way; with GOMAXPROCS 1 there is no helper).
+// slice for the helper — the cross-shard parallelism. Given a second
+// CPU and shard, New starts one helper goroutine, which serves every
+// shard beyond shard 0 (a chunk that routes to shard 0 at all starts
+// there); Close stops and joins it. A slice travels through a
+// preallocated slot, so a chunk starts no goroutine and allocates
+// nothing. Posting a slice wakes the helper if it is parked. The
+// caller takes back, by a CAS on the slot, any slice the helper has
+// not claimed once its own is done, and waits only for a slice the
+// helper is running. The helper yield-polls while a multi-chunk
+// SubmitWaveTo runs and while the step a driver handed it through
+// Background (the metropolis driver's arrival drawing) keeps it busy;
+// otherwise it parks (Stats.FanOuts counts where each slice ran; with
+// GOMAXPROCS 1 there is no helper and the caller runs every slice).
 // Every slice runs under its shard's lock against the chunk-start
 // state, whichever goroutine runs it. Release, Do and Tick lock one
 // shard at a time;
@@ -133,7 +134,7 @@
 // latency percentiles) with handoff, fan-out, exchange and rebalance
 // counters, the ownership epoch and the CellLocal and InterestScoped
 // regimes; Background, Shards and Close (which joins the intake and
-// the helpers) complete the set.
+// the helper) complete the set.
 // experiments.RunMetropolis drives the closed loop; cmd/facs-serve and
 // cmd/facs-sim wire the engine behind -shards / -partition /
 // -rebalance-ticks.

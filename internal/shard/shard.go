@@ -309,11 +309,11 @@ type Stats struct {
 }
 
 // FanOuts counts where the non-first slices of multi-shard chunks ran.
-// Each such slice is posted for the engine's helpers; the caller takes
-// back any posted slice no helper has claimed once its own is done.
+// Each such slice is posted for the engine's helper; the caller takes
+// back any posted slice the helper has not claimed once its own is done.
 type FanOuts struct {
-	// Awake counts slices claimed by a helper that had not parked since
-	// its previous slice; Woken those claimed after a park.
+	// Awake counts slices claimed by the helper when it had not parked
+	// since its previous slice; Woken those claimed after a park.
 	Awake, Woken int64
 	// Inline counts slices the caller ran because the engine has no
 	// helper; TakenBack those it posted and took back unclaimed.
@@ -357,7 +357,7 @@ type shardState struct {
 // the lock of each shard it touches (several locks are always taken in
 // shard order). SubmitWaveTo decides one owning shard's slice of each
 // chunk on the caller and posts the other owning shards' slices for
-// helper goroutines; SubmitAsync singles coalesce through one
+// the helper goroutine; SubmitAsync singles coalesce through one
 // intake goroutine (serve.Intake) into micro-batches decided the same
 // way.
 //
@@ -444,7 +444,7 @@ type Engine struct {
 	// decides a multi-chunk wave; noTakeBack is a test hook (the caller
 	// waits for every posted slice).
 	slots      []*slot
-	helpers    []*helper
+	helper     *helper
 	helperWG   sync.WaitGroup
 	stopped    atomic.Bool
 	deciding   atomic.Bool
@@ -483,7 +483,7 @@ type Engine struct {
 
 // New validates the configuration, partitions the network, builds one
 // controller per shard, starts the intake goroutine and the slice
-// helpers, and returns the live engine.
+// helper, and returns the live engine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("shard: config needs a network")
@@ -581,7 +581,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	e.intake = intake
-	e.startHelpers()
+	e.startHelper()
 	return e, nil
 }
 
@@ -760,7 +760,7 @@ func (e *Engine) decideBatch(reqs []cac.Request, enq time.Time, out []serve.Resp
 // at MaxBatch boundaries in global request order first; each chunk's
 // requests are then routed to their owner shards and decided
 // concurrently, the first owning shard's slice on the caller and the
-// others on the helpers or, when no helper claims them, on the caller
+// others on the helper or, when it does not claim them, on the caller
 // too, with a barrier before the next chunk. Chunk boundaries —
 // and, for cell-local controllers, all outcomes — are therefore
 // independent of the shard count: the 1-shard engine realises exactly
@@ -785,12 +785,9 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 	e.waveMu.Lock()
 	defer e.waveMu.Unlock()
 	if len(reqs) > e.cfg.MaxBatch {
-		// Keep the helpers awake from the first chunk to the last.
+		// Keep the helper awake from the first chunk to the last.
 		e.deciding.Store(true)
 		defer e.deciding.Store(false)
-		for _, h := range e.helpers {
-			h.nudge()
-		}
 	}
 	for lo := 0; lo < len(reqs); lo += e.cfg.MaxBatch {
 		hi := min(lo+e.cfg.MaxBatch, len(reqs))
@@ -805,7 +802,7 @@ func (e *Engine) SubmitWaveTo(reqs []cac.Request, out []serve.Response) error {
 // decideChunk routes one chunk (at most MaxBatch requests) to its owner
 // shards and decides every owning shard's slice against the
 // chunk-start state: the first owning shard's slice on the calling
-// goroutine, every other one on a helper or, when no helper claims it,
+// goroutine, every other one on the helper or, when it does not claim it,
 // on the caller too (post, collect); all are done before it returns.
 // out[i] receives reqs[i]'s response. The caller holds waveMu.
 func (e *Engine) decideChunk(reqs []cac.Request, out []serve.Response, enq time.Time) error {
@@ -1186,13 +1183,13 @@ func (e *Engine) Stats() Stats {
 }
 
 // Close decides every single still queued on the intake, stops the
-// intake goroutine and the helpers and waits until all have exited;
+// intake goroutine and the helper and waits until both have exited;
 // afterwards every operation reports serve.ErrClosed. Idempotent;
-// submissions racing with Close either complete normally (a slice no
-// helper claims runs on its caller) or report
+// submissions racing with Close either complete normally (a slice the
+// helper does not claim runs on its caller) or report
 // serve.ErrClosed.
 func (e *Engine) Close() error {
 	e.intake.Close()
-	e.stopHelpers()
+	e.stopHelper()
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Slot states of a shard's hand-off slot. The caller posts a slice
-// (empty -> posted); a helper claims it (posted -> claimed) and reports
-// it (claimed -> done), or the caller takes it back unclaimed
+// (empty -> posted); the helper claims it (posted -> claimed) and
+// reports it (claimed -> done), or the caller takes it back unclaimed
 // (posted -> empty). Only the caller resets done to empty.
 const (
 	slotEmpty int32 = iota
@@ -29,9 +29,9 @@ type slot struct {
 	enq time.Time
 }
 
-// helper is one helper goroutine. It runs posted slices of any shard
-// beyond shard 0 and, the first helper only, the background step
-// between them (Background).
+// helper is the engine's one helper goroutine. It runs posted slices of
+// any shard beyond shard 0 and, between them, the background step a
+// driver handed it (Background).
 type helper struct {
 	// parked is set while the helper sleeps on wake, or is about to.
 	parked atomic.Bool
@@ -40,51 +40,50 @@ type helper struct {
 	step atomic.Pointer[func() bool]
 }
 
-// startHelpers lays out one hand-off slot per shard beyond shard 0 and
-// starts one helper per spare CPU (GOMAXPROCS beyond the caller's), but
-// no more helpers than slots.
+// startHelper lays out one hand-off slot per shard beyond shard 0 and,
+// given a second CPU, starts the helper. One helper serves every shard,
+// so a chunk decides on at most two goroutines: the caller and the
+// helper.
 //
 //facs:coldpath runs once, in New
-func (e *Engine) startHelpers() {
+func (e *Engine) startHelper() {
 	e.slots = make([]*slot, len(e.shards))
 	for s := 1; s < len(e.shards); s++ {
 		e.slots[s] = &slot{}
 	}
-	for i := 0; i < min(runtime.GOMAXPROCS(0)-1, len(e.shards)-1); i++ {
-		h := &helper{wake: make(chan struct{}, 1)}
-		e.helpers = append(e.helpers, h)
-		e.helperWG.Add(1)
-		go e.help(h)
+	if len(e.shards) < 2 || runtime.GOMAXPROCS(0) < 2 {
+		return
 	}
+	e.helper = &helper{wake: make(chan struct{}, 1)}
+	e.helperWG.Add(1)
+	go e.help(e.helper)
 }
 
-// stopHelpers asks every helper to exit and waits until all have.
-// Helpers finish a claimed slice first; a slice posted after the stop
-// is never claimed, so its caller takes it back.
-func (e *Engine) stopHelpers() {
-	if e.stopped.CompareAndSwap(false, true) {
-		for _, h := range e.helpers {
-			h.signal()
-		}
+// stopHelper asks the helper to exit and waits until it has. It
+// finishes a claimed slice first; a slice posted after the stop is
+// never claimed, so its caller takes it back.
+func (e *Engine) stopHelper() {
+	if e.helper != nil && e.stopped.CompareAndSwap(false, true) {
+		e.helper.signal()
 	}
 	e.helperWG.Wait()
 }
 
-// Background hands the engine work for its first helper to do between
+// Background hands the engine work for its helper to do between
 // slices: the helper calls step whenever no slice is posted, never
 // concurrently with itself, and step reports whether the helper should
 // stay awake (it did some work, or its owner is about to post slices).
 // Once step returns false the helper parks until the returned wake is
-// called or a multi-chunk wave begins. Without a helper (GOMAXPROCS 1 or one
+// called or a slice is posted. Without a helper (GOMAXPROCS 1 or one
 // shard) Background returns nil and step never runs. Install at most
 // one step, before the waves it should overlap.
 //
 //facs:coldpath runs once per driver, before its first wave
 func (e *Engine) Background(step func() bool) (wake func()) {
-	if len(e.helpers) == 0 {
+	h := e.helper
+	if h == nil {
 		return nil
 	}
-	h := e.helpers[0]
 	h.step.Store(&step)
 	h.signal()
 	return h.nudge
@@ -105,7 +104,7 @@ func (h *helper) nudge() {
 	}
 }
 
-// help is a helper's loop. It runs every slice it can claim; between
+// help is the helper's loop. It runs every slice it can claim; between
 // slices it runs its background step, if any, and yield-polls while
 // the step or a multi-chunk wave keeps it awake. Otherwise it parks.
 func (e *Engine) help(h *helper) {
@@ -128,8 +127,8 @@ func (e *Engine) help(h *helper) {
 		case e.awake(h):
 			runtime.Gosched()
 		case !h.parked.Swap(true):
-			// Look once more with parked set: a wave, wake or stop
-			// that comes after that look finds it set.
+			// Look once more with parked set: a post, wave, wake or
+			// stop that comes after that look finds it set.
 			continue
 		default:
 			<-h.wake
@@ -165,29 +164,31 @@ func (e *Engine) claim() int {
 	return 0
 }
 
-// post posts shard s's non-first slice of the current chunk for an
-// awake helper to claim; it wakes none, so a slice no helper claims in
-// time runs on the caller. Without helpers it leaves the slice to
-// collect.
+// post posts shard s's non-first slice of the current chunk for the
+// helper to claim, waking it if it is parked; a slice the helper does
+// not claim in time runs on the caller. Without a helper it leaves the
+// slice to collect.
 func (e *Engine) post(s int, out []serve.Response, enq time.Time) {
-	if len(e.helpers) == 0 {
+	h := e.helper
+	if h == nil {
 		return
 	}
 	sl := e.slots[s]
 	sl.out, sl.enq = out, enq
 	sl.state.Store(slotPosted)
+	h.nudge()
 }
 
 // collect completes the slices of the current chunk beyond the caller's
-// own (shard first's) once that is done: it runs every slice no helper
-// has claimed, taking posted ones back, then waits, yielding, for the
-// slices helpers are running.
+// own (shard first's) once that is done: it runs every slice the helper
+// has not claimed, taking posted ones back, then waits, yielding, for
+// the slice the helper is running.
 func (e *Engine) collect(first int, out []serve.Response, enq time.Time) {
 	for s := first + 1; s < len(e.slots); s++ {
 		switch {
 		case len(e.waveRoutes[s].idx) == 0:
 			continue
-		case len(e.helpers) == 0:
+		case e.helper == nil:
 			e.fanInline.Add(1)
 		case !e.noTakeBack.Load() && e.slots[s].state.CompareAndSwap(slotPosted, slotEmpty):
 			e.fanTakenBack.Add(1)

@@ -17,23 +17,23 @@ import (
 )
 
 // TestCloseJoinsWorkers pins the engine's goroutine lifecycle: New
-// starts the intake and one helper per spare CPU (at most one per shard
-// beyond the first), Close stops and joins them all, so the goroutine
-// count returns to its baseline; a second Close is a no-op, and every
-// operation afterwards reports serve.ErrClosed.
+// starts the intake and, given a second CPU, exactly one helper however
+// many shards and CPUs there are; Close stops and joins both, so the
+// goroutine count returns to its baseline; a second Close is a no-op,
+// and every operation afterwards reports serve.ErrClosed.
 func TestCloseJoinsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	net := testNetwork(t, 2)
 	baseline := runtime.NumGoroutine()
 	e, err := New(Config{Network: net, Shards: 4, Commit: true, NewController: guardFactory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	helpers := min(runtime.GOMAXPROCS(0)-1, 3)
-	if len(e.helpers) != helpers {
-		t.Fatalf("%d helpers at GOMAXPROCS %d, want %d", len(e.helpers), runtime.GOMAXPROCS(0), helpers)
+	if e.helper == nil {
+		t.Fatal("no helper at GOMAXPROCS 4")
 	}
-	if got := runtime.NumGoroutine(); got < baseline+1+helpers {
-		t.Fatalf("%d goroutines after New, want at least %d (intake and %d helpers)", got, baseline+1+helpers, helpers)
+	if got := runtime.NumGoroutine(); got < baseline+2 {
+		t.Fatalf("%d goroutines after New, want at least %d (intake and helper)", got, baseline+2)
 	}
 	reqs := genRequests(t, net, 5, 200)
 	if _, err := submitWave(e, reqs); err != nil {
@@ -79,10 +79,11 @@ func TestCloseJoinsWorkers(t *testing.T) {
 }
 
 // TestBackgroundStep checks the seam through which a driver hands the
-// engine its own work: the first helper calls the step while it asks to
+// engine its own work: the helper calls the step while it asks to
 // stay awake, parks once it does not, calls it again after the wake
-// Background returned, and still claims posted slices; a 1-shard engine
-// has no helper and refuses the step.
+// Background returned, and still claims posted slices; a posted slice
+// wakes it when parked. A 1-shard engine has no helper and refuses the
+// step.
 func TestBackgroundStep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	net := testNetwork(t, 2)
@@ -120,7 +121,27 @@ func TestBackgroundStep(t *testing.T) {
 		t.Errorf("slices beside a busy step: %+v", f)
 	}
 	busy.Store(false)
-	waitUntil("the helper never parked", e.helpers[0].parked.Load)
+	waitUntil("the helper never parked", e.helper.parked.Load)
+	// The caller waits for every posted slice, so only a post that
+	// wakes the parked helper lets this wave finish (Close would too).
+	e.noTakeBack.Store(true)
+	before := e.Stats().FanOuts
+	reqs := genRequests(t, net, 4, 20)
+	done := make(chan error, 1)
+	go func() { _, err := submitWave(e, reqs); done <- err }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("after 10 s: a slice posted to the parked helper did not wake it")
+	}
+	e.noTakeBack.Store(false)
+	if f := e.Stats().FanOuts; f.Woken == before.Woken {
+		t.Errorf("no woken slice: %+v, before %+v", f, before)
+	}
+	waitUntil("the helper never parked again", e.helper.parked.Load)
 	parkedAt := calls.Load()
 	busy.Store(true)
 	wake()
@@ -130,10 +151,11 @@ func TestBackgroundStep(t *testing.T) {
 // TestSlicePathsRaceStress drives 2- and 4-shard engines from several
 // goroutines at once, each mixing waves, blocking singles, releases,
 // handoffs and ticks on its own contested stations, with each way a
-// posted slice can run: claimed by a helper or taken back by the
-// caller, whichever comes first ("adaptive"), always on a helper
-// ("worker": the caller never takes one back) and always taken back
-// ("caller": the helpers are stopped). Guard channel decisions read
+// posted slice can run: claimed by the helper or taken back by the
+// caller, whichever comes first ("adaptive"), always on the helper
+// ("worker": the caller never takes one back, so each post wakes a
+// parked helper and waits for it) and always taken back ("caller": the
+// helper is stopped). Guard channel decisions read
 // only their own station and each goroutine's stations are disjoint, so
 // every goroutine's outcomes must equal a sequential replay on the
 // 1-shard engine. Run it under -race.
@@ -181,15 +203,12 @@ func TestSlicePathsRaceStress(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.Close()
-				helpers := len(e.helpers)
+				noHelper := e.helper == nil
 				switch path {
 				case "worker":
-					// A step that keeps the first helper awake runs
-					// every slice the caller no longer takes back.
 					e.noTakeBack.Store(true)
-					e.Background(func() bool { return true })
 				case "caller":
-					e.stopHelpers()
+					e.stopHelper()
 				}
 				got := make([][]stressOutcome, groups)
 				errs := make([]error, groups)
@@ -218,7 +237,7 @@ func TestSlicePathsRaceStress(t *testing.T) {
 				f := e.Stats().FanOuts
 				t.Logf("slice paths: %+v", f)
 				switch {
-				case helpers == 0:
+				case noHelper:
 					// GOMAXPROCS 1: nothing is posted.
 					if f.Inline == 0 || f.Awake+f.Woken+f.TakenBack != 0 {
 						t.Fatalf("no helper: %+v", f)

@@ -45,9 +45,8 @@ type (
 
 // NewShardedEngine partitions the network, builds one controller per
 // shard and starts the engine's intake goroutine, which coalesces
-// SubmitAsync singles, and one slice helper per spare CPU (at most one
-// per shard beyond the first); releases, handoffs and ticks run
-// directly on their caller.
+// SubmitAsync singles, and, given a second CPU and shard, one slice
+// helper; releases, handoffs and ticks run directly on their caller.
 func NewShardedEngine(cfg ShardedEngineConfig) (*ShardedEngine, error) { return ishard.New(cfg) }
 
 // SingleShardView returns the view a 1-shard engine hands its
